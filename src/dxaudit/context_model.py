@@ -67,8 +67,70 @@ class CharVocab:
         return np.array([self._ids.get(ch, UNK_ID) for ch in text], dtype=np.intp)
 
 
+def _segments(starts: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start rows and lengths of the sequences packed into ``n`` rows.
+
+    ``starts`` of None means the rows hold a single sequence.
+    """
+    if starts is None:
+        return np.zeros(1, dtype=np.intp), np.array([n])
+    starts = np.asarray(starts, dtype=np.intp)
+    return starts, np.diff(starts, append=n)
+
+
+def _row_sums(n_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[k] = the sum of every rows[i] with idx[i] == k.
+
+    What np.add.at into zeros gives (up to summation order), without its
+    per-row cost.
+    """
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    out = np.zeros((n_rows, rows.shape[1]))
+    out[sorted_idx[first]] = np.add.reduceat(rows[order], first, axis=0)
+    return out
+
+
+# Most rows in one packed pass. Past this a bigger pass saves no per-call
+# overhead; its activations only add to peak memory and allocation cost.
+PASS_ROWS = 512
+
+
+def _passes(sequences, size: int):
+    """(start, stop) runs of consecutive sequences, each at most ``size``
+    sequences and PASS_ROWS rows; a longer sequence runs alone."""
+    start = rows = 0
+    for i, (ids, _) in enumerate(sequences):
+        if i > start and (i - start == size or rows + len(ids) > PASS_ROWS):
+            yield start, i
+            start, rows = i, 0
+        rows += len(ids)
+    if start < len(sequences):
+        yield start, len(sequences)
+
+
+def pack(sequences) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """Lay (ids, tracks) sequences end to end, with no padding.
+
+    Returns the concatenated ids, the three concatenated tracks, and the
+    row at which each sequence starts.
+    """
+    lengths = [len(ids) for ids, _ in sequences]
+    starts = np.zeros(len(lengths), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    ids = np.concatenate([ids for ids, _ in sequences])
+    tracks = tuple(np.concatenate([tr[t] for _, tr in sequences]) for t in range(3))
+    return ids, tracks, starts
+
+
 class CharWindowEncoder:
-    """Trainable char embeddings averaged over a symmetric +/-window."""
+    """Trainable char embeddings averaged over a symmetric +/-window.
+
+    Input is a packed batch: sequences end to end plus each one's start
+    row. The window is clipped at the sequence's own ends, so one cumsum
+    over the whole batch serves every sequence.
+    """
 
     def __init__(self, vocab: CharVocab, d_enc: int = 32, window: int = 2, seed: int = 0):
         self.vocab = vocab
@@ -77,33 +139,42 @@ class CharWindowEncoder:
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(vocab), d_enc))
 
-    def _bounds(self, length: int):
-        idx = np.arange(length)
-        lo = np.maximum(0, idx - self.window)
-        hi = np.minimum(length, idx + self.window + 1)
+    def _bounds(self, n: int, starts: np.ndarray | None):
+        idx = np.arange(n)
+        starts, lengths = _segments(starts, n)
+        first = np.repeat(starts, lengths)
+        lo = np.maximum(first, idx - self.window)
+        hi = np.minimum(first + np.repeat(lengths, lengths), idx + self.window + 1)
         return lo, hi
 
-    def encode(self, ids: np.ndarray) -> np.ndarray:
-        rows = self.embedding[ids]
-        lo, hi = self._bounds(len(ids))
-        csum = np.vstack([np.zeros((1, self.d_enc)), np.cumsum(rows, axis=0)])
-        return (csum[hi] - csum[lo]) / (hi - lo)[:, None]
+    def _window_sums(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        csum = np.empty((len(rows) + 1, rows.shape[1]))
+        csum[0] = 0.0
+        np.cumsum(rows, axis=0, out=csum[1:])
+        return csum[hi] - csum[lo]
 
-    def backward(self, ids: np.ndarray, d_h1: np.ndarray) -> dict[str, np.ndarray]:
-        lo, hi = self._bounds(len(ids))
-        scaled = d_h1 / (hi - lo)[:, None]
-        csum = np.vstack([np.zeros((1, self.d_enc)), np.cumsum(scaled, axis=0)])
-        d_rows = csum[hi] - csum[lo]  # window membership is symmetric
-        d_emb = np.zeros_like(self.embedding)
-        np.add.at(d_emb, ids, d_rows)
-        return {"embedding": d_emb}
+    def encode(self, ids: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+        lo, hi = self._bounds(len(ids), starts)
+        return self._window_sums(self.embedding[ids], lo, hi) / (hi - lo)[:, None]
+
+    def backward(self, ids: np.ndarray, d_h1: np.ndarray,
+                 starts: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        lo, hi = self._bounds(len(ids), starts)
+        # window membership is symmetric inside a sequence
+        d_rows = self._window_sums(d_h1 / (hi - lo)[:, None], lo, hi)
+        return {"embedding": _row_sums(len(self.embedding), ids, d_rows)}
 
     def params(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding}
 
 
 class GatedFusionHead:
-    """Parameters and forward/backward of the fusion-and-classify stack."""
+    """Parameters and forward/backward of the fusion-and-classify stack.
+
+    Forward and backward take a packed batch (see CharWindowEncoder): the
+    per-position math runs on all rows at once and pooling reduces each
+    sequence's rows, so a batch of B sequences yields (B, n_classes).
+    """
 
     def __init__(self, d_enc: int, d: int = 32, d_f: int | None = None,
                  n_classes: int = 3, seed: int = 0):
@@ -126,52 +197,66 @@ class GatedFusionHead:
         }
 
     def forward(self, h1: np.ndarray, tracks: tuple[np.ndarray, np.ndarray, np.ndarray],
-                return_cache: bool = False):
+                starts: np.ndarray | None = None, return_cache: bool = False):
         p = self.p
-        length = h1.shape[0]
+        n = h1.shape[0]
         if h1.shape[1] != self.d_enc:
             raise ShapeMismatch(f"encoder width {h1.shape[1]} != head d_enc {self.d_enc}")
-        pos, neg, order = tracks
-        if any(len(t) != length for t in tracks):
+        if any(len(t) != n for t in tracks):
             raise ShapeMismatch("feature tracks are not aligned with the encoding")
+        starts, lengths = _segments(starts, n)
 
         u1 = h1 @ p["W1"] + p["b1"]
         h2 = np.maximum(u1, 0.0)
-        f_pos, f_neg, f_order = p["e_pos"][pos], p["e_neg"][neg], p["e_order"][order]
-        uf = f_pos @ p["W_pos"] + f_neg @ p["W_neg"] + f_order @ p["W_order"] + p["b_f"]
-        f1 = np.maximum(uf, 0.0)
+        code = np.ravel_multi_index(tracks, (2, 2, 2))
+        f1 = np.maximum(self._track_table()[code], 0.0)
         z = np.concatenate([f1, h2], axis=1)
         u3 = z @ p["W_fm"] + p["b_fm"]
         h3 = np.tanh(u3)
         g = 1.0 / (1.0 + np.exp(-(z @ p["W_g"] + p["c_g"])))
         o = g * h3 + (1.0 - g) * h2
-        imax = np.argmax(o, axis=0)
-        cvec = np.concatenate([o[imax, np.arange(self.d)], o.mean(axis=0)])
+        c_max = np.maximum.reduceat(o, starts, axis=0)
+        cvec = np.concatenate(
+            [c_max, np.add.reduceat(o, starts, axis=0) / lengths[:, None]], axis=1)
         scores = cvec @ p["W_y"] + p["b_y"]
-        shifted = scores - scores.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
+        exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
         if not return_cache:
             return probs
-        cache = {"h1": h1, "u1": u1, "h2": h2, "f_pos": f_pos, "f_neg": f_neg,
-                 "f_order": f_order, "uf": uf, "f1": f1, "z": z, "h3": h3, "g": g,
-                 "o": o, "imax": imax, "cvec": cvec, "probs": probs,
-                 "tracks": (pos, neg, order), "length": length}
+        # The max-pool gradient goes to each sequence's first maximal row.
+        at_max = np.where(o == np.repeat(c_max, lengths, axis=0), np.arange(n)[:, None], n)
+        cache = {"h1": h1, "h2": h2, "z": z, "h3": h3, "g": g, "o": o,
+                 "imax": np.minimum.reduceat(at_max, starts, axis=0),
+                 "cvec": cvec, "code": code, "lengths": lengths}
         return probs, cache
 
+    def _track_table(self) -> np.ndarray:
+        """uf for each of the 8 (pos, neg, order) bit triples.
+
+        A track's contribution is a 2-row embedding lookup followed by a
+        linear map, so the maps are applied to the embedding tables and the
+        three lookups become one.
+        """
+        p = self.p
+        table = ((p["e_pos"] @ p["W_pos"])[:, None, None]
+                 + (p["e_neg"] @ p["W_neg"])[None, :, None]
+                 + (p["e_order"] @ p["W_order"])[None, None, :] + p["b_f"])
+        return table.reshape(8, self.d)
+
     def backward(self, cache: dict, d_scores: np.ndarray):
-        """Gradients for every head parameter plus d(h1)."""
+        """Gradients for every head parameter, summed over the batch, plus d(h1).
+
+        ``d_scores`` holds one row per sequence.
+        """
         p = self.p
         d = self.d
-        length = cache["length"]
-        pos, neg, order = cache["tracks"]
-        grads = {name: np.zeros_like(arr) for name, arr in self.p.items()}
-
-        grads["W_y"] = np.outer(cache["cvec"], d_scores)
-        grads["b_y"] = d_scores
-        d_cvec = p["W_y"] @ d_scores
-        d_o = np.tile(d_cvec[d:] / length, (length, 1))
-        d_o[cache["imax"], np.arange(d)] += d_cvec[:d]
+        lengths = cache["lengths"]
+        grads = {}
+        grads["W_y"] = cache["cvec"].T @ d_scores
+        grads["b_y"] = d_scores.sum(axis=0)
+        d_cvec = d_scores @ p["W_y"].T
+        d_o = np.repeat(d_cvec[:, d:] / lengths[:, None], lengths, axis=0)
+        d_o[cache["imax"], np.arange(d)] += d_cvec[:, :d]
 
         h2, h3, g = cache["h2"], cache["h3"], cache["g"]
         d_g = d_o * (h3 - h2)
@@ -191,39 +276,50 @@ class GatedFusionHead:
         d_f1 = d_z[:, :d]
         d_h2 += d_z[:, d:]
 
-        d_uf = d_f1 * (cache["uf"] > 0.0)
+        d_uf = d_f1 * (cache["z"][:, :d] > 0.0)
         grads["b_f"] = d_uf.sum(axis=0)
-        for name, feats, bits in (("pos", cache["f_pos"], pos),
-                                  ("neg", cache["f_neg"], neg),
-                                  ("order", cache["f_order"], order)):
-            grads[f"W_{name}"] = feats.T @ d_uf
-            d_feat = d_uf @ p[f"W_{name}"].T
-            table = grads[f"e_{name}"]
-            np.add.at(table, bits, d_feat)
+        per_code = _row_sums(8, cache["code"], d_uf).reshape(2, 2, 2, d)
+        for axis, name in enumerate(("pos", "neg", "order")):
+            per_bit = per_code.sum(axis=tuple(a for a in range(3) if a != axis))
+            grads[f"W_{name}"] = p[f"e_{name}"].T @ per_bit
+            grads[f"e_{name}"] = per_bit @ p[f"W_{name}"].T
 
-        d_u1 = d_h2 * (cache["u1"] > 0.0)
+        d_u1 = d_h2 * (h2 > 0.0)
         grads["W1"] = cache["h1"].T @ d_u1
         grads["b1"] = d_u1.sum(axis=0)
         d_h1 = d_u1 @ p["W1"].T
         return grads, d_h1
 
 
-def focal_loss(probs: np.ndarray, label_index: int, gamma: float) -> float:
-    """-(1 - p)^gamma * log(p) with p clamped at 1e-12."""
-    p = max(float(probs[label_index]), 1e-12)
-    return -((1.0 - p) ** gamma) * math.log(p)
+def focal_loss(probs: np.ndarray, label_index, gamma: float):
+    """-(1 - p)^gamma * log(p) with p clamped at 1e-12.
+
+    ``probs`` is one distribution with an int label, or one row per sample
+    with an array of labels (then one loss per row).
+    """
+    p = np.maximum(_label_probs(probs, label_index), 1e-12)
+    return -((1.0 - p) ** gamma) * np.log(p)
 
 
-def _focal_score_grad(probs: np.ndarray, label_index: int, gamma: float) -> np.ndarray:
-    p = min(max(float(probs[label_index]), 1e-12), 1.0 - 1e-12)
+def _label_probs(probs: np.ndarray, label_index):
+    if probs.ndim == 1:
+        return probs[label_index]
+    return probs[np.arange(len(probs)), label_index]
+
+
+def _focal_score_grad(probs: np.ndarray, label_indices: np.ndarray,
+                      gamma: float) -> np.ndarray:
+    """d(focal loss)/d(scores), one row per sample."""
+    p_label = _label_probs(probs, label_indices)
+    p = np.clip(p_label, 1e-12, 1.0 - 1e-12)
     if gamma == 0.0:
         dldp = -1.0 / p
     else:
         one_minus = 1.0 - p
-        dldp = gamma * one_minus ** (gamma - 1.0) * math.log(p) - one_minus ** gamma / p
-    onehot = np.zeros(len(probs))
-    onehot[label_index] = 1.0
-    return dldp * probs[label_index] * (onehot - probs)
+        dldp = gamma * one_minus ** (gamma - 1.0) * np.log(p) - one_minus ** gamma / p
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(probs)), label_indices] = 1.0
+    return (dldp * p_label)[:, None] * (onehot - probs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +406,9 @@ class ContextClassifier:
 
     # -- input assembly ---------------------------------------------------
 
-    def _inputs(self, sample: ContextSample):
+    def inputs(self, sample: ContextSample) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The sample as one sequence: char ids of (disease, SEP, context) and
+        the three 0/1 tracks aligned with them."""
         disease = sample.disease[: self.config.max_disease]
         context = sample.context[: self.config.max_context]
         ids = np.concatenate([
@@ -318,30 +416,26 @@ class ContextClassifier:
             np.array([SEP_ID], dtype=np.intp),
             self.encoder.vocab.encode(context),
         ])
-        prefix = len(disease) + 1
 
         def extend(track, prefix_bit):
             return np.concatenate([
-                np.full(len(disease), prefix_bit, dtype=np.intp),
-                np.zeros(1, dtype=np.intp),
-                np.asarray(track[: len(context)], dtype=np.intp),
+                np.full(len(disease), prefix_bit, dtype=np.uint8),
+                np.zeros(1, dtype=np.uint8),
+                np.asarray(track[: len(context)], dtype=np.uint8),
             ])
 
         tracks = (extend(sample.pos_track, 1),
                   extend(sample.neg_track, 0),
                   extend(sample.order_track, 0))
-        return ids, tracks, prefix
+        return ids, tracks
 
     # -- inference ----------------------------------------------------------
 
-    def forward(self, sample: ContextSample, return_cache: bool = False):
-        ids, tracks, _ = self._inputs(sample)
-        h1 = self.encoder.encode(ids)
-        if return_cache:
-            probs, cache = self.head.forward(h1, tracks, return_cache=True)
-            cache["ids"] = ids
-            return probs, cache
-        return self.head.forward(h1, tracks)
+    def _probs(self, ids, tracks, starts=None) -> np.ndarray:
+        return self.head.forward(self.encoder.encode(ids, starts), tracks, starts)
+
+    def forward(self, sample: ContextSample) -> np.ndarray:
+        return self._probs(*self.inputs(sample))[0]
 
     def predict_proba(self, sample: ContextSample) -> np.ndarray:
         return self.forward(sample)
@@ -356,27 +450,43 @@ class ContextClassifier:
         return self.predict(sample)
 
     # -- training -----------------------------------------------------------
+    # These take sequences from ``inputs``, so a training set is encoded once.
 
-    def loss_and_grads(self, sample: ContextSample, label_index: int):
-        probs, cache = self.forward(sample, return_cache=True)
-        loss = focal_loss(probs, label_index, self.config.focal_gamma)
-        d_scores = _focal_score_grad(probs, label_index, self.config.focal_gamma)
-        head_grads, d_h1 = self.head.backward(cache, d_scores)
-        enc_grads = self.encoder.backward(cache["ids"], d_h1)
-        return loss, head_grads, enc_grads
+    def loss_and_grads(self, batch, label_indices):
+        """Summed focal loss of a batch of sequences and its summed gradients.
 
-    def mean_loss(self, samples, label_indices) -> float:
-        total = 0.0
-        for sample, label in zip(samples, label_indices):
-            total += focal_loss(self.forward(sample), label, self.config.focal_gamma)
-        return total / len(samples)
+        The batch runs as one packed forward and backward pass, or as
+        several when it holds more than PASS_ROWS rows.
+        """
+        labels = np.asarray(label_indices, dtype=np.intp)
+        parts = [self._packed_loss_and_grads(batch[a:b], labels[a:b])
+                 for a, b in _passes(batch, len(batch))]
+        head_grads = {k: sum(part[1][k] for part in parts) for k in parts[0][1]}
+        return (sum(part[0] for part in parts), head_grads,
+                {"embedding": sum(part[2] for part in parts)})
 
-    def accuracy(self, samples, label_indices) -> float:
-        hits = 0
-        for sample, label in zip(samples, label_indices):
-            if int(np.argmax(self.forward(sample))) == label:
-                hits += 1
-        return hits / len(samples)
+    def _packed_loss_and_grads(self, batch, labels):
+        ids, tracks, starts = pack(batch)
+        gamma = self.config.focal_gamma
+        h1 = self.encoder.encode(ids, starts)
+        probs, cache = self.head.forward(h1, tracks, starts, return_cache=True)
+        loss = float(focal_loss(probs, labels, gamma).sum())
+        head_grads, d_h1 = self.head.backward(cache, _focal_score_grad(probs, labels, gamma))
+        return loss, head_grads, self.encoder.backward(ids, d_h1, starts)["embedding"]
+
+    def _batched_probs(self, sequences) -> np.ndarray:
+        """Class probabilities, one row per sequence, in packed mini-batches."""
+        return np.concatenate([self._probs(*pack(sequences[a:b]))
+                               for a, b in _passes(sequences, self.config.batch_size)])
+
+    def mean_loss(self, sequences, label_indices) -> float:
+        probs = self._batched_probs(sequences)
+        return float(focal_loss(probs, np.asarray(label_indices, dtype=np.intp),
+                                self.config.focal_gamma).mean())
+
+    def accuracy(self, sequences, label_indices) -> float:
+        probs = self._batched_probs(sequences)
+        return float(np.mean(np.argmax(probs, axis=1) == np.asarray(label_indices)))
 
     def named_params(self):
         for name, arr in self.head.p.items():
@@ -410,9 +520,7 @@ class ContextClassifier:
 
     @classmethod
     def load(cls, path) -> "ContextClassifier":
-        kind, meta, arrays = load_model(path)
-        if kind != "context":
-            raise ValueError(f"{path}: expected a context model, got {kind!r}")
+        meta, arrays = load_model(path, "context")
         vocab = CharVocab(list(meta["vocab"]))
         encoder = CharWindowEncoder(vocab, d_enc=meta["d_enc"], window=meta["window"])
         encoder.embedding = arrays["encoder.embedding"]
@@ -453,8 +561,11 @@ def train(samples: list[ContextSample], config: TrainConfig,
     model = ContextClassifier(encoder, head, config)
 
     label_indices = [LABELS.index(lbl) for lbl in labels]
-    eval_samples = dev_samples if dev_samples else samples
-    eval_labels = [LABELS.index(s.label) for s in eval_samples]
+    sequences = [model.inputs(s) for s in samples]
+    eval_sequences, eval_labels = sequences, label_indices
+    if dev_samples:
+        eval_sequences = [model.inputs(s) for s in dev_samples]
+        eval_labels = [LABELS.index(s.label) for s in dev_samples]
 
     rng = random.Random(config.seed)
     order = list(range(len(samples)))
@@ -463,22 +574,16 @@ def train(samples: list[ContextSample], config: TrainConfig,
         rng.shuffle(order)
         for batch_start in range(0, len(order), config.batch_size):
             batch = order[batch_start : batch_start + config.batch_size]
-            head_acc = {k: np.zeros_like(v) for k, v in head.p.items()}
-            emb_acc = np.zeros_like(encoder.embedding)
-            for idx in batch:
-                _, head_grads, enc_grads = model.loss_and_grads(
-                    samples[idx], label_indices[idx])
-                for key, grad in head_grads.items():
-                    head_acc[key] += grad
-                emb_acc += enc_grads["embedding"]
+            _, head_grads, enc_grads = model.loss_and_grads(
+                [sequences[i] for i in batch], [label_indices[i] for i in batch])
             scale = config.learning_rate / len(batch)
             for key in head.p:
-                head.p[key] -= scale * head_acc[key]
-            encoder.embedding -= scale * emb_acc
+                head.p[key] -= scale * head_grads[key]
+            encoder.embedding -= scale * enc_grads["embedding"]
         history.append(EpochStats(
             epoch=epoch,
-            loss=model.mean_loss(samples, label_indices),
-            dev_accuracy=model.accuracy(eval_samples, eval_labels),
+            loss=model.mean_loss(sequences, label_indices),
+            dev_accuracy=model.accuracy(eval_sequences, eval_labels),
         ))
     return model, history
 

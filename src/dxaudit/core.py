@@ -215,7 +215,10 @@ def _minor_to_major(minor: int):
 def _parse_drg(obj: dict, line: int) -> DrgAssignment:
     try:
         adrg = obj["adrg"]
-        tier = Tier(int(obj["tier"]))
+        tier = obj["tier"]
+        if not isinstance(tier, int) or isinstance(tier, bool):
+            raise ParseError(f"bad drg object: tier {tier!r} is not an integer", line)
+        tier = Tier(tier)
         avg_cost = _cost_to_minor(obj["avg_cost"], line)
         return DrgAssignment(adrg=adrg, tier=tier, avg_cost=avg_cost)
     except ParseError:
@@ -234,21 +237,28 @@ def parse_record_line(text: str, line: int = 0) -> MedicalRecord:
     try:
         record_id = obj["record_id"]
         sections = tuple((s["name"], s["text"]) for s in obj["sections"])
-        diagnoses = tuple(obj["discharge_diagnoses"])
+        diagnoses = obj["discharge_diagnoses"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}", line)
     if not isinstance(record_id, str) or not record_id:
         raise ParseError("record_id must be a non-empty string", line)
     for name, sect_text in sections:
+        if not isinstance(name, str):
+            raise ParseError(f"section name {name!r} is not a string", line)
         if not isinstance(sect_text, str) or not sect_text:
             raise ParseError(f"section {name!r} has empty text", line)
+    if not isinstance(diagnoses, list):
+        raise ParseError("discharge_diagnoses must be a list of strings", line)
+    for diagnosis in diagnoses:
+        if not isinstance(diagnosis, str):
+            raise ParseError(f"discharge diagnosis {diagnosis!r} is not a string", line)
     drg = None
     if obj.get("drg") is not None:
         drg = _parse_drg(obj["drg"], line)
     return MedicalRecord(
         record_id=record_id,
         sections=sections,
-        discharge_diagnoses=diagnoses,
+        discharge_diagnoses=tuple(diagnoses),
         drg=drg,
     )
 

@@ -71,6 +71,14 @@ class DegenerateBatch(DxAuditError):
     """A contrastive batch cannot be formed with >= 2 positive pairs."""
 
 
+class BadModelFile(DxAuditError):
+    """A model file is truncated, corrupt, or holds another kind of model."""
+
+
+class SpanMismatch(DxAuditError):
+    """A mention's span does not cover its disease in the record text."""
+
+
 class ModelNotLoaded(DxAuditError):
     """The pipeline was run without a trained model."""
 

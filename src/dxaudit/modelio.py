@@ -9,13 +9,17 @@ twice produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .errors import BadModelFile
+
 MAGIC = b"DXMD"
 VERSION = 1
+_PREAMBLE = 16  # magic, version, header length
 
 
 def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -35,19 +39,37 @@ def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nda
             handle.write(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
 
 
-def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read the meta and arrays of a ``kind`` model written by save_model.
+
+    A file that is not a complete model of that kind raises BadModelFile
+    naming the path.
+    """
     with open(path, "rb") as handle:
-        if handle.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a dxaudit model file")
-        (version,) = struct.unpack("<I", handle.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        (header_len,) = struct.unpack("<Q", handle.read(8))
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-        arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = handle.read(count * 8)
-            arrays[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-    return header["kind"], header["meta"], arrays
+        data = handle.read()
+    if data[:4] != MAGIC:
+        raise BadModelFile(f"{path}: not a dxaudit model file")
+    if len(data) < _PREAMBLE:
+        raise BadModelFile(f"{path}: truncated header")
+    version, header_len = struct.unpack_from("<IQ", data, 4)
+    if version != VERSION:
+        raise BadModelFile(f"{path}: unsupported model version {version}")
+    offset = _PREAMBLE + header_len
+    try:
+        header = json.loads(data[_PREAMBLE:offset].decode("utf-8"))
+        found, meta = header["kind"], header["meta"]
+        specs = [(spec["name"], tuple(int(n) for n in spec["shape"]))
+                 for spec in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadModelFile(f"{path}: unreadable header ({exc})")
+    if found != kind:
+        raise BadModelFile(f"{path}: expected a {kind} model, got {found!r}")
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in specs:
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset + 8 * count > len(data):
+            raise BadModelFile(f"{path}: array {name!r} is truncated")
+        arrays[name] = np.frombuffer(data, dtype=np.float64, count=count,
+                                     offset=offset).reshape(shape).copy()
+        offset += 8 * count
+    return meta, arrays

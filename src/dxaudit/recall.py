@@ -2,10 +2,10 @@
 
 The matcher is an Aho-Corasick automaton over characters, so a record is
 scanned in a single pass regardless of lexicon size. Overlapping hits are
-resolved by longest-match-wins: hits are ranked by (length desc, start asc)
-and a hit is dropped when its span is fully covered by an already accepted
-hit. This keeps a disease from being double-reported alongside one of its
-substrings while preserving genuinely distinct partial overlaps.
+resolved by longest-match-wins: a hit is dropped when its span is fully
+covered by another hit. This keeps a disease from being double-reported
+alongside one of its substrings while preserving genuinely distinct
+partial overlaps.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .core import SENTENCE_BOUNDARIES, Lexicon, LexiconKind, MedicalRecord
-from .errors import EmptyLexicon, WindowOverflow
+from .errors import EmptyLexicon, SpanMismatch, WindowOverflow
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,19 @@ def build_matcher(lexicon: Lexicon) -> DiseaseMatcher:
 
 
 def resolve_overlaps(hits: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:
-    """Longest-match filter: drop hits fully covered by an accepted hit."""
-    ranked = sorted(hits, key=lambda h: (-(h[1] - h[0]), h[0], h[2]))
+    """Longest-match filter: drop hits fully covered by an accepted hit.
+
+    Containment is transitive, so the accepted hits are exactly the hits no
+    other hit contains (a repeated hit is kept once). Sorted by (start asc,
+    end desc), every hit that could contain a hit comes before it, so a hit
+    is kept when it ends past every hit before it. O(n log n).
+    """
     accepted: list[tuple[int, int, str]] = []
-    for start, end, entry in ranked:
-        covered = any(a <= start and end <= b for a, b, _ in accepted)
-        if not covered:
+    reach = -1
+    for start, end, entry in sorted(hits, key=lambda h: (h[0], -h[1], h[2])):
+        if end > reach:
             accepted.append((start, end, entry))
-    accepted.sort()
+            reach = end
     return accepted
 
 
@@ -233,5 +238,8 @@ def build_context_window(
         offset += b - a
     context = "".join(parts)
     for start, end in context_spans:
-        assert context[start:end] == mention.disease
+        if context[start:end] != mention.disease:
+            raise SpanMismatch(
+                f"span [{start}, {end}) of the context holds {context[start:end]!r}, "
+                f"not {mention.disease!r}")
     return replace(mention, context=context, context_spans=tuple(context_spans))

@@ -483,9 +483,7 @@ class RelationClassifier:
 
     @classmethod
     def load(cls, path) -> "RelationClassifier":
-        kind, meta, arrays = load_model(path)
-        if kind != "relation":
-            raise ValueError(f"{path}: expected a relation model, got {kind!r}")
+        meta, arrays = load_model(path, "relation")
         config = PairTrainConfig(**meta["config"])
         encoder = PairEncoder(list(meta["vocab"]), d_pair=meta["d_pair"])
         encoder.embedding = arrays["embedding"]

@@ -126,7 +126,7 @@ def finite_difference_worst_error(model, sample, label_index, h=1e-5):
     """
     from dxaudit.context_model import focal_loss
 
-    _, head_grads, enc_grads = model.loss_and_grads(sample, label_index)
+    _, head_grads, enc_grads = model.loss_and_grads([model.inputs(sample)], [label_index])
     analytic = dict(head_grads)
     analytic["__embedding__"] = enc_grads["embedding"]
     tables = {name: arr for name, arr in model.head.p.items()}

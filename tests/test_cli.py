@@ -178,3 +178,47 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestHostileInput:
+    def test_malformed_fields_fail_alone(self, workspace, tmp_path):
+        good = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        bad = [
+            {"record_id": "b1", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
+             "discharge_diagnoses": "腰椎间盘突出症高脂血症"},
+            {"record_id": "b2", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
+             "discharge_diagnoses": [123]},
+            {"record_id": "b3", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
+             "discharge_diagnoses": [],
+             "drg": {"adrg": "GB2", "tier": True, "avg_cost": 1}},
+        ]
+        corpus = tmp_path / "hostile.jsonl"
+        corpus.write_text("\n".join([good] + [json.dumps(b, ensure_ascii=False) for b in bad])
+                          + "\n", encoding="utf-8")
+        out = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(corpus),
+                    "--models", str(workspace / "models"), "--out", str(out)]) == 2
+        lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [obj["record_id"] for obj in lines[:-1]] == [json.loads(good)["record_id"]]
+        assert [e["line"] for e in lines[-1]["errors"]] == [2, 3, 4]
+
+    def _detect_with_context_model(self, workspace, tmp_path, context_model):
+        return run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(context_model),
+                    "--relation-model", str(workspace / "relation.bin"),
+                    "--out", str(tmp_path / "findings.jsonl")])
+
+    def test_truncated_model_is_65(self, workspace, tmp_path, capsys):
+        truncated = tmp_path / "context.bin"
+        truncated.write_bytes((workspace / "context.bin").read_bytes()[:40])
+        assert self._detect_with_context_model(workspace, tmp_path, truncated) == 65
+        err = capsys.readouterr().err
+        assert str(truncated) in err
+        assert "Traceback" not in err
+
+    def test_wrong_model_kind_is_65(self, workspace, tmp_path, capsys):
+        relation = workspace / "relation.bin"
+        assert self._detect_with_context_model(workspace, tmp_path, relation) == 65
+        err = capsys.readouterr().err
+        assert str(relation) in err
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dxaudit.core import LexiconKind, make_lexicon
-from dxaudit.errors import DegenerateData, EmptyPool, ShapeMismatch
+from dxaudit.errors import BadModelFile, DegenerateData, EmptyPool, ShapeMismatch
 from dxaudit.features import LABELS, ContextSample, assemble_features
 from dxaudit.context_model import (
     CharVocab,
@@ -16,8 +16,10 @@ from dxaudit.context_model import (
     GatedFusionHead,
     TrainConfig,
     augment_disease_replace,
+    _row_sums,
     augment_eda,
     focal_loss,
+    pack,
     train,
 )
 
@@ -171,6 +173,72 @@ class TestGradients:
         sample = make_sample(disease="ad", context="abcadefgba", label="confirmed")
         worst = finite_difference_worst_error(model, sample, label_index=1)
         assert worst < 1e-4
+
+
+class TestPackedBatches:
+    def test_packed_forward_matches_naive_per_sequence(self):
+        rng = np.random.default_rng(27)
+        lengths_seen = set()
+        for _ in range(100):
+            encoder, head, _, _ = random_instance(rng)
+            vocab_size = len(encoder.vocab)
+            sequences = []
+            for _ in range(int(rng.integers(1, 9))):
+                length = int(rng.integers(1, 13))
+                lengths_seen.add(length)
+                sequences.append((rng.integers(0, vocab_size, size=length),
+                                  tuple(rng.integers(0, 2, size=length) for _ in range(3))))
+            ids, tracks, starts = pack(sequences)
+            got = head.forward(encoder.encode(ids, starts), tracks, starts)
+            assert got.shape == (len(sequences), head.n_classes)
+            for row, (seq_ids, seq_tracks) in zip(got, sequences):
+                expected = naive_forward(encoder.embedding, encoder.window, head.p,
+                                         list(seq_ids), *[list(t) for t in seq_tracks])
+                assert np.allclose(row, np.array(expected), atol=1e-9)
+        # length 1, and lengths no longer than the window, occur
+        assert {1, 2} <= lengths_seen
+
+    def test_packed_gradients_match_finite_differences(self):
+        vocab = CharVocab(list("abcdefg"))
+        encoder = CharWindowEncoder(vocab, d_enc=4, window=2, seed=1)
+        head = GatedFusionHead(d_enc=4, d=3, seed=2)
+        model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
+        samples = [make_sample(disease="ad", context="abcadefgba"),
+                   make_sample(disease="g", context="c"),
+                   make_sample(disease="bc", context="gfedcb")]
+        labels = [1, 0, 2]
+
+        def total_loss():
+            return sum(focal_loss(model.forward(s), y, 2.0) for s, y in zip(samples, labels))
+
+        loss, head_grads, enc_grads = model.loss_and_grads(
+            [model.inputs(s) for s in samples], labels)
+        assert abs(loss - total_loss()) < 1e-12
+        analytic = {f"head.{k}": v for k, v in head_grads.items()}
+        analytic["encoder.embedding"] = enc_grads["embedding"]
+        h, worst = 1e-5, 0.0
+        for name, table in model.named_params():
+            flat, grad = table.reshape(-1), analytic[name].reshape(-1)
+            for k in range(flat.size):
+                saved = flat[k]
+                flat[k] = saved + h
+                up = total_loss()
+                flat[k] = saved - h
+                down = total_loss()
+                flat[k] = saved
+                numeric = (up - down) / (2 * h)
+                err = abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]), 1e-6)
+                worst = max(worst, err)
+        assert worst < 1e-4
+
+    def test_row_sums_equal_add_at(self):
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            idx = rng.integers(0, 6, size=int(rng.integers(1, 40)))
+            rows = rng.normal(size=(len(idx), 3))
+            expected = np.zeros((6, 3))
+            np.add.at(expected, idx, rows)
+            assert np.allclose(_row_sums(6, idx, rows), expected, rtol=0, atol=1e-12)
 
 
 class TestAugmentEda:
@@ -334,3 +402,30 @@ class TestPersistence:
         model.save(path_a)
         model.save(path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:40],
+        lambda data: data[:-8],
+        lambda data: b"XXXX" + data[4:],
+        lambda data: data[:4] + b"\x09\x00\x00\x00" + data[8:],
+        lambda data: data[:12],
+    ], ids=["header_cut_short", "array_cut_short", "bad_magic", "bad_version",
+            "preamble_cut_short"])
+    def test_corrupt_file_raises_bad_model_file(self, tmp_path, corrupt):
+        samples = separable_samples(60, seed=5)
+        model, _ = train(samples, TrainConfig(batch_size=8, epochs=1, seed=3), d=4, d_enc=4)
+        path = tmp_path / "context.bin"
+        model.save(path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(BadModelFile, match="context.bin"):
+            ContextClassifier.load(path)
+
+    def test_wrong_kind_raises_bad_model_file(self, tmp_path):
+        from dxaudit.relation_model import RelationClassifier
+
+        samples = separable_samples(60, seed=5)
+        model, _ = train(samples, TrainConfig(batch_size=8, epochs=1, seed=3), d=4, d_enc=4)
+        path = tmp_path / "context.bin"
+        model.save(path)
+        with pytest.raises(BadModelFile, match="expected a relation model"):
+            RelationClassifier.load(path)

@@ -94,6 +94,29 @@ class TestCorpusIO:
         assert core.load_corpus(out) == records
 
 
+class TestRecordFieldValidation:
+    @pytest.mark.parametrize("line", [
+        # a string would otherwise parse as one diagnosis per character
+        '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": "腰椎间盘突出症高脂血症"}',
+        '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": [123]}',
+        '{"record_id": "r", "sections": [{"name": 7, "text": "t"}],'
+        ' "discharge_diagnoses": []}',
+        '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": true, "avg_cost": 1}}',
+        '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": "3", "avg_cost": 1}}',
+        '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": [], "drg": [3]}',
+    ], ids=["string_diagnoses", "non_string_diagnosis", "non_string_section_name",
+            "bool_tier", "string_tier", "drg_not_an_object"])
+    def test_malformed_field_is_parse_error(self, line):
+        with pytest.raises(ParseError) as excinfo:
+            core.parse_record_line(line, 4)
+        assert excinfo.value.line == 4
+
+
 class TestIcdTable:
     def test_children_of(self, tmp_path):
         path = tmp_path / "icd.csv"

@@ -6,8 +6,9 @@ import time
 import pytest
 
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
-from dxaudit.errors import EmptyLexicon, WindowOverflow
+from dxaudit.errors import EmptyLexicon, SpanMismatch, WindowOverflow
 from dxaudit.recall import (
+    DiseaseMention,
     build_context_window,
     build_matcher,
     find_mentions,
@@ -174,3 +175,9 @@ class TestContextWindow:
                 assert len(windowed.context) <= 450
                 for start, end in windowed.context_spans:
                     assert windowed.context[start:end] == mention.disease
+
+    def test_span_off_its_disease_raises(self):
+        record = record_of("患者确诊为肺炎。")
+        mention = DiseaseMention(disease="肺炎", spans=((0, 0, 2),))
+        with pytest.raises(SpanMismatch):
+            build_context_window(record, mention)
