@@ -30,6 +30,11 @@ SENTENCE_BOUNDARIES = "。；\n"  # 。 ； newline
 # half-width forms plus the ideographic comma).
 _TRAILING_PUNCT = "、,;；"
 
+# Full-width ASCII (U+FF01-U+FF5E) and the ideographic space (U+3000),
+# and the half-width characters they fold to.
+_FULL_WIDTH_RE = re.compile("[\uff01-\uff5e\u3000]")
+_HALF_WIDTH = {o: o - 0xFEE0 for o in range(0xFF01, 0xFF5F)} | {0x3000: " "}
+
 _ICD_CODE_RE = re.compile(r"^[A-Z][0-9]{2}(\.[0-9]([0-9]{2})?)?$")
 
 
@@ -167,16 +172,7 @@ def normalize_disease_name(raw: str) -> str:
     removed, and trailing list punctuation is stripped. Internal
     characters are preserved. Idempotent.
     """
-    folded = []
-    for ch in raw:
-        o = ord(ch)
-        if 0xFF01 <= o <= 0xFF5E:
-            folded.append(chr(o - 0xFEE0))
-        elif o == 0x3000:
-            folded.append(" ")
-        else:
-            folded.append(ch)
-    result = "".join(folded)
+    result = raw.translate(_HALF_WIDTH) if _FULL_WIDTH_RE.search(raw) else raw
     while True:  # punctuation and whitespace can interleave at the tail
         stripped = result.strip().rstrip(_TRAILING_PUNCT)
         if stripped == result:
@@ -324,14 +320,13 @@ class IcdIndex:
             if entry.code in self._by_code:
                 raise DuplicateCode(f"code {entry.code} appears twice")
             self._by_code[entry.code] = entry
-        for code, entry in self._by_code.items():
+        for code in sorted(self._by_code):  # every list below is in code order
+            entry = self._by_code[code]
             title_key = normalize_disease_name(entry.title)
             self._by_title.setdefault(title_key, []).append(entry)
             parent = entry.parent_code
             if parent is not None and parent in self._by_code:
                 self._children.setdefault(parent, []).append(code)
-        for kids in self._children.values():
-            kids.sort()
 
     def __len__(self) -> int:
         return len(self._by_code)
@@ -344,6 +339,10 @@ class IcdIndex:
 
     def by_title(self, title: str) -> list[IcdEntry]:
         return list(self._by_title.get(normalize_disease_name(title), ()))
+
+    def titles(self) -> list[str]:
+        """Distinct normalized titles, in the code order of their first entry."""
+        return list(self._by_title)
 
     def children_of(self, code: str) -> list[str]:
         return list(self._children.get(code, ()))

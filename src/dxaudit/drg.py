@@ -16,6 +16,8 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     CcLevel,
     DrgAssignment,
@@ -31,6 +33,9 @@ from .errors import MissingGroupRow, ParseError
 from .relation_model import RELATIONS
 
 _SEVERITY_RANK = {CcLevel.MCC: 2, CcLevel.CC: 1, CcLevel.NONE: 0}
+
+# Relations under which a title can stand in for a disease that is not one.
+_MATCHING_RELATIONS = [RELATIONS.index("similarity"), RELATIONS.index("inclusion")]
 
 
 class DrgGroupTable:
@@ -82,12 +87,16 @@ def cc_mcc_level(
     icd: IcdIndex,
     relation_model=None,
     threshold: float = 0.8,
+    scanned: dict[str, CcLevel] | None = None,
 ) -> CcLevel:
     """CC/MCC level of a disease surface, or NONE when unresolvable.
 
     Resolution is exact normalized-title match first; otherwise the
-    relation model's best similarity/inclusion title above ``threshold``.
-    Several entries under one title resolve to the most severe level.
+    relation model's best similarity/inclusion title above ``threshold``,
+    the first entry in code order winning a tie. Several entries under one
+    title resolve to the most severe level. ``scanned`` keeps the fallback's
+    answer per normalized name, so a caller that passes the same dict
+    scans the table once per name.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -95,17 +104,29 @@ def cc_mcc_level(
     if relation_model is None:
         return CcLevel.NONE
     name = normalize_disease_name(disease)
-    best: tuple[float, CcLevel] | None = None
-    for entry in icd.entries():
-        title = normalize_disease_name(entry.title)
-        probs = relation_model.predict_proba(name, title)
-        idx = int(probs.argmax())
-        if RELATIONS[idx] not in ("similarity", "inclusion"):
-            continue
-        prob = float(probs[idx])
-        if prob >= threshold and (best is None or prob > best[0]):
-            best = (prob, entry.cc_level)
-    return best[1] if best is not None else CcLevel.NONE
+    if scanned is not None and name in scanned:
+        return scanned[name]
+    level = _closest_title_level(name, icd, relation_model, threshold)
+    if scanned is not None:
+        scanned[name] = level
+    return level
+
+
+def _closest_title_level(name: str, icd: IcdIndex, relation_model,
+                         threshold: float) -> CcLevel:
+    """The fallback of cc_mcc_level: one predict_proba call scores the name
+    against each distinct normalized title once. Titles come in the code
+    order of their first entry, so the first maximum is the first entry in
+    code order to reach it, as in an entry-by-entry scan."""
+    titles = icd.titles()
+    if not titles:
+        return CcLevel.NONE
+    probs = relation_model.predict_proba(name, titles)
+    relation = probs.argmax(axis=1)
+    prob = probs[np.arange(len(titles)), relation]
+    usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)
+    best = int(np.where(usable, prob, -np.inf).argmax())
+    return icd.by_title(titles[best])[0].cc_level if usable[best] else CcLevel.NONE
 
 
 def regroup(
@@ -233,9 +254,10 @@ def recovered_levels_for_records(
 ) -> list[tuple[MedicalRecord, list[CcLevel]]]:
     """Join a detect report onto records, resolving each finding's level."""
     out = []
+    scanned: dict[str, CcLevel] = {}
     for record in records:
         levels = [
-            cc_mcc_level(f["disease"], icd, relation_model, threshold)
+            cc_mcc_level(f["disease"], icd, relation_model, threshold, scanned)
             for f in findings_by_record.get(record.record_id, [])
         ]
         out.append((record, levels))

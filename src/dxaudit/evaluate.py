@@ -17,6 +17,7 @@ from .pipeline import (
     PipelineLexicons,
     batch_detect,
 )
+from .recall import build_matcher
 
 
 def _normalize_instances(instances) -> set[tuple[str, str]]:
@@ -137,10 +138,11 @@ def run_ablation(
             Models(context=TrackZeroingContext(models.context, track),
                    relation=models.relation),
         ))
+    matcher = build_matcher(lexicons.diseases)
     rows = []
     for name, variant_models in variants:
         report = batch_detect(records, variant_models, lexicons, config,
-                              parallelism=parallelism)
+                              parallelism=parallelism, matcher=matcher)
         precision, recall, f1 = score(report_instances(report), gold_findings)
         rows.append(AblationRow(name=name, precision=precision, recall=recall, f1=f1))
     return rows

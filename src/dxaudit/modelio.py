@@ -39,11 +39,23 @@ def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nda
             handle.write(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
 
 
+class _Fields(dict):
+    """A dict whose missing key raises BadModelFile naming the file."""
+
+    def __init__(self, path, part: str, items):
+        super().__init__(items)
+        self.path, self.part = path, part
+
+    def __missing__(self, key):
+        raise BadModelFile(f"{self.path}: model {self.part} lacks {key!r}")
+
+
 def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read the meta and arrays of a ``kind`` model written by save_model.
 
     A file that is not a complete model of that kind raises BadModelFile
-    naming the path.
+    naming the path, also when a loader asks for a meta key or an array
+    that the file lacks.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -57,7 +69,7 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
     offset = _PREAMBLE + header_len
     try:
         header = json.loads(data[_PREAMBLE:offset].decode("utf-8"))
-        found, meta = header["kind"], header["meta"]
+        found, meta = header["kind"], _Fields(path, "header", header["meta"])
         specs = [(spec["name"], tuple(int(n) for n in spec["shape"]))
                  for spec in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
@@ -72,4 +84,4 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
         arrays[name] = np.frombuffer(data, dtype=np.float64, count=count,
                                      offset=offset).reshape(shape).copy()
         offset += 8 * count
-    return meta, arrays
+    return meta, _Fields(path, "arrays", arrays)

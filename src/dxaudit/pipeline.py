@@ -163,12 +163,14 @@ def batch_detect(
     lexicons: PipelineLexicons,
     config: DetectConfig = DetectConfig(),
     parallelism: int = 1,
+    matcher: DiseaseMatcher | None = None,
 ) -> BatchReport:
     """Detect over a corpus (a list of records or a JSONL path).
 
     When given a path, unparseable lines become error entries and the
     remaining records are still processed. Output is identical for any
-    parallelism setting.
+    parallelism setting. ``matcher`` must be built from
+    ``lexicons.diseases``; it is built here when not given.
     """
     errors: list[dict] = []
     records: list[MedicalRecord] = []
@@ -181,7 +183,8 @@ def batch_detect(
     else:
         records = list(corpus)
 
-    matcher = build_matcher(lexicons.diseases)
+    if matcher is None:
+        matcher = build_matcher(lexicons.diseases)
 
     def worker(record: MedicalRecord):
         try:
@@ -256,11 +259,24 @@ def load_report_findings(path: str | Path) -> dict[str, list[dict]]:
     """record_id -> finding dicts, skipping the trailing summary object."""
     findings: dict[str, list[dict]] = {}
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line_no)
+            if not isinstance(obj, dict):
+                raise ParseError("report line is not a JSON object", line_no)
             if "record_id" in obj:
-                findings[obj["record_id"]] = obj["findings"]
+                if not isinstance(obj["record_id"], str):
+                    raise ParseError("record_id must be a string", line_no)
+                found = obj.get("findings")
+                if not isinstance(found, list) or not all(
+                        isinstance(f, dict) and isinstance(f.get("disease"), str)
+                        for f in found):
+                    raise ParseError("findings must be a list of objects with a "
+                                     "string disease", line_no)
+                findings[obj["record_id"]] = found
     return findings

@@ -29,12 +29,19 @@ from .core import IcdIndex, normalize_disease_name
 from .errors import (
     DegenerateBatch,
     DegenerateData,
+    EmptyName,
     InsufficientCodes,
+    ParseError,
     UnknownCode,
 )
 from .modelio import load_model, save_model
 
 RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
+
+# Names per pass when one name is scored against a list: bounds the
+# temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table is
+# never held at once.
+BLOCK_ROWS = 256
 
 # Relations whose truth value does not depend on argument order.
 SYMMETRIC_RELATIONS = frozenset({"similarity", "irrelevance", "other"})
@@ -232,16 +239,24 @@ def save_pairs(pairs, path: str | Path) -> None:
 
 
 def load_pairs(path: str | Path) -> list[DiseasePair]:
+    """Read a pair file; a malformed row raises ParseError with its line."""
     pairs = []
     with open(path, encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle, delimiter="\t"):
+        reader = csv.reader(handle, delimiter="\t")
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            a, b, tag, source = row[0], row[1], row[2], PairSource(row[3])
+            if len(row) < 4:
+                raise ParseError(f"expected 4 tab-separated fields, got {len(row)}",
+                                 reader.line_num)
+            a, b, tag = row[0], row[1], row[2]
             relation = tag if tag in RELATIONS else None
-            pairs.append(DiseasePair(a=normalize_disease_name(a),
-                                     b=normalize_disease_name(b),
-                                     source=source, relation=relation))
+            try:
+                pairs.append(DiseasePair(a=normalize_disease_name(a),
+                                         b=normalize_disease_name(b),
+                                         source=PairSource(row[3]), relation=relation))
+            except (ValueError, EmptyName) as exc:
+                raise ParseError(str(exc), reader.line_num)
     return pairs
 
 
@@ -270,6 +285,7 @@ class PairEncoder:
     def __init__(self, chars: list[str], d_pair: int = 32, seed: int = 0):
         self.chars = list(chars)
         self._ids = {ch: i + 1 for i, ch in enumerate(self.chars)}
+        self._lookup = None  # (sorted code points, their ids) for embed_many
         self.d_pair = d_pair
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(self.chars) + 1, d_pair))
@@ -288,6 +304,27 @@ class PairEncoder:
     def embed(self, name: str, max_name: int = 50) -> np.ndarray:
         ids = self.encode_ids(name, max_name)
         return self.embedding[ids].mean(axis=0)
+
+    def embed_many(self, names: list[str], max_name: int = 50) -> np.ndarray:
+        """One embed() row per name, in one pass: the names' characters are
+        packed end to end, looked up by a searchsorted over the vocabulary's
+        code points, and mean-pooled name by name."""
+        clipped = [name[:max_name] for name in names]
+        lengths = np.array([len(name) for name in clipped], dtype=np.intp)
+        if not clipped or lengths.min() == 0:
+            raise ValueError("embed_many needs one or more non-empty names")
+        if self._lookup is None:
+            # A sentinel above every code point keeps searchsorted in range.
+            known = sorted((ord(ch), i) for ch, i in self._ids.items())
+            self._lookup = (np.array([c for c, _ in known] + [2**32 - 1], dtype=np.uint32),
+                            np.array([i for _, i in known] + [self.UNK_ID], dtype=np.intp))
+        codes, ids = self._lookup
+        packed = np.frombuffer("".join(clipped).encode("utf-32-le", "surrogatepass"),
+                               dtype=np.uint32)
+        at = np.searchsorted(codes, packed)
+        char_ids = np.where(codes[at] == packed, ids[at], self.UNK_ID)
+        starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+        return np.add.reduceat(self.embedding[char_ids], starts, axis=0) / lengths[:, None]
 
     def backward_into(self, grad_table: np.ndarray, ids: np.ndarray,
                       d_vec: np.ndarray) -> None:
@@ -403,26 +440,47 @@ class RelationClassifier:
         self.W_o = rng.normal(0.0, 0.1, size=(config.hidden, len(RELATIONS)))
         self.b_o = np.zeros(len(RELATIONS))
 
+    def _head(self, u: np.ndarray, v: np.ndarray):
+        """Probabilities over RELATIONS for u against v, over the last axis:
+        one pair when v is a vector, one row per name when v is a matrix.
+        Returns the intermediates too, for the backward pass."""
+        if v.ndim > 1:
+            u = np.broadcast_to(u, v.shape)
+        joint = np.concatenate([u, v, np.abs(u - v), u * v], axis=-1)
+        pre = joint @ self.W_h + self.b_h
+        hidden = np.maximum(pre, 0.0)
+        logits = hidden @ self.W_o + self.b_o
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        probs = exp / exp.sum(axis=-1, keepdims=True)
+        return probs, joint, pre, hidden
+
     def _forward(self, a: str, b: str, with_cache: bool = False):
         max_name = self.config.max_name
         ids_a = self.encoder.encode_ids(a, max_name)
         ids_b = self.encoder.encode_ids(b, max_name)
         u = self.encoder.embedding[ids_a].mean(axis=0)
         v = self.encoder.embedding[ids_b].mean(axis=0)
-        joint = np.concatenate([u, v, np.abs(u - v), u * v])
-        pre = joint @ self.W_h + self.b_h
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ self.W_o + self.b_o
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
+        probs, joint, pre, hidden = self._head(u, v)
         if not with_cache:
             return probs
         return probs, {"ids_a": ids_a, "ids_b": ids_b, "u": u, "v": v,
                        "joint": joint, "pre": pre, "hidden": hidden}
 
-    def predict_proba(self, a: str, b: str) -> np.ndarray:
-        return self._forward(normalize_disease_name(a), normalize_disease_name(b))
+    def predict_proba(self, a: str, b: str | list[str]) -> np.ndarray:
+        """(5,) probabilities for one name b, or (len(b), 5) for a list of
+        names, scored BLOCK_ROWS names at a time."""
+        a = normalize_disease_name(a)
+        if isinstance(b, str):
+            return self._forward(a, normalize_disease_name(b))
+        names = [normalize_disease_name(name) for name in b]
+        max_name = self.config.max_name
+        u = self.encoder.embed(a, max_name)
+        probs = np.empty((len(names), len(RELATIONS)))
+        for start in range(0, len(names), BLOCK_ROWS):
+            v = self.encoder.embed_many(names[start : start + BLOCK_ROWS], max_name)
+            probs[start : start + BLOCK_ROWS] = self._head(u, v)[0]
+        return probs
 
     def predict_relation(self, a: str, b: str) -> tuple[str, float]:
         probs = self.predict_proba(a, b)

@@ -162,3 +162,67 @@ def naive_score(predictions, gold):
     if precision + recall == 0:
         return precision, recall, 0.0
     return precision, recall, 2 * precision * recall / (precision + recall)
+
+
+def seed_normalize_disease_name(raw):
+    """The original per-character fold loop of core.normalize_disease_name."""
+    from dxaudit.errors import EmptyName
+
+    folded = []
+    for ch in raw:
+        o = ord(ch)
+        if 0xFF01 <= o <= 0xFF5E:
+            folded.append(chr(o - 0xFEE0))
+        elif o == 0x3000:
+            folded.append(" ")
+        else:
+            folded.append(ch)
+    result = "".join(folded)
+    while True:
+        stripped = result.strip().rstrip("、,;；")
+        if stripped == result:
+            break
+        result = stripped
+    if not result:
+        raise EmptyName(f"disease name {raw!r} normalized to empty")
+    return result
+
+
+def seed_relation_forward(model, a, b):
+    """The original one-pair relation forward, vector by vector, for
+    already normalized names."""
+    import numpy as np
+
+    ids = {ch: i + 1 for i, ch in enumerate(model.encoder.chars)}
+    max_name = model.config.max_name
+    table = model.encoder.embedding
+    u = table[np.array([ids.get(ch, 0) for ch in a[:max_name]], dtype=np.intp)].mean(axis=0)
+    v = table[np.array([ids.get(ch, 0) for ch in b[:max_name]], dtype=np.intp)].mean(axis=0)
+    joint = np.concatenate([u, v, np.abs(u - v), u * v])
+    hidden = np.maximum(joint @ model.W_h + model.b_h, 0.0)
+    logits = hidden @ model.W_o + model.b_o
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
+
+
+def seed_cc_mcc_level(disease, icd, relation_model, threshold):
+    """The original entry-by-entry ICD scan: one pair forward per entry,
+    strictly greater probability replaces the best so far."""
+    from dxaudit.core import CcLevel, normalize_disease_name
+    from dxaudit.relation_model import RELATIONS
+
+    rank = {CcLevel.MCC: 2, CcLevel.CC: 1, CcLevel.NONE: 0}
+    exact = icd.by_title(disease)
+    if exact:
+        return max((e.cc_level for e in exact), key=rank.get)
+    name = normalize_disease_name(disease)
+    best = None
+    for entry in icd.entries():
+        probs = relation_model.predict_proba(name, normalize_disease_name(entry.title))
+        idx = int(probs.argmax())
+        if RELATIONS[idx] not in ("similarity", "inclusion"):
+            continue
+        prob = float(probs[idx])
+        if prob >= threshold and (best is None or prob > best[0]):
+            best = (prob, entry.cc_level)
+    return best[1] if best is not None else CcLevel.NONE

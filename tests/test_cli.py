@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dxaudit.cli import main
+from dxaudit.modelio import load_model, save_model
 
 
 def run(argv):
@@ -221,4 +222,43 @@ class TestHostileInput:
         assert self._detect_with_context_model(workspace, tmp_path, relation) == 65
         err = capsys.readouterr().err
         assert str(relation) in err
+        assert "Traceback" not in err
+
+    def test_short_pair_row_is_65(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a\tb\n", encoding="utf-8")
+        assert run(["train-relation", "--pairs", str(pairs),
+                    "--out", str(tmp_path / "relation.bin")]) == 65
+        err = capsys.readouterr().err
+        assert "line 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "drg-impact"])
+    def test_non_json_findings_is_65(self, workspace, tmp_path, data_dir, capsys,
+                                     command):
+        findings = tmp_path / "findings.jsonl"
+        findings.write_text("not json\n", encoding="utf-8")
+        if command == "evaluate":
+            argv = ["evaluate", "--findings", str(findings),
+                    "--gold", str(workspace / "gold.json")]
+        else:
+            argv = ["drg-impact", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--findings", str(findings),
+                    "--icd", str(data_dir / "icd_demo.csv"),
+                    "--groups", str(data_dir / "drg_groups_demo.csv"),
+                    "--out", str(tmp_path / "impact.json")]
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert "line 1" in err
+        assert "Traceback" not in err
+
+    def test_model_missing_a_field_is_65(self, workspace, tmp_path, capsys):
+        meta, arrays = load_model(workspace / "context.bin", "context")
+        del meta["vocab"]
+        lacking = tmp_path / "context.bin"
+        save_model(lacking, "context", dict(meta), dict(arrays))
+        assert self._detect_with_context_model(workspace, tmp_path, lacking) == 65
+        err = capsys.readouterr().err
+        assert str(lacking) in err
+        assert "'vocab'" in err
         assert "Traceback" not in err

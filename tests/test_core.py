@@ -8,6 +8,7 @@ from dxaudit import core
 from dxaudit.core import (
     CcLevel,
     DrgAssignment,
+    IcdEntry,
     IcdIndex,
     LexiconKind,
     MedicalRecord,
@@ -23,6 +24,7 @@ from dxaudit.errors import (
 )
 
 from conftest import make_fixture_icd_entries
+from oracles import seed_normalize_disease_name
 
 
 class TestNormalizeDiseaseName:
@@ -51,6 +53,16 @@ class TestNormalizeDiseaseName:
             except EmptyName:
                 continue
             assert normalize_disease_name(once) == once
+
+    def test_matches_seed_fold_loop_on_every_bmp_character(self):
+        mismatches = []
+        for code in range(0x20, 0x10000):
+            if 0xD800 <= code <= 0xDFFF:
+                continue  # surrogates
+            raw = "a" + chr(code) + "b" + chr(code)
+            if normalize_disease_name(raw) != seed_normalize_disease_name(raw):
+                mismatches.append(hex(code))
+        assert mismatches == []
 
 
 def _write_corpus(tmp_path, lines):
@@ -163,6 +175,20 @@ class TestIcdTable:
     @pytest.mark.parametrize("code,depth", [("S05", 3), ("S05.3", 4), ("S05.301", 6)])
     def test_depths(self, fixture_icd, code, depth):
         assert fixture_icd.get(code).depth == depth
+
+
+def test_icd_titles_distinct_in_code_order():
+    entries = make_fixture_icd_entries() + [
+        IcdEntry(code="A05", title="角膜裂伤", cc_level=CcLevel.MCC),
+        IcdEntry(code="Z98", title="病种B1，", cc_level=CcLevel.MCC),
+    ]
+    index = IcdIndex(list(reversed(entries)))
+    titles = index.titles()
+    assert titles[0] == "角膜裂伤"
+    assert len(titles) == len(set(titles)) == len(entries) - 2
+    assert titles == list(dict.fromkeys(normalize_disease_name(e.title)
+                                        for e in index.entries()))
+    assert [e.code for e in index.by_title("角膜裂伤")] == ["A05", "S05.302"]
 
 
 class TestLexicons:

@@ -4,8 +4,15 @@ import random
 
 import pytest
 
-from dxaudit.core import CcLevel, DrgAssignment, MedicalRecord, Tier
-from dxaudit.drg import DrgGroupTable, cc_mcc_level, cost_delta_report, regroup
+from dxaudit import relation_model
+from dxaudit.core import CcLevel, DrgAssignment, IcdEntry, IcdIndex, MedicalRecord, Tier
+from dxaudit.drg import (
+    DrgGroupTable,
+    cc_mcc_level,
+    cost_delta_report,
+    recovered_levels_for_records,
+    regroup,
+)
 from dxaudit.errors import MissingGroupRow, ParseError
 from dxaudit.relation_model import (
     DiseasePair,
@@ -15,6 +22,9 @@ from dxaudit.relation_model import (
     finetune,
     load_pairs,
 )
+
+from conftest import make_fixture_icd_entries
+from oracles import seed_cc_mcc_level
 
 
 def minor(major: int) -> int:
@@ -67,6 +77,87 @@ class TestCcMccLevel:
                             PairTrainConfig(learning_rate=0.05, hidden=48,
                                             epochs=60, seed=6))
         assert cc_mcc_level("角膜裂开损伤", fixture_icd, model) is CcLevel.CC
+
+
+@pytest.fixture(scope="module")
+def paraphrase_model(fixture_icd, data_dir):
+    """The fixture pairs, one paraphrase and every title's identity pair."""
+    titles = [e.title for e in fixture_icd.entries()]
+    training = load_pairs(data_dir / "relation_pairs_fixture.tsv") + [
+        DiseasePair("角膜裂开损伤", "角膜裂伤", PairSource.ANNOTATED, relation="similarity"),
+    ] + [DiseasePair(t, t, PairSource.ANNOTATED, relation="similarity") for t in titles]
+    names = [p.a for p in training] + [p.b for p in training]
+    encoder = PairEncoder.from_names(names, d_pair=24, seed=6)
+    model, _ = finetune(encoder, training,
+                        PairTrainConfig(learning_rate=0.05, hidden=48, epochs=30, seed=6))
+    return model
+
+
+@pytest.fixture(scope="module")
+def duplicate_title_icd():
+    """The fixture table plus entries repeating a normalized title, one of
+    them ahead of the original in code order."""
+    extra = [IcdEntry("A05", "角膜裂伤", CcLevel.MCC),
+             IcdEntry("Z98", "病种B1，", CcLevel.MCC),
+             IcdEntry("Z99", "病种A0亚型1", CcLevel.MCC)]
+    return IcdIndex(make_fixture_icd_entries() + extra)
+
+
+# Surfaces that are not ICD titles, so each one goes to the table scan.
+UNRESOLVED = ["角膜裂开损伤", "角膜裂伤伴感染", "病种A0亚型", "病种B1型",
+              "病种C2亚型3", "巩膜破裂伤", "眼球裂伤", "眶穿通损伤", "头部骨折",
+              "电解质紊乱", "低钾血症", "不存在的病", "肺炎", "病种", "亚型1"]
+
+
+class CountingModel:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict_proba(self, a, b):
+        self.calls += 1
+        return self.inner.predict_proba(a, b)
+
+
+class TestTableScan:
+    @pytest.mark.parametrize("block_rows", [relation_model.BLOCK_ROWS, 4])
+    @pytest.mark.parametrize("threshold", [0.5, 0.8])
+    def test_matches_entry_by_entry_scan(self, paraphrase_model, duplicate_title_icd,
+                                         monkeypatch, threshold, block_rows):
+        monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
+        assert not any(duplicate_title_icd.by_title(name) for name in UNRESOLVED)
+        got = [cc_mcc_level(name, duplicate_title_icd, paraphrase_model, threshold)
+               for name in UNRESOLVED]
+        want = [seed_cc_mcc_level(name, duplicate_title_icd, paraphrase_model, threshold)
+                for name in UNRESOLVED]
+        assert got == want
+        assert CcLevel.NONE in got
+        assert any(level is not CcLevel.NONE for level in got)
+
+    def test_duplicate_title_goes_to_first_code(self, paraphrase_model,
+                                                duplicate_title_icd):
+        # "角膜裂伤" is S05.302 (CC) and, earlier in code order, A05 (MCC).
+        assert cc_mcc_level("角膜裂开损伤", duplicate_title_icd, paraphrase_model,
+                            0.5) is CcLevel.MCC
+
+    def test_one_call_per_unresolved_finding(self, paraphrase_model, fixture_icd):
+        counting = CountingModel(paraphrase_model)
+        assert cc_mcc_level("角膜裂开损伤", fixture_icd, counting) is CcLevel.CC
+        assert counting.calls == 1
+
+    def test_empty_icd_index_is_none(self, paraphrase_model):
+        assert cc_mcc_level("角膜裂开损伤", IcdIndex([]), paraphrase_model) is CcLevel.NONE
+
+    def test_repeated_name_scanned_once_per_call(self, paraphrase_model, fixture_icd):
+        records = [rec("a", "GB2", Tier.NO_CC, 10000), rec("b", "GB2", Tier.CC, 14000)]
+        findings = {"a": [{"disease": "角膜裂开损伤"}, {"disease": "角膜裂伤"}],
+                    "b": [{"disease": "角膜裂开损伤 "}, {"disease": "不存在的病"}]}
+        counting = CountingModel(paraphrase_model)
+        joined = recovered_levels_for_records(records, findings, fixture_icd, counting, 0.5)
+        assert counting.calls == 2
+        assert [levels for _, levels in joined] == [
+            [cc_mcc_level(f["disease"], fixture_icd, paraphrase_model, 0.5)
+             for f in findings[r.record_id]] for r in records]
 
 
 class TestRegroup:

@@ -7,7 +7,7 @@ import pytest
 
 from dxaudit import synth
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
-from dxaudit.errors import ModelNotLoaded
+from dxaudit.errors import ModelNotLoaded, ParseError
 from dxaudit.evaluate import (
     ConfirmAllContext,
     IrrelevanceAllRelation,
@@ -196,3 +196,18 @@ class TestBatchDetect:
         loaded = load_report_findings(path)
         assert set(loaded) == {"r1"}
         assert loaded["r1"][0]["disease"] == "肺炎"
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("not json", "invalid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"record_id": "r2", "findings": {"disease": "肺炎"}}', "list of objects"),
+        ('{"record_id": "r2", "findings": [{"evidence_spans": []}]}', "string disease"),
+        ('{"record_id": ["r2"], "findings": []}', "record_id"),
+    ])
+    def test_malformed_report_line_is_parse_error(self, tmp_path, bad_line, message):
+        path = tmp_path / "report.jsonl"
+        path.write_text('{"record_id": "r1", "findings": []}\n\n' + bad_line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_report_findings(path)
+        assert excinfo.value.line == 3

@@ -2,13 +2,24 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from dxaudit.core import IcdIndex, MedicalRecord
-from dxaudit.errors import DegenerateBatch, DegenerateData, InsufficientCodes, UnknownCode
+from dxaudit import relation_model
+from dxaudit.modelio import load_model, save_model
+from dxaudit.errors import (
+    BadModelFile,
+    DegenerateBatch,
+    DegenerateData,
+    InsufficientCodes,
+    ParseError,
+    UnknownCode,
+)
 from dxaudit.relation_model import (
+    BLOCK_ROWS,
     RELATIONS,
     DiseasePair,
     PairEncoder,
@@ -28,7 +39,7 @@ from dxaudit.relation_model import (
 )
 
 from conftest import make_fixture_icd_entries
-from oracles import naive_info_nce
+from oracles import naive_info_nce, seed_normalize_disease_name, seed_relation_forward
 
 
 def record_with_diagnoses(record_id, diagnoses):
@@ -152,6 +163,19 @@ class TestPairFiles:
         path = tmp_path / "pairs.tsv"
         save_pairs(pairs, path)
         assert load_pairs(path) == pairs
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("a\tb\n", 1, "4 tab-separated fields"),
+        ("# note\na\tb\tsimilarity\tannotated\nc\td\tsimilarity\tscraped\n", 3,
+         "scraped"),
+        ("a\t \tsimilarity\tannotated\n", 1, "empty"),
+    ])
+    def test_bad_row_is_parse_error_with_line(self, tmp_path, text, line, message):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_pairs(path)
+        assert excinfo.value.line == line
 
 
 class TestContrastiveObjective:
@@ -315,3 +339,73 @@ class TestFineTune:
         model.save(tmp_path / "again.bin")
         assert (tmp_path / "relation.bin").read_bytes() == \
             (tmp_path / "again.bin").read_bytes()
+
+
+def random_names(model, n, seed):
+    """Names over the model's vocabulary plus a few unknown characters,
+    some longer than max_name."""
+    rng = random.Random(seed)
+    chars = model.encoder.chars + list("鱼羊△")
+    longest = model.config.max_name + 10
+    return ["".join(rng.choice(chars) for _ in range(rng.randint(1, longest)))
+            for _ in range(n)]
+
+
+class TestBlockScoring:
+    def test_embed_many_matches_embed(self, fixture_pair_model):
+        encoder = fixture_pair_model[0].encoder
+        names = random_names(fixture_pair_model[0], 40, seed=1)
+        rows = encoder.embed_many(names, max_name=50)
+        for name, row in zip(names, rows):
+            np.testing.assert_allclose(row, encoder.embed(name, 50), rtol=0, atol=1e-12)
+
+    def test_embed_many_rejects_empty_names(self, fixture_pair_model):
+        encoder = fixture_pair_model[0].encoder
+        for names in ([], ["肺炎", ""]):
+            with pytest.raises(ValueError):
+                encoder.embed_many(names)
+
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
+    def test_rows_match_single_pairs(self, fixture_pair_model, n):
+        model = fixture_pair_model[0]
+        names = random_names(model, n, seed=n)
+        block = model.predict_proba("头部骨折", names)
+        assert block.shape == (n, len(RELATIONS))
+        for name, row in zip(names, block):
+            np.testing.assert_allclose(row, model.predict_proba("头部骨折", name),
+                                       rtol=0, atol=1e-12)
+
+    def test_empty_list_gives_no_rows(self, fixture_pair_model):
+        assert fixture_pair_model[0].predict_proba("头部骨折", []).shape == (0, 5)
+
+    def test_single_pair_is_the_seed_forward(self, fixture_pair_model):
+        model = fixture_pair_model[0]
+        names = random_names(model, 60, seed=7)
+        for a, b in zip(names, names[1:]):
+            expected = seed_relation_forward(model, seed_normalize_disease_name(a),
+                                             seed_normalize_disease_name(b))
+            assert np.array_equal(model.predict_proba(a, b), expected)
+
+    def test_block_size_does_not_change_rows(self, fixture_pair_model, monkeypatch):
+        model = fixture_pair_model[0]
+        names = random_names(model, 50, seed=9)
+        whole = model.predict_proba("电解质紊乱", names)
+        monkeypatch.setattr(relation_model, "BLOCK_ROWS", 7)
+        np.testing.assert_allclose(model.predict_proba("电解质紊乱", names), whole,
+                                   rtol=0, atol=1e-12)
+
+
+class TestModelFileFields:
+    @pytest.mark.parametrize("part, key", [("meta", "vocab"), ("meta", "config"),
+                                           ("arrays", "W_h")])
+    def test_missing_field_names_path_and_key(self, fixture_pair_model, tmp_path,
+                                              part, key):
+        fixture_pair_model[0].save(tmp_path / "full.bin")
+        meta, arrays = load_model(tmp_path / "full.bin", "relation")
+        meta, arrays = dict(meta), dict(arrays)
+        del (meta if part == "meta" else arrays)[key]
+        path = tmp_path / "lacking.bin"
+        save_model(path, "relation", meta, arrays)
+        pattern = re.escape(f"{path}: model ") + f".*'{key}'"
+        with pytest.raises(BadModelFile, match=pattern):
+            RelationClassifier.load(path)

@@ -15,6 +15,7 @@ from dxaudit.evaluate import (
     score,
 )
 from dxaudit.pipeline import Models, PipelineLexicons, batch_detect
+from dxaudit.recall import build_matcher
 from dxaudit.synth import SyntheticSpec, Templates, gen_synthetic_corpus
 
 from oracles import naive_score
@@ -166,3 +167,21 @@ class TestGoldConsistencyAndAblation:
         assert rows["no_context"].precision < rows["full"].precision
         assert rows["no_relation"].precision < rows["full"].precision
         assert rows["full"].f1 == pytest.approx(1.0)
+
+    def test_ablation_builds_the_matcher_once(self, corpus, oracle_models, disease_pool,
+                                              feature_lexicons, monkeypatch):
+        from dxaudit import evaluate, pipeline
+
+        built = []
+
+        def counting_build_matcher(lexicon):
+            built.append(lexicon)
+            return build_matcher(lexicon)
+
+        monkeypatch.setattr(evaluate, "build_matcher", counting_build_matcher)
+        monkeypatch.setattr(pipeline, "build_matcher", counting_build_matcher)
+        records, gold = corpus
+        lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
+        rows = run_ablation(records, gold.findings, oracle_models, lexicons)
+        assert len(rows) == 6
+        assert built == [disease_pool]
