@@ -87,41 +87,26 @@ def cc_mcc_level(
     icd: IcdIndex,
     relation_model=None,
     threshold: float = 0.8,
-    scanned: dict[str, CcLevel] | None = None,
 ) -> CcLevel:
     """CC/MCC level of a disease surface, or NONE when unresolvable.
 
     Resolution is exact normalized-title match first; otherwise the
     relation model's best similarity/inclusion title above ``threshold``,
     the first entry in code order winning a tie. Several entries under one
-    title resolve to the most severe level. ``scanned`` keeps the fallback's
-    answer per normalized name, so a caller that passes the same dict
-    scans the table once per name.
+    title resolve to the most severe level.
+
+    The fallback is one predict_proba call that scores the name against
+    each distinct normalized title once. Titles come in the code order of
+    their first entry, so the first maximum is the first entry in code
+    order to reach it, as in an entry-by-entry scan.
     """
     exact = icd.by_title(disease)
     if exact:
         return max((e.cc_level for e in exact), key=_SEVERITY_RANK.get)
-    if relation_model is None:
-        return CcLevel.NONE
-    name = normalize_disease_name(disease)
-    if scanned is not None and name in scanned:
-        return scanned[name]
-    level = _closest_title_level(name, icd, relation_model, threshold)
-    if scanned is not None:
-        scanned[name] = level
-    return level
-
-
-def _closest_title_level(name: str, icd: IcdIndex, relation_model,
-                         threshold: float) -> CcLevel:
-    """The fallback of cc_mcc_level: one predict_proba call scores the name
-    against each distinct normalized title once. Titles come in the code
-    order of their first entry, so the first maximum is the first entry in
-    code order to reach it, as in an entry-by-entry scan."""
     titles = icd.titles()
-    if not titles:
+    if relation_model is None or not titles:
         return CcLevel.NONE
-    probs = relation_model.predict_proba(name, titles)
+    probs = relation_model.predict_proba(normalize_disease_name(disease), titles)
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)
@@ -254,10 +239,9 @@ def recovered_levels_for_records(
 ) -> list[tuple[MedicalRecord, list[CcLevel]]]:
     """Join a detect report onto records, resolving each finding's level."""
     out = []
-    scanned: dict[str, CcLevel] = {}
     for record in records:
         levels = [
-            cc_mcc_level(f["disease"], icd, relation_model, threshold, scanned)
+            cc_mcc_level(f["disease"], icd, relation_model, threshold)
             for f in findings_by_record.get(record.record_id, [])
         ]
         out.append((record, levels))

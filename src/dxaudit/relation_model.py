@@ -285,7 +285,6 @@ class PairEncoder:
     def __init__(self, chars: list[str], d_pair: int = 32, seed: int = 0):
         self.chars = list(chars)
         self._ids = {ch: i + 1 for i, ch in enumerate(self.chars)}
-        self._lookup = None  # (sorted code points, their ids) for embed_many
         self.d_pair = d_pair
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(self.chars) + 1, d_pair))
@@ -307,22 +306,14 @@ class PairEncoder:
 
     def embed_many(self, names: list[str], max_name: int = 50) -> np.ndarray:
         """One embed() row per name, in one pass: the names' characters are
-        packed end to end, looked up by a searchsorted over the vocabulary's
-        code points, and mean-pooled name by name."""
+        packed end to end, looked up together, and mean-pooled name by
+        name."""
         clipped = [name[:max_name] for name in names]
         lengths = np.array([len(name) for name in clipped], dtype=np.intp)
         if not clipped or lengths.min() == 0:
             raise ValueError("embed_many needs one or more non-empty names")
-        if self._lookup is None:
-            # A sentinel above every code point keeps searchsorted in range.
-            known = sorted((ord(ch), i) for ch, i in self._ids.items())
-            self._lookup = (np.array([c for c, _ in known] + [2**32 - 1], dtype=np.uint32),
-                            np.array([i for _, i in known] + [self.UNK_ID], dtype=np.intp))
-        codes, ids = self._lookup
-        packed = np.frombuffer("".join(clipped).encode("utf-32-le", "surrogatepass"),
-                               dtype=np.uint32)
-        at = np.searchsorted(codes, packed)
-        char_ids = np.where(codes[at] == packed, ids[at], self.UNK_ID)
+        char_ids = np.array([self._ids.get(ch, self.UNK_ID) for ch in "".join(clipped)],
+                            dtype=np.intp)
         starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
         return np.add.reduceat(self.embedding[char_ids], starts, axis=0) / lengths[:, None]
 

@@ -6,13 +6,7 @@ import pytest
 
 from dxaudit import relation_model
 from dxaudit.core import CcLevel, DrgAssignment, IcdEntry, IcdIndex, MedicalRecord, Tier
-from dxaudit.drg import (
-    DrgGroupTable,
-    cc_mcc_level,
-    cost_delta_report,
-    recovered_levels_for_records,
-    regroup,
-)
+from dxaudit.drg import DrgGroupTable, cc_mcc_level, cost_delta_report, regroup
 from dxaudit.errors import MissingGroupRow, ParseError
 from dxaudit.relation_model import (
     DiseasePair,
@@ -147,17 +141,6 @@ class TestTableScan:
 
     def test_empty_icd_index_is_none(self, paraphrase_model):
         assert cc_mcc_level("角膜裂开损伤", IcdIndex([]), paraphrase_model) is CcLevel.NONE
-
-    def test_repeated_name_scanned_once_per_call(self, paraphrase_model, fixture_icd):
-        records = [rec("a", "GB2", Tier.NO_CC, 10000), rec("b", "GB2", Tier.CC, 14000)]
-        findings = {"a": [{"disease": "角膜裂开损伤"}, {"disease": "角膜裂伤"}],
-                    "b": [{"disease": "角膜裂开损伤 "}, {"disease": "不存在的病"}]}
-        counting = CountingModel(paraphrase_model)
-        joined = recovered_levels_for_records(records, findings, fixture_icd, counting, 0.5)
-        assert counting.calls == 2
-        assert [levels for _, levels in joined] == [
-            [cc_mcc_level(f["disease"], fixture_icd, paraphrase_model, 0.5)
-             for f in findings[r.record_id]] for r in records]
 
 
 class TestRegroup:
