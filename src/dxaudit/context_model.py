@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateData, EmptyPool, ShapeMismatch
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
-from .modelio import load_model, save_model
+from .modelio import load_config, load_model, save_model
 
 UNK_ID = 0
 SEP_ID = 1
@@ -504,15 +504,7 @@ class ContextClassifier:
             "d_f": self.head.d_f,
             "n_classes": self.head.n_classes,
             "labels": list(LABELS),
-            "config": {
-                "batch_size": self.config.batch_size,
-                "learning_rate": self.config.learning_rate,
-                "max_context": self.config.max_context,
-                "max_disease": self.config.max_disease,
-                "focal_gamma": self.config.focal_gamma,
-                "epochs": self.config.epochs,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
         }
         arrays = {f"head.{k}": v for k, v in self.head.p.items()}
         arrays["encoder.embedding"] = self.encoder.embedding
@@ -528,7 +520,7 @@ class ContextClassifier:
                                n_classes=meta["n_classes"])
         for key in head.p:
             head.p[key] = arrays[f"head.{key}"]
-        config = TrainConfig(**meta["config"])
+        config = load_config(meta, TrainConfig)
         return cls(encoder, head, config)
 
 

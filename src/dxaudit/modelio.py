@@ -8,6 +8,7 @@ twice produces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -85,3 +86,20 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
                                      offset=offset).reshape(shape).copy()
         offset += 8 * count
     return meta, _Fields(path, "arrays", arrays)
+
+
+def load_config(meta: _Fields, config_type):
+    """``config_type`` built from the ``config`` of a meta from load_model.
+
+    An unknown or a missing config key raises BadModelFile naming the file.
+    """
+    given = meta["config"]
+    if not isinstance(given, dict):
+        raise BadModelFile(f"{meta.path}: model config is not an object")
+    names = {f.name for f in dataclasses.fields(config_type)}
+    unknown, missing = sorted(given.keys() - names), sorted(names - given.keys())
+    if unknown:
+        raise BadModelFile(f"{meta.path}: model config has unknown key {unknown[0]!r}")
+    if missing:
+        raise BadModelFile(f"{meta.path}: model config lacks {missing[0]!r}")
+    return config_type(**given)

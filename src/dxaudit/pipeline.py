@@ -138,15 +138,23 @@ class BatchReport:
 
 
 def _iter_corpus_lenient(path: str | Path):
-    """Yield (line_no, record_or_None, error_or_None) for each corpus line."""
+    """Yield (line_no, record_or_None, error_or_None) for each corpus line.
+
+    Each line is decoded on its own, so one undecodable line fails alone.
+    """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
+            try:
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                yield line_no, None, str(ParseError(
+                    f"invalid UTF-8 at byte {exc.start}", line_no))
+                continue
+            if not text:
                 continue
             try:
-                record = parse_record_line(raw, line_no)
+                record = parse_record_line(text, line_no)
             except ParseError as exc:
                 yield line_no, None, str(exc)
                 continue

@@ -1,16 +1,18 @@
 """Stage 1: find every lexicon disease in a record and build context windows.
 
-The matcher is an Aho-Corasick automaton over characters, so a record is
-scanned in a single pass regardless of lexicon size. Overlapping hits are
-resolved by longest-match-wins: a hit is dropped when its span is fully
-covered by another hit. This keeps a disease from being double-reported
-alongside one of its substrings while preserving genuinely distinct
-partial overlaps.
+The matcher holds the lexicon's entries and their proper prefixes in hash
+sets. A scan stops only at positions holding some entry's first character
+and grows a slice from there while it is a prefix, so its cost follows
+those positions and the prefixes grown from them, not the lexicon's size.
+Overlapping hits are resolved by longest-match-wins: a hit is dropped when
+its span is fully covered by another hit. This keeps a disease from being
+double-reported alongside one of its substrings while preserving genuinely
+distinct partial overlaps.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass, replace
 
 from .core import SENTENCE_BOUNDARIES, Lexicon, LexiconKind, MedicalRecord
@@ -27,64 +29,33 @@ class DiseaseMention:
     context_spans: tuple[tuple[int, int], ...] = ()
 
 
-class _Node:
-    __slots__ = ("children", "fail", "output")
-
-    def __init__(self):
-        self.children: dict[str, _Node] = {}
-        self.fail: _Node | None = None
-        self.output: list[str] = []
-
-
 class DiseaseMatcher:
-    """Aho-Corasick automaton over the entries of a disease lexicon."""
+    """Every entry of a disease lexicon, with their proper prefixes."""
 
     def __init__(self, entries):
-        self._root = _Node()
-        count = 0
-        for entry in entries:
-            node = self._root
-            for ch in entry:
-                node = node.children.setdefault(ch, _Node())
-            node.output.append(entry)
-            count += 1
-        if count == 0:
+        self._entries = frozenset(entries)
+        if not self._entries:
             raise EmptyLexicon("cannot build a matcher from an empty lexicon")
-        self._entry_count = count
-        self._build_links()
-
-    def _build_links(self):
-        root = self._root
-        root.fail = root
-        queue: deque[_Node] = deque()
-        for child in root.children.values():
-            child.fail = root
-            queue.append(child)
-        while queue:
-            current = queue.popleft()
-            for ch, child in current.children.items():
-                fallback = current.fail
-                while fallback is not root and ch not in fallback.children:
-                    fallback = fallback.fail
-                target = fallback.children.get(ch)
-                child.fail = target if target is not None and target is not child else root
-                child.output = child.output + child.fail.output
-                queue.append(child)
-
-    def __len__(self) -> int:
-        return self._entry_count
+        self._prefixes = {e[:k] for e in self._entries for k in range(1, len(e))}
+        firsts = sorted({e[0] for e in self._entries})
+        self._first = re.compile("[" + "".join(map(re.escape, firsts)) + "]")
 
     def scan(self, text: str) -> list[tuple[int, int, str]]:
-        """All raw (start, end, entry) hits in a single pass, unfiltered."""
-        root = self._root
-        node = root
+        """All raw (start, end, entry) hits in start order, overlaps included.
+
+        From each position holding some entry's first character, the slice
+        grows one character at a time while it is still a proper prefix.
+        """
+        entries, prefixes = self._entries, self._prefixes
         hits: list[tuple[int, int, str]] = []
-        for i, ch in enumerate(text):
-            while node is not root and ch not in node.children:
-                node = node.fail
-            node = node.children.get(ch, root)
-            for entry in node.output:
-                hits.append((i + 1 - len(entry), i + 1, entry))
+        for match in self._first.finditer(text):
+            i = match.start()
+            for j in range(i + 1, len(text) + 1):
+                piece = text[i:j]
+                if piece in entries:
+                    hits.append((i, j, piece))
+                if piece not in prefixes:
+                    break
         return hits
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     UnknownCode,
 )
-from .modelio import load_model, save_model
+from .modelio import load_config, load_model, save_model
 
 RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
 
@@ -203,18 +203,24 @@ def load_back_translation_pairs(path: str | Path) -> list[DiseasePair]:
     """Positive pairs produced by an external paraphrase step.
 
     The file holds one ``name<TAB>paraphrase`` per line; no translation
-    machinery ships with the package.
+    machinery ships with the package. A line without a tab, or with a
+    name that normalizes to empty, raises ParseError with its line.
     """
     pairs = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            a, b = line.split("\t")[:2]
-            pairs.append(DiseasePair(a=normalize_disease_name(a),
-                                     b=normalize_disease_name(b),
-                                     source=PairSource.BACK_TRANSLATION))
+            fields = line.split("\t")
+            if len(fields) < 2:
+                raise ParseError("expected name<TAB>paraphrase", line_no)
+            try:
+                pairs.append(DiseasePair(a=normalize_disease_name(fields[0]),
+                                         b=normalize_disease_name(fields[1]),
+                                         source=PairSource.BACK_TRANSLATION))
+            except EmptyName as exc:
+                raise ParseError(str(exc), line_no)
     return pairs
 
 
@@ -515,16 +521,7 @@ class RelationClassifier:
             "vocab": "".join(self.encoder.chars),
             "d_pair": self.encoder.d_pair,
             "labels": list(RELATIONS),
-            "config": {
-                "batch_size": self.config.batch_size,
-                "learning_rate": self.config.learning_rate,
-                "max_name": self.config.max_name,
-                "tau": self.config.tau,
-                "pretrain_learning_rate": self.config.pretrain_learning_rate,
-                "hidden": self.config.hidden,
-                "epochs": self.config.epochs,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
         }
         arrays = {"embedding": self.encoder.embedding, "W_h": self.W_h,
                   "b_h": self.b_h, "W_o": self.W_o, "b_o": self.b_o}
@@ -533,7 +530,7 @@ class RelationClassifier:
     @classmethod
     def load(cls, path) -> "RelationClassifier":
         meta, arrays = load_model(path, "relation")
-        config = PairTrainConfig(**meta["config"])
+        config = load_config(meta, PairTrainConfig)
         encoder = PairEncoder(list(meta["vocab"]), d_pair=meta["d_pair"])
         encoder.embedding = arrays["embedding"]
         model = cls(encoder, config)

@@ -262,3 +262,50 @@ class TestHostileInput:
         assert str(lacking) in err
         assert "'vocab'" in err
         assert "Traceback" not in err
+
+    def test_undecodable_corpus_line_fails_alone(self, workspace, tmp_path):
+        lines = (workspace / "corpus.jsonl").read_bytes().splitlines()[:4]
+        corpus = tmp_path / "undecodable.jsonl"
+        corpus.write_bytes(b"\n".join(lines[:2] + [b'\xff\xfe{"bad": 1}'] + lines[2:])
+                           + b"\n")
+        out = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(corpus),
+                    "--models", str(workspace / "models"), "--out", str(out)]) == 2
+        report = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [obj["record_id"] for obj in report[:-1]] == [
+            json.loads(line)["record_id"] for line in lines]
+        assert report[-1]["errors"] == [{"line": 3, "error": "line 3: invalid UTF-8 at byte 0"}]
+
+    @pytest.mark.parametrize("text", ["abc\n", "abc\t、\n"])
+    def test_bad_back_translation_line_is_65(self, tmp_path, data_dir, capsys, text):
+        paraphrases = tmp_path / "back.tsv"
+        paraphrases.write_text("肺炎\t肺部感染\n" + text, encoding="utf-8")
+        assert run(["gen-pairs", "--icd", str(data_dir / "icd_demo.csv"),
+                    "--back-translation", str(paraphrases),
+                    "--out", str(tmp_path / "pairs.tsv")]) == 65
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["context", "relation"])
+    @pytest.mark.parametrize("change, key", [("add", "extra"), ("drop", "seed")])
+    def test_model_config_key_is_checked(self, workspace, tmp_path, capsys, kind,
+                                         change, key):
+        meta, arrays = load_model(workspace / f"{kind}.bin", kind)
+        config = dict(meta["config"])
+        if change == "add":
+            config[key] = 1
+        else:
+            del config[key]
+        edited = tmp_path / f"{kind}.bin"
+        save_model(edited, kind, dict(meta, config=config), dict(arrays))
+        models = {"context": workspace / "context.bin",
+                  "relation": workspace / "relation.bin", kind: edited}
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(models["context"]),
+                    "--relation-model", str(models["relation"]),
+                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert repr(key) in err
+        assert "Traceback" not in err

@@ -1,0 +1,37 @@
+"""Property test: the matcher's raw hits are every occurrence of every entry."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from dxaudit.recall import DiseaseMatcher  # noqa: E402
+
+# Character-class metacharacters, two CJK characters and one outside the BMP.
+ALPHABET = "]^-\\肺炎\U00020000"
+
+
+@st.composite
+def lexicon_and_text(draw):
+    words = draw(st.lists(st.text(ALPHABET, min_size=1, max_size=5),
+                          min_size=1, max_size=8))
+    # A prefix of each word, so one-character entries and entries that are
+    # prefixes of other entries both occur.
+    prefixes = [word[:draw(st.integers(1, len(word)))] for word in words]
+    entries = sorted(set(words) | set(prefixes))
+    # Entries and noise ("x" starts no entry) laid side by side give
+    # overlapping, nested and repeated occurrences.
+    pieces = draw(st.lists(st.one_of(st.sampled_from(entries),
+                                     st.text(ALPHABET + "x", max_size=3)),
+                           max_size=12))
+    return entries, "".join(pieces)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexicon_and_text())
+def test_raw_hits_are_every_occurrence(case):
+    entries, text = case
+    expected = sorted((i, i + len(entry), entry)
+                      for entry in entries
+                      for i in range(len(text)) if text.startswith(entry, i))
+    assert sorted(DiseaseMatcher(entries).scan(text)) == expected
