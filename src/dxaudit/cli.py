@@ -36,9 +36,9 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     config: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
+            line = core.decode_line(raw, line_no)
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -53,7 +53,11 @@ def _resolve(flag, config: dict[str, str], key: str, default, cast=str):
     if flag is not None:
         return flag
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise DxAuditError(f"config key {key}: bad value {config[key]!r} "
+                               f"(expected {cast.__name__})") from None
     return default
 
 
@@ -89,7 +93,8 @@ class _SubParsers:
 def build_parser() -> _Parser:
     parser = _Parser(prog="dxaudit")
     parser.add_argument("--seed", type=int, help="override every seed")
-    parser.add_argument("--parallelism", type=int, help="worker threads")
+    parser.add_argument("--parallelism", type=int,
+                        help="accepted and ignored: records run one after another")
     parser.add_argument("--config", help="flat key=value config file")
     sub = _SubParsers(parser.add_subparsers(dest="command", required=True))
 
@@ -156,7 +161,7 @@ def build_parser() -> _Parser:
     p.add_argument("--relation-model")
     p.add_argument("--diseases", help="recall lexicon (defaults to packaged pool)")
     p.add_argument("--out", required=True, help="findings report JSONL")
-    p.add_argument("--emit-on", choices=["irrelevance_only", "irrelevance_or_other"])
+    p.add_argument("--emit-on", choices=sorted(pipeline.EMITTING_RELATIONS))
     _add_common_lexicon_flags(p)
 
     p = sub.add_parser("evaluate", help="score findings against gold")
@@ -367,13 +372,12 @@ def _pipeline_lexicons(args) -> pipeline.PipelineLexicons:
                                      features=_feature_lexicons(args))
 
 
-def _cmd_detect(args, config, seed, parallelism):
+def _cmd_detect(args, config, seed):
     models = _load_models(args)
     lexicons = _pipeline_lexicons(args)
     detect_config = pipeline.DetectConfig(
         emit_on=_resolve(args.emit_on, config, "detect.emit_on", "irrelevance_only"))
-    report = pipeline.batch_detect(args.corpus, models, lexicons, detect_config,
-                                   parallelism=parallelism)
+    report = pipeline.batch_detect(args.corpus, models, lexicons, detect_config)
     pipeline.write_report(report, args.out)
     print(f"{report.summary['records']} records, "
           f"{report.summary['findings']} findings, "
@@ -394,14 +398,13 @@ def _cmd_evaluate(args, config, seed):
     return EXIT_OK
 
 
-def _cmd_ablate(args, config, seed, parallelism):
+def _cmd_ablate(args, config, seed):
     models = _load_models(args)
     lexicons = _pipeline_lexicons(args)
     records = core.load_corpus(args.corpus)
     with open(args.gold, encoding="utf-8") as handle:
         gold = [tuple(item) for item in json.load(handle)["findings"]]
-    rows = evaluate.run_ablation(records, gold, models, lexicons,
-                                 parallelism=parallelism)
+    rows = evaluate.run_ablation(records, gold, models, lexicons)
     evaluate.write_scores_csv(rows, args.out)
     for row in rows:
         print(f"{row.name}: precision={row.precision:.4f} "
@@ -433,10 +436,9 @@ def _cmd_drg_impact(args, config, seed):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = load_config_file(args.config) if args.config else {}
-    seed = _resolve(args.seed, config, "seed", 0, int)
-    parallelism = _resolve(args.parallelism, config, "parallelism", 1, int)
     try:
+        config = load_config_file(args.config) if args.config else {}
+        seed = _resolve(args.seed, config, "seed", 0, int)
         if args.command == "gen-synthetic":
             return _cmd_gen_synthetic(args, config, seed)
         if args.command == "gen-pairs":
@@ -446,11 +448,11 @@ def main(argv=None) -> int:
         if args.command == "train-relation":
             return _cmd_train_relation(args, config, seed)
         if args.command == "detect":
-            return _cmd_detect(args, config, seed, parallelism)
+            return _cmd_detect(args, config, seed)
         if args.command == "evaluate":
             return _cmd_evaluate(args, config, seed)
         if args.command == "ablate":
-            return _cmd_ablate(args, config, seed, parallelism)
+            return _cmd_ablate(args, config, seed)
         if args.command == "drg-impact":
             return _cmd_drg_impact(args, config, seed)
         parser.error(f"unknown command {args.command!r}")

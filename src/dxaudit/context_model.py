@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, EmptyPool, ShapeMismatch
+from .core import decode_line, parse_json_object
+from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import load_config, load_model, save_model
 
@@ -396,7 +397,7 @@ class EpochStats:
 
 
 class ContextClassifier:
-    """Encoder + fusion head with predict/save/load and training support."""
+    """Encoder + fusion head with classify/save/load and training support."""
 
     def __init__(self, encoder: CharWindowEncoder, head: GatedFusionHead,
                  config: TrainConfig):
@@ -437,17 +438,13 @@ class ContextClassifier:
     def forward(self, sample: ContextSample) -> np.ndarray:
         return self._probs(*self.inputs(sample))[0]
 
-    def predict_proba(self, sample: ContextSample) -> np.ndarray:
-        return self.forward(sample)
-
-    def predict(self, sample: ContextSample) -> tuple[str, float]:
+    def classify(self, sample: ContextSample,
+                 record_id: str | None = None) -> tuple[str, float]:
+        """The most probable label and its probability; record_id is
+        accepted and ignored."""
         probs = self.forward(sample)
         idx = int(np.argmax(probs))
         return LABELS[idx], float(probs[idx])
-
-    def classify(self, sample: ContextSample, record_id: str | None = None):
-        """Pipeline-facing entry point; record_id is accepted and ignored."""
-        return self.predict(sample)
 
     # -- training -----------------------------------------------------------
     # These take sequences from ``inputs``, so a training set is encoded once.
@@ -536,8 +533,8 @@ def train(samples: list[ContextSample], config: TrainConfig,
     dev split is given.
     """
     labels = [s.label for s in samples]
-    if any(lbl is None for lbl in labels):
-        raise DegenerateData("every training sample needs a label")
+    if any(s.label is None for s in [*samples, *(dev_samples or ())]):
+        raise DegenerateData("every training and dev sample needs a label")
     present = set(labels)
     missing = [lbl for lbl in LABELS if lbl not in present]
     if missing:
@@ -582,17 +579,26 @@ def train(samples: list[ContextSample], config: TrainConfig,
 
 def load_training_samples(path, lexicons: FeatureLexicons,
                           **assemble_kwargs) -> list[ContextSample]:
-    """Read JSON-per-line {disease, context, label} training samples."""
-    import json
+    """Read JSON-per-line {disease, context, label} training samples.
 
+    The label may be left out. A malformed line raises ParseError with its
+    line number.
+    """
     samples = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = decode_line(raw, line_no)
             if not line:
                 continue
-            obj = json.loads(line)
+            obj = parse_json_object(line, line_no, "sample")
+            for key in ("disease", "context"):
+                if not isinstance(obj.get(key), str):
+                    raise ParseError(f"{key} must be a string", line_no)
+            label = obj.get("label")
+            if label is not None and label not in LABELS:
+                raise ParseError(f"unknown label {label!r}; expected one of "
+                                 f"{list(LABELS)}", line_no)
             samples.append(assemble_features(
                 obj["disease"], obj["context"], lexicons,
-                label=obj.get("label"), **assemble_kwargs))
+                label=label, **assemble_kwargs))
     return samples

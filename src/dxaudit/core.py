@@ -1,7 +1,6 @@
 """Domain types, name normalization, and corpus/table I/O.
 
-Everything loaded here is immutable after load and safe to share across
-worker threads; loading itself is single-threaded.
+Everything loaded here is immutable after load.
 """
 
 from __future__ import annotations
@@ -12,12 +11,13 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     BadCode,
     DuplicateCode,
     DuplicateRecordId,
+    DxAuditError,
     EmptyName,
     ParseError,
 )
@@ -94,10 +94,6 @@ class DrgAssignment:
             raise ValueError(f"bad ADRG {self.adrg!r}: expected 2 letters + 1 digit")
         if self.avg_cost < 0:
             raise ValueError("avg_cost must be non-negative")
-
-    @property
-    def drg_code(self) -> str:
-        return f"{self.adrg}{self.tier.value}"
 
 
 @dataclass(frozen=True)
@@ -223,13 +219,19 @@ def _parse_drg(obj: dict, line: int) -> DrgAssignment:
         raise ParseError(f"bad drg object: {exc}", line)
 
 
-def parse_record_line(text: str, line: int = 0) -> MedicalRecord:
+def parse_json_object(text: str, line: int, what: str) -> dict:
+    """One JSONL line that must hold an object; ``what`` names it in errors."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line)
+        raise ParseError(f"invalid JSON: {exc.msg}", line) from None
     if not isinstance(obj, dict):
-        raise ParseError("record is not a JSON object", line)
+        raise ParseError(f"{what} is not a JSON object", line)
+    return obj
+
+
+def parse_record_line(text: str, line: int = 0) -> MedicalRecord:
+    obj = parse_json_object(text, line, "record")
     try:
         record_id = obj["record_id"]
         sections = tuple((s["name"], s["text"]) for s in obj["sections"])
@@ -274,26 +276,53 @@ def record_to_json(record: MedicalRecord) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
+def decode_line(raw: bytes, line: int) -> str:
+    """One line of a UTF-8 file, decoded on its own and stripped."""
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 at byte {exc.start}", line) from None
+
+
+def iter_corpus(
+    path: str | Path,
+) -> Iterator[tuple[int, MedicalRecord | None, DxAuditError | None]]:
+    """Yield (line_no, record, error) for each non-blank JSONL corpus line.
+
+    Exactly one of record and error is set. Each line is decoded and parsed
+    on its own, so a bad line (undecodable, unparseable, or repeating an
+    earlier record_id) yields its error and reading goes on.
+    """
+    seen: set[str] = set()
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                text = decode_line(raw, line_no)
+                if not text:
+                    continue
+                record = parse_record_line(text, line_no)
+            except ParseError as exc:
+                yield line_no, None, exc
+                continue
+            if record.record_id in seen:
+                yield line_no, None, DuplicateRecordId(
+                    f"duplicate record_id {record.record_id!r}")
+                continue
+            seen.add(record.record_id)
+            yield line_no, record, None
+
+
 def load_corpus(path: str | Path) -> list[MedicalRecord]:
     """Load a JSONL corpus, preserving file order.
 
-    Raises ParseError with the 1-based line number of the first bad
-    line, or DuplicateRecordId on a repeated id.
+    Raises the first bad line's error: a ParseError carrying its 1-based
+    line number, or DuplicateRecordId on a repeated id.
     """
     records: list[MedicalRecord] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = parse_record_line(raw, line_no)
-            if record.record_id in seen:
-                raise DuplicateRecordId(
-                    f"record_id {record.record_id!r} repeated at line {line_no}"
-                )
-            seen.add(record.record_id)
-            records.append(record)
+    for _, record, error in iter_corpus(path):
+        if error is not None:
+            raise error
+        records.append(record)
     return records
 
 
@@ -382,28 +411,19 @@ def load_icd_table(path: str | Path) -> IcdIndex:
 
 
 def load_lexicon(path: str | Path, kind: LexiconKind) -> Lexicon:
-    """Load a one-entry-per-line lexicon.
-
-    Word lexicons are normalized and deduplicated; enumerator-pattern
-    lexicons are kept verbatim because their entries are regexes.
-    """
-    entries: list[str] = []
-    seen: set[str] = set()
+    """Load a one-entry-per-line lexicon ('#' starts a comment line)."""
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if kind is not LexiconKind.ENUMERATOR_PATTERNS:
-                stripped = normalize_disease_name(stripped)
-            if stripped not in seen:
-                seen.add(stripped)
-                entries.append(stripped)
-    return Lexicon(kind=kind, entries=tuple(entries))
+        lines = [line.strip() for line in handle]
+    return make_lexicon(
+        (line for line in lines if line and not line.startswith("#")), kind)
 
 
 def make_lexicon(entries: Iterable[str], kind: LexiconKind) -> Lexicon:
-    """Build a lexicon from in-memory entries (normalizing word kinds)."""
+    """Build a lexicon from entries in order, dropping repeats.
+
+    Word lexicons are normalized; enumerator-pattern lexicons are kept
+    verbatim because their entries are regexes.
+    """
     out: list[str] = []
     seen: set[str] = set()
     for entry in entries:

@@ -124,7 +124,6 @@ def run_ablation(
     models: Models,
     lexicons: PipelineLexicons,
     config: DetectConfig = DetectConfig(),
-    parallelism: int = 1,
 ) -> list[AblationRow]:
     """Score the full pipeline against stage and feature knock-outs."""
     variants = [
@@ -142,7 +141,7 @@ def run_ablation(
     rows = []
     for name, variant_models in variants:
         report = batch_detect(records, variant_models, lexicons, config,
-                              parallelism=parallelism, matcher=matcher)
+                              matcher=matcher)
         precision, recall, f1 = score(report_instances(report), gold_findings)
         rows.append(AblationRow(name=name, precision=precision, recall=recall, f1=f1))
     return rows

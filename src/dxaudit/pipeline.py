@@ -11,11 +11,17 @@ the models.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import Lexicon, MedicalRecord, normalize_disease_name, parse_record_line
+from .core import (
+    Lexicon,
+    MedicalRecord,
+    decode_line,
+    iter_corpus,
+    normalize_disease_name,
+    parse_json_object,
+)
 from .errors import DxAuditError, EmptyName, ModelNotLoaded, ParseError
 from .features import LABELS, FeatureLexicons, OrderTrackScope, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
@@ -41,20 +47,29 @@ class PipelineLexicons:
     features: FeatureLexicons
 
 
+# emit_on setting -> the relations a candidate may have to every discharge
+# diagnosis and still be reported.
+EMITTING_RELATIONS = {
+    "irrelevance_only": frozenset({"irrelevance"}),
+    "irrelevance_or_other": frozenset({"irrelevance", "other"}),
+}
+
+
 @dataclass(frozen=True)
 class DetectConfig:
     max_context_len: int = 450
     max_disease: int = 30
-    emit_on: str = "irrelevance_only"  # or "irrelevance_or_other"
+    emit_on: str = "irrelevance_only"  # a key of EMITTING_RELATIONS
     order_scope: OrderTrackScope = OrderTrackScope.WHOLE_ITEM
+
+    def __post_init__(self):
+        if self.emit_on not in EMITTING_RELATIONS:
+            raise DxAuditError(f"unknown emit_on {self.emit_on!r}; expected one of "
+                               f"{sorted(EMITTING_RELATIONS)}")
 
     @property
     def emitting_relations(self) -> frozenset[str]:
-        if self.emit_on == "irrelevance_only":
-            return frozenset({"irrelevance"})
-        if self.emit_on == "irrelevance_or_other":
-            return frozenset({"irrelevance", "other"})
-        raise ValueError(f"unknown emit_on {self.emit_on!r}")
+        return EMITTING_RELATIONS[self.emit_on]
 
 
 def _normalized_discharge(record: MedicalRecord) -> list[str]:
@@ -137,34 +152,6 @@ class BatchReport:
     errors: list[dict] = field(default_factory=list)
 
 
-def _iter_corpus_lenient(path: str | Path):
-    """Yield (line_no, record_or_None, error_or_None) for each corpus line.
-
-    Each line is decoded on its own, so one undecodable line fails alone.
-    """
-    seen: set[str] = set()
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                yield line_no, None, str(ParseError(
-                    f"invalid UTF-8 at byte {exc.start}", line_no))
-                continue
-            if not text:
-                continue
-            try:
-                record = parse_record_line(text, line_no)
-            except ParseError as exc:
-                yield line_no, None, str(exc)
-                continue
-            if record.record_id in seen:
-                yield line_no, None, f"duplicate record_id {record.record_id!r}"
-                continue
-            seen.add(record.record_id)
-            yield line_no, record, None
-
-
 def batch_detect(
     corpus,
     models: Models,
@@ -175,17 +162,18 @@ def batch_detect(
 ) -> BatchReport:
     """Detect over a corpus (a list of records or a JSONL path).
 
-    When given a path, unparseable lines become error entries and the
-    remaining records are still processed. Output is identical for any
-    parallelism setting. ``matcher`` must be built from
+    When given a path, bad lines become error entries and the remaining
+    records are still processed; a record whose detection raises a
+    DxAuditError becomes an error entry too. Records run one after another;
+    ``parallelism`` is accepted and ignored. ``matcher`` must be built from
     ``lexicons.diseases``; it is built here when not given.
     """
     errors: list[dict] = []
-    records: list[MedicalRecord] = []
     if isinstance(corpus, (str, Path)):
-        for line_no, record, error in _iter_corpus_lenient(corpus):
+        records: list[MedicalRecord] = []
+        for line_no, record, error in iter_corpus(corpus):
             if error is not None:
-                errors.append({"line": line_no, "error": error})
+                errors.append({"line": line_no, "error": str(error)})
             else:
                 records.append(record)
     else:
@@ -194,27 +182,16 @@ def batch_detect(
     if matcher is None:
         matcher = build_matcher(lexicons.diseases)
 
-    def worker(record: MedicalRecord):
-        try:
-            findings, label_counts = _detect_record(
-                record, matcher, models, lexicons, config)
-            return record, findings, label_counts, None
-        except DxAuditError as exc:
-            return record, [], {label: 0 for label in LABELS}, str(exc)
-
-    if parallelism > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(worker, records))
-    else:
-        outcomes = [worker(record) for record in records]
-
     results: list[RecordResult] = []
     label_totals = {label: 0 for label in LABELS}
     section_counts: dict[str, int] = {}
     n_findings = 0
-    for record, findings, label_counts, error in outcomes:
-        if error is not None:
-            errors.append({"record_id": record.record_id, "error": error})
+    for record in records:
+        try:
+            findings, label_counts = _detect_record(
+                record, matcher, models, lexicons, config)
+        except DxAuditError as exc:
+            errors.append({"record_id": record.record_id, "error": str(exc)})
             continue
         results.append(RecordResult(record_id=record.record_id, findings=findings))
         n_findings += len(findings)
@@ -266,17 +243,12 @@ def write_report(report: BatchReport, path: str | Path) -> None:
 def load_report_findings(path: str | Path) -> dict[str, list[dict]]:
     """record_id -> finding dicts, skipping the trailing summary object."""
     findings: dict[str, list[dict]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = decode_line(raw, line_no)
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no)
-            if not isinstance(obj, dict):
-                raise ParseError("report line is not a JSON object", line_no)
+            obj = parse_json_object(line, line_no, "report line")
             if "record_id" in obj:
                 if not isinstance(obj["record_id"], str):
                     raise ParseError("record_id must be a string", line_no)

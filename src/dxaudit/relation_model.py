@@ -479,14 +479,11 @@ class RelationClassifier:
             probs[start : start + BLOCK_ROWS] = self._head(u, v)[0]
         return probs
 
-    def predict_relation(self, a: str, b: str) -> tuple[str, float]:
+    def predict(self, a: str, b: str) -> tuple[str, float]:
+        """The most probable relation of a to b and its probability."""
         probs = self.predict_proba(a, b)
         idx = int(np.argmax(probs))
         return RELATIONS[idx], float(probs[idx])
-
-    def predict(self, a: str, b: str) -> tuple[str, float]:
-        """Pipeline-facing alias of predict_relation."""
-        return self.predict_relation(a, b)
 
     def _step(self, a: str, b: str, label_index: int, lr: float) -> float:
         probs, cache = self._forward(a, b, with_cache=True)
@@ -545,7 +542,7 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
     """Cross-entropy fine-tuning of the 5-class head (and the encoder).
 
     Pairs whose relation is symmetric are also trained in swapped order
-    so predict_relation stays order-stable for those classes.
+    so predict stays order-stable for those classes.
     """
     for pair in labeled_pairs:
         if pair.relation is None:

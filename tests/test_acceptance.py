@@ -336,8 +336,8 @@ def test_criterion_09_memorization_fixtures(feature_lexicons):
     relation_model, _ = finetune(
         encoder, training, PairTrainConfig(learning_rate=0.05, hidden=48,
                                            epochs=60, seed=3))
-    fracture = relation_model.predict_relation("头部骨折", "头骨骨折")[0]
-    electrolyte = relation_model.predict_relation("电解质紊乱", "低钾血症")[0]
+    fracture = relation_model.predict("头部骨折", "头骨骨折")[0]
+    electrolyte = relation_model.predict("电解质紊乱", "低钾血症")[0]
 
     case_context = ("患者因胸闷憋喘入院，外院考虑肺部感染可能性大，不能除外肺心病，"
                     "抗感染治疗后效果欠佳。入院后完善心脏超声及心电图检查，"
@@ -353,7 +353,7 @@ def test_criterion_09_memorization_fixtures(feature_lexicons):
         samples, TrainConfig(batch_size=4, learning_rate=0.3, epochs=40, seed=7),
         d=16, d_enc=16)
     case_sample = assemble_features("肺心病", case_context, feature_lexicons)
-    case_label = context_model.predict(case_sample)[0]
+    case_label = context_model.classify(case_sample)[0]
 
     ok = (fracture == "similarity" and electrolyte == "inclusion"
           and case_label == "confirmed")

@@ -85,6 +85,40 @@ class TestConfigPrecedence:
         assert run(["gen-synthetic", "--out", str(out), "--gold", str(gold)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 100
 
+    def test_missing_config_file_is_65(self, tmp_path, capsys):
+        missing = tmp_path / "nope.conf"
+        assert run(["--config", str(missing), "gen-synthetic",
+                    "--out", str(tmp_path / "out.jsonl"),
+                    "--gold", str(tmp_path / "gold.json")]) == 65
+        err = capsys.readouterr().err
+        assert str(missing) in err
+        assert "Traceback" not in err
+
+    def test_uncastable_config_value_is_65(self, tmp_path, capsys):
+        config = tmp_path / "dxaudit.conf"
+        config.write_text("context.epochs=abc\n", encoding="utf-8")
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text('{"disease": "肺炎", "context": "确诊为肺炎。", '
+                           '"label": "confirmed"}\n', encoding="utf-8")
+        assert run(["--config", str(config), "train-context",
+                    "--samples", str(samples),
+                    "--out", str(tmp_path / "context.bin")]) == 65
+        err = capsys.readouterr().err
+        assert "context.epochs" in err
+        assert "'abc'" in err
+        assert "Traceback" not in err
+
+    def test_unknown_emit_on_in_config_is_65(self, workspace, tmp_path, capsys):
+        config = tmp_path / "dxaudit.conf"
+        config.write_text("detect.emit_on=bogus\n", encoding="utf-8")
+        assert run(["--config", str(config), "detect",
+                    "--corpus", str(workspace / "corpus.jsonl"),
+                    "--models", str(workspace / "models"),
+                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        err = capsys.readouterr().err
+        assert "'bogus'" in err
+        assert "Traceback" not in err
+
 
 class TestWorkflow:
     def test_detect_evaluate(self, workspace, tmp_path):
@@ -275,6 +309,57 @@ class TestHostileInput:
         assert [obj["record_id"] for obj in report[:-1]] == [
             json.loads(line)["record_id"] for line in lines]
         assert report[-1]["errors"] == [{"line": 3, "error": "line 3: invalid UTF-8 at byte 0"}]
+
+    @pytest.mark.parametrize("command", ["evaluate", "drg-impact"])
+    def test_undecodable_findings_line_is_65(self, workspace, tmp_path, data_dir,
+                                             capsys, command):
+        findings = tmp_path / "findings.jsonl"
+        findings.write_bytes(b'{"record_id": "r1", "findings": []}\n\xff{"x":1}\n')
+        if command == "evaluate":
+            argv = ["evaluate", "--findings", str(findings),
+                    "--gold", str(workspace / "gold.json")]
+        else:
+            argv = ["drg-impact", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--findings", str(findings),
+                    "--icd", str(data_dir / "icd_demo.csv"),
+                    "--groups", str(data_dir / "drg_groups_demo.csv"),
+                    "--out", str(tmp_path / "impact.json")]
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert "line 2: invalid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_drg_corpus_line_is_65(self, workspace, tmp_path, data_dir,
+                                               capsys):
+        lines = (workspace / "corpus.jsonl").read_bytes().splitlines()[:2]
+        corpus = tmp_path / "undecodable.jsonl"
+        corpus.write_bytes(lines[0] + b'\n\xff\xfe{"bad": 1}\n' + lines[1] + b"\n")
+        findings = tmp_path / "findings.jsonl"
+        findings.write_text("", encoding="utf-8")
+        assert run(["drg-impact", "--corpus", str(corpus),
+                    "--findings", str(findings),
+                    "--icd", str(data_dir / "icd_demo.csv"),
+                    "--groups", str(data_dir / "drg_groups_demo.csv"),
+                    "--out", str(tmp_path / "impact.json")]) == 65
+        err = capsys.readouterr().err
+        assert "line 2: invalid UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad_line", [
+        "not json",
+        '{"disease": "肺炎"}',
+        '{"disease": "肺炎", "context": "确诊为肺炎。", "label": "maybe"}',
+    ], ids=["not-json", "no-context", "unknown-label"])
+    def test_bad_training_sample_is_65(self, tmp_path, capsys, bad_line):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text('{"disease": "肺炎", "context": "确诊为肺炎。", '
+                           '"label": "confirmed"}\n' + bad_line + "\n",
+                           encoding="utf-8")
+        assert run(["train-context", "--samples", str(samples),
+                    "--out", str(tmp_path / "context.bin")]) == 65
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["abc\n", "abc\t、\n"])
     def test_bad_back_translation_line_is_65(self, tmp_path, data_dir, capsys, text):

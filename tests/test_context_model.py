@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from dxaudit.core import LexiconKind, make_lexicon
-from dxaudit.errors import BadModelFile, DegenerateData, EmptyPool, ShapeMismatch
+from dxaudit.errors import (
+    BadModelFile,
+    DegenerateData,
+    EmptyPool,
+    ParseError,
+    ShapeMismatch,
+)
 from dxaudit.features import LABELS, ContextSample, assemble_features
 from dxaudit.context_model import (
     CharVocab,
@@ -19,6 +25,7 @@ from dxaudit.context_model import (
     _row_sums,
     augment_eda,
     focal_loss,
+    load_training_samples,
     pack,
     train,
 )
@@ -371,7 +378,7 @@ class TestTraining:
                 pos_track=rng.integers(0, 2, length).astype(np.uint8),
                 neg_track=rng.integers(0, 2, length).astype(np.uint8),
                 order_track=rng.integers(0, 2, length).astype(np.uint8))
-            probs.append(model.predict(sample)[1])
+            probs.append(model.classify(sample)[1])
         assert abs(np.mean(probs) - 1 / 3) <= 0.05
 
     def test_default_config_matches_stated_values(self):
@@ -392,7 +399,7 @@ class TestPersistence:
         model.save(path)
         loaded = ContextClassifier.load(path)
         for sample in samples[:10]:
-            assert loaded.predict(sample) == model.predict(sample)
+            assert loaded.classify(sample) == model.classify(sample)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         samples = separable_samples(60, seed=5)
@@ -429,3 +436,44 @@ class TestPersistence:
         model.save(path)
         with pytest.raises(BadModelFile, match="expected a relation model"):
             RelationClassifier.load(path)
+
+
+class TestLoadTrainingSamples:
+    GOOD = '{"disease": "肺炎", "context": "确诊为肺炎。", "label": "confirmed"}'
+
+    def test_reads_samples_with_and_without_label(self, tmp_path, feature_lexicons):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(self.GOOD + '\n\n{"disease": "肺炎", "context": "否认肺炎。"}\n',
+                        encoding="utf-8")
+        samples = load_training_samples(path, feature_lexicons)
+        assert [(s.context, s.label) for s in samples] == [
+            ("确诊为肺炎。", "confirmed"), ("否认肺炎。", None)]
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"not json", "invalid JSON"),
+        (b"[1, 2]", "not a JSON object"),
+        ('{"disease": "肺炎"}'.encode("utf-8"), "context must be a string"),
+        ('{"context": "确诊为肺炎。"}'.encode("utf-8"), "disease must be a string"),
+        ('{"disease": 1, "context": "确诊为肺炎。"}'.encode("utf-8"),
+         "disease must be a string"),
+        ('{"disease": "肺炎", "context": "确诊为肺炎。", "label": "maybe"}'.encode("utf-8"),
+         "unknown label 'maybe'"),
+        (b'\xff{"disease": 1}', "invalid UTF-8"),
+    ], ids=["not-json", "not-object", "no-context", "no-disease", "int-disease",
+            "unknown-label", "invalid-utf8"])
+    def test_malformed_line_is_parse_error(self, tmp_path, feature_lexicons,
+                                           bad_line, message):
+        path = tmp_path / "samples.jsonl"
+        path.write_bytes(self.GOOD.encode("utf-8") + b"\n" + bad_line + b"\n")
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_training_samples(path, feature_lexicons)
+        assert excinfo.value.line == 2
+
+    def test_unlabeled_dev_sample_is_degenerate_data(self, feature_lexicons):
+        samples = [assemble_features("肺炎", context, feature_lexicons, label=label)
+                   for context, label in (("确诊为肺炎。", "confirmed"),
+                                          ("否认肺炎。", "non_current"),
+                                          ("肺炎待排。", "unknown"))]
+        dev = [assemble_features("肺炎", "确诊为肺炎。", feature_lexicons)]
+        with pytest.raises(DegenerateData, match="dev"):
+            train(samples, TrainConfig(epochs=1), dev_samples=dev, d=4, d_enc=4)

@@ -105,6 +105,24 @@ class TestCorpusIO:
         core.save_corpus(records, out)
         assert core.load_corpus(out) == records
 
+    def test_undecodable_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(GOOD_LINE.encode("utf-8") + b'\n\xff\xfe{"bad": 1}\n')
+        with pytest.raises(ParseError, match="invalid UTF-8") as excinfo:
+            core.load_corpus(path)
+        assert excinfo.value.line == 2
+
+    def test_iter_corpus_yields_each_bad_line_and_reads_on(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            GOOD_LINE.encode("utf-8"), b"\xff", b"{broken", b"",
+            GOOD_LINE.encode("utf-8"), GOOD_LINE_2.encode("utf-8")]) + b"\n")
+        seen = [(line_no, record and record.record_id, type(error))
+                for line_no, record, error in core.iter_corpus(path)]
+        assert seen == [(1, "r1", type(None)), (2, None, ParseError),
+                        (3, None, ParseError), (5, None, DuplicateRecordId),
+                        (6, "r2", type(None))]
+
 
 class TestRecordFieldValidation:
     @pytest.mark.parametrize("line", [

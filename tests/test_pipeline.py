@@ -7,7 +7,7 @@ import pytest
 
 from dxaudit import synth
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
-from dxaudit.errors import ModelNotLoaded, ParseError
+from dxaudit.errors import DxAuditError, ModelNotLoaded, ParseError
 from dxaudit.evaluate import (
     ConfirmAllContext,
     IrrelevanceAllRelation,
@@ -108,6 +108,10 @@ class TestDetect:
         relaxed = detect_write_missing(
             rec, models, lexicons, DetectConfig(emit_on="irrelevance_or_other"))
         assert [f.disease for f in relaxed] == ["肺炎"]
+
+    def test_unknown_emit_on_rejected_at_construction(self):
+        with pytest.raises(DxAuditError, match="bogus"):
+            DetectConfig(emit_on="bogus")
 
     def test_model_not_loaded(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
@@ -211,3 +215,10 @@ class TestBatchDetect:
         with pytest.raises(ParseError, match=message) as excinfo:
             load_report_findings(path)
         assert excinfo.value.line == 3
+
+    def test_undecodable_report_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "report.jsonl"
+        path.write_bytes(b'{"record_id": "r1", "findings": []}\n\xff{"x":1}\n')
+        with pytest.raises(ParseError, match="invalid UTF-8") as excinfo:
+            load_report_findings(path)
+        assert excinfo.value.line == 2

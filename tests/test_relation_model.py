@@ -283,13 +283,13 @@ class TestFineTune:
     def test_training_set_recovery(self, fixture_pair_model):
         model, pairs, _ = fixture_pair_model
         hits = sum(1 for p in pairs
-                   if model.predict_relation(p.a, p.b)[0] == p.relation)
+                   if model.predict(p.a, p.b)[0] == p.relation)
         assert hits / len(pairs) >= 0.9
 
     def test_memorized_case_pairs(self, fixture_pair_model):
         model, _, _ = fixture_pair_model
-        assert model.predict_relation("头部骨折", "头骨骨折")[0] == "similarity"
-        assert model.predict_relation("电解质紊乱", "低钾血症")[0] == "inclusion"
+        assert model.predict("头部骨折", "头骨骨折")[0] == "similarity"
+        assert model.predict("电解质紊乱", "低钾血症")[0] == "inclusion"
 
     def test_identity_pairs_similar(self, fixture_pair_model):
         model, pairs, _ = fixture_pair_model
@@ -322,8 +322,8 @@ class TestFineTune:
         agreements = []
         for _ in range(100):
             a, b = rng.sample(names, 2)
-            fwd = model.predict_relation(a, b)[0]
-            rev = model.predict_relation(b, a)[0]
+            fwd = model.predict(a, b)[0]
+            rev = model.predict(b, a)[0]
             if fwd in ("similarity", "irrelevance") or rev in ("similarity", "irrelevance"):
                 agreements.append(fwd == rev)
         assert agreements and sum(agreements) / len(agreements) >= 0.95
@@ -334,8 +334,8 @@ class TestFineTune:
         model.save(path)
         loaded = RelationClassifier.load(path)
         for pair in pairs[:10]:
-            assert loaded.predict_relation(pair.a, pair.b) == \
-                model.predict_relation(pair.a, pair.b)
+            assert loaded.predict(pair.a, pair.b) == \
+                model.predict(pair.a, pair.b)
         model.save(tmp_path / "again.bin")
         assert (tmp_path / "relation.bin").read_bytes() == \
             (tmp_path / "again.bin").read_bytes()
