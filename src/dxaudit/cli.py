@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import core, drg, evaluate, pipeline, relation_model, synth
 from . import context_model as cm
-from .errors import DxAuditError
+from .errors import DxAuditError, ParseError
 from .features import FeatureLexicons
 
 EXIT_OK = 0
@@ -36,16 +36,27 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     config: dict[str, str] = {}
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = core.decode_line(raw, line_no)
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DxAuditError(f"config line {line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+    for line_no, line in core.read_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DxAuditError(f"config line {line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        config[key.strip()] = value.strip()
     return config
+
+
+def load_gold_findings(path: str | Path) -> list[tuple[str, str]]:
+    """The (record_id, disease) pairs of a gold file's ``findings`` list."""
+    lines = list(core.read_lines(path))
+    obj = core.parse_json_object("\n".join(text for _, text in lines),
+                                 lines[0][0] if lines else 1, "gold file")
+    findings = obj.get("findings")
+    if not isinstance(findings, list) or any(
+            not isinstance(f, list) or list(map(type, f)) != [str, str]
+            for f in findings):
+        raise ParseError("gold findings must be a list of [record_id, disease] pairs")
+    return [tuple(f) for f in findings]
 
 
 def _resolve(flag, config: dict[str, str], key: str, default, cast=str):
@@ -249,11 +260,8 @@ def _cmd_gen_pairs(args, config, seed):
     icd = core.load_icd_table(args.icd)
     positives: list[relation_model.DiseasePair] = []
     if args.coded:
-        import csv as _csv
-
-        with open(args.coded, encoding="utf-8", newline="") as handle:
-            rows = [(r["clinical_name"], r["icd_code"])
-                    for r in _csv.DictReader(handle)]
+        rows = [(r["clinical_name"], r["icd_code"])
+                for _, r in core.read_table(args.coded, {"clinical_name", "icd_code"})]
         positives.extend(relation_model.gen_positive_coding_pairs(rows, icd))
     if args.back_translation:
         positives.extend(
@@ -388,8 +396,7 @@ def _cmd_detect(args, config, seed):
 def _cmd_evaluate(args, config, seed):
     findings = pipeline.load_report_findings(args.findings)
     predictions = [(rid, f["disease"]) for rid, fs in findings.items() for f in fs]
-    with open(args.gold, encoding="utf-8") as handle:
-        gold = [tuple(item) for item in json.load(handle)["findings"]]
+    gold = load_gold_findings(args.gold)
     precision, recall, f1 = evaluate.score(predictions, gold)
     if args.out:
         evaluate.write_scores_csv(
@@ -402,8 +409,7 @@ def _cmd_ablate(args, config, seed):
     models = _load_models(args)
     lexicons = _pipeline_lexicons(args)
     records = core.load_corpus(args.corpus)
-    with open(args.gold, encoding="utf-8") as handle:
-        gold = [tuple(item) for item in json.load(handle)["findings"]]
+    gold = load_gold_findings(args.gold)
     rows = evaluate.run_ablation(records, gold, models, lexicons)
     evaluate.write_scores_csv(rows, args.out)
     for row in rows:
@@ -456,7 +462,7 @@ def main(argv=None) -> int:
         if args.command == "drg-impact":
             return _cmd_drg_impact(args, config, seed)
         parser.error(f"unknown command {args.command!r}")
-    except (DxAuditError, FileNotFoundError) as exc:
+    except (DxAuditError, OSError) as exc:
         print(f"dxaudit: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import decode_line, parse_json_object
+from .core import parse_json_object, read_lines
 from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import load_config, load_model, save_model
@@ -581,24 +581,22 @@ def load_training_samples(path, lexicons: FeatureLexicons,
                           **assemble_kwargs) -> list[ContextSample]:
     """Read JSON-per-line {disease, context, label} training samples.
 
-    The label may be left out. A malformed line raises ParseError with its
-    line number.
+    The label may be left out. A malformed line, or an empty disease or
+    context, raises ParseError with its line number.
     """
     samples = []
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = decode_line(raw, line_no)
-            if not line:
-                continue
-            obj = parse_json_object(line, line_no, "sample")
-            for key in ("disease", "context"):
-                if not isinstance(obj.get(key), str):
-                    raise ParseError(f"{key} must be a string", line_no)
-            label = obj.get("label")
-            if label is not None and label not in LABELS:
-                raise ParseError(f"unknown label {label!r}; expected one of "
-                                 f"{list(LABELS)}", line_no)
-            samples.append(assemble_features(
-                obj["disease"], obj["context"], lexicons,
-                label=label, **assemble_kwargs))
+    for line_no, line in read_lines(path):
+        obj = parse_json_object(line, line_no, "sample")
+        for key in ("disease", "context"):
+            if not isinstance(obj.get(key), str):
+                raise ParseError(f"{key} must be a string", line_no)
+            if not obj[key]:
+                raise ParseError(f"{key} is empty", line_no)
+        label = obj.get("label")
+        if label is not None and label not in LABELS:
+            raise ParseError(f"unknown label {label!r}; expected one of "
+                             f"{list(LABELS)}", line_no)
+        samples.append(assemble_features(
+            obj["disease"], obj["context"], lexicons,
+            label=label, **assemble_kwargs))
     return samples

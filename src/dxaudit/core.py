@@ -1,10 +1,15 @@
 """Domain types, name normalization, and corpus/table I/O.
 
-Everything loaded here is immutable after load.
+Everything loaded here is immutable after load. Every text input is read
+here: the corpus by the lenient ``iter_corpus``, every other file by the
+strict ``read_lines`` (CSV by ``read_rows``, headed tables by ``read_table``).
+Lines end at LF, CRLF or CR, never at U+2028 or U+0085; blank lines are
+skipped; a malformed line, undecodable bytes included, is a ParseError.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from dataclasses import dataclass, field
@@ -276,12 +281,47 @@ def record_to_json(record: MedicalRecord) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def decode_line(raw: bytes, line: int) -> str:
-    """One line of a UTF-8 file, decoded on its own and stripped."""
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, text) for each non-blank line of a UTF-8 file, stripped.
+
+    The file is decoded once; an undecodable byte raises after the lines before it.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return raw.decode("utf-8").strip()
+        text, bad = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8 at byte {exc.start}", line) from None
+        text, bad = data[:exc.start].decode("utf-8"), True
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines[:-1] if bad else lines, start=1):
+        if line := line.strip():
+            yield line_no, line
+    if bad:  # lines[-1] is the bad line up to its first undecodable byte
+        byte = len(lines[-1].encode("utf-8"))
+        raise ParseError(f"invalid UTF-8 at byte {byte}", len(lines))
+
+
+def read_rows(path: str | Path, delimiter: str = ",") -> list[tuple[int, list[str]]]:
+    """(line_no, fields) for each CSV row; a row spanning lines has its last line's."""
+    numbered = list(read_lines(path))
+    reader = csv.reader((line + "\n" for _, line in numbered), delimiter=delimiter)
+    return [(numbered[reader.line_num - 1][0], row) for row in reader]
+
+
+def read_table(path: str | Path,
+               required: set[str]) -> list[tuple[int, dict[str, str]]]:
+    """(line_no, column -> field) for each row under a CSV header.
+
+    The header must name every ``required`` column, and each row must have
+    as many fields as the header.
+    """
+    (header_line, header), *rows = read_rows(path) or [(None, [])]
+    if not required.issubset(header):
+        raise ParseError(f"{path} must carry header {sorted(required)}", header_line)
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
+    return [(line_no, dict(zip(header, row))) for line_no, row in rows]
 
 
 def iter_corpus(
@@ -297,9 +337,14 @@ def iter_corpus(
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
-                text = decode_line(raw, line_no)
-                if not text:
-                    continue
+                text = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                yield line_no, None, ParseError(
+                    f"invalid UTF-8 at byte {exc.start}", line_no)
+                continue
+            if not text:
+                continue
+            try:
                 record = parse_record_line(text, line_no)
             except ParseError as exc:
                 yield line_no, None, exc
@@ -385,23 +430,16 @@ class IcdIndex:
 
 def load_icd_table(path: str | Path) -> IcdIndex:
     """Load a comma-separated table with header ``code,title,cc_level``."""
-    import csv
-
     entries: list[IcdEntry] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"code", "title", "cc_level"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(f"ICD table must carry header {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            code = row["code"].strip()
-            if not _ICD_CODE_RE.match(code):
-                raise BadCode(f"line {line_no}: code {code!r} violates the grammar")
-            try:
-                level = CcLevel(row["cc_level"].strip().upper())
-            except ValueError:
-                raise ParseError(f"bad cc_level {row['cc_level']!r}", line_no)
-            entries.append(IcdEntry(code=code, title=row["title"].strip(), cc_level=level))
+    for line_no, row in read_table(path, {"code", "title", "cc_level"}):
+        code = row["code"].strip()
+        if not _ICD_CODE_RE.match(code):
+            raise BadCode(f"line {line_no}: code {code!r} violates the grammar")
+        try:
+            level = CcLevel(row["cc_level"].strip().upper())
+        except ValueError:
+            raise ParseError(f"bad cc_level {row['cc_level']!r}", line_no)
+        entries.append(IcdEntry(code=code, title=row["title"].strip(), cc_level=level))
     return IcdIndex(entries)
 
 
@@ -412,10 +450,8 @@ def load_icd_table(path: str | Path) -> IcdIndex:
 
 def load_lexicon(path: str | Path, kind: LexiconKind) -> Lexicon:
     """Load a one-entry-per-line lexicon ('#' starts a comment line)."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle]
     return make_lexicon(
-        (line for line in lines if line and not line.startswith("#")), kind)
+        (line for _, line in read_lines(path) if not line.startswith("#")), kind)
 
 
 def make_lexicon(entries: Iterable[str], kind: LexiconKind) -> Lexicon:

@@ -12,7 +12,6 @@ scope and flagged in report metadata.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .core import (
     _cost_to_minor,
     _minor_to_major,
     normalize_disease_name,
+    read_table,
     tier_for_cc_level,
 )
 from .errors import MissingGroupRow, ParseError
@@ -59,20 +59,15 @@ class DrgGroupTable:
     @classmethod
     def load(cls, path: str | Path) -> "DrgGroupTable":
         rows: dict[tuple[str, Tier], int] = {}
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"adrg", "tier", "avg_cost"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ParseError(f"group table must carry header {sorted(required)}")
-            for line_no, row in enumerate(reader, start=2):
-                try:
-                    tier = Tier(int(row["tier"]))
-                except ValueError:
-                    raise ParseError(f"bad tier {row['tier']!r}", line_no)
-                key = (row["adrg"].strip(), tier)
-                if key in rows:
-                    raise ParseError(f"duplicate group row {key}", line_no)
-                rows[key] = _cost_to_minor(row["avg_cost"].strip(), line_no)
+        for line_no, row in read_table(path, {"adrg", "tier", "avg_cost"}):
+            try:
+                tier = Tier(int(row["tier"]))
+            except ValueError:
+                raise ParseError(f"bad tier {row['tier']!r}", line_no)
+            key = (row["adrg"].strip(), tier)
+            if key in rows:
+                raise ParseError(f"duplicate group row {key}", line_no)
+            rows[key] = _cost_to_minor(row["avg_cost"].strip(), line_no)
         return cls(rows)
 
     def cost(self, adrg: str, tier: Tier) -> int:

@@ -17,10 +17,10 @@ from pathlib import Path
 from .core import (
     Lexicon,
     MedicalRecord,
-    decode_line,
     iter_corpus,
     normalize_disease_name,
     parse_json_object,
+    read_lines,
 )
 from .errors import DxAuditError, EmptyName, ModelNotLoaded, ParseError
 from .features import LABELS, FeatureLexicons, OrderTrackScope, assemble_features
@@ -243,20 +243,16 @@ def write_report(report: BatchReport, path: str | Path) -> None:
 def load_report_findings(path: str | Path) -> dict[str, list[dict]]:
     """record_id -> finding dicts, skipping the trailing summary object."""
     findings: dict[str, list[dict]] = {}
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = decode_line(raw, line_no)
-            if not line:
-                continue
-            obj = parse_json_object(line, line_no, "report line")
-            if "record_id" in obj:
-                if not isinstance(obj["record_id"], str):
-                    raise ParseError("record_id must be a string", line_no)
-                found = obj.get("findings")
-                if not isinstance(found, list) or not all(
-                        isinstance(f, dict) and isinstance(f.get("disease"), str)
-                        for f in found):
-                    raise ParseError("findings must be a list of objects with a "
-                                     "string disease", line_no)
-                findings[obj["record_id"]] = found
+    for line_no, line in read_lines(path):
+        obj = parse_json_object(line, line_no, "report line")
+        if "record_id" in obj:
+            if not isinstance(obj["record_id"], str):
+                raise ParseError("record_id must be a string", line_no)
+            found = obj.get("findings")
+            if not isinstance(found, list) or not all(
+                    isinstance(f, dict) and isinstance(f.get("disease"), str)
+                    for f in found):
+                raise ParseError("findings must be a list of objects with a "
+                                 "string disease", line_no)
+            findings[obj["record_id"]] = found
     return findings

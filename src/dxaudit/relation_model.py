@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IcdIndex, normalize_disease_name
+from .core import IcdIndex, normalize_disease_name, read_lines, read_rows
 from .errors import (
     DegenerateBatch,
     DegenerateData,
@@ -207,20 +207,18 @@ def load_back_translation_pairs(path: str | Path) -> list[DiseasePair]:
     name that normalizes to empty, raises ParseError with its line.
     """
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise ParseError("expected name<TAB>paraphrase", line_no)
-            try:
-                pairs.append(DiseasePair(a=normalize_disease_name(fields[0]),
-                                         b=normalize_disease_name(fields[1]),
-                                         source=PairSource.BACK_TRANSLATION))
-            except EmptyName as exc:
-                raise ParseError(str(exc), line_no)
+    for line_no, line in read_lines(path):
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise ParseError("expected name<TAB>name", line_no)
+        try:
+            pairs.append(DiseasePair(a=normalize_disease_name(fields[0]),
+                                     b=normalize_disease_name(fields[1]),
+                                     source=PairSource.BACK_TRANSLATION))
+        except EmptyName as exc:
+            raise ParseError(str(exc), line_no)
     return pairs
 
 
@@ -247,22 +245,20 @@ def save_pairs(pairs, path: str | Path) -> None:
 def load_pairs(path: str | Path) -> list[DiseasePair]:
     """Read a pair file; a malformed row raises ParseError with its line."""
     pairs = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 4:
-                raise ParseError(f"expected 4 tab-separated fields, got {len(row)}",
-                                 reader.line_num)
-            a, b, tag = row[0], row[1], row[2]
-            relation = tag if tag in RELATIONS else None
-            try:
-                pairs.append(DiseasePair(a=normalize_disease_name(a),
-                                         b=normalize_disease_name(b),
-                                         source=PairSource(row[3]), relation=relation))
-            except (ValueError, EmptyName) as exc:
-                raise ParseError(str(exc), reader.line_num)
+    for line_no, row in read_rows(path, delimiter="\t"):
+        if row[0].startswith("#"):
+            continue
+        if len(row) < 4:
+            raise ParseError(f"expected 4 tab-separated fields, got {len(row)}",
+                             line_no)
+        a, b, tag = row[0], row[1], row[2]
+        relation = tag if tag in RELATIONS else None
+        try:
+            pairs.append(DiseasePair(a=normalize_disease_name(a),
+                                     b=normalize_disease_name(b),
+                                     source=PairSource(row[3]), relation=relation))
+        except (ValueError, EmptyName) as exc:
+            raise ParseError(str(exc), line_no)
     return pairs
 
 

@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import DrgAssignment, Lexicon, MedicalRecord, normalize_disease_name
+from .core import DrgAssignment, Lexicon, MedicalRecord, read_lines
 from .errors import BadTemplate
 from .features import FeatureLexicons, assemble_features
 from .recall import build_context_window, build_matcher, find_mentions
+from .relation_model import DiseasePair, PairSource, load_back_translation_pairs
 
 # Share of recorded confirmed diseases written under a variant spelling
 # (when the variant table offers one).
@@ -68,19 +69,17 @@ class Templates:
     @classmethod
     def load(cls, path: str | Path) -> "Templates":
         by_kind: dict[str, list[str]] = {k: [] for k in TEMPLATE_KINDS}
-        with open(path, encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                if "\t" not in line:
-                    raise BadTemplate(f"line {line_no}: expected kind<TAB>text")
-                kind, text = line.split("\t", 1)
-                kind = kind.strip()
-                if kind not in TEMPLATE_KINDS:
-                    raise BadTemplate(f"line {line_no}: unknown kind {kind!r}")
-                cls._check_placeholders(kind, text, line_no)
-                by_kind[kind].append(text)
+        for line_no, line in read_lines(path):
+            if line.startswith("#"):
+                continue
+            if "\t" not in line:
+                raise BadTemplate(f"line {line_no}: expected kind<TAB>text")
+            kind, text = line.split("\t", 1)
+            kind = kind.strip()
+            if kind not in TEMPLATE_KINDS:
+                raise BadTemplate(f"line {line_no}: unknown kind {kind!r}")
+            cls._check_placeholders(kind, text, line_no)
+            by_kind[kind].append(text)
         return cls(by_kind)
 
     @staticmethod
@@ -107,16 +106,11 @@ class Templates:
 
 
 def load_variant_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """(canonical name, discharge-list spelling) pairs, tab separated."""
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b = line.split("\t")[:2]
-            pairs.append((normalize_disease_name(a), normalize_disease_name(b)))
-    return pairs
+    """(canonical name, discharge-list spelling) pairs, tab separated.
+
+    The file has the back-translation format and is read by its reader.
+    """
+    return [(pair.a, pair.b) for pair in load_back_translation_pairs(path)]
 
 
 def _enum_sentence(rng: random.Random, diseases: list[str], template: str) -> str:
@@ -245,8 +239,6 @@ def relation_training_pairs(
     cross-disease pairs over the pool plus variant spellings, and the
     remaining classes ride in from the annotated fixture pairs.
     """
-    from .relation_model import DiseasePair, PairSource
-
     pairs: list[DiseasePair] = []
     names = list(disease_pool.entries)
     variant_keys = {frozenset(p) for p in variant_pairs}

@@ -1,6 +1,7 @@
 """CLI workflow: exit codes, config precedence, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +395,94 @@ class TestHostileInput:
         assert str(edited) in err
         assert repr(key) in err
         assert "Traceback" not in err
+
+
+class TestInputFileErrors:
+    """Each malformed input file exits 65 with its line, never a traceback."""
+
+    CASES = {
+        "detect-diseases-utf8": (
+            b"\xe8\x82\xba\xe7\x82\x8e\n\xff\n", 2,
+            lambda ws, data, bad, out: [
+                "detect", "--corpus", str(ws / "corpus.jsonl"),
+                "--models", str(ws / "models"), "--diseases", bad, "--out", out]),
+        "gen-synthetic-templates-utf8": (
+            "filler\t患者一般情况可。\n".encode("utf-8") + b"\xff\n", 2,
+            lambda ws, data, bad, out: [
+                "gen-synthetic", "--n", "2", "--templates", bad,
+                "--out", out, "--gold", out + ".gold"]),
+        "gen-pairs-back-translation-utf8": (
+            "肺炎\t肺部感染\n".encode("utf-8") + b"\xff\n", 2,
+            lambda ws, data, bad, out: [
+                "gen-pairs", "--icd", str(data / "icd_demo.csv"),
+                "--back-translation", bad, "--out", out]),
+        "train-relation-pairs-utf8": (
+            "肺炎\t肺部感染\tsimilarity\tannotated\n".encode("utf-8") + b"\xff\n", 2,
+            lambda ws, data, bad, out: [
+                "train-relation", "--pairs", bad, "--out", out]),
+        "gen-synthetic-variants-no-tab": (
+            "肺部感染\t肺炎\n脑梗死\n".encode("utf-8"), 2,
+            lambda ws, data, bad, out: [
+                "gen-synthetic", "--n", "2", "--variants", bad,
+                "--out", out, "--gold", out + ".gold"]),
+        "gen-synthetic-variants-empty-second-name": (
+            "肺部感染\t肺炎\n脑梗死\t\n".encode("utf-8"), 2,
+            lambda ws, data, bad, out: [
+                "gen-synthetic", "--n", "2", "--variants", bad,
+                "--out", out, "--gold", out + ".gold"]),
+        "gen-pairs-icd-short-row": (
+            "code,title,cc_level\nS05,眼和眶损伤,NONE\nS05.3,眼球裂伤\n".encode("utf-8"), 3,
+            lambda ws, data, bad, out: ["gen-pairs", "--icd", bad, "--out", out]),
+        "drg-impact-groups-short-row": (
+            b"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3\n", 3,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+        "gen-pairs-coded-no-clinical-name": (
+            b"name,icd_code\nxyz,S05.301\n", 1,
+            lambda ws, data, bad, out: [
+                "gen-pairs", "--icd", str(data / "icd_demo.csv"),
+                "--coded", bad, "--out", out]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_malformed_line_is_65_naming_it(self, workspace, tmp_path, data_dir,
+                                            capsys, case):
+        content, line, argv = self.CASES[case]
+        (tmp_path / "summary.jsonl").write_text('{"summary": {}}\n', encoding="utf-8")
+        bad = tmp_path / "input"
+        bad.write_bytes(content)
+        assert run(argv(workspace, data_dir, str(bad), str(tmp_path / "out"))) == 65
+        err = capsys.readouterr().err
+        assert f"line {line}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{dir}", "gen-synthetic", "--out", "{dir}/x", "--gold", "{dir}/y"],
+        ["gen-synthetic", "--n", "2", "--out", "{dir}", "--gold", "{dir}/y"],
+    ], ids=["config-is-dir", "out-is-dir"])
+    def test_directory_in_place_of_a_file_is_65(self, tmp_path, capsys, argv):
+        assert run([arg.format(dir=tmp_path) for arg in argv]) == 65
+        err = capsys.readouterr().err
+        assert "Is a directory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate"])
+    @pytest.mark.parametrize("text", [
+        "not json", '{"x": 1}', "[1]", '{"findings": [["r1"]]}',
+        '{"findings": [["r1", 2]]}',
+    ], ids=["not-json", "no-findings", "not-object", "short-pair", "non-string"])
+    def test_malformed_gold_is_65(self, workspace, tmp_path, capsys, command, text):
+        gold = tmp_path / "gold.json"
+        gold.write_text(text + "\n", encoding="utf-8")
+        if command == "evaluate":
+            findings = tmp_path / "findings.jsonl"
+            findings.write_text('{"summary": {}}\n', encoding="utf-8")
+            argv = ["evaluate", "--findings", str(findings), "--gold", str(gold)]
+        else:
+            argv = ["ablate", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--gold", str(gold), "--models", str(workspace / "models"),
+                    "--out", str(tmp_path / "ablation.csv")]
+        assert run(argv) == 65
+        assert "Traceback" not in capsys.readouterr().err

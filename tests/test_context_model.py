@@ -459,8 +459,10 @@ class TestLoadTrainingSamples:
         ('{"disease": "肺炎", "context": "确诊为肺炎。", "label": "maybe"}'.encode("utf-8"),
          "unknown label 'maybe'"),
         (b'\xff{"disease": 1}', "invalid UTF-8"),
+        ('{"disease": "", "context": "确诊为肺炎。"}'.encode("utf-8"), "disease is empty"),
+        ('{"disease": "肺炎", "context": ""}'.encode("utf-8"), "context is empty"),
     ], ids=["not-json", "not-object", "no-context", "no-disease", "int-disease",
-            "unknown-label", "invalid-utf8"])
+            "unknown-label", "invalid-utf8", "empty-disease", "empty-context"])
     def test_malformed_line_is_parse_error(self, tmp_path, feature_lexicons,
                                            bad_line, message):
         path = tmp_path / "samples.jsonl"

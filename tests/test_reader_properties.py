@@ -1,0 +1,75 @@
+"""Property tests: the two readers on arbitrary bytes, and name normalization."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from dxaudit import core  # noqa: E402
+from dxaudit.errors import EmptyName, ParseError  # noqa: E402
+
+RECORD = ('{"record_id": "r1", "sections": [{"name": "s", "text": "确诊为肺炎。"}], '
+          '"discharge_diagnoses": ["肺炎"]}').encode("utf-8")
+
+# Lines that are records, repeats, blanks, junk and broken UTF-8, joined by
+# every line ending, so each outcome of a line is drawn often.
+structured_bytes = st.lists(
+    st.sampled_from([RECORD, RECORD.replace(b"r1", b"r2"), b"", b" \t", b"{",
+                      b"# note", b"\xff", " \x85".encode("utf-8"),
+                      b"\xe8\x82"]),
+    max_size=8,
+).flatmap(lambda lines: st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                                 min_size=len(lines), max_size=len(lines))
+          .map(lambda ends: b"".join(a + b for a, b in zip(lines, ends))))
+any_bytes = st.one_of(st.binary(max_size=300), structured_bytes)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "input"
+
+
+def _non_blank(raw: bytes) -> bool:
+    try:
+        return bool(raw.decode("utf-8").strip())
+    except UnicodeDecodeError:
+        return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_bytes)
+def test_iter_corpus_yields_one_entry_per_non_blank_line(path, data):
+    path.write_bytes(data)
+    entries = list(core.iter_corpus(path))
+    expected = [n for n, raw in enumerate(data.split(b"\n"), start=1) if _non_blank(raw)]
+    assert [line_no for line_no, _, _ in entries] == expected
+    assert all((record is None) != (error is None) for _, record, error in entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_bytes)
+def test_strict_reader_raises_only_parse_error(path, data):
+    path.write_bytes(data)
+    try:
+        lines = list(core.read_lines(path))
+    except ParseError as exc:
+        assert exc.line is not None
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        return
+    # Text mode is the line-boundary oracle: \n, \r\n and \r only.
+    with open(path, encoding="utf-8") as handle:
+        expected = [(n, line.strip()) for n, line in enumerate(handle, start=1)
+                    if line.strip()]
+    assert lines == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.characters(codec="utf-8")
+               | st.sampled_from("\u3000\uff01\uff21\uff0c、,;；\t\n ")))
+def test_normalize_disease_name_is_idempotent(raw):
+    try:
+        once = core.normalize_disease_name(raw)
+    except EmptyName:
+        assume(False)
+    assert core.normalize_disease_name(once) == once
