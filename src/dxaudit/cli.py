@@ -2,9 +2,11 @@
 
 Subcommands map 1:1 onto the package's operations: gen-synthetic,
 gen-pairs, train-context, train-relation, detect, evaluate, ablate,
-drg-impact. A flat key=value config file (keys prefixed by subcommand,
+drg-impact. A flat key=value config file (keys prefixed by section,
 e.g. ``context.epochs=12``) supplies defaults; explicit flags beat the
-config file, which beats built-in defaults.
+config file, which beats built-in defaults. A setting that is a field of
+a config dataclass has its flag's ``dest`` named after the field and its
+key named ``<section>.<field>``, and takes its default from the field.
 
 Exit codes: 0 success, 2 partial batch failures, 64 usage, 65 data error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 partial batch failures, 64 usage, 65 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -70,6 +73,17 @@ def _resolve(flag, config: dict[str, str], key: str, default, cast=str):
             raise DxAuditError(f"config key {key}: bad value {config[key]!r} "
                                f"(expected {cast.__name__})") from None
     return default
+
+
+def _build(config_type, section: str, args, config: dict[str, str], **given):
+    """A ``config_type`` whose fields with a flag are resolved like _resolve,
+    under config key ``<section>.<field>``, cast to the type of the field's
+    default. ``given`` fields are set as passed."""
+    for f in dataclasses.fields(config_type):
+        if f.name not in given and hasattr(args, f.name):
+            given[f.name] = _resolve(getattr(args, f.name), config,
+                                     f"{section}.{f.name}", f.default, type(f.default))
+    return config_type(**given)
 
 
 def _feature_lexicons(args) -> FeatureLexicons:
@@ -142,8 +156,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--gamma", dest="focal_gamma", type=float)
     p.add_argument("--d", type=int)
     p.add_argument("--d-enc", type=int)
     p.add_argument("--augment", action="store_true",
@@ -159,8 +173,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--pretrain-epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--pretrain-lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--pretrain-lr", dest="pretrain_learning_rate", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--d-pair", type=int)
     p.add_argument("--hidden", type=int)
@@ -196,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--icd", required=True)
     p.add_argument("--groups", required=True)
     p.add_argument("--relation-model", help="resolve paraphrased names")
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, default=drg.MATCH_THRESHOLD)
     p.add_argument("--precision", type=float,
                    help="detector precision for the scaled total")
     p.add_argument("--out", required=True, help="report JSON")
@@ -209,17 +223,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_synthetic(args, config, seed):
-    spec = synth.SyntheticSpec(
-        n_records=_resolve(args.n, config, "synthetic.n", 100, int),
-        diseases_per_record=_resolve(args.diseases_per_record, config,
-                                     "synthetic.diseases_per_record", 4, int),
-        miss_rate=_resolve(args.miss_rate, config, "synthetic.miss_rate", 0.3, float),
-        negation_rate=_resolve(args.negation_rate, config,
-                               "synthetic.negation_rate", 0.2, float),
-        enumeration_rate=_resolve(args.enumeration_rate, config,
-                                  "synthetic.enumeration_rate", 0.3, float),
-        seed=seed,
-    )
+    spec = _build(synth.SyntheticSpec, "synthetic", args, config, seed=seed,
+                  n_records=_resolve(args.n, config, "synthetic.n", 100, int))
     pool = core.load_lexicon(args.diseases or DATA_DIR / "diseases.txt",
                              core.LexiconKind.DISEASE_NAMES)
     templates = synth.Templates.load(args.templates or DATA_DIR / "templates.txt")
@@ -289,13 +294,7 @@ def _cmd_gen_pairs(args, config, seed):
 
 def _cmd_train_context(args, config, seed):
     lexicons = _feature_lexicons(args)
-    train_config = cm.TrainConfig(
-        batch_size=_resolve(args.batch_size, config, "context.batch_size", 64, int),
-        learning_rate=_resolve(args.lr, config, "context.learning_rate", 5e-5, float),
-        focal_gamma=_resolve(args.gamma, config, "context.focal_gamma", 2.0, float),
-        epochs=_resolve(args.epochs, config, "context.epochs", 5, int),
-        seed=seed,
-    )
+    train_config = _build(cm.TrainConfig, "context", args, config, seed=seed)
     samples = cm.load_training_samples(args.samples, lexicons)
     if args.augment:
         pool = core.load_lexicon(args.diseases or DATA_DIR / "diseases.txt",
@@ -322,16 +321,8 @@ def _cmd_train_context(args, config, seed):
 
 
 def _cmd_train_relation(args, config, seed):
-    pair_config = relation_model.PairTrainConfig(
-        batch_size=_resolve(args.batch_size, config, "relation.batch_size", 256, int),
-        learning_rate=_resolve(args.lr, config, "relation.learning_rate", 5e-5, float),
-        tau=_resolve(args.tau, config, "relation.tau", 0.05, float),
-        pretrain_learning_rate=_resolve(args.pretrain_lr, config,
-                                        "relation.pretrain_learning_rate", 1e-6, float),
-        hidden=_resolve(args.hidden, config, "relation.hidden", 64, int),
-        epochs=_resolve(args.epochs, config, "relation.epochs", 5, int),
-        seed=seed,
-    )
+    pair_config = _build(relation_model.PairTrainConfig, "relation", args, config,
+                         seed=seed)
     labeled = relation_model.load_pairs(args.pairs)
     names = [p.a for p in labeled] + [p.b for p in labeled]
     pretrain_pairs = None
@@ -341,12 +332,8 @@ def _cmd_train_relation(args, config, seed):
     d_pair = _resolve(args.d_pair, config, "relation.d_pair", 32, int)
     encoder = relation_model.PairEncoder.from_names(names, d_pair=d_pair, seed=seed)
     if pretrain_pairs:
-        pre_epochs = _resolve(args.pretrain_epochs, config,
-                              "relation.pretrain_epochs", 5, int)
-        pre_config = relation_model.PairTrainConfig(
-            batch_size=pair_config.batch_size, tau=pair_config.tau,
-            pretrain_learning_rate=pair_config.pretrain_learning_rate,
-            epochs=pre_epochs, seed=seed)
+        pre_config = dataclasses.replace(pair_config, epochs=_resolve(
+            args.pretrain_epochs, config, "relation.pretrain_epochs", 5, int))
         encoder, pre_history = relation_model.contrastive_pretrain(
             pretrain_pairs, encoder, pre_config)
         print(f"pretrained on {len(pretrain_pairs)} pairs: "
@@ -383,8 +370,7 @@ def _pipeline_lexicons(args) -> pipeline.PipelineLexicons:
 def _cmd_detect(args, config, seed):
     models = _load_models(args)
     lexicons = _pipeline_lexicons(args)
-    detect_config = pipeline.DetectConfig(
-        emit_on=_resolve(args.emit_on, config, "detect.emit_on", "irrelevance_only"))
+    detect_config = _build(pipeline.DetectConfig, "detect", args, config)
     report = pipeline.batch_detect(args.corpus, models, lexicons, detect_config)
     pipeline.write_report(report, args.out)
     print(f"{report.summary['records']} records, "

@@ -15,8 +15,9 @@ two streams through a learned gate:
 
 Everything is plain numpy with hand-written backprop, so gradients can be
 validated against finite differences and training is deterministic per
-seed. The encoder is pluggable; the reference is a trainable character
-embedding followed by a symmetric windowed average.
+seed. ``train`` builds the reference encoder, a trainable character
+embedding followed by a symmetric windowed average; ContextClassifier
+takes any encoder with the same encode/backward interface.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import parse_json_object, read_lines
-from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch
+from .core import MAX_CONTEXT, MAX_DISEASE, parse_json_object, read_lines
+from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch, require_at_least
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import load_config, load_model, save_model
 
@@ -40,11 +41,14 @@ SEP_ID = 1
 class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 5e-5
-    max_context: int = 450
-    max_disease: int = 30
+    max_context: int = MAX_CONTEXT
+    max_disease: int = MAX_DISEASE
     focal_gamma: float = 2.0
     epochs: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        require_at_least(self, batch_size=1, epochs=1, max_context=0, max_disease=0)
 
 
 class CharVocab:
@@ -328,10 +332,10 @@ def _focal_score_grad(probs: np.ndarray, label_indices: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def augment_eda(sample: ContextSample, lexicons: FeatureLexicons, seed: int,
-                swap_rate: float = 0.05, deletion_rate: float = 0.1,
-                **assemble_kwargs) -> list[ContextSample]:
-    """Two perturbed copies: one character-swap variant, one deletion variant.
+def augment_eda(sample: ContextSample, lexicons: FeatureLexicons,
+                seed: int) -> list[ContextSample]:
+    """Two perturbed copies: one with 5% of the context's length in character
+    swaps, one with each character deleted with probability 0.1.
 
     Characters inside disease occurrences are protected: never swapped,
     never deleted. Tracks are recomputed on the perturbed context and the
@@ -344,26 +348,24 @@ def augment_eda(sample: ContextSample, lexicons: FeatureLexicons, seed: int,
 
     chars = list(context)
     if len(free) >= 2:
-        for _ in range(math.ceil(swap_rate * len(context))):
+        for _ in range(math.ceil(0.05 * len(context))):
             i, j = rng.sample(free, 2)
             chars[i], chars[j] = chars[j], chars[i]
     swapped = "".join(chars)
 
     kept = [ch for i, ch in enumerate(context)
-            if protected[i] or rng.random() >= deletion_rate]
+            if protected[i] or rng.random() >= 0.1]
     deleted = "".join(kept)
 
     return [
-        assemble_features(sample.disease, text, lexicons, label=sample.label,
-                          **assemble_kwargs)
+        assemble_features(sample.disease, text, lexicons, label=sample.label)
         for text in (swapped, deleted)
     ]
 
 
 def augment_disease_replace(sample: ContextSample, disease_pool, exclusion,
-                            lexicons: FeatureLexicons, seed: int, n: int = 3,
-                            **assemble_kwargs) -> list[ContextSample]:
-    """n copies with the disease swapped for another, at every occurrence.
+                            lexicons: FeatureLexicons, seed: int) -> list[ContextSample]:
+    """Three copies with the disease swapped for another, at every occurrence.
 
     Replacements are drawn from the pool minus the exclusion list (chronic
     diseases that would falsify the label) minus the original disease.
@@ -374,13 +376,11 @@ def augment_disease_replace(sample: ContextSample, disease_pool, exclusion,
         raise EmptyPool("no replacement diseases remain after exclusions")
     rng = random.Random(seed)
     variants = []
-    for _ in range(n):
+    for _ in range(3):
         replacement = candidates[rng.randrange(len(candidates))]
         new_context = sample.context.replace(sample.disease, replacement)
         variants.append(
-            assemble_features(replacement, new_context, lexicons,
-                              label=sample.label, **assemble_kwargs)
-        )
+            assemble_features(replacement, new_context, lexicons, label=sample.label))
     return variants
 
 
@@ -522,7 +522,6 @@ class ContextClassifier:
 
 
 def train(samples: list[ContextSample], config: TrainConfig,
-          encoder: CharWindowEncoder | None = None,
           dev_samples: list[ContextSample] | None = None,
           d: int = 32, d_enc: int = 32,
           ) -> tuple[ContextClassifier, list[EpochStats]]:
@@ -540,13 +539,11 @@ def train(samples: list[ContextSample], config: TrainConfig,
     if missing:
         raise DegenerateData(f"classes absent from training data: {missing}")
 
-    if encoder is None:
-        texts = [s.disease for s in samples] + [s.context for s in samples]
-        if dev_samples:
-            texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
-        vocab = CharVocab.from_texts(texts)
-        encoder = CharWindowEncoder(vocab, d_enc=d_enc, seed=config.seed)
-    head = GatedFusionHead(d_enc=encoder.d_enc, d=d, seed=config.seed + 1)
+    texts = [s.disease for s in samples] + [s.context for s in samples]
+    if dev_samples:
+        texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
+    encoder = CharWindowEncoder(CharVocab.from_texts(texts), d_enc=d_enc, seed=config.seed)
+    head = GatedFusionHead(d_enc=d_enc, d=d, seed=config.seed + 1)
     model = ContextClassifier(encoder, head, config)
 
     label_indices = [LABELS.index(lbl) for lbl in labels]
@@ -577,8 +574,7 @@ def train(samples: list[ContextSample], config: TrainConfig,
     return model, history
 
 
-def load_training_samples(path, lexicons: FeatureLexicons,
-                          **assemble_kwargs) -> list[ContextSample]:
+def load_training_samples(path, lexicons: FeatureLexicons) -> list[ContextSample]:
     """Read JSON-per-line {disease, context, label} training samples.
 
     The label may be left out. A malformed line, or an empty disease or
@@ -596,7 +592,6 @@ def load_training_samples(path, lexicons: FeatureLexicons,
         if label is not None and label not in LABELS:
             raise ParseError(f"unknown label {label!r}; expected one of "
                              f"{list(LABELS)}", line_no)
-        samples.append(assemble_features(
-            obj["disease"], obj["context"], lexicons,
-            label=label, **assemble_kwargs))
+        samples.append(assemble_features(obj["disease"], obj["context"], lexicons,
+                                         label=label))
     return samples

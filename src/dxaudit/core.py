@@ -30,6 +30,11 @@ from .errors import (
 # Sentence boundaries used by context windows and enumerated-item extents.
 SENTENCE_BOUNDARIES = "。；\n"  # 。 ； newline
 
+# Length caps, in characters, on a classified context window and on the
+# disease name read alongside it.
+MAX_CONTEXT = 450
+MAX_DISEASE = 30
+
 # Trailing list punctuation stripped by normalize_disease_name (applied
 # after full-width folding, so 、，；, etc. are covered by their
 # half-width forms plus the ideographic comma).
@@ -184,6 +189,22 @@ def normalize_disease_name(raw: str) -> str:
     return result
 
 
+def discharge_names(record: MedicalRecord) -> list[str]:
+    """The record's discharge diagnoses normalized, in order, without repeats.
+
+    A name that normalizes to empty (say a lone list comma) is skipped.
+    """
+    names: list[str] = []
+    for raw in record.discharge_diagnoses:
+        try:
+            name = normalize_disease_name(raw)
+        except EmptyName:
+            continue
+        if name not in names:
+            names.append(name)
+    return names
+
+
 # ---------------------------------------------------------------------------
 # Corpus I/O (one JSON object per line)
 # ---------------------------------------------------------------------------
@@ -230,6 +251,8 @@ def parse_json_object(text: str, line: int, what: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line) from None
     if not isinstance(obj, dict):
         raise ParseError(f"{what} is not a JSON object", line)
     return obj

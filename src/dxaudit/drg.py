@@ -37,6 +37,9 @@ _SEVERITY_RANK = {CcLevel.MCC: 2, CcLevel.CC: 1, CcLevel.NONE: 0}
 # Relations under which a title can stand in for a disease that is not one.
 _MATCHING_RELATIONS = [RELATIONS.index("similarity"), RELATIONS.index("inclusion")]
 
+# Least relation probability at which such a title stands in.
+MATCH_THRESHOLD = 0.8
+
 
 class DrgGroupTable:
     """(adrg, tier) -> average cost, with cost-ordering sanity warnings."""
@@ -81,7 +84,7 @@ def cc_mcc_level(
     disease: str,
     icd: IcdIndex,
     relation_model=None,
-    threshold: float = 0.8,
+    threshold: float = MATCH_THRESHOLD,
 ) -> CcLevel:
     """CC/MCC level of a disease surface, or NONE when unresolvable.
 
@@ -230,7 +233,7 @@ def recovered_levels_for_records(
     findings_by_record: dict[str, list[dict]],
     icd: IcdIndex,
     relation_model=None,
-    threshold: float = 0.8,
+    threshold: float = MATCH_THRESHOLD,
 ) -> list[tuple[MedicalRecord, list[CcLevel]]]:
     """Join a detect report onto records, resolving each finding's level."""
     out = []

@@ -1,8 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check for settings."""
 
 
 class DxAuditError(Exception):
     """Base class for all dxaudit errors."""
+
+
+class BadSetting(DxAuditError, ValueError):
+    """A setting is outside the range its consumer can work with."""
+
+
+def require_at_least(config, **minimums: int) -> None:
+    """Raise BadSetting for the first named field of ``config`` below its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if value < minimum:
+            raise BadSetting(f"{name} must be >= {minimum}, got {value}")
 
 
 class EmptyName(DxAuditError):

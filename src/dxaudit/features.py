@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SENTENCE_BOUNDARIES, Lexicon, LexiconKind
+from .core import MAX_CONTEXT, MAX_DISEASE, SENTENCE_BOUNDARIES, Lexicon, LexiconKind
 from .errors import BadPattern, EmptyContext
 
 LABELS = ("non_current", "confirmed", "unknown")
@@ -136,13 +136,10 @@ def assemble_features(
     context: str,
     lexicons: FeatureLexicons,
     label: str | None = None,
-    max_disease: int = 30,
-    max_context: int = 450,
-    order_scope: OrderTrackScope = OrderTrackScope.WHOLE_ITEM,
 ) -> ContextSample:
     """Build a ContextSample with all three tracks, applying length caps."""
-    disease = disease[:max_disease]
-    context = context[:max_context]
+    disease = disease[:MAX_DISEASE]
+    context = context[:MAX_CONTEXT]
     if not context:
         raise EmptyContext("cannot assemble features over an empty context")
     return ContextSample(
@@ -150,6 +147,6 @@ def assemble_features(
         context=context,
         pos_track=mark_disease_positions(disease, context),
         neg_track=mark_negation(context, lexicons.negation),
-        order_track=mark_serial_numbers(context, lexicons.enumerators, order_scope),
+        order_track=mark_serial_numbers(context, lexicons.enumerators),
         label=label,
     )

@@ -14,16 +14,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import (
-    Lexicon,
-    MedicalRecord,
-    iter_corpus,
-    normalize_disease_name,
-    parse_json_object,
-    read_lines,
-)
-from .errors import DxAuditError, EmptyName, ModelNotLoaded, ParseError
-from .features import LABELS, FeatureLexicons, OrderTrackScope, assemble_features
+from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus,
+                   parse_json_object, read_lines)
+from .errors import BadSetting, DxAuditError, ModelNotLoaded, ParseError
+from .features import LABELS, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
 
 
@@ -57,31 +51,16 @@ EMITTING_RELATIONS = {
 
 @dataclass(frozen=True)
 class DetectConfig:
-    max_context_len: int = 450
-    max_disease: int = 30
     emit_on: str = "irrelevance_only"  # a key of EMITTING_RELATIONS
-    order_scope: OrderTrackScope = OrderTrackScope.WHOLE_ITEM
 
     def __post_init__(self):
         if self.emit_on not in EMITTING_RELATIONS:
-            raise DxAuditError(f"unknown emit_on {self.emit_on!r}; expected one of "
-                               f"{sorted(EMITTING_RELATIONS)}")
+            raise BadSetting(f"unknown emit_on {self.emit_on!r}; expected one of "
+                             f"{sorted(EMITTING_RELATIONS)}")
 
     @property
     def emitting_relations(self) -> frozenset[str]:
         return EMITTING_RELATIONS[self.emit_on]
-
-
-def _normalized_discharge(record: MedicalRecord) -> list[str]:
-    names: list[str] = []
-    for raw in record.discharge_diagnoses:
-        try:
-            name = normalize_disease_name(raw)
-        except EmptyName:
-            continue
-        if name not in names:
-            names.append(name)
-    return names
 
 
 def _detect_record(
@@ -93,7 +72,7 @@ def _detect_record(
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
     if models.context is None or models.relation is None:
         raise ModelNotLoaded("detect requires trained context and relation models")
-    discharge = _normalized_discharge(record)
+    discharge = discharge_names(record)
     discharge_set = set(discharge)
     emit_on = config.emitting_relations
 
@@ -102,11 +81,8 @@ def _detect_record(
     for mention in find_mentions(matcher, record):
         if mention.disease in discharge_set:
             continue  # recorded verbatim: no model calls needed
-        windowed = build_context_window(record, mention, config.max_context_len)
-        sample = assemble_features(
-            windowed.disease, windowed.context, lexicons.features,
-            max_disease=config.max_disease, max_context=config.max_context_len,
-            order_scope=config.order_scope)
+        windowed = build_context_window(record, mention)
+        sample = assemble_features(windowed.disease, windowed.context, lexicons.features)
         label, prob = models.context.classify(sample, record_id=record.record_id)
         label_counts[label] += 1
         if label != "confirmed":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .core import SENTENCE_BOUNDARIES, Lexicon, LexiconKind, MedicalRecord
+from .core import MAX_CONTEXT, SENTENCE_BOUNDARIES, Lexicon, LexiconKind, MedicalRecord
 from .errors import EmptyLexicon, SpanMismatch, WindowOverflow
 
 
@@ -146,7 +146,7 @@ def _shrink_window(
 def build_context_window(
     record: MedicalRecord,
     mention: DiseaseMention,
-    max_context_len: int = 450,
+    max_context_len: int = MAX_CONTEXT,
 ) -> DiseaseMention:
     """Fill ``context`` with sentence-bounded windows around each span.
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IcdIndex, normalize_disease_name, read_lines, read_rows
+from .core import IcdIndex, discharge_names, normalize_disease_name, read_lines, read_rows
 from .errors import (
     DegenerateBatch,
     DegenerateData,
@@ -33,6 +33,7 @@ from .errors import (
     InsufficientCodes,
     ParseError,
     UnknownCode,
+    require_at_least,
 )
 from .modelio import load_config, load_model, save_model
 
@@ -42,6 +43,9 @@ RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
 # temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table is
 # never held at once.
 BLOCK_ROWS = 256
+
+# Characters of a name the encoder reads; the rest is cut off.
+MAX_NAME = 50
 
 # Relations whose truth value does not depend on argument order.
 SYMMETRIC_RELATIONS = frozenset({"similarity", "irrelevance", "other"})
@@ -114,11 +118,7 @@ def gen_negative_same_list(records, exclude_pairs=frozenset()) -> list[DiseasePa
     pairs: list[DiseasePair] = []
     seen: set[frozenset[str]] = set()
     for record in records:
-        names = []
-        for raw in record.discharge_diagnoses:
-            name = normalize_disease_name(raw)
-            if name not in names:
-                names.append(name)
+        names = discharge_names(record)
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 key = frozenset((names[i], names[j]))
@@ -271,12 +271,15 @@ def load_pairs(path: str | Path) -> list[DiseasePair]:
 class PairTrainConfig:
     batch_size: int = 256
     learning_rate: float = 5e-5
-    max_name: int = 50
+    max_name: int = MAX_NAME
     tau: float = 0.05
     pretrain_learning_rate: float = 1e-6
     hidden: int = 64
     epochs: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=0)
 
 
 class PairEncoder:
@@ -298,15 +301,15 @@ class PairEncoder:
             seen.update(name)
         return cls(sorted(seen), d_pair=d_pair, seed=seed)
 
-    def encode_ids(self, name: str, max_name: int = 50) -> np.ndarray:
+    def encode_ids(self, name: str, max_name: int = MAX_NAME) -> np.ndarray:
         return np.array([self._ids.get(ch, self.UNK_ID) for ch in name[:max_name]],
                         dtype=np.intp)
 
-    def embed(self, name: str, max_name: int = 50) -> np.ndarray:
+    def embed(self, name: str, max_name: int = MAX_NAME) -> np.ndarray:
         ids = self.encode_ids(name, max_name)
         return self.embedding[ids].mean(axis=0)
 
-    def embed_many(self, names: list[str], max_name: int = 50) -> np.ndarray:
+    def embed_many(self, names: list[str], max_name: int = MAX_NAME) -> np.ndarray:
         """One embed() row per name, in one pass: the names' characters are
         packed end to end, looked up together, and mean-pooled name by
         name."""
@@ -325,7 +328,7 @@ class PairEncoder:
 
 
 def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
-                        tau: float, max_name: int = 50,
+                        tau: float, max_name: int = MAX_NAME,
                         with_grads: bool = False):
     """In-batch InfoNCE over the batch's positive anchors.
 
@@ -533,8 +536,7 @@ class RelationClassifier:
 
 
 def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
-             config: PairTrainConfig,
-             symmetrize: bool = True) -> tuple[RelationClassifier, list[float]]:
+             config: PairTrainConfig) -> tuple[RelationClassifier, list[float]]:
     """Cross-entropy fine-tuning of the 5-class head (and the encoder).
 
     Pairs whose relation is symmetric are also trained in swapped order
@@ -552,7 +554,7 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
     for pair in labeled_pairs:
         idx = RELATIONS.index(pair.relation)
         examples.append((pair.a, pair.b, idx))
-        if symmetrize and pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
+        if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
             examples.append((pair.b, pair.a, idx))
 
     model = RelationClassifier(encoder, config, seed=config.seed + 1)

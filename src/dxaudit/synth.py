@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import DrgAssignment, Lexicon, MedicalRecord, read_lines
-from .errors import BadTemplate
+from .errors import BadSetting, BadTemplate, require_at_least
 from .features import FeatureLexicons, assemble_features
 from .recall import build_context_window, build_matcher, find_mentions
 from .relation_model import DiseasePair, PairSource, load_back_translation_pairs
@@ -41,12 +41,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_at_least(self, n_records=0, diseases_per_record=0)
         for name in ("miss_rate", "negation_rate", "enumeration_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise BadSetting(f"{name} must be in [0, 1], got {value}")
         if self.negation_rate > 2 / 3:
-            raise ValueError("negation_rate above 2/3 leaves no confirmed mentions")
+            raise BadSetting("negation_rate above 2/3 leaves no confirmed mentions")
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def gen_synthetic_corpus(
     rng = random.Random(spec.seed)
     pool = list(disease_pool.entries)
     if spec.diseases_per_record > len(pool):
-        raise ValueError("diseases_per_record exceeds the pool size")
+        raise BadSetting(f"diseases_per_record {spec.diseases_per_record} exceeds "
+                         f"the pool size {len(pool)}")
     variants = dict(variant_pairs or [])
     group_rows = sorted(group_table.rows.items()) if group_table is not None else None
 
@@ -205,8 +207,6 @@ def labeled_context_samples(
     gold: SynthGold,
     diseases: Lexicon,
     features: FeatureLexicons,
-    max_context_len: int = 450,
-    max_disease: int = 30,
 ):
     """Run the real recall + feature path and attach the gold labels."""
     labels: dict[tuple[str, str], str] = {
@@ -219,10 +219,9 @@ def labeled_context_samples(
             label = labels.get((record.record_id, mention.disease))
             if label is None:
                 continue
-            windowed = build_context_window(record, mention, max_context_len)
+            windowed = build_context_window(record, mention)
             samples.append(assemble_features(
-                windowed.disease, windowed.context, features, label=label,
-                max_disease=max_disease, max_context=max_context_len))
+                windowed.disease, windowed.context, features, label=label))
     return samples
 
 

@@ -5,12 +5,26 @@ from pathlib import Path
 
 import pytest
 
+from dxaudit import pipeline, relation_model, synth
 from dxaudit.cli import main
 from dxaudit.modelio import load_model, save_model
 
 
 def run(argv):
     return main(argv)
+
+
+def spy(monkeypatch, owner, name, position):
+    """Record argument ``position`` of every call to ``owner.name``."""
+    seen = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[position])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +133,110 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "'bogus'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags, setting", [
+        ("gen-synthetic", ["--miss-rate", "2"], "miss_rate"),
+        ("gen-synthetic", ["--diseases-per-record", "1000"], "diseases_per_record"),
+        ("gen-synthetic", ["--diseases-per-record", "-1"], "diseases_per_record"),
+        ("train-context", ["--epochs", "0"], "epochs"),
+        ("train-context", ["--batch-size", "0"], "batch_size"),
+        ("train-relation", ["--epochs", "0"], "epochs"),
+    ], ids=["miss-rate-2", "too-many-diseases", "negative-diseases",
+            "context-epochs-0", "context-batch-0", "relation-epochs-0"])
+    def test_out_of_range_setting_is_65(self, workspace, tmp_path, capsys, command,
+                                        flags, setting):
+        out = str(tmp_path / "out")
+        inputs = {"gen-synthetic": ["--gold", out + ".gold"],
+                  "train-context": ["--samples", str(workspace / "samples.jsonl")],
+                  "train-relation": ["--pairs", str(workspace / "pairs.tsv")]}[command]
+        assert run([command, "--out", out] + inputs + flags) == 65
+        err = capsys.readouterr().err
+        assert setting in err
+        assert "Traceback" not in err
+
+    # (config key, its flag, value given by key, value given by flag)
+    FLAGGED_KEYS = [
+        ("synthetic.n", "--n", 7, 9),
+        ("synthetic.diseases_per_record", "--diseases-per-record", 2, 3),
+        ("synthetic.miss_rate", "--miss-rate", 0.5, 0.6),
+        ("synthetic.negation_rate", "--negation-rate", 0.1, 0.4),
+        ("synthetic.enumeration_rate", "--enumeration-rate", 0.7, 0.9),
+        ("context.batch_size", "--batch-size", 2, 3),
+        ("context.learning_rate", "--lr", 0.25, 0.5),
+        ("context.focal_gamma", "--gamma", 1.5, 3.0),
+        ("context.epochs", "--epochs", 2, 3),
+        ("context.d", "--d", 8, 12),
+        ("context.d_enc", "--d-enc", 8, 12),
+        ("relation.batch_size", "--batch-size", 16, 32),
+        ("relation.learning_rate", "--lr", 0.01, 0.02),
+        ("relation.tau", "--tau", 0.1, 0.2),
+        ("relation.pretrain_learning_rate", "--pretrain-lr", 0.001, 0.002),
+        ("relation.hidden", "--hidden", 8, 12),
+        ("relation.epochs", "--epochs", 2, 3),
+        ("relation.d_pair", "--d-pair", 8, 12),
+        ("relation.pretrain_epochs", "--pretrain-epochs", 2, 3),
+        ("detect.emit_on", "--emit-on", "irrelevance_or_other", "irrelevance_only"),
+    ]
+
+    @pytest.mark.parametrize("key, flag, by_key, by_flag", FLAGGED_KEYS,
+                             ids=[case[0] for case in FLAGGED_KEYS])
+    def test_every_flagged_key_reaches_its_setting(self, workspace, tmp_path, data_dir,
+                                                   monkeypatch, key, flag, by_key,
+                                                   by_flag):
+        """A key sets its value, its flag beats it, and keys without a flag
+        (context.max_context, relation.max_name) are ignored."""
+        section, field = key.split(".")
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text("".join(
+            json.dumps({"disease": "肺炎", "context": context, "label": label},
+                       ensure_ascii=False) + "\n"
+            for context, label in [("确诊为肺炎。", "confirmed"), ("否认肺炎。", "non_current"),
+                                   ("考虑肺炎可能。", "unknown")]), encoding="utf-8")
+        pretrain = tmp_path / "pretrain.tsv"
+        pretrain.write_text("肺炎\t肺部感染\tsame\tcoding_pair\n"
+                            "高血压\t高血压病\tsame\tcoding_pair\n"
+                            "肺炎\t高血压\tdissimilar\tsame_list\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        # Settings that reach no model file are read from the call they configure.
+        specs = spy(monkeypatch, synth, "gen_synthetic_corpus", 0)
+        pretrain_configs = spy(monkeypatch, relation_model, "contrastive_pretrain", 2)
+        detect_configs = spy(monkeypatch, pipeline, "batch_detect", 3)
+        command, base = {
+            "synthetic": ("gen-synthetic",
+                          ["--out", out, "--gold", out + ".gold", "--n", "5"]),
+            "context": ("train-context",
+                        ["--samples", str(samples), "--out", out, "--epochs", "1"]),
+            "relation": ("train-relation",
+                         ["--pairs", str(data_dir / "relation_pairs_fixture.tsv"),
+                          "--pretrain-pairs", str(pretrain), "--out", out,
+                          "--epochs", "1", "--pretrain-epochs", "1"]),
+            "detect": ("detect", ["--corpus", str(workspace / "corpus.jsonl"),
+                                  "--models", str(workspace / "models"), "--out", out]),
+        }[section]
+        if flag in base:  # the flag under test replaces the base setting
+            del base[base.index(flag):base.index(flag) + 2]
+        config = tmp_path / "dxaudit.conf"
+        config.write_text(f"{key}={by_key}\ncontext.max_context=10\n"
+                          "relation.max_name=5\n", encoding="utf-8")
+
+        def setting(extra):
+            assert run(["--config", str(config), command] + base + extra) == 0
+            if section == "synthetic":
+                return getattr(specs[-1], "n_records" if field == "n" else field)
+            if section == "detect":
+                return detect_configs[-1].emit_on
+            if field == "pretrain_epochs":
+                return pretrain_configs[-1].epochs
+            meta, _ = load_model(out, section)
+            trained = meta["config"]
+            if section == "context":
+                assert (trained["max_context"], trained["max_disease"]) == (450, 30)
+            else:
+                assert trained["max_name"] == 50
+            return trained[field] if field in trained else meta[field]
+
+        assert setting([]) == by_key
+        assert setting([flag, str(by_flag)]) == by_flag
 
 
 class TestWorkflow:
@@ -237,6 +355,32 @@ class TestHostileInput:
         lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [obj["record_id"] for obj in lines[:-1]] == [json.loads(good)["record_id"]]
         assert [e["line"] for e in lines[-1]["errors"]] == [2, 3, 4]
+
+    def test_deeply_nested_corpus_line_fails_alone(self, workspace, tmp_path):
+        lines = (workspace / "corpus.jsonl").read_bytes().splitlines()[:2]
+        corpus = tmp_path / "nested.jsonl"
+        corpus.write_bytes(lines[0] + b"\n" + b"[" * 200000 + b"\n" + lines[1] + b"\n")
+        out = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(corpus),
+                    "--models", str(workspace / "models"), "--out", str(out)]) == 2
+        report = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [obj["record_id"] for obj in report[:-1]] == [
+            json.loads(line)["record_id"] for line in lines]
+        assert report[-1]["errors"] == [
+            {"line": 2, "error": "line 2: invalid JSON: nested too deeply"}]
+
+    def test_empty_discharge_name_is_skipped_by_gen_pairs(self, tmp_path, data_dir):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "record_id": "r1", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
+            "discharge_diagnoses": ["、", "高血压", "肺炎"]}, ensure_ascii=False) + "\n",
+            encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        assert run(["gen-pairs", "--icd", str(data_dir / "icd_demo.csv"),
+                    "--corpus", str(corpus), "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [row for row in rows if row[3] == "same_list"] == [
+            ["高血压", "肺炎", "dissimilar", "same_list"]]
 
     def _detect_with_context_model(self, workspace, tmp_path, context_model):
         return run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
@@ -439,6 +583,10 @@ class TestInputFileErrors:
                 "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
                 "--findings", str(Path(out).parent / "summary.jsonl"),
                 "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+        "evaluate-findings-nested-too-deeply": (
+            b"[" * 200000 + b"\n", 1,
+            lambda ws, data, bad, out: [
+                "evaluate", "--findings", bad, "--gold", str(ws / "gold.json")]),
         "gen-pairs-coded-no-clinical-name": (
             b"name,icd_code\nxyz,S05.301\n", 1,
             lambda ws, data, bad, out: [
