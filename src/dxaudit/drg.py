@@ -29,7 +29,7 @@ from .core import (
     read_table,
     tier_for_cc_level,
 )
-from .errors import MissingGroupRow, ParseError
+from .errors import BadSetting, MissingGroupRow, ParseError
 from .relation_model import RELATIONS
 
 _SEVERITY_RANK = {CcLevel.MCC: 2, CcLevel.CC: 1, CcLevel.NONE: 0}
@@ -153,6 +153,10 @@ class DrgImpactReport:
     total_original_minor: int
     precision: float | None = None
     table_warnings: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.precision is not None and not 0.0 <= self.precision <= 1.0:
+            raise BadSetting(f"precision must be in [0, 1], got {self.precision}")
 
     @property
     def total_delta_minor(self) -> int:

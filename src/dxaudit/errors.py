@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the range check for settings."""
 
+import math
+
 
 class DxAuditError(Exception):
     """Base class for all dxaudit errors."""
@@ -9,12 +11,13 @@ class BadSetting(DxAuditError, ValueError):
     """A setting is outside the range its consumer can work with."""
 
 
-def require_at_least(config, **minimums: int) -> None:
-    """Raise BadSetting for the first named field of ``config`` below its minimum."""
+def require_at_least(config, **minimums: float) -> None:
+    """Raise BadSetting for the first named field of ``config`` that is
+    below its minimum or not finite."""
     for name, minimum in minimums.items():
         value = getattr(config, name)
-        if value < minimum:
-            raise BadSetting(f"{name} must be >= {minimum}, got {value}")
+        if not minimum <= value < math.inf:  # also false for NaN
+            raise BadSetting(f"{name} must be finite and >= {minimum}, got {value}")
 
 
 class EmptyName(DxAuditError):

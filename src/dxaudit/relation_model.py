@@ -11,7 +11,9 @@ Training happens in two phases, mirroring how the pair data is made:
    representation [u; v; |u-v|; u*v] with cross-entropy.
 
 The name encoder is a trainable character-embedding table with mean
-pooling; gradients are hand-written numpy, deterministic per seed.
+pooling. It shares the context model's character map (CharVocab) and its
+embedding-gradient scatter (_row_sums); gradients are hand-written numpy,
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .context_model import CharVocab, _row_sums
 from .core import IcdIndex, discharge_names, normalize_disease_name, read_lines, read_rows
 from .errors import (
+    BadSetting,
     DegenerateBatch,
     DegenerateData,
     EmptyName,
@@ -279,52 +283,52 @@ class PairTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=0)
+        require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=0,
+                         learning_rate=0.0, pretrain_learning_rate=0.0)
+        if not 0.0 < self.tau < math.inf:
+            raise BadSetting(f"tau must be finite and > 0, got {self.tau}")
 
 
 class PairEncoder:
-    """Mean-pooled character embeddings; embed() is deterministic."""
-
-    UNK_ID = 0
+    """Mean-pooled character embeddings; row 0 is the unknown character."""
 
     def __init__(self, chars: list[str], d_pair: int = 32, seed: int = 0):
-        self.chars = list(chars)
-        self._ids = {ch: i + 1 for i, ch in enumerate(self.chars)}
+        self.vocab = CharVocab(chars, first_id=1)
+        self.chars = self.vocab.chars
         self.d_pair = d_pair
         rng = np.random.default_rng(seed)
-        self.embedding = rng.normal(0.0, 0.1, size=(len(self.chars) + 1, d_pair))
+        self.embedding = rng.normal(0.0, 0.1, size=(len(self.vocab), d_pair))
 
     @classmethod
     def from_names(cls, names, d_pair: int = 32, seed: int = 0) -> "PairEncoder":
-        seen = set()
-        for name in names:
-            seen.update(name)
-        return cls(sorted(seen), d_pair=d_pair, seed=seed)
+        return cls(CharVocab.from_texts(names).chars, d_pair=d_pair, seed=seed)
 
     def encode_ids(self, name: str, max_name: int = MAX_NAME) -> np.ndarray:
-        return np.array([self._ids.get(ch, self.UNK_ID) for ch in name[:max_name]],
-                        dtype=np.intp)
+        return self.vocab.encode(name[:max_name])
 
     def embed(self, name: str, max_name: int = MAX_NAME) -> np.ndarray:
-        ids = self.encode_ids(name, max_name)
-        return self.embedding[ids].mean(axis=0)
+        return self.embedding[self.encode_ids(name, max_name)].mean(axis=0)
 
-    def embed_many(self, names: list[str], max_name: int = MAX_NAME) -> np.ndarray:
+    def embed_many(self, names: list[str], max_name: int = MAX_NAME,
+                   with_ids: bool = False):
         """One embed() row per name, in one pass: the names' characters are
         packed end to end, looked up together, and mean-pooled name by
-        name."""
+        name. ``with_ids`` also returns the packed ids and each name's
+        length, for grad()."""
         clipped = [name[:max_name] for name in names]
         lengths = np.array([len(name) for name in clipped], dtype=np.intp)
         if not clipped or lengths.min() == 0:
             raise ValueError("embed_many needs one or more non-empty names")
-        char_ids = np.array([self._ids.get(ch, self.UNK_ID) for ch in "".join(clipped)],
-                            dtype=np.intp)
+        ids = self.vocab.encode("".join(clipped))
         starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-        return np.add.reduceat(self.embedding[char_ids], starts, axis=0) / lengths[:, None]
+        rows = np.add.reduceat(self.embedding[ids], starts, axis=0) / lengths[:, None]
+        return (rows, ids, lengths) if with_ids else rows
 
-    def backward_into(self, grad_table: np.ndarray, ids: np.ndarray,
-                      d_vec: np.ndarray) -> None:
-        np.add.at(grad_table, ids, np.tile(d_vec / len(ids), (len(ids), 1)))
+    def grad(self, ids: np.ndarray, lengths: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
+        """The embedding-table gradient of mean-pooled names packed as
+        embed_many packs them, given the gradient of each name's row."""
+        per_char = np.repeat(d_rows / lengths[:, None], lengths, axis=0)
+        return _row_sums(len(self.embedding), ids, per_char)
 
 
 def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
@@ -339,15 +343,14 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     if len(anchors) < 2:
         raise DegenerateBatch(
             f"batch has {len(anchors)} positive pairs, need >= 2")
-    ids_a = [encoder.encode_ids(p.a, max_name) for p in batch]
-    ids_b = [encoder.encode_ids(p.b, max_name) for p in batch]
-    u = np.stack([encoder.embedding[i].mean(axis=0) for i in ids_a])
-    v = np.stack([encoder.embedding[i].mean(axis=0) for i in ids_b])
+    u, ids_a, len_a = encoder.embed_many([batch[k].a for k in anchors], max_name,
+                                         with_ids=True)
+    v, ids_b, len_b = encoder.embed_many([p.b for p in batch], max_name, with_ids=True)
     u_norm = np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
     v_norm = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
     u_hat, v_hat = u / u_norm, v / v_norm
 
-    sims = u_hat[anchors] @ v_hat.T  # (n_anchors, batch)
+    sims = u_hat @ v_hat.T  # (n_anchors, batch)
     logits = sims / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -362,18 +365,13 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     d_sims[np.arange(len(anchors)), own] -= 1.0
     d_sims /= tau * len(anchors)
 
-    d_u_hat_anchors = d_sims @ v_hat  # (n_anchors, d)
-    d_v_hat = d_sims.T @ u_hat[anchors]  # (batch, d)
-
-    grad = np.zeros_like(encoder.embedding)
-    for row, k in enumerate(anchors):
-        duh = d_u_hat_anchors[row]
-        du = (duh - u_hat[k] * (duh @ u_hat[k])) / u_norm[k, 0]
-        encoder.backward_into(grad, ids_a[k], du)
-    for k in range(len(batch)):
-        dvh = d_v_hat[k]
-        dv = (dvh - v_hat[k] * (dvh @ v_hat[k])) / v_norm[k, 0]
-        encoder.backward_into(grad, ids_b[k], dv)
+    d_u_hat = d_sims @ v_hat  # (n_anchors, d)
+    d_v_hat = d_sims.T @ u_hat  # (batch, d)
+    # back through the row normalization x / |x|
+    du = (d_u_hat - u_hat * (d_u_hat * u_hat).sum(axis=1, keepdims=True)) / u_norm
+    dv = (d_v_hat - v_hat * (d_v_hat * v_hat).sum(axis=1, keepdims=True)) / v_norm
+    grad = encoder.grad(np.concatenate([ids_a, ids_b]), np.concatenate([len_a, len_b]),
+                        np.concatenate([du, dv]))
     return loss, grad
 
 
@@ -451,27 +449,14 @@ class RelationClassifier:
         probs = exp / exp.sum(axis=-1, keepdims=True)
         return probs, joint, pre, hidden
 
-    def _forward(self, a: str, b: str, with_cache: bool = False):
-        max_name = self.config.max_name
-        ids_a = self.encoder.encode_ids(a, max_name)
-        ids_b = self.encoder.encode_ids(b, max_name)
-        u = self.encoder.embedding[ids_a].mean(axis=0)
-        v = self.encoder.embedding[ids_b].mean(axis=0)
-        probs, joint, pre, hidden = self._head(u, v)
-        if not with_cache:
-            return probs
-        return probs, {"ids_a": ids_a, "ids_b": ids_b, "u": u, "v": v,
-                       "joint": joint, "pre": pre, "hidden": hidden}
-
     def predict_proba(self, a: str, b: str | list[str]) -> np.ndarray:
         """(5,) probabilities for one name b, or (len(b), 5) for a list of
         names, scored BLOCK_ROWS names at a time."""
-        a = normalize_disease_name(a)
-        if isinstance(b, str):
-            return self._forward(a, normalize_disease_name(b))
-        names = [normalize_disease_name(name) for name in b]
         max_name = self.config.max_name
-        u = self.encoder.embed(a, max_name)
+        u = self.encoder.embed(normalize_disease_name(a), max_name)
+        if isinstance(b, str):
+            return self._head(u, self.encoder.embed(normalize_disease_name(b), max_name))[0]
+        names = [normalize_disease_name(name) for name in b]
         probs = np.empty((len(names), len(RELATIONS)))
         for start in range(0, len(names), BLOCK_ROWS):
             v = self.encoder.embed_many(names[start : start + BLOCK_ROWS], max_name)
@@ -484,32 +469,34 @@ class RelationClassifier:
         idx = int(np.argmax(probs))
         return RELATIONS[idx], float(probs[idx])
 
-    def _step(self, a: str, b: str, label_index: int, lr: float) -> float:
-        probs, cache = self._forward(a, b, with_cache=True)
+    def _step(self, ids_a: np.ndarray, ids_b: np.ndarray, label_index: int,
+              lr: float) -> float:
+        """One SGD step on the pair of encoded names; returns its loss."""
+        u = self.encoder.embedding[ids_a].mean(axis=0)
+        v = self.encoder.embedding[ids_b].mean(axis=0)
+        probs, joint, pre, hidden = self._head(u, v)
         loss = -math.log(max(float(probs[label_index]), 1e-12))
         d_logits = probs.copy()
         d_logits[label_index] -= 1.0
 
-        d_W_o = np.outer(cache["hidden"], d_logits)
+        d_W_o = hidden[:, None] * d_logits
         d_hidden = self.W_o @ d_logits
-        d_pre = d_hidden * (cache["pre"] > 0.0)
-        d_W_h = np.outer(cache["joint"], d_pre)
+        d_pre = d_hidden * (pre > 0.0)
+        d_W_h = joint[:, None] * d_pre
         d_joint = self.W_h @ d_pre
 
-        d = self.encoder.d_pair
-        u, v = cache["u"], cache["v"]
+        d_u, d_v, d_abs, d_prod = d_joint.reshape(4, -1)  # of [u; v; |u-v|; u*v]
         sign = np.sign(u - v)
-        du = d_joint[:d] + sign * d_joint[2 * d : 3 * d] + v * d_joint[3 * d :]
-        dv = d_joint[d : 2 * d] - sign * d_joint[2 * d : 3 * d] + u * d_joint[3 * d :]
+        du = d_u + sign * d_abs + v * d_prod
+        dv = d_v - sign * d_abs + u * d_prod
 
         self.W_o -= lr * d_W_o
         self.b_o -= lr * d_logits
         self.W_h -= lr * d_W_h
         self.b_h -= lr * d_pre
-        grad_table = np.zeros_like(self.encoder.embedding)
-        self.encoder.backward_into(grad_table, cache["ids_a"], du)
-        self.encoder.backward_into(grad_table, cache["ids_b"], dv)
-        self.encoder.embedding -= lr * grad_table
+        self.encoder.embedding -= lr * self.encoder.grad(
+            np.concatenate([ids_a, ids_b]), np.array([len(ids_a), len(ids_b)]),
+            np.array([du, dv]))
         return loss
 
     def save(self, path) -> None:
@@ -550,12 +537,14 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
     if missing:
         raise DegenerateData(f"classes absent from fine-tune data: {missing}")
 
-    examples: list[tuple[str, str, int]] = []
+    examples: list[tuple[np.ndarray, np.ndarray, int]] = []
     for pair in labeled_pairs:
         idx = RELATIONS.index(pair.relation)
-        examples.append((pair.a, pair.b, idx))
+        ids_a = encoder.encode_ids(pair.a, config.max_name)
+        ids_b = encoder.encode_ids(pair.b, config.max_name)
+        examples.append((ids_a, ids_b, idx))
         if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
-            examples.append((pair.b, pair.a, idx))
+            examples.append((ids_b, ids_a, idx))
 
     model = RelationClassifier(encoder, config, seed=config.seed + 1)
     rng = random.Random(config.seed)
@@ -565,7 +554,6 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
         rng.shuffle(order)
         epoch_loss = 0.0
         for idx in order:
-            a, b, label = examples[idx]
-            epoch_loss += model._step(a, b, label, config.learning_rate)
+            epoch_loss += model._step(*examples[idx], config.learning_rate)
         history.append(epoch_loss / len(examples))
     return model, history

@@ -151,6 +151,28 @@ def finite_difference_worst_error(model, sample, label_index, h=1e-5):
     return worst
 
 
+def central_difference_worst_error(params, analytic, loss, h=1e-5):
+    """Largest scaled |analytic - central difference| over every entry of
+    the named ``params`` arrays, ``loss()`` being re-evaluated in place.
+
+    The scale floors at 1e-6, as in finite_difference_worst_error.
+    """
+    worst = 0.0
+    for name, table in params.items():
+        flat, grad = table.reshape(-1), analytic[name].reshape(-1)
+        for k in range(flat.size):
+            saved = flat[k]
+            flat[k] = saved + h
+            up = loss()
+            flat[k] = saved - h
+            down = loss()
+            flat[k] = saved
+            numeric = (up - down) / (2 * h)
+            err = abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]), 1e-6)
+            worst = max(worst, err)
+    return worst
+
+
 def naive_score(predictions, gold):
     pred = set(predictions)
     truth = set(gold)

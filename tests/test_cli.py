@@ -141,8 +141,22 @@ class TestConfigPrecedence:
         ("train-context", ["--epochs", "0"], "epochs"),
         ("train-context", ["--batch-size", "0"], "batch_size"),
         ("train-relation", ["--epochs", "0"], "epochs"),
+        ("train-relation", ["--tau", "0"], "tau"),
+        ("train-relation", ["--tau", "-0.05"], "tau"),
+        ("train-relation", ["--tau", "nan"], "tau"),
+        ("train-relation", ["--lr", "nan"], "learning_rate"),
+        ("train-relation", ["--pretrain-lr", "-1"], "pretrain_learning_rate"),
+        ("train-relation", ["--pretrain-lr", "inf"], "pretrain_learning_rate"),
+        ("train-context", ["--lr", "nan"], "learning_rate"),
+        ("train-context", ["--lr", "-0.1"], "learning_rate"),
+        ("train-context", ["--gamma", "nan"], "focal_gamma"),
+        ("train-context", ["--gamma", "-2"], "focal_gamma"),
     ], ids=["miss-rate-2", "too-many-diseases", "negative-diseases",
-            "context-epochs-0", "context-batch-0", "relation-epochs-0"])
+            "context-epochs-0", "context-batch-0", "relation-epochs-0",
+            "relation-tau-0", "relation-tau-negative", "relation-tau-nan",
+            "relation-lr-nan", "relation-pretrain-lr-negative", "relation-pretrain-lr-inf",
+            "context-lr-nan", "context-lr-negative", "context-gamma-nan",
+            "context-gamma-negative"])
     def test_out_of_range_setting_is_65(self, workspace, tmp_path, capsys, command,
                                         flags, setting):
         out = str(tmp_path / "out")
@@ -152,6 +166,21 @@ class TestConfigPrecedence:
         assert run([command, "--out", out] + inputs + flags) == 65
         err = capsys.readouterr().err
         assert setting in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("precision", ["7", "-0.1", "nan"])
+    def test_precision_outside_unit_interval_is_65(self, workspace, tmp_path, capsys,
+                                                   data_dir, precision):
+        findings = tmp_path / "findings.jsonl"
+        findings.write_text("", encoding="utf-8")
+        assert run(["drg-impact", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--findings", str(findings),
+                    "--icd", str(data_dir / "icd_demo.csv"),
+                    "--groups", str(data_dir / "drg_groups_demo.csv"),
+                    "--precision", precision,
+                    "--out", str(tmp_path / "impact.json")]) == 65
+        err = capsys.readouterr().err
+        assert "precision" in err
         assert "Traceback" not in err
 
     # (config key, its flag, value given by key, value given by flag)

@@ -1,5 +1,6 @@
 """Pair generators, contrastive pretraining, and the 5-class comparator."""
 
+import copy
 import math
 import random
 import re
@@ -39,7 +40,12 @@ from dxaudit.relation_model import (
 )
 
 from conftest import make_fixture_icd_entries
-from oracles import naive_info_nce, seed_normalize_disease_name, seed_relation_forward
+from oracles import (
+    central_difference_worst_error,
+    naive_info_nce,
+    seed_normalize_disease_name,
+    seed_relation_forward,
+)
 
 
 def record_with_diagnoses(record_id, diagnoses):
@@ -190,10 +196,10 @@ class TestContrastiveObjective:
 
     def test_orthogonal_positives_hand_value(self):
         encoder = PairEncoder(list("abcd"), d_pair=2, seed=0)
-        encoder.embedding[encoder._ids["a"]] = [1.0, 0.0]
-        encoder.embedding[encoder._ids["b"]] = [1.0, 0.0]
-        encoder.embedding[encoder._ids["c"]] = [0.0, 1.0]
-        encoder.embedding[encoder._ids["d"]] = [0.0, 1.0]
+        encoder.embedding[encoder.vocab._ids["a"]] = [1.0, 0.0]
+        encoder.embedding[encoder.vocab._ids["b"]] = [1.0, 0.0]
+        encoder.embedding[encoder.vocab._ids["c"]] = [0.0, 1.0]
+        encoder.embedding[encoder.vocab._ids["d"]] = [0.0, 1.0]
         batch = [DiseasePair("a", "b", PairSource.CODING_PAIR),
                  DiseasePair("c", "d", PairSource.CODING_PAIR)]
         loss = info_nce_batch_loss(encoder, batch, tau=0.05)
@@ -250,6 +256,48 @@ class TestContrastiveObjective:
         _, history = contrastive_pretrain(pairs, encoder, config)
         assert len(history) == 5
         assert all(b < a for a, b in zip(history, history[1:]))
+
+
+class TestGradients:
+    """Hand-written relation gradients against central finite differences.
+
+    The names repeat characters, hold one the vocabulary lacks and run past
+    max_name, so the scatter into the embedding table sees repeated rows,
+    the unknown-character row and clipping.
+    """
+
+    def test_info_nce_embedding_gradient(self):
+        encoder = PairEncoder(list("abcdefgh"), d_pair=5, seed=3)
+        batch = [DiseasePair("abca", "abd", PairSource.CODING_PAIR),
+                 DiseasePair("efx", "eg", PairSource.CODING_PAIR),
+                 DiseasePair("ha", "cdcdcdcd", PairSource.RANDOM_NEG),
+                 DiseasePair("bbgfedcb", "fe", PairSource.BACK_TRANSLATION)]
+        _, grad = info_nce_batch_loss(encoder, batch, tau=0.05, max_name=6,
+                                      with_grads=True)
+        worst = central_difference_worst_error(
+            {"embedding": encoder.embedding}, {"embedding": grad},
+            lambda: info_nce_batch_loss(encoder, batch, tau=0.05, max_name=6))
+        assert worst < 1e-4
+
+    def test_finetune_step_gradients(self):
+        encoder = PairEncoder(list("abcdefg"), d_pair=3, seed=1)
+        model = RelationClassifier(encoder, PairTrainConfig(hidden=6, max_name=6), seed=2)
+        a, b, label = "abcafedc", "dexd", RELATIONS.index("secondary")
+
+        def params(m):
+            return {"W_h": m.W_h, "b_h": m.b_h, "W_o": m.W_o, "b_o": m.b_o,
+                    "embedding": m.encoder.embedding}
+
+        # one SGD step at lr=1 moves each parameter by minus its gradient
+        stepped = copy.deepcopy(model)
+        stepped._step(stepped.encoder.encode_ids(a, 6), stepped.encoder.encode_ids(b, 6),
+                      label, 1.0)
+        after = params(stepped)
+        analytic = {name: table - after[name] for name, table in params(model).items()}
+        worst = central_difference_worst_error(
+            params(model), analytic,
+            lambda: -math.log(model.predict_proba(a, b)[label]))
+        assert worst < 1e-4
 
 
 @pytest.fixture(scope="module")
