@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -237,21 +236,13 @@ def _cmd_gen_synthetic(args, config, seed):
                                                variant_pairs=variants,
                                                group_table=group_table)
     core.save_corpus(records, args.out)
-    with open(args.gold, "w", encoding="utf-8") as handle:
-        json.dump({
-            "findings": [list(f) for f in gold.findings],
-            "mention_labels": [list(m) for m in gold.mention_labels],
-        }, handle, ensure_ascii=False, sort_keys=True)
-        handle.write("\n")
+    core.write_lines(args.gold, [core.json_line(dataclasses.asdict(gold))])
     if args.samples_out:
         samples = synth.labeled_context_samples(records, gold, pool,
                                                 _feature_lexicons(args))
-        with open(args.samples_out, "w", encoding="utf-8") as handle:
-            for sample in samples:
-                handle.write(json.dumps(
-                    {"disease": sample.disease, "context": sample.context,
-                     "label": sample.label}, ensure_ascii=False, sort_keys=True))
-                handle.write("\n")
+        core.write_lines(args.samples_out, (core.json_line(
+            {"disease": s.disease, "context": s.context, "label": s.label})
+            for s in samples))
     if args.pairs_out:
         fixture = relation_model.load_pairs(DATA_DIR / "relation_pairs_fixture.tsv")
         pairs = synth.relation_training_pairs(pool, variants or [], fixture)
@@ -414,11 +405,8 @@ def _cmd_drg_impact(args, config, seed):
     joined = drg.recovered_levels_for_records(records, findings, icd, rel,
                                               args.threshold)
     report = drg.cost_delta_report(joined, table, precision=args.precision)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, ensure_ascii=False, sort_keys=True,
-                  indent=2)
-        handle.write("\n")
     out = report.to_dict()
+    core.write_lines(args.out, [core.json_line(out, indent=2)])
     print(f"regrouped {sum(1 for d in report.deltas if d.new_tier != d.old_tier)} "
           f"of {len(report.deltas)} records, total delta {out['total_delta']} "
           f"({report.percent:.2%}) -> {args.out}")

@@ -144,6 +144,7 @@ class CharWindowEncoder:
         self.vocab = vocab
         self.d_enc = d_enc
         self.window = window
+        require_at_least(self, d_enc=1)
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(vocab), d_enc))
 
@@ -189,6 +190,7 @@ class GatedFusionHead:
         if d_f is None:
             d_f = d
         self.d_enc, self.d, self.d_f, self.n_classes = d_enc, d, d_f, n_classes
+        require_at_least(self, d_enc=1, d=1)
         rng = np.random.default_rng(seed)
 
         def mat(*shape):
@@ -515,11 +517,11 @@ class ContextClassifier:
         meta, arrays = load_model(path, "context")
         vocab = CharVocab(list(meta["vocab"]))
         encoder = CharWindowEncoder(vocab, d_enc=meta["d_enc"], window=meta["window"])
-        encoder.embedding = arrays["encoder.embedding"]
+        encoder.embedding = arrays.shaped_like("encoder.embedding", encoder.embedding)
         head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"], d_f=meta["d_f"],
                                n_classes=meta["n_classes"])
         for key in head.p:
-            head.p[key] = arrays[f"head.{key}"]
+            head.p[key] = arrays.shaped_like(f"head.{key}", head.p[key])
         config = load_config(meta, TrainConfig)
         return cls(encoder, head, config)
 

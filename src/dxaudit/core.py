@@ -5,12 +5,18 @@ here: the corpus by the lenient ``iter_corpus``, every other file by the
 strict ``read_lines`` (CSV by ``read_rows``, headed tables by ``read_table``).
 Lines end at LF, CRLF or CR, never at U+2028 or U+0085; blank lines are
 skipped; a malformed line, undecodable bytes included, is a ParseError.
+
+Every output is written here too, by ``write_bytes`` (text by
+``write_lines``, CSV by ``write_rows``, JSON encoded by ``json_line``):
+UTF-8, LF line ends, and a file that appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -253,6 +259,12 @@ def parse_json_object(text: str, line: int, what: str) -> dict:
         raise ParseError(f"invalid JSON: {exc.msg}", line) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", line) from None
+    if "\\ud" in text or "\\uD" in text:  # only an escape spells a lone surrogate
+        try:
+            json_line(obj).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError("invalid JSON: unpaired surrogate "
+                             f"{exc.object[exc.start]!r}", line) from None
     if not isinstance(obj, dict):
         raise ParseError(f"{what} is not a JSON object", line)
     return obj
@@ -301,7 +313,7 @@ def record_to_json(record: MedicalRecord) -> str:
             "tier": record.drg.tier.value,
             "avg_cost": _minor_to_major(record.drg.avg_cost),
         }
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return json_line(obj)
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -345,6 +357,70 @@ def read_table(path: str | Path,
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
     return [(line_no, dict(zip(header, row))) for line_no, row in rows]
+
+
+def json_line(obj, indent: int | None = None) -> str:
+    """``obj`` as JSON with sorted keys and raw (unescaped) non-ASCII."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent)
+
+
+def _replaceable(path: str | Path) -> str | None:
+    """The regular file a temporary file may replace to write ``path``, its
+    symlinks followed one step at a time; None if a step passes through
+    /proc (as /dev/stdout does, to whatever file the shell opened) or the
+    target exists and is not a regular file."""
+    target = os.path.abspath(path)
+    for _ in range(40):  # the links the kernel follows before ELOOP
+        target = os.path.join(os.path.realpath(os.path.dirname(target)),
+                              os.path.basename(target))
+        if target.startswith("/proc/"):
+            return None
+        if not os.path.islink(target):
+            return None if os.path.exists(target) and not os.path.isfile(target) else target
+        target = os.path.join(os.path.dirname(target), os.readlink(target))
+    return None
+
+
+def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all: to a temporary file
+    beside it (beside a symlink's target, so the link stays a link) that then
+    replaces it, or that is removed if writing raises. A FIFO, a device or a
+    file behind an open descriptor (/dev/stdout) is appended to in place, so
+    it keeps its inode and its bytes."""
+    target = _replaceable(path)
+    if target is None:
+        with open(path, "ab") as handle:
+            handle.writelines(chunks)
+        return
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(temp, target)
+    except BaseException as exc:
+        if os.path.exists(temp):
+            os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            exc.filename = str(path)  # name the file asked for
+        raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line as UTF-8 followed by LF."""
+    write_bytes(path, (f"{line}\n".encode("utf-8") for line in lines))
+
+
+def write_rows(path: str | Path, rows: Iterable[list], delimiter: str = ",") -> None:
+    """Write CSV rows, each ended by LF."""
+    def encoded():
+        text = io.StringIO()
+        writer = csv.writer(text, delimiter=delimiter, lineterminator="\n")
+        for row in rows:
+            writer.writerow(row)
+            yield text.getvalue().encode("utf-8")
+            text.seek(0)
+            text.truncate()
+    write_bytes(path, encoded())
 
 
 def iter_corpus(
@@ -395,10 +471,7 @@ def load_corpus(path: str | Path) -> list[MedicalRecord]:
 
 
 def save_corpus(records: Iterable[MedicalRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record_to_json(record))
-            handle.write("\n")
+    write_lines(path, map(record_to_json, records))
 
 
 # ---------------------------------------------------------------------------

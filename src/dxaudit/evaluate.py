@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import normalize_disease_name
+from .core import normalize_disease_name, write_rows
 from .features import ContextSample
 from .pipeline import (
     BatchReport,
@@ -148,9 +147,6 @@ def run_ablation(
 
 
 def write_scores_csv(rows, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["config", "precision", "recall", "f1"])
-        for row in rows:
-            writer.writerow([row.name, f"{row.precision:.6f}",
-                             f"{row.recall:.6f}", f"{row.f1:.6f}"])
+    write_rows(path, [["config", "precision", "recall", "f1"]] + [
+        [row.name, f"{row.precision:.6f}", f"{row.recall:.6f}", f"{row.f1:.6f}"]
+        for row in rows])

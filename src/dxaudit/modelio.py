@@ -12,10 +12,12 @@ import dataclasses
 import json
 import math
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .core import json_line, write_bytes
 from .errors import BadModelFile
 
 MAGIC = b"DXMD"
@@ -30,14 +32,10 @@ def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nda
         "meta": meta,
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
     }
-    blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<I", VERSION))
-        handle.write(struct.pack("<Q", len(blob)))
-        handle.write(blob)
-        for name in names:
-            handle.write(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+    blob = json_line(header).encode("utf-8")
+    write_bytes(path, chain([MAGIC, struct.pack("<IQ", VERSION, len(blob)), blob],
+                            (np.ascontiguousarray(arrays[n], dtype=np.float64).tobytes()
+                             for n in names)))
 
 
 class _Fields(dict):
@@ -49,6 +47,14 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise BadModelFile(f"{self.path}: model {self.part} lacks {key!r}")
+
+    def shaped_like(self, key: str, like: np.ndarray) -> np.ndarray:
+        """The array under ``key``, which must have the shape of ``like``."""
+        array = self[key]
+        if array.shape != like.shape:
+            raise BadModelFile(f"{self.path}: array {key!r} has shape {array.shape}, "
+                               f"expected {like.shape}")
+        return array
 
 
 def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:

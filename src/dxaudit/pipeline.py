@@ -10,12 +10,12 @@ the models.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus,
-                   parse_json_object, read_lines)
+from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus, json_line,
+                   parse_json_object, read_lines, write_lines)
 from .errors import BadSetting, DxAuditError, ModelNotLoaded, ParseError
 from .features import LABELS, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
@@ -192,28 +192,13 @@ def batch_detect(
 # ---------------------------------------------------------------------------
 
 
-def finding_to_dict(finding: WriteMissingFinding) -> dict:
-    return {
-        "disease": finding.disease,
-        "evidence_spans": [list(span) for span in finding.evidence_spans],
-        "context_label_prob": finding.context_label_prob,
-        "relations": [[dx, rel, prob] for dx, rel, prob in finding.relations],
-    }
-
-
 def write_report(report: BatchReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for result in report.results:
-            handle.write(json.dumps({
-                "record_id": result.record_id,
-                "findings": [finding_to_dict(f) for f in result.findings],
-            }, ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
-        handle.write(json.dumps({
-            "summary": report.summary,
-            "errors": report.errors,
-        }, ensure_ascii=False, sort_keys=True))
-        handle.write("\n")
+    write_lines(path, chain(
+        (json_line({"record_id": result.record_id,
+                    "findings": [asdict(f) for f in result.findings]})
+         for result in report.results),
+        [json_line({"summary": report.summary, "errors": report.errors})],
+    ))
 
 
 def load_report_findings(path: str | Path) -> dict[str, list[dict]]:

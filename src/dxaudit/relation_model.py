@@ -18,9 +18,9 @@ deterministic per seed.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
+import re
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,11 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .context_model import CharVocab, _row_sums
-from .core import IcdIndex, discharge_names, normalize_disease_name, read_lines, read_rows
+from .core import (IcdIndex, discharge_names, normalize_disease_name, read_lines,
+                   read_rows, write_rows)
 from .errors import (
     BadSetting,
     DegenerateBatch,
     DegenerateData,
+    DxAuditError,
     EmptyName,
     InsufficientCodes,
     ParseError,
@@ -238,12 +240,25 @@ def drop_conflicts(negatives: list[DiseasePair],
 # ---------------------------------------------------------------------------
 
 
+# A pair name load_pairs would not read back: a CR ends the line, and lines
+# are stripped and blank ones skipped, so whitespace beside an LF (another LF
+# included) is lost; a row whose first name starts with '#' is a comment.
+_UNWRITABLE_NAME = re.compile(r"\r|\s\n|\n\s")
+
+
+def _pair_row(pair: DiseasePair) -> list[str]:
+    for name, first in ((pair.a, True), (pair.b, False)):
+        if _UNWRITABLE_NAME.search(name) or first and name.startswith("#"):
+            raise DxAuditError(f"pair name {name!r} cannot be written: it holds a "
+                               "CR, has whitespace beside an LF, or starts a row with '#'")
+    tag = pair.relation if pair.relation else (pair.polarity or "")
+    return [pair.a, pair.b, tag, pair.source.value]
+
+
 def save_pairs(pairs, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-        for pair in pairs:
-            tag = pair.relation if pair.relation else (pair.polarity or "")
-            writer.writerow([pair.a, pair.b, tag, pair.source.value])
+    """Write a pair file. A name load_pairs would not read back raises
+    DxAuditError naming it, and nothing is written."""
+    write_rows(path, map(_pair_row, pairs), delimiter="\t")
 
 
 def load_pairs(path: str | Path) -> list[DiseasePair]:
@@ -283,7 +298,7 @@ class PairTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=0,
+        require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=1,
                          learning_rate=0.0, pretrain_learning_rate=0.0)
         if not 0.0 < self.tau < math.inf:
             raise BadSetting(f"tau must be finite and > 0, got {self.tau}")
@@ -296,6 +311,7 @@ class PairEncoder:
         self.vocab = CharVocab(chars, first_id=1)
         self.chars = self.vocab.chars
         self.d_pair = d_pair
+        require_at_least(self, d_pair=1)
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(self.vocab), d_pair))
 
@@ -515,10 +531,10 @@ class RelationClassifier:
         meta, arrays = load_model(path, "relation")
         config = load_config(meta, PairTrainConfig)
         encoder = PairEncoder(list(meta["vocab"]), d_pair=meta["d_pair"])
-        encoder.embedding = arrays["embedding"]
+        encoder.embedding = arrays.shaped_like("embedding", encoder.embedding)
         model = cls(encoder, config)
-        model.W_h, model.b_h = arrays["W_h"], arrays["b_h"]
-        model.W_o, model.b_o = arrays["W_o"], arrays["b_o"]
+        for name in ("W_h", "b_h", "W_o", "b_o"):
+            setattr(model, name, arrays.shaped_like(name, getattr(model, name)))
         return model
 
 

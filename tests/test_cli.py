@@ -151,12 +151,20 @@ class TestConfigPrecedence:
         ("train-context", ["--lr", "-0.1"], "learning_rate"),
         ("train-context", ["--gamma", "nan"], "focal_gamma"),
         ("train-context", ["--gamma", "-2"], "focal_gamma"),
+        ("train-relation", ["--d-pair", "-1"], "d_pair"),
+        ("train-relation", ["--d-pair", "0"], "d_pair"),
+        ("train-relation", ["--hidden", "0"], "hidden"),
+        ("train-context", ["--d-enc", "-1"], "d_enc"),
+        ("train-context", ["--d-enc", "0"], "d_enc"),
+        ("train-context", ["--d", "0"], "d must"),
     ], ids=["miss-rate-2", "too-many-diseases", "negative-diseases",
             "context-epochs-0", "context-batch-0", "relation-epochs-0",
             "relation-tau-0", "relation-tau-negative", "relation-tau-nan",
             "relation-lr-nan", "relation-pretrain-lr-negative", "relation-pretrain-lr-inf",
             "context-lr-nan", "context-lr-negative", "context-gamma-nan",
-            "context-gamma-negative"])
+            "context-gamma-negative", "relation-d-pair-negative", "relation-d-pair-0",
+            "relation-hidden-0", "context-d-enc-negative", "context-d-enc-0",
+            "context-d-0"])
     def test_out_of_range_setting_is_65(self, workspace, tmp_path, capsys, command,
                                         flags, setting):
         out = str(tmp_path / "out")
@@ -411,6 +419,34 @@ class TestHostileInput:
         assert [row for row in rows if row[3] == "same_list"] == [
             ["高血压", "肺炎", "dissimilar", "same_list"]]
 
+    def test_lone_surrogate_corpus_line_fails_alone(self, workspace, tmp_path):
+        lines = (workspace / "corpus.jsonl").read_bytes().splitlines()[:4]
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_bytes(b"\n".join(lines[:2] + [lines[2].replace(
+            b'"record_id": "', b'"record_id": "\\ud800')] + lines[3:]) + b"\n")
+        out = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(corpus),
+                    "--models", str(workspace / "models"), "--out", str(out)]) == 2
+        report = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [obj["record_id"] for obj in report[:-1]] == [
+            json.loads(line)["record_id"] for line in lines[:2] + lines[3:]]
+        assert report[-1]["errors"] == [
+            {"line": 3, "error": "line 3: invalid JSON: unpaired surrogate '\\ud800'"}]
+
+    def test_unwritable_pair_name_is_65(self, tmp_path, data_dir, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "record_id": "r1", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
+            "discharge_diagnoses": ["#高血压", "肺炎", "糖尿\r病"]}) + "\n",
+            encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        assert run(["gen-pairs", "--icd", str(data_dir / "icd_demo.csv"),
+                    "--corpus", str(corpus), "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert "'#高血压'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def _detect_with_context_model(self, workspace, tmp_path, context_model):
         return run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
                     "--context-model", str(context_model),
@@ -523,7 +559,8 @@ class TestHostileInput:
         "not json",
         '{"disease": "肺炎"}',
         '{"disease": "肺炎", "context": "确诊为肺炎。", "label": "maybe"}',
-    ], ids=["not-json", "no-context", "unknown-label"])
+        '{"disease": "肺炎", "context": "确诊为\\ud800肺炎。", "label": "unknown"}',
+    ], ids=["not-json", "no-context", "unknown-label", "lone-surrogate"])
     def test_bad_training_sample_is_65(self, tmp_path, capsys, bad_line):
         samples = tmp_path / "samples.jsonl"
         samples.write_text('{"disease": "肺炎", "context": "确诊为肺炎。", '
@@ -558,6 +595,26 @@ class TestHostileInput:
             del config[key]
         edited = tmp_path / f"{kind}.bin"
         save_model(edited, kind, dict(meta, config=config), dict(arrays))
+        models = {"context": workspace / "context.bin",
+                  "relation": workspace / "relation.bin", kind: edited}
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(models["context"]),
+                    "--relation-model", str(models["relation"]),
+                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, key, cut", [
+        ("relation", "W_h", lambda array: array[:, :-1]),
+        ("context", "head.W1", lambda array: array[:-1]),
+    ], ids=["relation-W_h-column-short", "context-W1-row-short"])
+    def test_model_array_shape_is_checked(self, workspace, tmp_path, capsys, kind,
+                                          key, cut):
+        meta, arrays = load_model(workspace / f"{kind}.bin", kind)
+        edited = tmp_path / f"{kind}.bin"
+        save_model(edited, kind, dict(meta), dict(arrays, **{key: cut(arrays[key])}))
         models = {"context": workspace / "context.bin",
                   "relation": workspace / "relation.bin", kind: edited}
         assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
@@ -616,6 +673,10 @@ class TestInputFileErrors:
             b"[" * 200000 + b"\n", 1,
             lambda ws, data, bad, out: [
                 "evaluate", "--findings", bad, "--gold", str(ws / "gold.json")]),
+        "evaluate-findings-lone-surrogate": (
+            b'{"summary": {}}\n{"record_id": "r\\ud800", "findings": []}\n', 2,
+            lambda ws, data, bad, out: [
+                "evaluate", "--findings", bad, "--gold", str(ws / "gold.json")]),
         "gen-pairs-coded-no-clinical-name": (
             b"name,icd_code\nxyz,S05.301\n", 1,
             lambda ws, data, bad, out: [
@@ -648,8 +709,9 @@ class TestInputFileErrors:
     @pytest.mark.parametrize("command", ["evaluate", "ablate"])
     @pytest.mark.parametrize("text", [
         "not json", '{"x": 1}', "[1]", '{"findings": [["r1"]]}',
-        '{"findings": [["r1", 2]]}',
-    ], ids=["not-json", "no-findings", "not-object", "short-pair", "non-string"])
+        '{"findings": [["r1", 2]]}', '{"findings": [["r1", "\\udfff"]]}',
+    ], ids=["not-json", "no-findings", "not-object", "short-pair", "non-string",
+            "lone-surrogate"])
     def test_malformed_gold_is_65(self, workspace, tmp_path, capsys, command, text):
         gold = tmp_path / "gold.json"
         gold.write_text(text + "\n", encoding="utf-8")

@@ -1,7 +1,11 @@
 """Domain types, normalization, and corpus/table I/O."""
 
+import os
 import random
+import stat
+import threading
 
+import numpy as np
 import pytest
 
 from dxaudit import core
@@ -22,6 +26,8 @@ from dxaudit.errors import (
     EmptyName,
     ParseError,
 )
+
+from dxaudit.modelio import save_model
 
 from conftest import make_fixture_icd_entries
 from oracles import seed_normalize_disease_name
@@ -139,12 +145,93 @@ class TestRecordFieldValidation:
         ' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": "3", "avg_cost": 1}}',
         '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
         ' "discharge_diagnoses": [], "drg": [3]}',
+        '{"record_id": "r\\ud800", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": []}',
+        '{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+        ' "discharge_diagnoses": ["\\udc00\\ud83d"]}',
     ], ids=["string_diagnoses", "non_string_diagnosis", "non_string_section_name",
-            "bool_tier", "string_tier", "drg_not_an_object"])
+            "bool_tier", "string_tier", "drg_not_an_object", "lone_high_surrogate",
+            "low_surrogate_before_high"])
     def test_malformed_field_is_parse_error(self, line):
         with pytest.raises(ParseError) as excinfo:
             core.parse_record_line(line, 4)
         assert excinfo.value.line == 4
+
+    def test_paired_surrogate_escape_and_escaped_backslash_parse(self):
+        record = core.parse_record_line(
+            '{"record_id": "r\\\\ud800", "sections": [{"name": "s", '
+            '"text": "\\ud83d\\ude00"}], "discharge_diagnoses": []}')
+        assert (record.record_id, record.section_text(0)) == ("r\\ud800", "\U0001f600")
+
+
+class TestWriters:
+    """Every output appears whole or not at all."""
+
+    def _lines_that_raise(self):
+        yield "new"
+        raise RuntimeError("interrupted")
+
+    @pytest.mark.parametrize("write", [
+        lambda self, path: core.write_lines(path, self._lines_that_raise()),
+        lambda self, path: save_model(path, "context", {}, {
+            "a": np.zeros(2), "b": np.array(["not a float"])}),
+    ], ids=["lines", "model"])
+    def test_a_write_that_raises_leaves_the_old_bytes(self, tmp_path, write):
+        target = tmp_path / "out"
+        target.write_bytes(b"old\n")
+        with pytest.raises((RuntimeError, ValueError)):
+            write(self, target)
+        assert target.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_a_symlink_stays_a_link_to_the_new_bytes(self, tmp_path):
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.write_bytes(b"old\n")
+        link.symlink_to(real)
+        core.write_lines(link, ["new", "肺炎"])
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == "new\n肺炎\n".encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        core.write_rows(fifo, [["a", "b,c"], ["d", "e"]])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b'a,"b,c"\nd,e\n']
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_link_to_an_open_pipe_is_written_in_place(self, tmp_path):
+        # what --out /dev/stdout is when stdout is a pipe
+        read_end, write_end = os.pipe()
+        link = tmp_path / "out"
+        link.symlink_to(f"/proc/self/fd/{write_end}")
+        try:
+            core.write_lines(link, ["肺炎"])
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == "肺炎\n".encode("utf-8")
+        assert link.is_symlink()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_link_to_an_open_file_is_appended_in_place(self, tmp_path):
+        # what --out /dev/stdout is when stdout is appended to a log file
+        log, link = tmp_path / "log", tmp_path / "out"
+        log.write_bytes(b"old\n")
+        inode = log.stat().st_ino
+        with open(log, "ab") as handle:
+            link.symlink_to(f"/proc/self/fd/{handle.fileno()}")
+            core.write_lines(link, ["肺炎"])
+        assert log.read_bytes() == "old\n肺炎\n".encode("utf-8")
+        assert log.stat().st_ino == inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "out"]
 
 
 class TestIcdTable:

@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency."""
+"""Rules on the package source: numpy is its only runtime dependency, and
+only core writes files."""
 
 import ast
 import sys
@@ -32,3 +33,47 @@ def test_nested_imports_count_and_relative_ones_do_not(tmp_path):
     source.write_text("from . import core\nimport os.path\n"
                       "def f():\n    from scipy import sparse\n", encoding="utf-8")
     assert list(imported_modules(source)) == [(2, "os"), (4, "scipy")]
+
+
+
+WRITE_CALLS = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
+
+
+def file_writes(path):
+    """(line, call) of each call in a source file to json.dump, json.dumps,
+    csv.writer, or open() in a mode that holds w, a, x or + (or that is not
+    a constant)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and (func.value.id, func.attr) in WRITE_CALLS:
+            yield node.lineno, ast.unparse(func)
+        elif getattr(func, "id", getattr(func, "attr", None)) == "open":
+            # open(file, mode) as a function, path.open(mode) as a method
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            if modes and (not isinstance(modes[0], ast.Constant)
+                          or set(str(modes[0].value)) & set("wax+")):
+                yield node.lineno, f"open(mode={ast.unparse(modes[0])})"
+
+
+def test_only_core_writes_files():
+    writes = [f"{path.name}:{line}: {call}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+              for line, call in file_writes(path)]
+    assert writes == []
+
+
+def test_every_write_call_is_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import csv, json\n"
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='r', encoding='utf-8')\n"
+        "open(p, 'w')\nopen(p, mode='ab')\nopen(p, m)\npath.open('r+')\n"
+        "json.dump(x, h)\njson.dumps(x)\njson.loads(s)\ncsv.writer(h)\ncsv.reader(h)\n",
+        encoding="utf-8")
+    assert list(file_writes(source)) == [
+        (5, "open(mode='w')"), (6, "open(mode='ab')"), (7, "open(mode=m)"),
+        (8, "open(mode='r+')"), (9, "json.dump"), (10, "json.dumps"), (12, "csv.writer")]

@@ -1,12 +1,14 @@
-"""Property tests: the two readers on arbitrary bytes, and name normalization."""
+"""Property tests: the two readers on arbitrary bytes, name normalization,
+and pair files read back as written."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from dxaudit import core  # noqa: E402
-from dxaudit.errors import EmptyName, ParseError  # noqa: E402
+from dxaudit import core, relation_model  # noqa: E402
+from dxaudit.errors import DxAuditError, EmptyName, ParseError  # noqa: E402
+from dxaudit.relation_model import RELATIONS, DiseasePair, PairSource  # noqa: E402
 
 RECORD = ('{"record_id": "r1", "sections": [{"name": "s", "text": "确诊为肺炎。"}], '
           '"discharge_diagnoses": ["肺炎"]}').encode("utf-8")
@@ -73,3 +75,33 @@ def test_normalize_disease_name_is_idempotent(raw):
     except EmptyName:
         assume(False)
     assert core.normalize_disease_name(once) == once
+
+
+def _is_normalized(name: str) -> bool:
+    try:
+        return core.normalize_disease_name(name) == name
+    except EmptyName:
+        return False
+
+
+# Names as load_pairs returns them (normalized), drawn with the characters a
+# pair file treats specially: line ends, whitespace, quotes, tabs and '#'.
+pair_names = st.text(st.characters(codec="utf-8") | st.sampled_from("#\"\t\r\n 肺炎\x85"),
+                     min_size=1, max_size=8).filter(_is_normalized)
+pairs = st.lists(st.builds(DiseasePair, a=pair_names, b=pair_names,
+                           source=st.sampled_from(PairSource),
+                           relation=st.none() | st.sampled_from(RELATIONS)), max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs)
+def test_saved_pairs_are_read_back_or_refused(path, pairs):
+    try:
+        relation_model.save_pairs(pairs, path)
+    except DxAuditError as exc:
+        # only the first name's '#' makes a comment row
+        assert any(repr(name) in str(exc) and ("\r" in name or "\n" in name or comment)
+                   for pair in pairs
+                   for name, comment in ((pair.a, pair.a[0] == "#"), (pair.b, False)))
+        return
+    assert relation_model.load_pairs(path) == pairs
