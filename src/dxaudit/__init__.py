@@ -17,7 +17,7 @@ from .core import (
     normalize_disease_name,
     save_corpus,
 )
-from .features import ContextSample, FeatureLexicons, OrderTrackScope, assemble_features
+from .features import ContextSample, FeatureLexicons, assemble_features
 from .pipeline import (
     DetectConfig,
     Models,
@@ -33,9 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CcLevel", "ContextSample", "DetectConfig", "DiseaseMention",
     "DrgAssignment", "FeatureLexicons", "IcdEntry", "IcdIndex", "Lexicon",
-    "LexiconKind", "MedicalRecord", "Models", "OrderTrackScope",
-    "PipelineLexicons", "Tier", "WriteMissingFinding", "assemble_features",
-    "batch_detect", "build_context_window", "build_matcher",
-    "detect_write_missing", "find_mentions", "load_corpus", "load_icd_table",
-    "load_lexicon", "make_lexicon", "normalize_disease_name", "save_corpus",
+    "LexiconKind", "MedicalRecord", "Models", "PipelineLexicons", "Tier",
+    "WriteMissingFinding", "assemble_features", "batch_detect",
+    "build_context_window", "build_matcher", "detect_write_missing",
+    "find_mentions", "load_corpus", "load_icd_table", "load_lexicon",
+    "make_lexicon", "normalize_disease_name", "save_corpus",
 ]

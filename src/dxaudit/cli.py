@@ -101,13 +101,15 @@ def _add_common_lexicon_flags(parser):
 
 
 class _SubParsers:
-    """Wraps add_parser so global flags work after the subcommand too."""
+    """Wraps add_parser so global flags work after the subcommand too, and
+    so each subcommand sets ``args.run`` to the function that runs it."""
 
     def __init__(self, sub):
         self._sub = sub
 
-    def add_parser(self, name, **kwargs):
+    def add_parser(self, name, run, **kwargs):
         parser = self._sub.add_parser(name, **kwargs)
+        parser.set_defaults(run=run)
         for flag, kind in (("--seed", int), ("--parallelism", int),
                            ("--config", str)):
             parser.add_argument(flag, type=kind, default=argparse.SUPPRESS)
@@ -122,7 +124,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = _SubParsers(parser.add_subparsers(dest="command", required=True))
 
-    p = sub.add_parser("gen-synthetic", help="generate a labeled synthetic corpus")
+    p = sub.add_parser("gen-synthetic", _cmd_gen_synthetic,
+                       help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="corpus JSONL to write")
     p.add_argument("--gold", required=True, help="gold JSON to write")
     p.add_argument("--n", type=int)
@@ -140,7 +143,7 @@ def build_parser() -> _Parser:
                    help="also write labeled relation pairs (TSV)")
     _add_common_lexicon_flags(p)
 
-    p = sub.add_parser("gen-pairs", help="mine pretraining pairs")
+    p = sub.add_parser("gen-pairs", _cmd_gen_pairs, help="mine pretraining pairs")
     p.add_argument("--icd", required=True, help="ICD table CSV")
     p.add_argument("--coded", help="clinical_name,icd_code CSV")
     p.add_argument("--corpus", help="corpus JSONL for same-list negatives")
@@ -149,7 +152,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sibling-scope", choices=["same_depth", "same_category"])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-context", help="train the context classifier")
+    p = sub.add_parser("train-context", _cmd_train_context,
+                       help="train the context classifier")
     p.add_argument("--samples", required=True, help="JSONL {disease, context, label}")
     p.add_argument("--dev", help="held-out samples for accuracy tracking")
     p.add_argument("--out", required=True, help="model file to write")
@@ -165,7 +169,8 @@ def build_parser() -> _Parser:
     p.add_argument("--exclusion", help="chronic exclusion lexicon")
     _add_common_lexicon_flags(p)
 
-    p = sub.add_parser("train-relation", help="train the relation comparator")
+    p = sub.add_parser("train-relation", _cmd_train_relation,
+                       help="train the relation comparator")
     p.add_argument("--pairs", required=True, help="labeled pairs TSV")
     p.add_argument("--pretrain-pairs", help="polarity pairs TSV for pretraining")
     p.add_argument("--out", required=True)
@@ -178,7 +183,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d-pair", type=int)
     p.add_argument("--hidden", type=int)
 
-    p = sub.add_parser("detect", help="find diagnoses missing from discharge lists")
+    p = sub.add_parser("detect", _cmd_detect,
+                       help="find diagnoses missing from discharge lists")
     p.add_argument("--corpus", required=True)
     p.add_argument("--models", help="directory holding context.bin and relation.bin")
     p.add_argument("--context-model")
@@ -188,12 +194,12 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-on", choices=sorted(pipeline.EMITTING_RELATIONS))
     _add_common_lexicon_flags(p)
 
-    p = sub.add_parser("evaluate", help="score findings against gold")
+    p = sub.add_parser("evaluate", _cmd_evaluate, help="score findings against gold")
     p.add_argument("--findings", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", help="optional CSV")
 
-    p = sub.add_parser("ablate", help="score stage and feature knock-outs")
+    p = sub.add_parser("ablate", _cmd_ablate, help="score stage and feature knock-outs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--models", help="directory holding context.bin and relation.bin")
@@ -203,7 +209,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="scores CSV")
     _add_common_lexicon_flags(p)
 
-    p = sub.add_parser("drg-impact", help="estimate the cost impact of findings")
+    p = sub.add_parser("drg-impact", _cmd_drg_impact,
+                       help="estimate the cost impact of findings")
     p.add_argument("--corpus", required=True)
     p.add_argument("--findings", required=True)
     p.add_argument("--icd", required=True)
@@ -414,32 +421,14 @@ def _cmd_drg_impact(args, config, seed):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config_file(args.config) if args.config else {}
         seed = _resolve(args.seed, config, "seed", 0, int)
-        if args.command == "gen-synthetic":
-            return _cmd_gen_synthetic(args, config, seed)
-        if args.command == "gen-pairs":
-            return _cmd_gen_pairs(args, config, seed)
-        if args.command == "train-context":
-            return _cmd_train_context(args, config, seed)
-        if args.command == "train-relation":
-            return _cmd_train_relation(args, config, seed)
-        if args.command == "detect":
-            return _cmd_detect(args, config, seed)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, config, seed)
-        if args.command == "ablate":
-            return _cmd_ablate(args, config, seed)
-        if args.command == "drg-impact":
-            return _cmd_drg_impact(args, config, seed)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, config, seed)
     except (DxAuditError, OSError) as exc:
         print(f"dxaudit: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ class CharWindowEncoder:
         self.vocab = vocab
         self.d_enc = d_enc
         self.window = window
-        require_at_least(self, d_enc=1)
+        require_at_least(self, d_enc=1, window=0)
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(vocab), d_enc))
 
@@ -190,7 +190,7 @@ class GatedFusionHead:
         if d_f is None:
             d_f = d
         self.d_enc, self.d, self.d_f, self.n_classes = d_enc, d, d_f, n_classes
-        require_at_least(self, d_enc=1, d=1)
+        require_at_least(self, d_enc=1, d=1, d_f=1, n_classes=1)
         rng = np.random.default_rng(seed)
 
         def mat(*shape):
@@ -443,10 +443,8 @@ class ContextClassifier:
     def forward(self, sample: ContextSample) -> np.ndarray:
         return self._probs(*self.inputs(sample))[0]
 
-    def classify(self, sample: ContextSample,
-                 record_id: str | None = None) -> tuple[str, float]:
-        """The most probable label and its probability; record_id is
-        accepted and ignored."""
+    def classify(self, sample: ContextSample) -> tuple[str, float]:
+        """The most probable label and its probability."""
         probs = self.forward(sample)
         idx = int(np.argmax(probs))
         return LABELS[idx], float(probs[idx])
@@ -515,14 +513,15 @@ class ContextClassifier:
     @classmethod
     def load(cls, path) -> "ContextClassifier":
         meta, arrays = load_model(path, "context")
-        vocab = CharVocab(list(meta["vocab"]))
-        encoder = CharWindowEncoder(vocab, d_enc=meta["d_enc"], window=meta["window"])
+        with meta.settings():
+            encoder = CharWindowEncoder(CharVocab(list(meta.text("vocab"))),
+                                        d_enc=meta["d_enc"], window=meta["window"])
+            head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"], d_f=meta["d_f"],
+                                   n_classes=meta["n_classes"])
+            config = load_config(meta, TrainConfig)
         encoder.embedding = arrays.shaped_like("encoder.embedding", encoder.embedding)
-        head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"], d_f=meta["d_f"],
-                               n_classes=meta["n_classes"])
         for key in head.p:
             head.p[key] = arrays.shaped_like(f"head.{key}", head.p[key])
-        config = load_config(meta, TrainConfig)
         return cls(encoder, head, config)
 
 

@@ -75,14 +75,6 @@ class Tier(int, Enum):
         return {Tier.MCC: 2, Tier.CC: 1, Tier.NO_CC: 0}[self]
 
 
-def tier_for_cc_level(level: CcLevel) -> Tier | None:
-    if level is CcLevel.MCC:
-        return Tier.MCC
-    if level is CcLevel.CC:
-        return Tier.CC
-    return None
-
-
 class LexiconKind(Enum):
     DISEASE_NAMES = "disease_names"
     NEGATION_WORDS = "negation_words"

@@ -27,12 +27,13 @@ from .core import (
     _minor_to_major,
     normalize_disease_name,
     read_table,
-    tier_for_cc_level,
 )
 from .errors import BadSetting, MissingGroupRow, ParseError
 from .relation_model import RELATIONS
 
-_SEVERITY_RANK = {CcLevel.MCC: 2, CcLevel.CC: 1, CcLevel.NONE: 0}
+# The tier a recovered diagnosis of each CC/MCC level calls for. A lower
+# tier digit is more severe, so the most severe of several tiers is their min.
+_TIER_FOR_LEVEL = {CcLevel.MCC: Tier.MCC, CcLevel.CC: Tier.CC, CcLevel.NONE: Tier.NO_CC}
 
 # Relations under which a title can stand in for a disease that is not one.
 _MATCHING_RELATIONS = [RELATIONS.index("similarity"), RELATIONS.index("inclusion")]
@@ -100,7 +101,7 @@ def cc_mcc_level(
     """
     exact = icd.by_title(disease)
     if exact:
-        return max((e.cc_level for e in exact), key=_SEVERITY_RANK.get)
+        return min((e.cc_level for e in exact), key=_TIER_FOR_LEVEL.get)
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
@@ -121,11 +122,7 @@ def regroup(
 
     The ADRG never changes; idempotent; never lowers severity.
     """
-    best = original.tier
-    for level in recovered_levels:
-        tier = tier_for_cc_level(level)
-        if tier is not None and tier.severity > best.severity:
-            best = tier
+    best = min([original.tier, *map(_TIER_FOR_LEVEL.get, recovered_levels)])
     if best is original.tier:
         return original
     return DrgAssignment(adrg=original.adrg, tier=best,

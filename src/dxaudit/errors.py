@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the range check for settings."""
 
 import math
+import numbers
 
 
 class DxAuditError(Exception):
@@ -13,11 +14,14 @@ class BadSetting(DxAuditError, ValueError):
 
 def require_at_least(config, **minimums: float) -> None:
     """Raise BadSetting for the first named field of ``config`` that is
-    below its minimum or not finite."""
+    below its minimum, not finite, a bool, or not a number of its
+    minimum's kind: an int minimum requires an integer."""
     for name, minimum in minimums.items():
         value = getattr(config, name)
-        if not minimum <= value < math.inf:  # also false for NaN
-            raise BadSetting(f"{name} must be finite and >= {minimum}, got {value}")
+        kind = numbers.Integral if isinstance(minimum, int) else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) \
+                or not minimum <= value < math.inf:  # also false for NaN
+            raise BadSetting(f"{name} must be finite and >= {minimum}, got {value!r}")
 
 
 class EmptyName(DxAuditError):

@@ -56,7 +56,7 @@ def report_instances(report: BatchReport) -> set[tuple[str, str]]:
 class ConfirmAllContext:
     """Context stage bypass: every candidate is treated as confirmed."""
 
-    def classify(self, sample: ContextSample, record_id: str | None = None):
+    def classify(self, sample: ContextSample):
         return "confirmed", 1.0
 
 
@@ -68,13 +68,18 @@ class IrrelevanceAllRelation:
 
 
 class LookupContextOracle:
-    """Perfect context judgments from a (record_id, disease) -> label map."""
+    """Perfect context judgments: the label of the labeled sample with the
+    same disease and context, ``unknown`` for any other sample."""
 
-    def __init__(self, mention_labels):
-        self._labels = {(rid, d): label for rid, d, label in mention_labels}
+    def __init__(self, labeled_samples):
+        self._labels: dict[tuple[str, str], str] = {}
+        for sample in labeled_samples:
+            key = (sample.disease, sample.context)
+            if self._labels.setdefault(key, sample.label) != sample.label:
+                raise ValueError(f"{key} is labeled {self._labels[key]}, then {sample.label}")
 
-    def classify(self, sample: ContextSample, record_id: str | None = None):
-        return self._labels.get((record_id, sample.disease), "unknown"), 1.0
+    def classify(self, sample: ContextSample):
+        return self._labels.get((sample.disease, sample.context), "unknown"), 1.0
 
 
 class MapRelationOracle:
@@ -98,10 +103,10 @@ class TrackZeroingContext:
         self._inner = inner
         self._track = track
 
-    def classify(self, sample: ContextSample, record_id: str | None = None):
+    def classify(self, sample: ContextSample):
         silenced = dc_replace(
             sample, **{self._track: np.zeros(len(sample.context), dtype=np.uint8)})
-        return self._inner.classify(silenced, record_id=record_id)
+        return self._inner.classify(silenced)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +132,12 @@ def run_ablation(
     """Score the full pipeline against stage and feature knock-outs."""
     variants = [
         ("full", models),
-        ("no_context", Models(context=ConfirmAllContext(), relation=models.relation)),
-        ("no_relation", Models(context=models.context, relation=IrrelevanceAllRelation())),
+        ("no_context", dc_replace(models, context=ConfirmAllContext())),
+        ("no_relation", dc_replace(models, relation=IrrelevanceAllRelation())),
     ]
     for track in ("pos_track", "neg_track", "order_track"):
-        variants.append((
-            f"{track}_off",
-            Models(context=TrackZeroingContext(models.context, track),
-                   relation=models.relation),
-        ))
+        variants.append((f"{track}_off", dc_replace(
+            models, context=TrackZeroingContext(models.context, track))))
     matcher = build_matcher(lexicons.diseases)
     rows = []
     for name, variant_models in variants:

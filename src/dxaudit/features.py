@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,13 +20,6 @@ from .core import MAX_CONTEXT, MAX_DISEASE, SENTENCE_BOUNDARIES, Lexicon, Lexico
 from .errors import BadPattern, EmptyContext
 
 LABELS = ("non_current", "confirmed", "unknown")
-
-
-class OrderTrackScope(Enum):
-    """Whether order bits cover only the enumerator or the whole item."""
-
-    ENUMERATOR_ONLY = "enumerator_only"
-    WHOLE_ITEM = "whole_item"
 
 
 @dataclass(frozen=True)
@@ -90,12 +82,8 @@ def compile_enumerator_patterns(lexicon: Lexicon) -> list[re.Pattern]:
     return compiled
 
 
-def mark_serial_numbers(
-    context: str,
-    enumerator_patterns: Lexicon,
-    scope: OrderTrackScope = OrderTrackScope.WHOLE_ITEM,
-) -> np.ndarray:
-    """1 over enumerated-list items (or just their enumerator tokens).
+def mark_serial_numbers(context: str, enumerator_patterns: Lexicon) -> np.ndarray:
+    """1 over enumerated-list items.
 
     An item runs from its enumerator token to the character before the
     next enumerator or sentence terminator, whichever comes first.
@@ -108,10 +96,6 @@ def mark_serial_numbers(
             if match.end() > match.start():
                 tokens.append((match.start(), match.end()))
     tokens = sorted(set(tokens))
-    if scope is OrderTrackScope.ENUMERATOR_ONLY:
-        for start, end in tokens:
-            track[start:end] = 1
-        return track
     starts = [t[0] for t in tokens]
     for i, (start, end) in enumerate(tokens):
         item_end = len(context)

@@ -12,13 +12,14 @@ import dataclasses
 import json
 import math
 import struct
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .core import json_line, write_bytes
-from .errors import BadModelFile
+from .errors import BadModelFile, BadSetting
 
 MAGIC = b"DXMD"
 VERSION = 1
@@ -47,6 +48,21 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise BadModelFile(f"{self.path}: model {self.part} lacks {key!r}")
+
+    def text(self, key: str) -> str:
+        """The string under ``key``."""
+        if not isinstance(self[key], str):
+            raise BadModelFile(f"{self.path}: model {self.part} {key!r} is not a string")
+        return self[key]
+
+    @contextmanager
+    def settings(self):
+        """Raise a BadSetting from building a model out of these fields as
+        a BadModelFile naming the file."""
+        try:
+            yield
+        except BadSetting as exc:
+            raise BadModelFile(f"{self.path}: model {self.part}: {exc}") from None
 
     def shaped_like(self, key: str, like: np.ndarray) -> np.ndarray:
         """The array under ``key``, which must have the shape of ``like``."""

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import Protocol
 
 from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus, json_line,
                    parse_json_object, read_lines, write_lines)
 from .errors import BadSetting, DxAuditError, ModelNotLoaded, ParseError
-from .features import LABELS, FeatureLexicons, assemble_features
+from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
 
 
@@ -29,10 +30,24 @@ class WriteMissingFinding:
     relations: tuple[tuple[str, str, float], ...]  # (discharge dx, relation, prob)
 
 
+class ContextStage(Protocol):
+    def classify(self, sample: ContextSample) -> tuple[str, float]:
+        """The sample's label (one of LABELS) and its probability."""
+
+
+class RelationStage(Protocol):
+    def predict(self, a: str, b: str) -> tuple[str, float]:
+        """The relation of disease a to disease b and its probability."""
+
+
 @dataclass(frozen=True)
 class Models:
-    context: object  # classify(sample, record_id=None) -> (label, prob)
-    relation: object  # predict(a, b) -> (relation, prob)
+    context: ContextStage
+    relation: RelationStage
+
+    def __post_init__(self):
+        if self.context is None or self.relation is None:
+            raise ModelNotLoaded("detect requires trained context and relation models")
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,6 @@ def _detect_record(
     lexicons: PipelineLexicons,
     config: DetectConfig,
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
-    if models.context is None or models.relation is None:
-        raise ModelNotLoaded("detect requires trained context and relation models")
     discharge = discharge_names(record)
     discharge_set = set(discharge)
     emit_on = config.emitting_relations
@@ -83,7 +96,7 @@ def _detect_record(
             continue  # recorded verbatim: no model calls needed
         windowed = build_context_window(record, mention)
         sample = assemble_features(windowed.disease, windowed.context, lexicons.features)
-        label, prob = models.context.classify(sample, record_id=record.record_id)
+        label, prob = models.context.classify(sample)
         label_counts[label] += 1
         if label != "confirmed":
             continue

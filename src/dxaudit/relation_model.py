@@ -299,9 +299,9 @@ class PairTrainConfig:
 
     def __post_init__(self):
         require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=1,
-                         learning_rate=0.0, pretrain_learning_rate=0.0)
-        if not 0.0 < self.tau < math.inf:
-            raise BadSetting(f"tau must be finite and > 0, got {self.tau}")
+                         learning_rate=0.0, pretrain_learning_rate=0.0, tau=0.0)
+        if self.tau == 0.0:
+            raise BadSetting("tau must be > 0, got 0")
 
 
 class PairEncoder:
@@ -529,8 +529,9 @@ class RelationClassifier:
     @classmethod
     def load(cls, path) -> "RelationClassifier":
         meta, arrays = load_model(path, "relation")
-        config = load_config(meta, PairTrainConfig)
-        encoder = PairEncoder(list(meta["vocab"]), d_pair=meta["d_pair"])
+        with meta.settings():
+            config = load_config(meta, PairTrainConfig)
+            encoder = PairEncoder(list(meta.text("vocab")), d_pair=meta["d_pair"])
         encoder.embedding = arrays.shaped_like("embedding", encoder.embedding)
         model = cls(encoder, config)
         for name in ("W_h", "b_h", "W_o", "b_o"):

@@ -626,6 +626,40 @@ class TestHostileInput:
         assert repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("context", "window", "2"),
+        ("context", "window", -1),
+        ("context", "d", "8"),
+        ("context", "d_f", 0),
+        ("context", "n_classes", "3"),
+        ("context", "n_classes", True),
+        ("context", "vocab", 123),
+        ("context", "config.batch_size", "64"),
+        ("relation", "d_pair", "24"),
+        ("relation", "d_pair", 0),
+        ("relation", "d_pair", 24.0),
+        ("relation", "vocab", 123),
+        ("relation", "config.tau", "0.05"),
+    ])
+    def test_model_header_value_is_checked(self, workspace, tmp_path, capsys, kind,
+                                           key, value):
+        meta, arrays = load_model(workspace / f"{kind}.bin", kind)
+        meta = dict(meta, config=dict(meta["config"]))
+        *section, name = key.split(".")
+        (meta["config"] if section else meta)[name] = value
+        edited = tmp_path / f"{kind}.bin"
+        save_model(edited, kind, meta, dict(arrays))
+        models = {"context": workspace / "context.bin",
+                  "relation": workspace / "relation.bin", kind: edited}
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(models["context"]),
+                    "--relation-model", str(models["relation"]),
+                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert name in err
+        assert "Traceback" not in err
+
 
 class TestInputFileErrors:
     """Each malformed input file exits 65 with its line, never a traceback."""

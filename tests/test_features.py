@@ -8,7 +8,6 @@ import pytest
 from dxaudit.core import LexiconKind, make_lexicon
 from dxaudit.errors import BadPattern, EmptyContext
 from dxaudit.features import (
-    OrderTrackScope,
     assemble_features,
     mark_disease_positions,
     mark_negation,
@@ -84,11 +83,6 @@ class TestSerialNumbers:
     def test_arabic_enumerators_whole_items(self, enumerator_lexicon):
         track = mark_serial_numbers("1.高血压 2.糖尿病", enumerator_lexicon)
         assert bits(track) == "1" * 11
-
-    def test_enumerator_only_scope(self, enumerator_lexicon):
-        track = mark_serial_numbers("1.高血压 2.糖尿病", enumerator_lexicon,
-                                    scope=OrderTrackScope.ENUMERATOR_ONLY)
-        assert bits(track) == "11000011000"
 
     def test_circled_digit(self, enumerator_lexicon):
         track = mark_serial_numbers("①肺炎", enumerator_lexicon)

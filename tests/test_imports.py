@@ -1,9 +1,14 @@
-"""Rules on the package source: numpy is its only runtime dependency, and
-only core writes files."""
+"""Rules on the package source: numpy is its only runtime dependency,
+only core writes files, and every stage method has its Protocol's
+parameters."""
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
+
+from dxaudit.pipeline import ContextStage, RelationStage
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dxaudit"
 ALLOWED = {"numpy", "dxaudit"}
@@ -77,3 +82,29 @@ def test_every_write_call_is_found(tmp_path):
     assert list(file_writes(source)) == [
         (5, "open(mode='w')"), (6, "open(mode='ab')"), (7, "open(mode=m)"),
         (8, "open(mode='r+')"), (9, "json.dump"), (10, "json.dumps"), (12, "csv.writer")]
+
+
+STAGE_METHODS = {"classify": ContextStage, "predict": RelationStage}
+
+
+def parameters(function):
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(function).parameters.values()]
+
+
+def test_stage_methods_match_their_protocol():
+    found, wrong = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"dxaudit.{path.stem}".removesuffix(".__init__"))
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__ or cls in STAGE_METHODS.values():
+                continue
+            for method, protocol in STAGE_METHODS.items():
+                if method in vars(cls):
+                    found.append(cls.__name__)
+                    if parameters(vars(cls)[method]) != parameters(vars(protocol)[method]):
+                        wrong.append(f"{cls.__name__}.{method}")
+    assert set(found) >= {"ContextClassifier", "ConfirmAllContext", "LookupContextOracle",
+                          "TrackZeroingContext", "RelationClassifier",
+                          "IrrelevanceAllRelation", "MapRelationOracle"}
+    assert wrong == []

@@ -35,8 +35,11 @@ def lexicons(pool, feature_lexicons):
     return PipelineLexicons(diseases=pool, features=feature_lexicons)
 
 
-def oracle_models(mention_labels, similar_pairs=()):
-    return Models(context=LookupContextOracle(mention_labels),
+def oracle_models(records, lexicons, mention_labels, similar_pairs=()):
+    gold = synth.SynthGold(findings=(), mention_labels=tuple(mention_labels))
+    samples = synth.labeled_context_samples(records, gold, lexicons.diseases,
+                                            lexicons.features)
+    return Models(context=LookupContextOracle(samples),
                   relation=MapRelationOracle(similar_pairs))
 
 
@@ -48,7 +51,7 @@ def record(record_id, text, discharge):
 class TestDetect:
     def test_planted_confirmed_disease_found_with_spans(self, lexicons):
         rec = record("r1", "入院后确诊为肺炎，继续治疗。", ["高血压"])
-        models = oracle_models([("r1", "肺炎", "confirmed")])
+        models = oracle_models([rec], lexicons, [("r1", "肺炎", "confirmed")])
         findings = detect_write_missing(rec, models, lexicons)
         assert len(findings) == 1
         finding = findings[0]
@@ -61,7 +64,7 @@ class TestDetect:
         calls = []
 
         class SpyContext:
-            def classify(self, sample, record_id=None):
+            def classify(self, sample):
                 calls.append(sample.disease)
                 return "confirmed", 1.0
 
@@ -72,27 +75,27 @@ class TestDetect:
 
     def test_non_confirmed_labels_filtered(self, lexicons):
         rec = record("r1", "否认高血压。肺炎待查。", [])
-        models = oracle_models([("r1", "高血压", "non_current"),
-                                ("r1", "肺炎", "unknown")])
+        models = oracle_models([rec], lexicons, [("r1", "高血压", "non_current"),
+                                                 ("r1", "肺炎", "unknown")])
         assert detect_write_missing(rec, models, lexicons) == []
 
     def test_similar_discharge_name_suppresses(self, lexicons):
         rec = record("r1", "入院后确诊为肺炎。", ["肺部感染"])
-        models = oracle_models([("r1", "肺炎", "confirmed")],
+        models = oracle_models([rec], lexicons, [("r1", "肺炎", "confirmed")],
                                similar_pairs=[("肺炎", "肺部感染")])
         assert detect_write_missing(rec, models, lexicons) == []
 
     def test_empty_discharge_list_emits(self, lexicons):
         rec = record("r1", "入院后确诊为肺炎。", [])
-        models = oracle_models([("r1", "肺炎", "confirmed")])
+        models = oracle_models([rec], lexicons, [("r1", "肺炎", "confirmed")])
         findings = detect_write_missing(rec, models, lexicons)
         assert [f.disease for f in findings] == ["肺炎"]
         assert findings[0].relations == ()
 
     def test_findings_sorted_by_first_span(self, lexicons):
         rec = record("r1", "确诊胃溃疡。另确诊为肺炎。", [])
-        models = oracle_models([("r1", "胃溃疡", "confirmed"),
-                                ("r1", "肺炎", "confirmed")])
+        models = oracle_models([rec], lexicons, [("r1", "胃溃疡", "confirmed"),
+                                                 ("r1", "肺炎", "confirmed")])
         findings = detect_write_missing(rec, models, lexicons)
         assert [f.disease for f in findings] == ["胃溃疡", "肺炎"]
 
@@ -113,6 +116,13 @@ class TestDetect:
         with pytest.raises(DxAuditError, match="bogus"):
             DetectConfig(emit_on="bogus")
 
+    def test_lookup_oracle_refuses_two_labels_for_one_sample(self, lexicons):
+        rec = record("r1", "确诊为肺炎。", [])
+        twin = dataclasses.replace(rec, record_id="r2")
+        with pytest.raises(ValueError, match="肺炎"):
+            oracle_models([rec, twin], lexicons, [("r1", "肺炎", "confirmed"),
+                                                  ("r2", "肺炎", "unknown")])
+
     def test_model_not_loaded(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
         with pytest.raises(ModelNotLoaded):
@@ -127,9 +137,10 @@ class TestDetect:
                                    enumeration_rate=0.3, seed=21)
         records, gold = synth.gen_synthetic_corpus(spec, disease_pool, templates,
                                                    variant_pairs=variants)
-        models = oracle_models(gold.mention_labels, similar_pairs=variants)
         full_lexicons = PipelineLexicons(diseases=disease_pool,
                                          features=feature_lexicons)
+        models = oracle_models(records, full_lexicons, gold.mention_labels,
+                               similar_pairs=variants)
         for rec in records:
             base = {f.disease for f in
                     detect_write_missing(rec, models, full_lexicons)}
@@ -154,7 +165,7 @@ class TestBatchDetect:
             labels += [(f"r{i}", "肺炎", "confirmed"),
                        (f"r{i}", "高血压", "confirmed"),
                        (f"r{i}", "脑梗死", "non_current")]
-        models = oracle_models(labels)
+        models = oracle_models(records, lexicons, labels)
         seq = batch_detect(records, models, lexicons, parallelism=1)
         par = batch_detect(records, models, lexicons, parallelism=8)
         path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -163,7 +174,7 @@ class TestBatchDetect:
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_empty_corpus(self, lexicons):
-        report = batch_detect([], oracle_models([]), lexicons)
+        report = batch_detect([], oracle_models([], lexicons, []), lexicons)
         assert report.results == []
         assert report.summary["records"] == 0
         assert report.summary["findings"] == 0
@@ -174,7 +185,8 @@ class TestBatchDetect:
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(good, ensure_ascii=False) + "\n{broken\n",
                         encoding="utf-8")
-        models = oracle_models([("ok", "肺炎", "confirmed")])
+        models = oracle_models([record("ok", good["sections"][0]["text"], [])],
+                               lexicons, [("ok", "肺炎", "confirmed")])
         report = batch_detect(str(path), models, lexicons)
         assert len(report.results) == 1
         assert report.results[0].record_id == "ok"
@@ -183,8 +195,8 @@ class TestBatchDetect:
 
     def test_summary_counts(self, lexicons):
         records = [record("r1", "确诊为肺炎。否认高血压。", [])]
-        models = oracle_models([("r1", "肺炎", "confirmed"),
-                                ("r1", "高血压", "non_current")])
+        models = oracle_models(records, lexicons, [("r1", "肺炎", "confirmed"),
+                                                   ("r1", "高血压", "non_current")])
         report = batch_detect(records, models, lexicons)
         assert report.summary["findings"] == 1
         assert report.summary["context_labels"]["confirmed"] == 1
@@ -193,7 +205,7 @@ class TestBatchDetect:
 
     def test_report_round_trip(self, lexicons, tmp_path):
         records = [record("r1", "确诊为肺炎。", [])]
-        models = oracle_models([("r1", "肺炎", "confirmed")])
+        models = oracle_models(records, lexicons, [("r1", "肺炎", "confirmed")])
         report = batch_detect(records, models, lexicons)
         path = tmp_path / "report.jsonl"
         write_report(report, path)

@@ -139,9 +139,11 @@ def corpus(disease_pool, templates, variants):
 
 
 @pytest.fixture(scope="module")
-def oracle_models(corpus, variants):
-    _, gold = corpus
-    return Models(context=LookupContextOracle(gold.mention_labels),
+def oracle_models(corpus, variants, disease_pool, feature_lexicons):
+    records, gold = corpus
+    samples = synth.labeled_context_samples(records, gold, disease_pool,
+                                            feature_lexicons)
+    return Models(context=LookupContextOracle(samples),
                   relation=MapRelationOracle(variants))
 
 
