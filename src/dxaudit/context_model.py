@@ -48,7 +48,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, max_context=0, max_disease=0,
+        require_at_least(self, batch_size=1, epochs=1, max_context=1, max_disease=1,
                          learning_rate=0.0, focal_gamma=0.0)
 
 

@@ -17,6 +17,7 @@ from .pipeline import (
     batch_detect,
 )
 from .recall import build_matcher
+from .relation_model import RELATIONS
 
 
 def _normalize_instances(instances) -> set[tuple[str, str]]:
@@ -60,11 +61,16 @@ class ConfirmAllContext:
         return "confirmed", 1.0
 
 
+def _one_hot(relations) -> np.ndarray:
+    """One row per relation name, probability 1 on that relation."""
+    return np.eye(len(RELATIONS))[[RELATIONS.index(r) for r in relations]]
+
+
 class IrrelevanceAllRelation:
     """Relation stage bypass: only exact matches count as covered."""
 
-    def predict(self, a: str, b: str):
-        return "irrelevance", 1.0
+    def predict_proba(self, a: str, b: list[str]):
+        return _one_hot(["irrelevance"] * len(b))
 
 
 class LookupContextOracle:
@@ -88,10 +94,9 @@ class MapRelationOracle:
     def __init__(self, similar_pairs=()):
         self._similar = {frozenset(p) for p in similar_pairs}
 
-    def predict(self, a: str, b: str):
-        if a == b or frozenset((a, b)) in self._similar:
-            return "similarity", 1.0
-        return "irrelevance", 1.0
+    def predict_proba(self, a: str, b: list[str]):
+        return _one_hot("similarity" if a == name or frozenset((a, name)) in self._similar
+                        else "irrelevance" for name in b)
 
 
 class TrackZeroingContext:

@@ -15,11 +15,14 @@ from itertools import chain
 from pathlib import Path
 from typing import Protocol
 
+import numpy as np
+
 from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus, json_line,
                    parse_json_object, read_lines, write_lines)
 from .errors import BadSetting, DxAuditError, ModelNotLoaded, ParseError
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
+from .relation_model import RELATIONS
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,9 @@ class ContextStage(Protocol):
 
 
 class RelationStage(Protocol):
-    def predict(self, a: str, b: str) -> tuple[str, float]:
-        """The relation of disease a to disease b and its probability."""
+    def predict_proba(self, a: str, b: list[str]) -> np.ndarray:
+        """(len(b), len(RELATIONS)) probabilities of each relation of
+        disease a to each name in b."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,10 @@ def _detect_record(
         label_counts[label] += 1
         if label != "confirmed":
             continue
+        probs = models.relation.predict_proba(mention.disease, discharge)
         relations = tuple(
-            (dx,) + tuple(models.relation.predict(mention.disease, dx))
-            for dx in discharge
+            (dx, RELATIONS[k], float(row[k]))
+            for dx, row, k in zip(discharge, probs, probs.argmax(axis=1))
         )
         if all(rel in emit_on for _, rel, _ in relations):
             findings.append(WriteMissingFinding(
@@ -152,8 +157,9 @@ def batch_detect(
     """Detect over a corpus (a list of records or a JSONL path).
 
     When given a path, bad lines become error entries and the remaining
-    records are still processed; a record whose detection raises a
-    DxAuditError becomes an error entry too. Records run one after another;
+    records are still processed. A record whose detection raises becomes
+    an error entry too: a DxAuditError's message, or any other exception's
+    type and message. Records run one after another;
     ``parallelism`` is accepted and ignored. ``matcher`` must be built from
     ``lexicons.diseases``; it is built here when not given.
     """
@@ -179,8 +185,10 @@ def batch_detect(
         try:
             findings, label_counts = _detect_record(
                 record, matcher, models, lexicons, config)
-        except DxAuditError as exc:
-            errors.append({"record_id": record.record_id, "error": str(exc)})
+        except Exception as exc:  # a fault in one record must not end the batch
+            error = str(exc) if isinstance(exc, DxAuditError) \
+                else f"{type(exc).__name__}: {exc}"
+            errors.append({"record_id": record.record_id, "error": error})
             continue
         results.append(RecordResult(record_id=record.record_id, findings=findings))
         n_findings += len(findings)

@@ -36,7 +36,15 @@ class DiseaseMatcher:
         self._entries = frozenset(entries)
         if not self._entries:
             raise EmptyLexicon("cannot build a matcher from an empty lexicon")
-        self._prefixes = {e[:k] for e in self._entries for k in range(1, len(e))}
+        # The set stays prefix-closed, so an entry's walk from its longest
+        # proper prefix down stops at the first prefix already in it.
+        self._prefixes: set[str] = set()
+        for entry in self._entries:
+            for k in range(len(entry) - 1, 0, -1):
+                prefix = entry[:k]
+                if prefix in self._prefixes:
+                    break
+                self._prefixes.add(prefix)
         firsts = sorted({e[0] for e in self._entries})
         self._first = re.compile("[" + "".join(map(re.escape, firsts)) + "]")
 

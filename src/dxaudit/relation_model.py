@@ -23,6 +23,7 @@ import random
 import re
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -298,7 +299,7 @@ class PairTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, max_name=0, hidden=1,
+        require_at_least(self, batch_size=1, epochs=1, max_name=1, hidden=1,
                          learning_rate=0.0, pretrain_learning_rate=0.0, tau=0.0)
         if self.tau == 0.0:
             raise BadSetting("tau must be > 0, got 0")
@@ -332,11 +333,12 @@ class PairEncoder:
         name. ``with_ids`` also returns the packed ids and each name's
         length, for grad()."""
         clipped = [name[:max_name] for name in names]
-        lengths = np.array([len(name) for name in clipped], dtype=np.intp)
-        if not clipped or lengths.min() == 0:
+        lengths = [len(name) for name in clipped]
+        if not clipped or min(lengths) == 0:
             raise ValueError("embed_many needs one or more non-empty names")
         ids = self.vocab.encode("".join(clipped))
-        starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+        starts = [0, *accumulate(lengths[:-1])]
+        lengths = np.array(lengths, dtype=np.intp)
         rows = np.add.reduceat(self.embedding[ids], starts, axis=0) / lengths[:, None]
         return (rows, ids, lengths) if with_ids else rows
 
@@ -454,8 +456,8 @@ class RelationClassifier:
         """Probabilities over RELATIONS for u against v, over the last axis:
         one pair when v is a vector, one row per name when v is a matrix.
         Returns the intermediates too, for the backward pass."""
-        if v.ndim > 1:
-            u = np.broadcast_to(u, v.shape)
+        if v.ndim > 1:  # np.repeat costs less per call than np.broadcast_to
+            u = np.repeat(u[None], len(v), axis=0)
         joint = np.concatenate([u, v, np.abs(u - v), u * v], axis=-1)
         pre = joint @ self.W_h + self.b_h
         hidden = np.maximum(pre, 0.0)
@@ -467,14 +469,20 @@ class RelationClassifier:
 
     def predict_proba(self, a: str, b: str | list[str]) -> np.ndarray:
         """(5,) probabilities for one name b, or (len(b), 5) for a list of
-        names, scored BLOCK_ROWS names at a time."""
+        names, scored BLOCK_ROWS names at a time. For a list, a is embedded
+        in the same pass as the first block, so a short list costs about
+        one single-pair call."""
         max_name = self.config.max_name
-        u = self.encoder.embed(normalize_disease_name(a), max_name)
+        a = normalize_disease_name(a)
         if isinstance(b, str):
-            return self._head(u, self.encoder.embed(normalize_disease_name(b), max_name))[0]
+            return self._head(self.encoder.embed(a, max_name),
+                              self.encoder.embed(normalize_disease_name(b), max_name))[0]
         names = [normalize_disease_name(name) for name in b]
+        first = self.encoder.embed_many([a] + names[:BLOCK_ROWS], max_name)
+        u = first[0]
         probs = np.empty((len(names), len(RELATIONS)))
-        for start in range(0, len(names), BLOCK_ROWS):
+        probs[:BLOCK_ROWS] = self._head(u, first[1:])[0]
+        for start in range(BLOCK_ROWS, len(names), BLOCK_ROWS):
             v = self.encoder.embed_many(names[start : start + BLOCK_ROWS], max_name)
             probs[start : start + BLOCK_ROWS] = self._head(u, v)[0]
         return probs

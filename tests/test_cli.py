@@ -635,11 +635,14 @@ class TestHostileInput:
         ("context", "n_classes", True),
         ("context", "vocab", 123),
         ("context", "config.batch_size", "64"),
+        ("context", "config.max_context", 0),
+        ("context", "config.max_disease", 0),
         ("relation", "d_pair", "24"),
         ("relation", "d_pair", 0),
         ("relation", "d_pair", 24.0),
         ("relation", "vocab", 123),
         ("relation", "config.tau", "0.05"),
+        ("relation", "config.max_name", 0),
     ])
     def test_model_header_value_is_checked(self, workspace, tmp_path, capsys, kind,
                                            key, value):

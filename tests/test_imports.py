@@ -84,7 +84,7 @@ def test_every_write_call_is_found(tmp_path):
         (8, "open(mode='r+')"), (9, "json.dump"), (10, "json.dumps"), (12, "csv.writer")]
 
 
-STAGE_METHODS = {"classify": ContextStage, "predict": RelationStage}
+STAGE_METHODS = {"classify": ContextStage, "predict_proba": RelationStage}
 
 
 def parameters(function):

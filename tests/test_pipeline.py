@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from dxaudit import synth
@@ -23,6 +24,7 @@ from dxaudit.pipeline import (
     load_report_findings,
     write_report,
 )
+from dxaudit.relation_model import RELATIONS
 
 
 @pytest.fixture()
@@ -101,8 +103,8 @@ class TestDetect:
 
     def test_emit_on_other_config(self, lexicons):
         class OtherRelation:
-            def predict(self, a, b):
-                return "other", 0.9
+            def predict_proba(self, a, b):
+                return np.tile([0.0, 0.0, 0.0, 0.1, 0.9], (len(b), 1))
 
         rec = record("r1", "入院后确诊为肺炎。", ["高血压"])
         models = Models(context=ConfirmAllContext(), relation=OtherRelation())
@@ -122,6 +124,18 @@ class TestDetect:
         with pytest.raises(ValueError, match="肺炎"):
             oracle_models([rec, twin], lexicons, [("r1", "肺炎", "confirmed"),
                                                   ("r2", "肺炎", "unknown")])
+
+    @pytest.mark.parametrize("stage, names, expected", [
+        (IrrelevanceAllRelation(), ["肺部感染", "肺炎"], ["irrelevance", "irrelevance"]),
+        (MapRelationOracle([("肺炎", "肺部感染")]), ["肺部感染", "高血压", "肺炎"],
+         ["similarity", "irrelevance", "similarity"]),
+    ], ids=["irrelevance-all", "map-oracle"])
+    def test_relation_stand_ins_give_one_hot_rows(self, stage, names, expected):
+        assert stage.predict_proba("肺炎", []).shape == (0, len(RELATIONS))
+        probs = stage.predict_proba("肺炎", names)
+        assert probs.shape == (len(names), len(RELATIONS))
+        assert np.array_equal(probs, np.eye(len(RELATIONS))[
+            [RELATIONS.index(relation) for relation in expected]])
 
     def test_model_not_loaded(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
@@ -172,6 +186,24 @@ class TestBatchDetect:
         write_report(seq, path_a)
         write_report(par, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_unexpected_error_in_one_record_is_its_error_entry(self, lexicons):
+        class FaultyRelation:
+            def predict_proba(self, a, b):
+                if a == "胃溃疡":
+                    raise ValueError("cannot score 胃溃疡")
+                return IrrelevanceAllRelation().predict_proba(a, b)
+
+        records = [record("r1", "确诊为肺炎。", ["高血压"]),
+                   record("r2", "确诊为胃溃疡。", ["高血压"]),
+                   record("r3", "确诊为脑梗死。", [])]
+        report = batch_detect(records, Models(ConfirmAllContext(), FaultyRelation()),
+                              lexicons)
+        assert [r.record_id for r in report.results] == ["r1", "r3"]
+        assert report.errors == [{"record_id": "r2",
+                                  "error": "ValueError: cannot score 胃溃疡"}]
+        assert report.summary["records"] == 2
+        assert report.summary["errors"] == 1
 
     def test_empty_corpus(self, lexicons):
         report = batch_detect([], oracle_models([], lexicons, []), lexicons)

@@ -74,6 +74,16 @@ class TestMatcher:
             got = sorted(resolve_overlaps(matcher.scan(text)))
             assert got == expected
 
+    def test_prefix_set_of_a_nested_lexicon_is_every_proper_prefix(self):
+        # Composed names nest: each is a prefix or a suffix of longer ones.
+        entries = {modifier + site + pathology + stage
+                   for modifier in ("", "急性", "慢性")
+                   for site in ("", "肺", "肺部", "左肺上叶", "胃")
+                   for pathology in ("炎", "癌", "溃疡")
+                   for stage in ("", "I期", "IV期")}
+        matcher = build_matcher(disease_lexicon(*entries))
+        assert matcher._prefixes == {e[:k] for e in entries for k in range(1, len(e))}
+
     def test_determinism(self):
         matcher = build_matcher(disease_lexicon("肺炎", "高血压", "大叶性肺炎"))
         record = record_of("大叶性肺炎，高血压。否认肺炎。")

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from dxaudit.core import IcdIndex, MedicalRecord
+from dxaudit.evaluate import ConfirmAllContext, report_instances
+from dxaudit.pipeline import DetectConfig, Models, PipelineLexicons, batch_detect
+from dxaudit.synth import SyntheticSpec, Templates, gen_synthetic_corpus, load_variant_pairs
 from dxaudit import relation_model
 from dxaudit.modelio import load_model, save_model
 from dxaudit.errors import (
@@ -443,6 +446,44 @@ class TestBlockScoring:
                                    rtol=0, atol=1e-12)
 
 
+class PerPairRelation:
+    """The per-pair path: one single-pair forward per (candidate, discharge name)."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_proba(self, a, b):
+        rows = [self.model.predict_proba(a, name) for name in b]
+        return np.array(rows).reshape(-1, len(RELATIONS))
+
+
+@pytest.mark.parametrize("emit_on", ["irrelevance_only", "irrelevance_or_other"])
+def test_detect_relations_are_the_single_pair_predictions(
+        pool_pair_model, disease_pool, feature_lexicons, data_dir, emit_on):
+    spec = SyntheticSpec(n_records=150, diseases_per_record=4, miss_rate=0.35,
+                         negation_rate=0.25, enumeration_rate=0.3, seed=23)
+    records, _ = gen_synthetic_corpus(
+        spec, disease_pool, Templates.load(data_dir / "templates.txt"),
+        variant_pairs=load_variant_pairs(data_dir / "disease_variants.tsv"))
+    model = pool_pair_model[0]
+    lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
+    config = DetectConfig(emit_on=emit_on)
+    report = batch_detect(records, Models(ConfirmAllContext(), model), lexicons, config)
+    assert report.errors == []
+    checked = 0
+    for result in report.results:
+        for finding in result.findings:
+            for dx, relation, prob in finding.relations:
+                expected, expected_prob = model.predict(finding.disease, dx)
+                assert relation == expected
+                assert abs(prob - expected_prob) <= 1e-12
+                checked += 1
+    assert checked > 100
+    per_pair = batch_detect(records, Models(ConfirmAllContext(), PerPairRelation(model)),
+                            lexicons, config)
+    assert report_instances(report) == report_instances(per_pair)
+
+
 class TestModelFileFields:
     @pytest.mark.parametrize("part, key", [("meta", "vocab"), ("meta", "config"),
                                            ("arrays", "W_h")])
@@ -456,4 +497,13 @@ class TestModelFileFields:
         save_model(path, "relation", meta, arrays)
         pattern = re.escape(f"{path}: model ") + f".*'{key}'"
         with pytest.raises(BadModelFile, match=pattern):
+            RelationClassifier.load(path)
+
+    def test_zero_max_name_is_refused(self, fixture_pair_model, tmp_path):
+        fixture_pair_model[0].save(tmp_path / "full.bin")
+        meta, arrays = load_model(tmp_path / "full.bin", "relation")
+        meta = dict(meta, config=dict(meta["config"], max_name=0))
+        path = tmp_path / "zero.bin"
+        save_model(path, "relation", meta, dict(arrays))
+        with pytest.raises(BadModelFile, match="max_name"):
             RelationClassifier.load(path)
