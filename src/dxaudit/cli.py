@@ -176,7 +176,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
     p.add_argument("--pretrain-epochs", type=int)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--batch-size", type=int,
+                   help="pairs per InfoNCE pretraining batch only; fine-tuning "
+                        "always takes batches of 8 examples")
     p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--pretrain-lr", dest="pretrain_learning_rate", type=float)
     p.add_argument("--tau", type=float)

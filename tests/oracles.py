@@ -227,6 +227,46 @@ def seed_relation_forward(model, a, b):
     return exp / exp.sum()
 
 
+def seed_finetune_step(model, ids_a, ids_b, label_index, lr):
+    """The original per-example fine-tune SGD step, with outer products and
+    np.add.at scattering into the embedding table."""
+    import numpy as np
+
+    table = model.encoder.embedding
+    u = table[ids_a].mean(axis=0)
+    v = table[ids_b].mean(axis=0)
+    joint = np.concatenate([u, v, np.abs(u - v), u * v])
+    pre = joint @ model.W_h + model.b_h
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ model.W_o + model.b_o
+    exp = np.exp(logits - logits.max())
+    probs = exp / exp.sum()
+    loss = -math.log(max(float(probs[label_index]), 1e-12))
+    d_logits = probs.copy()
+    d_logits[label_index] -= 1.0
+
+    d_W_o = np.outer(hidden, d_logits)
+    d_hidden = model.W_o @ d_logits
+    d_pre = d_hidden * (pre > 0.0)
+    d_W_h = np.outer(joint, d_pre)
+    d_joint = model.W_h @ d_pre
+
+    d_u, d_v, d_abs, d_prod = d_joint.reshape(4, -1)
+    sign = np.sign(u - v)
+    du = d_u + sign * d_abs + v * d_prod
+    dv = d_v - sign * d_abs + u * d_prod
+
+    model.W_o -= lr * d_W_o
+    model.b_o -= lr * d_logits
+    model.W_h -= lr * d_W_h
+    model.b_h -= lr * d_pre
+    grad = np.zeros_like(table)
+    np.add.at(grad, ids_a, du / len(ids_a))
+    np.add.at(grad, ids_b, dv / len(ids_b))
+    table -= lr * grad
+    return loss
+
+
 def seed_cc_mcc_level(disease, icd, relation_model, threshold):
     """The original entry-by-entry ICD scan: one pair forward per entry,
     strictly greater probability replaces the best so far."""

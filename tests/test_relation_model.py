@@ -46,6 +46,7 @@ from conftest import make_fixture_icd_entries
 from oracles import (
     central_difference_worst_error,
     naive_info_nce,
+    seed_finetune_step,
     seed_normalize_disease_name,
     seed_relation_forward,
 )
@@ -287,20 +288,86 @@ class TestGradients:
         model = RelationClassifier(encoder, PairTrainConfig(hidden=6, max_name=6), seed=2)
         a, b, label = "abcafedc", "dexd", RELATIONS.index("secondary")
 
-        def params(m):
-            return {"W_h": m.W_h, "b_h": m.b_h, "W_o": m.W_o, "b_o": m.b_o,
-                    "embedding": m.encoder.embedding}
-
         # one SGD step at lr=1 moves each parameter by minus its gradient
         stepped = copy.deepcopy(model)
-        stepped._step(stepped.encoder.encode_ids(a, 6), stepped.encoder.encode_ids(b, 6),
-                      label, 1.0)
-        after = params(stepped)
-        analytic = {name: table - after[name] for name, table in params(model).items()}
+        stepped._step([(stepped.encoder.encode_ids(a, 6), stepped.encoder.encode_ids(b, 6),
+                        label)], 1.0)
+        after = step_params(stepped)
+        analytic = {name: table - after[name]
+                    for name, table in step_params(model).items()}
         worst = central_difference_worst_error(
-            params(model), analytic,
+            step_params(model), analytic,
             lambda: -math.log(model.predict_proba(a, b)[label]))
         assert worst < 1e-4
+
+    def test_finetune_batch_gradients(self):
+        """One step on a batch moves each parameter by minus the gradient of
+        the batch's summed loss. The names share characters, so rows of the
+        embedding table take gradient from several examples, and the batch
+        holds a symmetric pair in both orders, as finetune builds it."""
+        encoder = PairEncoder(list("abcdefg"), d_pair=3, seed=1)
+        model = RelationClassifier(encoder, PairTrainConfig(hidden=6, max_name=6), seed=2)
+        examples = [("abcafedc", "dexd", "secondary"), ("cab", "gfa", "inclusion"),
+                    ("bdgb", "ea", "irrelevance"), ("ea", "bdgb", "irrelevance")]
+        batch = [(encoder.encode_ids(a, 6), encoder.encode_ids(b, 6), RELATIONS.index(r))
+                 for a, b, r in examples]
+        stepped = copy.deepcopy(model)
+        stepped._step(batch, 1.0)
+        after = step_params(stepped)
+        analytic = {name: table - after[name]
+                    for name, table in step_params(model).items()}
+        worst = central_difference_worst_error(
+            step_params(model), analytic,
+            lambda: sum(-math.log(model.predict_proba(a, b)[RELATIONS.index(r)])
+                        for a, b, r in examples))
+        assert worst < 1e-4
+
+
+def step_params(model):
+    return {"W_h": model.W_h, "b_h": model.b_h, "W_o": model.W_o, "b_o": model.b_o,
+            "embedding": model.encoder.embedding}
+
+
+class TestBatchedStep:
+    """The batched fine-tune step against the seed's per-example step."""
+
+    @staticmethod
+    def model_and_examples(n):
+        encoder = PairEncoder(list("abcdefghij"), d_pair=4, seed=5)
+        model = RelationClassifier(encoder, PairTrainConfig(hidden=7), seed=6)
+        rng = random.Random(n)
+        examples = []
+        for _ in range(n):
+            a, b = ("".join(rng.choice("abcdefghijx") for _ in range(rng.randint(1, 9)))
+                    for _ in range(2))
+            examples.append((encoder.encode_ids(a), encoder.encode_ids(b),
+                             rng.randrange(len(RELATIONS))))
+        return model, examples
+
+    def test_batch_of_one_is_the_seed_step(self):
+        model, examples = self.model_and_examples(5)
+        for example in examples:
+            oracle = copy.deepcopy(model)
+            expected_loss = seed_finetune_step(oracle, *example, 0.3)
+            loss = model._step([example], 0.3)
+            assert loss == pytest.approx(expected_loss, abs=1e-12)
+            for name, table in step_params(model).items():
+                assert np.abs(table - step_params(oracle)[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("n", [2, 5, relation_model.FINETUNE_BATCH])
+    def test_batch_moves_by_the_sum_of_single_moves(self, n):
+        model, examples = self.model_and_examples(n)
+        start = step_params(model)
+        summed = {name: np.zeros_like(table) for name, table in start.items()}
+        for example in examples:
+            single = copy.deepcopy(model)
+            single._step([example], 0.3)
+            for name, table in step_params(single).items():
+                summed[name] += table - start[name]
+        batched = copy.deepcopy(model)
+        batched._step(examples, 0.3)
+        for name, table in step_params(batched).items():
+            assert np.abs((table - start[name]) - summed[name]).max() <= 1e-12, name
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +420,39 @@ class TestFineTune:
     def test_loss_decreases(self, fixture_pair_model):
         _, _, history = fixture_pair_model
         assert history[-1] < history[0]
+
+    @pytest.mark.parametrize("extra", [0, 6, 10])
+    def test_partial_last_batch(self, tmp_path, extra):
+        """Example counts that FINETUNE_BATCH does not divide, one of them
+        below a single batch: training finishes, fits a pair of every class
+        and retrains to the same bytes."""
+        pairs = [DiseasePair("头痛", "头痛", PairSource.ANNOTATED, "similarity"),
+                 DiseasePair("糖尿病", "糖尿病肾病", PairSource.ANNOTATED, "inclusion"),
+                 DiseasePair("肺炎", "呼吸衰竭", PairSource.ANNOTATED, "secondary"),
+                 DiseasePair("骨折", "贫血", PairSource.ANNOTATED, "irrelevance"),
+                 DiseasePair("高血压", "胃炎", PairSource.ANNOTATED, "other")]
+        for i in range(extra):
+            pairs.append(DiseasePair(f"感染{i}", f"脓毒症{i}", PairSource.ANNOTATED,
+                                     "secondary") if i % 2 else
+                         DiseasePair(f"肿瘤{i}", f"肿瘤{i}转移", PairSource.ANNOTATED,
+                                     "inclusion"))
+        # irrelevance and other are trained in both orders
+        n_examples = len(pairs) + 2
+        assert n_examples % relation_model.FINETUNE_BATCH != 0
+        assert (n_examples < relation_model.FINETUNE_BATCH) == (extra == 0)
+        config = PairTrainConfig(learning_rate=0.05, hidden=16, epochs=150, seed=4)
+
+        def train(path):
+            encoder = PairEncoder.from_names([p.a + p.b for p in pairs], d_pair=8, seed=4)
+            model, history = finetune(encoder, pairs, config)
+            model.save(path)
+            return model, history
+
+        model, history = train(tmp_path / "first.bin")
+        assert len(history) == config.epochs and history[-1] < history[0]
+        assert all(model.predict(p.a, p.b)[0] == p.relation for p in pairs)
+        train(tmp_path / "again.bin")
+        assert (tmp_path / "first.bin").read_bytes() == (tmp_path / "again.bin").read_bytes()
 
     def test_missing_class_raises(self, data_dir):
         pairs = [p for p in load_pairs(data_dir / "relation_pairs_fixture.tsv")
