@@ -155,7 +155,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-context", _cmd_train_context,
                        help="train the context classifier")
     p.add_argument("--samples", required=True, help="JSONL {disease, context, label}")
-    p.add_argument("--dev", help="held-out samples for accuracy tracking")
+    p.add_argument("--dev", help="held-out samples for accuracy tracking (at least one)")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

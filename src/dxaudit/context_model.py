@@ -80,7 +80,11 @@ def _segments(starts: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray
     if starts is None:
         return np.zeros(1, dtype=np.intp), np.array([n])
     starts = np.asarray(starts, dtype=np.intp)
-    return starts, np.diff(starts, append=n)
+    # np.diff(append=) costs four times this on a batch's few starts
+    lengths = np.empty(len(starts), dtype=np.intp)
+    lengths[:-1] = starts[1:] - starts[:-1]
+    lengths[-1] = n - starts[-1]
+    return starts, lengths
 
 
 def _row_sums(n_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -118,17 +122,17 @@ def _passes(sequences, size: int):
         yield start, len(sequences)
 
 
-def pack(sequences) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+def pack(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lay (ids, tracks) sequences end to end, with no padding.
 
-    Returns the concatenated ids, the three concatenated tracks, and the
-    row at which each sequence starts.
+    Returns the concatenated ids, the three concatenated tracks as the rows
+    of one (3, n) array, and the row at which each sequence starts.
     """
     lengths = [len(ids) for ids, _ in sequences]
     starts = np.zeros(len(lengths), dtype=np.intp)
     np.cumsum(lengths[:-1], out=starts[1:])
     ids = np.concatenate([ids for ids, _ in sequences])
-    tracks = tuple(np.concatenate([tr[t] for _, tr in sequences]) for t in range(3))
+    tracks = np.concatenate([tr for _, tr in sequences], axis=1)
     return ids, tracks, starts
 
 
@@ -412,27 +416,22 @@ class ContextClassifier:
 
     # -- input assembly ---------------------------------------------------
 
-    def inputs(self, sample: ContextSample) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def inputs(self, sample: ContextSample) -> tuple[np.ndarray, np.ndarray]:
         """The sample as one sequence: char ids of (disease, SEP, context) and
-        the three 0/1 tracks aligned with them."""
+        the (pos, neg, order) 0/1 tracks aligned with them, as the rows of
+        one (3, n) array. The disease rows read (1, 0, 0), the SEP row 0."""
         disease = sample.disease[: self.config.max_disease]
         context = sample.context[: self.config.max_context]
-        ids = np.concatenate([
-            self.encoder.vocab.encode(disease),
-            np.array([SEP_ID], dtype=np.intp),
-            self.encoder.vocab.encode(context),
-        ])
-
-        def extend(track, prefix_bit):
-            return np.concatenate([
-                np.full(len(disease), prefix_bit, dtype=np.uint8),
-                np.zeros(1, dtype=np.uint8),
-                np.asarray(track[: len(context)], dtype=np.uint8),
-            ])
-
-        tracks = (extend(sample.pos_track, 1),
-                  extend(sample.neg_track, 0),
-                  extend(sample.order_track, 0))
+        sep = len(disease)
+        ids = np.empty(sep + 1 + len(context), dtype=np.intp)
+        ids[:sep] = self.encoder.vocab.encode(disease)
+        ids[sep] = SEP_ID
+        ids[sep + 1:] = self.encoder.vocab.encode(context)
+        tracks = np.zeros((3, len(ids)), dtype=np.uint8)
+        tracks[0, :sep] = 1
+        for row, track in enumerate((sample.pos_track, sample.neg_track,
+                                     sample.order_track)):
+            tracks[row, sep + 1:] = track[: len(context)]
         return ids, tracks
 
     # -- inference ----------------------------------------------------------
@@ -479,13 +478,14 @@ class ContextClassifier:
         return np.concatenate([self._probs(*pack(sequences[a:b]))
                                for a, b in _passes(sequences, self.config.batch_size)])
 
-    def mean_loss(self, sequences, label_indices) -> float:
-        probs = self._batched_probs(sequences)
+    # The two reductions take ``_batched_probs`` rows, so one forward pass
+    # over a set serves both.
+
+    def mean_loss(self, probs: np.ndarray, label_indices) -> float:
         return float(focal_loss(probs, np.asarray(label_indices, dtype=np.intp),
                                 self.config.focal_gamma).mean())
 
-    def accuracy(self, sequences, label_indices) -> float:
-        probs = self._batched_probs(sequences)
+    def accuracy(self, probs: np.ndarray, label_indices) -> float:
         return float(np.mean(np.argmax(probs, axis=1) == np.asarray(label_indices)))
 
     def named_params(self):
@@ -533,9 +533,13 @@ def train(samples: list[ContextSample], config: TrainConfig,
 
     Per-epoch loss is the full-training-set loss measured after the
     epoch's updates; dev accuracy falls back to training accuracy when no
-    dev split is given.
+    dev split is given. Each evaluated set takes one forward pass per
+    epoch: without a dev split the training set's pass gives both loss
+    and accuracy. A dev split that is given must not be empty.
     """
     labels = [s.label for s in samples]
+    if dev_samples is not None and not dev_samples:
+        raise DegenerateData("the dev set is empty")
     if any(s.label is None for s in [*samples, *(dev_samples or ())]):
         raise DegenerateData("every training and dev sample needs a label")
     present = set(labels)
@@ -544,7 +548,7 @@ def train(samples: list[ContextSample], config: TrainConfig,
         raise DegenerateData(f"classes absent from training data: {missing}")
 
     texts = [s.disease for s in samples] + [s.context for s in samples]
-    if dev_samples:
+    if dev_samples is not None:
         texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
     encoder = CharWindowEncoder(CharVocab.from_texts(texts), d_enc=d_enc, seed=config.seed)
     head = GatedFusionHead(d_enc=d_enc, d=d, seed=config.seed + 1)
@@ -552,9 +556,9 @@ def train(samples: list[ContextSample], config: TrainConfig,
 
     label_indices = [LABELS.index(lbl) for lbl in labels]
     sequences = [model.inputs(s) for s in samples]
-    eval_sequences, eval_labels = sequences, label_indices
-    if dev_samples:
-        eval_sequences = [model.inputs(s) for s in dev_samples]
+    eval_labels = label_indices
+    if dev_samples is not None:
+        dev_sequences = [model.inputs(s) for s in dev_samples]
         eval_labels = [LABELS.index(s.label) for s in dev_samples]
 
     rng = random.Random(config.seed)
@@ -570,10 +574,12 @@ def train(samples: list[ContextSample], config: TrainConfig,
             for key in head.p:
                 head.p[key] -= scale * head_grads[key]
             encoder.embedding -= scale * enc_grads["embedding"]
+        probs = model._batched_probs(sequences)
+        eval_probs = probs if dev_samples is None else model._batched_probs(dev_sequences)
         history.append(EpochStats(
             epoch=epoch,
-            loss=model.mean_loss(sequences, label_indices),
-            dev_accuracy=model.accuracy(eval_sequences, eval_labels),
+            loss=model.mean_loss(probs, label_indices),
+            dev_accuracy=model.accuracy(eval_probs, eval_labels),
         ))
     return model, history
 

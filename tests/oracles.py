@@ -288,3 +288,75 @@ def seed_cc_mcc_level(disease, icd, relation_model, threshold):
         if prob >= threshold and (best is None or prob > best[0]):
             best = (prob, entry.cc_level)
     return best[1] if best is not None else CcLevel.NONE
+
+
+def seed_context_inputs(model, sample):
+    """The original context input assembly: ids and each track built by
+    concatenating their disease, SEP and context parts, tracks as a tuple."""
+    import numpy as np
+
+    from dxaudit.context_model import SEP_ID
+
+    disease = sample.disease[: model.config.max_disease]
+    context = sample.context[: model.config.max_context]
+    ids = np.concatenate([model.encoder.vocab.encode(disease),
+                          np.array([SEP_ID], dtype=np.intp),
+                          model.encoder.vocab.encode(context)])
+
+    def extend(track, prefix_bit):
+        return np.concatenate([np.full(len(disease), prefix_bit, dtype=np.uint8),
+                               np.zeros(1, dtype=np.uint8),
+                               np.asarray(track[: len(context)], dtype=np.uint8)])
+
+    return ids, (extend(sample.pos_track, 1), extend(sample.neg_track, 0),
+                 extend(sample.order_track, 0))
+
+
+def seed_context_train(samples, config, dev_samples=None, d=32, d_enc=32):
+    """The context training loop with its original evaluation: after each
+    epoch the loss and the accuracy each take their own forward pass, so
+    without a dev set the training set is scored twice.
+
+    The packed passes themselves are the model's; only the evaluation
+    schedule is rebuilt here.
+    """
+    import random
+
+    import numpy as np
+
+    from dxaudit.context_model import (CharVocab, CharWindowEncoder, ContextClassifier,
+                                       EpochStats, GatedFusionHead, focal_loss)
+    from dxaudit.features import LABELS
+
+    evaluated = dev_samples if dev_samples else samples
+    texts = [s.disease for s in samples] + [s.context for s in samples]
+    if dev_samples:
+        texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
+    encoder = CharWindowEncoder(CharVocab.from_texts(texts), d_enc=d_enc, seed=config.seed)
+    head = GatedFusionHead(d_enc=d_enc, d=d, seed=config.seed + 1)
+    model = ContextClassifier(encoder, head, config)
+    labels = [LABELS.index(s.label) for s in samples]
+    sequences = [model.inputs(s) for s in samples]
+    eval_labels = [LABELS.index(s.label) for s in evaluated]
+    eval_sequences = [model.inputs(s) for s in evaluated]
+
+    rng = random.Random(config.seed)
+    order = list(range(len(samples)))
+    history = []
+    for epoch in range(config.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, head_grads, enc_grads = model.loss_and_grads(
+                [sequences[i] for i in batch], [labels[i] for i in batch])
+            scale = config.learning_rate / len(batch)
+            for key in head.p:
+                head.p[key] -= scale * head_grads[key]
+            encoder.embedding -= scale * enc_grads["embedding"]
+        loss = float(focal_loss(model._batched_probs(sequences),
+                                np.asarray(labels, dtype=np.intp),
+                                config.focal_gamma).mean())
+        accuracy = float(np.mean(np.argmax(model._batched_probs(eval_sequences), axis=1)
+                                 == np.asarray(eval_labels)))
+        history.append(EpochStats(epoch=epoch, loss=loss, dev_accuracy=accuracy))
+    return model, history

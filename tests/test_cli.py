@@ -572,6 +572,19 @@ class TestHostileInput:
         assert "line 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_dev_file_is_65(self, workspace, tmp_path, capsys, text):
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text(text, encoding="utf-8")
+        out = tmp_path / "context.bin"
+        assert run(["train-context", "--samples", str(workspace / "samples.jsonl"),
+                    "--dev", str(dev), "--out", str(out), "--epochs", "1",
+                    "--d", "4", "--d-enc", "4"]) == 65
+        err = capsys.readouterr().err
+        assert "dev set is empty" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["abc\n", "abc\t、\n"])
     def test_bad_back_translation_line_is_65(self, tmp_path, data_dir, capsys, text):
         paraphrases = tmp_path / "back.tsv"

@@ -24,6 +24,7 @@ from dxaudit.context_model import (
     TrainConfig,
     augment_disease_replace,
     _row_sums,
+    _segments,
     augment_eda,
     focal_loss,
     load_training_samples,
@@ -36,6 +37,8 @@ from oracles import (
     naive_focal_loss,
     naive_forward,
     naive_fusion_forward,
+    seed_context_inputs,
+    seed_context_train,
 )
 
 
@@ -239,6 +242,46 @@ class TestPackedBatches:
                 worst = max(worst, err)
         assert worst < 1e-4
 
+    def test_segment_lengths_equal_diff(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            starts = np.sort(rng.choice(np.arange(1, 40), size=int(rng.integers(0, 8)),
+                                        replace=False))
+            starts = np.concatenate([[0], starts])
+            n = 40 + int(rng.integers(0, 3))
+            got_starts, lengths = _segments(starts, n)
+            assert np.array_equal(got_starts, starts)
+            assert np.array_equal(lengths, np.diff(starts, append=n))
+            assert lengths.dtype == np.intp
+        assert np.array_equal(_segments(None, 7)[1], [7])
+
+    @pytest.mark.parametrize("caps", [{}, {"max_disease": 3, "max_context": 9}],
+                             ids=["default-caps", "truncating-caps"])
+    def test_inputs_and_probabilities_equal_seed_assembly(self, caps):
+        rng = np.random.default_rng(30)
+        vocab = CharVocab(list("abcdefg"))
+        model = ContextClassifier(CharWindowEncoder(vocab, d_enc=4, seed=1),
+                                  GatedFusionHead(d_enc=4, d=3, seed=2), TrainConfig(**caps))
+        samples = [make_sample(disease="".join(rng.choice(list("abcxyz"),
+                                                          int(rng.integers(1, 6)))),
+                               context="".join(rng.choice(list("abcdefgz"),
+                                                          int(rng.integers(1, 20)))))
+                   for _ in range(40)]
+        got = [model.inputs(s) for s in samples]
+        expected = [seed_context_inputs(model, s) for s in samples]
+        for (ids, tracks), (seed_ids, seed_tracks) in zip(got, expected):
+            assert ids.dtype == seed_ids.dtype and np.array_equal(ids, seed_ids)
+            assert tracks.dtype == np.uint8 and tracks.shape == (3, len(ids))
+            for row, seed_row in zip(tracks, seed_tracks):
+                assert np.array_equal(row, seed_row)
+            assert np.array_equal(model._probs(ids, tracks),
+                                  model._probs(seed_ids, seed_tracks))
+        ids, tracks, starts = pack(got)
+        seed_tracks = tuple(np.concatenate([tr[t] for _, tr in expected]) for t in range(3))
+        assert np.array_equal(tracks, np.stack(seed_tracks))
+        assert np.array_equal(model._probs(ids, tracks, starts),
+                              model._probs(ids, seed_tracks, starts))
+
     def test_row_sums_equal_add_at(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
@@ -358,6 +401,41 @@ class TestTraining:
                                                     model_b.named_params()):
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
+
+    @pytest.mark.parametrize("with_dev", [False, True], ids=["no-dev", "dev"])
+    def test_epoch_stats_equal_two_pass_evaluation(self, with_dev):
+        samples = separable_samples(90, seed=6)
+        # a dev accuracy k/7 equals a training accuracy j/90 only at 0 and 1
+        dev = separable_samples(7, seed=7) if with_dev else None
+        config = TrainConfig(batch_size=16, learning_rate=0.5, epochs=3, seed=8)
+        model, history = train(samples, config, dev_samples=dev, d=8, d_enc=8)
+        seed_model, seed_history = seed_context_train(samples, config, dev_samples=dev,
+                                                      d=8, d_enc=8)
+        assert history == seed_history
+        for (name, arr), (seed_name, seed_arr) in zip(model.named_params(),
+                                                      seed_model.named_params()):
+            assert name == seed_name
+            assert np.array_equal(arr, seed_arr)
+
+    @pytest.mark.parametrize("with_dev, passes", [(False, 1), (True, 2)],
+                             ids=["no-dev", "dev"])
+    def test_one_forward_pass_per_evaluated_set(self, monkeypatch, with_dev, passes):
+        calls = dict.fromkeys(["_batched_probs", "mean_loss", "accuracy"], 0)
+        for name in calls:
+            def counted(self, *args, _real=getattr(ContextClassifier, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(ContextClassifier, name, counted)
+        samples = separable_samples(30, seed=9)
+        dev = separable_samples(12, seed=10) if with_dev else None
+        train(samples, TrainConfig(batch_size=8, epochs=3, seed=1), dev_samples=dev,
+              d=4, d_enc=4)
+        assert calls == {"_batched_probs": 3 * passes, "mean_loss": 3, "accuracy": 3}
+
+    def test_empty_dev_set_is_degenerate_data(self):
+        with pytest.raises(DegenerateData, match="dev set is empty"):
+            train(separable_samples(30, seed=1), TrainConfig(epochs=1), dev_samples=[],
+                  d=4, d_enc=4)
 
     def test_missing_class_raises(self):
         samples = [s for s in separable_samples(60, seed=3) if s.label != "unknown"]

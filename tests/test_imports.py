@@ -1,9 +1,10 @@
 """Rules on the package source: numpy is its only runtime dependency,
-only core writes files, and every stage method has its Protocol's
-parameters."""
+only core writes files, every stage method has its Protocol's
+parameters, and every call the benchmark traces exists."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 from dxaudit.pipeline import ContextStage, RelationStage
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dxaudit"
+BENCH_SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
 ALLOWED = {"numpy", "dxaudit"}
 
 
@@ -108,3 +110,17 @@ def test_stage_methods_match_their_protocol():
                           "TrackZeroingContext", "RelationClassifier",
                           "IrrelevanceAllRelation", "MapRelationOracle"}
     assert wrong == []
+
+
+def test_every_traced_call_resolves():
+    """The benchmark's tracer patches each (owner, attribute) by name and
+    fails its run on a missing one; a method must be the class's own."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.targets()
+    assert targets
+    missing = [name for owner, attr, name, *_ in targets
+               if not callable(vars(owner).get(attr) if isinstance(owner, type)
+                               else getattr(owner, attr, None))]
+    assert missing == []
