@@ -500,7 +500,12 @@ class IcdIndex:
         return self._by_code.get(code)
 
     def by_title(self, title: str) -> list[IcdEntry]:
-        return list(self._by_title.get(normalize_disease_name(title), ()))
+        # A key is its own normal form, so a title that is one needs no
+        # normalizing; detect reports name diseases in normal form.
+        entries = self._by_title.get(title)
+        if entries is None:
+            entries = self._by_title.get(normalize_disease_name(title), ())
+        return list(entries)
 
     def titles(self) -> list[str]:
         """Distinct normalized titles, in the code order of their first entry."""

@@ -86,6 +86,7 @@ def cc_mcc_level(
     icd: IcdIndex,
     relation_model=None,
     threshold: float = MATCH_THRESHOLD,
+    title_rows: np.ndarray | None = None,
 ) -> CcLevel:
     """CC/MCC level of a disease surface, or NONE when unresolvable.
 
@@ -97,7 +98,9 @@ def cc_mcc_level(
     The fallback is one predict_proba call that scores the name against
     each distinct normalized title once. Titles come in the code order of
     their first entry, so the first maximum is the first entry in code
-    order to reach it, as in an entry-by-entry scan.
+    order to reach it, as in an entry-by-entry scan. ``title_rows``, the
+    relation model's embed_names(icd.titles()), spares that call embedding
+    the titles again; without it, the call embeds them itself.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -105,7 +108,8 @@ def cc_mcc_level(
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
-    probs = relation_model.predict_proba(normalize_disease_name(disease), titles)
+    probs = relation_model.predict_proba(normalize_disease_name(disease),
+                                         titles if title_rows is None else title_rows)
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)
@@ -236,12 +240,23 @@ def recovered_levels_for_records(
     relation_model=None,
     threshold: float = MATCH_THRESHOLD,
 ) -> list[tuple[MedicalRecord, list[CcLevel]]]:
-    """Join a detect report onto records, resolving each finding's level."""
+    """Join a detect report onto records, resolving each finding's level.
+
+    The relation model embeds the ICD titles once, at the first finding
+    that is not a title, and every such finding is scored against those
+    rows (titles x d_pair floats, held for this call only).
+    """
+    if not 0.0 <= threshold <= 1.0:  # also false for NaN
+        raise BadSetting(f"threshold must be in [0, 1], got {threshold}")
+    title_rows = None
     out = []
     for record in records:
-        levels = [
-            cc_mcc_level(f["disease"], icd, relation_model, threshold)
-            for f in findings_by_record.get(record.record_id, [])
-        ]
+        levels = []
+        for finding in findings_by_record.get(record.record_id, []):
+            disease = finding["disease"]
+            if title_rows is None and relation_model is not None \
+                    and not icd.by_title(disease):
+                title_rows = relation_model.embed_names(icd.titles())
+            levels.append(cc_mcc_level(disease, icd, relation_model, threshold, title_rows))
         out.append((record, levels))
     return out

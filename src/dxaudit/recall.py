@@ -111,15 +111,9 @@ def find_mentions(matcher: DiseaseMatcher, record: MedicalRecord) -> list[Diseas
 
 def _sentence_window(text: str, start: int, end: int) -> tuple[int, int]:
     """Expand [start, end) to the enclosing sentence, terminator included."""
-    left = start
-    while left > 0 and text[left - 1] not in SENTENCE_BOUNDARIES:
-        left -= 1
-    right = end
-    while right < len(text) and text[right] not in SENTENCE_BOUNDARIES:
-        right += 1
-    if right < len(text):
-        right += 1  # keep the terminator
-    return left, right
+    left = max(text.rfind(mark, 0, start) for mark in SENTENCE_BOUNDARIES) + 1
+    ends = [i for i in (text.find(mark, end) for mark in SENTENCE_BOUNDARIES) if i >= 0]
+    return left, min(ends) + 1 if ends else len(text)  # keep the terminator
 
 
 def _shrink_window(

@@ -50,9 +50,9 @@ from .modelio import load_config, load_model, save_model
 
 RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
 
-# Names per pass when one name is scored against a list: bounds the
-# temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table is
-# never held at once.
+# Names per pass when names are embedded or scored against one name: bounds
+# the temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table's
+# characters and head activations are never held at once.
 BLOCK_ROWS = 256
 
 # Characters of a name the encoder reads; the rest is cut off.
@@ -482,24 +482,35 @@ class RelationClassifier:
         probs = exp / exp.sum(axis=-1, keepdims=True)
         return probs, joint, pre, hidden
 
-    def predict_proba(self, a: str, b: str | list[str]) -> np.ndarray:
+    def embed_names(self, names: list[str]) -> np.ndarray:
+        """One encoder row per name, normalized and embedded BLOCK_ROWS
+        names at a time, so a whole ICD table's characters are never
+        looked up at once. predict_proba takes these rows in place of the
+        names, so a list scored against many names is embedded once."""
+        rows = np.empty((len(names), self.encoder.d_pair))
+        for start in range(0, len(names), BLOCK_ROWS):
+            block = names[start : start + BLOCK_ROWS]
+            rows[start : start + BLOCK_ROWS] = self.encoder.embed_many(
+                [normalize_disease_name(name) for name in block], self.config.max_name)
+        return rows
+
+    def predict_proba(self, a: str, b: str | list[str] | np.ndarray) -> np.ndarray:
         """(5,) probabilities for one name b, or (len(b), 5) for a list of
-        names, scored BLOCK_ROWS names at a time. For a list, a is embedded
-        in the same pass as the first block, so a short list costs about
-        one single-pair call."""
-        max_name = self.config.max_name
-        a = normalize_disease_name(a)
+        names or for embed_names(names), scored BLOCK_ROWS rows at a time.
+        For a list, a is embedded in the same pass as the first block, so a
+        short list costs about one single-pair call."""
         if isinstance(b, str):
-            return self._head(self.encoder.embed(a, max_name),
+            max_name = self.config.max_name
+            return self._head(self.encoder.embed(normalize_disease_name(a), max_name),
                               self.encoder.embed(normalize_disease_name(b), max_name))[0]
-        names = [normalize_disease_name(name) for name in b]
-        first = self.encoder.embed_many([a] + names[:BLOCK_ROWS], max_name)
-        u = first[0]
-        probs = np.empty((len(names), len(RELATIONS)))
-        probs[:BLOCK_ROWS] = self._head(u, first[1:])[0]
-        for start in range(BLOCK_ROWS, len(names), BLOCK_ROWS):
-            v = self.encoder.embed_many(names[start : start + BLOCK_ROWS], max_name)
-            probs[start : start + BLOCK_ROWS] = self._head(u, v)[0]
+        if isinstance(b, np.ndarray):
+            u, rows = self.embed_names([a])[0], b
+        else:
+            rows = self.embed_names([a, *b])
+            u, rows = rows[0], rows[1:]
+        probs = np.empty((len(rows), len(RELATIONS)))
+        for start in range(0, len(rows), BLOCK_ROWS):
+            probs[start : start + BLOCK_ROWS] = self._head(u, rows[start : start + BLOCK_ROWS])[0]
         return probs
 
     def predict(self, a: str, b: str) -> tuple[str, float]:

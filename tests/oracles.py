@@ -104,6 +104,21 @@ def brute_force_mentions(entries, text):
     return sorted(accepted)
 
 
+def loop_sentence_window(text, start, end):
+    """The original character-by-character sentence expansion of [start, end)."""
+    from dxaudit.core import SENTENCE_BOUNDARIES
+
+    left = start
+    while left > 0 and text[left - 1] not in SENTENCE_BOUNDARIES:
+        left -= 1
+    right = end
+    while right < len(text) and text[right] not in SENTENCE_BOUNDARIES:
+        right += 1
+    if right < len(text):
+        right += 1  # keep the terminator
+    return left, right
+
+
 def naive_info_nce(u_hats, v_hats, anchors, tau):
     """Mean anchored InfoNCE over explicit unit vectors, via loops."""
     losses = []

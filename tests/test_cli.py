@@ -1,10 +1,14 @@
 """CLI workflow: exit codes, config precedence, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dxaudit
 from dxaudit import pipeline, relation_model, synth
 from dxaudit.cli import main
 from dxaudit.modelio import load_model, save_model
@@ -25,6 +29,22 @@ def spy(monkeypatch, owner, name, position):
 
     monkeypatch.setattr(owner, name, wrapper)
     return seen
+
+
+def drg_impact(workspace, tmp_path, data_dir, flags):
+    """drg-impact over the workspace corpus and its detect report, with the
+    relation model and the demo tables."""
+    findings = tmp_path / "findings.jsonl"
+    if not findings.exists():
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--models", str(workspace / "models"),
+                    "--out", str(findings)]) == 0
+    return run(["drg-impact", "--corpus", str(workspace / "corpus.jsonl"),
+                "--findings", str(findings),
+                "--icd", str(data_dir / "icd_demo.csv"),
+                "--groups", str(data_dir / "drg_groups_demo.csv"),
+                "--relation-model", str(workspace / "relation.bin"),
+                "--out", str(tmp_path / "impact.json")] + flags)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +81,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run(["detect", "--corpus", "x.jsonl"])  # --out missing
         assert excinfo.value.code == 64
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["--help"], 0, "usage: dxaudit"),
+        ([], 64, "dxaudit: error: the following arguments are required: command"),
+    ])
+    def test_runs_as_a_module(self, argv, code, text):
+        src = Path(dxaudit.__file__).parent.parent
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "dxaudit", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert text in (done.stdout if code == 0 else done.stderr)
 
     def test_missing_file_is_65(self, tmp_path):
         code = run(["evaluate", "--findings", str(tmp_path / "nope.jsonl"),
@@ -190,6 +224,21 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "precision" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "-1", "inf"])
+    def test_threshold_outside_unit_interval_is_65(self, workspace, tmp_path, capsys,
+                                                   data_dir, threshold):
+        assert drg_impact(workspace, tmp_path, data_dir,
+                          ["--threshold", threshold]) == 65
+        err = capsys.readouterr().err
+        assert "threshold" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_at_either_end_is_accepted(self, workspace, tmp_path, data_dir,
+                                                 threshold):
+        assert drg_impact(workspace, tmp_path, data_dir,
+                          ["--threshold", threshold]) == 0
 
     # (config key, its flag, value given by key, value given by flag)
     FLAGGED_KEYS = [

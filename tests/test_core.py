@@ -262,6 +262,14 @@ class TestIcdTable:
 
     def test_title_lookup_uses_normalization(self, fixture_icd):
         assert fixture_icd.by_title("巩膜破裂 ")[0].code == "S05.301"
+        for entry in fixture_icd.entries():
+            title = normalize_disease_name(entry.title)
+            for surface in (title, f" {title}，", entry.title):
+                assert entry in fixture_icd.by_title(surface)
+        fixture_icd.by_title("巩膜破裂").clear()  # a copy, not the index's list
+        assert fixture_icd.by_title("巩膜破裂")
+        with pytest.raises(EmptyName):
+            fixture_icd.by_title(" ，")
 
     def test_prefix_consistency_exhaustive(self, fixture_icd):
         for entry in fixture_icd.entries():

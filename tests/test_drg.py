@@ -1,13 +1,20 @@
 """Severity regrouping and the cost-delta report."""
 
+import math
 import random
 
 import pytest
 
-from dxaudit import relation_model
+from dxaudit import drg, relation_model
 from dxaudit.core import CcLevel, DrgAssignment, IcdEntry, IcdIndex, MedicalRecord, Tier
-from dxaudit.drg import DrgGroupTable, cc_mcc_level, cost_delta_report, regroup
-from dxaudit.errors import MissingGroupRow, ParseError
+from dxaudit.drg import (
+    DrgGroupTable,
+    cc_mcc_level,
+    cost_delta_report,
+    recovered_levels_for_records,
+    regroup,
+)
+from dxaudit.errors import BadSetting, MissingGroupRow, ParseError
 from dxaudit.relation_model import (
     DiseasePair,
     PairEncoder,
@@ -107,10 +114,15 @@ class CountingModel:
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.embeds = 0
 
     def predict_proba(self, a, b):
         self.calls += 1
         return self.inner.predict_proba(a, b)
+
+    def embed_names(self, names):
+        self.embeds += 1
+        return self.inner.embed_names(names)
 
 
 class TestTableScan:
@@ -141,6 +153,80 @@ class TestTableScan:
 
     def test_empty_icd_index_is_none(self, paraphrase_model):
         assert cc_mcc_level("角膜裂开损伤", IcdIndex([]), paraphrase_model) is CcLevel.NONE
+
+
+# Findings per record: titles (one with a trailing list comma) and
+# surfaces that are not, one of them twice.
+FINDINGS = {
+    "a": ["角膜裂伤", "角膜裂开损伤", "病种A0亚型"],
+    "b": [],
+    "c": ["角膜裂开损伤", "巩膜破裂，", "头部骨折"],
+}
+
+
+def join(icd, model, findings=FINDINGS, threshold=0.5):
+    records = [rec(record_id, "GB2", Tier.NO_CC, 10000) for record_id in findings]
+    by_record = {record_id: [{"disease": name} for name in names]
+                 for record_id, names in findings.items()}
+    return recovered_levels_for_records(records, by_record, icd, model, threshold)
+
+
+class TestRecoveredLevels:
+    def test_titles_are_embedded_once_per_call(self, paraphrase_model,
+                                               duplicate_title_icd, monkeypatch):
+        levels_calls = []
+        real = drg.cc_mcc_level
+
+        def counting_level(disease, *args):
+            levels_calls.append(disease)
+            return real(disease, *args)
+
+        monkeypatch.setattr(drg, "cc_mcc_level", counting_level)
+        counting = CountingModel(paraphrase_model)
+        join(duplicate_title_icd, counting)
+        names = [name for names in FINDINGS.values() for name in names]
+        assert levels_calls == names
+        assert counting.embeds == 1
+        assert counting.calls == 4  # one per finding that is not a title
+
+    def test_exact_titles_embed_nothing(self, paraphrase_model, duplicate_title_icd):
+        counting = CountingModel(paraphrase_model)
+        joined = join(duplicate_title_icd, counting,
+                      {"a": ["角膜裂伤", "巩膜破裂，"], "b": ["病种A0亚型1"]})
+        assert (counting.embeds, counting.calls) == (0, 0)
+        assert [levels for _, levels in joined] == [[CcLevel.MCC, CcLevel.NONE],
+                                                   [CcLevel.MCC]]
+
+    @pytest.mark.parametrize("block_rows", [relation_model.BLOCK_ROWS, 4])
+    @pytest.mark.parametrize("threshold", [0.5, 0.8])
+    def test_levels_match_entry_by_entry_scan(self, paraphrase_model,
+                                              duplicate_title_icd, monkeypatch,
+                                              threshold, block_rows):
+        monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
+        findings = {f"r{i}": UNRESOLVED[i:i + 3] + ["角膜裂伤"]
+                    for i in range(0, len(UNRESOLVED), 3)}
+        joined = join(duplicate_title_icd, paraphrase_model, findings, threshold)
+        want = [[seed_cc_mcc_level(name, duplicate_title_icd, paraphrase_model, threshold)
+                 for name in names] for names in findings.values()]
+        assert [levels for _, levels in joined] == want
+
+    def test_rows_give_the_same_level_as_names(self, paraphrase_model,
+                                               duplicate_title_icd):
+        rows = paraphrase_model.embed_names(duplicate_title_icd.titles())
+        for name in UNRESOLVED:
+            assert cc_mcc_level(name, duplicate_title_icd, paraphrase_model, 0.5,
+                                rows) is cc_mcc_level(name, duplicate_title_icd,
+                                                      paraphrase_model, 0.5)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.01, 1.5, math.inf, -math.inf])
+    def test_threshold_outside_unit_interval(self, paraphrase_model, fixture_icd,
+                                             threshold):
+        with pytest.raises(BadSetting, match="threshold"):
+            join(fixture_icd, paraphrase_model, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_at_either_end(self, paraphrase_model, fixture_icd, threshold):
+        assert len(join(fixture_icd, paraphrase_model, threshold=threshold)) == 3
 
 
 class TestRegroup:

@@ -1,11 +1,15 @@
-"""Property test: the matcher's raw hits are every occurrence of every entry."""
+"""Property tests: the matcher's raw hits are every occurrence of every
+entry, and a span's sentence window is the character loop's."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from dxaudit.recall import DiseaseMatcher  # noqa: E402
+from dxaudit.core import SENTENCE_BOUNDARIES  # noqa: E402
+from dxaudit.recall import DiseaseMatcher, _sentence_window  # noqa: E402
+
+from oracles import loop_sentence_window  # noqa: E402
 
 # Character-class metacharacters, two CJK characters and one outside the BMP.
 ALPHABET = "]^-\\肺炎\U00020000"
@@ -35,3 +39,25 @@ def test_raw_hits_are_every_occurrence(case):
                       for entry in entries
                       for i in range(len(text)) if text.startswith(entry, i))
     assert sorted(DiseaseMatcher(entries).scan(text)) == expected
+
+
+@st.composite
+def text_and_span(draw):
+    # Sentence boundaries among ordinary characters, so boundaries fall at
+    # either end of the text and right beside or inside the span.
+    text = draw(st.text(SENTENCE_BOUNDARIES + "肺炎x", max_size=12))
+    start = draw(st.integers(0, len(text)))
+    return text, start, draw(st.integers(start, len(text)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text_and_span())
+@example(("", 0, 0))
+@example(("。肺炎；", 0, 0))
+@example(("。肺炎；", 4, 4))
+@example(("。肺炎；", 1, 3))
+@example(("\n肺炎x\n", 0, 5))
+@example(("肺炎", 0, 2))
+def test_sentence_window_matches_the_loop(case):
+    text, start, end = case
+    assert _sentence_window(text, start, end) == loop_sentence_window(text, start, end)

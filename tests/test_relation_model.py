@@ -526,6 +526,18 @@ class TestBlockScoring:
             np.testing.assert_allclose(row, model.predict_proba("头部骨折", name),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
+    def test_prepared_rows_score_as_names(self, fixture_pair_model, monkeypatch,
+                                          n, block_rows):
+        model = fixture_pair_model[0]
+        names = random_names(model, n, seed=n + 1)
+        monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
+        rows = model.embed_names(names)
+        assert rows.shape == (n, model.encoder.d_pair)
+        for a in ("头部骨折", " 电解质紊乱，"):
+            assert np.array_equal(model.predict_proba(a, rows), model.predict_proba(a, names))
+
     def test_empty_list_gives_no_rows(self, fixture_pair_model):
         assert fixture_pair_model[0].predict_proba("头部骨折", []).shape == (0, 5)
 
