@@ -157,9 +157,8 @@ class Lexicon:
     _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for entry in self.entries:
-            if not entry:
-                raise ValueError("lexicon entries must be non-empty")
+        if not all(self.entries):
+            raise ValueError("lexicon entries must be non-empty")
         object.__setattr__(self, "_members", frozenset(self.entries))
 
     def __contains__(self, item: str) -> bool:
@@ -542,9 +541,22 @@ def load_icd_table(path: str | Path) -> IcdIndex:
 
 
 def load_lexicon(path: str | Path, kind: LexiconKind) -> Lexicon:
-    """Load a one-entry-per-line lexicon ('#' starts a comment line)."""
-    return make_lexicon(
-        (line for _, line in read_lines(path) if not line.startswith("#")), kind)
+    """Load a one-entry-per-line lexicon ('#' starts a comment line).
+
+    A disease name that normalizes to empty is a ParseError naming its line.
+    """
+    line_no = 0
+
+    def entries():
+        nonlocal line_no
+        for line_no, line in read_lines(path):
+            if not line.startswith("#"):
+                yield line
+
+    try:
+        return make_lexicon(entries(), kind)
+    except EmptyName as exc:  # the name that raised is on the line read last
+        raise ParseError(str(exc), line_no) from None
 
 
 def make_lexicon(entries: Iterable[str], kind: LexiconKind) -> Lexicon:
@@ -553,12 +565,6 @@ def make_lexicon(entries: Iterable[str], kind: LexiconKind) -> Lexicon:
     Word lexicons are normalized; enumerator-pattern lexicons are kept
     verbatim because their entries are regexes.
     """
-    out: list[str] = []
-    seen: set[str] = set()
-    for entry in entries:
-        if kind is not LexiconKind.ENUMERATOR_PATTERNS:
-            entry = normalize_disease_name(entry)
-        if entry not in seen:
-            seen.add(entry)
-            out.append(entry)
-    return Lexicon(kind=kind, entries=tuple(out))
+    if kind is not LexiconKind.ENUMERATOR_PATTERNS:
+        entries = map(normalize_disease_name, entries)
+    return Lexicon(kind=kind, entries=tuple(dict.fromkeys(entries)))

@@ -127,6 +127,13 @@ def detect_write_missing(
     config: DetectConfig = DetectConfig(),
     matcher: DiseaseMatcher | None = None,
 ) -> list[WriteMissingFinding]:
+    """Write-missing findings for one record.
+
+    With ``matcher=None`` a matcher is built from ``lexicons.diseases`` on
+    every call, which at tens of thousands of entries costs more than
+    detecting a record; a caller that loops over records builds one with
+    ``build_matcher`` and passes it.
+    """
     if matcher is None:
         matcher = build_matcher(lexicons.diseases)
     findings, _ = _detect_record(record, matcher, models, lexicons, config)

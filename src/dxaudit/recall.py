@@ -1,9 +1,13 @@
 """Stage 1: find every lexicon disease in a record and build context windows.
 
-The matcher holds the lexicon's entries and their proper prefixes in hash
-sets. A scan stops only at positions holding some entry's first character
-and grows a slice from there while it is a prefix, so its cost follows
-those positions and the prefixes grown from them, not the lexicon's size.
+The matcher holds the lexicon's entries in a hash set and files every entry
+of two or more characters under its head, its first two characters, with
+the sorted distinct entry lengths under each head. A scan stops only at
+positions holding some entry's first character; there it looks up the
+character itself, then one slice per length filed under the two characters
+from there. So its cost follows those positions and the lengths under
+their heads, not the lexicon's size.
+
 Overlapping hits are resolved by longest-match-wins: a hit is dropped when
 its span is fully covered by another hit. This keeps a disease from being
 double-reported alongside one of its substrings while preserving genuinely
@@ -13,6 +17,7 @@ distinct partial overlaps.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .core import MAX_CONTEXT, SENTENCE_BOUNDARIES, Lexicon, LexiconKind, MedicalRecord
@@ -30,40 +35,44 @@ class DiseaseMention:
 
 
 class DiseaseMatcher:
-    """Every entry of a disease lexicon, with their proper prefixes."""
+    """Every entry of a disease lexicon, with the entry lengths under each head."""
 
     def __init__(self, entries):
-        self._entries = frozenset(entries)
+        self._entries = frozenset(entries)  # a frozenset is taken as is
         if not self._entries:
             raise EmptyLexicon("cannot build a matcher from an empty lexicon")
-        # The set stays prefix-closed, so an entry's walk from its longest
-        # proper prefix down stops at the first prefix already in it.
-        self._prefixes: set[str] = set()
+        # An entry of two or more characters is filed under its head (its
+        # first two characters); one-character entries live only in the set.
+        lengths: defaultdict[str, set[int]] = defaultdict(set)
         for entry in self._entries:
-            for k in range(len(entry) - 1, 0, -1):
-                prefix = entry[:k]
-                if prefix in self._prefixes:
-                    break
-                self._prefixes.add(prefix)
+            if len(entry) > 1:
+                lengths[entry[:2]].add(len(entry))
+        self._heads = {head: sorted(sizes) for head, sizes in lengths.items()}
         firsts = sorted({e[0] for e in self._entries})
         self._first = re.compile("[" + "".join(map(re.escape, firsts)) + "]")
 
     def scan(self, text: str) -> list[tuple[int, int, str]]:
         """All raw (start, end, entry) hits in start order, overlaps included.
 
-        From each position holding some entry's first character, the slice
-        grows one character at a time while it is still a proper prefix.
+        At each position holding some entry's first character, the character
+        itself and then each entry length filed under the two characters
+        from there are looked up, so one start's hits come in end order.
         """
-        entries, prefixes = self._entries, self._prefixes
+        entries, heads = self._entries, self._heads
+        n = len(text)
         hits: list[tuple[int, int, str]] = []
         for match in self._first.finditer(text):
             i = match.start()
-            for j in range(i + 1, len(text) + 1):
-                piece = text[i:j]
-                if piece in entries:
-                    hits.append((i, j, piece))
-                if piece not in prefixes:
+            piece = text[i]
+            if piece in entries:
+                hits.append((i, i + 1, piece))
+            for length in heads.get(text[i:i + 2], ()):
+                end = i + length
+                if end > n:
                     break
+                piece = text[i:end]
+                if piece in entries:
+                    hits.append((i, end, piece))
         return hits
 
 
@@ -72,7 +81,7 @@ def build_matcher(lexicon: Lexicon) -> DiseaseMatcher:
         raise ValueError(f"matcher requires a disease lexicon, got {lexicon.kind}")
     if len(lexicon) == 0:
         raise EmptyLexicon("disease lexicon is empty")
-    return DiseaseMatcher(lexicon.entries)
+    return DiseaseMatcher(lexicon._members)
 
 
 def resolve_overlaps(hits: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:

@@ -735,6 +735,11 @@ class TestInputFileErrors:
             lambda ws, data, bad, out: [
                 "detect", "--corpus", str(ws / "corpus.jsonl"),
                 "--models", str(ws / "models"), "--diseases", bad, "--out", out]),
+        "detect-diseases-empty-name": (
+            "肺炎\n、\n高血压\n".encode("utf-8"), 2,
+            lambda ws, data, bad, out: [
+                "detect", "--corpus", str(ws / "corpus.jsonl"),
+                "--models", str(ws / "models"), "--diseases", bad, "--out", out]),
         "gen-synthetic-templates-utf8": (
             "filler\t患者一般情况可。\n".encode("utf-8") + b"\xff\n", 2,
             lambda ws, data, bad, out: [

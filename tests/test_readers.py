@@ -97,6 +97,14 @@ def test_table_without_required_column_is_parse_error(tmp_path, data_dir,
         READERS[reader][3](path, data_dir)
 
 
+def test_lexicon_name_empty_once_normalized_is_parse_error_naming_it(tmp_path):
+    path = tmp_path / "input"
+    path.write_text("肺炎\n# 注释\n\n、\n高血压\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="'、' normalized to empty") as excinfo:
+        core.load_lexicon(path, LexiconKind.DISEASE_NAMES)
+    assert excinfo.value.line == 4
+
+
 def test_lines_end_at_cr_lf_and_crlf_only(tmp_path):
     path = tmp_path / "input"
     path.write_bytes("a\rb\r\nc\n\n d \u2028e\x85f\n".encode("utf-8"))

@@ -74,15 +74,20 @@ class TestMatcher:
             got = sorted(resolve_overlaps(matcher.scan(text)))
             assert got == expected
 
-    def test_prefix_set_of_a_nested_lexicon_is_every_proper_prefix(self):
-        # Composed names nest: each is a prefix or a suffix of longer ones.
+    def test_head_index_of_a_nested_lexicon_is_every_length_under_each_head(self):
+        # Composed names nest: each is a prefix or a suffix of longer ones,
+        # and the bare pathologies include one-character entries.
         entries = {modifier + site + pathology + stage
                    for modifier in ("", "急性", "慢性")
                    for site in ("", "肺", "肺部", "左肺上叶", "胃")
                    for pathology in ("炎", "癌", "溃疡")
                    for stage in ("", "I期", "IV期")}
         matcher = build_matcher(disease_lexicon(*entries))
-        assert matcher._prefixes == {e[:k] for e in entries for k in range(1, len(e))}
+        heads = {e[:2] for e in entries if len(e) > 1}
+        assert matcher._heads == {
+            head: sorted({len(e) for e in entries if len(e) > 1 and e.startswith(head)})
+            for head in heads}
+        assert {"炎", "癌"} <= matcher._entries  # one-character entries, under no head
 
     def test_determinism(self):
         matcher = build_matcher(disease_lexicon("肺炎", "高血压", "大叶性肺炎"))
