@@ -28,28 +28,27 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import MAX_CONTEXT, MAX_DISEASE, parse_json_object, read_lines
+from .core import parse_json_object, read_lines
 from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch, require_at_least
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import load_config, load_model, save_model
 
 UNK_ID = 0
 SEP_ID = 1
+WINDOW = 2  # characters averaged on each side of a position
 
 
 @dataclass
 class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 5e-5
-    max_context: int = MAX_CONTEXT
-    max_disease: int = MAX_DISEASE
     focal_gamma: float = 2.0
     epochs: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, max_context=1, max_disease=1,
-                         learning_rate=0.0, focal_gamma=0.0)
+        require_at_least(self, batch_size=1, epochs=1, seed=0, learning_rate=0.0,
+                         focal_gamma=0.0)
 
 
 class CharVocab:
@@ -137,18 +136,17 @@ def pack(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class CharWindowEncoder:
-    """Trainable char embeddings averaged over a symmetric +/-window.
+    """Trainable char embeddings averaged over a symmetric +/-WINDOW.
 
     Input is a packed batch: sequences end to end plus each one's start
     row. The window is clipped at the sequence's own ends, so one cumsum
     over the whole batch serves every sequence.
     """
 
-    def __init__(self, vocab: CharVocab, d_enc: int = 32, window: int = 2, seed: int = 0):
+    def __init__(self, vocab: CharVocab, d_enc: int = 32, seed: int = 0):
         self.vocab = vocab
         self.d_enc = d_enc
-        self.window = window
-        require_at_least(self, d_enc=1, window=0)
+        require_at_least(self, d_enc=1)
         rng = np.random.default_rng(seed)
         self.embedding = rng.normal(0.0, 0.1, size=(len(vocab), d_enc))
 
@@ -156,8 +154,8 @@ class CharWindowEncoder:
         idx = np.arange(n)
         starts, lengths = _segments(starts, n)
         first = np.repeat(starts, lengths)
-        lo = np.maximum(first, idx - self.window)
-        hi = np.minimum(first + np.repeat(lengths, lengths), idx + self.window + 1)
+        lo = np.maximum(first, idx - WINDOW)
+        hi = np.minimum(first + np.repeat(lengths, lengths), idx + WINDOW + 1)
         return lo, hi
 
     def _window_sums(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -186,15 +184,12 @@ class GatedFusionHead:
 
     Forward and backward take a packed batch (see CharWindowEncoder): the
     per-position math runs on all rows at once and pooling reduces each
-    sequence's rows, so a batch of B sequences yields (B, n_classes).
+    sequence's rows, so a batch of B sequences yields (B, len(LABELS)).
     """
 
-    def __init__(self, d_enc: int, d: int = 32, d_f: int | None = None,
-                 n_classes: int = 3, seed: int = 0):
-        if d_f is None:
-            d_f = d
-        self.d_enc, self.d, self.d_f, self.n_classes = d_enc, d, d_f, n_classes
-        require_at_least(self, d_enc=1, d=1, d_f=1, n_classes=1)
+    def __init__(self, d_enc: int, d: int = 32, seed: int = 0):
+        self.d_enc, self.d = d_enc, d
+        require_at_least(self, d_enc=1, d=1)
         rng = np.random.default_rng(seed)
 
         def mat(*shape):
@@ -202,12 +197,12 @@ class GatedFusionHead:
 
         self.p = {
             "W1": mat(d_enc, d), "b1": np.zeros(d),
-            "e_pos": mat(2, d_f), "e_neg": mat(2, d_f), "e_order": mat(2, d_f),
-            "W_pos": mat(d_f, d), "W_neg": mat(d_f, d), "W_order": mat(d_f, d),
+            "e_pos": mat(2, d), "e_neg": mat(2, d), "e_order": mat(2, d),
+            "W_pos": mat(d, d), "W_neg": mat(d, d), "W_order": mat(d, d),
             "b_f": np.zeros(d),
             "W_fm": mat(2 * d, d), "b_fm": np.zeros(d),
             "W_g": mat(2 * d, d), "c_g": np.zeros(d),
-            "W_y": mat(2 * d, n_classes), "b_y": np.zeros(n_classes),
+            "W_y": mat(2 * d, len(LABELS)), "b_y": np.zeros(len(LABELS)),
         }
 
     def forward(self, h1: np.ndarray, tracks: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -303,6 +298,14 @@ class GatedFusionHead:
         grads["b1"] = d_u1.sum(axis=0)
         d_h1 = d_u1 @ p["W1"].T
         return grads, d_h1
+
+
+def require_finite(value):
+    """``value``, a loss or a parameter array, or DegenerateData when any of
+    it is not finite: training diverged."""
+    if not np.isfinite(value).all():
+        raise DegenerateData("training diverged; try a lower learning rate")
+    return value
 
 
 def focal_loss(probs: np.ndarray, label_index, gamma: float):
@@ -420,8 +423,7 @@ class ContextClassifier:
         """The sample as one sequence: char ids of (disease, SEP, context) and
         the (pos, neg, order) 0/1 tracks aligned with them, as the rows of
         one (3, n) array. The disease rows read (1, 0, 0), the SEP row 0."""
-        disease = sample.disease[: self.config.max_disease]
-        context = sample.context[: self.config.max_context]
+        disease, context = sample.disease, sample.context
         sep = len(disease)
         ids = np.empty(sep + 1 + len(context), dtype=np.intp)
         ids[:sep] = self.encoder.vocab.encode(disease)
@@ -429,9 +431,7 @@ class ContextClassifier:
         ids[sep + 1:] = self.encoder.vocab.encode(context)
         tracks = np.zeros((3, len(ids)), dtype=np.uint8)
         tracks[0, :sep] = 1
-        for row, track in enumerate((sample.pos_track, sample.neg_track,
-                                     sample.order_track)):
-            tracks[row, sep + 1:] = track[: len(context)]
+        tracks[:, sep + 1:] = (sample.pos_track, sample.neg_track, sample.order_track)
         return ids, tracks
 
     # -- inference ----------------------------------------------------------
@@ -469,7 +469,7 @@ class ContextClassifier:
         gamma = self.config.focal_gamma
         h1 = self.encoder.encode(ids, starts)
         probs, cache = self.head.forward(h1, tracks, starts, return_cache=True)
-        loss = float(focal_loss(probs, labels, gamma).sum())
+        loss = require_finite(float(focal_loss(probs, labels, gamma).sum()))
         head_grads, d_h1 = self.head.backward(cache, _focal_score_grad(probs, labels, gamma))
         return loss, head_grads, self.encoder.backward(ids, d_h1, starts)["embedding"]
 
@@ -499,10 +499,7 @@ class ContextClassifier:
         meta = {
             "vocab": "".join(self.encoder.vocab.chars),
             "d_enc": self.encoder.d_enc,
-            "window": self.encoder.window,
             "d": self.head.d,
-            "d_f": self.head.d_f,
-            "n_classes": self.head.n_classes,
             "labels": list(LABELS),
             "config": asdict(self.config),
         }
@@ -514,10 +511,8 @@ class ContextClassifier:
     def load(cls, path) -> "ContextClassifier":
         meta, arrays = load_model(path, "context")
         with meta.settings():
-            encoder = CharWindowEncoder(CharVocab(list(meta.text("vocab"))),
-                                        d_enc=meta["d_enc"], window=meta["window"])
-            head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"], d_f=meta["d_f"],
-                                   n_classes=meta["n_classes"])
+            encoder = CharWindowEncoder(CharVocab(list(meta.text("vocab"))), meta["d_enc"])
+            head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"])
             config = load_config(meta, TrainConfig)
         encoder.embedding = arrays.shaped_like("encoder.embedding", encoder.embedding)
         for key in head.p:
@@ -535,7 +530,8 @@ def train(samples: list[ContextSample], config: TrainConfig,
     epoch's updates; dev accuracy falls back to training accuracy when no
     dev split is given. Each evaluated set takes one forward pass per
     epoch: without a dev split the training set's pass gives both loss
-    and accuracy. A dev split that is given must not be empty.
+    and accuracy. A dev split that is given must not be empty. A batch or
+    epoch loss that is not finite raises DegenerateData.
     """
     labels = [s.label for s in samples]
     if dev_samples is not None and not dev_samples:
@@ -578,7 +574,7 @@ def train(samples: list[ContextSample], config: TrainConfig,
         eval_probs = probs if dev_samples is None else model._batched_probs(dev_sequences)
         history.append(EpochStats(
             epoch=epoch,
-            loss=model.mean_loss(probs, label_indices),
+            loss=require_finite(model.mean_loss(probs, label_indices)),
             dev_accuracy=model.accuracy(eval_probs, eval_labels),
         ))
     return model, history

@@ -36,8 +36,8 @@ from .errors import (
 # Sentence boundaries used by context windows and enumerated-item extents.
 SENTENCE_BOUNDARIES = "。；\n"  # 。 ； newline
 
-# Length caps, in characters, on a classified context window and on the
-# disease name read alongside it.
+# Caps, in characters, on a classified context window and on the disease
+# name read with it; features.assemble_features clips to them.
 MAX_CONTEXT = 450
 MAX_DISEASE = 30
 

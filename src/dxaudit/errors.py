@@ -75,7 +75,7 @@ class EmptyPool(DxAuditError):
 
 
 class DegenerateData(DxAuditError):
-    """A training set is missing at least one class."""
+    """A training set is missing at least one class, or training diverged."""
 
 
 class UnknownCode(DxAuditError):

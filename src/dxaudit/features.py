@@ -32,6 +32,9 @@ class ContextSample:
     label: str | None = None
 
     def __post_init__(self):
+        for name, cap in (("disease", MAX_DISEASE), ("context", MAX_CONTEXT)):
+            if len(getattr(self, name)) > cap:
+                raise ValueError(f"{name} is longer than its cap of {cap} characters")
         n = len(self.context)
         for name in ("pos_track", "neg_track", "order_track"):
             track = getattr(self, name)

@@ -22,7 +22,7 @@ from .core import json_line, write_bytes
 from .errors import BadModelFile, BadSetting
 
 MAGIC = b"DXMD"
-VERSION = 1
+VERSION = 2
 _PREAMBLE = 16  # magic, version, header length
 
 

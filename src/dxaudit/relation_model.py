@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .context_model import CharVocab, _row_sums
+from .context_model import CharVocab, _row_sums, require_finite
 from .core import (IcdIndex, discharge_names, normalize_disease_name, read_lines,
                    read_rows, write_rows)
 from .errors import (
@@ -300,7 +300,6 @@ def load_pairs(path: str | Path) -> list[DiseasePair]:
 class PairTrainConfig:
     batch_size: int = 256
     learning_rate: float = 5e-5
-    max_name: int = MAX_NAME
     tau: float = 0.05
     pretrain_learning_rate: float = 1e-6
     hidden: int = 64
@@ -308,14 +307,14 @@ class PairTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, max_name=1, hidden=1,
+        require_at_least(self, batch_size=1, epochs=1, seed=0, hidden=1,
                          learning_rate=0.0, pretrain_learning_rate=0.0, tau=0.0)
         if self.tau == 0.0:
             raise BadSetting("tau must be > 0, got 0")
 
 
 class PairEncoder:
-    """Mean-pooled character embeddings; row 0 is the unknown character."""
+    """Mean-pooled embeddings of a name's first MAX_NAME characters; row 0 is UNK."""
 
     def __init__(self, chars: list[str], d_pair: int = 32, seed: int = 0):
         self.vocab = CharVocab(chars, first_id=1)
@@ -329,19 +328,18 @@ class PairEncoder:
     def from_names(cls, names, d_pair: int = 32, seed: int = 0) -> "PairEncoder":
         return cls(CharVocab.from_texts(names).chars, d_pair=d_pair, seed=seed)
 
-    def encode_ids(self, name: str, max_name: int = MAX_NAME) -> np.ndarray:
-        return self.vocab.encode(name[:max_name])
+    def encode_ids(self, name: str) -> np.ndarray:
+        return self.vocab.encode(name[:MAX_NAME])
 
-    def embed(self, name: str, max_name: int = MAX_NAME) -> np.ndarray:
-        return self.embedding[self.encode_ids(name, max_name)].mean(axis=0)
+    def embed(self, name: str) -> np.ndarray:
+        return self.embedding[self.encode_ids(name)].mean(axis=0)
 
-    def embed_many(self, names: list[str], max_name: int = MAX_NAME,
-                   with_ids: bool = False):
+    def embed_many(self, names: list[str], with_ids: bool = False):
         """One embed() row per name, in one pass: the names' characters are
         packed end to end, looked up together, and mean-pooled name by
         name. ``with_ids`` also returns the packed ids and each name's
         length, for grad()."""
-        clipped = [name[:max_name] for name in names]
+        clipped = [name[:MAX_NAME] for name in names]
         lengths = [len(name) for name in clipped]
         if not clipped or min(lengths) == 0:
             raise ValueError("embed_many needs one or more non-empty names")
@@ -364,8 +362,7 @@ class PairEncoder:
 
 
 def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
-                        tau: float, max_name: int = MAX_NAME,
-                        with_grads: bool = False):
+                        tau: float, with_grads: bool = False):
     """In-batch InfoNCE over the batch's positive anchors.
 
     Returns the mean anchor loss, and optionally the gradient of the
@@ -375,9 +372,8 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     if len(anchors) < 2:
         raise DegenerateBatch(
             f"batch has {len(anchors)} positive pairs, need >= 2")
-    u, ids_a, len_a = encoder.embed_many([batch[k].a for k in anchors], max_name,
-                                         with_ids=True)
-    v, ids_b, len_b = encoder.embed_many([p.b for p in batch], max_name, with_ids=True)
+    u, ids_a, len_a = encoder.embed_many([batch[k].a for k in anchors], with_ids=True)
+    v, ids_b, len_b = encoder.embed_many([p.b for p in batch], with_ids=True)
     u_norm = np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
     v_norm = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
     u_hat, v_hat = u / u_norm, v / v_norm
@@ -419,8 +415,7 @@ def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],
         batch = [pairs[i] for i in batch_ids]
         if sum(1 for p in batch if p.polarity == "same") < 2:
             continue
-        losses.append(info_nce_batch_loss(encoder, batch, config.tau,
-                                          config.max_name))
+        losses.append(info_nce_batch_loss(encoder, batch, config.tau))
     if not losses:
         raise DegenerateBatch("no batch holds >= 2 positive pairs")
     return sum(losses) / len(losses)
@@ -428,7 +423,8 @@ def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],
 
 def contrastive_pretrain(pairs: list[DiseasePair], encoder: PairEncoder,
                          config: PairTrainConfig) -> tuple[PairEncoder, list[float]]:
-    """SGD on the InfoNCE objective; returns per-epoch evaluation losses."""
+    """SGD on the InfoNCE objective; returns per-epoch evaluation losses.
+    One that is not finite raises DegenerateData."""
     if sum(1 for p in pairs if p.polarity == "same") < 2:
         raise DegenerateBatch("need >= 2 positive pairs to pretrain")
     rng = random.Random(config.seed)
@@ -440,10 +436,9 @@ def contrastive_pretrain(pairs: list[DiseasePair], encoder: PairEncoder,
             batch = [pairs[order[i]] for i in batch_ids]
             if sum(1 for p in batch if p.polarity == "same") < 2:
                 continue
-            _, grad = info_nce_batch_loss(encoder, batch, config.tau,
-                                          config.max_name, with_grads=True)
+            _, grad = info_nce_batch_loss(encoder, batch, config.tau, with_grads=True)
             encoder.embedding -= config.pretrain_learning_rate * grad
-        history.append(eval_contrastive_loss(encoder, pairs, config))
+        history.append(require_finite(eval_contrastive_loss(encoder, pairs, config)))
     return encoder, history
 
 
@@ -491,7 +486,7 @@ class RelationClassifier:
         for start in range(0, len(names), BLOCK_ROWS):
             block = names[start : start + BLOCK_ROWS]
             rows[start : start + BLOCK_ROWS] = self.encoder.embed_many(
-                [normalize_disease_name(name) for name in block], self.config.max_name)
+                [normalize_disease_name(name) for name in block])
         return rows
 
     def predict_proba(self, a: str, b: str | list[str] | np.ndarray) -> np.ndarray:
@@ -500,9 +495,8 @@ class RelationClassifier:
         For a list, a is embedded in the same pass as the first block, so a
         short list costs about one single-pair call."""
         if isinstance(b, str):
-            max_name = self.config.max_name
-            return self._head(self.encoder.embed(normalize_disease_name(a), max_name),
-                              self.encoder.embed(normalize_disease_name(b), max_name))[0]
+            return self._head(self.encoder.embed(normalize_disease_name(a)),
+                              self.encoder.embed(normalize_disease_name(b)))[0]
         if isinstance(b, np.ndarray):
             u, rows = self.embed_names([a])[0], b
         else:
@@ -588,7 +582,8 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
     shuffled batches of FINETUNE_BATCH examples.
 
     Pairs whose relation is symmetric are also trained in swapped order
-    so predict stays order-stable for those classes.
+    so predict stays order-stable for those classes. A parameter that is
+    not finite at the end (training diverged) raises DegenerateData.
     """
     for pair in labeled_pairs:
         if pair.relation is None:
@@ -601,8 +596,8 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
     examples: list[tuple[np.ndarray, np.ndarray, int]] = []
     for pair in labeled_pairs:
         idx = RELATIONS.index(pair.relation)
-        ids_a = encoder.encode_ids(pair.a, config.max_name)
-        ids_b = encoder.encode_ids(pair.b, config.max_name)
+        ids_a = encoder.encode_ids(pair.a)
+        ids_b = encoder.encode_ids(pair.b)
         examples.append((ids_a, ids_b, idx))
         if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
             examples.append((ids_b, ids_a, idx))
@@ -618,4 +613,8 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
             epoch_loss += model._step([examples[order[i]] for i in batch_ids],
                                       config.learning_rate)
         history.append(epoch_loss / len(examples))
+    # Each step's loss is taken before its update, so only the parameters show
+    # the last step diverging.
+    for param in (model.W_h, model.b_h, model.W_o, model.b_o, encoder.embedding):
+        require_finite(param)
     return model, history

@@ -86,22 +86,33 @@ def naive_focal_loss(probs, label_index, gamma):
 
 
 def brute_force_mentions(entries, text):
-    """All-substring scan plus the longest-match containment filter."""
-    hits = []
+    """All-substring scan plus the longest-match containment filter: a hit
+    is kept unless another hit covers it.
+
+    A covering hit is no longer than the longest entry, so it starts fewer
+    than that many characters before the hit it covers; only hits starting
+    there are candidates. Two hits with one span are one hit.
+    """
+    hits = set()
     for entry in entries:
         start = 0
         while True:
             idx = text.find(entry, start)
             if idx < 0:
                 break
-            hits.append((idx, idx + len(entry), entry))
+            hits.add((idx, idx + len(entry), entry))
             start = idx + 1
-    ranked = sorted(hits, key=lambda h: (-(h[1] - h[0]), h[0], h[2]))
-    accepted = []
-    for start, end, entry in ranked:
-        if not any(a <= start and end <= b for a, b, _ in accepted):
-            accepted.append((start, end, entry))
-    return sorted(accepted)
+    longest = max(map(len, entries), default=0)
+    by_start = {}
+    for hit in hits:
+        by_start.setdefault(hit[0], []).append(hit)
+    kept = []
+    for start, end, entry in hits:
+        if not any(a <= start and end <= b and (a, b) != (start, end)
+                   for first in range(start - longest + 1, start + 1)
+                   for a, b, _ in by_start.get(first, ())):
+            kept.append((start, end, entry))
+    return sorted(kept)
 
 
 def loop_sentence_window(text, start, end):
@@ -230,11 +241,12 @@ def seed_relation_forward(model, a, b):
     already normalized names."""
     import numpy as np
 
+    from dxaudit.relation_model import MAX_NAME
+
     ids = {ch: i + 1 for i, ch in enumerate(model.encoder.chars)}
-    max_name = model.config.max_name
     table = model.encoder.embedding
-    u = table[np.array([ids.get(ch, 0) for ch in a[:max_name]], dtype=np.intp)].mean(axis=0)
-    v = table[np.array([ids.get(ch, 0) for ch in b[:max_name]], dtype=np.intp)].mean(axis=0)
+    u = table[np.array([ids.get(ch, 0) for ch in a[:MAX_NAME]], dtype=np.intp)].mean(axis=0)
+    v = table[np.array([ids.get(ch, 0) for ch in b[:MAX_NAME]], dtype=np.intp)].mean(axis=0)
     joint = np.concatenate([u, v, np.abs(u - v), u * v])
     hidden = np.maximum(joint @ model.W_h + model.b_h, 0.0)
     logits = hidden @ model.W_o + model.b_o
@@ -311,9 +323,10 @@ def seed_context_inputs(model, sample):
     import numpy as np
 
     from dxaudit.context_model import SEP_ID
+    from dxaudit.core import MAX_CONTEXT, MAX_DISEASE
 
-    disease = sample.disease[: model.config.max_disease]
-    context = sample.context[: model.config.max_context]
+    disease = sample.disease[:MAX_DISEASE]
+    context = sample.context[:MAX_CONTEXT]
     ids = np.concatenate([model.encoder.vocab.encode(disease),
                           np.array([SEP_ID], dtype=np.intp),
                           model.encoder.vocab.encode(context)])

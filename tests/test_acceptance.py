@@ -19,6 +19,7 @@ from dxaudit.drg import DrgGroupTable, cost_delta_report, regroup
 from dxaudit.evaluate import run_ablation
 from dxaudit.features import ContextSample, assemble_features
 from dxaudit.context_model import (
+    WINDOW,
     CharVocab,
     CharWindowEncoder,
     ContextClassifier,
@@ -65,14 +66,14 @@ def test_criterion_01_gated_fusion_math():
     for _ in range(100):
         encoder, head, ids, tracks = random_instance(rng)
         got = head.forward(encoder.encode(ids), tracks)
-        expected = naive_forward(encoder.embedding, encoder.window, head.p,
+        expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                  list(ids), *[list(t) for t in tracks])
         worst_forward = max(worst_forward, float(np.max(np.abs(got - expected))))
 
     worst_grad = 0.0
     for seed in (1, 2, 3):
         vocab = CharVocab(list("abcdefg"))
-        encoder = CharWindowEncoder(vocab, d_enc=4, window=2, seed=seed)
+        encoder = CharWindowEncoder(vocab, d_enc=4, seed=seed)
         head = GatedFusionHead(d_enc=4, d=3, seed=seed + 10)
         model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
         g = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ from dxaudit.errors import (
 from dxaudit.features import LABELS, ContextSample, assemble_features
 from dxaudit.modelio import load_model, save_model
 from dxaudit.context_model import (
+    WINDOW,
     CharVocab,
     CharWindowEncoder,
     ContextClassifier,
@@ -49,8 +50,7 @@ def random_instance(rng: np.random.Generator):
     d = int(rng.integers(2, 6))
     length = int(rng.integers(2, 12))
     vocab = CharVocab([chr(ord("a") + i) for i in range(vocab_size)])
-    encoder = CharWindowEncoder(vocab, d_enc=d_enc, window=2,
-                                seed=int(rng.integers(0, 2**31)))
+    encoder = CharWindowEncoder(vocab, d_enc=d_enc, seed=int(rng.integers(0, 2**31)))
     head = GatedFusionHead(d_enc=d_enc, d=d, seed=int(rng.integers(0, 2**31)))
     ids = rng.integers(0, vocab_size + 2, size=length)
     tracks = tuple(rng.integers(0, 2, size=length) for _ in range(3))
@@ -73,7 +73,7 @@ class TestForward:
         for _ in range(100):
             encoder, head, ids, tracks = random_instance(rng)
             got = head.forward(encoder.encode(ids), tracks)
-            expected = naive_forward(encoder.embedding, encoder.window, head.p,
+            expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                      list(ids), *[list(t) for t in tracks])
             assert np.allclose(got, np.array(expected), atol=1e-9)
 
@@ -178,7 +178,7 @@ class TestFocalLoss:
 class TestGradients:
     def test_full_model_matches_finite_differences(self):
         vocab = CharVocab(list("abcdefg"))
-        encoder = CharWindowEncoder(vocab, d_enc=4, window=2, seed=1)
+        encoder = CharWindowEncoder(vocab, d_enc=4, seed=1)
         head = GatedFusionHead(d_enc=4, d=3, seed=2)
         model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
         sample = make_sample(disease="ad", context="abcadefgba", label="confirmed")
@@ -201,9 +201,9 @@ class TestPackedBatches:
                                   tuple(rng.integers(0, 2, size=length) for _ in range(3))))
             ids, tracks, starts = pack(sequences)
             got = head.forward(encoder.encode(ids, starts), tracks, starts)
-            assert got.shape == (len(sequences), head.n_classes)
+            assert got.shape == (len(sequences), len(LABELS))
             for row, (seq_ids, seq_tracks) in zip(got, sequences):
-                expected = naive_forward(encoder.embedding, encoder.window, head.p,
+                expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                          list(seq_ids), *[list(t) for t in seq_tracks])
                 assert np.allclose(row, np.array(expected), atol=1e-9)
         # length 1, and lengths no longer than the window, occur
@@ -211,7 +211,7 @@ class TestPackedBatches:
 
     def test_packed_gradients_match_finite_differences(self):
         vocab = CharVocab(list("abcdefg"))
-        encoder = CharWindowEncoder(vocab, d_enc=4, window=2, seed=1)
+        encoder = CharWindowEncoder(vocab, d_enc=4, seed=1)
         head = GatedFusionHead(d_enc=4, d=3, seed=2)
         model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
         samples = [make_sample(disease="ad", context="abcadefgba"),
@@ -255,8 +255,7 @@ class TestPackedBatches:
             assert lengths.dtype == np.intp
         assert np.array_equal(_segments(None, 7)[1], [7])
 
-    @pytest.mark.parametrize("caps", [{}, {"max_disease": 3, "max_context": 9}],
-                             ids=["default-caps", "truncating-caps"])
+    @pytest.mark.parametrize("caps", [{}], ids=["default-caps"])
     def test_inputs_and_probabilities_equal_seed_assembly(self, caps):
         rng = np.random.default_rng(30)
         vocab = CharVocab(list("abcdefg"))
@@ -464,8 +463,6 @@ class TestTraining:
         config = TrainConfig()
         assert config.batch_size == 64
         assert config.learning_rate == 5e-5
-        assert config.max_context == 450
-        assert config.max_disease == 30
         assert config.focal_gamma == 2.0
 
 
@@ -495,8 +492,9 @@ class TestPersistence:
         lambda data: b"XXXX" + data[4:],
         lambda data: data[:4] + b"\x09\x00\x00\x00" + data[8:],
         lambda data: data[:12],
+        lambda data: data[:4] + b"\x01\x00\x00\x00" + data[8:],
     ], ids=["header_cut_short", "array_cut_short", "bad_magic", "bad_version",
-            "preamble_cut_short"])
+            "preamble_cut_short", "version_1"])
     def test_corrupt_file_raises_bad_model_file(self, tmp_path, corrupt):
         samples = separable_samples(60, seed=5)
         model, _ = train(samples, TrainConfig(batch_size=8, epochs=1, seed=3), d=4, d_enc=4)

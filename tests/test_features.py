@@ -8,6 +8,7 @@ import pytest
 from dxaudit.core import LexiconKind, make_lexicon
 from dxaudit.errors import BadPattern, EmptyContext
 from dxaudit.features import (
+    ContextSample,
     assemble_features,
     mark_disease_positions,
     mark_negation,
@@ -116,6 +117,15 @@ class TestAssembleFeatures:
     def test_overlong_disease_truncated(self, feature_lexicons):
         sample = assemble_features("病" * 40, "病" * 50, feature_lexicons)
         assert len(sample.disease) == 30
+
+    @pytest.mark.parametrize("disease, context", [("病" * 31, "病"), ("病", "病" * 451)],
+                             ids=["disease-31", "context-451"])
+    def test_sample_past_a_cap_is_refused(self, disease, context):
+        """A sample built by hand cannot reach a model past the caps that
+        assemble_features clips to."""
+        zeros = np.zeros(len(context), dtype=np.uint8)
+        with pytest.raises(ValueError, match="longer than its cap"):
+            ContextSample(disease, context, zeros, zeros, zeros)
 
     def test_empty_context_raises(self, feature_lexicons):
         with pytest.raises(EmptyContext):

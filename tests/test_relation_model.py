@@ -24,6 +24,7 @@ from dxaudit.errors import (
 )
 from dxaudit.relation_model import (
     BLOCK_ROWS,
+    MAX_NAME,
     RELATIONS,
     DiseasePair,
     PairEncoder,
@@ -266,7 +267,7 @@ class TestGradients:
     """Hand-written relation gradients against central finite differences.
 
     The names repeat characters, hold one the vocabulary lacks and run past
-    max_name, so the scatter into the embedding table sees repeated rows,
+    MAX_NAME, so the scatter into the embedding table sees repeated rows,
     the unknown-character row and clipping.
     """
 
@@ -274,23 +275,22 @@ class TestGradients:
         encoder = PairEncoder(list("abcdefgh"), d_pair=5, seed=3)
         batch = [DiseasePair("abca", "abd", PairSource.CODING_PAIR),
                  DiseasePair("efx", "eg", PairSource.CODING_PAIR),
-                 DiseasePair("ha", "cdcdcdcd", PairSource.RANDOM_NEG),
-                 DiseasePair("bbgfedcb", "fe", PairSource.BACK_TRANSLATION)]
-        _, grad = info_nce_batch_loss(encoder, batch, tau=0.05, max_name=6,
-                                      with_grads=True)
+                 DiseasePair("ha", "cdcdcdcd" * 7, PairSource.RANDOM_NEG),
+                 DiseasePair("bbgfedcb" * 7, "fe", PairSource.BACK_TRANSLATION)]
+        _, grad = info_nce_batch_loss(encoder, batch, tau=0.05, with_grads=True)
         worst = central_difference_worst_error(
             {"embedding": encoder.embedding}, {"embedding": grad},
-            lambda: info_nce_batch_loss(encoder, batch, tau=0.05, max_name=6))
+            lambda: info_nce_batch_loss(encoder, batch, tau=0.05))
         assert worst < 1e-4
 
     def test_finetune_step_gradients(self):
         encoder = PairEncoder(list("abcdefg"), d_pair=3, seed=1)
-        model = RelationClassifier(encoder, PairTrainConfig(hidden=6, max_name=6), seed=2)
-        a, b, label = "abcafedc", "dexd", RELATIONS.index("secondary")
+        model = RelationClassifier(encoder, PairTrainConfig(hidden=6), seed=2)
+        a, b, label = "abcafedc" * 7, "dexd", RELATIONS.index("secondary")
 
         # one SGD step at lr=1 moves each parameter by minus its gradient
         stepped = copy.deepcopy(model)
-        stepped._step([(stepped.encoder.encode_ids(a, 6), stepped.encoder.encode_ids(b, 6),
+        stepped._step([(stepped.encoder.encode_ids(a), stepped.encoder.encode_ids(b),
                         label)], 1.0)
         after = step_params(stepped)
         analytic = {name: table - after[name]
@@ -306,10 +306,10 @@ class TestGradients:
         embedding table take gradient from several examples, and the batch
         holds a symmetric pair in both orders, as finetune builds it."""
         encoder = PairEncoder(list("abcdefg"), d_pair=3, seed=1)
-        model = RelationClassifier(encoder, PairTrainConfig(hidden=6, max_name=6), seed=2)
-        examples = [("abcafedc", "dexd", "secondary"), ("cab", "gfa", "inclusion"),
+        model = RelationClassifier(encoder, PairTrainConfig(hidden=6), seed=2)
+        examples = [("abcafedc" * 7, "dexd", "secondary"), ("cab", "gfa", "inclusion"),
                     ("bdgb", "ea", "irrelevance"), ("ea", "bdgb", "irrelevance")]
-        batch = [(encoder.encode_ids(a, 6), encoder.encode_ids(b, 6), RELATIONS.index(r))
+        batch = [(encoder.encode_ids(a), encoder.encode_ids(b), RELATIONS.index(r))
                  for a, b, r in examples]
         stepped = copy.deepcopy(model)
         stepped._step(batch, 1.0)
@@ -494,10 +494,10 @@ class TestFineTune:
 
 def random_names(model, n, seed):
     """Names over the model's vocabulary plus a few unknown characters,
-    some longer than max_name."""
+    some longer than MAX_NAME."""
     rng = random.Random(seed)
     chars = model.encoder.chars + list("鱼羊△")
-    longest = model.config.max_name + 10
+    longest = MAX_NAME + 10
     return ["".join(rng.choice(chars) for _ in range(rng.randint(1, longest)))
             for _ in range(n)]
 
@@ -506,9 +506,9 @@ class TestBlockScoring:
     def test_embed_many_matches_embed(self, fixture_pair_model):
         encoder = fixture_pair_model[0].encoder
         names = random_names(fixture_pair_model[0], 40, seed=1)
-        rows = encoder.embed_many(names, max_name=50)
+        rows = encoder.embed_many(names)
         for name, row in zip(names, rows):
-            np.testing.assert_allclose(row, encoder.embed(name, 50), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row, encoder.embed(name), rtol=0, atol=1e-12)
 
     def test_embed_many_rejects_empty_names(self, fixture_pair_model):
         encoder = fixture_pair_model[0].encoder
