@@ -110,8 +110,7 @@ class _SubParsers:
     def add_parser(self, name, run, **kwargs):
         parser = self._sub.add_parser(name, **kwargs)
         parser.set_defaults(run=run)
-        for flag, kind in (("--seed", int), ("--parallelism", int),
-                           ("--config", str)):
+        for flag, kind in (("--seed", int), ("--config", str)):
             parser.add_argument(flag, type=kind, default=argparse.SUPPRESS)
         return parser
 
@@ -119,8 +118,6 @@ class _SubParsers:
 def build_parser() -> _Parser:
     parser = _Parser(prog="dxaudit")
     parser.add_argument("--seed", type=int, help="override every seed")
-    parser.add_argument("--parallelism", type=int,
-                        help="accepted and ignored: records run one after another")
     parser.add_argument("--config", help="flat key=value config file")
     sub = _SubParsers(parser.add_subparsers(dest="command", required=True))
 

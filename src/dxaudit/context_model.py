@@ -175,9 +175,6 @@ class CharWindowEncoder:
         d_rows = self._window_sums(d_h1 / (hi - lo)[:, None], lo, hi)
         return {"embedding": _row_sums(len(self.embedding), ids, d_rows)}
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"embedding": self.embedding}
-
 
 class GatedFusionHead:
     """Parameters and forward/backward of the fusion-and-classify stack.
@@ -510,6 +507,7 @@ class ContextClassifier:
     @classmethod
     def load(cls, path) -> "ContextClassifier":
         meta, arrays = load_model(path, "context")
+        meta.expect("labels", list(LABELS))  # probabilities are indexed in this order
         with meta.settings():
             encoder = CharWindowEncoder(CharVocab(list(meta.text("vocab"))), meta["d_enc"])
             head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"])

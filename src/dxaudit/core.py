@@ -424,27 +424,27 @@ def iter_corpus(
     earlier record_id) yields its error and reading goes on.
     """
     seen: set[str] = set()
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                yield line_no, None, ParseError(
-                    f"invalid UTF-8 at byte {exc.start}", line_no)
-                continue
-            if not text:
-                continue
-            try:
-                record = parse_record_line(text, line_no)
-            except ParseError as exc:
-                yield line_no, None, exc
-                continue
-            if record.record_id in seen:
-                yield line_no, None, DuplicateRecordId(
-                    f"duplicate record_id {record.record_id!r}")
-                continue
-            seen.add(record.record_id)
-            yield line_no, record, None
+    lines = Path(path).read_bytes().splitlines()  # at LF, CRLF or CR
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            yield line_no, None, ParseError(
+                f"invalid UTF-8 at byte {exc.start}", line_no)
+            continue
+        if not text:
+            continue
+        try:
+            record = parse_record_line(text, line_no)
+        except ParseError as exc:
+            yield line_no, None, exc
+            continue
+        if record.record_id in seen:
+            yield line_no, None, DuplicateRecordId(
+                f"duplicate record_id {record.record_id!r}")
+            continue
+        seen.add(record.record_id)
+        yield line_no, record, None
 
 
 def load_corpus(path: str | Path) -> list[MedicalRecord]:
@@ -471,12 +471,11 @@ def save_corpus(records: Iterable[MedicalRecord], path: str | Path) -> None:
 
 
 class IcdIndex:
-    """Lookup over an ICD table: by code, by normalized title, children."""
+    """Lookup over an ICD table: by code and by normalized title."""
 
     def __init__(self, entries: Iterable[IcdEntry]):
         self._by_code: dict[str, IcdEntry] = {}
         self._by_title: dict[str, list[IcdEntry]] = {}
-        self._children: dict[str, list[str]] = {}
         for entry in entries:
             if entry.code in self._by_code:
                 raise DuplicateCode(f"code {entry.code} appears twice")
@@ -485,15 +484,9 @@ class IcdIndex:
             entry = self._by_code[code]
             title_key = normalize_disease_name(entry.title)
             self._by_title.setdefault(title_key, []).append(entry)
-            parent = entry.parent_code
-            if parent is not None and parent in self._by_code:
-                self._children.setdefault(parent, []).append(code)
 
     def __len__(self) -> int:
         return len(self._by_code)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._by_code
 
     def get(self, code: str) -> IcdEntry | None:
         return self._by_code.get(code)
@@ -509,9 +502,6 @@ class IcdIndex:
     def titles(self) -> list[str]:
         """Distinct normalized titles, in the code order of their first entry."""
         return list(self._by_title)
-
-    def children_of(self, code: str) -> list[str]:
-        return list(self._children.get(code, ()))
 
     def codes(self) -> list[str]:
         return sorted(self._by_code)

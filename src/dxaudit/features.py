@@ -12,12 +12,12 @@ All marking functions are pure; the lexicons they read are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import MAX_CONTEXT, MAX_DISEASE, SENTENCE_BOUNDARIES, Lexicon, LexiconKind
-from .errors import BadPattern, EmptyContext
+from .errors import BadPattern, BadSetting, EmptyContext
 
 LABELS = ("non_current", "confirmed", "unknown")
 
@@ -65,33 +65,18 @@ def mark_disease_positions(disease: str, context: str) -> np.ndarray:
 
 def mark_negation(context: str, negation_lexicon: Lexicon) -> np.ndarray:
     """1 over every character inside any negation-word occurrence."""
-    if negation_lexicon.kind is not LexiconKind.NEGATION_WORDS:
-        raise ValueError(f"expected a negation lexicon, got {negation_lexicon.kind}")
     track = np.zeros(len(context), dtype=np.uint8)
     for word in negation_lexicon.entries:
         _mark_occurrences(track, context, word)
     return track
 
 
-def compile_enumerator_patterns(lexicon: Lexicon) -> list[re.Pattern]:
-    if lexicon.kind is not LexiconKind.ENUMERATOR_PATTERNS:
-        raise ValueError(f"expected enumerator patterns, got {lexicon.kind}")
-    compiled = []
-    for raw in lexicon.entries:
-        try:
-            compiled.append(re.compile(raw))
-        except re.error as exc:
-            raise BadPattern(f"pattern {raw!r}: {exc}")
-    return compiled
-
-
-def mark_serial_numbers(context: str, enumerator_patterns: Lexicon) -> np.ndarray:
-    """1 over enumerated-list items.
+def mark_serial_numbers(context: str, patterns: tuple[re.Pattern, ...]) -> np.ndarray:
+    """1 over enumerated-list items, given compiled enumerator patterns.
 
     An item runs from its enumerator token to the character before the
     next enumerator or sentence terminator, whichever comes first.
     """
-    patterns = compile_enumerator_patterns(enumerator_patterns)
     track = np.zeros(len(context), dtype=np.uint8)
     tokens: list[tuple[int, int]] = []
     for pattern in patterns:
@@ -114,8 +99,25 @@ def mark_serial_numbers(context: str, enumerator_patterns: Lexicon) -> np.ndarra
 
 @dataclass(frozen=True)
 class FeatureLexicons:
+    """The negation words and enumerator patterns of a run, with both kinds
+    checked (BadSetting) and every pattern compiled (BadPattern) once."""
+
     negation: Lexicon
     enumerators: Lexicon
+    patterns: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for lexicon, kind in ((self.negation, LexiconKind.NEGATION_WORDS),
+                              (self.enumerators, LexiconKind.ENUMERATOR_PATTERNS)):
+            if lexicon.kind is not kind:
+                raise BadSetting(f"expected a {kind.value} lexicon, got {lexicon.kind.value}")
+        compiled = []
+        for raw in self.enumerators.entries:
+            try:
+                compiled.append(re.compile(raw))
+            except re.error as exc:
+                raise BadPattern(f"pattern {raw!r}: {exc}")
+        object.__setattr__(self, "patterns", tuple(compiled))
 
 
 def assemble_features(
@@ -134,6 +136,6 @@ def assemble_features(
         context=context,
         pos_track=mark_disease_positions(disease, context),
         neg_track=mark_negation(context, lexicons.negation),
-        order_track=mark_serial_numbers(context, lexicons.enumerators),
+        order_track=mark_serial_numbers(context, lexicons.patterns),
         label=label,
     )

@@ -55,6 +55,12 @@ class _Fields(dict):
             raise BadModelFile(f"{self.path}: model {self.part} {key!r} is not a string")
         return self[key]
 
+    def expect(self, key: str, value) -> None:
+        """Raise BadModelFile unless the field under ``key`` equals ``value``."""
+        if self[key] != value:
+            raise BadModelFile(f"{self.path}: model {self.part} {key!r} is "
+                               f"{self[key]!r}, expected {value!r}")
+
     @contextmanager
     def settings(self):
         """Raise a BadSetting from building a model out of these fields as

@@ -318,7 +318,6 @@ class PairEncoder:
 
     def __init__(self, chars: list[str], d_pair: int = 32, seed: int = 0):
         self.vocab = CharVocab(chars, first_id=1)
-        self.chars = self.vocab.chars
         self.d_pair = d_pair
         require_at_least(self, d_pair=1)
         rng = np.random.default_rng(seed)
@@ -376,6 +375,9 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     v, ids_b, len_b = encoder.embed_many([p.b for p in batch], with_ids=True)
     u_norm = np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
     v_norm = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
+    # a norm that overflows makes every similarity 0 and the loss a finite log(batch)
+    require_finite(u_norm)
+    require_finite(v_norm)
     u_hat, v_hat = u / u_norm, v / v_norm
 
     sims = u_hat @ v_hat.T  # (n_anchors, batch)
@@ -424,7 +426,8 @@ def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],
 def contrastive_pretrain(pairs: list[DiseasePair], encoder: PairEncoder,
                          config: PairTrainConfig) -> tuple[PairEncoder, list[float]]:
     """SGD on the InfoNCE objective; returns per-epoch evaluation losses.
-    One that is not finite raises DegenerateData."""
+    One that is not finite, or an embedding norm that overflows in any
+    batch, raises DegenerateData."""
     if sum(1 for p in pairs if p.polarity == "same") < 2:
         raise DegenerateBatch("need >= 2 positive pairs to pretrain")
     rng = random.Random(config.seed)
@@ -554,7 +557,7 @@ class RelationClassifier:
 
     def save(self, path) -> None:
         meta = {
-            "vocab": "".join(self.encoder.chars),
+            "vocab": "".join(self.encoder.vocab.chars),
             "d_pair": self.encoder.d_pair,
             "labels": list(RELATIONS),
             "config": asdict(self.config),
@@ -566,6 +569,7 @@ class RelationClassifier:
     @classmethod
     def load(cls, path) -> "RelationClassifier":
         meta, arrays = load_model(path, "relation")
+        meta.expect("labels", list(RELATIONS))  # probabilities are indexed in this order
         with meta.settings():
             config = load_config(meta, PairTrainConfig)
             encoder = PairEncoder(list(meta.text("vocab")), d_pair=meta["d_pair"])

@@ -243,7 +243,7 @@ def seed_relation_forward(model, a, b):
 
     from dxaudit.relation_model import MAX_NAME
 
-    ids = {ch: i + 1 for i, ch in enumerate(model.encoder.chars)}
+    ids = {ch: i + 1 for i, ch in enumerate(model.encoder.vocab.chars)}
     table = model.encoder.embedding
     u = table[np.array([ids.get(ch, 0) for ch in a[:MAX_NAME]], dtype=np.intp)].mean(axis=0)
     v = table[np.array([ids.get(ch, 0) for ch in b[:MAX_NAME]], dtype=np.intp)].mean(axis=0)

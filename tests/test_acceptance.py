@@ -398,14 +398,14 @@ def test_criterion_10_determinism(tmp_path):
     (models_dir / "context.bin").write_bytes((tmp_path / "ctx_a.bin").read_bytes())
     (models_dir / "relation.bin").write_bytes((tmp_path / "rel_a.bin").read_bytes())
     reports = []
-    for par in ("1", "8", "1"):
+    for _ in range(3):
         out = tmp_path / f"findings_{len(reports)}.jsonl"
-        assert cli_main(["--parallelism", par, "detect",
+        assert cli_main(["detect",
                          "--corpus", str(corpus["a"]),
                          "--models", str(models_dir), "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     detect_ok = reports[0] == reports[1] == reports[2]
     report(10, gen_ok and train_ok and detect_ok,
            f"generate byte-identical ({gen_ok}), train byte-identical "
-           f"({train_ok}), detect identical across runs and parallelism "
+           f"({train_ok}), detect identical across runs "
            f"({detect_ok})")

@@ -82,6 +82,14 @@ class TestExitCodes:
             run(["detect", "--corpus", "x.jsonl"])  # --out missing
         assert excinfo.value.code == 64
 
+    @pytest.mark.parametrize("argv", [["--parallelism", "2", "detect"],
+                                      ["detect", "--parallelism", "2"]],
+                             ids=["before-command", "after-command"])
+    def test_parallelism_flag_is_gone(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--corpus", "x.jsonl", "--models", "m", "--out", "y.jsonl"])
+        assert excinfo.value.code == 64
+
     @pytest.mark.parametrize("argv, code, text", [
         (["--help"], 0, "usage: dxaudit"),
         ([], 64, "dxaudit: error: the following arguments are required: command"),
@@ -405,19 +413,22 @@ class TestDeterminism:
             models.append(out.read_bytes())
         assert models[0] == models[1]
 
-    def test_detect_parallelism_byte_identical(self, workspace, tmp_path):
-        reports = []
-        for par in ("1", "8"):
-            out = tmp_path / f"p{par}.jsonl"
-            assert run(["--parallelism", par, "detect",
-                        "--corpus", str(workspace / "corpus.jsonl"),
-                        "--models", str(workspace / "models"),
-                        "--out", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-
 
 class TestHostileInput:
+    def test_bad_enumerator_pattern_is_65_at_load(self, workspace, tmp_path, capsys):
+        """A pattern that does not compile is one bad setting, not one error
+        per record."""
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text("(\n", encoding="utf-8")
+        out = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--models", str(workspace / "models"),
+                    "--enumerator-patterns", str(patterns), "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert "pattern '('" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_fields_fail_alone(self, workspace, tmp_path):
         good = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
         bad = [
@@ -698,6 +709,8 @@ class TestHostileInput:
         ("relation", "vocab", 123),
         ("relation", "config.tau", "0.05"),
         ("relation", "config.max_name", 0),
+        ("context", "labels", ["x", "y"]),
+        ("relation", "labels", list(reversed(relation_model.RELATIONS))),
     ])
     def test_model_header_value_is_checked(self, workspace, tmp_path, capsys, kind,
                                            key, value):
@@ -730,9 +743,9 @@ class TestHostileInput:
                                                           capsys, command, flags):
         """A batch loss that is not finite stops training before its backward;
         one batch per epoch diverges only in the epoch's loss. Pretraining at
-        1e300 keeps a finite loss (its norms overflow, so every similarity
-        is 0) and fine-tuning diverges; at 1e308 pretraining does, and no
-        NaN loss is reported."""
+        1e300 overflows the embedding norms while its loss stays finite, and
+        the norms are refused; at 1e308 the loss diverges too, and no NaN
+        loss is reported."""
         pretrain = tmp_path / "pretrain.tsv"
         pretrain.write_text("肺炎\t肺部感染\tsame\tcoding_pair\n"
                             "高血压\t高血压病\tsame\tcoding_pair\n"

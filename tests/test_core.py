@@ -235,13 +235,6 @@ class TestWriters:
 
 
 class TestIcdTable:
-    def test_children_of(self, tmp_path):
-        path = tmp_path / "icd.csv"
-        path.write_text("code,title,cc_level\nS05.3,眼球裂伤,NONE\nS05.301,巩膜破裂,NONE\n",
-                        encoding="utf-8")
-        index = core.load_icd_table(path)
-        assert index.children_of("S05.3") == ["S05.301"]
-
     def test_bad_code(self, tmp_path):
         path = tmp_path / "icd.csv"
         path.write_text("code,title,cc_level\nXYZ,坏行,NONE\n", encoding="utf-8")
@@ -253,7 +246,6 @@ class TestIcdTable:
         path.write_text("code,title,cc_level\n", encoding="utf-8")
         index = core.load_icd_table(path)
         assert len(index) == 0
-        assert index.children_of("S05") == []
 
     def test_duplicate_code(self):
         entries = make_fixture_icd_entries()
@@ -270,15 +262,6 @@ class TestIcdTable:
         assert fixture_icd.by_title("巩膜破裂")
         with pytest.raises(EmptyName):
             fixture_icd.by_title(" ，")
-
-    def test_prefix_consistency_exhaustive(self, fixture_icd):
-        for entry in fixture_icd.entries():
-            parent = entry.parent_code
-            if parent is not None and parent in fixture_icd:
-                assert entry.code in fixture_icd.children_of(parent)
-        for code in fixture_icd.codes():
-            for child in fixture_icd.children_of(code):
-                assert fixture_icd.get(child).parent_code == code
 
     def test_six_digit_ancestry(self, fixture_icd):
         entry = fixture_icd.get("S05.301")

@@ -1,14 +1,16 @@
 """Feature tracks: disease positions, negation, enumerated items."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from dxaudit.core import LexiconKind, make_lexicon
-from dxaudit.errors import BadPattern, EmptyContext
+from dxaudit.errors import BadPattern, BadSetting, EmptyContext
 from dxaudit.features import (
     ContextSample,
+    FeatureLexicons,
     assemble_features,
     mark_disease_positions,
     mark_negation,
@@ -81,26 +83,26 @@ class TestNegation:
 
 
 class TestSerialNumbers:
-    def test_arabic_enumerators_whole_items(self, enumerator_lexicon):
-        track = mark_serial_numbers("1.高血压 2.糖尿病", enumerator_lexicon)
+    def test_arabic_enumerators_whole_items(self, feature_lexicons):
+        track = mark_serial_numbers("1.高血压 2.糖尿病", feature_lexicons.patterns)
         assert bits(track) == "1" * 11
 
-    def test_circled_digit(self, enumerator_lexicon):
-        track = mark_serial_numbers("①肺炎", enumerator_lexicon)
+    def test_circled_digit(self, feature_lexicons):
+        track = mark_serial_numbers("①肺炎", feature_lexicons.patterns)
         assert bits(track) == "111"
 
-    def test_prose_digits_not_marked(self, enumerator_lexicon):
-        track = mark_serial_numbers("随访2周", enumerator_lexicon)
+    def test_prose_digits_not_marked(self, feature_lexicons):
+        track = mark_serial_numbers("随访2周", feature_lexicons.patterns)
         assert not track.any()
 
-    def test_item_stops_at_sentence_terminator(self, enumerator_lexicon):
-        track = mark_serial_numbers("1.高血压。其后正文", enumerator_lexicon)
+    def test_item_stops_at_sentence_terminator(self, feature_lexicons):
+        track = mark_serial_numbers("1.高血压。其后正文", feature_lexicons.patterns)
         assert bits(track) == "1111100000"
 
-    def test_bad_pattern_raises_at_use(self):
+    def test_bad_pattern_raises_at_load(self, negation_lexicon):
         lexicon = make_lexicon(["[unclosed"], LexiconKind.ENUMERATOR_PATTERNS)
-        with pytest.raises(BadPattern):
-            mark_serial_numbers("1.高血压", lexicon)
+        with pytest.raises(BadPattern, match=re.escape("'[unclosed'")):
+            FeatureLexicons(negation=negation_lexicon, enumerators=lexicon)
 
 
 class TestAssembleFeatures:
@@ -126,6 +128,14 @@ class TestAssembleFeatures:
         zeros = np.zeros(len(context), dtype=np.uint8)
         with pytest.raises(ValueError, match="longer than its cap"):
             ContextSample(disease, context, zeros, zeros, zeros)
+
+    @pytest.mark.parametrize("field", ["negation", "enumerators"])
+    def test_lexicon_of_the_wrong_kind_is_refused(self, feature_lexicons, field):
+        given = {"negation": feature_lexicons.negation,
+                 "enumerators": feature_lexicons.enumerators}
+        given[field] = make_lexicon(["肺炎"], LexiconKind.DISEASE_NAMES)
+        with pytest.raises(BadSetting, match="disease_names"):
+            FeatureLexicons(**given)
 
     def test_empty_context_raises(self, feature_lexicons):
         with pytest.raises(EmptyContext):

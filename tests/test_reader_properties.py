@@ -1,6 +1,8 @@
 """Property tests: the two readers on arbitrary bytes, name normalization,
 and pair files read back as written."""
 
+import re
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -43,7 +45,8 @@ def _non_blank(raw: bytes) -> bool:
 def test_iter_corpus_yields_one_entry_per_non_blank_line(path, data):
     path.write_bytes(data)
     entries = list(core.iter_corpus(path))
-    expected = [n for n, raw in enumerate(data.split(b"\n"), start=1) if _non_blank(raw)]
+    expected = [n for n, raw in enumerate(re.split(rb"\r\n|\r|\n", data), start=1)
+                if _non_blank(raw)]
     assert [line_no for line_no, _, _ in entries] == expected
     assert all((record is None) != (error is None) for _, record, error in entries)
 

@@ -262,6 +262,20 @@ class TestContrastiveObjective:
         assert len(history) == 5
         assert all(b < a for a, b in zip(history, history[1:]))
 
+    def test_overflowing_embedding_norms_are_refused(self):
+        """At a huge but finite learning rate the row norms overflow to inf,
+        every similarity is 0 and the loss is exactly log(batch), which is
+        finite: the norms themselves must be refused."""
+        pairs = [DiseasePair(f"病{c}", f"病{c}症", PairSource.CODING_PAIR)
+                 for c in "甲乙丙丁戊己"]
+        pairs += [DiseasePair(f"病{a}", f"病{b}", PairSource.RANDOM_NEG)
+                  for a, b in zip("甲乙丙丁戊己", "乙丙丁戊己甲")]
+        encoder = PairEncoder.from_names([p.a for p in pairs] + [p.b for p in pairs],
+                                         d_pair=8, seed=0)
+        config = PairTrainConfig(pretrain_learning_rate=1e300, epochs=2)
+        with pytest.raises(DegenerateData, match="diverged"):
+            contrastive_pretrain(pairs, encoder, config)
+
 
 class TestGradients:
     """Hand-written relation gradients against central finite differences.
@@ -496,7 +510,7 @@ def random_names(model, n, seed):
     """Names over the model's vocabulary plus a few unknown characters,
     some longer than MAX_NAME."""
     rng = random.Random(seed)
-    chars = model.encoder.chars + list("鱼羊△")
+    chars = model.encoder.vocab.chars + list("鱼羊△")
     longest = MAX_NAME + 10
     return ["".join(rng.choice(chars) for _ in range(rng.randint(1, longest)))
             for _ in range(n)]
