@@ -15,9 +15,12 @@ two streams through a learned gate:
 
 Everything is plain numpy with hand-written backprop, so gradients can be
 validated against finite differences and training is deterministic per
-seed. ``train`` builds the reference encoder, a trainable character
-embedding followed by a symmetric windowed average; ContextClassifier
-takes any encoder with the same encode/backward interface.
+seed. The encoder is a trainable character embedding followed by a
+symmetric windowed average (CharWindowEncoder).
+
+``ContextClassifier.classify`` runs the same math for one sequence from
+per-model tables of the parameter-only products; the training forward
+above stays its reference.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import parse_json_object, read_lines
+from .core import MAX_CONTEXT, MAX_DISEASE, parse_json_object, read_lines
 from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch, require_at_least
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import load_config, load_model, save_model
@@ -36,6 +40,10 @@ from .modelio import load_config, load_model, save_model
 UNK_ID = 0
 SEP_ID = 1
 WINDOW = 2  # characters averaged on each side of a position
+
+# Row i of an n-row sequence averages min(i, WINDOW) + min(n - 1 - i, WINDOW)
+# + 1 rows: this table's entry i plus its entry n - 1 - i.
+_HALF_COUNTS = np.minimum(np.arange(MAX_DISEASE + 1 + MAX_CONTEXT), WINDOW) + 0.5
 
 
 @dataclass
@@ -440,10 +448,58 @@ class ContextClassifier:
         return self._probs(*self.inputs(sample))[0]
 
     def classify(self, sample: ContextSample) -> tuple[str, float]:
-        """The most probable label and its probability."""
-        probs = self.forward(sample)
-        idx = int(np.argmax(probs))
-        return LABELS[idx], float(probs[idx])
+        """The most probable label and its probability.
+
+        Computes what ``forward`` does, from the tables of ``_folded``: the
+        character rows are averaged after the ``W1`` product, not before,
+        and the feature half of the fusion input is one table row per
+        position. The tables hold the parameters as they were at the first
+        call. ``forward`` is the reference this is tested against.
+        """
+        char_rows, code_rows, mix, w_y, b_y = self._folded
+        d = self.head.d
+        sep = len(sample.disease)
+        # "\0" holds the separator's place; its row is then set to SEP_ID
+        ids = self.encoder.vocab.encode(sample.disease + "\0" + sample.context)
+        ids[sep] = SEP_ID
+        n = len(ids)
+        # the (pos, neg, order) bits as one code; the disease rows read (1, 0, 0)
+        code = np.empty(n, dtype=np.intp)
+        code[:sep] = 4
+        code[sep] = 0
+        code[sep + 1:] = 4 * sample.pos_track + 2 * sample.neg_track + sample.order_track
+
+        rows = char_rows[ids]
+        sums = rows.copy()
+        for k in range(1, WINDOW + 1):
+            sums[k:] += rows[:-k]
+            sums[:-k] += rows[k:]
+        h2 = np.maximum(sums / (_HALF_COUNTS[:n] + _HALF_COUNTS[n - 1::-1])[:, None], 0.0)
+        u = h2 @ mix + code_rows[code]
+        g = 1.0 / (1.0 + np.exp(-u[:, d:]))
+        o = h2 + g * (np.tanh(u[:, :d]) - h2)
+        scores = np.concatenate([o.max(axis=0), o.sum(axis=0) / n]) @ w_y + b_y
+        top = int(scores.argmax())
+        # the softmax's top entry: exp(0) over the sum
+        return LABELS[top], float(1.0 / np.exp(scores - scores[top]).sum())
+
+    @cached_property
+    def _folded(self) -> tuple[np.ndarray, ...]:
+        """The products of ``classify``'s forward that depend only on the
+        parameters, built at its first call:
+
+        - ``embedding @ W1 + b1``, a row per character id;
+        - ``f1 @ [W_fm[:d] | W_g[:d]] + [b_fm | c_g]``, a row per track code,
+          where f1 is ``relu(GatedFusionHead._track_table())``;
+        - ``[W_fm[d:] | W_g[d:]]``, the product of h2 with both halves;
+        - copies of ``W_y`` and ``b_y``.
+        """
+        p, d = self.head.p, self.head.d
+        char_rows = self.encoder.embedding @ p["W1"] + p["b1"]
+        mix = np.concatenate([p["W_fm"], p["W_g"]], axis=1)
+        code_rows = (np.maximum(self.head._track_table(), 0.0) @ mix[:d]
+                     + np.concatenate([p["b_fm"], p["c_g"]]))
+        return char_rows, code_rows, mix[d:], p["W_y"].copy(), p["b_y"].copy()
 
     # -- training -----------------------------------------------------------
     # These take sequences from ``inputs``, so a training set is encoded once.

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import normalize_disease_name, write_rows
-from .features import ContextSample
+from .features import TRACKS, ContextSample
 from .pipeline import (
     BatchReport,
     DetectConfig,
@@ -103,7 +103,7 @@ class TrackZeroingContext:
     """Wraps a context model, zeroing one feature track at inference."""
 
     def __init__(self, inner, track: str):
-        if track not in ("pos_track", "neg_track", "order_track"):
+        if track not in TRACKS:
             raise ValueError(f"unknown track {track!r}")
         self._inner = inner
         self._track = track
@@ -140,7 +140,7 @@ def run_ablation(
         ("no_context", dc_replace(models, context=ConfirmAllContext())),
         ("no_relation", dc_replace(models, relation=IrrelevanceAllRelation())),
     ]
-    for track in ("pos_track", "neg_track", "order_track"):
+    for track in TRACKS:
         variants.append((f"{track}_off", dc_replace(
             models, context=TrackZeroingContext(models.context, track))))
     matcher = build_matcher(lexicons.diseases)

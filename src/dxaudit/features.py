@@ -20,6 +20,7 @@ from .core import MAX_CONTEXT, MAX_DISEASE, SENTENCE_BOUNDARIES, Lexicon, Lexico
 from .errors import BadPattern, BadSetting, EmptyContext
 
 LABELS = ("non_current", "confirmed", "unknown")
+TRACKS = ("pos_track", "neg_track", "order_track")
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,18 @@ class ContextSample:
             if len(getattr(self, name)) > cap:
                 raise ValueError(f"{name} is longer than its cap of {cap} characters")
         n = len(self.context)
-        for name in ("pos_track", "neg_track", "order_track"):
-            track = getattr(self, name)
+        tracks = [getattr(self, name) for name in TRACKS]
+        for name, track in zip(TRACKS, tracks):
             if len(track) != n:
                 raise ValueError(f"{name} length {len(track)} != context length {n}")
+        # One pass over all three tracks (count_nonzero costs half of .any()
+        # on a short window); the first bad entry names its track.
+        joined = np.concatenate(tracks)
+        bad = joined != joined.astype(bool)
+        if np.count_nonzero(bad):
+            at = int(bad.argmax())
+            raise ValueError(f"{TRACKS[at // n]} holds {joined[at]}; "
+                             f"a track holds only 0 and 1")
         if self.label is not None and self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
 

@@ -14,7 +14,7 @@ from dxaudit.errors import (
     ParseError,
     ShapeMismatch,
 )
-from dxaudit.features import LABELS, ContextSample, assemble_features
+from dxaudit.features import LABELS, TRACKS, ContextSample, assemble_features
 from dxaudit.modelio import load_model, save_model
 from dxaudit.context_model import (
     WINDOW,
@@ -142,6 +142,86 @@ class TestForward:
         got = head.forward(h1, tracks)
         expected = naive_fusion_forward(head.p, h1.tolist(), [0] * 4, [0] * 4, [0] * 4)
         assert np.allclose(got, expected, atol=1e-9)
+
+
+def assert_classify_matches_forward(model, sample):
+    probs = model.forward(sample)
+    label, prob = model.classify(sample)
+    assert label == LABELS[int(np.argmax(probs))]
+    assert abs(prob - probs.max()) <= 1e-12
+
+
+def bit_tracks(rng, length):
+    return {name: rng.integers(0, 2, size=length).astype(np.uint8) for name in TRACKS}
+
+
+def model_over(encoder, head):
+    return ContextClassifier(encoder, head, TrainConfig())
+
+
+class TestFoldedClassify:
+    """classify's folded forward against forward, the training forward."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            encoder, head, ids, tracks = random_instance(rng)
+            # the ids as text, "?" (out of the vocabulary) for UNK and SEP,
+            # split into (disease, SEP, context) at a random row
+            text = "".join("?" if i < 2 else encoder.vocab.chars[i - 2] for i in ids)
+            sep = int(rng.integers(0, len(ids) - 1))
+            sample = ContextSample(text[:sep], text[sep + 1:],
+                                   *(t[sep + 1:].astype(np.uint8) for t in tracks))
+            assert_classify_matches_forward(model_over(encoder, head), sample)
+
+    def test_lengths_from_one_past_two_windows(self):
+        rng = np.random.default_rng(42)
+        encoder, head, _, _ = random_instance(rng)
+        model = model_over(encoder, head)
+        for n in range(1, 2 * WINDOW + 3):
+            for sep in range(n):
+                text = "".join(rng.choice(encoder.vocab.chars, size=n))
+                sample = ContextSample(text[:sep], text[sep + 1:],
+                                       **bit_tracks(rng, n - sep - 1))
+                assert_classify_matches_forward(model, sample)
+
+    def test_every_track_code(self):
+        rng = np.random.default_rng(43)
+        encoder, head, _, _ = random_instance(rng)
+        model = model_over(encoder, head)
+        def code_tracks(codes):
+            return [((np.asarray(codes) >> shift) & 1).astype(np.uint8) for shift in (2, 1, 0)]
+
+        # one context row per code, then one context per code
+        samples = [ContextSample("a", "abcabcab", *code_tracks(range(8)))]
+        samples += [ContextSample("b", "cab", *code_tracks([code] * 3)) for code in range(8)]
+        for sample in samples:
+            assert_classify_matches_forward(model, sample)
+
+    def test_longest_disease_and_context(self):
+        rng = np.random.default_rng(44)
+        chars = [chr(0x4E00 + i) for i in range(60)]
+        encoder = CharWindowEncoder(CharVocab(chars[:50]), d_enc=32, seed=1)
+        model = model_over(encoder, GatedFusionHead(d_enc=32, d=32, seed=2))
+        for _ in range(5):
+            # the last 10 characters are out of the vocabulary
+            disease = "".join(rng.choice(chars, size=30))
+            context = "".join(rng.choice(chars, size=450))
+            assert_classify_matches_forward(
+                model, ContextSample(disease, context, **bit_tracks(rng, 450)))
+
+    def test_trained_and_reloaded_models(self, tmp_path):
+        """Tables built from the parameters before training, or before a
+        load replaced them, would fail here."""
+        samples = separable_samples(60, seed=11)
+        config = TrainConfig(batch_size=8, learning_rate=0.5, epochs=2, seed=5)
+        model, _ = train(samples, config, d=8, d_enc=8)
+        for sample in samples:
+            assert_classify_matches_forward(model, sample)
+        model.save(tmp_path / "context.bin")
+        loaded = ContextClassifier.load(tmp_path / "context.bin")
+        for sample in samples:
+            assert_classify_matches_forward(loaded, sample)
 
 
 class TestFocalLoss:

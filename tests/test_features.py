@@ -9,6 +9,7 @@ import pytest
 from dxaudit.core import LexiconKind, make_lexicon
 from dxaudit.errors import BadPattern, BadSetting, EmptyContext
 from dxaudit.features import (
+    TRACKS,
     ContextSample,
     FeatureLexicons,
     assemble_features,
@@ -128,6 +129,23 @@ class TestAssembleFeatures:
         zeros = np.zeros(len(context), dtype=np.uint8)
         with pytest.raises(ValueError, match="longer than its cap"):
             ContextSample(disease, context, zeros, zeros, zeros)
+
+    def test_misaligned_track_is_refused(self):
+        zeros = np.zeros(3, dtype=np.uint8)
+        with pytest.raises(ValueError, match="neg_track length 2 != context length 3"):
+            ContextSample("病", "病病病", zeros, zeros[:2], zeros)
+
+    @pytest.mark.parametrize("value, dtype", [(256, np.int64), (0.5, np.float64),
+                                              (2, np.uint8), (-1, np.int64)],
+                             ids=["256", "0.5", "2", "-1"])
+    def test_track_value_other_than_0_or_1_is_refused(self, value, dtype):
+        """256 and 0.5 would read as 0 once cast to uint8, and 2 or -1 as
+        another track code."""
+        for bad in TRACKS:
+            tracks = {name: np.array([1, 0, 1, 0], dtype=np.uint8) for name in TRACKS}
+            tracks[bad] = np.array([1, 0, value, 0], dtype=dtype)
+            with pytest.raises(ValueError, match=f"^{bad} holds {value}; "):
+                ContextSample("病", "病病病病", **tracks)
 
     @pytest.mark.parametrize("field", ["negation", "enumerators"])
     def test_lexicon_of_the_wrong_kind_is_refused(self, feature_lexicons, field):
