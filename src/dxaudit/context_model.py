@@ -130,17 +130,18 @@ def _passes(sequences, size: int):
 
 
 def pack(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay (ids, tracks) sequences end to end, with no padding.
+    """Lay (ids, code) sequences from ``ContextClassifier.inputs`` end to
+    end, with no padding.
 
-    Returns the concatenated ids, the three concatenated tracks as the rows
-    of one (3, n) array, and the row at which each sequence starts.
+    Returns the concatenated ids, the concatenated track codes and the row
+    at which each sequence starts.
     """
     lengths = [len(ids) for ids, _ in sequences]
     starts = np.zeros(len(lengths), dtype=np.intp)
     np.cumsum(lengths[:-1], out=starts[1:])
     ids = np.concatenate([ids for ids, _ in sequences])
-    tracks = np.concatenate([tr for _, tr in sequences], axis=1)
-    return ids, tracks, starts
+    code = np.concatenate([code for _, code in sequences])
+    return ids, code, starts
 
 
 class CharWindowEncoder:
@@ -210,19 +211,20 @@ class GatedFusionHead:
             "W_y": mat(2 * d, len(LABELS)), "b_y": np.zeros(len(LABELS)),
         }
 
-    def forward(self, h1: np.ndarray, tracks: tuple[np.ndarray, np.ndarray, np.ndarray],
+    def forward(self, h1: np.ndarray, code: np.ndarray,
                 starts: np.ndarray | None = None, return_cache: bool = False):
+        """Class probabilities of the packed rows ``h1``, whose track codes
+        (rows of ``_track_table``) are ``code``, one per row."""
         p = self.p
         n = h1.shape[0]
         if h1.shape[1] != self.d_enc:
             raise ShapeMismatch(f"encoder width {h1.shape[1]} != head d_enc {self.d_enc}")
-        if any(len(t) != n for t in tracks):
-            raise ShapeMismatch("feature tracks are not aligned with the encoding")
+        if len(code) != n:
+            raise ShapeMismatch("track codes are not aligned with the encoding")
         starts, lengths = _segments(starts, n)
 
         u1 = h1 @ p["W1"] + p["b1"]
         h2 = np.maximum(u1, 0.0)
-        code = np.ravel_multi_index(tracks, (2, 2, 2))
         f1 = np.maximum(self._track_table()[code], 0.0)
         z = np.concatenate([f1, h2], axis=1)
         u3 = z @ p["W_fm"] + p["b_fm"]
@@ -245,7 +247,8 @@ class GatedFusionHead:
         return probs, cache
 
     def _track_table(self) -> np.ndarray:
-        """uf for each of the 8 (pos, neg, order) bit triples.
+        """uf for each of the 8 (pos, neg, order) bit triples, at row
+        ``4*pos + 2*neg + order``.
 
         A track's contribution is a 2-row embedding lookup followed by a
         linear map, so the maps are applied to the embedding tables and the
@@ -425,24 +428,23 @@ class ContextClassifier:
     # -- input assembly ---------------------------------------------------
 
     def inputs(self, sample: ContextSample) -> tuple[np.ndarray, np.ndarray]:
-        """The sample as one sequence: char ids of (disease, SEP, context) and
-        the (pos, neg, order) 0/1 tracks aligned with them, as the rows of
-        one (3, n) array. The disease rows read (1, 0, 0), the SEP row 0."""
-        disease, context = sample.disease, sample.context
-        sep = len(disease)
-        ids = np.empty(sep + 1 + len(context), dtype=np.intp)
-        ids[:sep] = self.encoder.vocab.encode(disease)
+        """The sample as one sequence: the char ids of (disease, SEP, context)
+        and, aligned with them, each row's track code ``4*pos + 2*neg +
+        order``. The disease rows read 4 (pos only), the SEP row 0."""
+        sep = len(sample.disease)
+        # "\0" holds the separator's place; its row is then set to SEP_ID
+        ids = self.encoder.vocab.encode(sample.disease + "\0" + sample.context)
         ids[sep] = SEP_ID
-        ids[sep + 1:] = self.encoder.vocab.encode(context)
-        tracks = np.zeros((3, len(ids)), dtype=np.uint8)
-        tracks[0, :sep] = 1
-        tracks[:, sep + 1:] = (sample.pos_track, sample.neg_track, sample.order_track)
-        return ids, tracks
+        code = np.empty(len(ids), dtype=np.intp)
+        code[:sep] = 4
+        code[sep] = 0
+        code[sep + 1:] = 4 * sample.pos_track + 2 * sample.neg_track + sample.order_track
+        return ids, code
 
     # -- inference ----------------------------------------------------------
 
-    def _probs(self, ids, tracks, starts=None) -> np.ndarray:
-        return self.head.forward(self.encoder.encode(ids, starts), tracks, starts)
+    def _probs(self, ids, code, starts=None) -> np.ndarray:
+        return self.head.forward(self.encoder.encode(ids, starts), code, starts)
 
     def forward(self, sample: ContextSample) -> np.ndarray:
         return self._probs(*self.inputs(sample))[0]
@@ -458,17 +460,8 @@ class ContextClassifier:
         """
         char_rows, code_rows, mix, w_y, b_y = self._folded
         d = self.head.d
-        sep = len(sample.disease)
-        # "\0" holds the separator's place; its row is then set to SEP_ID
-        ids = self.encoder.vocab.encode(sample.disease + "\0" + sample.context)
-        ids[sep] = SEP_ID
+        ids, code = self.inputs(sample)
         n = len(ids)
-        # the (pos, neg, order) bits as one code; the disease rows read (1, 0, 0)
-        code = np.empty(n, dtype=np.intp)
-        code[:sep] = 4
-        code[sep] = 0
-        code[sep + 1:] = 4 * sample.pos_track + 2 * sample.neg_track + sample.order_track
-
         rows = char_rows[ids]
         sums = rows.copy()
         for k in range(1, WINDOW + 1):
@@ -518,10 +511,10 @@ class ContextClassifier:
                 {"embedding": sum(part[2] for part in parts)})
 
     def _packed_loss_and_grads(self, batch, labels):
-        ids, tracks, starts = pack(batch)
+        ids, code, starts = pack(batch)
         gamma = self.config.focal_gamma
         h1 = self.encoder.encode(ids, starts)
-        probs, cache = self.head.forward(h1, tracks, starts, return_cache=True)
+        probs, cache = self.head.forward(h1, code, starts, return_cache=True)
         loss = require_finite(float(focal_loss(probs, labels, gamma).sum()))
         head_grads, d_h1 = self.head.backward(cache, _focal_score_grad(probs, labels, gamma))
         return loss, head_grads, self.encoder.backward(ids, d_h1, starts)["embedding"]
@@ -564,6 +557,8 @@ class ContextClassifier:
     def load(cls, path) -> "ContextClassifier":
         meta, arrays = load_model(path, "context")
         meta.expect("labels", list(LABELS))  # probabilities are indexed in this order
+        arrays.expect_width("encoder.embedding", "d_enc", meta["d_enc"])
+        arrays.expect_width("head.b1", "d", meta["d"])
         with meta.settings():
             encoder = CharWindowEncoder(CharVocab(list(meta.text("vocab"))), meta["d_enc"])
             head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"])

@@ -213,6 +213,8 @@ def _cost_to_minor(value, line: int) -> int:
         minor = Decimal(str(value)) * 100
     except (InvalidOperation, ValueError):
         raise ParseError(f"bad avg_cost {value!r}", line)
+    if not minor.is_finite():
+        raise ParseError(f"avg_cost {value!r} is not finite", line)
     if minor != minor.to_integral_value():
         raise ParseError(f"avg_cost {value!r} has sub-minor-unit precision", line)
     if minor < 0:

@@ -70,6 +70,16 @@ class _Fields(dict):
         except BadSetting as exc:
             raise BadModelFile(f"{self.path}: model {self.part}: {exc}") from None
 
+    def expect_width(self, key: str, field: str, value) -> None:
+        """Raise BadModelFile unless ``value``, the header's ``field``, is the
+        length of the last axis of the array under ``key``, which must hold
+        data. Loaders check each header dimension so before they build a
+        model from it, so no dimension exceeds an array the file stores."""
+        shape = self[key].shape
+        if not self[key].size or shape[-1:] != (value,):
+            raise BadModelFile(f"{self.path}: model header {field!r} is {value!r}, "
+                               f"but array {key!r} has shape {shape}")
+
     def shaped_like(self, key: str, like: np.ndarray) -> np.ndarray:
         """The array under ``key``, which must have the shape of ``like``."""
         array = self[key]

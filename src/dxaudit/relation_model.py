@@ -572,6 +572,8 @@ class RelationClassifier:
         meta.expect("labels", list(RELATIONS))  # probabilities are indexed in this order
         with meta.settings():
             config = load_config(meta, PairTrainConfig)
+            arrays.expect_width("b_h", "config.hidden", config.hidden)
+            arrays.expect_width("embedding", "d_pair", meta["d_pair"])
             encoder = PairEncoder(list(meta.text("vocab")), d_pair=meta["d_pair"])
         encoder.embedding = arrays.shaped_like("embedding", encoder.embedding)
         model = cls(encoder, config)

@@ -51,7 +51,7 @@ from oracles import (
     finite_difference_worst_error,
     naive_forward,
 )
-from test_context_model import random_instance
+from test_context_model import random_instance, track_code
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -65,7 +65,7 @@ def test_criterion_01_gated_fusion_math():
     worst_forward = 0.0
     for _ in range(100):
         encoder, head, ids, tracks = random_instance(rng)
-        got = head.forward(encoder.encode(ids), tracks)
+        got = head.forward(encoder.encode(ids), track_code(tracks))
         expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                  list(ids), *[list(t) for t in tracks])
         worst_forward = max(worst_forward, float(np.max(np.abs(got - expected))))
@@ -97,16 +97,16 @@ def test_criterion_02_gate_reductions_and_convexity():
     encoder, head, ids, tracks = random_instance(rng)
     head.p["W_g"][:] = 0.0
     head.p["c_g"][:] = 50.0
-    _, cache = head.forward(encoder.encode(ids), tracks, return_cache=True)
+    _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
     open_ok = np.allclose(cache["o"], cache["h3"], atol=1e-9)
     head.p["c_g"][:] = -50.0
-    _, cache = head.forward(encoder.encode(ids), tracks, return_cache=True)
+    _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
     closed_ok = np.allclose(cache["o"], cache["h2"], atol=1e-9)
 
     convex_ok = True
     for _ in range(10000):
         encoder, head, ids, tracks = random_instance(rng)
-        _, cache = head.forward(encoder.encode(ids), tracks, return_cache=True)
+        _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
         low = np.minimum(cache["h2"], cache["h3"]) - 1e-12
         high = np.maximum(cache["h2"], cache["h3"]) + 1e-12
         if not ((cache["o"] >= low).all() and (cache["o"] <= high).all()):

@@ -439,6 +439,10 @@ class TestHostileInput:
             {"record_id": "b3", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
              "discharge_diagnoses": [],
              "drg": {"adrg": "GB2", "tier": True, "avg_cost": 1}},
+            # json.dumps writes Infinity, which reads back as 1e999 does
+            {"record_id": "b4", "sections": [{"name": "s", "text": "确诊为肺炎。"}],
+             "discharge_diagnoses": [],
+             "drg": {"adrg": "GB2", "tier": 1, "avg_cost": float("inf")}},
         ]
         corpus = tmp_path / "hostile.jsonl"
         corpus.write_text("\n".join([good] + [json.dumps(b, ensure_ascii=False) for b in bad])
@@ -448,7 +452,8 @@ class TestHostileInput:
                     "--models", str(workspace / "models"), "--out", str(out)]) == 2
         lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert [obj["record_id"] for obj in lines[:-1]] == [json.loads(good)["record_id"]]
-        assert [e["line"] for e in lines[-1]["errors"]] == [2, 3, 4]
+        assert [e["line"] for e in lines[-1]["errors"]] == [2, 3, 4, 5]
+        assert lines[-1]["errors"][-1]["error"] == "line 5: avg_cost inf is not finite"
 
     def test_deeply_nested_corpus_line_fails_alone(self, workspace, tmp_path):
         lines = (workspace / "corpus.jsonl").read_bytes().splitlines()[:2]
@@ -711,6 +716,12 @@ class TestHostileInput:
         ("relation", "config.max_name", 0),
         ("context", "labels", ["x", "y"]),
         ("relation", "labels", list(reversed(relation_model.RELATIONS))),
+        # a dimension that disagrees with its array is refused before any
+        # allocation of its size, which would fail
+        ("context", "d_enc", 10**15),
+        ("context", "d", 10**15),
+        ("relation", "d_pair", 10**15),
+        ("relation", "config.hidden", 10**15),
     ])
     def test_model_header_value_is_checked(self, workspace, tmp_path, capsys, kind,
                                            key, value):
@@ -809,6 +820,23 @@ class TestInputFileErrors:
                 "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
                 "--findings", str(Path(out).parent / "summary.jsonl"),
                 "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+        "drg-impact-groups-infinite-cost": (
+            b"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,Infinity\n", 3,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+        "drg-impact-corpus-infinite-cost": (
+            b'{"record_id": "r1", "sections": [{"name": "s", "text": "t"}],'
+            b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1}}\n'
+            b'{"record_id": "r2", "sections": [{"name": "s", "text": "t"}],'
+            b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1e999}}\n',
+            2,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", bad,
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", str(data / "icd_demo.csv"),
+                "--groups", str(data / "drg_groups_demo.csv"), "--out", out]),
         "evaluate-findings-nested-too-deeply": (
             b"[" * 200000 + b"\n", 1,
             lambda ws, data, bad, out: [

@@ -57,6 +57,12 @@ def random_instance(rng: np.random.Generator):
     return encoder, head, ids, tracks
 
 
+def track_code(tracks):
+    """The fusion-table row of each position of (pos, neg, order) 0/1
+    tracks, the code GatedFusionHead.forward reads."""
+    return np.ravel_multi_index(tracks, (2, 2, 2))
+
+
 def make_sample(disease="ab", context="abcabdca", label=None) -> ContextSample:
     rng = np.random.default_rng(0)
     return ContextSample(
@@ -72,7 +78,7 @@ class TestForward:
         rng = np.random.default_rng(21)
         for _ in range(100):
             encoder, head, ids, tracks = random_instance(rng)
-            got = head.forward(encoder.encode(ids), tracks)
+            got = head.forward(encoder.encode(ids), track_code(tracks))
             expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                      list(ids), *[list(t) for t in tracks])
             assert np.allclose(got, np.array(expected), atol=1e-9)
@@ -81,7 +87,7 @@ class TestForward:
         rng = np.random.default_rng(22)
         for _ in range(200):
             encoder, head, ids, tracks = random_instance(rng)
-            probs = head.forward(encoder.encode(ids), tracks)
+            probs = head.forward(encoder.encode(ids), track_code(tracks))
             assert abs(probs.sum() - 1.0) < 1e-9
             assert (probs > 0).all()
 
@@ -90,7 +96,7 @@ class TestForward:
         encoder, head, ids, tracks = random_instance(rng)
         head.p["W_g"][:] = 0.0
         head.p["c_g"][:] = 50.0
-        _, cache = head.forward(encoder.encode(ids), tracks, return_cache=True)
+        _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
         assert np.allclose(cache["o"], cache["h3"], atol=1e-9)
 
     def test_gate_forced_closed_selects_h2(self):
@@ -98,7 +104,7 @@ class TestForward:
         encoder, head, ids, tracks = random_instance(rng)
         head.p["W_g"][:] = 0.0
         head.p["c_g"][:] = -50.0
-        _, cache = head.forward(encoder.encode(ids), tracks, return_cache=True)
+        _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
         assert np.allclose(cache["o"], cache["h2"], atol=1e-9)
 
     def test_closed_gate_ignores_feature_tracks(self):
@@ -110,14 +116,14 @@ class TestForward:
         length = len(ids)
         tracks_a = tuple(np.zeros(length, dtype=np.intp) for _ in range(3))
         tracks_b = tuple(np.ones(length, dtype=np.intp) for _ in range(3))
-        assert np.allclose(head.forward(h1, tracks_a), head.forward(h1, tracks_b),
-                           atol=1e-9)
+        assert np.allclose(head.forward(h1, track_code(tracks_a)),
+                           head.forward(h1, track_code(tracks_b)), atol=1e-9)
 
     def test_gating_convexity_fuzz(self):
         rng = np.random.default_rng(26)
         for _ in range(1000):
             encoder, head, ids, tracks = random_instance(rng)
-            _, cache = head.forward(encoder.encode(ids), tracks, return_cache=True)
+            _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
             low = np.minimum(cache["h2"], cache["h3"])
             high = np.maximum(cache["h2"], cache["h3"])
             assert (cache["o"] >= low - 1e-12).all()
@@ -126,11 +132,11 @@ class TestForward:
     def test_shape_mismatch(self):
         head = GatedFusionHead(d_enc=8, d=4, seed=0)
         with pytest.raises(ShapeMismatch):
-            head.forward(np.zeros((5, 4)), tuple(np.zeros(5, dtype=np.intp)
-                                                 for _ in range(3)))
+            head.forward(np.zeros((5, 4)), track_code(tuple(np.zeros(5, dtype=np.intp)
+                                                            for _ in range(3))))
         with pytest.raises(ShapeMismatch):
-            head.forward(np.zeros((5, 8)), tuple(np.zeros(4, dtype=np.intp)
-                                                 for _ in range(3)))
+            head.forward(np.zeros((5, 8)), track_code(tuple(np.zeros(4, dtype=np.intp)
+                                                            for _ in range(3))))
 
     def test_naive_fusion_handles_known_gate(self):
         # sanity of the oracle itself: g=1 everywhere reduces to tanh path
@@ -139,7 +145,7 @@ class TestForward:
         head.p["c_g"][:] = 50.0
         h1 = np.random.default_rng(0).normal(size=(4, 3))
         tracks = tuple(np.zeros(4, dtype=np.intp) for _ in range(3))
-        got = head.forward(h1, tracks)
+        got = head.forward(h1, track_code(tracks))
         expected = naive_fusion_forward(head.p, h1.tolist(), [0] * 4, [0] * 4, [0] * 4)
         assert np.allclose(got, expected, atol=1e-9)
 
@@ -273,18 +279,19 @@ class TestPackedBatches:
         for _ in range(100):
             encoder, head, _, _ = random_instance(rng)
             vocab_size = len(encoder.vocab)
-            sequences = []
+            sequences, seq_tracks = [], []
             for _ in range(int(rng.integers(1, 9))):
                 length = int(rng.integers(1, 13))
                 lengths_seen.add(length)
+                seq_tracks.append(tuple(rng.integers(0, 2, size=length) for _ in range(3)))
                 sequences.append((rng.integers(0, vocab_size, size=length),
-                                  tuple(rng.integers(0, 2, size=length) for _ in range(3))))
-            ids, tracks, starts = pack(sequences)
-            got = head.forward(encoder.encode(ids, starts), tracks, starts)
+                                  track_code(seq_tracks[-1])))
+            ids, code, starts = pack(sequences)
+            got = head.forward(encoder.encode(ids, starts), code, starts)
             assert got.shape == (len(sequences), len(LABELS))
-            for row, (seq_ids, seq_tracks) in zip(got, sequences):
+            for row, (seq_ids, _), tracks in zip(got, sequences, seq_tracks):
                 expected = naive_forward(encoder.embedding, WINDOW, head.p,
-                                         list(seq_ids), *[list(t) for t in seq_tracks])
+                                         list(seq_ids), *[list(t) for t in tracks])
                 assert np.allclose(row, np.array(expected), atol=1e-9)
         # length 1, and lengths no longer than the window, occur
         assert {1, 2} <= lengths_seen
@@ -348,18 +355,17 @@ class TestPackedBatches:
                    for _ in range(40)]
         got = [model.inputs(s) for s in samples]
         expected = [seed_context_inputs(model, s) for s in samples]
-        for (ids, tracks), (seed_ids, seed_tracks) in zip(got, expected):
+        for (ids, code), (seed_ids, seed_tracks) in zip(got, expected):
             assert ids.dtype == seed_ids.dtype and np.array_equal(ids, seed_ids)
-            assert tracks.dtype == np.uint8 and tracks.shape == (3, len(ids))
-            for row, seed_row in zip(tracks, seed_tracks):
-                assert np.array_equal(row, seed_row)
-            assert np.array_equal(model._probs(ids, tracks),
-                                  model._probs(seed_ids, seed_tracks))
-        ids, tracks, starts = pack(got)
-        seed_tracks = tuple(np.concatenate([tr[t] for _, tr in expected]) for t in range(3))
-        assert np.array_equal(tracks, np.stack(seed_tracks))
-        assert np.array_equal(model._probs(ids, tracks, starts),
-                              model._probs(ids, seed_tracks, starts))
+            assert code.dtype == np.intp
+            assert np.array_equal(code, np.ravel_multi_index(seed_tracks, (2, 2, 2)))
+            assert np.array_equal(model._probs(ids, code),
+                                  model._probs(seed_ids, track_code(seed_tracks)))
+        ids, code, starts = pack(got)
+        seed_code = np.concatenate([track_code(tracks) for _, tracks in expected])
+        assert np.array_equal(code, seed_code)
+        assert np.array_equal(model._probs(ids, code, starts),
+                              model._probs(ids, seed_code, starts))
 
     def test_row_sums_equal_add_at(self):
         rng = np.random.default_rng(28)

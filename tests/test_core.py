@@ -157,6 +157,15 @@ class TestRecordFieldValidation:
             core.parse_record_line(line, 4)
         assert excinfo.value.line == 4
 
+    @pytest.mark.parametrize("cost", ["1e999", "-1e999", "NaN", "Infinity"])
+    def test_non_finite_cost_is_parse_error(self, cost):
+        line = ('{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+                ' "discharge_diagnoses": [],'
+                f' "drg": {{"adrg": "GB2", "tier": 1, "avg_cost": {cost}}}}}')
+        with pytest.raises(ParseError, match="is not finite") as excinfo:
+            core.parse_record_line(line, 4)
+        assert excinfo.value.line == 4
+
     def test_paired_surrogate_escape_and_escaped_backslash_parse(self):
         record = core.parse_record_line(
             '{"record_id": "r\\\\ud800", "sections": [{"name": "s", '

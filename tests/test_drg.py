@@ -324,6 +324,15 @@ class TestGroupTableIO:
         with pytest.raises(ParseError):
             DrgGroupTable.load(path)
 
+    @pytest.mark.parametrize("cost", ["Infinity", "-inf", "NaN"])
+    def test_non_finite_cost_rejected(self, tmp_path, cost):
+        path = tmp_path / "groups.csv"
+        path.write_text(f"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,{cost}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"avg_cost '{cost}' is not finite") as excinfo:
+            DrgGroupTable.load(path)
+        assert excinfo.value.line == 3
+
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "groups.csv"
         path.write_text("adrg,tier,avg_cost\nGB2,1,18000\nGB2,1,17000\n",
