@@ -185,6 +185,14 @@ class CharWindowEncoder:
         return {"embedding": _row_sums(len(self.embedding), ids, d_rows)}
 
 
+def initial_params(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
+    """Fresh parameters for a shape table: each matrix drawn from
+    N(0, 0.1**2) in table order, each vector zero."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.normal(0.0, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
+            for name, shape in shapes.items()}
+
+
 class GatedFusionHead:
     """Parameters and forward/backward of the fusion-and-classify stack.
 
@@ -196,20 +204,16 @@ class GatedFusionHead:
     def __init__(self, d_enc: int, d: int = 32, seed: int = 0):
         self.d_enc, self.d = d_enc, d
         require_at_least(self, d_enc=1, d=1)
-        rng = np.random.default_rng(seed)
+        self.p = initial_params(self.shapes(d_enc, d), seed)
 
-        def mat(*shape):
-            return rng.normal(0.0, 0.1, size=shape)
-
-        self.p = {
-            "W1": mat(d_enc, d), "b1": np.zeros(d),
-            "e_pos": mat(2, d), "e_neg": mat(2, d), "e_order": mat(2, d),
-            "W_pos": mat(d, d), "W_neg": mat(d, d), "W_order": mat(d, d),
-            "b_f": np.zeros(d),
-            "W_fm": mat(2 * d, d), "b_fm": np.zeros(d),
-            "W_g": mat(2 * d, d), "c_g": np.zeros(d),
-            "W_y": mat(2 * d, len(LABELS)), "b_y": np.zeros(len(LABELS)),
-        }
+    @staticmethod
+    def shapes(d_enc: int, d: int) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in the order the constructor draws them."""
+        return {"W1": (d_enc, d), "b1": (d,),
+                "e_pos": (2, d), "e_neg": (2, d), "e_order": (2, d),
+                "W_pos": (d, d), "W_neg": (d, d), "W_order": (d, d), "b_f": (d,),
+                "W_fm": (2 * d, d), "b_fm": (d,), "W_g": (2 * d, d), "c_g": (d,),
+                "W_y": (2 * d, len(LABELS)), "b_y": (len(LABELS),)}
 
     def forward(self, h1: np.ndarray, code: np.ndarray,
                 starts: np.ndarray | None = None, return_cache: bool = False):
@@ -557,15 +561,15 @@ class ContextClassifier:
     def load(cls, path) -> "ContextClassifier":
         meta, arrays = load_model(path, "context")
         meta.expect("labels", list(LABELS))  # probabilities are indexed in this order
-        arrays.expect_width("encoder.embedding", "d_enc", meta["d_enc"])
-        arrays.expect_width("head.b1", "d", meta["d"])
-        with meta.settings():
-            encoder = CharWindowEncoder(CharVocab(list(meta.text("vocab"))), meta["d_enc"])
-            head = GatedFusionHead(d_enc=meta["d_enc"], d=meta["d"])
-            config = load_config(meta, TrainConfig)
-        encoder.embedding = arrays.shaped_like("encoder.embedding", encoder.embedding)
-        for key in head.p:
-            head.p[key] = arrays.shaped_like(f"head.{key}", head.p[key])
+        vocab = CharVocab(list(meta.text("vocab")))
+        config = load_config(meta, TrainConfig)
+        arrays.expect_shapes({"d_enc": meta["d_enc"], "d": meta["d"]}, lambda d_enc, d: {
+            "encoder.embedding": (len(vocab), d_enc),
+            **{f"head.{k}": shape for k, shape in GatedFusionHead.shapes(d_enc, d).items()}})
+        encoder = CharWindowEncoder(vocab, meta["d_enc"])
+        head = GatedFusionHead(meta["d_enc"], meta["d"])
+        encoder.embedding = arrays["encoder.embedding"]
+        head.p = {k: arrays[f"head.{k}"] for k in head.p}
         return cls(encoder, head, config)
 
 

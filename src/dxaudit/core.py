@@ -207,8 +207,15 @@ def discharge_names(record: MedicalRecord) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# Costs are refused at or above this, in the published unit. Below it the
+# conversion is exact and fast; the int() of a Decimal such as 1e800000
+# takes time that grows with the square of its exponent.
+MAX_COST = 10**16
+
+
 def _cost_to_minor(value, line: int) -> int:
-    """Exact conversion of a published cost to integer minor units."""
+    """Exact conversion of a published cost below MAX_COST to integer minor
+    units."""
     try:
         minor = Decimal(str(value)) * 100
     except (InvalidOperation, ValueError):
@@ -219,6 +226,8 @@ def _cost_to_minor(value, line: int) -> int:
         raise ParseError(f"avg_cost {value!r} has sub-minor-unit precision", line)
     if minor < 0:
         raise ParseError(f"avg_cost {value!r} is negative", line)
+    if minor >= 100 * MAX_COST:
+        raise ParseError(f"avg_cost {value!r} is not below {MAX_COST}", line)
     return int(minor)
 
 
@@ -252,6 +261,8 @@ def parse_json_object(text: str, line: int, what: str) -> dict:
         raise ParseError(f"invalid JSON: {exc.msg}", line) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", line) from None
+    except ValueError as exc:  # an integer past Python's int_max_str_digits
+        raise ParseError(f"invalid JSON: {exc}", line) from None
     if "\\ud" in text or "\\uD" in text:  # only an escape spells a lone surrogate
         try:
             json_line(obj).encode("utf-8")

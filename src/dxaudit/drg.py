@@ -104,7 +104,7 @@ def cc_mcc_level(
     """
     exact = icd.by_title(disease)
     if exact:
-        return min((e.cc_level for e in exact), key=_TIER_FOR_LEVEL.get)
+        return _most_severe(exact)
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
@@ -114,7 +114,12 @@ def cc_mcc_level(
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)
     best = int(np.where(usable, prob, -np.inf).argmax())
-    return icd.by_title(titles[best])[0].cc_level if usable[best] else CcLevel.NONE
+    return _most_severe(icd.by_title(titles[best])) if usable[best] else CcLevel.NONE
+
+
+def _most_severe(entries) -> CcLevel:
+    """The most severe CC/MCC level of the ICD entries under one title."""
+    return min((e.cc_level for e in entries), key=_TIER_FOR_LEVEL.get)
 
 
 def regroup(

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import struct
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -61,32 +60,19 @@ class _Fields(dict):
             raise BadModelFile(f"{self.path}: model {self.part} {key!r} is "
                                f"{self[key]!r}, expected {value!r}")
 
-    @contextmanager
-    def settings(self):
-        """Raise a BadSetting from building a model out of these fields as
-        a BadModelFile naming the file."""
-        try:
-            yield
-        except BadSetting as exc:
-            raise BadModelFile(f"{self.path}: model {self.part}: {exc}") from None
-
-    def expect_width(self, key: str, field: str, value) -> None:
-        """Raise BadModelFile unless ``value``, the header's ``field``, is the
-        length of the last axis of the array under ``key``, which must hold
-        data. Loaders check each header dimension so before they build a
-        model from it, so no dimension exceeds an array the file stores."""
-        shape = self[key].shape
-        if not self[key].size or shape[-1:] != (value,):
-            raise BadModelFile(f"{self.path}: model header {field!r} is {value!r}, "
-                               f"but array {key!r} has shape {shape}")
-
-    def shaped_like(self, key: str, like: np.ndarray) -> np.ndarray:
-        """The array under ``key``, which must have the shape of ``like``."""
-        array = self[key]
-        if array.shape != like.shape:
-            raise BadModelFile(f"{self.path}: array {key!r} has shape {array.shape}, "
-                               f"expected {like.shape}")
-        return array
+    def expect_shapes(self, dims: dict, shapes) -> None:
+        """Raise BadModelFile unless each header dimension in ``dims`` is an
+        integer >= 1 and each array named in ``shapes(*dims.values())`` has
+        the shape given there. Loaders check this before building anything."""
+        for key, value in dims.items():
+            if type(value) is not int or value < 1:
+                raise BadModelFile(f"{self.path}: model header {key!r} is {value!r}, "
+                                   "expected an integer >= 1")
+        for key, shape in shapes(*dims.values()).items():
+            if self[key].shape != shape:
+                given = ", ".join(f"{k}={v}" for k, v in dims.items())
+                raise BadModelFile(f"{self.path}: array {key!r} has shape "
+                                   f"{self[key].shape}, expected {shape} for {given}")
 
 
 def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -129,7 +115,8 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
 def load_config(meta: _Fields, config_type):
     """``config_type`` built from the ``config`` of a meta from load_model.
 
-    An unknown or a missing config key raises BadModelFile naming the file.
+    An unknown or a missing config key, or a value the config refuses,
+    raises BadModelFile naming the file.
     """
     given = meta["config"]
     if not isinstance(given, dict):
@@ -140,4 +127,7 @@ def load_config(meta: _Fields, config_type):
         raise BadModelFile(f"{meta.path}: model config has unknown key {unknown[0]!r}")
     if missing:
         raise BadModelFile(f"{meta.path}: model config lacks {missing[0]!r}")
-    return config_type(**given)
+    try:
+        return config_type(**given)
+    except BadSetting as exc:
+        raise BadModelFile(f"{meta.path}: model config: {exc}") from None

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .context_model import CharVocab, _row_sums, require_finite
+from .context_model import CharVocab, _row_sums, initial_params, require_finite
 from .core import (IcdIndex, discharge_names, normalize_disease_name, read_lines,
                    read_rows, write_rows)
 from .errors import (
@@ -457,12 +457,15 @@ class RelationClassifier:
                  seed: int | None = None):
         self.encoder = encoder
         self.config = config
-        d = encoder.d_pair
-        rng = np.random.default_rng(config.seed if seed is None else seed)
-        self.W_h = rng.normal(0.0, 0.1, size=(4 * d, config.hidden))
-        self.b_h = np.zeros(config.hidden)
-        self.W_o = rng.normal(0.0, 0.1, size=(config.hidden, len(RELATIONS)))
-        self.b_o = np.zeros(len(RELATIONS))
+        self.W_h, self.b_h, self.W_o, self.b_o = initial_params(
+            self.shapes(encoder.d_pair, config.hidden), config.seed if seed is None else seed
+        ).values()
+
+    @staticmethod
+    def shapes(d_pair: int, hidden: int) -> dict[str, tuple[int, ...]]:
+        """Each head parameter's shape, in the order the constructor draws them."""
+        return {"W_h": (4 * d_pair, hidden), "b_h": (hidden,),
+                "W_o": (hidden, len(RELATIONS)), "b_o": (len(RELATIONS),)}
 
     def _head(self, u: np.ndarray, v: np.ndarray):
         """Probabilities over RELATIONS for u against v, over the last axis:
@@ -570,15 +573,14 @@ class RelationClassifier:
     def load(cls, path) -> "RelationClassifier":
         meta, arrays = load_model(path, "relation")
         meta.expect("labels", list(RELATIONS))  # probabilities are indexed in this order
-        with meta.settings():
-            config = load_config(meta, PairTrainConfig)
-            arrays.expect_width("b_h", "config.hidden", config.hidden)
-            arrays.expect_width("embedding", "d_pair", meta["d_pair"])
-            encoder = PairEncoder(list(meta.text("vocab")), d_pair=meta["d_pair"])
-        encoder.embedding = arrays.shaped_like("embedding", encoder.embedding)
-        model = cls(encoder, config)
-        for name in ("W_h", "b_h", "W_o", "b_o"):
-            setattr(model, name, arrays.shaped_like(name, getattr(model, name)))
+        chars = list(meta.text("vocab"))
+        config = load_config(meta, PairTrainConfig)
+        arrays.expect_shapes({"d_pair": meta["d_pair"], "config.hidden": config.hidden},
+                             lambda d_pair, hidden: {"embedding": (len(chars) + 1, d_pair),
+                                                     **cls.shapes(d_pair, hidden)})
+        model = cls(PairEncoder(chars, d_pair=meta["d_pair"]), config)
+        model.encoder.embedding, model.W_h, model.b_h, model.W_o, model.b_o = (
+            arrays[key] for key in ("embedding", "W_h", "b_h", "W_o", "b_o"))
         return model
 
 

@@ -296,7 +296,9 @@ def seed_finetune_step(model, ids_a, ids_b, label_index, lr):
 
 def seed_cc_mcc_level(disease, icd, relation_model, threshold):
     """The original entry-by-entry ICD scan: one pair forward per entry,
-    strictly greater probability replaces the best so far."""
+    strictly greater probability replaces the best so far. The best
+    entry's title then resolves to the most severe level of the entries
+    that share it, as an exact title does."""
     from dxaudit.core import CcLevel, normalize_disease_name
     from dxaudit.relation_model import RELATIONS
 
@@ -313,8 +315,11 @@ def seed_cc_mcc_level(disease, icd, relation_model, threshold):
             continue
         prob = float(probs[idx])
         if prob >= threshold and (best is None or prob > best[0]):
-            best = (prob, entry.cc_level)
-    return best[1] if best is not None else CcLevel.NONE
+            best = (prob, normalize_disease_name(entry.title))
+    if best is None:
+        return CcLevel.NONE
+    return max((e.cc_level for e in icd.entries()
+                if normalize_disease_name(e.title) == best[1]), key=rank.get)
 
 
 def seed_context_inputs(model, sample):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dxaudit
@@ -468,6 +469,20 @@ class TestHostileInput:
         assert report[-1]["errors"] == [
             {"line": 2, "error": "line 2: invalid JSON: nested too deeply"}]
 
+    def test_integer_past_the_digit_limit_fails_alone(self, workspace, tmp_path):
+        lines = (workspace / "corpus.jsonl").read_bytes().splitlines()[:2]
+        corpus = tmp_path / "long-integer.jsonl"
+        corpus.write_bytes(lines[0] + b'\n{"record_id": "x", "n": ' + b"1" * 5000 + b"}\n"
+                           + lines[1] + b"\n")
+        out = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(corpus),
+                    "--models", str(workspace / "models"), "--out", str(out)]) == 2
+        report = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [obj["record_id"] for obj in report[:-1]] == [
+            json.loads(line)["record_id"] for line in lines]
+        assert [e["line"] for e in report[-1]["errors"]] == [2]
+        assert report[-1]["errors"][0]["error"].startswith("line 2: invalid JSON")
+
     def test_empty_discharge_name_is_skipped_by_gen_pairs(self, tmp_path, data_dir):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps({
@@ -622,7 +637,8 @@ class TestHostileInput:
         '{"disease": "肺炎"}',
         '{"disease": "肺炎", "context": "确诊为肺炎。", "label": "maybe"}',
         '{"disease": "肺炎", "context": "确诊为\\ud800肺炎。", "label": "unknown"}',
-    ], ids=["not-json", "no-context", "unknown-label", "lone-surrogate"])
+        '{"disease": "肺炎", "context": "确诊为肺炎。", "n": ' + "1" * 5000 + "}",
+    ], ids=["not-json", "no-context", "unknown-label", "lone-surrogate", "long-integer"])
     def test_bad_training_sample_is_65(self, tmp_path, capsys, bad_line):
         samples = tmp_path / "samples.jsonl"
         samples.write_text('{"disease": "肺炎", "context": "确诊为肺炎。", '
@@ -705,15 +721,15 @@ class TestHostileInput:
         ("context", "d", "8"),
         ("context", "vocab", 123),
         ("context", "config.batch_size", "64"),
-        ("context", "config.max_context", 0),
-        ("context", "config.max_disease", 0),
+        ("context", "d_enc", True),
+        ("context", "d", 0),
         ("context", "config.seed", -1),
         ("relation", "d_pair", "24"),
         ("relation", "d_pair", 0),
         ("relation", "d_pair", 24.0),
         ("relation", "vocab", 123),
         ("relation", "config.tau", "0.05"),
-        ("relation", "config.max_name", 0),
+        ("relation", "config.hidden", 0),
         ("context", "labels", ["x", "y"]),
         ("relation", "labels", list(reversed(relation_model.RELATIONS))),
         # a dimension that disagrees with its array is refused before any
@@ -740,6 +756,43 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert str(edited) in err
         assert name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, dims, edits, named", [
+        # each dimension agrees with the last axis of one array; the
+        # embedding has one row where the vocabulary needs two
+        ("context", {"d_enc": 10**6, "d": 10**6, "vocab": ""},
+         {"encoder.embedding": (1, 10**6), "head.b1": (10**6,)}, "encoder.embedding"),
+        ("relation", {"d_pair": 10**6, "config.hidden": 10**6, "vocab": "ab"},
+         {"embedding": (3, 10**6), "b_h": (10**6,)}, "W_h"),
+        # the embedding and head.b1 agree with the header, head.W1 does not
+        ("context", {"d_enc": 10**6, "d": 10**6, "vocab": ""},
+         {"encoder.embedding": (2, 10**6), "head.b1": (10**6,)}, "head.W1"),
+    ], ids=["context-embedding-rows", "relation-head", "context-W1-alone"])
+    def test_crafted_model_dimensions_are_refused(self, workspace, tmp_path, capsys,
+                                                  kind, dims, edits, named):
+        """Every stored array is compared with the header before anything
+        is built from it: building from these headers would allocate
+        terabytes."""
+        meta, arrays = load_model(workspace / f"{kind}.bin", kind)
+        meta = dict(meta, config=dict(meta["config"]))
+        for key, value in dims.items():
+            *section, name = key.split(".")
+            (meta["config"] if section else meta)[name] = value
+        edited = tmp_path / f"{kind}.bin"
+        save_model(edited, kind, meta,
+                   dict(arrays, **{key: np.zeros(shape) for key, shape in edits.items()}))
+        models = {"context": workspace / "context.bin",
+                  "relation": workspace / "relation.bin", kind: edited}
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(models["context"]),
+                    "--relation-model", str(models["relation"]),
+                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert repr(named) in err
+        for key in dims.keys() - {"vocab"}:
+            assert f"{key}=1000000" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flags", [
@@ -831,6 +884,24 @@ class TestInputFileErrors:
             b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1}}\n'
             b'{"record_id": "r2", "sections": [{"name": "s", "text": "t"}],'
             b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1e999}}\n',
+            2,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", bad,
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", str(data / "icd_demo.csv"),
+                "--groups", str(data / "drg_groups_demo.csv"), "--out", out]),
+        "drg-impact-groups-huge-cost": (
+            b"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,1e100000\n", 3,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+        "drg-impact-corpus-huge-cost": (
+            b'{"record_id": "r1", "sections": [{"name": "s", "text": "t"}],'
+            b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1}}\n'
+            b'{"record_id": "r2", "sections": [{"name": "s", "text": "t"}],'
+            b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1,'
+            b' "avg_cost": "1e100000"}}\n',
             2,
             lambda ws, data, bad, out: [
                 "drg-impact", "--corpus", bad,

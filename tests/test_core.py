@@ -166,6 +166,22 @@ class TestRecordFieldValidation:
             core.parse_record_line(line, 4)
         assert excinfo.value.line == 4
 
+    @pytest.mark.parametrize("cost", ['"1e100000"', "1e16", "10000000000000000"])
+    def test_cost_at_the_bound_is_parse_error(self, cost):
+        line = ('{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+                ' "discharge_diagnoses": [],'
+                f' "drg": {{"adrg": "GB2", "tier": 1, "avg_cost": {cost}}}}}')
+        with pytest.raises(ParseError, match="is not below 10000000000000000") as excinfo:
+            core.parse_record_line(line, 4)
+        assert excinfo.value.line == 4
+
+    def test_integer_past_the_digit_limit_is_parse_error(self):
+        line = ('{"record_id": "r", "sections": [{"name": "s", "text": "t"}],'
+                f' "discharge_diagnoses": [], "n": {"1" * 5000}}}')
+        with pytest.raises(ParseError, match="invalid JSON") as excinfo:
+            core.parse_record_line(line, 4)
+        assert excinfo.value.line == 4
+
     def test_paired_surrogate_escape_and_escaped_backslash_parse(self):
         record = core.parse_record_line(
             '{"record_id": "r\\\\ud800", "sections": [{"name": "s", '

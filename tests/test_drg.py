@@ -15,6 +15,7 @@ from dxaudit.drg import (
     regroup,
 )
 from dxaudit.errors import BadSetting, MissingGroupRow, ParseError
+from dxaudit.evaluate import MapRelationOracle
 from dxaudit.relation_model import (
     DiseasePair,
     PairEncoder,
@@ -78,6 +79,15 @@ class TestCcMccLevel:
                             PairTrainConfig(learning_rate=0.05, hidden=48,
                                             epochs=60, seed=6))
         assert cc_mcc_level("角膜裂开损伤", fixture_icd, model) is CcLevel.CC
+
+    def test_relation_match_takes_the_most_severe_level(self):
+        """A title matched through the relation model resolves as an exact
+        match of that title does, whatever the order of its entries."""
+        icd = IcdIndex([IcdEntry("E11", "糖尿病", CcLevel.NONE),
+                        IcdEntry("E11.9", "糖尿病", CcLevel.MCC)])
+        assert cc_mcc_level("糖尿病", icd) is CcLevel.MCC
+        oracle = MapRelationOracle([("消渴症", "糖尿病")])
+        assert cc_mcc_level("消渴症", icd, oracle) is CcLevel.MCC
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +342,21 @@ class TestGroupTableIO:
         with pytest.raises(ParseError, match=f"avg_cost '{cost}' is not finite") as excinfo:
             DrgGroupTable.load(path)
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("cost", ["1e100000", "10000000000000000"])
+    def test_cost_at_the_bound_rejected(self, tmp_path, cost):
+        path = tmp_path / "groups.csv"
+        path.write_text(f"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,{cost}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"avg_cost '{cost}' is not below") as excinfo:
+            DrgGroupTable.load(path)
+        assert excinfo.value.line == 3
+
+    def test_cost_below_the_bound_is_exact(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("adrg,tier,avg_cost\nGB2,1,9999999999999999.99\n",
+                        encoding="utf-8")
+        assert DrgGroupTable.load(path).cost("GB2", Tier.MCC) == 10**18 - 1
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "groups.csv"

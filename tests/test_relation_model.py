@@ -624,12 +624,3 @@ class TestModelFileFields:
         pattern = re.escape(f"{path}: model ") + f".*'{key}'"
         with pytest.raises(BadModelFile, match=pattern):
             RelationClassifier.load(path)
-
-    def test_zero_max_name_is_refused(self, fixture_pair_model, tmp_path):
-        fixture_pair_model[0].save(tmp_path / "full.bin")
-        meta, arrays = load_model(tmp_path / "full.bin", "relation")
-        meta = dict(meta, config=dict(meta["config"], max_name=0))
-        path = tmp_path / "zero.bin"
-        save_model(path, "relation", meta, dict(arrays))
-        with pytest.raises(BadModelFile, match="max_name"):
-            RelationClassifier.load(path)
