@@ -311,9 +311,12 @@ def _cmd_train_context(args, config, seed):
     model, history = cm.train(samples, train_config, dev_samples=dev,
                               d=d, d_enc=d_enc)
     model.save(args.out)
-    last = history[-1]
+    # the accuracy of always guessing the most frequent class, beside acc
+    labels = [s.label for s in dev or samples]
+    majority = max(map(labels.count, set(labels))) / len(labels)
     print(f"trained on {len(samples)} samples, {train_config.epochs} epochs: "
-          f"loss={last.loss:.4f} acc={last.dev_accuracy:.3f} -> {args.out}")
+          f"loss={history[-1].loss:.4f} acc={history[-1].dev_accuracy:.3f} "
+          f"majority={majority:.3f} -> {args.out}")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .core import MAX_CONTEXT, MAX_DISEASE, parse_json_object, read_lines
 from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch, require_at_least
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
-from .modelio import load_config, load_model, save_model
+from .modelio import read_model, write_model
 
 UNK_ID = 0
 SEP_ID = 1
@@ -55,7 +55,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, seed=0, learning_rate=0.0,
+        require_at_least(vars(self), batch_size=1, epochs=1, seed=0, learning_rate=0.0,
                          focal_gamma=0.0)
 
 
@@ -152,12 +152,9 @@ class CharWindowEncoder:
     over the whole batch serves every sequence.
     """
 
-    def __init__(self, vocab: CharVocab, d_enc: int = 32, seed: int = 0):
+    def __init__(self, vocab: CharVocab, embedding: np.ndarray):
         self.vocab = vocab
-        self.d_enc = d_enc
-        require_at_least(self, d_enc=1)
-        rng = np.random.default_rng(seed)
-        self.embedding = rng.normal(0.0, 0.1, size=(len(vocab), d_enc))
+        self.embedding = embedding  # a row per id of ``vocab``
 
     def _bounds(self, n: int, starts: np.ndarray | None):
         idx = np.arange(n)
@@ -186,8 +183,8 @@ class CharWindowEncoder:
 
 
 def initial_params(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
-    """Fresh parameters for a shape table: each matrix drawn from
-    N(0, 0.1**2) in table order, each vector zero."""
+    """Fresh parameters for a shape table: each matrix drawn from N(0, 0.1**2)
+    in table order, each vector zero. The one place parameters are drawn."""
     rng = np.random.default_rng(seed)
     return {name: rng.normal(0.0, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
             for name, shape in shapes.items()}
@@ -201,14 +198,13 @@ class GatedFusionHead:
     sequence's rows, so a batch of B sequences yields (B, len(LABELS)).
     """
 
-    def __init__(self, d_enc: int, d: int = 32, seed: int = 0):
-        self.d_enc, self.d = d_enc, d
-        require_at_least(self, d_enc=1, d=1)
-        self.p = initial_params(self.shapes(d_enc, d), seed)
+    def __init__(self, p: dict[str, np.ndarray]):
+        self.p = p  # keyed and shaped as ``shapes`` gives
+        self.d_enc, self.d = p["W1"].shape
 
     @staticmethod
     def shapes(d_enc: int, d: int) -> dict[str, tuple[int, ...]]:
-        """Each parameter's shape, in the order the constructor draws them."""
+        """Each parameter's shape, in the order initial_params draws them."""
         return {"W1": (d_enc, d), "b1": (d,),
                 "e_pos": (2, d), "e_neg": (2, d), "e_order": (2, d),
                 "W_pos": (d, d), "W_neg": (d, d), "W_order": (d, d), "b_f": (d,),
@@ -538,38 +534,27 @@ class ContextClassifier:
     def accuracy(self, probs: np.ndarray, label_indices) -> float:
         return float(np.mean(np.argmax(probs, axis=1) == np.asarray(label_indices)))
 
-    def named_params(self):
-        for name, arr in self.head.p.items():
-            yield f"head.{name}", arr
-        yield "encoder.embedding", self.encoder.embedding
-
     # -- persistence ----------------------------------------------------------
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter (not a copy) under its name in a model file."""
+        return {"encoder.embedding": self.encoder.embedding,
+                **{f"head.{k}": v for k, v in self.head.p.items()}}
+
     def save(self, path) -> None:
-        meta = {
-            "vocab": "".join(self.encoder.vocab.chars),
-            "d_enc": self.encoder.d_enc,
-            "d": self.head.d,
-            "labels": list(LABELS),
-            "config": asdict(self.config),
-        }
-        arrays = {f"head.{k}": v for k, v in self.head.p.items()}
-        arrays["encoder.embedding"] = self.encoder.embedding
-        save_model(path, "context", meta, arrays)
+        write_model(path, "context", LABELS, "".join(self.encoder.vocab.chars), self.config,
+                    {"d_enc": self.head.d_enc, "d": self.head.d}, self.arrays())
 
     @classmethod
     def load(cls, path) -> "ContextClassifier":
-        meta, arrays = load_model(path, "context")
-        meta.expect("labels", list(LABELS))  # probabilities are indexed in this order
-        vocab = CharVocab(list(meta.text("vocab")))
-        config = load_config(meta, TrainConfig)
-        arrays.expect_shapes({"d_enc": meta["d_enc"], "d": meta["d"]}, lambda d_enc, d: {
-            "encoder.embedding": (len(vocab), d_enc),
-            **{f"head.{k}": shape for k, shape in GatedFusionHead.shapes(d_enc, d).items()}})
-        encoder = CharWindowEncoder(vocab, meta["d_enc"])
-        head = GatedFusionHead(meta["d_enc"], meta["d"])
-        encoder.embedding = arrays["encoder.embedding"]
-        head.p = {k: arrays[f"head.{k}"] for k in head.p}
+        vocab, config, arrays = read_model(
+            path, "context", LABELS, TrainConfig, ("d_enc", "d"),
+            lambda vocab, d_enc, d: {
+                # the embedding's first two rows are UNK_ID and SEP_ID
+                "encoder.embedding": (len(vocab) + 2, d_enc),
+                **{f"head.{k}": s for k, s in GatedFusionHead.shapes(d_enc, d).items()}})
+        encoder = CharWindowEncoder(CharVocab(list(vocab)), arrays.pop("encoder.embedding"))
+        head = GatedFusionHead({k.removeprefix("head."): v for k, v in arrays.items()})
         return cls(encoder, head, config)
 
 
@@ -584,8 +569,10 @@ def train(samples: list[ContextSample], config: TrainConfig,
     dev split is given. Each evaluated set takes one forward pass per
     epoch: without a dev split the training set's pass gives both loss
     and accuracy. A dev split that is given must not be empty. A batch or
-    epoch loss that is not finite raises DegenerateData.
+    epoch loss that is not finite raises DegenerateData. The encoder is
+    drawn at ``config.seed``, the head at ``config.seed + 1``.
     """
+    require_at_least({"d_enc": d_enc, "d": d}, d_enc=1, d=1)
     labels = [s.label for s in samples]
     if dev_samples is not None and not dev_samples:
         raise DegenerateData("the dev set is empty")
@@ -599,8 +586,10 @@ def train(samples: list[ContextSample], config: TrainConfig,
     texts = [s.disease for s in samples] + [s.context for s in samples]
     if dev_samples is not None:
         texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
-    encoder = CharWindowEncoder(CharVocab.from_texts(texts), d_enc=d_enc, seed=config.seed)
-    head = GatedFusionHead(d_enc=d_enc, d=d, seed=config.seed + 1)
+    vocab = CharVocab.from_texts(texts)
+    embedding = initial_params({"embedding": (len(vocab), d_enc)}, config.seed)["embedding"]
+    encoder = CharWindowEncoder(vocab, embedding)
+    head = GatedFusionHead(initial_params(GatedFusionHead.shapes(d_enc, d), config.seed + 1))
     model = ContextClassifier(encoder, head, config)
 
     label_indices = [LABELS.index(lbl) for lbl in labels]

@@ -12,12 +12,12 @@ class BadSetting(DxAuditError, ValueError):
     """A setting is outside the range its consumer can work with."""
 
 
-def require_at_least(config, **minimums: float) -> None:
-    """Raise BadSetting for the first named field of ``config`` that is
-    below its minimum, not finite, a bool, or not a number of its
+def require_at_least(values, **minimums: float) -> None:
+    """Raise BadSetting for the first named entry of ``values`` (a dict)
+    that is below its minimum, not finite, a bool, or not a number of its
     minimum's kind: an int minimum requires an integer."""
     for name, minimum in minimums.items():
-        value = getattr(config, name)
+        value = values[name]
         kind = numbers.Integral if isinstance(minimum, int) else numbers.Real
         if isinstance(value, bool) or not isinstance(value, kind) \
                 or not minimum <= value < math.inf:  # also false for NaN

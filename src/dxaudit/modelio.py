@@ -38,49 +38,13 @@ def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nda
                              for n in names)))
 
 
-class _Fields(dict):
-    """A dict whose missing key raises BadModelFile naming the file."""
-
-    def __init__(self, path, part: str, items):
-        super().__init__(items)
-        self.path, self.part = path, part
-
-    def __missing__(self, key):
-        raise BadModelFile(f"{self.path}: model {self.part} lacks {key!r}")
-
-    def text(self, key: str) -> str:
-        """The string under ``key``."""
-        if not isinstance(self[key], str):
-            raise BadModelFile(f"{self.path}: model {self.part} {key!r} is not a string")
-        return self[key]
-
-    def expect(self, key: str, value) -> None:
-        """Raise BadModelFile unless the field under ``key`` equals ``value``."""
-        if self[key] != value:
-            raise BadModelFile(f"{self.path}: model {self.part} {key!r} is "
-                               f"{self[key]!r}, expected {value!r}")
-
-    def expect_shapes(self, dims: dict, shapes) -> None:
-        """Raise BadModelFile unless each header dimension in ``dims`` is an
-        integer >= 1 and each array named in ``shapes(*dims.values())`` has
-        the shape given there. Loaders check this before building anything."""
-        for key, value in dims.items():
-            if type(value) is not int or value < 1:
-                raise BadModelFile(f"{self.path}: model header {key!r} is {value!r}, "
-                                   "expected an integer >= 1")
-        for key, shape in shapes(*dims.values()).items():
-            if self[key].shape != shape:
-                given = ", ".join(f"{k}={v}" for k, v in dims.items())
-                raise BadModelFile(f"{self.path}: array {key!r} has shape "
-                                   f"{self[key].shape}, expected {shape} for {given}")
-
-
 def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read the meta and arrays of a ``kind`` model written by save_model.
 
     A file that is not a complete model of that kind raises BadModelFile
-    naming the path, also when a loader asks for a meta key or an array
-    that the file lacks.
+    naming the path: also one whose manifest lists a name twice or gives
+    a shape that is not a list of integers, and one with bytes after its
+    last array.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -94,40 +58,87 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
     offset = _PREAMBLE + header_len
     try:
         header = json.loads(data[_PREAMBLE:offset].decode("utf-8"))
-        found, meta = header["kind"], _Fields(path, "header", header["meta"])
-        specs = [(spec["name"], tuple(int(n) for n in spec["shape"]))
-                 for spec in header["arrays"]]
+        found, meta = header["kind"], dict(header["meta"])
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["arrays"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise BadModelFile(f"{path}: unreadable header ({exc})")
     if found != kind:
         raise BadModelFile(f"{path}: expected a {kind} model, got {found!r}")
     arrays: dict[str, np.ndarray] = {}
     for name, shape in specs:
+        if not isinstance(name, str) or name in arrays:
+            raise BadModelFile(f"{path}: array {name!r} is listed twice or is not a string")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise BadModelFile(f"{path}: array {name!r} has shape {list(shape)}, "
+                               "not a list of integers >= 0")
         count = math.prod(shape)
-        if min(shape, default=0) < 0 or offset + 8 * count > len(data):
+        if offset + 8 * count > len(data):
             raise BadModelFile(f"{path}: array {name!r} is truncated")
         arrays[name] = np.frombuffer(data, dtype=np.float64, count=count,
                                      offset=offset).reshape(shape).copy()
         offset += 8 * count
-    return meta, _Fields(path, "arrays", arrays)
+    if offset != len(data):
+        raise BadModelFile(f"{path}: {len(data) - offset} bytes follow the last array")
+    return meta, arrays
 
 
-def load_config(meta: _Fields, config_type):
-    """``config_type`` built from the ``config`` of a meta from load_model.
+def write_model(path: str | Path, kind: str, labels, vocab: str, config,
+                dims: dict[str, int], arrays: dict[str, np.ndarray]) -> None:
+    """Save a model under the header fields that read_model checks."""
+    meta = {"labels": list(labels), "vocab": vocab, "config": dataclasses.asdict(config),
+            **dims}
+    save_model(path, kind, meta, arrays)
 
-    An unknown or a missing config key, or a value the config refuses,
-    raises BadModelFile naming the file.
+
+def read_model(path: str | Path, kind: str, labels, config_type, dims: tuple[str, ...],
+               table) -> tuple[str, object, dict[str, np.ndarray]]:
+    """The vocabulary, training config and arrays of a ``kind`` model file,
+    checked before anything is built from them, so that no allocation is
+    sized by a header value the stored arrays do not match. In order: the
+    header ``labels`` are ``labels`` (probabilities are indexed by them);
+    the ``vocab`` is a string of distinct characters; the ``config`` has
+    exactly the fields of ``config_type``, which accepts their values; each
+    of ``dims`` (a header key or ``config.<field>``) is an integer >= 1;
+    the arrays are exactly those ``table(vocab, *dims)`` names, each of the
+    shape it gives. A failed check raises BadModelFile naming the file.
     """
+    meta, arrays = load_model(path, kind)
+    lacking = [k for k in ("labels", "vocab", "config", *dims) if "." not in k and k not in meta]
+    if lacking:
+        raise BadModelFile(f"{path}: model header lacks {lacking[0]!r}")
+    if meta["labels"] != list(labels):
+        raise BadModelFile(f"{path}: model header 'labels' is {meta['labels']!r}, "
+                           f"expected {list(labels)!r}")
+    vocab = meta["vocab"]
+    if not isinstance(vocab, str) or len(set(vocab)) != len(vocab):
+        raise BadModelFile(f"{path}: model header 'vocab' is not a string of "
+                           "distinct characters")
     given = meta["config"]
     if not isinstance(given, dict):
-        raise BadModelFile(f"{meta.path}: model config is not an object")
+        raise BadModelFile(f"{path}: model config is not an object")
     names = {f.name for f in dataclasses.fields(config_type)}
     unknown, missing = sorted(given.keys() - names), sorted(names - given.keys())
     if unknown:
-        raise BadModelFile(f"{meta.path}: model config has unknown key {unknown[0]!r}")
+        raise BadModelFile(f"{path}: model config has unknown key {unknown[0]!r}")
     if missing:
-        raise BadModelFile(f"{meta.path}: model config lacks {missing[0]!r}")
+        raise BadModelFile(f"{path}: model config lacks {missing[0]!r}")
     try:
-        return config_type(**given)
+        config = config_type(**given)
     except BadSetting as exc:
-        raise BadModelFile(f"{meta.path}: model config: {exc}") from None
+        raise BadModelFile(f"{path}: model config: {exc}") from None
+    dimensions = {}
+    for key in dims:
+        section, _, name = key.rpartition(".")
+        dimensions[key] = value = (meta[section] if section else meta)[name]
+        if type(value) is not int or value < 1:
+            raise BadModelFile(f"{path}: model header {key!r} is {value!r}, "
+                               "expected an integer >= 1")
+    shapes = table(vocab, *dimensions.values())
+    if arrays.keys() != shapes.keys():
+        raise BadModelFile(f"{path}: model arrays are {sorted(arrays)}, expected {sorted(shapes)}")
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            stated = ", ".join(f"{k}={v}" for k, v in dimensions.items())
+            raise BadModelFile(f"{path}: array {key!r} has shape {arrays[key].shape}, "
+                               f"expected {shape} for {stated}")
+    return vocab, config, arrays

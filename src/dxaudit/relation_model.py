@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
@@ -46,7 +46,7 @@ from .errors import (
     UnknownCode,
     require_at_least,
 )
-from .modelio import load_config, load_model, save_model
+from .modelio import read_model, write_model
 
 RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
 
@@ -307,7 +307,7 @@ class PairTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, batch_size=1, epochs=1, seed=0, hidden=1,
+        require_at_least(vars(self), batch_size=1, epochs=1, seed=0, hidden=1,
                          learning_rate=0.0, pretrain_learning_rate=0.0, tau=0.0)
         if self.tau == 0.0:
             raise BadSetting("tau must be > 0, got 0")
@@ -316,16 +316,18 @@ class PairTrainConfig:
 class PairEncoder:
     """Mean-pooled embeddings of a name's first MAX_NAME characters; row 0 is UNK."""
 
-    def __init__(self, chars: list[str], d_pair: int = 32, seed: int = 0):
+    def __init__(self, chars: list[str], embedding: np.ndarray):
         self.vocab = CharVocab(chars, first_id=1)
-        self.d_pair = d_pair
-        require_at_least(self, d_pair=1)
-        rng = np.random.default_rng(seed)
-        self.embedding = rng.normal(0.0, 0.1, size=(len(self.vocab), d_pair))
+        self.embedding = embedding  # a row per id of ``vocab``
+        self.d_pair = embedding.shape[1]
 
     @classmethod
     def from_names(cls, names, d_pair: int = 32, seed: int = 0) -> "PairEncoder":
-        return cls(CharVocab.from_texts(names).chars, d_pair=d_pair, seed=seed)
+        """An encoder over the names' characters, its embedding drawn at ``seed``."""
+        require_at_least({"d_pair": d_pair}, d_pair=1)
+        chars = CharVocab.from_texts(names).chars
+        embedding = initial_params({"embedding": (len(chars) + 1, d_pair)}, seed)["embedding"]
+        return cls(chars, embedding)
 
     def encode_ids(self, name: str) -> np.ndarray:
         return self.vocab.encode(name[:MAX_NAME])
@@ -454,16 +456,14 @@ class RelationClassifier:
     """Encoder + MLP head over the joint pair representation."""
 
     def __init__(self, encoder: PairEncoder, config: PairTrainConfig,
-                 seed: int | None = None):
+                 p: dict[str, np.ndarray]):
         self.encoder = encoder
         self.config = config
-        self.W_h, self.b_h, self.W_o, self.b_o = initial_params(
-            self.shapes(encoder.d_pair, config.hidden), config.seed if seed is None else seed
-        ).values()
+        self.p = p  # the head, keyed and shaped as ``shapes`` gives
 
     @staticmethod
     def shapes(d_pair: int, hidden: int) -> dict[str, tuple[int, ...]]:
-        """Each head parameter's shape, in the order the constructor draws them."""
+        """Each head parameter's shape, in the order initial_params draws them."""
         return {"W_h": (4 * d_pair, hidden), "b_h": (hidden,),
                 "W_o": (hidden, len(RELATIONS)), "b_o": (len(RELATIONS),)}
 
@@ -475,9 +475,9 @@ class RelationClassifier:
         if u.ndim < v.ndim:  # np.repeat costs less per call than np.broadcast_to
             u = np.repeat(u[None], len(v), axis=0)
         joint = np.concatenate([u, v, np.abs(u - v), u * v], axis=-1)
-        pre = joint @ self.W_h + self.b_h
+        pre = joint @ self.p["W_h"] + self.p["b_h"]
         hidden = np.maximum(pre, 0.0)
-        logits = hidden @ self.W_o + self.b_o
+        logits = hidden @ self.p["W_o"] + self.p["b_o"]
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=-1, keepdims=True)
@@ -538,11 +538,12 @@ class RelationClassifier:
         d_logits = probs.copy()
         d_logits[np.arange(n), labels] -= 1.0
 
+        p = self.p
         d_W_o = hidden.T @ d_logits
-        d_hidden = d_logits @ self.W_o.T
+        d_hidden = d_logits @ p["W_o"].T
         d_pre = d_hidden * (pre > 0.0)
         d_W_h = joint.T @ d_pre
-        d_joint = d_pre @ self.W_h.T
+        d_joint = d_pre @ p["W_h"].T
 
         # views of [u; v; |u-v|; u*v], without np.split's per-call cost
         d_u, d_v, d_abs, d_prod = d_joint.reshape(n, 4, -1).swapaxes(0, 1)
@@ -550,38 +551,27 @@ class RelationClassifier:
         du = d_u + sign * d_abs + v * d_prod
         dv = d_v - sign * d_abs + u * d_prod
 
-        self.W_o -= lr * d_W_o
-        self.b_o -= lr * d_logits.sum(axis=0)
-        self.W_h -= lr * d_W_h
-        self.b_h -= lr * d_pre.sum(axis=0)
+        p["W_o"] -= lr * d_W_o
+        p["b_o"] -= lr * d_logits.sum(axis=0)
+        p["W_h"] -= lr * d_W_h
+        p["b_h"] -= lr * d_pre.sum(axis=0)
         self.encoder.embedding -= lr * self.encoder.grad(
             ids, np.array(lengths, dtype=np.intp), np.concatenate([du, dv]))
         return loss
 
     def save(self, path) -> None:
-        meta = {
-            "vocab": "".join(self.encoder.vocab.chars),
-            "d_pair": self.encoder.d_pair,
-            "labels": list(RELATIONS),
-            "config": asdict(self.config),
-        }
-        arrays = {"embedding": self.encoder.embedding, "W_h": self.W_h,
-                  "b_h": self.b_h, "W_o": self.W_o, "b_o": self.b_o}
-        save_model(path, "relation", meta, arrays)
+        write_model(path, "relation", RELATIONS, "".join(self.encoder.vocab.chars),
+                    self.config, {"d_pair": self.encoder.d_pair},
+                    {"embedding": self.encoder.embedding, **self.p})
 
     @classmethod
     def load(cls, path) -> "RelationClassifier":
-        meta, arrays = load_model(path, "relation")
-        meta.expect("labels", list(RELATIONS))  # probabilities are indexed in this order
-        chars = list(meta.text("vocab"))
-        config = load_config(meta, PairTrainConfig)
-        arrays.expect_shapes({"d_pair": meta["d_pair"], "config.hidden": config.hidden},
-                             lambda d_pair, hidden: {"embedding": (len(chars) + 1, d_pair),
-                                                     **cls.shapes(d_pair, hidden)})
-        model = cls(PairEncoder(chars, d_pair=meta["d_pair"]), config)
-        model.encoder.embedding, model.W_h, model.b_h, model.W_o, model.b_o = (
-            arrays[key] for key in ("embedding", "W_h", "b_h", "W_o", "b_o"))
-        return model
+        vocab, config, arrays = read_model(
+            path, "relation", RELATIONS, PairTrainConfig, ("d_pair", "config.hidden"),
+            # the embedding's first row is UNK_ID
+            lambda vocab, d_pair, hidden: {"embedding": (len(vocab) + 1, d_pair),
+                                           **cls.shapes(d_pair, hidden)})
+        return cls(PairEncoder(list(vocab), arrays.pop("embedding")), config, arrays)
 
 
 def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
@@ -610,7 +600,8 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
         if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
             examples.append((ids_b, ids_a, idx))
 
-    model = RelationClassifier(encoder, config, seed=config.seed + 1)
+    model = RelationClassifier(encoder, config, initial_params(
+        RelationClassifier.shapes(encoder.d_pair, config.hidden), config.seed + 1))
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
     history: list[float] = []
@@ -623,6 +614,6 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
         history.append(epoch_loss / len(examples))
     # Each step's loss is taken before its update, so only the parameters show
     # the last step diverging.
-    for param in (model.W_h, model.b_h, model.W_o, model.b_o, encoder.embedding):
+    for param in (*model.p.values(), encoder.embedding):
         require_finite(param)
     return model, history

@@ -41,7 +41,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, n_records=0, diseases_per_record=0)
+        require_at_least(vars(self), n_records=0, diseases_per_record=0)
         for name in ("miss_rate", "negation_rate", "enumeration_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

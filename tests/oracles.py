@@ -248,8 +248,8 @@ def seed_relation_forward(model, a, b):
     u = table[np.array([ids.get(ch, 0) for ch in a[:MAX_NAME]], dtype=np.intp)].mean(axis=0)
     v = table[np.array([ids.get(ch, 0) for ch in b[:MAX_NAME]], dtype=np.intp)].mean(axis=0)
     joint = np.concatenate([u, v, np.abs(u - v), u * v])
-    hidden = np.maximum(joint @ model.W_h + model.b_h, 0.0)
-    logits = hidden @ model.W_o + model.b_o
+    hidden = np.maximum(joint @ model.p["W_h"] + model.p["b_h"], 0.0)
+    logits = hidden @ model.p["W_o"] + model.p["b_o"]
     exp = np.exp(logits - logits.max())
     return exp / exp.sum()
 
@@ -263,9 +263,9 @@ def seed_finetune_step(model, ids_a, ids_b, label_index, lr):
     u = table[ids_a].mean(axis=0)
     v = table[ids_b].mean(axis=0)
     joint = np.concatenate([u, v, np.abs(u - v), u * v])
-    pre = joint @ model.W_h + model.b_h
+    pre = joint @ model.p["W_h"] + model.p["b_h"]
     hidden = np.maximum(pre, 0.0)
-    logits = hidden @ model.W_o + model.b_o
+    logits = hidden @ model.p["W_o"] + model.p["b_o"]
     exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
     loss = -math.log(max(float(probs[label_index]), 1e-12))
@@ -273,20 +273,20 @@ def seed_finetune_step(model, ids_a, ids_b, label_index, lr):
     d_logits[label_index] -= 1.0
 
     d_W_o = np.outer(hidden, d_logits)
-    d_hidden = model.W_o @ d_logits
+    d_hidden = model.p["W_o"] @ d_logits
     d_pre = d_hidden * (pre > 0.0)
     d_W_h = np.outer(joint, d_pre)
-    d_joint = model.W_h @ d_pre
+    d_joint = model.p["W_h"] @ d_pre
 
     d_u, d_v, d_abs, d_prod = d_joint.reshape(4, -1)
     sign = np.sign(u - v)
     du = d_u + sign * d_abs + v * d_prod
     dv = d_v - sign * d_abs + u * d_prod
 
-    model.W_o -= lr * d_W_o
-    model.b_o -= lr * d_logits
-    model.W_h -= lr * d_W_h
-    model.b_h -= lr * d_pre
+    model.p["W_o"] -= lr * d_W_o
+    model.p["b_o"] -= lr * d_logits
+    model.p["W_h"] -= lr * d_W_h
+    model.p["b_h"] -= lr * d_pre
     grad = np.zeros_like(table)
     np.add.at(grad, ids_a, du / len(ids_a))
     np.add.at(grad, ids_b, dv / len(ids_b))
@@ -357,16 +357,16 @@ def seed_context_train(samples, config, dev_samples=None, d=32, d_enc=32):
 
     import numpy as np
 
-    from dxaudit.context_model import (CharVocab, CharWindowEncoder, ContextClassifier,
-                                       EpochStats, GatedFusionHead, focal_loss)
+    from builders import char_encoder, fusion_head
+    from dxaudit.context_model import CharVocab, ContextClassifier, EpochStats, focal_loss
     from dxaudit.features import LABELS
 
     evaluated = dev_samples if dev_samples else samples
     texts = [s.disease for s in samples] + [s.context for s in samples]
     if dev_samples:
         texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
-    encoder = CharWindowEncoder(CharVocab.from_texts(texts), d_enc=d_enc, seed=config.seed)
-    head = GatedFusionHead(d_enc=d_enc, d=d, seed=config.seed + 1)
+    encoder = char_encoder(CharVocab.from_texts(texts), d_enc=d_enc, seed=config.seed)
+    head = fusion_head(d_enc=d_enc, d=d, seed=config.seed + 1)
     model = ContextClassifier(encoder, head, config)
     labels = [LABELS.index(s.label) for s in samples]
     sequences = [model.inputs(s) for s in samples]

@@ -21,9 +21,7 @@ from dxaudit.features import ContextSample, assemble_features
 from dxaudit.context_model import (
     WINDOW,
     CharVocab,
-    CharWindowEncoder,
     ContextClassifier,
-    GatedFusionHead,
     TrainConfig,
     focal_loss,
     train,
@@ -45,6 +43,7 @@ from dxaudit.relation_model import (
     load_pairs,
 )
 
+from builders import char_encoder, fusion_head
 from conftest import DATA_DIR
 from oracles import (
     brute_force_mentions,
@@ -73,8 +72,8 @@ def test_criterion_01_gated_fusion_math():
     worst_grad = 0.0
     for seed in (1, 2, 3):
         vocab = CharVocab(list("abcdefg"))
-        encoder = CharWindowEncoder(vocab, d_enc=4, seed=seed)
-        head = GatedFusionHead(d_enc=4, d=3, seed=seed + 10)
+        encoder = char_encoder(vocab, d_enc=4, seed=seed)
+        head = fusion_head(d_enc=4, d=3, seed=seed + 10)
         model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
         g = np.random.default_rng(seed)
         length = 10
@@ -189,7 +188,7 @@ def test_criterion_05_pair_generators(fixture_icd):
 
 
 def test_criterion_06_contrastive_objective():
-    encoder = PairEncoder(list("abcd"), d_pair=4, seed=0)
+    encoder = PairEncoder.from_names(list("abcd"), d_pair=4, seed=0)
     encoder.embedding[:] = 1.0
     batch = [DiseasePair("a", "b", PairSource.CODING_PAIR),
              DiseasePair("c", "d", PairSource.CODING_PAIR),

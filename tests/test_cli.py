@@ -1,7 +1,10 @@
 """CLI workflow: exit codes, config precedence, determinism."""
 
+import collections
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +348,23 @@ class TestWorkflow:
         assert header == "config,precision,recall,f1"
         f1 = float(row.split(",")[3])
         assert f1 >= 0.9
+
+    @pytest.mark.parametrize("with_dev", [False, True], ids=["no-dev", "dev"])
+    def test_train_context_prints_the_majority_share(self, workspace, tmp_path, capsys,
+                                                      with_dev):
+        """Beside acc, the share of the evaluated set's most frequent label:
+        the accuracy of a model that always guesses it."""
+        lines = (workspace / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text("".join(line + "\n" for line in lines[:25]), encoding="utf-8")
+        evaluated = lines[:25] if with_dev else lines
+        counts = collections.Counter(json.loads(line)["label"] for line in evaluated)
+        share = counts.most_common(1)[0][1] / len(evaluated)
+        assert run(["train-context", "--samples", str(workspace / "samples.jsonl"),
+                    "--out", str(tmp_path / "context.bin"), "--epochs", "1",
+                    "--d", "4", "--d-enc", "4"]
+                   + (["--dev", str(dev)] if with_dev else [])) == 0
+        assert f" majority={share:.3f} -> " in capsys.readouterr().out
 
     def test_ablate_writes_all_rows(self, workspace, tmp_path):
         out = tmp_path / "ablation.csv"
@@ -793,6 +813,51 @@ class TestHostileInput:
         assert repr(named) in err
         for key in dims.keys() - {"vocab"}:
             assert f"{key}=1000000" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, craft, named", [
+        ("relation", "array-listed-twice", "'W_h'"),
+        ("relation", "fractional-shape", "'W_h'"),
+        ("context", "unknown-array", "'head.W9'"),
+        ("context", "bytes-after-last-array", "8 bytes"),
+        ("context", "vocab-repeats", "'vocab'"),
+        ("relation", "vocab-repeats", "'vocab'"),
+    ], ids=["relation-array-listed-twice", "relation-fractional-shape",
+            "context-unknown-array", "context-bytes-after-last-array",
+            "context-vocab-repeats", "relation-vocab-repeats"])
+    def test_crafted_manifest_and_vocab_are_refused(self, workspace, tmp_path, capsys,
+                                                    kind, craft, named):
+        """Files that save_model cannot write, their headers edited as raw
+        JSON; each would load with wrong weights or ids if not refused."""
+        data = (workspace / f"{kind}.bin").read_bytes()
+        (header_len,) = struct.unpack_from("<Q", data, 8)
+        header, body = json.loads(data[16:16 + header_len]), data[16 + header_len:]
+        arrays, meta = header["arrays"], header["meta"]
+        w_h = next((spec for spec in arrays if spec["name"] == "W_h"), None)
+        if craft == "array-listed-twice":  # a second W_h, of zeros, that would win
+            arrays.append(dict(w_h))
+            body += bytes(8 * math.prod(w_h["shape"]))
+        elif craft == "fractional-shape":  # truncated, the same byte count
+            w_h["shape"] = [n + 0.5 for n in w_h["shape"]]
+        elif craft == "unknown-array":
+            arrays.append({"name": "head.W9", "shape": [1]})
+            body += bytes(8)
+        elif craft == "bytes-after-last-array":
+            body += bytes(8)
+        else:  # a repeated character shifts the ids of the characters after it
+            meta["vocab"] = meta["vocab"][0] + meta["vocab"][:-1]
+        blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+        edited = tmp_path / f"{kind}.bin"
+        edited.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + body)
+        models = {"context": workspace / "context.bin",
+                  "relation": workspace / "relation.bin", kind: edited}
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(models["context"]),
+                    "--relation-model", str(models["relation"]),
+                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert named in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flags", [

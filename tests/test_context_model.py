@@ -18,9 +18,7 @@ from dxaudit.features import LABELS, TRACKS, ContextSample, assemble_features
 from dxaudit.context_model import (
     WINDOW,
     CharVocab,
-    CharWindowEncoder,
     ContextClassifier,
-    GatedFusionHead,
     TrainConfig,
     augment_disease_replace,
     _row_sums,
@@ -32,6 +30,7 @@ from dxaudit.context_model import (
     train,
 )
 
+from builders import char_encoder, fusion_head
 from oracles import (
     finite_difference_worst_error,
     naive_focal_loss,
@@ -49,8 +48,8 @@ def random_instance(rng: np.random.Generator):
     d = int(rng.integers(2, 6))
     length = int(rng.integers(2, 12))
     vocab = CharVocab([chr(ord("a") + i) for i in range(vocab_size)])
-    encoder = CharWindowEncoder(vocab, d_enc=d_enc, seed=int(rng.integers(0, 2**31)))
-    head = GatedFusionHead(d_enc=d_enc, d=d, seed=int(rng.integers(0, 2**31)))
+    encoder = char_encoder(vocab, d_enc=d_enc, seed=int(rng.integers(0, 2**31)))
+    head = fusion_head(d_enc=d_enc, d=d, seed=int(rng.integers(0, 2**31)))
     ids = rng.integers(0, vocab_size + 2, size=length)
     tracks = tuple(rng.integers(0, 2, size=length) for _ in range(3))
     return encoder, head, ids, tracks
@@ -129,7 +128,7 @@ class TestForward:
             assert (cache["o"] <= high + 1e-12).all()
 
     def test_shape_mismatch(self):
-        head = GatedFusionHead(d_enc=8, d=4, seed=0)
+        head = fusion_head(d_enc=8, d=4, seed=0)
         with pytest.raises(ShapeMismatch):
             head.forward(np.zeros((5, 4)), track_code(tuple(np.zeros(5, dtype=np.intp)
                                                             for _ in range(3))))
@@ -139,7 +138,7 @@ class TestForward:
 
     def test_naive_fusion_handles_known_gate(self):
         # sanity of the oracle itself: g=1 everywhere reduces to tanh path
-        head = GatedFusionHead(d_enc=3, d=2, seed=1)
+        head = fusion_head(d_enc=3, d=2, seed=1)
         head.p["W_g"][:] = 0.0
         head.p["c_g"][:] = 50.0
         h1 = np.random.default_rng(0).normal(size=(4, 3))
@@ -206,8 +205,8 @@ class TestFoldedClassify:
     def test_longest_disease_and_context(self):
         rng = np.random.default_rng(44)
         chars = [chr(0x4E00 + i) for i in range(60)]
-        encoder = CharWindowEncoder(CharVocab(chars[:50]), d_enc=32, seed=1)
-        model = model_over(encoder, GatedFusionHead(d_enc=32, d=32, seed=2))
+        encoder = char_encoder(CharVocab(chars[:50]), d_enc=32, seed=1)
+        model = model_over(encoder, fusion_head(d_enc=32, d=32, seed=2))
         for _ in range(5):
             # the last 10 characters are out of the vocabulary
             disease = "".join(rng.choice(chars, size=30))
@@ -263,8 +262,8 @@ class TestFocalLoss:
 class TestGradients:
     def test_full_model_matches_finite_differences(self):
         vocab = CharVocab(list("abcdefg"))
-        encoder = CharWindowEncoder(vocab, d_enc=4, seed=1)
-        head = GatedFusionHead(d_enc=4, d=3, seed=2)
+        encoder = char_encoder(vocab, d_enc=4, seed=1)
+        head = fusion_head(d_enc=4, d=3, seed=2)
         model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
         sample = make_sample(disease="ad", context="abcadefgba", label="confirmed")
         worst = finite_difference_worst_error(model, sample, label_index=1)
@@ -297,8 +296,8 @@ class TestPackedBatches:
 
     def test_packed_gradients_match_finite_differences(self):
         vocab = CharVocab(list("abcdefg"))
-        encoder = CharWindowEncoder(vocab, d_enc=4, seed=1)
-        head = GatedFusionHead(d_enc=4, d=3, seed=2)
+        encoder = char_encoder(vocab, d_enc=4, seed=1)
+        head = fusion_head(d_enc=4, d=3, seed=2)
         model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
         samples = [make_sample(disease="ad", context="abcadefgba"),
                    make_sample(disease="g", context="c"),
@@ -314,7 +313,7 @@ class TestPackedBatches:
         analytic = {f"head.{k}": v for k, v in head_grads.items()}
         analytic["encoder.embedding"] = enc_grads["embedding"]
         h, worst = 1e-5, 0.0
-        for name, table in model.named_params():
+        for name, table in model.arrays().items():
             flat, grad = table.reshape(-1), analytic[name].reshape(-1)
             for k in range(flat.size):
                 saved = flat[k]
@@ -345,8 +344,8 @@ class TestPackedBatches:
     def test_inputs_and_probabilities_equal_seed_assembly(self, caps):
         rng = np.random.default_rng(30)
         vocab = CharVocab(list("abcdefg"))
-        model = ContextClassifier(CharWindowEncoder(vocab, d_enc=4, seed=1),
-                                  GatedFusionHead(d_enc=4, d=3, seed=2), TrainConfig(**caps))
+        model = ContextClassifier(char_encoder(vocab, d_enc=4, seed=1),
+                                  fusion_head(d_enc=4, d=3, seed=2), TrainConfig(**caps))
         samples = [make_sample(disease="".join(rng.choice(list("abcxyz"),
                                                           int(rng.integers(1, 6)))),
                                context="".join(rng.choice(list("abcdefgz"),
@@ -481,8 +480,8 @@ class TestTraining:
         config = TrainConfig(batch_size=8, learning_rate=0.2, epochs=2, seed=7)
         model_a, _ = train(samples, config, d=8, d_enc=8)
         model_b, _ = train(samples, config, d=8, d_enc=8)
-        for (name_a, arr_a), (name_b, arr_b) in zip(model_a.named_params(),
-                                                    model_b.named_params()):
+        for (name_a, arr_a), (name_b, arr_b) in zip(model_a.arrays().items(),
+                                                    model_b.arrays().items()):
             assert name_a == name_b
             assert np.array_equal(arr_a, arr_b)
 
@@ -496,8 +495,8 @@ class TestTraining:
         seed_model, seed_history = seed_context_train(samples, config, dev_samples=dev,
                                                       d=8, d_enc=8)
         assert history == seed_history
-        for (name, arr), (seed_name, seed_arr) in zip(model.named_params(),
-                                                      seed_model.named_params()):
+        for (name, arr), (seed_name, seed_arr) in zip(model.arrays().items(),
+                                                      seed_model.arrays().items()):
             assert name == seed_name
             assert np.array_equal(arr, seed_arr)
 
@@ -528,8 +527,8 @@ class TestTraining:
 
     def test_near_uniform_probability_at_init(self):
         vocab = CharVocab(list("abcdef"))
-        encoder = CharWindowEncoder(vocab, d_enc=8, seed=0)
-        head = GatedFusionHead(d_enc=8, d=8, seed=1)
+        encoder = char_encoder(vocab, d_enc=8, seed=0)
+        head = fusion_head(d_enc=8, d=8, seed=1)
         model = ContextClassifier(encoder, head, TrainConfig())
         rng = np.random.default_rng(5)
         probs = []
@@ -561,6 +560,21 @@ class TestPersistence:
         loaded = ContextClassifier.load(path)
         for sample in samples[:10]:
             assert loaded.classify(sample) == model.classify(sample)
+
+    def test_load_draws_nothing_and_saves_the_same_bytes(self, tmp_path, monkeypatch):
+        samples = separable_samples(60, seed=5)
+        config = TrainConfig(batch_size=8, learning_rate=0.2, epochs=2, seed=3)
+        model, _ = train(samples, config, d=8, d_enc=8)
+        model.save(tmp_path / "context.bin")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a load drew random numbers")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "default_rng", no_draws)
+            loaded = ContextClassifier.load(tmp_path / "context.bin")
+        loaded.save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "context.bin").read_bytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         samples = separable_samples(60, seed=5)

@@ -43,6 +43,7 @@ from dxaudit.relation_model import (
     save_pairs,
 )
 
+from builders import relation_classifier
 from conftest import make_fixture_icd_entries
 from oracles import (
     central_difference_worst_error,
@@ -191,7 +192,7 @@ class TestPairFiles:
 
 class TestContrastiveObjective:
     def test_identical_embeddings_log_batch_size(self):
-        encoder = PairEncoder(list("abcd"), d_pair=4, seed=0)
+        encoder = PairEncoder.from_names(list("abcd"), d_pair=4, seed=0)
         encoder.embedding[:] = 1.0
         batch = [DiseasePair("a", "b", PairSource.CODING_PAIR),
                  DiseasePair("c", "d", PairSource.CODING_PAIR),
@@ -200,7 +201,7 @@ class TestContrastiveObjective:
         assert abs(loss - math.log(len(batch))) < 1e-9
 
     def test_orthogonal_positives_hand_value(self):
-        encoder = PairEncoder(list("abcd"), d_pair=2, seed=0)
+        encoder = PairEncoder.from_names(list("abcd"), d_pair=2, seed=0)
         encoder.embedding[encoder.vocab._ids["a"]] = [1.0, 0.0]
         encoder.embedding[encoder.vocab._ids["b"]] = [1.0, 0.0]
         encoder.embedding[encoder.vocab._ids["c"]] = [0.0, 1.0]
@@ -212,7 +213,7 @@ class TestContrastiveObjective:
 
     def test_loss_non_negative_random(self):
         rng = np.random.default_rng(8)
-        encoder = PairEncoder(list("abcdef"), d_pair=3, seed=1)
+        encoder = PairEncoder.from_names(list("abcdef"), d_pair=3, seed=1)
         for _ in range(200):
             encoder.embedding[:] = rng.normal(size=encoder.embedding.shape)
             batch = [DiseasePair("ab", "cd", PairSource.CODING_PAIR),
@@ -221,7 +222,7 @@ class TestContrastiveObjective:
             assert info_nce_batch_loss(encoder, batch, tau=0.05) >= 0.0
 
     def test_matches_naive_oracle(self):
-        encoder = PairEncoder(list("abcdefgh"), d_pair=5, seed=3)
+        encoder = PairEncoder.from_names(list("abcdefgh"), d_pair=5, seed=3)
         batch = [DiseasePair("abc", "abd", PairSource.CODING_PAIR),
                  DiseasePair("ef", "eg", PairSource.CODING_PAIR),
                  DiseasePair("ha", "cd", PairSource.RANDOM_NEG)]
@@ -234,7 +235,7 @@ class TestContrastiveObjective:
         assert abs(got - expected) < 1e-12
 
     def test_degenerate_batch(self):
-        encoder = PairEncoder(list("ab"), d_pair=2, seed=0)
+        encoder = PairEncoder.from_names(list("ab"), d_pair=2, seed=0)
         batch = [DiseasePair("a", "b", PairSource.RANDOM_NEG),
                  DiseasePair("b", "a", PairSource.CODING_PAIR)]
         with pytest.raises(DegenerateBatch):
@@ -286,7 +287,7 @@ class TestGradients:
     """
 
     def test_info_nce_embedding_gradient(self):
-        encoder = PairEncoder(list("abcdefgh"), d_pair=5, seed=3)
+        encoder = PairEncoder.from_names(list("abcdefgh"), d_pair=5, seed=3)
         batch = [DiseasePair("abca", "abd", PairSource.CODING_PAIR),
                  DiseasePair("efx", "eg", PairSource.CODING_PAIR),
                  DiseasePair("ha", "cdcdcdcd" * 7, PairSource.RANDOM_NEG),
@@ -298,8 +299,8 @@ class TestGradients:
         assert worst < 1e-4
 
     def test_finetune_step_gradients(self):
-        encoder = PairEncoder(list("abcdefg"), d_pair=3, seed=1)
-        model = RelationClassifier(encoder, PairTrainConfig(hidden=6), seed=2)
+        encoder = PairEncoder.from_names(list("abcdefg"), d_pair=3, seed=1)
+        model = relation_classifier(encoder, PairTrainConfig(hidden=6), seed=2)
         a, b, label = "abcafedc" * 7, "dexd", RELATIONS.index("secondary")
 
         # one SGD step at lr=1 moves each parameter by minus its gradient
@@ -319,8 +320,8 @@ class TestGradients:
         the batch's summed loss. The names share characters, so rows of the
         embedding table take gradient from several examples, and the batch
         holds a symmetric pair in both orders, as finetune builds it."""
-        encoder = PairEncoder(list("abcdefg"), d_pair=3, seed=1)
-        model = RelationClassifier(encoder, PairTrainConfig(hidden=6), seed=2)
+        encoder = PairEncoder.from_names(list("abcdefg"), d_pair=3, seed=1)
+        model = relation_classifier(encoder, PairTrainConfig(hidden=6), seed=2)
         examples = [("abcafedc" * 7, "dexd", "secondary"), ("cab", "gfa", "inclusion"),
                     ("bdgb", "ea", "irrelevance"), ("ea", "bdgb", "irrelevance")]
         batch = [(encoder.encode_ids(a), encoder.encode_ids(b), RELATIONS.index(r))
@@ -338,8 +339,7 @@ class TestGradients:
 
 
 def step_params(model):
-    return {"W_h": model.W_h, "b_h": model.b_h, "W_o": model.W_o, "b_o": model.b_o,
-            "embedding": model.encoder.embedding}
+    return {**model.p, "embedding": model.encoder.embedding}
 
 
 class TestBatchedStep:
@@ -347,8 +347,8 @@ class TestBatchedStep:
 
     @staticmethod
     def model_and_examples(n):
-        encoder = PairEncoder(list("abcdefghij"), d_pair=4, seed=5)
-        model = RelationClassifier(encoder, PairTrainConfig(hidden=7), seed=6)
+        encoder = PairEncoder.from_names(list("abcdefghij"), d_pair=4, seed=5)
+        model = relation_classifier(encoder, PairTrainConfig(hidden=7), seed=6)
         rng = random.Random(n)
         examples = []
         for _ in range(n):
@@ -476,7 +476,7 @@ class TestFineTune:
             finetune(encoder, pairs, PairTrainConfig(epochs=1))
 
     def test_unlabeled_pair_raises(self):
-        encoder = PairEncoder(list("ab"), d_pair=4, seed=0)
+        encoder = PairEncoder.from_names(list("ab"), d_pair=4, seed=0)
         with pytest.raises(DegenerateData):
             finetune(encoder, [DiseasePair("a", "b", PairSource.CODING_PAIR)],
                      PairTrainConfig(epochs=1))
@@ -504,6 +504,20 @@ class TestFineTune:
         model.save(tmp_path / "again.bin")
         assert (tmp_path / "relation.bin").read_bytes() == \
             (tmp_path / "again.bin").read_bytes()
+
+    def test_load_draws_nothing_and_saves_the_same_bytes(self, fixture_pair_model,
+                                                         tmp_path, monkeypatch):
+        fixture_pair_model[0].save(tmp_path / "relation.bin")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a load drew random numbers")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "default_rng", no_draws)
+            loaded = RelationClassifier.load(tmp_path / "relation.bin")
+        loaded.save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == \
+            (tmp_path / "relation.bin").read_bytes()
 
 
 def random_names(model, n, seed):
