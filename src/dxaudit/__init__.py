@@ -19,7 +19,6 @@ from .core import (
 )
 from .features import ContextSample, FeatureLexicons, assemble_features
 from .pipeline import (
-    DetectConfig,
     Models,
     PipelineLexicons,
     WriteMissingFinding,
@@ -31,9 +30,9 @@ from .recall import DiseaseMention, build_context_window, build_matcher, find_me
 __version__ = "0.1.0"
 
 __all__ = [
-    "CcLevel", "ContextSample", "DetectConfig", "DiseaseMention",
-    "DrgAssignment", "FeatureLexicons", "IcdEntry", "IcdIndex", "Lexicon",
-    "LexiconKind", "MedicalRecord", "Models", "PipelineLexicons", "Tier",
+    "CcLevel", "ContextSample", "DiseaseMention", "DrgAssignment",
+    "FeatureLexicons", "IcdEntry", "IcdIndex", "Lexicon", "LexiconKind",
+    "MedicalRecord", "Models", "PipelineLexicons", "Tier",
     "WriteMissingFinding", "assemble_features", "batch_detect",
     "build_context_window", "build_matcher", "detect_write_missing",
     "find_mentions", "load_corpus", "load_icd_table", "load_lexicon",

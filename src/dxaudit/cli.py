@@ -7,6 +7,8 @@ e.g. ``context.epochs=12``) supplies defaults; explicit flags beat the
 config file, which beats built-in defaults. A setting that is a field of
 a config dataclass has its flag's ``dest`` named after the field and its
 key named ``<section>.<field>``, and takes its default from the field.
+Each numeric flag of a subcommand with a config section is a key, and
+a key that names no setting is a data error.
 
 Exit codes: 0 success, 2 partial batch failures, 64 usage, 65 data error.
 """
@@ -101,18 +103,29 @@ def _add_common_lexicon_flags(parser):
 
 
 class _SubParsers:
-    """Wraps add_parser so global flags work after the subcommand too, and
-    so each subcommand sets ``args.run`` to the function that runs it."""
+    """Wraps add_parser so global flags work after the subcommand too, so
+    each subcommand sets ``args.run`` to the function that runs it, and so
+    each numeric flag of a subcommand given a config ``section`` has the
+    config key ``<section>.<dest>``."""
 
     def __init__(self, sub):
         self._sub = sub
+        self._sections: list[tuple[str, argparse.ArgumentParser]] = []
 
-    def add_parser(self, name, run, **kwargs):
+    def add_parser(self, name, run, section=None, **kwargs):
         parser = self._sub.add_parser(name, **kwargs)
         parser.set_defaults(run=run)
         for flag, kind in (("--seed", int), ("--config", str)):
             parser.add_argument(flag, type=kind, default=argparse.SUPPRESS)
+        if section:
+            self._sections.append((section, parser))
         return parser
+
+    def config_keys(self) -> frozenset[str]:
+        return frozenset(["seed"] + [
+            f"{section}.{action.dest}" for section, parser in self._sections
+            for action in parser._actions
+            if action.type in (int, float) and action.dest != "seed"])
 
 
 def build_parser() -> _Parser:
@@ -121,7 +134,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = _SubParsers(parser.add_subparsers(dest="command", required=True))
 
-    p = sub.add_parser("gen-synthetic", _cmd_gen_synthetic,
+    p = sub.add_parser("gen-synthetic", _cmd_gen_synthetic, section="synthetic",
                        help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="corpus JSONL to write")
     p.add_argument("--gold", required=True, help="gold JSON to write")
@@ -140,16 +153,16 @@ def build_parser() -> _Parser:
                    help="also write labeled relation pairs (TSV)")
     _add_common_lexicon_flags(p)
 
-    p = sub.add_parser("gen-pairs", _cmd_gen_pairs, help="mine pretraining pairs")
+    p = sub.add_parser("gen-pairs", _cmd_gen_pairs, section="pairs",
+                       help="mine pretraining pairs")
     p.add_argument("--icd", required=True, help="ICD table CSV")
     p.add_argument("--coded", help="clinical_name,icd_code CSV")
     p.add_argument("--corpus", help="corpus JSONL for same-list negatives")
     p.add_argument("--back-translation", help="externally produced positives")
     p.add_argument("--n-random", type=int)
-    p.add_argument("--sibling-scope", choices=["same_depth", "same_category"])
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-context", _cmd_train_context,
+    p = sub.add_parser("train-context", _cmd_train_context, section="context",
                        help="train the context classifier")
     p.add_argument("--samples", required=True, help="JSONL {disease, context, label}")
     p.add_argument("--dev", help="held-out samples for accuracy tracking (at least one)")
@@ -166,7 +179,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exclusion", help="chronic exclusion lexicon")
     _add_common_lexicon_flags(p)
 
-    p = sub.add_parser("train-relation", _cmd_train_relation,
+    p = sub.add_parser("train-relation", _cmd_train_relation, section="relation",
                        help="train the relation comparator")
     p.add_argument("--pairs", required=True, help="labeled pairs TSV")
     p.add_argument("--pretrain-pairs", help="polarity pairs TSV for pretraining")
@@ -190,7 +203,6 @@ def build_parser() -> _Parser:
     p.add_argument("--relation-model")
     p.add_argument("--diseases", help="recall lexicon (defaults to packaged pool)")
     p.add_argument("--out", required=True, help="findings report JSONL")
-    p.add_argument("--emit-on", choices=sorted(pipeline.EMITTING_RELATIONS))
     _add_common_lexicon_flags(p)
 
     p = sub.add_parser("evaluate", _cmd_evaluate, help="score findings against gold")
@@ -219,6 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("--precision", type=float,
                    help="detector precision for the scaled total")
     p.add_argument("--out", required=True, help="report JSON")
+    parser.config_keys = sub.config_keys()
     return parser
 
 
@@ -275,10 +288,8 @@ def _cmd_gen_pairs(args, config, seed):
         records = core.load_corpus(args.corpus)
         negatives.extend(relation_model.gen_negative_same_list(
             records, exclude_pairs=positive_keys))
-    scope = _resolve(args.sibling_scope, config, "pairs.sibling_scope", "same_depth")
     negatives.extend(relation_model.drop_conflicts(
-        relation_model.gen_negative_icd_siblings(icd, sibling_scope=scope),
-        positives))
+        relation_model.gen_negative_icd_siblings(icd), positives))
     n_random = _resolve(args.n_random, config, "pairs.n_random", 0, int)
     if n_random:
         negatives.extend(relation_model.gen_negative_random(
@@ -370,8 +381,7 @@ def _pipeline_lexicons(args) -> pipeline.PipelineLexicons:
 def _cmd_detect(args, config, seed):
     models = _load_models(args)
     lexicons = _pipeline_lexicons(args)
-    detect_config = _build(pipeline.DetectConfig, "detect", args, config)
-    report = pipeline.batch_detect(args.corpus, models, lexicons, detect_config)
+    report = pipeline.batch_detect(args.corpus, models, lexicons)
     pipeline.write_report(report, args.out)
     print(f"{report.summary['records']} records, "
           f"{report.summary['findings']} findings, "
@@ -396,12 +406,15 @@ def _cmd_ablate(args, config, seed):
     lexicons = _pipeline_lexicons(args)
     records = core.load_corpus(args.corpus)
     gold = load_gold_findings(args.gold)
-    rows = evaluate.run_ablation(records, gold, models, lexicons)
+    rows, errors = evaluate.run_ablation(records, gold, models, lexicons)
     evaluate.write_scores_csv(rows, args.out)
     for row in rows:
         print(f"{row.name}: precision={row.precision:.4f} "
               f"recall={row.recall:.4f} f1={row.f1:.4f}")
-    return EXIT_OK
+    if errors:
+        print(f"dxaudit: {len(errors)} records failed: "
+              + ", ".join(error["record_id"] for error in errors), file=sys.stderr)
+    return EXIT_PARTIAL if errors else EXIT_OK
 
 
 def _cmd_drg_impact(args, config, seed):
@@ -423,9 +436,14 @@ def _cmd_drg_impact(args, config, seed):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = load_config_file(args.config) if args.config else {}
+        unknown = sorted(config.keys() - parser.config_keys)
+        if unknown:
+            raise DxAuditError(f"config file {args.config}: no setting is named "
+                               f"{', '.join(unknown)}")
         seed = _resolve(args.seed, config, "seed", 0, int)
         return args.run(args, config, seed)
     except (DxAuditError, OSError) as exc:

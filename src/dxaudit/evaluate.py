@@ -9,13 +9,7 @@ import numpy as np
 
 from .core import normalize_disease_name, write_rows
 from .features import TRACKS, ContextSample
-from .pipeline import (
-    BatchReport,
-    DetectConfig,
-    Models,
-    PipelineLexicons,
-    batch_detect,
-)
+from .pipeline import BatchReport, Models, PipelineLexicons, batch_detect
 from .recall import build_matcher
 from .relation_model import RELATIONS
 
@@ -132,9 +126,10 @@ def run_ablation(
     gold_findings,
     models: Models,
     lexicons: PipelineLexicons,
-    config: DetectConfig = DetectConfig(),
-) -> list[AblationRow]:
-    """Score the full pipeline against stage and feature knock-outs."""
+) -> tuple[list[AblationRow], list[dict]]:
+    """Score the full pipeline against stage and feature knock-outs, and
+    give the first error entry of each record that failed in any row (its
+    gold findings count as misses there)."""
     variants = [
         ("full", models),
         ("no_context", dc_replace(models, context=ConfirmAllContext())),
@@ -145,12 +140,14 @@ def run_ablation(
             models, context=TrackZeroingContext(models.context, track))))
     matcher = build_matcher(lexicons.diseases)
     rows = []
+    errors: dict[str, dict] = {}
     for name, variant_models in variants:
-        report = batch_detect(records, variant_models, lexicons, config,
-                              matcher=matcher)
+        report = batch_detect(records, variant_models, lexicons, matcher=matcher)
+        for error in report.errors:
+            errors.setdefault(error["record_id"], error)
         precision, recall, f1 = score(report_instances(report), gold_findings)
         rows.append(AblationRow(name=name, precision=precision, recall=recall, f1=f1))
-    return rows
+    return rows, list(errors.values())
 
 
 def write_scores_csv(rows, path: str | Path) -> None:

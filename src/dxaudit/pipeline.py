@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus, json_line,
                    parse_json_object, read_lines, write_lines)
-from .errors import BadSetting, DxAuditError, ModelNotLoaded, ParseError
+from .errors import DxAuditError, ModelNotLoaded, ParseError
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
 from .relation_model import RELATIONS
@@ -60,38 +60,14 @@ class PipelineLexicons:
     features: FeatureLexicons
 
 
-# emit_on setting -> the relations a candidate may have to every discharge
-# diagnosis and still be reported.
-EMITTING_RELATIONS = {
-    "irrelevance_only": frozenset({"irrelevance"}),
-    "irrelevance_or_other": frozenset({"irrelevance", "other"}),
-}
-
-
-@dataclass(frozen=True)
-class DetectConfig:
-    emit_on: str = "irrelevance_only"  # a key of EMITTING_RELATIONS
-
-    def __post_init__(self):
-        if self.emit_on not in EMITTING_RELATIONS:
-            raise BadSetting(f"unknown emit_on {self.emit_on!r}; expected one of "
-                             f"{sorted(EMITTING_RELATIONS)}")
-
-    @property
-    def emitting_relations(self) -> frozenset[str]:
-        return EMITTING_RELATIONS[self.emit_on]
-
-
 def _detect_record(
     record: MedicalRecord,
     matcher: DiseaseMatcher,
     models: Models,
     lexicons: PipelineLexicons,
-    config: DetectConfig,
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
     discharge = discharge_names(record)
     discharge_set = set(discharge)
-    emit_on = config.emitting_relations
 
     findings: list[WriteMissingFinding] = []
     label_counts = {label: 0 for label in LABELS}
@@ -109,7 +85,7 @@ def _detect_record(
             (dx, RELATIONS[k], float(row[k]))
             for dx, row, k in zip(discharge, probs, probs.argmax(axis=1))
         )
-        if all(rel in emit_on for _, rel, _ in relations):
+        if all(rel == "irrelevance" for _, rel, _ in relations):
             findings.append(WriteMissingFinding(
                 disease=mention.disease,
                 evidence_spans=mention.spans,
@@ -124,7 +100,6 @@ def detect_write_missing(
     record: MedicalRecord,
     models: Models,
     lexicons: PipelineLexicons,
-    config: DetectConfig = DetectConfig(),
     matcher: DiseaseMatcher | None = None,
 ) -> list[WriteMissingFinding]:
     """Write-missing findings for one record.
@@ -136,7 +111,7 @@ def detect_write_missing(
     """
     if matcher is None:
         matcher = build_matcher(lexicons.diseases)
-    findings, _ = _detect_record(record, matcher, models, lexicons, config)
+    findings, _ = _detect_record(record, matcher, models, lexicons)
     return findings
 
 
@@ -157,7 +132,6 @@ def batch_detect(
     corpus,
     models: Models,
     lexicons: PipelineLexicons,
-    config: DetectConfig = DetectConfig(),
     parallelism: int = 1,
     matcher: DiseaseMatcher | None = None,
 ) -> BatchReport:
@@ -190,8 +164,7 @@ def batch_detect(
     n_findings = 0
     for record in records:
         try:
-            findings, label_counts = _detect_record(
-                record, matcher, models, lexicons, config)
+            findings, label_counts = _detect_record(record, matcher, models, lexicons)
         except Exception as exc:  # a fault in one record must not end the batch
             error = str(exc) if isinstance(exc, DxAuditError) \
                 else f"{type(exc).__name__}: {exc}"

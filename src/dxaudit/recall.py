@@ -128,17 +128,15 @@ def _sentence_window(text: str, start: int, end: int) -> tuple[int, int]:
 def _shrink_window(
     window: tuple[int, int, int, list[tuple[int, int]]],
     budget: int,
-    surface_len: int,
-) -> tuple[int, int, int, list[tuple[int, int]]] | None:
+) -> tuple[int, int, int, list[tuple[int, int]]]:
     """Fit a too-long window into ``budget`` chars around its spans.
 
     Keeps the longest prefix of spans whose bounding box fits, then pads
-    symmetrically inside the original window bounds. Returns None when
-    not even one span fits (caller decides whether that is an error).
+    symmetrically inside the original window bounds. The first span always
+    fits: it is only called for the first-ranked window, while ``budget``
+    is still the full limit, which no disease name exceeds.
     """
     section, w_start, w_end, spans = window
-    if surface_len > budget:
-        return None
     kept = [spans[0]]
     for span in spans[1:]:
         if span[1] - kept[0][0] <= budget:
@@ -167,11 +165,9 @@ def build_context_window(
     """
     if not mention.spans:
         raise ValueError("mention has no spans")
-    surface_len = len(mention.disease)
-    if surface_len > max_context_len:
-        raise WindowOverflow(
-            f"disease surface of {surface_len} chars exceeds budget {max_context_len}"
-        )
+    if len(mention.disease) > max_context_len:
+        raise WindowOverflow(f"disease surface of {len(mention.disease)} chars "
+                             f"exceeds budget {max_context_len}")
 
     # Per-section merged sentence windows, each carrying its spans.
     windows: list[tuple[int, int, int, list[tuple[int, int]]]] = []
@@ -200,11 +196,7 @@ def build_context_window(
             selected.append(window)
             budget -= length
         elif rank == 0:
-            shrunk = _shrink_window(window, budget, surface_len)
-            if shrunk is None:
-                raise WindowOverflow(
-                    f"disease surface of {surface_len} chars exceeds budget {budget}"
-                )
+            shrunk = _shrink_window(window, budget)
             selected.append(shrunk)
             budget -= shrunk[2] - shrunk[1]
 

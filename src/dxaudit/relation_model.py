@@ -146,36 +146,25 @@ def gen_negative_same_list(records, exclude_pairs=frozenset()) -> list[DiseasePa
     return pairs
 
 
-def gen_negative_icd_siblings(icd: IcdIndex, sibling_scope: str = "same_depth") -> list[DiseasePair]:
-    """Title pairs of ICD codes that sit side by side in the tree.
+def gen_negative_icd_siblings(icd: IcdIndex) -> list[DiseasePair]:
+    """Title pairs of equal-depth ICD codes sharing their immediate parent.
 
-    same_depth: equal-depth codes sharing their immediate parent prefix.
-    same_category: any two codes under one 3-digit category, minus
-    ancestor-descendant pairs (those are inclusion, not dissimilarity).
+    Two distinct codes of one depth have one length, so neither is the
+    other's ancestor: no pair is an inclusion.
     """
-    if sibling_scope not in ("same_depth", "same_category"):
-        raise ValueError(f"unknown sibling_scope {sibling_scope!r}")
-    entries = icd.entries()
     groups: dict[tuple, list] = {}
-    if sibling_scope == "same_depth":
-        for entry in entries:
-            parent = entry.parent_code
-            if parent is not None:
-                groups.setdefault((entry.depth, parent), []).append(entry)
-    else:
-        for entry in entries:
-            groups.setdefault((entry.code[:3],), []).append(entry)
+    for entry in icd.entries():
+        parent = entry.parent_code
+        if parent is not None:
+            groups.setdefault((entry.depth, parent), []).append(entry)
     pairs: list[DiseasePair] = []
     seen: set[frozenset[str]] = set()
     for key in sorted(groups):
         members = groups[key]
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                ea, eb = members[i], members[j]
-                if ea.code.startswith(eb.code) or eb.code.startswith(ea.code):
-                    continue  # ancestor-descendant, never a negative
-                a = normalize_disease_name(ea.title)
-                b = normalize_disease_name(eb.title)
+                a = normalize_disease_name(members[i].title)
+                b = normalize_disease_name(members[j].title)
                 if a == b:
                     continue
                 pair_key = frozenset((a, b))

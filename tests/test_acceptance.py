@@ -263,8 +263,8 @@ def e2e(disease_pool, feature_lexicons, data_dir):
 
 def test_criterion_07_end_to_end_surrogate(e2e):
     records, gold = e2e["records"], e2e["gold"]
-    rows = {row.name: row for row in run_ablation(
-        records, gold.findings, e2e["models"], e2e["lexicons"])}
+    ablation, _ = run_ablation(records, gold.findings, e2e["models"], e2e["lexicons"])
+    rows = {row.name: row for row in ablation}
     elapsed = time.perf_counter() - e2e["train_started"]
     full = rows["full"]
     ordering = (rows["no_context"].precision < full.precision

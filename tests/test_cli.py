@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dxaudit
-from dxaudit import pipeline, relation_model, synth
+from dxaudit import relation_model, synth
 from dxaudit.cli import main
 from dxaudit.modelio import load_model, save_model
 
@@ -33,6 +33,16 @@ def spy(monkeypatch, owner, name, position):
 
     monkeypatch.setattr(owner, name, wrapper)
     return seen
+
+
+def three_samples(path):
+    """A training file of one 肺炎 sample per context label."""
+    path.write_text("".join(
+        json.dumps({"disease": "肺炎", "context": context, "label": label},
+                   ensure_ascii=False) + "\n"
+        for context, label in [("确诊为肺炎。", "confirmed"), ("否认肺炎。", "non_current"),
+                               ("考虑肺炎可能。", "unknown")]), encoding="utf-8")
+    return path
 
 
 def drg_impact(workspace, tmp_path, data_dir, flags):
@@ -169,16 +179,30 @@ class TestConfigPrecedence:
         assert "'abc'" in err
         assert "Traceback" not in err
 
-    def test_unknown_emit_on_in_config_is_65(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
+        "context.max_context=10", "relation.max_name=5", "context.epoch=12",
+        "detect.emit_on=irrelevance_or_other", "pairs.sibling_scope=same_category"])
+    def test_key_that_names_no_setting_is_65(self, workspace, tmp_path, data_dir,
+                                             capsys, line):
+        """Refused before the command runs, so a misspelt or retired key
+        cannot leave its setting at the default unnoticed."""
+        key = line.split("=")[0]
         config = tmp_path / "dxaudit.conf"
-        config.write_text("detect.emit_on=bogus\n", encoding="utf-8")
-        assert run(["--config", str(config), "detect",
-                    "--corpus", str(workspace / "corpus.jsonl"),
-                    "--models", str(workspace / "models"),
-                    "--out", str(tmp_path / "findings.jsonl")]) == 65
+        config.write_text(f"seed=1\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "context": ["train-context", "--samples", str(workspace / "samples.jsonl")],
+            "relation": ["train-relation", "--pairs", str(workspace / "pairs.tsv")],
+            "detect": ["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                       "--models", str(workspace / "models")],
+            "pairs": ["gen-pairs", "--icd", str(data_dir / "icd_demo.csv")],
+        }[key.split(".")[0]]
+        assert run(["--config", str(config)] + argv + ["--out", str(out)]) == 65
         err = capsys.readouterr().err
-        assert "'bogus'" in err
+        assert key in err
+        assert str(config) in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, setting", [
         ("gen-synthetic", ["--miss-rate", "2"], "miss_rate"),
@@ -273,7 +297,6 @@ class TestConfigPrecedence:
         ("relation.epochs", "--epochs", 2, 3),
         ("relation.d_pair", "--d-pair", 8, 12),
         ("relation.pretrain_epochs", "--pretrain-epochs", 2, 3),
-        ("detect.emit_on", "--emit-on", "irrelevance_or_other", "irrelevance_only"),
     ]
 
     @pytest.mark.parametrize("key, flag, by_key, by_flag", FLAGGED_KEYS,
@@ -281,15 +304,9 @@ class TestConfigPrecedence:
     def test_every_flagged_key_reaches_its_setting(self, workspace, tmp_path, data_dir,
                                                    monkeypatch, key, flag, by_key,
                                                    by_flag):
-        """A key sets its value, its flag beats it, and keys without a flag
-        (context.max_context, relation.max_name) are ignored."""
+        """A key sets its value, and its flag beats it."""
         section, field = key.split(".")
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text("".join(
-            json.dumps({"disease": "肺炎", "context": context, "label": label},
-                       ensure_ascii=False) + "\n"
-            for context, label in [("确诊为肺炎。", "confirmed"), ("否认肺炎。", "non_current"),
-                                   ("考虑肺炎可能。", "unknown")]), encoding="utf-8")
+        samples = three_samples(tmp_path / "samples.jsonl")
         pretrain = tmp_path / "pretrain.tsv"
         pretrain.write_text("肺炎\t肺部感染\tsame\tcoding_pair\n"
                             "高血压\t高血压病\tsame\tcoding_pair\n"
@@ -298,7 +315,6 @@ class TestConfigPrecedence:
         # Settings that reach no model file are read from the call they configure.
         specs = spy(monkeypatch, synth, "gen_synthetic_corpus", 0)
         pretrain_configs = spy(monkeypatch, relation_model, "contrastive_pretrain", 2)
-        detect_configs = spy(monkeypatch, pipeline, "batch_detect", 3)
         command, base = {
             "synthetic": ("gen-synthetic",
                           ["--out", out, "--gold", out + ".gold", "--n", "5"]),
@@ -308,21 +324,16 @@ class TestConfigPrecedence:
                          ["--pairs", str(data_dir / "relation_pairs_fixture.tsv"),
                           "--pretrain-pairs", str(pretrain), "--out", out,
                           "--epochs", "1", "--pretrain-epochs", "1"]),
-            "detect": ("detect", ["--corpus", str(workspace / "corpus.jsonl"),
-                                  "--models", str(workspace / "models"), "--out", out]),
         }[section]
         if flag in base:  # the flag under test replaces the base setting
             del base[base.index(flag):base.index(flag) + 2]
         config = tmp_path / "dxaudit.conf"
-        config.write_text(f"{key}={by_key}\ncontext.max_context=10\n"
-                          "relation.max_name=5\n", encoding="utf-8")
+        config.write_text(f"{key}={by_key}\n", encoding="utf-8")
 
         def setting(extra):
             assert run(["--config", str(config), command] + base + extra) == 0
             if section == "synthetic":
                 return getattr(specs[-1], "n_records" if field == "n" else field)
-            if section == "detect":
-                return detect_configs[-1].emit_on
             if field == "pretrain_epochs":
                 return pretrain_configs[-1].epochs
             meta, _ = load_model(out, section)
@@ -374,6 +385,29 @@ class TestWorkflow:
                     "--out", str(out)]) == 0
         rows = out.read_text(encoding="utf-8").splitlines()
         assert len(rows) == 7  # header + six configurations
+
+    def test_ablate_names_a_failed_record_and_exits_2(self, workspace, tmp_path,
+                                                      data_dir, capsys):
+        """A record that fails detect (here a 460-char disease name, over the
+        450-char window) is named once, and the scores are still written."""
+        long_name = "病" * 460
+        diseases = tmp_path / "diseases.txt"
+        diseases.write_text((data_dir / "diseases.txt").read_text(encoding="utf-8")
+                            + long_name + "\n", encoding="utf-8")
+        lines = (workspace / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["sections"][0]["text"] += long_name
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in
+                                  [json.dumps(first, ensure_ascii=False)] + lines[1:]),
+                          encoding="utf-8")
+        out = tmp_path / "ablation.csv"
+        assert run(["ablate", "--corpus", str(corpus),
+                    "--gold", str(workspace / "gold.json"),
+                    "--models", str(workspace / "models"),
+                    "--diseases", str(diseases), "--out", str(out)]) == 2
+        assert f"1 records failed: {first['record_id']}\n" in capsys.readouterr().err
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 7
 
     def test_gen_pairs(self, workspace, tmp_path, data_dir):
         coded = tmp_path / "coded.csv"
@@ -431,6 +465,18 @@ class TestDeterminism:
                         "--samples", str(workspace / "samples.jsonl"),
                         "--out", str(out), "--epochs", "2",
                         "--batch-size", "16", "--lr", "0.3"]) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+    def test_train_context_augment_byte_identical(self, tmp_path, capsys):
+        """--augment adds 2 EDA and 3 disease-replacement variants per sample."""
+        samples = three_samples(tmp_path / "samples.jsonl")
+        models = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.bin"
+            assert run(["--seed", "7", "train-context", "--samples", str(samples),
+                        "--augment", "--out", str(out), "--epochs", "1"]) == 0
+            assert "trained on 18 samples" in capsys.readouterr().out
             models.append(out.read_bytes())
         assert models[0] == models[1]
 

@@ -260,11 +260,13 @@ class TestFocalLoss:
 
 
 class TestGradients:
-    def test_full_model_matches_finite_differences(self):
+    @pytest.mark.parametrize("focal_gamma", [0.0, 2.0])
+    def test_full_model_matches_finite_differences(self, focal_gamma):
+        """gamma 0 is plain cross-entropy, a branch of its own."""
         vocab = CharVocab(list("abcdefg"))
         encoder = char_encoder(vocab, d_enc=4, seed=1)
         head = fusion_head(d_enc=4, d=3, seed=2)
-        model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=2.0))
+        model = ContextClassifier(encoder, head, TrainConfig(focal_gamma=focal_gamma))
         sample = make_sample(disease="ad", context="abcadefgba", label="confirmed")
         worst = finite_difference_worst_error(model, sample, label_index=1)
         assert worst < 1e-4

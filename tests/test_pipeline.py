@@ -8,7 +8,7 @@ import pytest
 
 from dxaudit import synth
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
-from dxaudit.errors import DxAuditError, ModelNotLoaded, ParseError
+from dxaudit.errors import ModelNotLoaded, ParseError
 from dxaudit.evaluate import (
     ConfirmAllContext,
     IrrelevanceAllRelation,
@@ -16,7 +16,6 @@ from dxaudit.evaluate import (
     MapRelationOracle,
 )
 from dxaudit.pipeline import (
-    DetectConfig,
     Models,
     PipelineLexicons,
     batch_detect,
@@ -100,23 +99,6 @@ class TestDetect:
                                                  ("r1", "肺炎", "confirmed")])
         findings = detect_write_missing(rec, models, lexicons)
         assert [f.disease for f in findings] == ["胃溃疡", "肺炎"]
-
-    def test_emit_on_other_config(self, lexicons):
-        class OtherRelation:
-            def predict_proba(self, a, b):
-                return np.tile([0.0, 0.0, 0.0, 0.1, 0.9], (len(b), 1))
-
-        rec = record("r1", "入院后确诊为肺炎。", ["高血压"])
-        models = Models(context=ConfirmAllContext(), relation=OtherRelation())
-        strict = detect_write_missing(rec, models, lexicons)
-        assert strict == []
-        relaxed = detect_write_missing(
-            rec, models, lexicons, DetectConfig(emit_on="irrelevance_or_other"))
-        assert [f.disease for f in relaxed] == ["肺炎"]
-
-    def test_unknown_emit_on_rejected_at_construction(self):
-        with pytest.raises(DxAuditError, match="bogus"):
-            DetectConfig(emit_on="bogus")
 
     def test_lookup_oracle_refuses_two_labels_for_one_sample(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])

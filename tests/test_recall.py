@@ -152,6 +152,26 @@ class TestContextWindow:
         start, end = windowed.context_spans[0]
         assert windowed.context[start:end] == "肺炎"
 
+    def test_shrunk_window_keeps_later_spans_that_fit(self):
+        text = "病" * 300 + "，确诊为肺炎，复查肺炎，" + "后" * 300
+        matcher = build_matcher(disease_lexicon("肺炎"))
+        record = record_of(text)
+        mention = find_mentions(matcher, record)[0]
+        windowed = build_context_window(record, mention, max_context_len=100)
+        assert len(windowed.context) == 100
+        assert windowed.context_spans == ((46, 48), (51, 53))
+
+    def test_shrunk_window_drops_a_span_beyond_the_budget(self):
+        text = "病" * 300 + "，确诊为肺炎，" + "后" * 120 + "复查肺炎，" + "后" * 300
+        matcher = build_matcher(disease_lexicon("肺炎"))
+        record = record_of(text)
+        mention = find_mentions(matcher, record)[0]
+        assert len(mention.spans) == 2
+        windowed = build_context_window(record, mention, max_context_len=100)
+        assert len(windowed.context) == 100
+        [(start, end)] = windowed.context_spans
+        assert windowed.context[start:end] == "肺炎"
+
     def test_budget_prefers_windows_with_more_spans(self):
         single = "肺炎一处陈述写得较长较长较长较长。"  # 17 chars, one span
         double = "本句肺炎提到两次，复查肺炎仍然存在。"  # 18 chars, two spans
@@ -185,9 +205,9 @@ class TestContextWindow:
             record = record_of(text + disease)  # guarantee one hit
             matcher = build_matcher(disease_lexicon(disease))
             for mention in find_mentions(matcher, record):
-                windowed = build_context_window(record, mention,
-                                                max_context_len=rng.choice([30, 450]))
-                assert len(windowed.context) <= 450
+                budget = rng.choice([30, 450])
+                windowed = build_context_window(record, mention, max_context_len=budget)
+                assert len(windowed.context) <= budget
                 for start, end in windowed.context_spans:
                     assert windowed.context[start:end] == mention.disease
 

@@ -10,7 +10,7 @@ import pytest
 
 from dxaudit.core import IcdIndex, MedicalRecord
 from dxaudit.evaluate import ConfirmAllContext, report_instances
-from dxaudit.pipeline import DetectConfig, Models, PipelineLexicons, batch_detect
+from dxaudit.pipeline import Models, PipelineLexicons, batch_detect
 from dxaudit.synth import SyntheticSpec, Templates, gen_synthetic_corpus, load_variant_pairs
 from dxaudit import relation_model
 from dxaudit.modelio import load_model, save_model
@@ -116,14 +116,6 @@ class TestSiblingNegatives:
         assert frozenset((s05_3, "眶穿通伤")) in keys  # S05.3 vs S05.4
         assert frozenset((s05_3, "巩膜破裂")) not in keys  # S05.3 vs S05.301
         assert frozenset(("巩膜破裂", "角膜裂伤")) in keys  # S05.301 vs S05.302
-
-    def test_same_category_scope_excludes_ancestors(self, fixture_icd):
-        pairs = gen_negative_icd_siblings(fixture_icd, sibling_scope="same_category")
-        keys = {p.key for p in pairs}
-        s05_3 = "眼球裂伤不伴眼内组织脱出"
-        assert frozenset((s05_3, "巩膜破裂")) not in keys
-        # cross-depth pair under the same category is now allowed
-        assert frozenset(("巩膜破裂", "眶穿通伤")) in keys
 
     def test_single_code_table(self):
         index = IcdIndex([make_fixture_icd_entries()[0]])
@@ -597,9 +589,8 @@ class PerPairRelation:
         return np.array(rows).reshape(-1, len(RELATIONS))
 
 
-@pytest.mark.parametrize("emit_on", ["irrelevance_only", "irrelevance_or_other"])
 def test_detect_relations_are_the_single_pair_predictions(
-        pool_pair_model, disease_pool, feature_lexicons, data_dir, emit_on):
+        pool_pair_model, disease_pool, feature_lexicons, data_dir):
     spec = SyntheticSpec(n_records=150, diseases_per_record=4, miss_rate=0.35,
                          negation_rate=0.25, enumeration_rate=0.3, seed=23)
     records, _ = gen_synthetic_corpus(
@@ -607,8 +598,7 @@ def test_detect_relations_are_the_single_pair_predictions(
         variant_pairs=load_variant_pairs(data_dir / "disease_variants.tsv"))
     model = pool_pair_model[0]
     lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
-    config = DetectConfig(emit_on=emit_on)
-    report = batch_detect(records, Models(ConfirmAllContext(), model), lexicons, config)
+    report = batch_detect(records, Models(ConfirmAllContext(), model), lexicons)
     assert report.errors == []
     checked = 0
     for result in report.results:
@@ -620,7 +610,7 @@ def test_detect_relations_are_the_single_pair_predictions(
                 checked += 1
     assert checked > 100
     per_pair = batch_detect(records, Models(ConfirmAllContext(), PerPairRelation(model)),
-                            lexicons, config)
+                            lexicons)
     assert report_instances(report) == report_instances(per_pair)
 
 

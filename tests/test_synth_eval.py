@@ -159,8 +159,8 @@ class TestGoldConsistencyAndAblation:
                                          disease_pool, feature_lexicons):
         records, gold = corpus
         lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
-        rows = {row.name: row for row in run_ablation(records, gold.findings,
-                                                      oracle_models, lexicons)}
+        ablation, _ = run_ablation(records, gold.findings, oracle_models, lexicons)
+        rows = {row.name: row for row in ablation}
         assert set(rows) == {"full", "no_context", "no_relation", "pos_track_off",
                              "neg_track_off", "order_track_off"}
         # negated plantings pass recall, so skipping the context stage must
@@ -184,6 +184,6 @@ class TestGoldConsistencyAndAblation:
         monkeypatch.setattr(pipeline, "build_matcher", counting_build_matcher)
         records, gold = corpus
         lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
-        rows = run_ablation(records, gold.findings, oracle_models, lexicons)
+        rows, _ = run_ablation(records, gold.findings, oracle_models, lexicons)
         assert len(rows) == 6
         assert built == [disease_pool]
