@@ -44,7 +44,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if line.startswith("#"):
             continue
         if "=" not in line:
-            raise DxAuditError(f"config line {line_no}: expected key=value")
+            raise DxAuditError(f"config file {path}, line {line_no}: expected "
+                               f"key=value, got {line!r}")
         key, value = line.split("=", 1)
         config[key.strip()] = value.strip()
     return config
@@ -104,17 +105,18 @@ def _add_common_lexicon_flags(parser):
 
 class _SubParsers:
     """Wraps add_parser so global flags work after the subcommand too, so
-    each subcommand sets ``args.run`` to the function that runs it, and so
-    each numeric flag of a subcommand given a config ``section`` has the
-    config key ``<section>.<dest>``."""
+    each subcommand sets ``args.run`` to the function that runs it and
+    ``args.outputs`` to the dests of its output paths, and so each numeric
+    flag of a subcommand given a config ``section`` has the config key
+    ``<section>.<dest>``."""
 
     def __init__(self, sub):
         self._sub = sub
         self._sections: list[tuple[str, argparse.ArgumentParser]] = []
 
-    def add_parser(self, name, run, section=None, **kwargs):
+    def add_parser(self, name, run, section=None, outputs=("out",), **kwargs):
         parser = self._sub.add_parser(name, **kwargs)
-        parser.set_defaults(run=run)
+        parser.set_defaults(run=run, outputs=outputs)
         for flag, kind in (("--seed", int), ("--config", str)):
             parser.add_argument(flag, type=kind, default=argparse.SUPPRESS)
         if section:
@@ -135,6 +137,7 @@ def build_parser() -> _Parser:
     sub = _SubParsers(parser.add_subparsers(dest="command", required=True))
 
     p = sub.add_parser("gen-synthetic", _cmd_gen_synthetic, section="synthetic",
+                       outputs=("out", "gold", "samples_out", "pairs_out"),
                        help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="corpus JSONL to write")
     p.add_argument("--gold", required=True, help="gold JSON to write")
@@ -445,6 +448,11 @@ def main(argv=None) -> int:
             raise DxAuditError(f"config file {args.config}: no setting is named "
                                f"{', '.join(unknown)}")
         seed = _resolve(args.seed, config, "seed", 0, int)
+        for dest in args.outputs:
+            path = getattr(args, dest)
+            if path and not Path(path).parent.is_dir():
+                raise DxAuditError(f"--{dest.replace('_', '-')} {path}: "
+                                   f"{Path(path).parent} is not a directory")
         return args.run(args, config, seed)
     except (DxAuditError, OSError) as exc:
         print(f"dxaudit: {exc}", file=sys.stderr)

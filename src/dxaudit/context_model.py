@@ -190,6 +190,17 @@ def initial_params(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, n
             for name, shape in shapes.items()}
 
 
+def epoch_batches(n: int, size: int, epochs: int, seed: int):
+    """Per epoch, the index batches of one pass over n items: one order of
+    range(n), shuffled in place each epoch by one random.Random(seed), cut
+    into batches of ``size`` (the last may be shorter)."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        yield [order[start : start + size] for start in range(0, n, size)]
+
+
 class GatedFusionHead:
     """Parameters and forward/backward of the fusion-and-classify stack.
 
@@ -599,13 +610,10 @@ def train(samples: list[ContextSample], config: TrainConfig,
         dev_sequences = [model.inputs(s) for s in dev_samples]
         eval_labels = [LABELS.index(s.label) for s in dev_samples]
 
-    rng = random.Random(config.seed)
-    order = list(range(len(samples)))
     history: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        rng.shuffle(order)
-        for batch_start in range(0, len(order), config.batch_size):
-            batch = order[batch_start : batch_start + config.batch_size]
+    for epoch, batches in enumerate(epoch_batches(len(samples), config.batch_size,
+                                                  config.epochs, config.seed)):
+        for batch in batches:
             _, head_grads, enc_grads = model.loss_and_grads(
                 [sequences[i] for i in batch], [label_indices[i] for i in batch])
             scale = config.learning_rate / len(batch)

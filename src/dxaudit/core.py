@@ -63,16 +63,12 @@ class CcLevel(Enum):
 
 
 class Tier(int, Enum):
-    """DRG severity tier, encoded as the conventional final digit."""
+    """DRG severity tier, encoded as the conventional final digit: a lower
+    digit is more severe."""
 
     MCC = 1
     CC = 3
     NO_CC = 5
-
-    @property
-    def severity(self) -> int:
-        """Higher means more severe (MCC > CC > NO_CC)."""
-        return {Tier.MCC: 2, Tier.CC: 1, Tier.NO_CC: 0}[self]
 
 
 class LexiconKind(Enum):
@@ -119,9 +115,6 @@ class MedicalRecord:
         for name, text in self.sections:
             if not text:
                 raise ValueError(f"section {name!r} has empty text")
-
-    def section_text(self, index: int) -> str:
-        return self.sections[index][1]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import numpy as np
 from .core import normalize_disease_name, write_rows
 from .features import TRACKS, ContextSample
 from .pipeline import BatchReport, Models, PipelineLexicons, batch_detect
-from .recall import build_matcher
 from .relation_model import RELATIONS
 
 
@@ -138,11 +137,10 @@ def run_ablation(
     for track in TRACKS:
         variants.append((f"{track}_off", dc_replace(
             models, context=TrackZeroingContext(models.context, track))))
-    matcher = build_matcher(lexicons.diseases)
     rows = []
     errors: dict[str, dict] = {}
     for name, variant_models in variants:
-        report = batch_detect(records, variant_models, lexicons, matcher=matcher)
+        report = batch_detect(records, variant_models, lexicons)
         for error in report.errors:
             errors.setdefault(error["record_id"], error)
         precision, recall, f1 = score(report_instances(report), gold_findings)

@@ -11,6 +11,7 @@ the models.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Protocol
@@ -59,6 +60,12 @@ class PipelineLexicons:
     diseases: Lexicon
     features: FeatureLexicons
 
+    @cached_property
+    def matcher(self) -> DiseaseMatcher:
+        """The recall matcher of ``diseases``, built at first use; an empty
+        lexicon raises EmptyLexicon then."""
+        return build_matcher(self.diseases)
+
 
 def _detect_record(
     record: MedicalRecord,
@@ -102,16 +109,9 @@ def detect_write_missing(
     lexicons: PipelineLexicons,
     matcher: DiseaseMatcher | None = None,
 ) -> list[WriteMissingFinding]:
-    """Write-missing findings for one record.
-
-    With ``matcher=None`` a matcher is built from ``lexicons.diseases`` on
-    every call, which at tens of thousands of entries costs more than
-    detecting a record; a caller that loops over records builds one with
-    ``build_matcher`` and passes it.
-    """
-    if matcher is None:
-        matcher = build_matcher(lexicons.diseases)
-    findings, _ = _detect_record(record, matcher, models, lexicons)
+    """Write-missing findings for one record. ``matcher`` must be built
+    from ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
+    findings, _ = _detect_record(record, matcher or lexicons.matcher, models, lexicons)
     return findings
 
 
@@ -133,7 +133,6 @@ def batch_detect(
     models: Models,
     lexicons: PipelineLexicons,
     parallelism: int = 1,
-    matcher: DiseaseMatcher | None = None,
 ) -> BatchReport:
     """Detect over a corpus (a list of records or a JSONL path).
 
@@ -141,8 +140,8 @@ def batch_detect(
     records are still processed. A record whose detection raises becomes
     an error entry too: a DxAuditError's message, or any other exception's
     type and message. Records run one after another;
-    ``parallelism`` is accepted and ignored. ``matcher`` must be built from
-    ``lexicons.diseases``; it is built here when not given.
+    ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
+    before the first record, so an empty disease lexicon raises.
     """
     errors: list[dict] = []
     if isinstance(corpus, (str, Path)):
@@ -155,9 +154,7 @@ def batch_detect(
     else:
         records = list(corpus)
 
-    if matcher is None:
-        matcher = build_matcher(lexicons.diseases)
-
+    matcher = lexicons.matcher
     results: list[RecordResult] = []
     label_totals = {label: 0 for label in LABELS}
     section_counts: dict[str, int] = {}

@@ -172,7 +172,7 @@ def build_context_window(
     # Per-section merged sentence windows, each carrying its spans.
     windows: list[tuple[int, int, int, list[tuple[int, int]]]] = []
     for section, start, end in mention.spans:
-        text = record.section_text(section)
+        text = record.sections[section][1]
         w_start, w_end = _sentence_window(text, start, end)
         merged = False
         for i, (sec, a, b, spans) in enumerate(windows):
@@ -205,7 +205,7 @@ def build_context_window(
     context_spans: list[tuple[int, int]] = []
     offset = 0
     for section, a, b, spans in selected:
-        text = record.section_text(section)
+        text = record.sections[section][1]
         parts.append(text[a:b])
         for start, end in sorted(spans):
             context_spans.append((start - a + offset, end - a + offset))

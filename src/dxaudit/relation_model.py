@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .context_model import CharVocab, _row_sums, initial_params, require_finite
+from .context_model import (CharVocab, _row_sums, epoch_batches, initial_params,
+                            require_finite)
 from .core import (IcdIndex, discharge_names, normalize_disease_name, read_lines,
                    read_rows, write_rows)
 from .errors import (
@@ -128,22 +129,25 @@ def gen_positive_coding_pairs(coded_records, icd: IcdIndex) -> list[DiseasePair]
     return pairs
 
 
+def unordered_pairs(groups, exclude=()):
+    """Each unordered pair of two distinct names sharing a group, once, as
+    (a, b) in first-seen order: a comes before b in the first group holding
+    both. A pair in ``exclude`` (each an iterable of its two names) is
+    skipped."""
+    seen = {frozenset(p) for p in exclude}
+    for names in groups:
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                key = frozenset((a, b))
+                if a != b and key not in seen:
+                    seen.add(key)
+                    yield a, b
+
+
 def gen_negative_same_list(records, exclude_pairs=frozenset()) -> list[DiseasePair]:
     """Unordered pairs of distinct diagnoses sharing one discharge list."""
-    exclude = {frozenset(p) for p in exclude_pairs} if exclude_pairs else set()
-    pairs: list[DiseasePair] = []
-    seen: set[frozenset[str]] = set()
-    for record in records:
-        names = discharge_names(record)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                key = frozenset((names[i], names[j]))
-                if key in seen or key in exclude:
-                    continue
-                seen.add(key)
-                pairs.append(DiseasePair(a=names[i], b=names[j],
-                                         source=PairSource.SAME_LIST))
-    return pairs
+    return [DiseasePair(a=a, b=b, source=PairSource.SAME_LIST)
+            for a, b in unordered_pairs(map(discharge_names, records), exclude_pairs)]
 
 
 def gen_negative_icd_siblings(icd: IcdIndex) -> list[DiseasePair]:
@@ -152,27 +156,14 @@ def gen_negative_icd_siblings(icd: IcdIndex) -> list[DiseasePair]:
     Two distinct codes of one depth have one length, so neither is the
     other's ancestor: no pair is an inclusion.
     """
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, list[str]] = {}
     for entry in icd.entries():
         parent = entry.parent_code
         if parent is not None:
-            groups.setdefault((entry.depth, parent), []).append(entry)
-    pairs: list[DiseasePair] = []
-    seen: set[frozenset[str]] = set()
-    for key in sorted(groups):
-        members = groups[key]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a = normalize_disease_name(members[i].title)
-                b = normalize_disease_name(members[j].title)
-                if a == b:
-                    continue
-                pair_key = frozenset((a, b))
-                if pair_key in seen:
-                    continue
-                seen.add(pair_key)
-                pairs.append(DiseasePair(a=a, b=b, source=PairSource.ICD_SIBLING))
-    return pairs
+            groups.setdefault((entry.depth, parent), []).append(
+                normalize_disease_name(entry.title))
+    return [DiseasePair(a=a, b=b, source=PairSource.ICD_SIBLING)
+            for a, b in unordered_pairs(groups[key] for key in sorted(groups))]
 
 
 def gen_negative_random(icd: IcdIndex, n: int, seed: int,
@@ -396,16 +387,12 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     return loss, grad
 
 
-def _fixed_batches(n: int, batch_size: int) -> list[list[int]]:
-    return [list(range(i, min(i + batch_size, n))) for i in range(0, n, batch_size)]
-
-
 def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],
                           config: PairTrainConfig) -> float:
     """Objective over a fixed, unshuffled batching (for epoch tracking)."""
     losses = []
-    for batch_ids in _fixed_batches(len(pairs), config.batch_size):
-        batch = [pairs[i] for i in batch_ids]
+    for start in range(0, len(pairs), config.batch_size):
+        batch = pairs[start : start + config.batch_size]
         if sum(1 for p in batch if p.polarity == "same") < 2:
             continue
         losses.append(info_nce_batch_loss(encoder, batch, config.tau))
@@ -421,13 +408,10 @@ def contrastive_pretrain(pairs: list[DiseasePair], encoder: PairEncoder,
     batch, raises DegenerateData."""
     if sum(1 for p in pairs if p.polarity == "same") < 2:
         raise DegenerateBatch("need >= 2 positive pairs to pretrain")
-    rng = random.Random(config.seed)
-    order = list(range(len(pairs)))
     history: list[float] = []
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for batch_ids in _fixed_batches(len(order), config.batch_size):
-            batch = [pairs[order[i]] for i in batch_ids]
+    for batches in epoch_batches(len(pairs), config.batch_size, config.epochs, config.seed):
+        for batch_ids in batches:
+            batch = [pairs[i] for i in batch_ids]
             if sum(1 for p in batch if p.polarity == "same") < 2:
                 continue
             _, grad = info_nce_batch_loss(encoder, batch, config.tau, with_grads=True)
@@ -591,15 +575,10 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
 
     model = RelationClassifier(encoder, config, initial_params(
         RelationClassifier.shapes(encoder.d_pair, config.hidden), config.seed + 1))
-    rng = random.Random(config.seed)
-    order = list(range(len(examples)))
     history: list[float] = []
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for batch_ids in _fixed_batches(len(order), FINETUNE_BATCH):
-            epoch_loss += model._step([examples[order[i]] for i in batch_ids],
-                                      config.learning_rate)
+    for batches in epoch_batches(len(examples), FINETUNE_BATCH, config.epochs, config.seed):
+        epoch_loss = sum(model._step([examples[i] for i in batch_ids], config.learning_rate)
+                         for batch_ids in batches)
         history.append(epoch_loss / len(examples))
     # Each step's loss is taken before its update, so only the parameters show
     # the last step diverging.

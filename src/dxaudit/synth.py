@@ -20,7 +20,8 @@ from .core import DrgAssignment, Lexicon, MedicalRecord, read_lines
 from .errors import BadSetting, BadTemplate, require_at_least
 from .features import FeatureLexicons, assemble_features
 from .recall import build_context_window, build_matcher, find_mentions
-from .relation_model import DiseasePair, PairSource, load_back_translation_pairs
+from .relation_model import (DiseasePair, PairSource, load_back_translation_pairs,
+                             unordered_pairs)
 
 # Share of recorded confirmed diseases written under a variant spelling
 # (when the variant table offers one).
@@ -239,9 +240,8 @@ def relation_training_pairs(
     remaining classes ride in from the annotated fixture pairs.
     """
     pairs: list[DiseasePair] = []
-    names = list(disease_pool.entries)
-    variant_keys = {frozenset(p) for p in variant_pairs}
-    all_names = names + [v for _, v in variant_pairs if v not in names]
+    # without repeats: one spelling may be listed under two canonical names
+    all_names = list(dict.fromkeys([*disease_pool.entries, *(v for _, v in variant_pairs)]))
 
     for name in all_names:
         pairs.append(DiseasePair(a=name, b=name, source=PairSource.ANNOTATED,
@@ -250,13 +250,7 @@ def relation_training_pairs(
         pairs.append(DiseasePair(a=a, b=b, source=PairSource.ANNOTATED,
                                  relation="similarity"))
 
-    cross: list[tuple[str, str]] = []
-    for i in range(len(all_names)):
-        for j in range(i + 1, len(all_names)):
-            key = frozenset((all_names[i], all_names[j]))
-            if key in variant_keys:
-                continue
-            cross.append((all_names[i], all_names[j]))
+    cross = list(unordered_pairs([all_names], exclude=variant_pairs))
     if max_irrelevance is not None and len(cross) > max_irrelevance:
         cross = random.Random(seed).sample(cross, max_irrelevance)
     for a, b in cross:

@@ -393,3 +393,58 @@ def seed_context_train(samples, config, dev_samples=None, d=32, d_enc=32):
                                  == np.asarray(eval_labels)))
         history.append(EpochStats(epoch=epoch, loss=loss, dev_accuracy=accuracy))
     return model, history
+
+
+def seed_contrastive_pretrain(pairs, encoder, config):
+    """The pretraining loop with its own seeded schedule: one order of the
+    pairs, shuffled in place each epoch and cut into batch_size slices; a
+    slice with fewer than two positive pairs takes no step. The batch loss,
+    its gradient and the epoch loss are the package's."""
+    import random
+
+    from dxaudit.relation_model import eval_contrastive_loss, info_nce_batch_loss
+
+    rng = random.Random(config.seed)
+    order = list(range(len(pairs)))
+    history = []
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            batch = [pairs[i] for i in order[start : start + config.batch_size]]
+            if sum(1 for p in batch if p.polarity == "same") < 2:
+                continue
+            _, grad = info_nce_batch_loss(encoder, batch, config.tau, with_grads=True)
+            encoder.embedding -= config.pretrain_learning_rate * grad
+        history.append(eval_contrastive_loss(encoder, pairs, config))
+    return encoder, history
+
+
+def seed_finetune(encoder, labeled_pairs, config):
+    """The fine-tuning loop with its own seeded schedule: one example per
+    pair, plus the swapped pair for a symmetric relation, and a head drawn
+    at seed + 1; one order of the examples, shuffled in place each epoch
+    and cut into FINETUNE_BATCH slices. Each step is the package's."""
+    import random
+
+    from builders import relation_classifier
+    from dxaudit.relation_model import FINETUNE_BATCH, RELATIONS, SYMMETRIC_RELATIONS
+
+    examples = []
+    for pair in labeled_pairs:
+        label = RELATIONS.index(pair.relation)
+        ids_a, ids_b = encoder.encode_ids(pair.a), encoder.encode_ids(pair.b)
+        examples.append((ids_a, ids_b, label))
+        if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
+            examples.append((ids_b, ids_a, label))
+    model = relation_classifier(encoder, config, seed=config.seed + 1)
+    rng = random.Random(config.seed)
+    order = list(range(len(examples)))
+    history = []
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        loss = 0.0
+        for start in range(0, len(order), FINETUNE_BATCH):
+            loss += model._step([examples[i] for i in order[start : start + FINETUNE_BATCH]],
+                                config.learning_rate)
+        history.append(loss / len(examples))
+    return model, history

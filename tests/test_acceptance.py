@@ -313,7 +313,7 @@ def test_criterion_08_drg_cost_fixture():
         except Exception:
             fuzz_ok = False
             break
-        if once.tier.severity < original.tier.severity:
+        if once.tier > original.tier:  # a lower digit is more severe
             fuzz_ok = False
             break
         if regroup(once, recovered, table) != once:

@@ -118,6 +118,28 @@ class TestExitCodes:
         assert done.returncode == code
         assert text in (done.stdout if code == 0 else done.stderr)
 
+    @pytest.mark.parametrize("argv, worker", [
+        (["train-context", "--samples", "{ws}/samples.jsonl", "--out"], "context_model.train"),
+        (["train-relation", "--pairs", "{ws}/pairs.tsv", "--out"], "relation_model.finetune"),
+        (["detect", "--corpus", "{ws}/corpus.jsonl", "--models", "{ws}/models", "--out"],
+         "pipeline.batch_detect"),
+        (["ablate", "--corpus", "{ws}/corpus.jsonl", "--gold", "{ws}/gold.json",
+          "--models", "{ws}/models", "--out"], "evaluate.run_ablation"),
+        (["gen-synthetic", "--out", "{ws}/corpus.jsonl", "--gold", "{ws}/gold.json",
+          "--pairs-out"], "synth.gen_synthetic_corpus"),
+    ], ids=["train-context", "train-relation", "detect", "ablate", "gen-synthetic"])
+    def test_missing_output_directory_is_65_before_work(self, workspace, tmp_path,
+                                                         monkeypatch, capsys, argv, worker):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{worker} ran before the output path was checked")
+
+        monkeypatch.setattr(f"dxaudit.{worker}", reached)
+        out = tmp_path / "missing" / "x"
+        assert run([arg.format(ws=workspace) for arg in argv] + [str(out)]) == 65
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_65(self, tmp_path):
         code = run(["evaluate", "--findings", str(tmp_path / "nope.jsonl"),
                     "--gold", str(tmp_path / "nope.json")])
@@ -181,7 +203,8 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("line", [
         "context.max_context=10", "relation.max_name=5", "context.epoch=12",
-        "detect.emit_on=irrelevance_or_other", "pairs.sibling_scope=same_category"])
+        "detect.emit_on=irrelevance_or_other", "pairs.sibling_scope=same_category",
+        "garbage"])
     def test_key_that_names_no_setting_is_65(self, workspace, tmp_path, data_dir,
                                              capsys, line):
         """Refused before the command runs, so a misspelt or retired key
@@ -196,6 +219,7 @@ class TestConfigPrecedence:
             "detect": ["detect", "--corpus", str(workspace / "corpus.jsonl"),
                        "--models", str(workspace / "models")],
             "pairs": ["gen-pairs", "--icd", str(data_dir / "icd_demo.csv")],
+            "garbage": ["gen-pairs", "--icd", str(data_dir / "icd_demo.csv")],
         }[key.split(".")[0]]
         assert run(["--config", str(config)] + argv + ["--out", str(out)]) == 65
         err = capsys.readouterr().err
@@ -493,6 +517,25 @@ class TestHostileInput:
                     "--enumerator-patterns", str(patterns), "--out", str(out)]) == 65
         err = capsys.readouterr().err
         assert "pattern '('" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "ablate"])
+    def test_empty_disease_lexicon_is_65_before_any_record(self, workspace, tmp_path,
+                                                           capsys, command):
+        """A lexicon holding only a comment is one bad input, not one error
+        entry per record."""
+        diseases = tmp_path / "diseases.txt"
+        diseases.write_text("# no entries\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--corpus", str(workspace / "corpus.jsonl"),
+                "--models", str(workspace / "models"), "--diseases", str(diseases),
+                "--out", str(out)]
+        if command == "ablate":
+            argv += ["--gold", str(workspace / "gold.json")]
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert "disease lexicon is empty" in err
         assert "Traceback" not in err
         assert not out.exists()
 

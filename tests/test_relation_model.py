@@ -48,6 +48,8 @@ from conftest import make_fixture_icd_entries
 from oracles import (
     central_difference_worst_error,
     naive_info_nce,
+    seed_contrastive_pretrain,
+    seed_finetune,
     seed_finetune_step,
     seed_normalize_disease_name,
     seed_relation_forward,
@@ -255,6 +257,22 @@ class TestContrastiveObjective:
         assert len(history) == 5
         assert all(b < a for a, b in zip(history, history[1:]))
 
+    def test_matches_the_seed_loop(self):
+        """Batches of 8 over 30 pairs, a third of them positive, so some
+        batches hold fewer than two positives and take no step."""
+        rng = random.Random(4)
+        pairs = [DiseasePair(f"病{rng.choice('甲乙丙丁戊')}{k}", f"病{k}症",
+                             PairSource.CODING_PAIR if k % 3 == 0 else PairSource.RANDOM_NEG)
+                 for k in range(30)]
+        names = [p.a for p in pairs] + [p.b for p in pairs]
+        config = PairTrainConfig(batch_size=8, pretrain_learning_rate=0.5, epochs=3, seed=6)
+        encoder, history = contrastive_pretrain(
+            pairs, PairEncoder.from_names(names, d_pair=4, seed=1), config)
+        seed_encoder, seed_history = seed_contrastive_pretrain(
+            pairs, PairEncoder.from_names(names, d_pair=4, seed=1), config)
+        assert history == seed_history
+        assert np.array_equal(encoder.embedding, seed_encoder.embedding)
+
     def test_overflowing_embedding_norms_are_refused(self):
         """At a huge but finite learning rate the row norms overflow to inf,
         every similarity is 0 and the loss is exactly log(batch), which is
@@ -404,6 +422,19 @@ def pool_pair_model(data_dir, disease_pool):
 
 
 class TestFineTune:
+    def test_matches_the_seed_loop(self, data_dir):
+        pairs = load_pairs(data_dir / "relation_pairs_fixture.tsv")
+        names = [p.a for p in pairs] + [p.b for p in pairs]
+        config = PairTrainConfig(learning_rate=0.05, hidden=6, epochs=3, seed=2)
+        model, history = finetune(PairEncoder.from_names(names, d_pair=4, seed=1),
+                                  pairs, config)
+        seed_model, seed_history = seed_finetune(
+            PairEncoder.from_names(names, d_pair=4, seed=1), pairs, config)
+        assert history == seed_history
+        assert np.array_equal(model.encoder.embedding, seed_model.encoder.embedding)
+        for name, table in model.p.items():
+            assert np.array_equal(table, seed_model.p[name]), name
+
     def test_training_set_recovery(self, fixture_pair_model):
         model, pairs, _ = fixture_pair_model
         hits = sum(1 for p in pairs

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dxaudit import synth
-from dxaudit.core import record_to_json
+from dxaudit.core import LexiconKind, make_lexicon, record_to_json
 from dxaudit.errors import BadTemplate
 from dxaudit.evaluate import (
     LookupContextOracle,
@@ -97,6 +97,22 @@ class TestTemplates:
             Templates.load(path)
 
 
+class TestRelationTrainingPairs:
+    def test_a_spelling_under_two_canonical_names_is_one_name(self):
+        pool = make_lexicon(["糖尿病", "2型糖尿病", "肺炎"], LexiconKind.DISEASE_NAMES)
+        variants = [("糖尿病", "消渴症"), ("2型糖尿病", "消渴症")]
+        pairs = synth.relation_training_pairs(pool, variants, [])
+        by_relation = {}
+        for pair in pairs:
+            by_relation.setdefault(pair.relation, []).append((pair.a, pair.b))
+        assert by_relation == {
+            "similarity": [(name, name) for name in ["糖尿病", "2型糖尿病", "肺炎", "消渴症"]]
+                          + variants,
+            "irrelevance": [("糖尿病", "2型糖尿病"), ("糖尿病", "肺炎"), ("2型糖尿病", "肺炎"),
+                            ("肺炎", "消渴症")],
+        }
+
+
 class TestScore:
     def test_perfect_match(self):
         gold = [("r1", "肺炎"), ("r2", "高血压")]
@@ -172,7 +188,7 @@ class TestGoldConsistencyAndAblation:
 
     def test_ablation_builds_the_matcher_once(self, corpus, oracle_models, disease_pool,
                                               feature_lexicons, monkeypatch):
-        from dxaudit import evaluate, pipeline
+        from dxaudit import pipeline
 
         built = []
 
@@ -180,10 +196,10 @@ class TestGoldConsistencyAndAblation:
             built.append(lexicon)
             return build_matcher(lexicon)
 
-        monkeypatch.setattr(evaluate, "build_matcher", counting_build_matcher)
         monkeypatch.setattr(pipeline, "build_matcher", counting_build_matcher)
         records, gold = corpus
         lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
+        assert built == []  # built at first use, not with the lexicons
         rows, _ = run_ablation(records, gold.findings, oracle_models, lexicons)
         assert len(rows) == 6
         assert built == [disease_pool]
