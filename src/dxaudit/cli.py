@@ -103,6 +103,15 @@ def _add_common_lexicon_flags(parser):
     parser.add_argument("--enumerator-patterns", help="enumerator regex file")
 
 
+def _add_detect_flags(parser):
+    """The model and lexicon flags that detect and ablate share."""
+    parser.add_argument("--models", help="directory holding context.bin and relation.bin")
+    parser.add_argument("--context-model")
+    parser.add_argument("--relation-model")
+    parser.add_argument("--diseases", help="recall lexicon (defaults to packaged pool)")
+    _add_common_lexicon_flags(parser)
+
+
 class _SubParsers:
     """Wraps add_parser so global flags work after the subcommand too, so
     each subcommand sets ``args.run`` to the function that runs it and
@@ -201,12 +210,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", _cmd_detect,
                        help="find diagnoses missing from discharge lists")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--models", help="directory holding context.bin and relation.bin")
-    p.add_argument("--context-model")
-    p.add_argument("--relation-model")
-    p.add_argument("--diseases", help="recall lexicon (defaults to packaged pool)")
     p.add_argument("--out", required=True, help="findings report JSONL")
-    _add_common_lexicon_flags(p)
+    _add_detect_flags(p)
 
     p = sub.add_parser("evaluate", _cmd_evaluate, help="score findings against gold")
     p.add_argument("--findings", required=True)
@@ -216,12 +221,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", _cmd_ablate, help="score stage and feature knock-outs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--models", help="directory holding context.bin and relation.bin")
-    p.add_argument("--context-model")
-    p.add_argument("--relation-model")
-    p.add_argument("--diseases")
     p.add_argument("--out", required=True, help="scores CSV")
-    _add_common_lexicon_flags(p)
+    _add_detect_flags(p)
 
     p = sub.add_parser("drg-impact", _cmd_drg_impact,
                        help="estimate the cost impact of findings")

@@ -48,8 +48,8 @@ _HALF_COUNTS = np.minimum(np.arange(MAX_DISEASE + 1 + MAX_CONTEXT), WINDOW) + 0.
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
-    learning_rate: float = 5e-5
+    batch_size: int = 16
+    learning_rate: float = 0.3
     focal_gamma: float = 2.0
     epochs: int = 5
     seed: int = 0
@@ -594,10 +594,8 @@ def train(samples: list[ContextSample], config: TrainConfig,
     if missing:
         raise DegenerateData(f"classes absent from training data: {missing}")
 
-    texts = [s.disease for s in samples] + [s.context for s in samples]
-    if dev_samples is not None:
-        texts += [s.disease for s in dev_samples] + [s.context for s in dev_samples]
-    vocab = CharVocab.from_texts(texts)
+    vocab = CharVocab.from_texts(s.disease + s.context
+                                 for s in [*samples, *(dev_samples or ())])
     embedding = initial_params({"embedding": (len(vocab), d_enc)}, config.seed)["embedding"]
     encoder = CharWindowEncoder(vocab, embedding)
     head = GatedFusionHead(initial_params(GatedFusionHead.shapes(d_enc, d), config.seed + 1))

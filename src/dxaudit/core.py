@@ -18,7 +18,7 @@ import io
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
@@ -147,18 +147,10 @@ class Lexicon:
 
     kind: LexiconKind
     entries: tuple[str, ...]
-    _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(self.entries):
             raise ValueError("lexicon entries must be non-empty")
-        object.__setattr__(self, "_members", frozenset(self.entries))
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._members
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def normalize_disease_name(raw: str) -> str:
@@ -184,15 +176,13 @@ def discharge_names(record: MedicalRecord) -> list[str]:
 
     A name that normalizes to empty (say a lone list comma) is skipped.
     """
-    names: list[str] = []
+    names: dict[str, None] = {}
     for raw in record.discharge_diagnoses:
         try:
-            name = normalize_disease_name(raw)
+            names[normalize_disease_name(raw)] = None
         except EmptyName:
-            continue
-        if name not in names:
-            names.append(name)
-    return names
+            pass
+    return list(names)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +480,6 @@ class IcdIndex:
             entry = self._by_code[code]
             title_key = normalize_disease_name(entry.title)
             self._by_title.setdefault(title_key, []).append(entry)
-
-    def __len__(self) -> int:
-        return len(self._by_code)
 
     def get(self, code: str) -> IcdEntry | None:
         return self._by_code.get(code)

@@ -25,7 +25,6 @@ from .core import (
     Tier,
     _cost_to_minor,
     _minor_to_major,
-    normalize_disease_name,
     read_table,
 )
 from .errors import BadSetting, MissingGroupRow, ParseError
@@ -95,10 +94,10 @@ def cc_mcc_level(
     the first entry in code order winning a tie. Several entries under one
     title resolve to the most severe level.
 
-    The fallback is one predict_proba call that scores the name against
-    each distinct normalized title once. Titles come in the code order of
-    their first entry, so the first maximum is the first entry in code
-    order to reach it, as in an entry-by-entry scan. ``title_rows``, the
+    The fallback is one predict_proba call that scores the name, which the
+    model normalizes, against each distinct normalized title once. Titles
+    come in the code order of their first entry, so the first maximum is
+    the first entry in code order to reach it, as in an entry-by-entry scan. ``title_rows``, the
     relation model's embed_names(icd.titles()), spares that call embedding
     the titles again; without it, the call embeds them itself.
     """
@@ -108,7 +107,7 @@ def cc_mcc_level(
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
-    probs = relation_model.predict_proba(normalize_disease_name(disease),
+    probs = relation_model.predict_proba(disease,
                                          titles if title_rows is None else title_rows)
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]

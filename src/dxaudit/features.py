@@ -93,16 +93,10 @@ def mark_serial_numbers(context: str, patterns: tuple[re.Pattern, ...]) -> np.nd
             if match.end() > match.start():
                 tokens.append((match.start(), match.end()))
     tokens = sorted(set(tokens))
-    starts = [t[0] for t in tokens]
-    for i, (start, end) in enumerate(tokens):
-        item_end = len(context)
-        for pos in range(end, len(context)):
-            if context[pos] in SENTENCE_BOUNDARIES:
-                item_end = pos
-                break
-        if i + 1 < len(tokens):
-            item_end = min(item_end, starts[i + 1])
-        track[start:item_end] = 1
+    next_starts = [t[0] for t in tokens[1:]] + [len(context)]
+    for (start, end), next_start in zip(tokens, next_starts):
+        stops = [i for i in (context.find(mark, end) for mark in SENTENCE_BOUNDARIES) if i >= 0]
+        track[start:min([next_start, *stops])] = 1
     return track
 
 

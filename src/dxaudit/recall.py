@@ -38,9 +38,9 @@ class DiseaseMatcher:
     """Every entry of a disease lexicon, with the entry lengths under each head."""
 
     def __init__(self, entries):
-        self._entries = frozenset(entries)  # a frozenset is taken as is
+        self._entries = frozenset(entries)
         if not self._entries:
-            raise EmptyLexicon("cannot build a matcher from an empty lexicon")
+            raise EmptyLexicon("disease lexicon is empty")
         # An entry of two or more characters is filed under its head (its
         # first two characters); one-character entries live only in the set.
         lengths: defaultdict[str, set[int]] = defaultdict(set)
@@ -79,9 +79,7 @@ class DiseaseMatcher:
 def build_matcher(lexicon: Lexicon) -> DiseaseMatcher:
     if lexicon.kind is not LexiconKind.DISEASE_NAMES:
         raise ValueError(f"matcher requires a disease lexicon, got {lexicon.kind}")
-    if len(lexicon) == 0:
-        raise EmptyLexicon("disease lexicon is empty")
-    return DiseaseMatcher(lexicon._members)
+    return DiseaseMatcher(lexicon.entries)
 
 
 def resolve_overlaps(hits: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:
@@ -152,22 +150,18 @@ def _shrink_window(
     return (section, left, right, inside)
 
 
-def build_context_window(
-    record: MedicalRecord,
-    mention: DiseaseMention,
-    max_context_len: int = MAX_CONTEXT,
-) -> DiseaseMention:
+def build_context_window(record: MedicalRecord, mention: DiseaseMention) -> DiseaseMention:
     """Fill ``context`` with sentence-bounded windows around each span.
 
     Windows are merged when they overlap, selected by (span count desc,
-    document order) under the length budget, and concatenated in document
-    order. Spans that survive are re-mapped into the context.
+    document order) under the MAX_CONTEXT budget, and concatenated in
+    document order. Spans that survive are re-mapped into the context.
     """
     if not mention.spans:
         raise ValueError("mention has no spans")
-    if len(mention.disease) > max_context_len:
+    if len(mention.disease) > MAX_CONTEXT:
         raise WindowOverflow(f"disease surface of {len(mention.disease)} chars "
-                             f"exceeds budget {max_context_len}")
+                             f"exceeds budget {MAX_CONTEXT}")
 
     # Per-section merged sentence windows, each carrying its spans.
     windows: list[tuple[int, int, int, list[tuple[int, int]]]] = []
@@ -187,7 +181,7 @@ def build_context_window(
         range(len(windows)),
         key=lambda i: (-len(windows[i][3]), windows[i][0], windows[i][1]),
     )
-    budget = max_context_len
+    budget = MAX_CONTEXT
     selected: list[tuple[int, int, int, list[tuple[int, int]]]] = []
     for rank, i in enumerate(order):
         window = windows[i]

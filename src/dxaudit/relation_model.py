@@ -114,19 +114,15 @@ class DiseasePair:
 
 
 def gen_positive_coding_pairs(coded_records, icd: IcdIndex) -> list[DiseasePair]:
-    """(clinical name, ICD standard title) positives, deduplicated."""
-    pairs: list[DiseasePair] = []
-    seen: set[tuple[str, str]] = set()
+    """(clinical name, ICD standard title) positives, deduplicated in
+    first-seen order."""
+    names: dict[tuple[str, str], None] = {}
     for clinical_name, code in coded_records:
         entry = icd.get(code)
         if entry is None:
             raise UnknownCode(f"code {code!r} not in the ICD table")
-        a = normalize_disease_name(clinical_name)
-        b = normalize_disease_name(entry.title)
-        if (a, b) not in seen:
-            seen.add((a, b))
-            pairs.append(DiseasePair(a=a, b=b, source=PairSource.CODING_PAIR))
-    return pairs
+        names[normalize_disease_name(clinical_name), normalize_disease_name(entry.title)] = None
+    return [DiseasePair(a=a, b=b, source=PairSource.CODING_PAIR) for a, b in names]
 
 
 def unordered_pairs(groups, exclude=()):
@@ -169,6 +165,7 @@ def gen_negative_icd_siblings(icd: IcdIndex) -> list[DiseasePair]:
 def gen_negative_random(icd: IcdIndex, n: int, seed: int,
                         exclude_pairs=frozenset()) -> list[DiseasePair]:
     """n title pairs of codes with distinct 3-digit prefixes."""
+    require_at_least({"n": n}, n=0)
     codes = icd.codes()
     prefixes = {c[:3] for c in codes}
     if len(prefixes) < 2:
@@ -279,7 +276,7 @@ def load_pairs(path: str | Path) -> list[DiseasePair]:
 @dataclass
 class PairTrainConfig:
     batch_size: int = 256
-    learning_rate: float = 5e-5
+    learning_rate: float = 0.05
     tau: float = 0.05
     pretrain_learning_rate: float = 1e-6
     hidden: int = 64

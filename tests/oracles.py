@@ -130,6 +130,27 @@ def loop_sentence_window(text, start, end):
     return left, right
 
 
+def loop_serial_numbers(context, patterns):
+    """The original enumerated-item marking: each item's end found by a
+    character-by-character search for a sentence terminator."""
+    from dxaudit.core import SENTENCE_BOUNDARIES
+
+    tokens = sorted({(m.start(), m.end()) for pattern in patterns
+                     for m in pattern.finditer(context) if m.end() > m.start()})
+    track = [0] * len(context)
+    for i, (start, end) in enumerate(tokens):
+        item_end = len(context)
+        for pos in range(end, len(context)):
+            if context[pos] in SENTENCE_BOUNDARIES:
+                item_end = pos
+                break
+        if i + 1 < len(tokens):
+            item_end = min(item_end, tokens[i + 1][0])
+        for pos in range(start, item_end):
+            track[pos] = 1
+    return track
+
+
 def naive_info_nce(u_hats, v_hats, anchors, tau):
     """Mean anchored InfoNCE over explicit unit vectors, via loops."""
     losses = []

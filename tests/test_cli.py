@@ -520,6 +520,22 @@ class TestHostileInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_random_pair_count_is_65(self, tmp_path, data_dir, capsys, via):
+        out = tmp_path / "pairs.tsv"
+        argv = ["gen-pairs", "--icd", str(data_dir / "icd_demo.csv"), "--out", str(out)]
+        if via == "flag":
+            argv += ["--n-random", "-3"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("pairs.n_random=-3\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert "n must be finite and >= 0, got -3" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["detect", "ablate"])
     def test_empty_disease_lexicon_is_65_before_any_record(self, workspace, tmp_path,
                                                            capsys, command):

@@ -547,8 +547,8 @@ class TestTraining:
 
     def test_default_config_matches_stated_values(self):
         config = TrainConfig()
-        assert config.batch_size == 64
-        assert config.learning_rate == 5e-5
+        assert config.batch_size == 16
+        assert config.learning_rate == 0.3
         assert config.focal_gamma == 2.0
 
 

@@ -228,6 +228,18 @@ class TestRecoveredLevels:
                                 rows) is cc_mcc_level(name, duplicate_title_icd,
                                                       paraphrase_model, 0.5)
 
+    def test_unnormalized_finding_gets_its_normal_forms_level(self, paraphrase_model,
+                                                              fixture_icd):
+        # Not a title, so the relation model normalizes it before scoring.
+        raw, name = " 角膜裂开损伤，", "角膜裂开损伤"
+        assert not fixture_icd.by_title(raw)
+        rows = paraphrase_model.embed_names(fixture_icd.titles())
+        assert cc_mcc_level(name, fixture_icd, paraphrase_model) is CcLevel.CC
+        assert cc_mcc_level(raw, fixture_icd, paraphrase_model) is CcLevel.CC
+        assert cc_mcc_level(raw, fixture_icd, paraphrase_model, title_rows=rows) is CcLevel.CC
+        joined = join(fixture_icd, paraphrase_model, {"a": [raw, name]}, threshold=0.8)
+        assert [levels for _, levels in joined] == [[CcLevel.CC, CcLevel.CC]]
+
     @pytest.mark.parametrize("threshold", [math.nan, -0.01, 1.5, math.inf, -math.inf])
     def test_threshold_outside_unit_interval(self, paraphrase_model, fixture_icd,
                                              threshold):

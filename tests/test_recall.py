@@ -5,10 +5,13 @@ import time
 
 import pytest
 
-from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
+from dxaudit import recall
+from dxaudit.core import MAX_CONTEXT, LexiconKind, MedicalRecord, make_lexicon
 from dxaudit.errors import EmptyLexicon, SpanMismatch, WindowOverflow
 from dxaudit.recall import (
+    DiseaseMatcher,
     DiseaseMention,
+    _shrink_window,
     build_context_window,
     build_matcher,
     find_mentions,
@@ -37,6 +40,10 @@ class TestMatcher:
     def test_empty_lexicon(self):
         with pytest.raises(EmptyLexicon):
             build_matcher(make_lexicon([], LexiconKind.DISEASE_NAMES))
+
+    def test_matcher_over_no_entries_names_the_empty_lexicon(self):
+        with pytest.raises(EmptyLexicon, match="^disease lexicon is empty$"):
+            DiseaseMatcher([])
 
     def test_longest_match_suppresses_substring(self):
         matcher = build_matcher(disease_lexicon("肺炎", "大叶性肺炎"))
@@ -128,7 +135,7 @@ class TestContextWindow:
         matcher = build_matcher(disease_lexicon("肺炎"))
         record = record_of(text)
         mention = find_mentions(matcher, record)[0]
-        windowed = build_context_window(record, mention, max_context_len=450)
+        windowed = build_context_window(record, mention)
         assert windowed.context == "确诊为肺炎。复查肺炎好转。"
         assert len(windowed.context_spans) == 2
         for start, end in windowed.context_spans:
@@ -140,15 +147,16 @@ class TestContextWindow:
         matcher = build_matcher(disease_lexicon(surface))
         mention = find_mentions(matcher, record)[0]
         with pytest.raises(WindowOverflow):
-            build_context_window(record, mention, max_context_len=450)
+            build_context_window(record, mention)
 
     def test_overlong_sentence_shrunk_around_span(self):
+        # one 607-char sentence (commas end no sentence) overflows the cap
         text = "病" * 300 + "，确诊为肺炎，" + "后" * 300
         matcher = build_matcher(disease_lexicon("肺炎"))
         record = record_of(text)
         mention = find_mentions(matcher, record)[0]
-        windowed = build_context_window(record, mention, max_context_len=100)
-        assert len(windowed.context) == 100
+        windowed = build_context_window(record, mention)
+        assert len(windowed.context) == MAX_CONTEXT
         start, end = windowed.context_spans[0]
         assert windowed.context[start:end] == "肺炎"
 
@@ -157,30 +165,36 @@ class TestContextWindow:
         matcher = build_matcher(disease_lexicon("肺炎"))
         record = record_of(text)
         mention = find_mentions(matcher, record)[0]
-        windowed = build_context_window(record, mention, max_context_len=100)
-        assert len(windowed.context) == 100
-        assert windowed.context_spans == ((46, 48), (51, 53))
+        windowed = build_context_window(record, mention)
+        # The 612-char sentence holds spans [304, 306) and [309, 311); both
+        # fit in a 7-char box, which is padded by (450 - 7) // 2 = 221 on
+        # the left: the window is [83, 533), so the spans sit at 221 and 226.
+        assert len(windowed.context) == MAX_CONTEXT
+        assert windowed.context_spans == ((221, 223), (226, 228))
 
     def test_shrunk_window_drops_a_span_beyond_the_budget(self):
-        text = "病" * 300 + "，确诊为肺炎，" + "后" * 120 + "复查肺炎，" + "后" * 300
+        text = "病" * 300 + "，确诊为肺炎，" + "后" * 500 + "复查肺炎，" + "后" * 300
         matcher = build_matcher(disease_lexicon("肺炎"))
         record = record_of(text)
         mention = find_mentions(matcher, record)[0]
         assert len(mention.spans) == 2
-        windowed = build_context_window(record, mention, max_context_len=100)
-        assert len(windowed.context) == 100
-        [(start, end)] = windowed.context_spans
-        assert windowed.context[start:end] == "肺炎"
+        windowed = build_context_window(record, mention)
+        # The spans are [304, 306) and [809, 811): a box holding both spans
+        # 507 > 450 chars, so only the first is kept. It is padded by
+        # (450 - 2) // 2 = 224 on the left: the window is [80, 530).
+        assert len(windowed.context) == MAX_CONTEXT
+        assert windowed.context_spans == ((224, 226),)
 
     def test_budget_prefers_windows_with_more_spans(self):
-        single = "肺炎一处陈述写得较长较长较长较长。"  # 17 chars, one span
-        double = "本句肺炎提到两次，复查肺炎仍然存在。"  # 18 chars, two spans
+        single = "肺炎" + "较" * 297 + "。"  # 300 chars, one span
+        double = "本句肺炎提到两次，复查肺炎" + "长" * 186 + "。"  # 200 chars, two spans
         text = single + double
         matcher = build_matcher(disease_lexicon("肺炎"))
         record = record_of(text)
         mention = find_mentions(matcher, record)[0]
-        windowed = build_context_window(record, mention, max_context_len=20)
-        # the two-span sentence wins the budget; the single-span one is dropped
+        windowed = build_context_window(record, mention)
+        # 300 + 200 > 450: the two-span sentence wins the budget, though it
+        # comes second, and the single-span one no longer fits in 250
         assert windowed.context == double
         assert len(windowed.context_spans) == 2
 
@@ -196,20 +210,25 @@ class TestContextWindow:
         for start, end in windowed.context_spans:
             assert windowed.context[start:end] == "肺炎"
 
-    def test_every_context_span_slices_to_surface_random(self):
+    def test_every_context_span_slices_to_surface_random(self, monkeypatch):
+        shrunk = []
+        monkeypatch.setattr(recall, "_shrink_window",
+                            lambda *args: shrunk.append(args) or _shrink_window(*args))
         rng = random.Random(11)
-        alphabet = "甲乙丙。；\n丁戊"
+        # short sentences, or sentences of about 330 chars on average
+        alphabets = ["甲乙丙。；\n丁戊", "甲乙丙丁戊" * 200 + "。；\n"]
         for _ in range(300):
             disease = "".join(rng.choice("甲乙丙丁戊") for _ in range(rng.randint(1, 3)))
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(5, 300)))
+            alphabet = rng.choice(alphabets)
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(5, 1500)))
             record = record_of(text + disease)  # guarantee one hit
             matcher = build_matcher(disease_lexicon(disease))
             for mention in find_mentions(matcher, record):
-                budget = rng.choice([30, 450])
-                windowed = build_context_window(record, mention, max_context_len=budget)
-                assert len(windowed.context) <= budget
+                windowed = build_context_window(record, mention)
+                assert len(windowed.context) <= MAX_CONTEXT
                 for start, end in windowed.context_spans:
                     assert windowed.context[start:end] == mention.disease
+        assert len(shrunk) >= 30  # texts long enough to shrink a window
 
     def test_span_off_its_disease_raises(self):
         record = record_of("患者确诊为肺炎。")

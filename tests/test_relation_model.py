@@ -16,6 +16,7 @@ from dxaudit import relation_model
 from dxaudit.modelio import load_model, save_model
 from dxaudit.errors import (
     BadModelFile,
+    BadSetting,
     DegenerateBatch,
     DegenerateData,
     InsufficientCodes,
@@ -141,6 +142,11 @@ class TestRandomNegatives:
         index = IcdIndex([make_fixture_icd_entries()[0]])
         with pytest.raises(InsufficientCodes):
             gen_negative_random(index, 10, seed=0)
+
+    @pytest.mark.parametrize("n", [-3, 2.5, True])
+    def test_count_that_is_no_count_is_refused(self, fixture_icd, n):
+        with pytest.raises(BadSetting, match="n must be"):
+            gen_negative_random(fixture_icd, n, seed=0)
 
     def test_exclusion_respected(self, fixture_icd):
         positives = [DiseasePair("病种A0", "病种B0", PairSource.CODING_PAIR)]
