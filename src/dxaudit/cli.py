@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import core, drg, evaluate, pipeline, relation_model, synth
 from . import context_model as cm
-from .errors import DxAuditError, ParseError
+from .errors import DxAuditError, ParseError, require_at_least
 from .features import FeatureLexicons
 
 EXIT_OK = 0
@@ -276,6 +276,9 @@ def _cmd_gen_synthetic(args, config, seed):
 
 
 def _cmd_gen_pairs(args, config, seed):
+    n_random = _resolve(args.n_random, config, "pairs.n_random", 0, int)
+    setting = "pairs.n_random" if args.n_random is None else "--n-random"
+    require_at_least({setting: n_random}, **{setting: 0})  # before any file is read
     icd = core.load_icd_table(args.icd)
     positives: list[relation_model.DiseasePair] = []
     if args.coded:
@@ -294,7 +297,6 @@ def _cmd_gen_pairs(args, config, seed):
             records, exclude_pairs=positive_keys))
     negatives.extend(relation_model.drop_conflicts(
         relation_model.gen_negative_icd_siblings(icd), positives))
-    n_random = _resolve(args.n_random, config, "pairs.n_random", 0, int)
     if n_random:
         negatives.extend(relation_model.gen_negative_random(
             icd, n_random, seed, exclude_pairs=positive_keys))

@@ -66,7 +66,6 @@ class CharVocab:
     def __init__(self, chars: list[str], first_id: int = 2):
         self.chars = list(chars)
         self.first_id = first_id
-        self._ids = {ch: i + first_id for i, ch in enumerate(self.chars)}
 
     @classmethod
     def from_texts(cls, texts) -> "CharVocab":
@@ -75,8 +74,20 @@ class CharVocab:
     def __len__(self) -> int:
         return len(self.chars) + self.first_id
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Entry ``ord(ch)`` holds ch's id, every other entry UNK_ID; the last
+        entry serves each code point above the highest character's. Built
+        at the first encode, in the smallest dtype that holds every id."""
+        codes = [ord(ch) for ch in self.chars]
+        table = np.zeros(max(codes, default=-1) + 2, dtype=np.min_scalar_type(len(self)))
+        table[codes] = np.arange(self.first_id, len(self))
+        return table
+
     def encode(self, text: str) -> np.ndarray:
-        return np.array([self._ids.get(ch, UNK_ID) for ch in text], dtype=np.intp)
+        # surrogatepass: a lone surrogate is one more code point
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        return self._table.take(codes, mode="clip").astype(np.intp)
 
 
 def _segments(starts: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -569,6 +580,7 @@ class ContextClassifier:
         return cls(encoder, head, config)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # require_finite refuses what overflows
 def train(samples: list[ContextSample], config: TrainConfig,
           dev_samples: list[ContextSample] | None = None,
           d: int = 32, d_enc: int = 32,

@@ -398,6 +398,7 @@ def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],
     return sum(losses) / len(losses)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # require_finite refuses what overflows
 def contrastive_pretrain(pairs: list[DiseasePair], encoder: PairEncoder,
                          config: PairTrainConfig) -> tuple[PairEncoder, list[float]]:
     """SGD on the InfoNCE objective; returns per-epoch evaluation losses.
@@ -544,6 +545,7 @@ class RelationClassifier:
         return cls(PairEncoder(list(vocab), arrays.pop("embedding")), config, arrays)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # require_finite refuses what overflows
 def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
              config: PairTrainConfig) -> tuple[RelationClassifier, list[float]]:
     """Cross-entropy fine-tuning of the 5-class head (and the encoder), in

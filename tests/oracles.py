@@ -343,6 +343,15 @@ def seed_cc_mcc_level(disease, icd, relation_model, threshold):
                 if normalize_disease_name(e.title) == best[1]), key=rank.get)
 
 
+def dict_loop_encode(vocab, text):
+    """The original CharVocab.encode: one dict lookup per character, UNK_ID
+    (0) for a character outside the vocabulary."""
+    import numpy as np
+
+    ids = {ch: i + vocab.first_id for i, ch in enumerate(vocab.chars)}
+    return np.array([ids.get(ch, 0) for ch in text], dtype=np.intp)
+
+
 def seed_context_inputs(model, sample):
     """The original context input assembly: ids and each track built by
     concatenating their disease, SEP and context parts, tracks as a tuple."""
@@ -353,9 +362,10 @@ def seed_context_inputs(model, sample):
 
     disease = sample.disease[:MAX_DISEASE]
     context = sample.context[:MAX_CONTEXT]
-    ids = np.concatenate([model.encoder.vocab.encode(disease),
+    vocab = model.encoder.vocab
+    ids = np.concatenate([dict_loop_encode(vocab, disease),
                           np.array([SEP_ID], dtype=np.intp),
-                          model.encoder.vocab.encode(context)])
+                          dict_loop_encode(vocab, context)])
 
     def extend(track, prefix_bit):
         return np.concatenate([np.full(len(disease), prefix_bit, dtype=np.uint8),

@@ -202,10 +202,10 @@ class TestContrastiveObjective:
 
     def test_orthogonal_positives_hand_value(self):
         encoder = PairEncoder.from_names(list("abcd"), d_pair=2, seed=0)
-        encoder.embedding[encoder.vocab._ids["a"]] = [1.0, 0.0]
-        encoder.embedding[encoder.vocab._ids["b"]] = [1.0, 0.0]
-        encoder.embedding[encoder.vocab._ids["c"]] = [0.0, 1.0]
-        encoder.embedding[encoder.vocab._ids["d"]] = [0.0, 1.0]
+        encoder.embedding[encoder.vocab.encode("a")[0]] = [1.0, 0.0]
+        encoder.embedding[encoder.vocab.encode("b")[0]] = [1.0, 0.0]
+        encoder.embedding[encoder.vocab.encode("c")[0]] = [0.0, 1.0]
+        encoder.embedding[encoder.vocab.encode("d")[0]] = [0.0, 1.0]
         batch = [DiseasePair("a", "b", PairSource.CODING_PAIR),
                  DiseasePair("c", "d", PairSource.CODING_PAIR)]
         loss = info_nce_batch_loss(encoder, batch, tau=0.05)
