@@ -94,12 +94,13 @@ def cc_mcc_level(
     the first entry in code order winning a tie. Several entries under one
     title resolve to the most severe level.
 
-    The fallback is one predict_proba call that scores the name, which the
-    model normalizes, against each distinct normalized title once. Titles
-    come in the code order of their first entry, so the first maximum is
-    the first entry in code order to reach it, as in an entry-by-entry scan. ``title_rows``, the
-    relation model's embed_names(icd.titles()), spares that call embedding
-    the titles again; without it, the call embeds them itself.
+    The fallback is one predict_proba([disease], titles) call that scores
+    the name, which the model normalizes, against each distinct normalized
+    title once. Titles come in the code order of their first entry, so the
+    first maximum is the first entry in code order to reach it, as in an
+    entry-by-entry scan. ``title_rows``, the relation model's
+    embed_names(icd.titles()), spares that call embedding the titles
+    again; without it, the call embeds them itself.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -107,8 +108,8 @@ def cc_mcc_level(
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
-    probs = relation_model.predict_proba(disease,
-                                         titles if title_rows is None else title_rows)
+    probs = relation_model.predict_proba([disease],
+                                         titles if title_rows is None else title_rows)[0]
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)

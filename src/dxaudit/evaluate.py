@@ -43,7 +43,7 @@ def report_instances(report: BatchReport) -> set[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Stage stand-ins used by ablation rows and oracle checks
+# Stage stand-ins used by ablation rows
 # ---------------------------------------------------------------------------
 
 
@@ -54,42 +54,13 @@ class ConfirmAllContext:
         return "confirmed", 1.0
 
 
-def _one_hot(relations) -> np.ndarray:
-    """One row per relation name, probability 1 on that relation."""
-    return np.eye(len(RELATIONS))[[RELATIONS.index(r) for r in relations]]
-
-
 class IrrelevanceAllRelation:
     """Relation stage bypass: only exact matches count as covered."""
 
-    def predict_proba(self, a: str, b: list[str]):
-        return _one_hot(["irrelevance"] * len(b))
-
-
-class LookupContextOracle:
-    """Perfect context judgments: the label of the labeled sample with the
-    same disease and context, ``unknown`` for any other sample."""
-
-    def __init__(self, labeled_samples):
-        self._labels: dict[tuple[str, str], str] = {}
-        for sample in labeled_samples:
-            key = (sample.disease, sample.context)
-            if self._labels.setdefault(key, sample.label) != sample.label:
-                raise ValueError(f"{key} is labeled {self._labels[key]}, then {sample.label}")
-
-    def classify(self, sample: ContextSample):
-        return self._labels.get((sample.disease, sample.context), "unknown"), 1.0
-
-
-class MapRelationOracle:
-    """Similarity for listed (or identical) pairs, irrelevance otherwise."""
-
-    def __init__(self, similar_pairs=()):
-        self._similar = {frozenset(p) for p in similar_pairs}
-
-    def predict_proba(self, a: str, b: list[str]):
-        return _one_hot("similarity" if a == name or frozenset((a, name)) in self._similar
-                        else "irrelevance" for name in b)
+    def predict_proba(self, names: list[str], against: list[str] | np.ndarray):
+        probs = np.zeros((len(names), len(against), len(RELATIONS)))
+        probs[..., RELATIONS.index("irrelevance")] = 1.0
+        return probs
 
 
 class TrackZeroingContext:

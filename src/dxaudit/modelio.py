@@ -43,8 +43,9 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
 
     A file that is not a complete model of that kind raises BadModelFile
     naming the path: also one whose manifest lists a name twice or gives
-    a shape that is not a list of integers, and one with bytes after its
-    last array.
+    a shape that is not a list of integers, one with bytes after its last
+    array, and one with an array holding a NaN or an infinity (a NaN
+    weight makes every score NaN and every argmax the first label).
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -79,6 +80,10 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
         offset += 8 * count
     if offset != len(data):
         raise BadModelFile(f"{path}: {len(data) - offset} bytes follow the last array")
+    # the arrays are one float64 run, so one pass checks them all
+    if not np.isfinite(np.frombuffer(data, np.float64, offset=_PREAMBLE + header_len)).all():
+        name = next(name for name, array in arrays.items() if not np.isfinite(array).all())
+        raise BadModelFile(f"{path}: array {name!r} holds a value that is not finite")
     return meta, arrays
 
 

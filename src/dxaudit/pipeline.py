@@ -40,9 +40,9 @@ class ContextStage(Protocol):
 
 
 class RelationStage(Protocol):
-    def predict_proba(self, a: str, b: list[str]) -> np.ndarray:
-        """(len(b), len(RELATIONS)) probabilities of each relation of
-        disease a to each name in b."""
+    def predict_proba(self, names: list[str], against: list[str] | np.ndarray) -> np.ndarray:
+        """(len(names), len(against), len(RELATIONS)) probabilities of each
+        relation of each disease in names to each name in against."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def _detect_record(
     discharge = discharge_names(record)
     discharge_set = set(discharge)
 
-    findings: list[WriteMissingFinding] = []
+    confirmed = []
     label_counts = {label: 0 for label in LABELS}
     for mention in find_mentions(matcher, record):
         if mention.disease in discharge_set:
@@ -85,12 +85,17 @@ def _detect_record(
         sample = assemble_features(windowed.disease, windowed.context, lexicons.features)
         label, prob = models.context.classify(sample)
         label_counts[label] += 1
-        if label != "confirmed":
-            continue
-        probs = models.relation.predict_proba(mention.disease, discharge)
+        if label == "confirmed":
+            confirmed.append((mention, prob))
+    if not confirmed:
+        return [], label_counts
+
+    probs = models.relation.predict_proba([m.disease for m, _ in confirmed], discharge)
+    findings: list[WriteMissingFinding] = []
+    for (mention, prob), grid in zip(confirmed, probs):
         relations = tuple(
             (dx, RELATIONS[k], float(row[k]))
-            for dx, row, k in zip(discharge, probs, probs.argmax(axis=1))
+            for dx, row, k in zip(discharge, grid, grid.argmax(axis=1))
         )
         if all(rel == "irrelevance" for _, rel, _ in relations):
             findings.append(WriteMissingFinding(

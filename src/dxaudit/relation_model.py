@@ -51,9 +51,10 @@ from .modelio import read_model, write_model
 
 RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
 
-# Names per pass when names are embedded or scored against one name: bounds
-# the temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table's
-# characters and head activations are never held at once.
+# Names per embedding pass, and name pairs per scoring pass: bounds the
+# temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table's
+# characters, or a record's whole pair grid of head activations, is never
+# held at once.
 BLOCK_ROWS = 256
 
 # Characters of a name the encoder reads; the rest is cut off.
@@ -306,22 +307,20 @@ class PairEncoder:
         embedding = initial_params({"embedding": (len(chars) + 1, d_pair)}, seed)["embedding"]
         return cls(chars, embedding)
 
-    def encode_ids(self, name: str) -> np.ndarray:
-        return self.vocab.encode(name[:MAX_NAME])
-
-    def embed(self, name: str) -> np.ndarray:
-        return self.embedding[self.encode_ids(name)].mean(axis=0)
+    def encode_many(self, names: list[str]) -> tuple[np.ndarray, list[int]]:
+        """The ids of the names' first MAX_NAME characters packed end to end,
+        in one encode, and each name's length."""
+        clipped = [name[:MAX_NAME] for name in names]
+        return self.vocab.encode("".join(clipped)), [len(name) for name in clipped]
 
     def embed_many(self, names: list[str], with_ids: bool = False):
-        """One embed() row per name, in one pass: the names' characters are
-        packed end to end, looked up together, and mean-pooled name by
-        name. ``with_ids`` also returns the packed ids and each name's
-        length, for grad()."""
-        clipped = [name[:MAX_NAME] for name in names]
-        lengths = [len(name) for name in clipped]
-        if not clipped or min(lengths) == 0:
+        """The mean embedding of each name, in one pass: the names'
+        characters are packed end to end, looked up together, and
+        mean-pooled name by name. ``with_ids`` also returns the packed ids
+        and each name's length, for grad()."""
+        ids, lengths = self.encode_many(names)
+        if not lengths or min(lengths) == 0:
             raise ValueError("embed_many needs one or more non-empty names")
-        ids = self.vocab.encode("".join(clipped))
         rows = self.pool(ids, lengths)
         return (rows, ids, np.array(lengths, dtype=np.intp)) if with_ids else rows
 
@@ -439,12 +438,9 @@ class RelationClassifier:
                 "W_o": (hidden, len(RELATIONS)), "b_o": (len(RELATIONS),)}
 
     def _head(self, u: np.ndarray, v: np.ndarray):
-        """Probabilities over RELATIONS for u against v, over the last axis:
-        one pair when both are vectors, one row per pair when both are
-        matrices, and one u against each row when only v is a matrix.
-        Returns the intermediates too, for the backward pass."""
-        if u.ndim < v.ndim:  # np.repeat costs less per call than np.broadcast_to
-            u = np.repeat(u[None], len(v), axis=0)
+        """Probabilities over RELATIONS of each row of u against the same
+        row of v, one row per pair. Returns the intermediates too, for the
+        backward pass."""
         joint = np.concatenate([u, v, np.abs(u - v), u * v], axis=-1)
         pre = joint @ self.p["W_h"] + self.p["b_h"]
         hidden = np.maximum(pre, 0.0)
@@ -458,7 +454,7 @@ class RelationClassifier:
         """One encoder row per name, normalized and embedded BLOCK_ROWS
         names at a time, so a whole ICD table's characters are never
         looked up at once. predict_proba takes these rows in place of the
-        names, so a list scored against many names is embedded once."""
+        names, so a list scored many times is embedded once."""
         rows = np.empty((len(names), self.encoder.d_pair))
         for start in range(0, len(names), BLOCK_ROWS):
             block = names[start : start + BLOCK_ROWS]
@@ -466,29 +462,29 @@ class RelationClassifier:
                 [normalize_disease_name(name) for name in block])
         return rows
 
-    def predict_proba(self, a: str, b: str | list[str] | np.ndarray) -> np.ndarray:
-        """(5,) probabilities for one name b, or (len(b), 5) for a list of
-        names or for embed_names(names), scored BLOCK_ROWS rows at a time.
-        For a list, a is embedded in the same pass as the first block, so a
-        short list costs about one single-pair call."""
-        if isinstance(b, str):
-            return self._head(self.encoder.embed(normalize_disease_name(a)),
-                              self.encoder.embed(normalize_disease_name(b)))[0]
-        if isinstance(b, np.ndarray):
-            u, rows = self.embed_names([a])[0], b
+    def predict_proba(self, names: list[str], against: list[str] | np.ndarray) -> np.ndarray:
+        """(len(names), len(against), 5) probabilities of each relation of
+        each name to each name of ``against``, which may instead be the
+        embed_names rows of a list scored many times. A list ``against`` is
+        embedded in one pass with the names. The pairs are scored
+        BLOCK_ROWS at a time, each block gathering its own rows, so no
+        grid of pair rows is ever held."""
+        if isinstance(against, np.ndarray):
+            u, v = self.embed_names(names), against
         else:
-            rows = self.embed_names([a, *b])
-            u, rows = rows[0], rows[1:]
-        probs = np.empty((len(rows), len(RELATIONS)))
-        for start in range(0, len(rows), BLOCK_ROWS):
-            probs[start : start + BLOCK_ROWS] = self._head(u, rows[start : start + BLOCK_ROWS])[0]
-        return probs
+            rows = self.embed_names([*names, *against])
+            u, v = rows[:len(names)], rows[len(names):]
+        m = len(v)
+        probs = np.empty((len(u) * m, len(RELATIONS)))
+        for start in range(0, len(probs), BLOCK_ROWS):
+            pair = np.arange(start, min(start + BLOCK_ROWS, len(probs)))
+            probs[start : start + BLOCK_ROWS] = self._head(u[pair // m], v[pair % m])[0]
+        return probs.reshape(len(u), m, len(RELATIONS))
 
     def predict(self, a: str, b: str) -> tuple[str, float]:
         """The most probable relation of a to b and its probability."""
-        probs = self.predict_proba(a, b)
-        idx = int(np.argmax(probs))
-        return RELATIONS[idx], float(probs[idx])
+        probs = self.predict_proba([a], [b])[0, 0]
+        return RELATIONS[int(np.argmax(probs))], float(probs.max())
 
     def _step(self, batch: list[tuple[np.ndarray, np.ndarray, int]],
               lr: float) -> float:
@@ -563,11 +559,13 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
     if missing:
         raise DegenerateData(f"classes absent from fine-tune data: {missing}")
 
+    # one encode for every name: the code-point table's fixed cost is paid once
+    ids, lengths = encoder.encode_many([name for p in labeled_pairs for name in (p.a, p.b)])
+    bounds = [0, *accumulate(lengths)]  # slices cost a third of np.split's pieces
+    names = [ids[start:end] for start, end in zip(bounds, bounds[1:])]
     examples: list[tuple[np.ndarray, np.ndarray, int]] = []
-    for pair in labeled_pairs:
+    for pair, ids_a, ids_b in zip(labeled_pairs, names[::2], names[1::2]):
         idx = RELATIONS.index(pair.relation)
-        ids_a = encoder.encode_ids(pair.a)
-        ids_b = encoder.encode_ids(pair.b)
         examples.append((ids_a, ids_b, idx))
         if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
             examples.append((ids_b, ids_a, idx))

@@ -330,7 +330,7 @@ def seed_cc_mcc_level(disease, icd, relation_model, threshold):
     name = normalize_disease_name(disease)
     best = None
     for entry in icd.entries():
-        probs = relation_model.predict_proba(name, normalize_disease_name(entry.title))
+        probs = relation_model.predict_proba([name], [normalize_disease_name(entry.title)])[0, 0]
         idx = int(probs.argmax())
         if RELATIONS[idx] not in ("similarity", "inclusion"):
             continue
@@ -458,12 +458,13 @@ def seed_finetune(encoder, labeled_pairs, config):
     import random
 
     from builders import relation_classifier
-    from dxaudit.relation_model import FINETUNE_BATCH, RELATIONS, SYMMETRIC_RELATIONS
+    from dxaudit.relation_model import (FINETUNE_BATCH, MAX_NAME, RELATIONS,
+                                        SYMMETRIC_RELATIONS)
 
     examples = []
     for pair in labeled_pairs:
         label = RELATIONS.index(pair.relation)
-        ids_a, ids_b = encoder.encode_ids(pair.a), encoder.encode_ids(pair.b)
+        ids_a, ids_b = (encoder.vocab.encode(name[:MAX_NAME]) for name in (pair.a, pair.b))
         examples.append((ids_a, ids_b, label))
         if pair.relation in SYMMETRIC_RELATIONS and pair.a != pair.b:
             examples.append((ids_b, ids_a, label))

@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,7 +16,10 @@ import pytest
 import dxaudit
 from dxaudit import relation_model, synth
 from dxaudit.cli import main
+from dxaudit.context_model import ContextClassifier
+from dxaudit.errors import BadModelFile
 from dxaudit.modelio import load_model, save_model
+from dxaudit.relation_model import RelationClassifier
 
 
 def run(argv):
@@ -844,6 +848,45 @@ class TestHostileInput:
         assert str(edited) in err
         assert repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, kind, key, value", [
+        ("detect", "context", "head.W_y", math.nan),
+        ("detect", "context", "encoder.embedding", -math.inf),
+        ("detect", "relation", "W_h", math.inf),
+        ("drg-impact", "relation", "W_h", math.inf),
+        ("drg-impact", "relation", "embedding", math.nan),
+    ])
+    def test_non_finite_model_array_is_refused(self, workspace, tmp_path, data_dir, capsys,
+                                               command, kind, key, value):
+        """Such a model would load and score every candidate NaN or inf, and
+        detect would report nothing, or warn, and exit 0."""
+        meta, arrays = load_model(workspace / f"{kind}.bin", kind)
+        broken = arrays[key].copy()
+        broken.flat[broken.size // 2] = value
+        edited = tmp_path / f"{kind}.bin"
+        save_model(edited, kind, dict(meta), dict(arrays, **{key: broken}))
+        loader = {"context": ContextClassifier, "relation": RelationClassifier}[kind]
+        pattern = re.escape(f"{edited}: array {key!r}") + ".* not finite"
+        with pytest.raises(BadModelFile, match=pattern):
+            loader.load(edited)
+        models = {"context": workspace / "context.bin",
+                  "relation": workspace / "relation.bin", kind: edited}
+        findings = tmp_path / "findings.jsonl"
+        if command == "drg-impact":
+            assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                        "--models", str(workspace / "models"), "--out", str(findings)]) == 0
+            argv = ["drg-impact", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--findings", str(findings), "--icd", str(data_dir / "icd_demo.csv"),
+                    "--groups", str(data_dir / "drg_groups_demo.csv"),
+                    "--relation-model", str(edited), "--out", str(tmp_path / "impact.json")]
+        else:
+            argv = ["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--context-model", str(models["context"]),
+                    "--relation-model", str(models["relation"]), "--out", str(findings)]
+        capsys.readouterr()
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert re.fullmatch(".*" + pattern + ".*\n", err)
 
     @pytest.mark.parametrize("kind, key, value", [
         ("context", "d", "8"),

@@ -15,7 +15,6 @@ from dxaudit.drg import (
     regroup,
 )
 from dxaudit.errors import BadSetting, MissingGroupRow, ParseError
-from dxaudit.evaluate import MapRelationOracle
 from dxaudit.relation_model import (
     DiseasePair,
     PairEncoder,
@@ -25,6 +24,7 @@ from dxaudit.relation_model import (
     load_pairs,
 )
 
+from builders import MapRelationOracle
 from conftest import make_fixture_icd_entries
 from oracles import seed_cc_mcc_level
 
@@ -126,9 +126,9 @@ class CountingModel:
         self.calls = 0
         self.embeds = 0
 
-    def predict_proba(self, a, b):
+    def predict_proba(self, names, against):
         self.calls += 1
-        return self.inner.predict_proba(a, b)
+        return self.inner.predict_proba(names, against)
 
     def embed_names(self, names):
         self.embeds += 1

@@ -9,12 +9,7 @@ import pytest
 from dxaudit import synth
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
 from dxaudit.errors import ModelNotLoaded, ParseError
-from dxaudit.evaluate import (
-    ConfirmAllContext,
-    IrrelevanceAllRelation,
-    LookupContextOracle,
-    MapRelationOracle,
-)
+from dxaudit.evaluate import ConfirmAllContext, IrrelevanceAllRelation
 from dxaudit.pipeline import (
     Models,
     PipelineLexicons,
@@ -24,6 +19,8 @@ from dxaudit.pipeline import (
     write_report,
 )
 from dxaudit.relation_model import RELATIONS
+
+from builders import LookupContextOracle, MapRelationOracle
 
 
 @pytest.fixture()
@@ -107,17 +104,41 @@ class TestDetect:
             oracle_models([rec, twin], lexicons, [("r1", "肺炎", "confirmed"),
                                                   ("r2", "肺炎", "unknown")])
 
-    @pytest.mark.parametrize("stage, names, expected", [
-        (IrrelevanceAllRelation(), ["肺部感染", "肺炎"], ["irrelevance", "irrelevance"]),
-        (MapRelationOracle([("肺炎", "肺部感染")]), ["肺部感染", "高血压", "肺炎"],
-         ["similarity", "irrelevance", "similarity"]),
+    @pytest.mark.parametrize("stage, expected", [
+        (IrrelevanceAllRelation(), [["irrelevance"] * 3] * 2),
+        (MapRelationOracle([("肺炎", "肺部感染")]),
+         [["similarity", "irrelevance", "similarity"],
+          ["irrelevance", "similarity", "irrelevance"]]),
     ], ids=["irrelevance-all", "map-oracle"])
-    def test_relation_stand_ins_give_one_hot_rows(self, stage, names, expected):
-        assert stage.predict_proba("肺炎", []).shape == (0, len(RELATIONS))
-        probs = stage.predict_proba("肺炎", names)
-        assert probs.shape == (len(names), len(RELATIONS))
+    def test_relation_stand_ins_give_one_hot_rows(self, stage, expected):
+        names, against = ["肺炎", "高血压"], ["肺部感染", "高血压", "肺炎"]
+        assert stage.predict_proba(names, []).shape == (2, 0, len(RELATIONS))
+        assert stage.predict_proba([], against).shape == (0, 3, len(RELATIONS))
+        probs = stage.predict_proba(names, against)
         assert np.array_equal(probs, np.eye(len(RELATIONS))[
-            [RELATIONS.index(relation) for relation in expected]])
+            [[RELATIONS.index(relation) for relation in row] for row in expected]])
+
+    def test_one_relation_call_per_record_with_a_confirmed_candidate(self, lexicons):
+        """Every confirmed candidate of a record is scored against its
+        discharge names in one call; a record with none makes no call."""
+        calls = []
+
+        class SpyRelation:
+            def predict_proba(self, names, against):
+                calls.append((names, against))
+                return IrrelevanceAllRelation().predict_proba(names, against)
+
+        records = [record("r1", "确诊为肺炎。确诊胃溃疡。否认脑梗死。", ["高血压"]),
+                   record("r2", "否认肺炎。", ["高血压"]),
+                   record("r3", "确诊为脑梗死。", [])]
+        context = oracle_models(records, lexicons, [
+            ("r1", "肺炎", "confirmed"), ("r1", "胃溃疡", "confirmed"),
+            ("r1", "脑梗死", "non_current"), ("r2", "肺炎", "non_current"),
+            ("r3", "脑梗死", "confirmed")]).context
+        report = batch_detect(records, Models(context, SpyRelation()), lexicons)
+        assert calls == [(["肺炎", "胃溃疡"], ["高血压"]), (["脑梗死"], [])]
+        assert [[f.disease for f in r.findings] for r in report.results] == \
+            [["肺炎", "胃溃疡"], [], ["脑梗死"]]
 
     def test_model_not_loaded(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
@@ -171,10 +192,10 @@ class TestBatchDetect:
 
     def test_unexpected_error_in_one_record_is_its_error_entry(self, lexicons):
         class FaultyRelation:
-            def predict_proba(self, a, b):
-                if a == "胃溃疡":
+            def predict_proba(self, names, against):
+                if "胃溃疡" in names:
                     raise ValueError("cannot score 胃溃疡")
-                return IrrelevanceAllRelation().predict_proba(a, b)
+                return IrrelevanceAllRelation().predict_proba(names, against)
 
         records = [record("r1", "确诊为肺炎。", ["高血压"]),
                    record("r2", "确诊为胃溃疡。", ["高血压"]),

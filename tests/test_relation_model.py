@@ -57,6 +57,16 @@ from oracles import (
 )
 
 
+def name_ids(encoder, name):
+    """The ids the encoder reads for one name."""
+    return encoder.vocab.encode(name[:MAX_NAME])
+
+
+def embed_one(encoder, name):
+    """One name's mean-pooled embedding, on its own."""
+    return encoder.embedding[name_ids(encoder, name)].mean(axis=0)
+
+
 def record_with_diagnoses(record_id, diagnoses):
     return MedicalRecord(record_id=record_id, sections=(("s", "正文。"),),
                          discharge_diagnoses=tuple(diagnoses))
@@ -227,8 +237,8 @@ class TestContrastiveObjective:
                  DiseasePair("ef", "eg", PairSource.CODING_PAIR),
                  DiseasePair("ha", "cd", PairSource.RANDOM_NEG)]
         got = info_nce_batch_loss(encoder, batch, tau=0.05)
-        u = np.stack([encoder.embed(p.a) for p in batch])
-        v = np.stack([encoder.embed(p.b) for p in batch])
+        u = np.stack([embed_one(encoder, p.a) for p in batch])
+        v = np.stack([embed_one(encoder, p.b) for p in batch])
         u_hat = (u / np.linalg.norm(u, axis=1, keepdims=True)).tolist()
         v_hat = (v / np.linalg.norm(v, axis=1, keepdims=True)).tolist()
         expected = naive_info_nce(u_hat, v_hat, anchors=[0, 1], tau=0.05)
@@ -321,14 +331,14 @@ class TestGradients:
 
         # one SGD step at lr=1 moves each parameter by minus its gradient
         stepped = copy.deepcopy(model)
-        stepped._step([(stepped.encoder.encode_ids(a), stepped.encoder.encode_ids(b),
+        stepped._step([(name_ids(stepped.encoder, a), name_ids(stepped.encoder, b),
                         label)], 1.0)
         after = step_params(stepped)
         analytic = {name: table - after[name]
                     for name, table in step_params(model).items()}
         worst = central_difference_worst_error(
             step_params(model), analytic,
-            lambda: -math.log(model.predict_proba(a, b)[label]))
+            lambda: -math.log(model.predict_proba([a], [b])[0, 0, label]))
         assert worst < 1e-4
 
     def test_finetune_batch_gradients(self):
@@ -340,7 +350,7 @@ class TestGradients:
         model = relation_classifier(encoder, PairTrainConfig(hidden=6), seed=2)
         examples = [("abcafedc" * 7, "dexd", "secondary"), ("cab", "gfa", "inclusion"),
                     ("bdgb", "ea", "irrelevance"), ("ea", "bdgb", "irrelevance")]
-        batch = [(encoder.encode_ids(a), encoder.encode_ids(b), RELATIONS.index(r))
+        batch = [(name_ids(encoder, a), name_ids(encoder, b), RELATIONS.index(r))
                  for a, b, r in examples]
         stepped = copy.deepcopy(model)
         stepped._step(batch, 1.0)
@@ -349,7 +359,7 @@ class TestGradients:
                     for name, table in step_params(model).items()}
         worst = central_difference_worst_error(
             step_params(model), analytic,
-            lambda: sum(-math.log(model.predict_proba(a, b)[RELATIONS.index(r)])
+            lambda: sum(-math.log(model.predict_proba([a], [b])[0, 0, RELATIONS.index(r)])
                         for a, b, r in examples))
         assert worst < 1e-4
 
@@ -370,7 +380,7 @@ class TestBatchedStep:
         for _ in range(n):
             a, b = ("".join(rng.choice("abcdefghijx") for _ in range(rng.randint(1, 9)))
                     for _ in range(2))
-            examples.append((encoder.encode_ids(a), encoder.encode_ids(b),
+            examples.append((name_ids(encoder, a), name_ids(encoder, b),
                              rng.randrange(len(RELATIONS))))
         return model, examples
 
@@ -456,9 +466,9 @@ class TestFineTune:
         model, pairs, _ = fixture_pair_model
         names = sorted({p.a for p in pairs} | {p.b for p in pairs})
         similarity_idx = RELATIONS.index("similarity")
-        for name in names:
-            probs = model.predict_proba(name, name)
-            assert int(np.argmax(probs)) == similarity_idx
+        probs = model.predict_proba(names, names)
+        for i in range(len(names)):
+            assert int(np.argmax(probs[i, i])) == similarity_idx
 
     def test_loss_decreases(self, fixture_pair_model):
         _, _, history = fixture_pair_model
@@ -565,7 +575,7 @@ class TestBlockScoring:
         names = random_names(fixture_pair_model[0], 40, seed=1)
         rows = encoder.embed_many(names)
         for name, row in zip(names, rows):
-            np.testing.assert_allclose(row, encoder.embed(name), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row, embed_one(encoder, name), rtol=0, atol=1e-12)
 
     def test_embed_many_rejects_empty_names(self, fixture_pair_model):
         encoder = fixture_pair_model[0].encoder
@@ -573,15 +583,27 @@ class TestBlockScoring:
             with pytest.raises(ValueError):
                 encoder.embed_many(names)
 
-    @pytest.mark.parametrize("n", [1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
-    def test_rows_match_single_pairs(self, fixture_pair_model, n):
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("k", [1, 2, BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("m", [1, 2, BLOCK_ROWS + 3])
+    def test_rows_match_single_pairs(self, fixture_pair_model, monkeypatch, m, k,
+                                     block_rows):
+        """Every cell of a k x m grid is the seed's one-pair forward. At 7
+        rows a block, and at BLOCK_ROWS with m = BLOCK_ROWS + 3, block
+        boundaries split one name's run of rows. The names are drawn from
+        40, so the seed forward runs once per distinct pair."""
         model = fixture_pair_model[0]
-        names = random_names(model, n, seed=n)
-        block = model.predict_proba("头部骨折", names)
-        assert block.shape == (n, len(RELATIONS))
-        for name, row in zip(names, block):
-            np.testing.assert_allclose(row, model.predict_proba("头部骨折", name),
-                                       rtol=0, atol=1e-12)
+        pool = random_names(model, 40, seed=k + m)
+        normal = [seed_normalize_disease_name(name) for name in pool]
+        rng = random.Random(k * m)
+        a, b = ([rng.randrange(len(pool)) for _ in range(n)] for n in (k, m))
+        monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
+        grid = model.predict_proba([pool[i] for i in a], [pool[j] for j in b])
+        assert grid.shape == (k, m, len(RELATIONS))
+        seed = {(i, j): seed_relation_forward(model, normal[i], normal[j])
+                for i in set(a) for j in set(b)}
+        expected = np.array([[seed[i, j] for j in b] for i in a])
+        np.testing.assert_allclose(grid, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
@@ -592,11 +614,19 @@ class TestBlockScoring:
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
         rows = model.embed_names(names)
         assert rows.shape == (n, model.encoder.d_pair)
-        for a in ("头部骨折", " 电解质紊乱，"):
-            assert np.array_equal(model.predict_proba(a, rows), model.predict_proba(a, names))
+        diseases = ["头部骨折", " 电解质紊乱，"]
+        grid = model.predict_proba(diseases, rows)
+        assert grid.shape == (2, n, len(RELATIONS))
+        assert np.array_equal(grid, model.predict_proba(diseases, names))
 
     def test_empty_list_gives_no_rows(self, fixture_pair_model):
-        assert fixture_pair_model[0].predict_proba("头部骨折", []).shape == (0, 5)
+        model = fixture_pair_model[0]
+        names = ["头部骨折", "肺炎"]
+        for against in (names, model.embed_names(names)):
+            assert model.predict_proba([], against).shape == (0, 2, 5)
+        for against in ([], model.embed_names([])):
+            assert model.predict_proba(names, against).shape == (2, 0, 5)
+            assert model.predict_proba([], against).shape == (0, 0, 5)
 
     def test_single_pair_is_the_seed_forward(self, fixture_pair_model):
         model = fixture_pair_model[0]
@@ -604,26 +634,28 @@ class TestBlockScoring:
         for a, b in zip(names, names[1:]):
             expected = seed_relation_forward(model, seed_normalize_disease_name(a),
                                              seed_normalize_disease_name(b))
-            assert np.array_equal(model.predict_proba(a, b), expected)
+            np.testing.assert_allclose(model.predict_proba([a], [b])[0, 0], expected,
+                                       rtol=0, atol=1e-12)
 
     def test_block_size_does_not_change_rows(self, fixture_pair_model, monkeypatch):
         model = fixture_pair_model[0]
         names = random_names(model, 50, seed=9)
-        whole = model.predict_proba("电解质紊乱", names)
+        diseases = ["电解质紊乱", "头部骨折", "低钾血症"]
+        whole = model.predict_proba(diseases, names)
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", 7)
-        np.testing.assert_allclose(model.predict_proba("电解质紊乱", names), whole,
+        np.testing.assert_allclose(model.predict_proba(diseases, names), whole,
                                    rtol=0, atol=1e-12)
 
 
 class PerPairRelation:
-    """The per-pair path: one single-pair forward per (candidate, discharge name)."""
+    """The per-pair path: one 1 x 1 grid per (candidate, discharge name)."""
 
     def __init__(self, model):
         self.model = model
 
-    def predict_proba(self, a, b):
-        rows = [self.model.predict_proba(a, name) for name in b]
-        return np.array(rows).reshape(-1, len(RELATIONS))
+    def predict_proba(self, names, against):
+        cells = [[self.model.predict_proba([a], [b])[0, 0] for b in against] for a in names]
+        return np.array(cells).reshape(len(names), len(against), len(RELATIONS))
 
 
 def test_detect_relations_are_the_single_pair_predictions(

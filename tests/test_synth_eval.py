@@ -7,17 +7,12 @@ import pytest
 from dxaudit import synth
 from dxaudit.core import LexiconKind, make_lexicon, record_to_json
 from dxaudit.errors import BadTemplate
-from dxaudit.evaluate import (
-    LookupContextOracle,
-    MapRelationOracle,
-    report_instances,
-    run_ablation,
-    score,
-)
+from dxaudit.evaluate import report_instances, run_ablation, score
 from dxaudit.pipeline import Models, PipelineLexicons, batch_detect
 from dxaudit.recall import build_matcher
 from dxaudit.synth import SyntheticSpec, Templates, gen_synthetic_corpus
 
+from builders import LookupContextOracle, MapRelationOracle
 from oracles import naive_score
 
 
