@@ -77,6 +77,17 @@ def _resolve(flag, config: dict[str, str], key: str, default, cast=str):
     return default
 
 
+def _at_least(flag, config: dict[str, str], key: str, name: str, default: int,
+              minimum: int) -> int:
+    """An int setting resolved like _resolve and refused below ``minimum``
+    under the flag ``name`` or the config ``key``, whichever set it. The
+    commands check it before they read any file."""
+    value = _resolve(flag, config, key, default, int)
+    setting = key if flag is None else name
+    require_at_least({setting: value}, **{setting: minimum})
+    return value
+
+
 def _build(config_type, section: str, args, config: dict[str, str], **given):
     """A ``config_type`` whose fields with a flag are resolved like _resolve,
     under config key ``<section>.<field>``, cast to the type of the field's
@@ -276,9 +287,7 @@ def _cmd_gen_synthetic(args, config, seed):
 
 
 def _cmd_gen_pairs(args, config, seed):
-    n_random = _resolve(args.n_random, config, "pairs.n_random", 0, int)
-    setting = "pairs.n_random" if args.n_random is None else "--n-random"
-    require_at_least({setting: n_random}, **{setting: 0})  # before any file is read
+    n_random = _at_least(args.n_random, config, "pairs.n_random", "--n-random", 0, 0)
     icd = core.load_icd_table(args.icd)
     positives: list[relation_model.DiseasePair] = []
     if args.coded:
@@ -340,6 +349,8 @@ def _cmd_train_context(args, config, seed):
 def _cmd_train_relation(args, config, seed):
     pair_config = _build(relation_model.PairTrainConfig, "relation", args, config,
                          seed=seed)
+    pretrain_epochs = _at_least(args.pretrain_epochs, config, "relation.pretrain_epochs",
+                                "--pretrain-epochs", 5, 1)
     labeled = relation_model.load_pairs(args.pairs)
     names = [p.a for p in labeled] + [p.b for p in labeled]
     pretrain_pairs = None
@@ -349,10 +360,8 @@ def _cmd_train_relation(args, config, seed):
     d_pair = _resolve(args.d_pair, config, "relation.d_pair", 32, int)
     encoder = relation_model.PairEncoder.from_names(names, d_pair=d_pair, seed=seed)
     if pretrain_pairs:
-        pre_config = dataclasses.replace(pair_config, epochs=_resolve(
-            args.pretrain_epochs, config, "relation.pretrain_epochs", 5, int))
         encoder, pre_history = relation_model.contrastive_pretrain(
-            pretrain_pairs, encoder, pre_config)
+            pretrain_pairs, encoder, dataclasses.replace(pair_config, epochs=pretrain_epochs))
         print(f"pretrained on {len(pretrain_pairs)} pairs: "
               f"loss={pre_history[-1]:.4f}")
     model, history = relation_model.finetune(encoder, labeled, pair_config)

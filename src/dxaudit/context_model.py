@@ -186,11 +186,11 @@ class CharWindowEncoder:
         return self._window_sums(self.embedding[ids], lo, hi) / (hi - lo)[:, None]
 
     def backward(self, ids: np.ndarray, d_h1: np.ndarray,
-                 starts: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                 starts: np.ndarray | None = None) -> np.ndarray:
         lo, hi = self._bounds(len(ids), starts)
         # window membership is symmetric inside a sequence
         d_rows = self._window_sums(d_h1 / (hi - lo)[:, None], lo, hi)
-        return {"embedding": _row_sums(len(self.embedding), ids, d_rows)}
+        return _row_sums(len(self.embedding), ids, d_rows)
 
 
 def initial_params(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
@@ -520,7 +520,8 @@ class ContextClassifier:
     # These take sequences from ``inputs``, so a training set is encoded once.
 
     def loss_and_grads(self, batch, label_indices):
-        """Summed focal loss of a batch of sequences and its summed gradients.
+        """Summed focal loss of a batch of sequences and its summed
+        gradients: (loss, head gradients by name, embedding gradient).
 
         The batch runs as one packed forward and backward pass, or as
         several when it holds more than PASS_ROWS rows.
@@ -529,8 +530,7 @@ class ContextClassifier:
         parts = [self._packed_loss_and_grads(batch[a:b], labels[a:b])
                  for a, b in _passes(batch, len(batch))]
         head_grads = {k: sum(part[1][k] for part in parts) for k in parts[0][1]}
-        return (sum(part[0] for part in parts), head_grads,
-                {"embedding": sum(part[2] for part in parts)})
+        return sum(part[0] for part in parts), head_grads, sum(part[2] for part in parts)
 
     def _packed_loss_and_grads(self, batch, labels):
         ids, code, starts = pack(batch)
@@ -539,7 +539,7 @@ class ContextClassifier:
         probs, cache = self.head.forward(h1, code, starts, return_cache=True)
         loss = require_finite(float(focal_loss(probs, labels, gamma).sum()))
         head_grads, d_h1 = self.head.backward(cache, _focal_score_grad(probs, labels, gamma))
-        return loss, head_grads, self.encoder.backward(ids, d_h1, starts)["embedding"]
+        return loss, head_grads, self.encoder.backward(ids, d_h1, starts)
 
     def _batched_probs(self, sequences) -> np.ndarray:
         """Class probabilities, one row per sequence, in packed mini-batches."""
@@ -624,12 +624,12 @@ def train(samples: list[ContextSample], config: TrainConfig,
     for epoch, batches in enumerate(epoch_batches(len(samples), config.batch_size,
                                                   config.epochs, config.seed)):
         for batch in batches:
-            _, head_grads, enc_grads = model.loss_and_grads(
+            _, head_grads, enc_grad = model.loss_and_grads(
                 [sequences[i] for i in batch], [label_indices[i] for i in batch])
             scale = config.learning_rate / len(batch)
             for key in head.p:
                 head.p[key] -= scale * head_grads[key]
-            encoder.embedding -= scale * enc_grads["embedding"]
+            encoder.embedding -= scale * enc_grad
         probs = model._batched_probs(sequences)
         eval_probs = probs if dev_samples is None else model._batched_probs(dev_sequences)
         history.append(EpochStats(

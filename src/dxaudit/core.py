@@ -1,7 +1,7 @@
 """Domain types, name normalization, and corpus/table I/O.
 
 Everything loaded here is immutable after load. Every text input is read
-here: the corpus by the lenient ``iter_corpus``, every other file by the
+here: the corpus by the lenient ``read_corpus``, every other file by the
 strict ``read_lines`` (CSV by ``read_rows``, headed tables by ``read_table``).
 Lines end at LF, CRLF or CR, never at U+2028 or U+0085; blank lines are
 skipped; a malformed line, undecodable bytes included, is a ParseError.
@@ -410,37 +410,34 @@ def write_rows(path: str | Path, rows: Iterable[list], delimiter: str = ",") -> 
     write_bytes(path, encoded())
 
 
-def iter_corpus(
-    path: str | Path,
-) -> Iterator[tuple[int, MedicalRecord | None, DxAuditError | None]]:
-    """Yield (line_no, record, error) for each non-blank JSONL corpus line.
-
-    Exactly one of record and error is set. Each line is decoded and parsed
-    on its own, so a bad line (undecodable, unparseable, or repeating an
-    earlier record_id) yields its error and reading goes on.
-    """
-    seen: set[str] = set()
+def read_corpus(path: str | Path,
+                ) -> tuple[list[MedicalRecord], list[tuple[int, DxAuditError]]]:
+    """The records of a JSONL corpus in file order, and (line_no, error) for
+    each bad line: one that is undecodable, unparseable or repeats an
+    earlier record_id. Each line is decoded and parsed on its own, so a bad
+    line does not end the reading."""
+    records, errors, seen = [], [], set()
     lines = Path(path).read_bytes().splitlines()  # at LF, CRLF or CR
     for line_no, raw in enumerate(lines, start=1):
         try:
             text = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
-            yield line_no, None, ParseError(
-                f"invalid UTF-8 at byte {exc.start}", line_no)
+            errors.append((line_no, ParseError(f"invalid UTF-8 at byte {exc.start}", line_no)))
             continue
         if not text:
             continue
         try:
             record = parse_record_line(text, line_no)
         except ParseError as exc:
-            yield line_no, None, exc
+            errors.append((line_no, exc))
             continue
         if record.record_id in seen:
-            yield line_no, None, DuplicateRecordId(
-                f"duplicate record_id {record.record_id!r}")
-            continue
-        seen.add(record.record_id)
-        yield line_no, record, None
+            errors.append((line_no, DuplicateRecordId(
+                f"duplicate record_id {record.record_id!r}")))
+        else:
+            seen.add(record.record_id)
+            records.append(record)
+    return records, errors
 
 
 def load_corpus(path: str | Path) -> list[MedicalRecord]:
@@ -449,11 +446,9 @@ def load_corpus(path: str | Path) -> list[MedicalRecord]:
     Raises the first bad line's error: a ParseError carrying its 1-based
     line number, or DuplicateRecordId on a repeated id.
     """
-    records: list[MedicalRecord] = []
-    for _, record, error in iter_corpus(path):
-        if error is not None:
-            raise error
-        records.append(record)
+    records, errors = read_corpus(path)
+    if errors:
+        raise errors[0][1]
     return records
 
 
@@ -514,6 +509,10 @@ def load_icd_table(path: str | Path) -> IcdIndex:
             level = CcLevel(row["cc_level"].strip().upper())
         except ValueError:
             raise ParseError(f"bad cc_level {row['cc_level']!r}", line_no)
+        try:  # IcdIndex files the entry under this title's normal form
+            normalize_disease_name(row["title"])
+        except EmptyName as exc:
+            raise ParseError(str(exc), line_no) from None
         entries.append(IcdEntry(code=code, title=row["title"].strip(), cc_level=level))
     return IcdIndex(entries)
 

@@ -23,11 +23,12 @@ from .core import (
     IcdIndex,
     MedicalRecord,
     Tier,
+    _ADRG_RE,
     _cost_to_minor,
     _minor_to_major,
     read_table,
 )
-from .errors import BadSetting, MissingGroupRow, ParseError
+from .errors import BadSetting, DxAuditError, MissingGroupRow, ParseError
 from .relation_model import RELATIONS
 
 # The tier a recovered diagnosis of each CC/MCC level calls for. A lower
@@ -68,6 +69,8 @@ class DrgGroupTable:
             except ValueError:
                 raise ParseError(f"bad tier {row['tier']!r}", line_no)
             key = (row["adrg"].strip(), tier)
+            if not _ADRG_RE.match(key[0]):
+                raise ParseError(f"bad ADRG {key[0]!r}: expected 2 letters + 1 digit", line_no)
             if key in rows:
                 raise ParseError(f"duplicate group row {key}", line_no)
             rows[key] = _cost_to_minor(row["avg_cost"].strip(), line_no)
@@ -247,12 +250,19 @@ def recovered_levels_for_records(
 ) -> list[tuple[MedicalRecord, list[CcLevel]]]:
     """Join a detect report onto records, resolving each finding's level.
 
-    The relation model embeds the ICD titles once, at the first finding
-    that is not a title, and every such finding is scored against those
-    rows (titles x d_pair floats, held for this call only).
+    A report that names a record absent from ``records`` was made from
+    another corpus, and is refused. The relation model embeds the ICD
+    titles once, at the first finding that is not a title, and every such
+    finding is scored against those rows (titles x d_pair floats, held for
+    this call only).
     """
     if not 0.0 <= threshold <= 1.0:  # also false for NaN
         raise BadSetting(f"threshold must be in [0, 1], got {threshold}")
+    known = {record.record_id for record in records}
+    unknown = [record_id for record_id in findings_by_record if record_id not in known]
+    if unknown:
+        raise DxAuditError(f"{len(unknown)} record(s) of the report are not in the "
+                           f"corpus, the first {unknown[0]!r}")
     title_rows = None
     out = []
     for record in records:

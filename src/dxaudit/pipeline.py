@@ -18,8 +18,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import (Lexicon, MedicalRecord, discharge_names, iter_corpus, json_line,
-                   parse_json_object, read_lines, write_lines)
+from .core import (Lexicon, MedicalRecord, discharge_names, json_line,
+                   parse_json_object, read_corpus, read_lines, write_lines)
 from .errors import DxAuditError, ModelNotLoaded, ParseError
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
@@ -148,16 +148,10 @@ def batch_detect(
     ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
     before the first record, so an empty disease lexicon raises.
     """
-    errors: list[dict] = []
+    records, errors = corpus, []
     if isinstance(corpus, (str, Path)):
-        records: list[MedicalRecord] = []
-        for line_no, record, error in iter_corpus(corpus):
-            if error is not None:
-                errors.append({"line": line_no, "error": str(error)})
-            else:
-                records.append(record)
-    else:
-        records = list(corpus)
+        records, bad_lines = read_corpus(corpus)
+        errors = [{"line": line_no, "error": str(error)} for line_no, error in bad_lines]
 
     matcher = lexicons.matcher
     results: list[RecordResult] = []

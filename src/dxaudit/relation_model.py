@@ -313,28 +313,22 @@ class PairEncoder:
         clipped = [name[:MAX_NAME] for name in names]
         return self.vocab.encode("".join(clipped)), [len(name) for name in clipped]
 
-    def embed_many(self, names: list[str], with_ids: bool = False):
-        """The mean embedding of each name, in one pass: the names'
-        characters are packed end to end, looked up together, and
-        mean-pooled name by name. ``with_ids`` also returns the packed ids
-        and each name's length, for grad()."""
-        ids, lengths = self.encode_many(names)
-        if not lengths or min(lengths) == 0:
-            raise ValueError("embed_many needs one or more non-empty names")
-        rows = self.pool(ids, lengths)
-        return (rows, ids, np.array(lengths, dtype=np.intp)) if with_ids else rows
-
     def pool(self, ids: np.ndarray, lengths: list[int]) -> np.ndarray:
-        """The mean embedding of each name packed end to end in ids."""
+        """The mean embedding of each name packed end to end in ids, as
+        encode_many packs them. An empty name has no mean: reduceat would
+        give it the next name's first row, so it is refused."""
+        if not lengths or min(lengths) == 0:
+            raise ValueError("pool needs one or more non-empty names")
         # a list's accumulate costs less per call than np.cumsum
         starts = [0, *accumulate(lengths[:-1])]
         sums = np.add.reduceat(self.embedding[ids], starts, axis=0)
         return sums / np.array(lengths, dtype=np.intp)[:, None]
 
-    def grad(self, ids: np.ndarray, lengths: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
-        """The embedding-table gradient of mean-pooled names packed as
-        embed_many packs them, given the gradient of each name's row."""
-        per_char = np.repeat(d_rows / lengths[:, None], lengths, axis=0)
+    def grad(self, ids: np.ndarray, lengths: list[int], d_rows: np.ndarray) -> np.ndarray:
+        """The embedding-table gradient of the names that pool(ids, lengths)
+        mean-pools, given the gradient of each name's row."""
+        counts = np.array(lengths, dtype=np.intp)
+        per_char = np.repeat(d_rows / counts[:, None], counts, axis=0)
         return _row_sums(len(self.embedding), ids, per_char)
 
 
@@ -349,8 +343,9 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     if len(anchors) < 2:
         raise DegenerateBatch(
             f"batch has {len(anchors)} positive pairs, need >= 2")
-    u, ids_a, len_a = encoder.embed_many([batch[k].a for k in anchors], with_ids=True)
-    v, ids_b, len_b = encoder.embed_many([p.b for p in batch], with_ids=True)
+    ids, lengths = encoder.encode_many([*(batch[k].a for k in anchors), *(p.b for p in batch)])
+    rows = encoder.pool(ids, lengths)
+    u, v = rows[:len(anchors)], rows[len(anchors):]
     u_norm = np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
     v_norm = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
     # a norm that overflows makes every similarity 0 and the loss a finite log(batch)
@@ -378,9 +373,7 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     # back through the row normalization x / |x|
     du = (d_u_hat - u_hat * (d_u_hat * u_hat).sum(axis=1, keepdims=True)) / u_norm
     dv = (d_v_hat - v_hat * (d_v_hat * v_hat).sum(axis=1, keepdims=True)) / v_norm
-    grad = encoder.grad(np.concatenate([ids_a, ids_b]), np.concatenate([len_a, len_b]),
-                        np.concatenate([du, dv]))
-    return loss, grad
+    return loss, encoder.grad(ids, lengths, np.concatenate([du, dv]))
 
 
 def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],
@@ -458,8 +451,8 @@ class RelationClassifier:
         rows = np.empty((len(names), self.encoder.d_pair))
         for start in range(0, len(names), BLOCK_ROWS):
             block = names[start : start + BLOCK_ROWS]
-            rows[start : start + BLOCK_ROWS] = self.encoder.embed_many(
-                [normalize_disease_name(name) for name in block])
+            rows[start : start + BLOCK_ROWS] = self.encoder.pool(*self.encoder.encode_many(
+                [normalize_disease_name(name) for name in block]))
         return rows
 
     def predict_proba(self, names: list[str], against: list[str] | np.ndarray) -> np.ndarray:
@@ -523,7 +516,7 @@ class RelationClassifier:
         p["W_h"] -= lr * d_W_h
         p["b_h"] -= lr * d_pre.sum(axis=0)
         self.encoder.embedding -= lr * self.encoder.grad(
-            ids, np.array(lengths, dtype=np.intp), np.concatenate([du, dv]))
+            ids, lengths, np.concatenate([du, dv]))
         return loss
 
     def save(self, path) -> None:

@@ -173,9 +173,9 @@ def finite_difference_worst_error(model, sample, label_index, h=1e-5):
     """
     from dxaudit.context_model import focal_loss
 
-    _, head_grads, enc_grads = model.loss_and_grads([model.inputs(sample)], [label_index])
+    _, head_grads, enc_grad = model.loss_and_grads([model.inputs(sample)], [label_index])
     analytic = dict(head_grads)
-    analytic["__embedding__"] = enc_grads["embedding"]
+    analytic["__embedding__"] = enc_grad
     tables = {name: arr for name, arr in model.head.p.items()}
     tables["__embedding__"] = model.encoder.embedding
 
@@ -411,12 +411,12 @@ def seed_context_train(samples, config, dev_samples=None, d=32, d_enc=32):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, head_grads, enc_grads = model.loss_and_grads(
+            _, head_grads, enc_grad = model.loss_and_grads(
                 [sequences[i] for i in batch], [labels[i] for i in batch])
             scale = config.learning_rate / len(batch)
             for key in head.p:
                 head.p[key] -= scale * head_grads[key]
-            encoder.embedding -= scale * enc_grads["embedding"]
+            encoder.embedding -= scale * enc_grad
         loss = float(focal_loss(model._batched_probs(sequences),
                                 np.asarray(labels, dtype=np.intp),
                                 config.focal_gamma).mean())

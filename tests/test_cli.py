@@ -543,6 +543,50 @@ class TestHostileInput:
         assert err == f"dxaudit: {setting} must be finite and >= 0, got -3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("pretrain", [False, True], ids=["alone", "with-pretrain-pairs"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_zero_pretrain_epochs_is_65(self, tmp_path, capsys, via, pretrain):
+        """The pretraining epochs are refused under the name that set them
+        before any file is read, whether or not pretraining pairs are given:
+        the missing pair file is never reached."""
+        out = tmp_path / "relation.bin"
+        argv = ["train-relation", "--pairs", str(tmp_path / "missing.tsv"), "--out", str(out)]
+        if pretrain:
+            argv += ["--pretrain-pairs", str(tmp_path / "missing_pretrain.tsv")]
+        if via == "flag":
+            argv += ["--pretrain-epochs", "0"]
+            setting = "--pretrain-epochs"
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("relation.pretrain_epochs=0\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+            setting = "relation.pretrain_epochs"
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert err == f"dxaudit: {setting} must be finite and >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_report_of_records_absent_from_the_corpus_is_65(self, workspace, tmp_path,
+                                                            data_dir, capsys):
+        """A report joined onto a corpus that lacks one of its records is
+        refused, naming the record, and no impact file is written."""
+        findings = tmp_path / "findings.jsonl"
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--models", str(workspace / "models"), "--out", str(findings)]) == 0
+        *records, summary = findings.read_text(encoding="utf-8").splitlines()
+        stray = json.dumps({"record_id": "no-such-record", "findings": []})
+        findings.write_text("\n".join([*records, stray, summary]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "impact.json"
+        assert run(["drg-impact", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--findings", str(findings), "--icd", str(data_dir / "icd_demo.csv"),
+                    "--groups", str(data_dir / "drg_groups_demo.csv"),
+                    "--out", str(out)]) == 65
+        assert capsys.readouterr().err == (
+            "dxaudit: 1 record(s) of the report are not in the corpus, "
+            "the first 'no-such-record'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["detect", "ablate"])
     def test_empty_disease_lexicon_is_65_before_any_record(self, workspace, tmp_path,
                                                            capsys, command):
@@ -1131,6 +1175,27 @@ class TestInputFileErrors:
             b'{"summary": {}}\n{"record_id": "r\\ud800", "findings": []}\n', 2,
             lambda ws, data, bad, out: [
                 "evaluate", "--findings", bad, "--gold", str(ws / "gold.json")]),
+        "gen-synthetic-groups-bad-adrg": (
+            b"adrg,tier,avg_cost\nxx,1,100\n", 2,
+            lambda ws, data, bad, out: [
+                "gen-synthetic", "--n", "2", "--groups", bad,
+                "--out", out, "--gold", out + ".gold"]),
+        "drg-impact-groups-bad-adrg": (
+            b"adrg,tier,avg_cost\nGB2,1,18000\nxx,1,100\n", 3,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+        "drg-impact-icd-empty-title": (
+            "code,title,cc_level\nA01,伤寒,CC\nA02,、,MCC\n".encode("utf-8"), 3,
+            lambda ws, data, bad, out: [
+                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
+                "--findings", str(Path(out).parent / "summary.jsonl"),
+                "--icd", bad, "--groups", str(data / "drg_groups_demo.csv"),
+                "--out", out]),
+        "gen-pairs-icd-empty-title": (
+            "code,title,cc_level\nA01,伤寒,CC\nA02,,MCC\n".encode("utf-8"), 3,
+            lambda ws, data, bad, out: ["gen-pairs", "--icd", bad, "--out", out]),
         "gen-pairs-coded-no-clinical-name": (
             b"name,icd_code\nxyz,S05.301\n", 1,
             lambda ws, data, bad, out: [
@@ -1145,10 +1210,13 @@ class TestInputFileErrors:
         (tmp_path / "summary.jsonl").write_text('{"summary": {}}\n', encoding="utf-8")
         bad = tmp_path / "input"
         bad.write_bytes(content)
-        assert run(argv(workspace, data_dir, str(bad), str(tmp_path / "out"))) == 65
+        out = tmp_path / "out"
+        assert run(argv(workspace, data_dir, str(bad), str(out))) == 65
         err = capsys.readouterr().err
         assert f"line {line}" in err
         assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--config", "{dir}", "gen-synthetic", "--out", "{dir}/x", "--gold", "{dir}/y"],

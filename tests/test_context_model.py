@@ -309,11 +309,11 @@ class TestPackedBatches:
         def total_loss():
             return sum(focal_loss(model.forward(s), y, 2.0) for s, y in zip(samples, labels))
 
-        loss, head_grads, enc_grads = model.loss_and_grads(
+        loss, head_grads, enc_grad = model.loss_and_grads(
             [model.inputs(s) for s in samples], labels)
         assert abs(loss - total_loss()) < 1e-12
         analytic = {f"head.{k}": v for k, v in head_grads.items()}
-        analytic["encoder.embedding"] = enc_grads["embedding"]
+        analytic["encoder.embedding"] = enc_grad
         h, worst = 1e-5, 0.0
         for name, table in model.arrays().items():
             flat, grad = table.reshape(-1), analytic[name].reshape(-1)

@@ -118,16 +118,15 @@ class TestCorpusIO:
             core.load_corpus(path)
         assert excinfo.value.line == 2
 
-    def test_iter_corpus_yields_each_bad_line_and_reads_on(self, tmp_path):
+    def test_read_corpus_gives_each_bad_line_and_reads_on(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"\n".join([
             GOOD_LINE.encode("utf-8"), b"\xff", b"{broken", b"",
             GOOD_LINE.encode("utf-8"), GOOD_LINE_2.encode("utf-8")]) + b"\n")
-        seen = [(line_no, record and record.record_id, type(error))
-                for line_no, record, error in core.iter_corpus(path)]
-        assert seen == [(1, "r1", type(None)), (2, None, ParseError),
-                        (3, None, ParseError), (5, None, DuplicateRecordId),
-                        (6, "r2", type(None))]
+        records, errors = core.read_corpus(path)
+        assert [record.record_id for record in records] == ["r1", "r2"]
+        assert [(line_no, type(error)) for line_no, error in errors] == [
+            (2, ParseError), (3, ParseError), (5, DuplicateRecordId)]
 
 
 class TestRecordFieldValidation:
@@ -265,6 +264,15 @@ class TestIcdTable:
         path.write_text("code,title,cc_level\nXYZ,坏行,NONE\n", encoding="utf-8")
         with pytest.raises(BadCode):
             core.load_icd_table(path)
+
+    @pytest.mark.parametrize("title", ["、", "", " \u3000"])
+    def test_title_that_normalizes_to_empty_names_its_line(self, tmp_path, title):
+        path = tmp_path / "icd.csv"
+        path.write_text(f"code,title,cc_level\nA01,伤寒,CC\nA02,{title},MCC\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="normalized to empty") as excinfo:
+            core.load_icd_table(path)
+        assert excinfo.value.line == 3
 
     def test_empty_table(self, tmp_path):
         path = tmp_path / "icd.csv"

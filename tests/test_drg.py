@@ -14,7 +14,7 @@ from dxaudit.drg import (
     recovered_levels_for_records,
     regroup,
 )
-from dxaudit.errors import BadSetting, MissingGroupRow, ParseError
+from dxaudit.errors import BadSetting, DxAuditError, MissingGroupRow, ParseError
 from dxaudit.relation_model import (
     DiseasePair,
     PairEncoder,
@@ -250,6 +250,12 @@ class TestRecoveredLevels:
     def test_threshold_at_either_end(self, paraphrase_model, fixture_icd, threshold):
         assert len(join(fixture_icd, paraphrase_model, threshold=threshold)) == 3
 
+    def test_report_records_absent_from_the_corpus_are_refused(self, fixture_icd):
+        records = [rec("a", "GB2", Tier.NO_CC, 10000)]
+        by_record = {"a": [], "x1": [{"disease": "角膜裂伤"}], "x2": []}
+        with pytest.raises(DxAuditError, match="2 record.* not in the corpus, the first 'x1'"):
+            recovered_levels_for_records(records, by_record, fixture_icd)
+
 
 class TestRegroup:
     def test_recovered_mcc_raises_tier(self, table):
@@ -369,6 +375,15 @@ class TestGroupTableIO:
         path.write_text("adrg,tier,avg_cost\nGB2,1,9999999999999999.99\n",
                         encoding="utf-8")
         assert DrgGroupTable.load(path).cost("GB2", Tier.MCC) == 10**18 - 1
+
+    @pytest.mark.parametrize("adrg", ["xx", "GB", "GB23", "1B2", "gb2"])
+    def test_bad_adrg_names_its_line(self, tmp_path, adrg):
+        path = tmp_path / "groups.csv"
+        path.write_text(f"adrg,tier,avg_cost\nGB2,1,18000\n{adrg},1,100\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"bad ADRG '{adrg}'") as excinfo:
+            DrgGroupTable.load(path)
+        assert excinfo.value.line == 3
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "groups.csv"

@@ -570,18 +570,18 @@ def random_names(model, n, seed):
 
 
 class TestBlockScoring:
-    def test_embed_many_matches_embed(self, fixture_pair_model):
+    def test_pooled_rows_match_embed(self, fixture_pair_model):
         encoder = fixture_pair_model[0].encoder
         names = random_names(fixture_pair_model[0], 40, seed=1)
-        rows = encoder.embed_many(names)
+        rows = encoder.pool(*encoder.encode_many(names))
         for name, row in zip(names, rows):
             np.testing.assert_allclose(row, embed_one(encoder, name), rtol=0, atol=1e-12)
 
-    def test_embed_many_rejects_empty_names(self, fixture_pair_model):
+    def test_pool_rejects_empty_names(self, fixture_pair_model):
         encoder = fixture_pair_model[0].encoder
         for names in ([], ["肺炎", ""]):
             with pytest.raises(ValueError):
-                encoder.embed_many(names)
+                encoder.pool(*encoder.encode_many(names))
 
     @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
     @pytest.mark.parametrize("k", [1, 2, BLOCK_ROWS + 3])
