@@ -90,13 +90,8 @@ class CharVocab:
         return self._table.take(codes, mode="clip").astype(np.intp)
 
 
-def _segments(starts: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start rows and lengths of the sequences packed into ``n`` rows.
-
-    ``starts`` of None means the rows hold a single sequence.
-    """
-    if starts is None:
-        return np.zeros(1, dtype=np.intp), np.array([n])
+def _segments(starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start rows and lengths of the sequences packed into ``n`` rows."""
     starts = np.asarray(starts, dtype=np.intp)
     # np.diff(append=) costs four times this on a batch's few starts
     lengths = np.empty(len(starts), dtype=np.intp)
@@ -167,7 +162,7 @@ class CharWindowEncoder:
         self.vocab = vocab
         self.embedding = embedding  # a row per id of ``vocab``
 
-    def _bounds(self, n: int, starts: np.ndarray | None):
+    def _bounds(self, n: int, starts: np.ndarray):
         idx = np.arange(n)
         starts, lengths = _segments(starts, n)
         first = np.repeat(starts, lengths)
@@ -181,12 +176,11 @@ class CharWindowEncoder:
         np.cumsum(rows, axis=0, out=csum[1:])
         return csum[hi] - csum[lo]
 
-    def encode(self, ids: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    def encode(self, ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
         lo, hi = self._bounds(len(ids), starts)
         return self._window_sums(self.embedding[ids], lo, hi) / (hi - lo)[:, None]
 
-    def backward(self, ids: np.ndarray, d_h1: np.ndarray,
-                 starts: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, ids: np.ndarray, d_h1: np.ndarray, starts: np.ndarray) -> np.ndarray:
         lo, hi = self._bounds(len(ids), starts)
         # window membership is symmetric inside a sequence
         d_rows = self._window_sums(d_h1 / (hi - lo)[:, None], lo, hi)
@@ -233,8 +227,8 @@ class GatedFusionHead:
                 "W_fm": (2 * d, d), "b_fm": (d,), "W_g": (2 * d, d), "c_g": (d,),
                 "W_y": (2 * d, len(LABELS)), "b_y": (len(LABELS),)}
 
-    def forward(self, h1: np.ndarray, code: np.ndarray,
-                starts: np.ndarray | None = None, return_cache: bool = False):
+    def forward(self, h1: np.ndarray, code: np.ndarray, starts: np.ndarray,
+                return_cache: bool = False):
         """Class probabilities of the packed rows ``h1``, whose track codes
         (rows of ``_track_table``) are ``code``, one per row."""
         p = self.p
@@ -338,26 +332,17 @@ def require_finite(value):
     return value
 
 
-def focal_loss(probs: np.ndarray, label_index, gamma: float):
-    """-(1 - p)^gamma * log(p) with p clamped at 1e-12.
-
-    ``probs`` is one distribution with an int label, or one row per sample
-    with an array of labels (then one loss per row).
-    """
-    p = np.maximum(_label_probs(probs, label_index), 1e-12)
+def focal_loss(probs: np.ndarray, label_indices, gamma: float) -> np.ndarray:
+    """-(1 - p)^gamma * log(p) with p clamped at 1e-12, one loss per row of
+    ``probs``; row i's p is its entry at ``label_indices[i]``."""
+    p = np.maximum(probs[np.arange(len(probs)), label_indices], 1e-12)
     return -((1.0 - p) ** gamma) * np.log(p)
-
-
-def _label_probs(probs: np.ndarray, label_index):
-    if probs.ndim == 1:
-        return probs[label_index]
-    return probs[np.arange(len(probs)), label_index]
 
 
 def _focal_score_grad(probs: np.ndarray, label_indices: np.ndarray,
                       gamma: float) -> np.ndarray:
     """d(focal loss)/d(scores), one row per sample."""
-    p_label = _label_probs(probs, label_indices)
+    p_label = probs[np.arange(len(probs)), label_indices]
     p = np.clip(p_label, 1e-12, 1.0 - 1e-12)
     if gamma == 0.0:
         dldp = -1.0 / p
@@ -465,11 +450,11 @@ class ContextClassifier:
 
     # -- inference ----------------------------------------------------------
 
-    def _probs(self, ids, code, starts=None) -> np.ndarray:
+    def _probs(self, ids, code, starts) -> np.ndarray:
         return self.head.forward(self.encoder.encode(ids, starts), code, starts)
 
     def forward(self, sample: ContextSample) -> np.ndarray:
-        return self._probs(*self.inputs(sample))[0]
+        return self._probs(*pack([self.inputs(sample)]))[0]
 
     def classify(self, sample: ContextSample) -> tuple[str, float]:
         """The most probable label and its probability.

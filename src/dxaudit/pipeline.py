@@ -19,8 +19,9 @@ from typing import Protocol
 import numpy as np
 
 from .core import (Lexicon, MedicalRecord, discharge_names, json_line,
-                   parse_json_object, read_corpus, read_lines, write_lines)
-from .errors import DxAuditError, ModelNotLoaded, ParseError
+                   normalize_disease_name, parse_json_object, read_corpus, read_lines,
+                   write_lines)
+from .errors import DxAuditError, EmptyName, ModelNotLoaded, ParseError
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
 from .relation_model import RELATIONS
@@ -104,7 +105,6 @@ def _detect_record(
                 context_label_prob=prob,
                 relations=relations,
             ))
-    findings.sort(key=lambda f: f.evidence_spans[0])
     return findings, label_counts
 
 
@@ -199,18 +199,34 @@ def write_report(report: BatchReport, path: str | Path) -> None:
 
 
 def load_report_findings(path: str | Path) -> dict[str, list[dict]]:
-    """record_id -> finding dicts, skipping the trailing summary object."""
+    """record_id -> finding dicts, skipping the trailing summary object.
+
+    A line holding neither a record_id nor a summary, a repeated record_id,
+    or a finding whose disease normalizes to empty raises ParseError with
+    its line.
+    """
     findings: dict[str, list[dict]] = {}
     for line_no, line in read_lines(path):
         obj = parse_json_object(line, line_no, "report line")
-        if "record_id" in obj:
-            if not isinstance(obj["record_id"], str):
-                raise ParseError("record_id must be a string", line_no)
-            found = obj.get("findings")
-            if not isinstance(found, list) or not all(
-                    isinstance(f, dict) and isinstance(f.get("disease"), str)
-                    for f in found):
-                raise ParseError("findings must be a list of objects with a "
-                                 "string disease", line_no)
-            findings[obj["record_id"]] = found
+        if "record_id" not in obj:
+            if "summary" not in obj:
+                raise ParseError("report line holds neither record_id nor summary", line_no)
+            continue
+        record_id = obj["record_id"]
+        if not isinstance(record_id, str):
+            raise ParseError("record_id must be a string", line_no)
+        if record_id in findings:
+            raise ParseError(f"duplicate record_id {record_id!r}", line_no)
+        found = obj.get("findings")
+        if not isinstance(found, list) or not all(
+                isinstance(f, dict) and isinstance(f.get("disease"), str)
+                for f in found):
+            raise ParseError("findings must be a list of objects with a "
+                             "string disease", line_no)
+        try:
+            for f in found:
+                normalize_disease_name(f["disease"])
+        except EmptyName as exc:
+            raise ParseError(str(exc), line_no)
+        findings[record_id] = found
     return findings

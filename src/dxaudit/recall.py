@@ -88,7 +88,8 @@ def resolve_overlaps(hits: list[tuple[int, int, str]]) -> list[tuple[int, int, s
     Containment is transitive, so the accepted hits are exactly the hits no
     other hit contains (a repeated hit is kept once). Sorted by (start asc,
     end desc), every hit that could contain a hit comes before it, so a hit
-    is kept when it ends past every hit before it. O(n log n).
+    is kept when it ends past every hit before it, and the kept hits rise
+    strictly in both start and end. O(n log n).
     """
     accepted: list[tuple[int, int, str]] = []
     reach = -1
@@ -102,18 +103,16 @@ def resolve_overlaps(hits: list[tuple[int, int, str]]) -> list[tuple[int, int, s
 def find_mentions(matcher: DiseaseMatcher, record: MedicalRecord) -> list[DiseaseMention]:
     """One mention per distinct disease, aggregating every occurrence.
 
-    Sections are scanned independently; spans never cross sections.
+    Sections are scanned independently; spans never cross sections. The
+    kept hits of a section rise in start, so each mention's spans rise in
+    (section, start) and the mentions come in order of their first span.
     """
     by_disease: dict[str, list[tuple[int, int, int]]] = {}
     for section_index, (_, text) in enumerate(record.sections):
         for start, end, entry in resolve_overlaps(matcher.scan(text)):
             by_disease.setdefault(entry, []).append((section_index, start, end))
-    mentions = [
-        DiseaseMention(disease=disease, spans=tuple(sorted(spans)))
-        for disease, spans in by_disease.items()
-    ]
-    mentions.sort(key=lambda m: m.spans[0])
-    return mentions
+    return [DiseaseMention(disease=disease, spans=tuple(spans))
+            for disease, spans in by_disease.items()]
 
 
 def _sentence_window(text: str, start: int, end: int) -> tuple[int, int]:

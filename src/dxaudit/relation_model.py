@@ -250,7 +250,11 @@ def save_pairs(pairs, path: str | Path) -> None:
 
 
 def load_pairs(path: str | Path) -> list[DiseasePair]:
-    """Read a pair file; a malformed row raises ParseError with its line."""
+    """Read a pair file; a malformed row raises ParseError with its line.
+
+    A row's label is what save_pairs writes: a relation, or else the
+    source's polarity, empty for a source without one.
+    """
     pairs = []
     for line_no, row in read_rows(path, delimiter="\t"):
         if row[0].startswith("#"):
@@ -259,11 +263,16 @@ def load_pairs(path: str | Path) -> list[DiseasePair]:
             raise ParseError(f"expected 4 tab-separated fields, got {len(row)}",
                              line_no)
         a, b, tag = row[0], row[1], row[2]
-        relation = tag if tag in RELATIONS else None
         try:
+            source = PairSource(row[3])
+            polarity = _POLARITY.get(source, "")
+            if tag not in RELATIONS and tag != polarity:
+                expected = repr(polarity) if polarity else "empty"
+                raise ValueError(f"{source.value} pair label {tag!r} is neither a "
+                                 f"relation nor {expected}")
             pairs.append(DiseasePair(a=normalize_disease_name(a),
-                                     b=normalize_disease_name(b),
-                                     source=PairSource(row[3]), relation=relation))
+                                     b=normalize_disease_name(b), source=source,
+                                     relation=tag if tag in RELATIONS else None))
         except (ValueError, EmptyName) as exc:
             raise ParseError(str(exc), line_no)
     return pairs

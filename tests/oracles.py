@@ -186,11 +186,11 @@ def finite_difference_worst_error(model, sample, label_index, h=1e-5):
         for k in range(flat.size):
             saved = flat[k]
             flat[k] = saved + h
-            up = focal_loss(model.forward(sample), label_index,
-                            model.config.focal_gamma)
+            up = focal_loss(model.forward(sample)[None], [label_index],
+                            model.config.focal_gamma)[0]
             flat[k] = saved - h
-            down = focal_loss(model.forward(sample), label_index,
-                              model.config.focal_gamma)
+            down = focal_loss(model.forward(sample)[None], [label_index],
+                              model.config.focal_gamma)[0]
             flat[k] = saved
             numeric = (up - down) / (2 * h)
             err = abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]), 1e-6)

@@ -64,7 +64,7 @@ def test_criterion_01_gated_fusion_math():
     worst_forward = 0.0
     for _ in range(100):
         encoder, head, ids, tracks = random_instance(rng)
-        got = head.forward(encoder.encode(ids), track_code(tracks))
+        got = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0])
         expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                  list(ids), *[list(t) for t in tracks])
         worst_forward = max(worst_forward, float(np.max(np.abs(got - expected))))
@@ -96,16 +96,19 @@ def test_criterion_02_gate_reductions_and_convexity():
     encoder, head, ids, tracks = random_instance(rng)
     head.p["W_g"][:] = 0.0
     head.p["c_g"][:] = 50.0
-    _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
+    _, cache = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0],
+                            return_cache=True)
     open_ok = np.allclose(cache["o"], cache["h3"], atol=1e-9)
     head.p["c_g"][:] = -50.0
-    _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
+    _, cache = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0],
+                            return_cache=True)
     closed_ok = np.allclose(cache["o"], cache["h2"], atol=1e-9)
 
     convex_ok = True
     for _ in range(10000):
         encoder, head, ids, tracks = random_instance(rng)
-        _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
+        _, cache = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0],
+                                return_cache=True)
         low = np.minimum(cache["h2"], cache["h3"]) - 1e-12
         high = np.maximum(cache["h2"], cache["h3"]) + 1e-12
         if not ((cache["o"] >= low).all() and (cache["o"] <= high).all()):
@@ -123,9 +126,9 @@ def test_criterion_03_focal_loss():
         raw = rng.random(3) + 1e-3
         probs = raw / raw.sum()
         label = int(rng.integers(0, 3))
-        worst = max(worst, abs(focal_loss(probs, label, 0.0)
+        worst = max(worst, abs(focal_loss(probs[None], [label], 0.0)[0]
                                + math.log(probs[label])))
-    pinned = abs(focal_loss(np.array([0.5, 0.5, 0.0]), 0, 2.0) - 0.25 * math.log(2))
+    pinned = abs(focal_loss(np.array([[0.5, 0.5, 0.0]]), [0], 2.0)[0] - 0.25 * math.log(2))
     report(3, worst < 1e-9 and pinned < 1e-9,
            f"gamma=0 vs cross-entropy max err {worst:.2e} (<1e-9), "
            f"gamma=2 p=0.5 err {pinned:.2e} (<1e-9)")

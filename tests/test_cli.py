@@ -1085,6 +1085,27 @@ class TestHostileInput:
         assert not out.exists()
 
 
+# Report files the report reader refuses, each with its bad line.
+MALFORMED_REPORTS = {
+    "repeated-record-id": (
+        b'{"record_id": "r1", "findings": []}\n' * 2 + b'{"summary": {}}\n', 2),
+    "neither-record-id-nor-summary": (
+        b'{"record_ids": "r1", "findings": []}\n{"summary": {}}\n', 1),
+    "disease-normalized-to-empty": (
+        '{"record_id": "r1", "findings": [{"disease": "、"}]}\n'.encode("utf-8"), 1),
+}
+
+
+def evaluate_findings_argv(ws, data, bad, out):
+    return ["evaluate", "--findings", bad, "--gold", str(ws / "gold.json")]
+
+
+def drg_impact_findings_argv(ws, data, bad, out):
+    return ["drg-impact", "--corpus", str(ws / "corpus.jsonl"), "--findings", bad,
+            "--icd", str(data / "icd_demo.csv"),
+            "--groups", str(data / "drg_groups_demo.csv"), "--out", out]
+
+
 class TestInputFileErrors:
     """Each malformed input file exits 65 with its line, never a traceback."""
 
@@ -1201,6 +1222,10 @@ class TestInputFileErrors:
             lambda ws, data, bad, out: [
                 "gen-pairs", "--icd", str(data / "icd_demo.csv"),
                 "--coded", bad, "--out", out]),
+        **{f"{command}-findings-{name}": (content, line, argv)
+           for command, argv in (("evaluate", evaluate_findings_argv),
+                                 ("drg-impact", drg_impact_findings_argv))
+           for name, (content, line) in MALFORMED_REPORTS.items()},
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -76,7 +76,7 @@ class TestForward:
         rng = np.random.default_rng(21)
         for _ in range(100):
             encoder, head, ids, tracks = random_instance(rng)
-            got = head.forward(encoder.encode(ids), track_code(tracks))
+            got = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0])
             expected = naive_forward(encoder.embedding, WINDOW, head.p,
                                      list(ids), *[list(t) for t in tracks])
             assert np.allclose(got, np.array(expected), atol=1e-9)
@@ -85,7 +85,7 @@ class TestForward:
         rng = np.random.default_rng(22)
         for _ in range(200):
             encoder, head, ids, tracks = random_instance(rng)
-            probs = head.forward(encoder.encode(ids), track_code(tracks))
+            probs = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0])
             assert abs(probs.sum() - 1.0) < 1e-9
             assert (probs > 0).all()
 
@@ -94,7 +94,8 @@ class TestForward:
         encoder, head, ids, tracks = random_instance(rng)
         head.p["W_g"][:] = 0.0
         head.p["c_g"][:] = 50.0
-        _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
+        _, cache = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0],
+                                return_cache=True)
         assert np.allclose(cache["o"], cache["h3"], atol=1e-9)
 
     def test_gate_forced_closed_selects_h2(self):
@@ -102,7 +103,8 @@ class TestForward:
         encoder, head, ids, tracks = random_instance(rng)
         head.p["W_g"][:] = 0.0
         head.p["c_g"][:] = -50.0
-        _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
+        _, cache = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0],
+                                return_cache=True)
         assert np.allclose(cache["o"], cache["h2"], atol=1e-9)
 
     def test_closed_gate_ignores_feature_tracks(self):
@@ -110,18 +112,19 @@ class TestForward:
         encoder, head, ids, _ = random_instance(rng)
         head.p["W_g"][:] = 0.0
         head.p["c_g"][:] = -50.0
-        h1 = encoder.encode(ids)
+        h1 = encoder.encode(ids, [0])
         length = len(ids)
         tracks_a = tuple(np.zeros(length, dtype=np.intp) for _ in range(3))
         tracks_b = tuple(np.ones(length, dtype=np.intp) for _ in range(3))
-        assert np.allclose(head.forward(h1, track_code(tracks_a)),
-                           head.forward(h1, track_code(tracks_b)), atol=1e-9)
+        assert np.allclose(head.forward(h1, track_code(tracks_a), [0]),
+                           head.forward(h1, track_code(tracks_b), [0]), atol=1e-9)
 
     def test_gating_convexity_fuzz(self):
         rng = np.random.default_rng(26)
         for _ in range(1000):
             encoder, head, ids, tracks = random_instance(rng)
-            _, cache = head.forward(encoder.encode(ids), track_code(tracks), return_cache=True)
+            _, cache = head.forward(encoder.encode(ids, [0]), track_code(tracks), [0],
+                                    return_cache=True)
             low = np.minimum(cache["h2"], cache["h3"])
             high = np.maximum(cache["h2"], cache["h3"])
             assert (cache["o"] >= low - 1e-12).all()
@@ -131,10 +134,10 @@ class TestForward:
         head = fusion_head(d_enc=8, d=4, seed=0)
         with pytest.raises(ShapeMismatch):
             head.forward(np.zeros((5, 4)), track_code(tuple(np.zeros(5, dtype=np.intp)
-                                                            for _ in range(3))))
+                                                            for _ in range(3))), [0])
         with pytest.raises(ShapeMismatch):
             head.forward(np.zeros((5, 8)), track_code(tuple(np.zeros(4, dtype=np.intp)
-                                                            for _ in range(3))))
+                                                            for _ in range(3))), [0])
 
     def test_naive_fusion_handles_known_gate(self):
         # sanity of the oracle itself: g=1 everywhere reduces to tanh path
@@ -143,7 +146,7 @@ class TestForward:
         head.p["c_g"][:] = 50.0
         h1 = np.random.default_rng(0).normal(size=(4, 3))
         tracks = tuple(np.zeros(4, dtype=np.intp) for _ in range(3))
-        got = head.forward(h1, track_code(tracks))
+        got = head.forward(h1, track_code(tracks), [0])
         expected = naive_fusion_forward(head.p, h1.tolist(), [0] * 4, [0] * 4, [0] * 4)
         assert np.allclose(got, expected, atol=1e-9)
 
@@ -235,18 +238,18 @@ class TestFocalLoss:
             raw = rng.random(3) + 1e-3
             probs = raw / raw.sum()
             label = int(rng.integers(0, 3))
-            assert abs(focal_loss(probs, label, 0.0)
+            assert abs(focal_loss(probs[None], [label], 0.0)
                        - (-math.log(probs[label]))) < 1e-9
 
     def test_perfect_prediction_zero_loss(self):
         probs = np.array([0.0, 1.0, 0.0])
-        assert focal_loss(probs, 1, 2.0) == 0.0
-        assert focal_loss(probs, 1, 0.0) == 0.0
+        assert focal_loss(probs[None], [1], 2.0) == 0.0
+        assert focal_loss(probs[None], [1], 0.0) == 0.0
 
     def test_half_probability_gamma_two(self):
         probs = np.array([0.5, 0.5, 0.0])
         expected = 0.25 * math.log(2)
-        assert abs(focal_loss(probs, 0, 2.0) - expected) < 1e-9
+        assert abs(focal_loss(probs[None], [0], 2.0) - expected) < 1e-9
 
     def test_matches_naive(self):
         rng = np.random.default_rng(31)
@@ -255,7 +258,7 @@ class TestFocalLoss:
             probs = raw / raw.sum()
             label = int(rng.integers(0, 3))
             gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
-            assert abs(focal_loss(probs, label, gamma)
+            assert abs(focal_loss(probs[None], [label], gamma)
                        - naive_focal_loss(probs, label, gamma)) < 1e-12
 
 
@@ -307,7 +310,8 @@ class TestPackedBatches:
         labels = [1, 0, 2]
 
         def total_loss():
-            return sum(focal_loss(model.forward(s), y, 2.0) for s, y in zip(samples, labels))
+            return sum(focal_loss(model.forward(s)[None], [y], 2.0)[0]
+                       for s, y in zip(samples, labels))
 
         loss, head_grads, enc_grad = model.loss_and_grads(
             [model.inputs(s) for s in samples], labels)
@@ -340,7 +344,6 @@ class TestPackedBatches:
             assert np.array_equal(got_starts, starts)
             assert np.array_equal(lengths, np.diff(starts, append=n))
             assert lengths.dtype == np.intp
-        assert np.array_equal(_segments(None, 7)[1], [7])
 
     @pytest.mark.parametrize("caps", [{}], ids=["default-caps"])
     def test_inputs_and_probabilities_equal_seed_assembly(self, caps):
@@ -359,8 +362,8 @@ class TestPackedBatches:
             assert ids.dtype == seed_ids.dtype and np.array_equal(ids, seed_ids)
             assert code.dtype == np.intp
             assert np.array_equal(code, np.ravel_multi_index(seed_tracks, (2, 2, 2)))
-            assert np.array_equal(model._probs(ids, code),
-                                  model._probs(seed_ids, track_code(seed_tracks)))
+            assert np.array_equal(model._probs(ids, code, [0]),
+                                  model._probs(seed_ids, track_code(seed_tracks), [0]))
         ids, code, starts = pack(got)
         seed_code = np.concatenate([track_code(tracks) for _, tracks in expected])
         assert np.array_equal(code, seed_code)

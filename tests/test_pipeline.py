@@ -91,11 +91,20 @@ class TestDetect:
         assert findings[0].relations == ()
 
     def test_findings_sorted_by_first_span(self, lexicons):
-        rec = record("r1", "确诊胃溃疡。另确诊为肺炎。", [])
-        models = oracle_models([rec], lexicons, [("r1", "胃溃疡", "confirmed"),
-                                                 ("r1", "肺炎", "confirmed")])
-        findings = detect_write_missing(rec, models, lexicons)
-        assert [f.disease for f in findings] == ["胃溃疡", "肺炎"]
+        cases = [
+            ((("现病史", "确诊胃溃疡。另确诊为肺炎。"),),
+             [("胃溃疡", ((0, 2, 5),)), ("肺炎", ((0, 10, 12),))]),
+            # across sections, with one disease in both
+            ((("现病史", "确诊为高血压，后确诊为肺炎。"), ("既往史", "既往肺炎，现脑梗死。")),
+             [("高血压", ((0, 3, 6),)), ("肺炎", ((0, 11, 13), (1, 2, 4))),
+              ("脑梗死", ((1, 6, 9),))]),
+        ]
+        for sections, expected in cases:
+            rec = MedicalRecord(record_id="r1", sections=sections, discharge_diagnoses=())
+            models = oracle_models([rec], lexicons, [("r1", disease, "confirmed")
+                                                     for disease, _ in expected])
+            findings = detect_write_missing(rec, models, lexicons)
+            assert [(f.disease, f.evidence_spans) for f in findings] == expected
 
     def test_lookup_oracle_refuses_two_labels_for_one_sample(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
@@ -254,6 +263,9 @@ class TestBatchDetect:
         ('{"record_id": "r2", "findings": {"disease": "肺炎"}}', "list of objects"),
         ('{"record_id": "r2", "findings": [{"evidence_spans": []}]}', "string disease"),
         ('{"record_id": ["r2"], "findings": []}', "record_id"),
+        ('{"record_id": "r1", "findings": []}', "duplicate record_id 'r1'"),
+        ('{"record_ids": "r2", "findings": []}', "neither record_id nor summary"),
+        ('{"record_id": "r2", "findings": [{"disease": "、"}]}', "'、' normalized to empty"),
     ])
     def test_malformed_report_line_is_parse_error(self, tmp_path, bad_line, message):
         path = tmp_path / "report.jsonl"

@@ -129,6 +129,21 @@ def test_pair_file_keeps_a_quoted_field_across_lines(tmp_path):
     assert relation_model.load_pairs(path) == pairs
 
 
+@pytest.mark.parametrize("row, message", [
+    ("肺炎\t肺部感染\tsame\tsame_list", "same_list pair label 'same' is neither a relation "
+                                    "nor 'dissimilar'"),
+    ("高血压\t高血压\tsimilarty\tannotated", "annotated pair label 'similarty' is neither "
+                                      "a relation nor empty"),
+], ids=["polarity-against-source", "misspelled-relation"])
+def test_pair_label_save_pairs_never_writes_is_parse_error_naming_it(tmp_path, row,
+                                                                     message):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"{READERS['pairs'][0]}\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as excinfo:
+        relation_model.load_pairs(path)
+    assert excinfo.value.line == 2
+
+
 @pytest.mark.parametrize("reader", ["lexicon", "config", "pairs", "back-translation",
                                     "variants"])
 def test_comment_lines_are_skipped(tmp_path, data_dir, reader):

@@ -1,13 +1,14 @@
 """Property tests: the matcher's raw hits are every occurrence of every
-entry, and a span's sentence window is the character loop's."""
+entry, mentions come in first-span order, and a span's sentence window is
+the character loop's."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from dxaudit.core import SENTENCE_BOUNDARIES  # noqa: E402
-from dxaudit.recall import DiseaseMatcher, _sentence_window  # noqa: E402
+from dxaudit.core import SENTENCE_BOUNDARIES, MedicalRecord  # noqa: E402
+from dxaudit.recall import DiseaseMatcher, _sentence_window, find_mentions  # noqa: E402
 
 from oracles import loop_sentence_window  # noqa: E402
 
@@ -47,6 +48,19 @@ def test_raw_hits_are_every_occurrence(case):
                       for entry in entries
                       for i in range(len(text)) if text.startswith(entry, i))
     assert DiseaseMatcher(entries).scan(text) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(lexicon_and_text(), min_size=1, max_size=3))
+def test_mentions_come_in_first_span_order(cases):
+    entries = sorted({entry for case_entries, _ in cases for entry in case_entries})
+    sections = tuple((f"s{i}", text) for i, (_, text) in enumerate(cases) if text)
+    mentions = find_mentions(DiseaseMatcher(entries),
+                             MedicalRecord("r1", sections, discharge_diagnoses=()))
+    firsts = [mention.spans[0] for mention in mentions]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    for mention in mentions:
+        assert all(a < b for a, b in zip(mention.spans, mention.spans[1:]))
 
 
 @st.composite
