@@ -344,11 +344,8 @@ def _focal_score_grad(probs: np.ndarray, label_indices: np.ndarray,
     """d(focal loss)/d(scores), one row per sample."""
     p_label = probs[np.arange(len(probs)), label_indices]
     p = np.clip(p_label, 1e-12, 1.0 - 1e-12)
-    if gamma == 0.0:
-        dldp = -1.0 / p
-    else:
-        one_minus = 1.0 - p
-        dldp = gamma * one_minus ** (gamma - 1.0) * np.log(p) - one_minus ** gamma / p
+    one_minus = 1.0 - p  # at gamma 0 the first term is -0.0 and the second 1 / p
+    dldp = gamma * one_minus ** (gamma - 1.0) * np.log(p) - one_minus ** gamma / p
     onehot = np.zeros_like(probs)
     onehot[np.arange(len(probs)), label_indices] = 1.0
     return (dldp * p_label)[:, None] * (onehot - probs)

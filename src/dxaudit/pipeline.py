@@ -21,7 +21,7 @@ import numpy as np
 from .core import (Lexicon, MedicalRecord, discharge_names, json_line,
                    normalize_disease_name, parse_json_object, read_corpus, read_lines,
                    write_lines)
-from .errors import DxAuditError, EmptyName, ModelNotLoaded, ParseError
+from .errors import DuplicateRecordId, DxAuditError, EmptyName, ModelNotLoaded, ParseError
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
 from .relation_model import RELATIONS
@@ -144,9 +144,11 @@ def batch_detect(
     When given a path, bad lines become error entries and the remaining
     records are still processed. A record whose detection raises becomes
     an error entry too: a DxAuditError's message, or any other exception's
-    type and message. Records run one after another;
-    ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
-    before the first record, so an empty disease lexicon raises.
+    type and message. So is a record repeating an earlier record_id: a list
+    corpus keeps the first record, as a path corpus does. Records run one
+    after another; ``parallelism`` is accepted and ignored.
+    ``lexicons.matcher`` is read before the first record, so an empty
+    disease lexicon raises.
     """
     records, errors = corpus, []
     if isinstance(corpus, (str, Path)):
@@ -158,8 +160,12 @@ def batch_detect(
     label_totals = {label: 0 for label in LABELS}
     section_counts: dict[str, int] = {}
     n_findings = 0
+    seen: set[str] = set()
     for record in records:
         try:
+            if record.record_id in seen:
+                raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
+            seen.add(record.record_id)
             findings, label_counts = _detect_record(record, matcher, models, lexicons)
         except Exception as exc:  # a fault in one record must not end the batch
             error = str(exc) if isinstance(exc, DxAuditError) \

@@ -128,33 +128,30 @@ def _shrink_window(
 ) -> tuple[int, int, int, list[tuple[int, int]]]:
     """Fit a too-long window into ``budget`` chars around its spans.
 
-    Keeps the longest prefix of spans whose bounding box fits, then pads
+    The box runs from the first span to the last span end within ``budget``
+    of it (span ends rise, so those spans are a prefix), then is padded
     symmetrically inside the original window bounds. The first span always
     fits: it is only called for the first-ranked window, while ``budget``
     is still the full limit, which no disease name exceeds.
     """
     section, w_start, w_end, spans = window
-    kept = [spans[0]]
-    for span in spans[1:]:
-        if span[1] - kept[0][0] <= budget:
-            kept.append(span)
-        else:
-            break
-    box_start, box_end = kept[0][0], kept[-1][1]
-    extra = budget - (box_end - box_start)
-    left = max(w_start, box_start - extra // 2)
+    box_start = spans[0][0]
+    box_end = max(end for _, end in spans if end - box_start <= budget)
+    left = max(w_start, box_start - (budget - (box_end - box_start)) // 2)
     right = min(w_end, left + budget)
     left = max(w_start, right - budget)
-    inside = [s for s in spans if left <= s[0] and s[1] <= right]
-    return (section, left, right, inside)
+    return (section, left, right, [s for s in spans if left <= s[0] and s[1] <= right])
 
 
 def build_context_window(record: MedicalRecord, mention: DiseaseMention) -> DiseaseMention:
     """Fill ``context`` with sentence-bounded windows around each span.
 
-    Windows are merged when they overlap, selected by (span count desc,
-    document order) under the MAX_CONTEXT budget, and concatenated in
-    document order. Spans that survive are re-mapped into the context.
+    The spans are walked in (section, start) order, so their sentence
+    windows rise and each merges only into the one before it when the two
+    overlap. Windows are selected by (span count desc, document order)
+    under the MAX_CONTEXT budget, the first-ranked one cut around its spans
+    if it alone overflows, and concatenated in document order. Spans that
+    survive are re-mapped into the context.
     """
     if not mention.spans:
         raise ValueError("mention has no spans")
@@ -164,44 +161,30 @@ def build_context_window(record: MedicalRecord, mention: DiseaseMention) -> Dise
 
     # Per-section merged sentence windows, each carrying its spans.
     windows: list[tuple[int, int, int, list[tuple[int, int]]]] = []
-    for section, start, end in mention.spans:
-        text = record.sections[section][1]
-        w_start, w_end = _sentence_window(text, start, end)
-        merged = False
-        for i, (sec, a, b, spans) in enumerate(windows):
-            if sec == section and w_start < b and a < w_end:
-                windows[i] = (sec, min(a, w_start), max(b, w_end), spans + [(start, end)])
-                merged = True
-                break
-        if not merged:
+    for section, start, end in sorted(mention.spans):
+        w_start, w_end = _sentence_window(record.sections[section][1], start, end)
+        if windows and windows[-1][0] == section and w_start < windows[-1][2]:
+            _, a, b, spans = windows[-1]
+            windows[-1] = (section, a, max(b, w_end), spans + [(start, end)])
+        else:
             windows.append((section, w_start, w_end, [(start, end)]))
 
-    order = sorted(
-        range(len(windows)),
-        key=lambda i: (-len(windows[i][3]), windows[i][0], windows[i][1]),
-    )
     budget = MAX_CONTEXT
     selected: list[tuple[int, int, int, list[tuple[int, int]]]] = []
-    for rank, i in enumerate(order):
-        window = windows[i]
-        length = window[2] - window[1]
-        if length <= budget:
-            selected.append(window)
-            budget -= length
-        elif rank == 0:
-            shrunk = _shrink_window(window, budget)
-            selected.append(shrunk)
-            budget -= shrunk[2] - shrunk[1]
+    for rank, window in enumerate(sorted(windows, key=lambda w: (-len(w[3]), w[0], w[1]))):
+        if window[2] - window[1] > budget:
+            if rank:
+                continue
+            window = _shrink_window(window, budget)
+        selected.append(window)
+        budget -= window[2] - window[1]
 
-    selected.sort(key=lambda w: (w[0], w[1]))
     parts: list[str] = []
     context_spans: list[tuple[int, int]] = []
     offset = 0
-    for section, a, b, spans in selected:
-        text = record.sections[section][1]
-        parts.append(text[a:b])
-        for start, end in sorted(spans):
-            context_spans.append((start - a + offset, end - a + offset))
+    for section, a, b, spans in sorted(selected):
+        parts.append(record.sections[section][1][a:b])
+        context_spans.extend((start - a + offset, end - a + offset) for start, end in spans)
         offset += b - a
     context = "".join(parts)
     for start, end in context_spans:

@@ -354,13 +354,11 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
             f"batch has {len(anchors)} positive pairs, need >= 2")
     ids, lengths = encoder.encode_many([*(batch[k].a for k in anchors), *(p.b for p in batch)])
     rows = encoder.pool(ids, lengths)
-    u, v = rows[:len(anchors)], rows[len(anchors):]
-    u_norm = np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
-    v_norm = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
+    norm = np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
     # a norm that overflows makes every similarity 0 and the loss a finite log(batch)
-    require_finite(u_norm)
-    require_finite(v_norm)
-    u_hat, v_hat = u / u_norm, v / v_norm
+    require_finite(norm)
+    hat = rows / norm
+    u_hat, v_hat = hat[:len(anchors)], hat[len(anchors):]
 
     sims = u_hat @ v_hat.T  # (n_anchors, batch)
     logits = sims / tau
@@ -377,12 +375,10 @@ def info_nce_batch_loss(encoder: PairEncoder, batch: list[DiseasePair],
     d_sims[np.arange(len(anchors)), own] -= 1.0
     d_sims /= tau * len(anchors)
 
-    d_u_hat = d_sims @ v_hat  # (n_anchors, d)
-    d_v_hat = d_sims.T @ u_hat  # (batch, d)
+    d_hat = np.concatenate([d_sims @ v_hat, d_sims.T @ u_hat])  # (n_anchors + batch, d)
     # back through the row normalization x / |x|
-    du = (d_u_hat - u_hat * (d_u_hat * u_hat).sum(axis=1, keepdims=True)) / u_norm
-    dv = (d_v_hat - v_hat * (d_v_hat * v_hat).sum(axis=1, keepdims=True)) / v_norm
-    return loss, encoder.grad(ids, lengths, np.concatenate([du, dv]))
+    d_rows = (d_hat - hat * (d_hat * hat).sum(axis=1, keepdims=True)) / norm
+    return loss, encoder.grad(ids, lengths, d_rows)
 
 
 def eval_contrastive_loss(encoder: PairEncoder, pairs: list[DiseasePair],

@@ -480,3 +480,66 @@ def seed_finetune(encoder, labeled_pairs, config):
                                 config.learning_rate)
         history.append(loss / len(examples))
     return model, history
+
+
+def _seed_shrink_window(window, budget):
+    """The original kept-prefix shrink of a too-long window."""
+    section, w_start, w_end, spans = window
+    kept = [spans[0]]
+    for span in spans[1:]:
+        if span[1] - kept[0][0] <= budget:
+            kept.append(span)
+        else:
+            break
+    box_start, box_end = kept[0][0], kept[-1][1]
+    extra = budget - (box_end - box_start)
+    left = max(w_start, box_start - extra // 2)
+    right = min(w_end, left + budget)
+    left = max(w_start, right - budget)
+    inside = [s for s in spans if left <= s[0] and s[1] <= right]
+    return (section, left, right, inside)
+
+
+def seed_context_window(record, spans):
+    """The original window builder's (context, context_spans) for ``spans``,
+    given in (section, start) order: each sentence window merged into the
+    first earlier one it overlaps, windows ranked through an index list and
+    each window's spans sorted again at the join."""
+    from dxaudit.core import MAX_CONTEXT
+
+    windows = []
+    for section, start, end in spans:
+        text = record.sections[section][1]
+        w_start, w_end = loop_sentence_window(text, start, end)
+        merged = False
+        for i, (sec, a, b, kept) in enumerate(windows):
+            if sec == section and w_start < b and a < w_end:
+                windows[i] = (sec, min(a, w_start), max(b, w_end), kept + [(start, end)])
+                merged = True
+                break
+        if not merged:
+            windows.append((section, w_start, w_end, [(start, end)]))
+
+    order = sorted(range(len(windows)),
+                   key=lambda i: (-len(windows[i][3]), windows[i][0], windows[i][1]))
+    budget = MAX_CONTEXT
+    selected = []
+    for rank, i in enumerate(order):
+        window = windows[i]
+        length = window[2] - window[1]
+        if length <= budget:
+            selected.append(window)
+            budget -= length
+        elif rank == 0:
+            shrunk = _seed_shrink_window(window, budget)
+            selected.append(shrunk)
+            budget -= shrunk[2] - shrunk[1]
+
+    selected.sort(key=lambda w: (w[0], w[1]))
+    parts, context_spans, offset = [], [], 0
+    for section, a, b, kept in selected:
+        parts.append(record.sections[section][1][a:b])
+        for start, end in sorted(kept):
+            context_spans.append((start - a + offset, end - a + offset))
+        offset += b - a
+    return "".join(parts), tuple(context_spans)

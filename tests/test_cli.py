@@ -255,6 +255,8 @@ class TestConfigPrecedence:
         ("train-context", ["--d-enc", "-1"], "d_enc"),
         ("train-context", ["--d-enc", "0"], "d_enc"),
         ("train-context", ["--d", "0"], "d must"),
+        ("detect", [], "--models"),
+        ("ablate", ["--context-model", "context.bin"], "--relation-model"),
     ], ids=["miss-rate-2", "too-many-diseases", "negative-diseases",
             "context-epochs-0", "context-batch-0", "relation-epochs-0",
             "relation-tau-0", "relation-tau-negative", "relation-tau-nan",
@@ -262,13 +264,16 @@ class TestConfigPrecedence:
             "context-lr-nan", "context-lr-negative", "context-gamma-nan",
             "context-gamma-negative", "relation-d-pair-negative", "relation-d-pair-0",
             "relation-hidden-0", "context-d-enc-negative", "context-d-enc-0",
-            "context-d-0"])
+            "context-d-0", "detect-no-models", "ablate-one-model"])
     def test_out_of_range_setting_is_65(self, workspace, tmp_path, capsys, command,
                                         flags, setting):
         out = str(tmp_path / "out")
         inputs = {"gen-synthetic": ["--gold", out + ".gold"],
                   "train-context": ["--samples", str(workspace / "samples.jsonl")],
-                  "train-relation": ["--pairs", str(workspace / "pairs.tsv")]}[command]
+                  "train-relation": ["--pairs", str(workspace / "pairs.tsv")],
+                  "detect": ["--corpus", str(workspace / "corpus.jsonl")],
+                  "ablate": ["--corpus", str(workspace / "corpus.jsonl"),
+                             "--gold", str(workspace / "gold.json")]}[command]
         assert run([command, "--out", out] + inputs + flags) == 65
         err = capsys.readouterr().err
         assert setting in err
@@ -947,6 +952,7 @@ class TestHostileInput:
         ("relation", "config.hidden", 0),
         ("context", "labels", ["x", "y"]),
         ("relation", "labels", list(reversed(relation_model.RELATIONS))),
+        ("context", "config", [1]),
         # a dimension that disagrees with its array is refused before any
         # allocation of its size, which would fail
         ("context", "d_enc", 10**15),
@@ -1106,6 +1112,38 @@ def drg_impact_findings_argv(ws, data, bad, out):
             "--groups", str(data / "drg_groups_demo.csv"), "--out", out]
 
 
+def drg_impact_groups_argv(ws, data, bad, out):
+    return ["drg-impact", "--corpus", str(ws / "corpus.jsonl"),
+            "--findings", str(Path(out).parent / "summary.jsonl"),
+            "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]
+
+
+def drg_impact_corpus_argv(ws, data, bad, out):
+    return ["drg-impact", "--corpus", bad,
+            "--findings", str(Path(out).parent / "summary.jsonl"),
+            "--icd", str(data / "icd_demo.csv"),
+            "--groups", str(data / "drg_groups_demo.csv"), "--out", out]
+
+
+# Costs the cost reader refuses, in a group table and in a corpus drg.
+BAD_COSTS = {"not-a-number": "abc", "sub-minor": 1.005, "negative": -1}
+
+# A good corpus line, and corpus lines the record reader refuses after it.
+CORPUS_LINE = ('{"record_id": "r1", "sections": [{"name": "s", "text": "t"}], '
+               '"discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1}}\n')
+MALFORMED_RECORDS = {
+    "no-sections": {"record_id": "r2", "discharge_diagnoses": []},
+    "empty-record-id": {"record_id": "", "sections": [{"name": "s", "text": "t"}],
+                        "discharge_diagnoses": []},
+    "record-id-not-a-string": {"record_id": 2, "sections": [{"name": "s", "text": "t"}],
+                               "discharge_diagnoses": []},
+    **{f"cost-{name}": {"record_id": "r2", "sections": [{"name": "s", "text": "t"}],
+                        "discharge_diagnoses": [],
+                        "drg": {"adrg": "GB2", "tier": 1, "avg_cost": cost}}
+       for name, cost in BAD_COSTS.items()},
+}
+
+
 class TestInputFileErrors:
     """Each malformed input file exits 65 with its line, never a traceback."""
 
@@ -1149,33 +1187,20 @@ class TestInputFileErrors:
             lambda ws, data, bad, out: ["gen-pairs", "--icd", bad, "--out", out]),
         "drg-impact-groups-short-row": (
             b"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3\n", 3,
-            lambda ws, data, bad, out: [
-                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
-                "--findings", str(Path(out).parent / "summary.jsonl"),
-                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+            drg_impact_groups_argv),
         "drg-impact-groups-infinite-cost": (
             b"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,Infinity\n", 3,
-            lambda ws, data, bad, out: [
-                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
-                "--findings", str(Path(out).parent / "summary.jsonl"),
-                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+            drg_impact_groups_argv),
         "drg-impact-corpus-infinite-cost": (
             b'{"record_id": "r1", "sections": [{"name": "s", "text": "t"}],'
             b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1}}\n'
             b'{"record_id": "r2", "sections": [{"name": "s", "text": "t"}],'
             b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1e999}}\n',
             2,
-            lambda ws, data, bad, out: [
-                "drg-impact", "--corpus", bad,
-                "--findings", str(Path(out).parent / "summary.jsonl"),
-                "--icd", str(data / "icd_demo.csv"),
-                "--groups", str(data / "drg_groups_demo.csv"), "--out", out]),
+            drg_impact_corpus_argv),
         "drg-impact-groups-huge-cost": (
             b"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,1e100000\n", 3,
-            lambda ws, data, bad, out: [
-                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
-                "--findings", str(Path(out).parent / "summary.jsonl"),
-                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+            drg_impact_groups_argv),
         "drg-impact-corpus-huge-cost": (
             b'{"record_id": "r1", "sections": [{"name": "s", "text": "t"}],'
             b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1, "avg_cost": 1}}\n'
@@ -1183,11 +1208,7 @@ class TestInputFileErrors:
             b' "discharge_diagnoses": [], "drg": {"adrg": "GB2", "tier": 1,'
             b' "avg_cost": "1e100000"}}\n',
             2,
-            lambda ws, data, bad, out: [
-                "drg-impact", "--corpus", bad,
-                "--findings", str(Path(out).parent / "summary.jsonl"),
-                "--icd", str(data / "icd_demo.csv"),
-                "--groups", str(data / "drg_groups_demo.csv"), "--out", out]),
+            drg_impact_corpus_argv),
         "evaluate-findings-nested-too-deeply": (
             b"[" * 200000 + b"\n", 1,
             lambda ws, data, bad, out: [
@@ -1203,10 +1224,7 @@ class TestInputFileErrors:
                 "--out", out, "--gold", out + ".gold"]),
         "drg-impact-groups-bad-adrg": (
             b"adrg,tier,avg_cost\nGB2,1,18000\nxx,1,100\n", 3,
-            lambda ws, data, bad, out: [
-                "drg-impact", "--corpus", str(ws / "corpus.jsonl"),
-                "--findings", str(Path(out).parent / "summary.jsonl"),
-                "--icd", str(data / "icd_demo.csv"), "--groups", bad, "--out", out]),
+            drg_impact_groups_argv),
         "drg-impact-icd-empty-title": (
             "code,title,cc_level\nA01,伤寒,CC\nA02,、,MCC\n".encode("utf-8"), 3,
             lambda ws, data, bad, out: [
@@ -1222,6 +1240,25 @@ class TestInputFileErrors:
             lambda ws, data, bad, out: [
                 "gen-pairs", "--icd", str(data / "icd_demo.csv"),
                 "--coded", bad, "--out", out]),
+        "gen-pairs-icd-bad-cc-level": (
+            "code,title,cc_level\nA01,伤寒,CC\nA02,霍乱,XX\n".encode("utf-8"), 3,
+            lambda ws, data, bad, out: ["gen-pairs", "--icd", bad, "--out", out]),
+        "gen-synthetic-templates-unknown-kind": (
+            "filler\t患者一般情况可。\nsigned\t{DISEASE}\n".encode("utf-8"), 2,
+            lambda ws, data, bad, out: [
+                "gen-synthetic", "--n", "2", "--templates", bad,
+                "--out", out, "--gold", out + ".gold"]),
+        "gen-synthetic-templates-confirmed-without-disease": (
+            "filler\t患者一般情况可。\nconfirmed\t确诊。\n".encode("utf-8"), 2,
+            lambda ws, data, bad, out: [
+                "gen-synthetic", "--n", "2", "--templates", bad,
+                "--out", out, "--gold", out + ".gold"]),
+        **{f"drg-impact-groups-cost-{name}": (
+            f"adrg,tier,avg_cost\nGB2,1,18000\nGB2,3,{cost}\n".encode("utf-8"), 3,
+            drg_impact_groups_argv) for name, cost in BAD_COSTS.items()},
+        **{f"drg-impact-corpus-{name}": (
+            (CORPUS_LINE + json.dumps(record) + "\n").encode("utf-8"), 2,
+            drg_impact_corpus_argv) for name, record in MALFORMED_RECORDS.items()},
         **{f"{command}-findings-{name}": (content, line, argv)
            for command, argv in (("evaluate", evaluate_findings_argv),
                                  ("drg-impact", drg_impact_findings_argv))

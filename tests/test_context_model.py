@@ -265,7 +265,7 @@ class TestFocalLoss:
 class TestGradients:
     @pytest.mark.parametrize("focal_gamma", [0.0, 2.0])
     def test_full_model_matches_finite_differences(self, focal_gamma):
-        """gamma 0 is plain cross-entropy, a branch of its own."""
+        """gamma 0 is plain cross-entropy, where the focal term vanishes."""
         vocab = CharVocab(list("abcdefg"))
         encoder = char_encoder(vocab, d_enc=4, seed=1)
         head = fusion_head(d_enc=4, d=3, seed=2)

@@ -257,6 +257,16 @@ class TestBatchDetect:
         assert set(loaded) == {"r1"}
         assert loaded["r1"][0]["disease"] == "肺炎"
 
+    def test_repeated_record_id_in_a_list_keeps_the_first(self, lexicons, tmp_path):
+        first, repeat = record("r1", "确诊为肺炎。", []), record("r1", "确诊为高血压。", [])
+        models = oracle_models([first], lexicons, [("r1", "肺炎", "confirmed")])
+        report = batch_detect([first, repeat], models, lexicons)
+        assert report.errors == [{"record_id": "r1", "error": "duplicate record_id 'r1'"}]
+        assert (report.summary["records"], report.summary["errors"]) == (1, 1)
+        path = tmp_path / "report.jsonl"
+        write_report(report, path)
+        assert [f["disease"] for f in load_report_findings(path)["r1"]] == ["肺炎"]
+
     @pytest.mark.parametrize("bad_line, message", [
         ("not json", "invalid JSON"),
         ("[1, 2]", "not a JSON object"),

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -184,6 +185,17 @@ class TestContextWindow:
         # (450 - 2) // 2 = 224 on the left: the window is [80, 530).
         assert len(windowed.context) == MAX_CONTEXT
         assert windowed.context_spans == ((224, 226),)
+
+    def test_spans_in_reverse_order_build_the_in_order_window(self):
+        text = "病" * 300 + "，确诊为肺炎，" + "后" * 500 + "复查肺炎，" + "后" * 300
+        matcher = build_matcher(disease_lexicon("肺炎"))
+        record = record_of(text)
+        mention = find_mentions(matcher, record)[0]
+        reverse = build_context_window(record, replace(mention, spans=mention.spans[::-1]))
+        # The spans are walked in document order, so the shrunk window is
+        # cut around the first span, as for the spans in order.
+        assert reverse.context_spans == ((224, 226),)
+        assert reverse.context == build_context_window(record, mention).context
 
     def test_budget_prefers_windows_with_more_spans(self):
         single = "肺炎" + "较" * 297 + "。"  # 300 chars, one span

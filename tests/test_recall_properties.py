@@ -1,16 +1,18 @@
 """Property tests: the matcher's raw hits are every occurrence of every
-entry, mentions come in first-span order, and a span's sentence window is
-the character loop's."""
+entry, mentions come in first-span order, a span's sentence window is the
+character loop's, and a mention's context window is the seed builder's."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from dxaudit.core import SENTENCE_BOUNDARIES, MedicalRecord  # noqa: E402
-from dxaudit.recall import DiseaseMatcher, _sentence_window, find_mentions  # noqa: E402
+from dxaudit import recall  # noqa: E402
+from dxaudit.core import MAX_CONTEXT, SENTENCE_BOUNDARIES, MedicalRecord  # noqa: E402
+from dxaudit.recall import (DiseaseMatcher, _sentence_window,  # noqa: E402
+                            build_context_window, find_mentions)
 
-from oracles import loop_sentence_window  # noqa: E402
+from oracles import loop_sentence_window, seed_context_window  # noqa: E402
 
 # Character-class metacharacters, two CJK characters and one outside the BMP.
 ALPHABET = "]^-\\肺炎\U00020000"
@@ -83,3 +85,46 @@ def text_and_span(draw):
 def test_sentence_window_matches_the_loop(case):
     text, start, end = case
     assert _sentence_window(text, start, end) == loop_sentence_window(text, start, end)
+
+
+# Nested entries, so overlaps are resolved before the windows are built.
+WINDOW_ENTRIES = ["肺炎", "大叶性肺炎", "高血压"]
+
+
+@st.composite
+def multi_section_record(draw):
+    # Entries, sentence ends, commas (which end no sentence) and runs of up
+    # to 500 filler characters: short sentences and sentences longer than
+    # MAX_CONTEXT, whose windows are shrunk.
+    piece = st.one_of(st.sampled_from(WINDOW_ENTRIES + list(SENTENCE_BOUNDARIES) + ["，"]),
+                      st.integers(1, 500).map(lambda n: "长" * n))
+    texts = draw(st.lists(st.lists(piece, max_size=16).map("".join), min_size=1, max_size=3))
+    return MedicalRecord("r1", tuple((f"s{i}", text) for i, text in enumerate(texts) if text),
+                         discharge_diagnoses=())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(multi_section_record())
+# two sections with sentences over MAX_CONTEXT: the cut first-ranked one fills the cap
+@example(MedicalRecord("r1", (("a", "长" * 300 + "肺炎，肺炎" + "长" * 300 + "。"),
+                              ("b", "肺炎。" + "长" * 500 + "肺炎。")), ()))
+# two spans whose box is exactly MAX_CONTEXT long, and two too far apart
+@example(MedicalRecord("r1", (("a", "长" * 100 + "肺炎" + "长" * 446 + "肺炎" + "长" * 99
+                               + "。"),), ()))
+@example(MedicalRecord("r1", (("a", "长" * 300 + "肺炎" + "长" * 500 + "肺炎。"),), ()))
+def test_context_window_is_the_seed_builders(record):
+    matcher = DiseaseMatcher(WINDOW_ENTRIES)
+    for mention in find_mentions(matcher, record):
+        windowed = build_context_window(record, mention)
+        assert len(windowed.context) <= MAX_CONTEXT
+        assert (windowed.context, windowed.context_spans) == seed_context_window(
+            record, mention.spans)
+
+
+def test_drawn_records_reach_the_shrink_path(monkeypatch):
+    """The drawn records, not only the examples, cut windows to the cap."""
+    shrunk, shrink = [], recall._shrink_window
+    monkeypatch.setattr(recall, "_shrink_window",
+                        lambda *args: shrunk.append(args) or shrink(*args))
+    test_context_window_is_the_seed_builders()
+    assert len(shrunk) >= 30
