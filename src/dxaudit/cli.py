@@ -378,7 +378,7 @@ def _load_models(args) -> pipeline.Models:
         context_path = context_path or str(Path(args.models) / "context.bin")
         relation_path = relation_path or str(Path(args.models) / "relation.bin")
     if not context_path or not relation_path:
-        raise DxAuditError("detect needs --models or both --context-model "
+        raise DxAuditError(f"{args.command} needs --models or both --context-model "
                            "and --relation-model")
     return pipeline.Models(
         context=cm.ContextClassifier.load(context_path),

@@ -18,9 +18,10 @@ validated against finite differences and training is deterministic per
 seed. The encoder is a trainable character embedding followed by a
 symmetric windowed average (CharWindowEncoder).
 
-``ContextClassifier.classify`` runs the same math for one sequence from
-per-model tables of the parameter-only products; the training forward
-above stays its reference.
+``ContextClassifier.classify`` runs the same math for any number of
+samples, packed end to end, from per-model tables of the
+parameter-only products; the training forward above stays its
+reference.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import MAX_CONTEXT, MAX_DISEASE, parse_json_object, read_lines
+from .core import parse_json_object, read_lines
 from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch, require_at_least
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import read_model, write_model
@@ -40,10 +41,6 @@ from .modelio import read_model, write_model
 UNK_ID = 0
 SEP_ID = 1
 WINDOW = 2  # characters averaged on each side of a position
-
-# Row i of an n-row sequence averages min(i, WINDOW) + min(n - 1 - i, WINDOW)
-# + 1 rows: this table's entry i plus its entry n - 1 - i.
-_HALF_COUNTS = np.minimum(np.arange(MAX_DISEASE + 1 + MAX_CONTEXT), WINDOW) + 0.5
 
 
 @dataclass
@@ -120,6 +117,16 @@ def _row_sums(n_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # Most rows in one packed pass. Past this a bigger pass saves no per-call
 # overhead; its activations only add to peak memory and allocation cost.
 PASS_ROWS = 512
+
+
+@lru_cache(maxsize=PASS_ROWS)
+def _window_counts(n: int) -> np.ndarray:
+    """How many rows the window of each row of an n-row sequence averages:
+    min(i, WINDOW) + min(n - 1 - i, WINDOW) + 1 for row i."""
+    i = np.arange(n)
+    counts = np.minimum(i, WINDOW) + np.minimum(n - 1 - i, WINDOW) + 1.0
+    counts.flags.writeable = False  # shared by every call through the cache
+    return counts
 
 
 def _passes(sequences, size: int):
@@ -453,46 +460,88 @@ class ContextClassifier:
     def forward(self, sample: ContextSample) -> np.ndarray:
         return self._probs(*pack([self.inputs(sample)]))[0]
 
-    def classify(self, sample: ContextSample) -> tuple[str, float]:
-        """The most probable label and its probability.
+    def classify(self, *samples: ContextSample) -> list[tuple[str, float]]:
+        """Each sample's most probable label and its probability, in order.
 
         Computes what ``forward`` does, from the tables of ``_folded``: the
         character rows are averaged after the ``W1`` product, not before,
         and the feature half of the fusion input is one table row per
-        position. The tables hold the parameters as they were at the first
-        call. ``forward`` is the reference this is tested against.
+        position. The samples run laid end to end, in passes of at most
+        PASS_ROWS rows (a detect window has at most MAX_DISEASE + 1 +
+        MAX_CONTEXT = 481). Each sample's probabilities are bit-identical
+        to those of a call with that sample alone. The tables hold the
+        parameters as they were at the first call. ``forward`` is the
+        reference this is tested against.
         """
+        sequences = [self.inputs(sample) for sample in samples]
+        return [judgment for a, b in _passes(sequences, len(sequences))
+                for judgment in self._classify_pass(sequences[a:b])]
+
+    def _classify_pass(self, sequences) -> list[tuple[str, float]]:
         char_rows, code_rows, mix, w_y, b_y = self._folded
         d = self.head.d
-        ids, code = self.inputs(sample)
-        n = len(ids)
-        rows = char_rows[ids]
-        sums = rows.copy()
+        # WINDOW rows of the table's all-zero last row between sequences, so
+        # that the window sums add exact zeros across a boundary; the gap
+        # rows ride along to the pooling, which skips them
+        gap_ids = np.full(WINDOW, len(char_rows) - 1)
+        gap_code, gap_counts = np.zeros(WINDOW, dtype=np.intp), np.ones(WINDOW)
+        id_parts, code_parts, count_parts, spans = [], [], [], []
+        start = 0
+        for ids, code in sequences:
+            id_parts += (gap_ids, ids)
+            code_parts += (gap_code, code)
+            count_parts += (gap_counts, _window_counts(len(ids)))
+            spans.append((start, start + len(ids)))
+            start += len(ids) + WINDOW
+        rows = char_rows[np.concatenate(id_parts[1:])]
+        # The rest works in place where it can: a pass's arrays are big
+        # enough that each fresh one costs page faults.
+        h2 = rows.copy()
         for k in range(1, WINDOW + 1):
-            sums[k:] += rows[:-k]
-            sums[:-k] += rows[k:]
-        h2 = np.maximum(sums / (_HALF_COUNTS[:n] + _HALF_COUNTS[n - 1::-1])[:, None], 0.0)
-        u = h2 @ mix + code_rows[code]
-        g = 1.0 / (1.0 + np.exp(-u[:, d:]))
-        o = h2 + g * (np.tanh(u[:, :d]) - h2)
-        scores = np.concatenate([o.max(axis=0), o.sum(axis=0) / n]) @ w_y + b_y
-        top = int(scores.argmax())
+            h2[k:] += rows[:-k]
+            h2[:-k] += rows[k:]
+        h2 /= np.concatenate(count_parts[1:])[:, None]
+        np.maximum(h2, 0.0, out=h2)
+        u = h2 @ mix
+        u += code_rows[np.concatenate(code_parts[1:])]
+        g = np.negative(u[:, d:])  # g = 1 / (1 + exp(-u[:, d:]))
+        np.exp(g, out=g)
+        g += 1.0
+        np.divide(1.0, g, out=g)
+        o = np.tanh(u[:, :d])  # o = h2 + g * (tanh(u[:, :d]) - h2)
+        o -= h2
+        o *= g
+        o += h2
+        # [max-pool; mean-pool] per sequence, each its own slice's
+        # reduction: np.add.reduceat adds in another order, which moves
+        # the last bits
+        cvec = np.empty((len(sequences), 2 * d))
+        for row, (a, b) in zip(cvec, spans):
+            o[a:b].max(axis=0, out=row[:d])
+            o[a:b].sum(axis=0, out=row[d:])
+            row[d:] /= b - a
+        # a vector-matrix product per sequence, as a lone sequence's is
+        scores = np.matmul(cvec[:, None, :], w_y)[:, 0] + b_y
         # the softmax's top entry: exp(0) over the sum
-        return LABELS[top], float(1.0 / np.exp(scores - scores[top]).sum())
+        probs = 1.0 / np.exp(scores - scores.max(axis=1, keepdims=True)).sum(axis=1)
+        return [(LABELS[top], prob)
+                for top, prob in zip(scores.argmax(axis=1).tolist(), probs.tolist())]
 
     @cached_property
     def _folded(self) -> tuple[np.ndarray, ...]:
         """The products of ``classify``'s forward that depend only on the
         parameters, built at its first call:
 
-        - ``embedding @ W1 + b1``, a row per character id;
+        - ``embedding @ W1 + b1``, a row per character id, then a row of
+          zeros;
         - ``f1 @ [W_fm[:d] | W_g[:d]] + [b_fm | c_g]``, a row per track code,
           where f1 is ``relu(GatedFusionHead._track_table())``;
         - ``[W_fm[d:] | W_g[d:]]``, the product of h2 with both halves;
         - copies of ``W_y`` and ``b_y``.
         """
         p, d = self.head.p, self.head.d
-        char_rows = self.encoder.embedding @ p["W1"] + p["b1"]
+        char_rows = np.zeros((len(self.encoder.embedding) + 1, d))
+        char_rows[:-1] = self.encoder.embedding @ p["W1"] + p["b1"]
         mix = np.concatenate([p["W_fm"], p["W_g"]], axis=1)
         code_rows = (np.maximum(self.head._track_table(), 0.0) @ mix[:d]
                      + np.concatenate([p["b_fm"], p["c_g"]]))

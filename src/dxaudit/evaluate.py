@@ -50,8 +50,8 @@ def report_instances(report: BatchReport) -> set[tuple[str, str]]:
 class ConfirmAllContext:
     """Context stage bypass: every candidate is treated as confirmed."""
 
-    def classify(self, sample: ContextSample):
-        return "confirmed", 1.0
+    def classify(self, *samples: ContextSample):
+        return [("confirmed", 1.0)] * len(samples)
 
 
 class IrrelevanceAllRelation:
@@ -72,10 +72,10 @@ class TrackZeroingContext:
         self._inner = inner
         self._track = track
 
-    def classify(self, sample: ContextSample):
-        silenced = dc_replace(
-            sample, **{self._track: np.zeros(len(sample.context), dtype=np.uint8)})
-        return self._inner.classify(silenced)
+    def classify(self, *samples: ContextSample):
+        return self._inner.classify(*(
+            dc_replace(sample, **{self._track: np.zeros(len(sample.context), dtype=np.uint8)})
+            for sample in samples))
 
 
 # ---------------------------------------------------------------------------

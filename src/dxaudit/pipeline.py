@@ -23,7 +23,9 @@ from .core import (Lexicon, MedicalRecord, discharge_names, json_line,
                    write_lines)
 from .errors import DuplicateRecordId, DxAuditError, EmptyName, ModelNotLoaded, ParseError
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
-from .recall import DiseaseMatcher, build_context_window, build_matcher, find_mentions
+from .context_model import PASS_ROWS
+from .recall import (DiseaseMatcher, DiseaseMention, build_context_window, build_matcher,
+                     find_mentions)
 from .relation_model import RELATIONS
 
 
@@ -36,8 +38,10 @@ class WriteMissingFinding:
 
 
 class ContextStage(Protocol):
-    def classify(self, sample: ContextSample) -> tuple[str, float]:
-        """The sample's label (one of LABELS) and its probability."""
+    def classify(self, *samples: ContextSample) -> list[tuple[str, float]]:
+        """Each sample's label (one of LABELS) and its probability, in the
+        samples' order. Detect passes a chunk of records' samples in one
+        call, and never calls with no samples."""
 
 
 class RelationStage(Protocol):
@@ -68,29 +72,46 @@ class PipelineLexicons:
         return build_matcher(self.diseases)
 
 
-def _detect_record(
+def _stage_record(
     record: MedicalRecord,
     matcher: DiseaseMatcher,
-    models: Models,
     lexicons: PipelineLexicons,
-) -> tuple[list[WriteMissingFinding], dict[str, int]]:
-    discharge = discharge_names(record)
-    discharge_set = set(discharge)
+) -> tuple[list[DiseaseMention], list[ContextSample]]:
+    """The record's recalled mentions that are not a discharge diagnosis
+    verbatim (those need no model calls), and each one's context sample."""
+    discharge_set = set(discharge_names(record))
+    mentions = [m for m in find_mentions(matcher, record) if m.disease not in discharge_set]
+    samples = []
+    for mention in mentions:
+        windowed = build_context_window(record, mention)
+        samples.append(assemble_features(windowed.disease, windowed.context,
+                                         lexicons.features))
+    return mentions, samples
 
+
+def _classify(models: Models, samples: list[ContextSample]) -> list[tuple[str, float]]:
+    return models.context.classify(*samples) if samples else []
+
+
+def _detect_record(
+    record: MedicalRecord,
+    mentions: list[DiseaseMention],
+    judgments: list[tuple[str, float]],
+    models: Models,
+) -> tuple[list[WriteMissingFinding], dict[str, int]]:
+    """Findings and context label counts of a staged record, given its
+    mentions' (label, prob) judgments: one relation call compares the
+    confirmed mentions with the discharge diagnoses."""
     confirmed = []
     label_counts = {label: 0 for label in LABELS}
-    for mention in find_mentions(matcher, record):
-        if mention.disease in discharge_set:
-            continue  # recorded verbatim: no model calls needed
-        windowed = build_context_window(record, mention)
-        sample = assemble_features(windowed.disease, windowed.context, lexicons.features)
-        label, prob = models.context.classify(sample)
+    for mention, (label, prob) in zip(mentions, judgments):
         label_counts[label] += 1
         if label == "confirmed":
             confirmed.append((mention, prob))
     if not confirmed:
         return [], label_counts
 
+    discharge = discharge_names(record)
     probs = models.relation.predict_proba([m.disease for m, _ in confirmed], discharge)
     findings: list[WriteMissingFinding] = []
     for (mention, prob), grid in zip(confirmed, probs):
@@ -116,8 +137,34 @@ def detect_write_missing(
 ) -> list[WriteMissingFinding]:
     """Write-missing findings for one record. ``matcher`` must be built
     from ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
-    findings, _ = _detect_record(record, matcher or lexicons.matcher, models, lexicons)
+    mentions, samples = _stage_record(record, matcher or lexicons.matcher, lexicons)
+    findings, _ = _detect_record(record, mentions, _classify(models, samples), models)
     return findings
+
+
+def _detect_chunk(chunk, models: Models):
+    """(record, (findings, label counts) or the exception it raised) for
+    each (record, staged record or exception) of ``chunk``, in order.
+
+    The chunk's samples are classified in one call. When that call
+    raises, each record's are classified in a call of their own, so the
+    error lands on the record that raised it.
+    """
+    staged = [outcome for _, outcome in chunk if not isinstance(outcome, Exception)]
+    try:
+        judgments = iter(_classify(models, [s for _, samples in staged for s in samples]))
+    except Exception:
+        judgments = None
+    for record, outcome in chunk:
+        if not isinstance(outcome, Exception):
+            mentions, samples = outcome
+            try:
+                own = (_classify(models, samples) if judgments is None
+                       else [next(judgments) for _ in samples])
+                outcome = _detect_record(record, mentions, own, models)
+            except Exception as exc:
+                outcome = exc
+        yield record, outcome
 
 
 @dataclass
@@ -145,10 +192,15 @@ def batch_detect(
     records are still processed. A record whose detection raises becomes
     an error entry too: a DxAuditError's message, or any other exception's
     type and message. So is a record repeating an earlier record_id: a list
-    corpus keeps the first record, as a path corpus does. Records run one
-    after another; ``parallelism`` is accepted and ignored.
-    ``lexicons.matcher`` is read before the first record, so an empty
-    disease lexicon raises.
+    corpus keeps the first record, as a path corpus does. Error entries
+    come in record order.
+
+    Records run in chunks, one after another: recall, windows and
+    features run record by record until the chunk's samples fill a pass
+    of PASS_ROWS rows, one ``classify`` call judges them all, and then
+    each record's relation call and findings follow (see _detect_chunk).
+    ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is
+    read before the first record, so an empty disease lexicon raises.
     """
     records, errors = corpus, []
     if isinstance(corpus, (str, Path)):
@@ -156,22 +208,37 @@ def batch_detect(
         errors = [{"line": line_no, "error": str(error)} for line_no, error in bad_lines]
 
     matcher = lexicons.matcher
-    results: list[RecordResult] = []
-    label_totals = {label: 0 for label in LABELS}
-    section_counts: dict[str, int] = {}
-    n_findings = 0
+    outcomes = []
+    chunk, rows = [], 0
     seen: set[str] = set()
     for record in records:
         try:
             if record.record_id in seen:
                 raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
             seen.add(record.record_id)
-            findings, label_counts = _detect_record(record, matcher, models, lexicons)
+            staged = _stage_record(record, matcher, lexicons)
+            # a sample's rows: disease, separator, context
+            size = sum(len(s.disease) + 1 + len(s.context) for s in staged[1])
         except Exception as exc:  # a fault in one record must not end the batch
-            error = str(exc) if isinstance(exc, DxAuditError) \
-                else f"{type(exc).__name__}: {exc}"
+            staged, size = exc, 0
+        if chunk and rows + size > PASS_ROWS:
+            outcomes.extend(_detect_chunk(chunk, models))
+            chunk, rows = [], 0
+        chunk.append((record, staged))
+        rows += size
+    outcomes.extend(_detect_chunk(chunk, models))
+
+    results: list[RecordResult] = []
+    label_totals = {label: 0 for label in LABELS}
+    section_counts: dict[str, int] = {}
+    n_findings = 0
+    for record, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            error = str(outcome) if isinstance(outcome, DxAuditError) \
+                else f"{type(outcome).__name__}: {outcome}"
             errors.append({"record_id": record.record_id, "error": error})
             continue
+        findings, label_counts = outcome
         results.append(RecordResult(record_id=record.record_id, findings=findings))
         n_findings += len(findings)
         for label in LABELS:

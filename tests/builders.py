@@ -33,8 +33,9 @@ class LookupContextOracle:
             if self._labels.setdefault(key, sample.label) != sample.label:
                 raise ValueError(f"{key} is labeled {self._labels[key]}, then {sample.label}")
 
-    def classify(self, sample):
-        return self._labels.get((sample.disease, sample.context), "unknown"), 1.0
+    def classify(self, *samples):
+        return [(self._labels.get((sample.disease, sample.context), "unknown"), 1.0)
+                for sample in samples]
 
 
 class MapRelationOracle:

@@ -376,6 +376,41 @@ def seed_context_inputs(model, sample):
                  extend(sample.order_track, 0))
 
 
+def seed_classifier(model):
+    """The original one-sample classify, bit for bit: the parameter-only
+    products built from the model's parameters, then one sequence's folded
+    forward, its window sums clipped at the ends by slicing."""
+    import numpy as np
+
+    from dxaudit.context_model import WINDOW
+    from dxaudit.features import LABELS
+
+    p, d = model.head.p, model.head.d
+    char_rows = model.encoder.embedding @ p["W1"] + p["b1"]
+    mix = np.concatenate([p["W_fm"], p["W_g"]], axis=1)
+    code_rows = (np.maximum(model.head._track_table(), 0.0) @ mix[:d]
+                 + np.concatenate([p["b_fm"], p["c_g"]]))
+
+    def classify(sample):
+        ids, code = model.inputs(sample)
+        n = len(ids)
+        rows = char_rows[ids]
+        sums = rows.copy()
+        for k in range(1, WINDOW + 1):
+            sums[k:] += rows[:-k]
+            sums[:-k] += rows[k:]
+        counts = [min(i, WINDOW) + min(n - 1 - i, WINDOW) + 1.0 for i in range(n)]
+        h2 = np.maximum(sums / np.array(counts)[:, None], 0.0)
+        u = h2 @ mix[d:] + code_rows[code]
+        g = 1.0 / (1.0 + np.exp(-u[:, d:]))
+        o = h2 + g * (np.tanh(u[:, :d]) - h2)
+        scores = np.concatenate([o.max(axis=0), o.sum(axis=0) / n]) @ p["W_y"] + p["b_y"]
+        top = int(scores.argmax())
+        return LABELS[top], float(1.0 / np.exp(scores - scores[top]).sum())
+
+    return classify
+
+
 def seed_context_train(samples, config, dev_samples=None, d=32, d_enc=32):
     """The context training loop with its original evaluation: after each
     epoch the loss and the accuracy each take their own forward pass, so

@@ -356,7 +356,7 @@ def test_criterion_09_memorization_fixtures(feature_lexicons):
         samples, TrainConfig(batch_size=4, learning_rate=0.3, epochs=40, seed=7),
         d=16, d_enc=16)
     case_sample = assemble_features("肺心病", case_context, feature_lexicons)
-    case_label = context_model.classify(case_sample)[0]
+    [(case_label, _)] = context_model.classify(case_sample)
 
     ok = (fracture == "similarity" and electrolyte == "inclusion"
           and case_label == "confirmed")

@@ -255,8 +255,8 @@ class TestConfigPrecedence:
         ("train-context", ["--d-enc", "-1"], "d_enc"),
         ("train-context", ["--d-enc", "0"], "d_enc"),
         ("train-context", ["--d", "0"], "d must"),
-        ("detect", [], "--models"),
-        ("ablate", ["--context-model", "context.bin"], "--relation-model"),
+        ("detect", [], "detect needs --models"),
+        ("ablate", ["--context-model", "context.bin"], "ablate needs --models"),
     ], ids=["miss-rate-2", "too-many-diseases", "negative-diseases",
             "context-epochs-0", "context-batch-0", "relation-epochs-0",
             "relation-tau-0", "relation-tau-negative", "relation-tau-nan",

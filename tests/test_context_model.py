@@ -151,11 +151,14 @@ class TestForward:
         assert np.allclose(got, expected, atol=1e-9)
 
 
-def assert_classify_matches_forward(model, sample):
-    probs = model.forward(sample)
-    label, prob = model.classify(sample)
-    assert label == LABELS[int(np.argmax(probs))]
-    assert abs(prob - probs.max()) <= 1e-12
+def assert_classify_matches_forward(model, *samples):
+    """One classify call over every sample, each judged against forward."""
+    judgments = model.classify(*samples)
+    assert len(judgments) == len(samples)
+    for sample, (label, prob) in zip(samples, judgments):
+        probs = model.forward(sample)
+        assert label == LABELS[int(np.argmax(probs))]
+        assert abs(prob - probs.max()) <= 1e-12
 
 
 def bit_tracks(rng, length):
@@ -185,12 +188,15 @@ class TestFoldedClassify:
         rng = np.random.default_rng(42)
         encoder, head, _, _ = random_instance(rng)
         model = model_over(encoder, head)
+        samples = []
         for n in range(1, 2 * WINDOW + 3):
             for sep in range(n):
                 text = "".join(rng.choice(encoder.vocab.chars, size=n))
-                sample = ContextSample(text[:sep], text[sep + 1:],
-                                       **bit_tracks(rng, n - sep - 1))
-                assert_classify_matches_forward(model, sample)
+                samples.append(ContextSample(text[:sep], text[sep + 1:],
+                                             **bit_tracks(rng, n - sep - 1)))
+        for sample in samples:
+            assert_classify_matches_forward(model, sample)
+        assert_classify_matches_forward(model, *samples)
 
     def test_every_track_code(self):
         rng = np.random.default_rng(43)
@@ -202,20 +208,21 @@ class TestFoldedClassify:
         # one context row per code, then one context per code
         samples = [ContextSample("a", "abcabcab", *code_tracks(range(8)))]
         samples += [ContextSample("b", "cab", *code_tracks([code] * 3)) for code in range(8)]
-        for sample in samples:
-            assert_classify_matches_forward(model, sample)
+        assert_classify_matches_forward(model, *samples)
 
     def test_longest_disease_and_context(self):
         rng = np.random.default_rng(44)
         chars = [chr(0x4E00 + i) for i in range(60)]
         encoder = char_encoder(CharVocab(chars[:50]), d_enc=32, seed=1)
         model = model_over(encoder, fusion_head(d_enc=32, d=32, seed=2))
+        samples = []
         for _ in range(5):
             # the last 10 characters are out of the vocabulary
             disease = "".join(rng.choice(chars, size=30))
             context = "".join(rng.choice(chars, size=450))
-            assert_classify_matches_forward(
-                model, ContextSample(disease, context, **bit_tracks(rng, 450)))
+            samples.append(ContextSample(disease, context, **bit_tracks(rng, 450)))
+        # 481 rows each: one pass per sample
+        assert_classify_matches_forward(model, *samples)
 
     def test_trained_and_reloaded_models(self, tmp_path):
         """Tables built from the parameters before training, or before a
@@ -223,12 +230,10 @@ class TestFoldedClassify:
         samples = separable_samples(60, seed=11)
         config = TrainConfig(batch_size=8, learning_rate=0.5, epochs=2, seed=5)
         model, _ = train(samples, config, d=8, d_enc=8)
-        for sample in samples:
-            assert_classify_matches_forward(model, sample)
+        assert_classify_matches_forward(model, *samples)
         model.save(tmp_path / "context.bin")
         loaded = ContextClassifier.load(tmp_path / "context.bin")
-        for sample in samples:
-            assert_classify_matches_forward(loaded, sample)
+        assert_classify_matches_forward(loaded, *samples)
 
 
 class TestFocalLoss:
@@ -536,16 +541,16 @@ class TestTraining:
         head = fusion_head(d_enc=8, d=8, seed=1)
         model = ContextClassifier(encoder, head, TrainConfig())
         rng = np.random.default_rng(5)
-        probs = []
+        samples = []
         for _ in range(200):
             length = int(rng.integers(2, 30))
             context = "".join(rng.choice(list("abcdef"), size=length))
-            sample = ContextSample(
+            samples.append(ContextSample(
                 disease="ab", context=context,
                 pos_track=rng.integers(0, 2, length).astype(np.uint8),
                 neg_track=rng.integers(0, 2, length).astype(np.uint8),
-                order_track=rng.integers(0, 2, length).astype(np.uint8))
-            probs.append(model.classify(sample)[1])
+                order_track=rng.integers(0, 2, length).astype(np.uint8)))
+        probs = [prob for _, prob in model.classify(*samples)]
         assert abs(np.mean(probs) - 1 / 3) <= 0.05
 
     def test_default_config_matches_stated_values(self):
@@ -563,8 +568,7 @@ class TestPersistence:
         path = tmp_path / "context.bin"
         model.save(path)
         loaded = ContextClassifier.load(path)
-        for sample in samples[:10]:
-            assert loaded.classify(sample) == model.classify(sample)
+        assert loaded.classify(*samples[:10]) == model.classify(*samples[:10])
 
     def test_load_draws_nothing_and_saves_the_same_bytes(self, tmp_path, monkeypatch):
         samples = separable_samples(60, seed=5)

@@ -1,6 +1,7 @@
 """Rules on the package source: numpy is its only runtime dependency,
 only core writes files, every stage method has its Protocol's
-parameters, and every call the benchmark traces exists."""
+parameters, every call the benchmark traces exists, and a traced detect
+shows every span the benchmark requires of it."""
 
 import ast
 import importlib
@@ -9,10 +10,18 @@ import inspect
 import sys
 from pathlib import Path
 
-from dxaudit.pipeline import ContextStage, RelationStage
+from dxaudit import pipeline, synth
+from dxaudit.context_model import CharVocab, ContextClassifier, TrainConfig
+from dxaudit.core import MedicalRecord, save_corpus
+from dxaudit.pipeline import (ContextStage, Models, PipelineLexicons, RelationStage,
+                              batch_detect, write_report)
+from dxaudit.relation_model import PairEncoder, PairTrainConfig
+
+from builders import char_encoder, fusion_head, relation_classifier
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dxaudit"
 BENCH_SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
+BENCH_RUN = BENCH_SPANS.with_name("run.py")
 ALLOWED = {"numpy", "dxaudit"}
 
 
@@ -114,15 +123,78 @@ def test_stage_methods_match_their_protocol():
     assert wrong == []
 
 
-def test_every_traced_call_resolves():
-    """The benchmark's tracer patches each (owner, attribute) by name and
-    fails its run on a missing one; a method must be the class's own."""
+def bench_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = spans.targets()
+    return spans
+
+
+def test_every_traced_call_resolves():
+    """The benchmark's tracer patches each (owner, attribute) by name and
+    fails its run on a missing one; a method must be the class's own."""
+    targets = bench_spans().targets()
     assert targets
     missing = [name for owner, attr, name, *_ in targets
                if not callable(vars(owner).get(attr) if isinstance(owner, type)
                                else getattr(owner, attr, None))]
     assert missing == []
+
+
+def bench_detect_span_names():
+    """The span names a traced benchmark run fails without, under detect:
+    the ``detect_names`` tuple of bench/run.py, read without running it."""
+    tree = ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+    [names] = [ast.literal_eval(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and [ast.unparse(target) for target in node.targets] == ["detect_names"]]
+    return names
+
+
+def test_traced_batch_detect_shows_every_detect_span(tmp_path, data_dir, disease_pool,
+                                                     feature_lexicons):
+    """The benchmark's tracer around one batch_detect over a corpus file,
+    then one over a record with no candidate to judge: every detect span
+    its traced runs require is seen, every measured span gets its value,
+    and the reports are the untraced ones, error-free (a measure that
+    raised would surface as an error entry)."""
+    spec = synth.SyntheticSpec(n_records=30, diseases_per_record=3, miss_rate=0.3,
+                               negation_rate=0.25, enumeration_rate=0.3, seed=5)
+    records, _ = synth.gen_synthetic_corpus(
+        spec, disease_pool, synth.Templates.load(data_dir / "templates.txt"))
+    plain = MedicalRecord(record_id="plain", sections=(("现病史", "无特殊。"),),
+                          discharge_diagnoses=())
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(records, corpus)
+    chars = CharVocab.from_texts(disease_pool.entries).chars
+    models = Models(
+        ContextClassifier(char_encoder(CharVocab(chars), d_enc=8, seed=1),
+                          fusion_head(d_enc=8, d=8, seed=2), TrainConfig()),
+        relation_classifier(PairEncoder.from_names(disease_pool.entries, d_pair=8, seed=3),
+                            PairTrainConfig(hidden=8), seed=4))
+    lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
+    untraced = [batch_detect(corpus, models, lexicons), batch_detect([plain], models, lexicons)]
+
+    spans = bench_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # through the module, as the benchmark calls it
+        traced = [pipeline.batch_detect(corpus, models, lexicons),
+                  pipeline.batch_detect([plain], models, lexicons)]
+    finally:
+        tracer.uninstall()
+
+    assert tracer.missing == []
+    assert set(bench_detect_span_names()) <= set(tracer.names)
+    measured = {name for *_, name, measure, _ in spans.targets() if measure is not None}
+    assert [name for name, value in zip(tracer.names, tracer.values)
+            if name in measured and value is None] == []
+    assert [record for name, record in zip(tracer.names, tracer.records)
+            if name == "pipeline.detect_record"] == [r.record_id for r in [*records, plain]]
+    for i, (before, after) in enumerate(zip(untraced, traced)):
+        assert after.errors == []
+        write_report(before, tmp_path / f"untraced-{i}.jsonl")
+        write_report(after, tmp_path / f"traced-{i}.jsonl")
+        assert (tmp_path / f"traced-{i}.jsonl").read_bytes() == \
+            (tmp_path / f"untraced-{i}.jsonl").read_bytes()

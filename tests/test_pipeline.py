@@ -6,18 +6,20 @@ import json
 import numpy as np
 import pytest
 
-from dxaudit import synth
+from dxaudit import pipeline, synth
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
 from dxaudit.errors import ModelNotLoaded, ParseError
 from dxaudit.evaluate import ConfirmAllContext, IrrelevanceAllRelation
 from dxaudit.pipeline import (
     Models,
     PipelineLexicons,
+    RecordResult,
     batch_detect,
     detect_write_missing,
     load_report_findings,
     write_report,
 )
+from dxaudit.recall import build_context_window
 from dxaudit.relation_model import RELATIONS
 
 from builders import LookupContextOracle, MapRelationOracle
@@ -62,9 +64,9 @@ class TestDetect:
         calls = []
 
         class SpyContext:
-            def classify(self, sample):
-                calls.append(sample.disease)
-                return "confirmed", 1.0
+            def classify(self, *samples):
+                calls.extend(sample.disease for sample in samples)
+                return [("confirmed", 1.0)] * len(samples)
 
         rec = record("r1", "入院后确诊为肺炎。", ["肺炎"])
         models = Models(context=SpyContext(), relation=IrrelevanceAllRelation())
@@ -216,6 +218,62 @@ class TestBatchDetect:
                                   "error": "ValueError: cannot score 胃溃疡"}]
         assert report.summary["records"] == 2
         assert report.summary["errors"] == 1
+
+    def test_chunks_match_one_record_at_a_time_and_faults_fail_alone(
+            self, lexicons, tmp_path, monkeypatch):
+        """A corpus of several chunks: batch_detect's report lines are
+        detect_write_missing's, record by record. Three records fail, each
+        at another stage, and their error entries come in record order,
+        though r06's staging fault is raised before r05's relation fault."""
+        class KeywordContext:
+            calls = 0
+
+            def classify(self, *samples):
+                KeywordContext.calls += 1
+                if any(sample.disease == "脑梗死" for sample in samples):
+                    raise ValueError("cannot judge 脑梗死")
+                return [("non_current" if "否认" in sample.context else "confirmed", 0.9)
+                        for sample in samples]
+
+        class FaultyRelation:
+            def predict_proba(self, names, against):
+                if "故障" in against:
+                    raise ValueError("cannot score against 故障")
+                return IrrelevanceAllRelation().predict_proba(names, against)
+
+        def faulty_window(record, mention):
+            if record.record_id == "r06":
+                raise ValueError("cannot window r06")
+            return build_context_window(record, mention)
+
+        monkeypatch.setattr(pipeline, "build_context_window", faulty_window)
+        records = [record(f"r{i:02d}", f"第{i}次入院，确诊为肺炎，予抗感染治疗后好转。"
+                          "否认高血压病史，胃溃疡待查。"
+                          + ("另确诊为脑梗死。" if i == 30 else ""),
+                          ["故障"] if i == 5 else [["肺炎"], ["高血压"], []][i % 3])
+                   for i in range(60)]
+        models = Models(KeywordContext(), FaultyRelation())
+        report = batch_detect(records, models, lexicons)
+        # several chunks of about ten records; r30's chunk reruns per record
+        assert 3 <= KeywordContext.calls < len(records) // 2
+
+        assert report.errors == [
+            {"record_id": "r05", "error": "ValueError: cannot score against 故障"},
+            {"record_id": "r06", "error": "ValueError: cannot window r06"},
+            {"record_id": "r30", "error": "ValueError: cannot judge 脑梗死"}]
+        one_by_one = []
+        for rec in records:
+            if rec.record_id in ("r05", "r06", "r30"):
+                with pytest.raises(ValueError):
+                    detect_write_missing(rec, models, lexicons)
+            else:
+                one_by_one.append(RecordResult(rec.record_id,
+                                               detect_write_missing(rec, models, lexicons)))
+        path_a, path_b = tmp_path / "chunked.jsonl", tmp_path / "one_by_one.jsonl"
+        write_report(report, path_a)
+        write_report(dataclasses.replace(report, results=one_by_one), path_b)
+        assert path_a.read_bytes() == path_b.read_bytes()
+        assert report.summary["findings"] == sum(len(r.findings) for r in one_by_one) > 0
 
     def test_empty_corpus(self, lexicons):
         report = batch_detect([], oracle_models([], lexicons, []), lexicons)
