@@ -1,6 +1,15 @@
 """Detect diagnoses documented in a record but missing from its discharge
 list, and estimate the DRG cost impact of recovering them."""
 
+import os
+
+# One BLAS thread unless the operator set a count: the models' products are
+# small, and numpy's thread pool stalls some of them for milliseconds. This
+# runs before the package imports numpy; a caller that imported it first
+# keeps the pool numpy started with.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .core import (
     CcLevel,
     DrgAssignment,

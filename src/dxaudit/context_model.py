@@ -34,7 +34,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import parse_json_object, read_lines
-from .errors import DegenerateData, EmptyPool, ParseError, ShapeMismatch, require_at_least
+from .errors import (BadSetting, DegenerateData, EmptyPool, ParseError, ShapeMismatch,
+                     require_at_least)
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .modelio import read_model, write_model
 
@@ -194,12 +195,24 @@ class CharWindowEncoder:
         return _row_sums(len(self.embedding), ids, d_rows)
 
 
-def initial_params(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
+def initial_params(shapes: dict[str, tuple[int, ...]], seed: int,
+                   settings: dict[str, int]) -> dict[str, np.ndarray]:
     """Fresh parameters for a shape table: each matrix drawn from N(0, 0.1**2)
-    in table order, each vector zero. The one place parameters are drawn."""
+    in table order, each vector zero. The one place parameters are drawn.
+
+    A shape numpy cannot allocate raises BadSetting naming ``settings``, the
+    dimensions the table was computed from, and the shape."""
     rng = np.random.default_rng(seed)
-    return {name: rng.normal(0.0, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
-            for name, shape in shapes.items()}
+    params: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        try:
+            params[name] = (rng.normal(0.0, 0.1, size=shape) if len(shape) == 2
+                            else np.zeros(shape))
+        except (MemoryError, ValueError) as exc:  # ValueError: more bytes than intp holds
+            named = ", ".join(f"{key}={value}" for key, value in settings.items())
+            raise BadSetting(f"{named}: parameter {name!r} of shape {shape} "
+                             "cannot be allocated") from exc
+    return params
 
 
 def epoch_batches(n: int, size: int, epochs: int, seed: int):
@@ -639,9 +652,11 @@ def train(samples: list[ContextSample], config: TrainConfig,
 
     vocab = CharVocab.from_texts(s.disease + s.context
                                  for s in [*samples, *(dev_samples or ())])
-    embedding = initial_params({"embedding": (len(vocab), d_enc)}, config.seed)["embedding"]
+    embedding = initial_params({"embedding": (len(vocab), d_enc)}, config.seed,
+                               {"d_enc": d_enc})["embedding"]
     encoder = CharWindowEncoder(vocab, embedding)
-    head = GatedFusionHead(initial_params(GatedFusionHead.shapes(d_enc, d), config.seed + 1))
+    head = GatedFusionHead(initial_params(GatedFusionHead.shapes(d_enc, d), config.seed + 1,
+                                          {"d_enc": d_enc, "d": d}))
     model = ContextClassifier(encoder, head, config)
 
     label_indices = [LABELS.index(lbl) for lbl in labels]

@@ -57,6 +57,8 @@ def load_model(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
     if version != VERSION:
         raise BadModelFile(f"{path}: unsupported model version {version}")
     offset = _PREAMBLE + header_len
+    if offset > len(data):
+        raise BadModelFile(f"{path}: truncated header")
     try:
         header = json.loads(data[_PREAMBLE:offset].decode("utf-8"))
         found, meta = header["kind"], dict(header["meta"])

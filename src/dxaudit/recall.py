@@ -2,11 +2,11 @@
 
 The matcher holds the lexicon's entries in a hash set and files every entry
 of two or more characters under its head, its first two characters, with
-the sorted distinct entry lengths under each head. A scan stops only at
-positions holding some entry's first character; there it looks up the
-character itself, then one slice per length filed under the two characters
-from there. So its cost follows those positions and the lengths under
-their heads, not the lexicon's size.
+the distinct entry lengths under each head, longest first. A scan stops
+only at positions holding some entry's first character; there it looks up
+one slice per length filed under the two characters from there, then the
+character itself, and stops at the first hit. So its cost follows those
+positions and the lengths under their heads, not the lexicon's size.
 
 Overlapping hits are resolved by longest-match-wins: a hit is dropped when
 its span is fully covered by another hit. This keeps a disease from being
@@ -47,33 +47,33 @@ class DiseaseMatcher:
         for entry in self._entries:
             if len(entry) > 1:
                 lengths[entry[:2]].add(len(entry))
-        self._heads = {head: sorted(sizes) for head, sizes in lengths.items()}
+        self._heads = {head: sorted(sizes, reverse=True) for head, sizes in lengths.items()}
         firsts = sorted({e[0] for e in self._entries})
         self._first = re.compile("[" + "".join(map(re.escape, firsts)) + "]")
 
     def scan(self, text: str) -> list[tuple[int, int, str]]:
-        """All raw (start, end, entry) hits in start order, overlaps included.
+        """The (start, end, entry) hits that no other hit contains, in start order.
 
-        At each position holding some entry's first character, the character
-        itself and then each entry length filed under the two characters
-        from there are looked up, so one start's hits come in end order.
+        At each position holding some entry's first character, the entry
+        lengths filed under the two characters from there are looked up
+        longest first, then the character itself. The first hit is the
+        position's one candidate: every shorter hit there lies inside it.
+        ``resolve_overlaps`` drops the candidates an earlier one covers.
         """
         entries, heads = self._entries, self._heads
         n = len(text)
-        hits: list[tuple[int, int, str]] = []
+        candidates: list[tuple[int, int, str]] = []
         for match in self._first.finditer(text):
             i = match.start()
-            piece = text[i]
-            if piece in entries:
-                hits.append((i, i + 1, piece))
             for length in heads.get(text[i:i + 2], ()):
                 end = i + length
-                if end > n:
+                if end <= n and (piece := text[i:end]) in entries:
+                    candidates.append((i, end, piece))
                     break
-                piece = text[i:end]
-                if piece in entries:
-                    hits.append((i, end, piece))
-        return hits
+            else:
+                if text[i] in entries:
+                    candidates.append((i, i + 1, text[i]))
+        return resolve_overlaps(candidates)
 
 
 def build_matcher(lexicon: Lexicon) -> DiseaseMatcher:
@@ -83,33 +83,33 @@ def build_matcher(lexicon: Lexicon) -> DiseaseMatcher:
 
 
 def resolve_overlaps(hits: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:
-    """Longest-match filter: drop hits fully covered by an accepted hit.
+    """Longest-match filter over at most one hit per start, in start order.
 
-    Containment is transitive, so the accepted hits are exactly the hits no
-    other hit contains (a repeated hit is kept once). Sorted by (start asc,
-    end desc), every hit that could contain a hit comes before it, so a hit
-    is kept when it ends past every hit before it, and the kept hits rise
-    strictly in both start and end. O(n log n).
+    A hit that another hit contains starts after it (at one start, the
+    longer hit is the one given), so it is contained exactly when it ends
+    at or before the last kept end: every earlier hit ends at or before
+    some kept hit's end. The kept hits are the hits no other hit contains,
+    rising strictly in both start and end. O(n), no sort.
     """
-    accepted: list[tuple[int, int, str]] = []
-    reach = -1
-    for start, end, entry in sorted(hits, key=lambda h: (h[0], -h[1], h[2])):
-        if end > reach:
-            accepted.append((start, end, entry))
-            reach = end
-    return accepted
+    kept: list[tuple[int, int, str]] = []
+    reach = 0
+    for hit in hits:
+        if hit[1] > reach:
+            kept.append(hit)
+            reach = hit[1]
+    return kept
 
 
 def find_mentions(matcher: DiseaseMatcher, record: MedicalRecord) -> list[DiseaseMention]:
     """One mention per distinct disease, aggregating every occurrence.
 
-    Sections are scanned independently; spans never cross sections. The
-    kept hits of a section rise in start, so each mention's spans rise in
+    Sections are scanned independently; spans never cross sections. A
+    section's hits rise in start, so each mention's spans rise in
     (section, start) and the mentions come in order of their first span.
     """
     by_disease: dict[str, list[tuple[int, int, int]]] = {}
     for section_index, (_, text) in enumerate(record.sections):
-        for start, end, entry in resolve_overlaps(matcher.scan(text)):
+        for start, end, entry in matcher.scan(text):
             by_disease.setdefault(entry, []).append((section_index, start, end))
     return [DiseaseMention(disease=disease, spans=tuple(spans))
             for disease, spans in by_disease.items()]

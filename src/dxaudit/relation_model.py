@@ -313,7 +313,8 @@ class PairEncoder:
         """An encoder over the names' characters, its embedding drawn at ``seed``."""
         require_at_least({"d_pair": d_pair}, d_pair=1)
         chars = CharVocab.from_texts(names).chars
-        embedding = initial_params({"embedding": (len(chars) + 1, d_pair)}, seed)["embedding"]
+        embedding = initial_params({"embedding": (len(chars) + 1, d_pair)}, seed,
+                                   {"d_pair": d_pair})["embedding"]
         return cls(chars, embedding)
 
     def encode_many(self, names: list[str]) -> tuple[np.ndarray, list[int]]:
@@ -569,7 +570,8 @@ def finetune(encoder: PairEncoder, labeled_pairs: list[DiseasePair],
             examples.append((ids_b, ids_a, idx))
 
     model = RelationClassifier(encoder, config, initial_params(
-        RelationClassifier.shapes(encoder.d_pair, config.hidden), config.seed + 1))
+        RelationClassifier.shapes(encoder.d_pair, config.hidden), config.seed + 1,
+        {"d_pair": encoder.d_pair, "hidden": config.hidden}))
     history: list[float] = []
     for batches in epoch_batches(len(examples), FINETUNE_BATCH, config.epochs, config.seed):
         epoch_loss = sum(model._step([examples[i] for i in batch_ids], config.learning_rate)

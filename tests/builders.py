@@ -9,17 +9,20 @@ from dxaudit.relation_model import RELATIONS, RelationClassifier
 
 
 def char_encoder(vocab, d_enc, seed):
-    embedding = initial_params({"embedding": (len(vocab), d_enc)}, seed)["embedding"]
+    embedding = initial_params({"embedding": (len(vocab), d_enc)}, seed,
+                               {"d_enc": d_enc})["embedding"]
     return CharWindowEncoder(vocab, embedding)
 
 
 def fusion_head(d_enc, d, seed):
-    return GatedFusionHead(initial_params(GatedFusionHead.shapes(d_enc, d), seed))
+    return GatedFusionHead(initial_params(GatedFusionHead.shapes(d_enc, d), seed,
+                                          {"d_enc": d_enc, "d": d}))
 
 
 def relation_classifier(encoder, config, seed):
     shapes = RelationClassifier.shapes(encoder.d_pair, config.hidden)
-    return RelationClassifier(encoder, config, initial_params(shapes, seed))
+    return RelationClassifier(encoder, config, initial_params(
+        shapes, seed, {"d_pair": encoder.d_pair, "hidden": config.hidden}))
 
 
 class LookupContextOracle:

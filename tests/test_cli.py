@@ -255,6 +255,12 @@ class TestConfigPrecedence:
         ("train-context", ["--d-enc", "-1"], "d_enc"),
         ("train-context", ["--d-enc", "0"], "d_enc"),
         ("train-context", ["--d", "0"], "d must"),
+        # numpy refuses these shapes before allocating: their byte counts pass
+        # what intp holds, so no machine grants them
+        ("train-context", ["--d", str(10**18)], f"d={10**18}: parameter 'W1'"),
+        ("train-context", ["--d-enc", str(10**18)], f"d_enc={10**18}: parameter 'embedding'"),
+        ("train-relation", ["--d-pair", str(10**18)], f"d_pair={10**18}: parameter 'embedding'"),
+        ("train-relation", ["--hidden", str(10**18)], f"hidden={10**18}: parameter 'W_h'"),
         ("detect", [], "detect needs --models"),
         ("ablate", ["--context-model", "context.bin"], "ablate needs --models"),
     ], ids=["miss-rate-2", "too-many-diseases", "negative-diseases",
@@ -264,7 +270,8 @@ class TestConfigPrecedence:
             "context-lr-nan", "context-lr-negative", "context-gamma-nan",
             "context-gamma-negative", "relation-d-pair-negative", "relation-d-pair-0",
             "relation-hidden-0", "context-d-enc-negative", "context-d-enc-0",
-            "context-d-0", "detect-no-models", "ablate-one-model"])
+            "context-d-0", "context-d-huge", "context-d-enc-huge", "relation-d-pair-huge",
+            "relation-hidden-huge", "detect-no-models", "ablate-one-model"])
     def test_out_of_range_setting_is_65(self, workspace, tmp_path, capsys, command,
                                         flags, setting):
         out = str(tmp_path / "out")
@@ -1021,11 +1028,12 @@ class TestHostileInput:
         ("relation", "fractional-shape", "'W_h'"),
         ("context", "unknown-array", "'head.W9'"),
         ("context", "bytes-after-last-array", "8 bytes"),
+        ("context", "header-past-end", "truncated header"),
         ("context", "vocab-repeats", "'vocab'"),
         ("relation", "vocab-repeats", "'vocab'"),
     ], ids=["relation-array-listed-twice", "relation-fractional-shape",
             "context-unknown-array", "context-bytes-after-last-array",
-            "context-vocab-repeats", "relation-vocab-repeats"])
+            "context-header-past-end", "context-vocab-repeats", "relation-vocab-repeats"])
     def test_crafted_manifest_and_vocab_are_refused(self, workspace, tmp_path, capsys,
                                                     kind, craft, named):
         """Files that save_model cannot write, their headers edited as raw
@@ -1045,11 +1053,14 @@ class TestHostileInput:
             body += bytes(8)
         elif craft == "bytes-after-last-array":
             body += bytes(8)
+        elif craft == "header-past-end":  # the file ends 8 bytes into its header
+            body = b""
         else:  # a repeated character shifts the ids of the characters after it
             meta["vocab"] = meta["vocab"][0] + meta["vocab"][:-1]
         blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+        length = len(blob) + 8 * (craft == "header-past-end")
         edited = tmp_path / f"{kind}.bin"
-        edited.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + body)
+        edited.write_bytes(data[:8] + struct.pack("<Q", length) + blob + body)
         models = {"context": workspace / "context.bin",
                   "relation": workspace / "relation.bin", kind: edited}
         assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),

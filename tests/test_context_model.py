@@ -9,6 +9,7 @@ import pytest
 from dxaudit.core import LexiconKind, make_lexicon
 from dxaudit.errors import (
     BadModelFile,
+    BadSetting,
     DegenerateData,
     EmptyPool,
     ParseError,
@@ -25,6 +26,7 @@ from dxaudit.context_model import (
     _segments,
     augment_eda,
     focal_loss,
+    initial_params,
     load_training_samples,
     pack,
     train,
@@ -477,6 +479,21 @@ def separable_samples(n=200, seed=0):
 
 
 class TestTraining:
+    def test_a_shape_numpy_cannot_allocate_is_a_bad_setting(self, monkeypatch):
+        """numpy's MemoryError comes from a stand-in: a real request that
+        large is granted by a kernel that always overcommits."""
+        zeros = np.zeros  # the random generator allocates through it too
+
+        def refuse(shape, *args, **kwargs):
+            if shape == (9,):
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(BadSetting, match=r"^d_pair=7, hidden=9: parameter 'b_h' "
+                                             r"of shape \(9,\) cannot be allocated$"):
+            initial_params({"b_h": (9,)}, 0, {"d_pair": 7, "hidden": 9})
+
     def test_loss_strictly_decreases_on_separable_data(self):
         samples = separable_samples(200, seed=1)
         # full-batch descent keeps the per-epoch loss curve monotone

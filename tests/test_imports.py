@@ -1,14 +1,19 @@
 """Rules on the package source: numpy is its only runtime dependency,
-only core writes files, every stage method has its Protocol's
-parameters, every call the benchmark traces exists, and a traced detect
-shows every span the benchmark requires of it."""
+importing the package gives BLAS one thread unless a count is set, only
+core writes files, every stage method has its Protocol's parameters,
+every call the benchmark traces exists, and a traced detect shows every
+span the benchmark requires of it."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from dxaudit import pipeline, synth
 from dxaudit.context_model import CharVocab, ContextClassifier, TrainConfig
@@ -42,6 +47,24 @@ def test_only_numpy_outside_the_standard_library():
                    for path in sources for line, module in imported_modules(path)
                    if module not in sys.stdlib_module_names and module not in ALLOWED]
     assert third_party == []
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("started, reads", [(None, "1"), ("3", "3")],
+                         ids=["unset", "set-by-the-operator"])
+def test_importing_the_package_gives_blas_one_thread_unless_set(started, reads):
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    if started is not None:
+        env.update(dict.fromkeys(BLAS_THREADS, started))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      os.environ.get("PYTHONPATH")]))
+    code = f"import os, dxaudit; print(*(os.environ[key] for key in {BLAS_THREADS}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [reads, reads]
 
 
 def test_nested_imports_count_and_relative_ones_do_not(tmp_path):

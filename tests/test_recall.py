@@ -93,7 +93,8 @@ class TestMatcher:
         matcher = build_matcher(disease_lexicon(*entries))
         heads = {e[:2] for e in entries if len(e) > 1}
         assert matcher._heads == {
-            head: sorted({len(e) for e in entries if len(e) > 1 and e.startswith(head)})
+            head: sorted({len(e) for e in entries if len(e) > 1 and e.startswith(head)},
+                         reverse=True)
             for head in heads}
         assert {"炎", "癌"} <= matcher._entries  # one-character entries, under no head
 
