@@ -57,7 +57,8 @@ class ConfirmAllContext:
 class IrrelevanceAllRelation:
     """Relation stage bypass: only exact matches count as covered."""
 
-    def predict_proba(self, names: list[str], against: list[str] | np.ndarray):
+    def predict_proba(self, names: list[str] | np.ndarray,
+                      against: list[str] | np.ndarray):
         probs = np.zeros((len(names), len(against), len(RELATIONS)))
         probs[..., RELATIONS.index("irrelevance")] = 1.0
         return probs

@@ -10,8 +10,9 @@ the models.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import Protocol
@@ -21,7 +22,8 @@ import numpy as np
 from .core import (Lexicon, MedicalRecord, discharge_names, json_line,
                    normalize_disease_name, parse_json_object, read_corpus, read_lines,
                    write_lines)
-from .errors import DuplicateRecordId, DxAuditError, EmptyName, ModelNotLoaded, ParseError
+from .errors import (DuplicateRecordId, DxAuditError, EmptyName, ModelNotLoaded, ParseError,
+                     ShapeMismatch)
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
 from .context_model import PASS_ROWS
 from .recall import (DiseaseMatcher, DiseaseMention, build_context_window, build_matcher,
@@ -41,13 +43,22 @@ class ContextStage(Protocol):
     def classify(self, *samples: ContextSample) -> list[tuple[str, float]]:
         """Each sample's label (one of LABELS) and its probability, in the
         samples' order. Detect passes a chunk of records' samples in one
-        call, and never calls with no samples."""
+        call, and never calls with no samples. Detect refuses an answer
+        with another count of judgments, another label, or a probability
+        outside [0, 1]."""
 
 
 class RelationStage(Protocol):
-    def predict_proba(self, names: list[str], against: list[str] | np.ndarray) -> np.ndarray:
+    """A stage may also have ``embed_names(names)``, one row per name that
+    does not depend on the other names. It is optional: when present,
+    batch_detect embeds each name once and passes predict_proba rows in
+    place of both lists."""
+
+    def predict_proba(self, names: list[str] | np.ndarray,
+                      against: list[str] | np.ndarray) -> np.ndarray:
         """(len(names), len(against), len(RELATIONS)) probabilities of each
-        relation of each disease in names to each name in against."""
+        relation of each disease in names to each name in against. Detect
+        refuses another shape, or a cell that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -72,25 +83,90 @@ class PipelineLexicons:
         return build_matcher(self.diseases)
 
 
-def _stage_record(
+# Entries in each of batch_detect's two memos, window judgments and name
+# rows; past it the oldest entry goes first, so a call's memory does not
+# grow with its corpus.
+MEMO_ENTRIES = 4096
+
+
+def _windows(
     record: MedicalRecord,
     matcher: DiseaseMatcher,
-    lexicons: PipelineLexicons,
-) -> tuple[list[DiseaseMention], list[ContextSample]]:
+) -> tuple[list[DiseaseMention], list[tuple[str, str]]]:
     """The record's recalled mentions that are not a discharge diagnosis
-    verbatim (those need no model calls), and each one's context sample."""
+    verbatim (those need no model calls), and each one's window as
+    (disease, context)."""
     discharge_set = set(discharge_names(record))
     mentions = [m for m in find_mentions(matcher, record) if m.disease not in discharge_set]
-    samples = []
+    windows = []
     for mention in mentions:
         windowed = build_context_window(record, mention)
-        samples.append(assemble_features(windowed.disease, windowed.context,
-                                         lexicons.features))
-    return mentions, samples
+        windows.append((windowed.disease, windowed.context))
+    return mentions, windows
 
 
-def _classify(models: Models, samples: list[ContextSample]) -> list[tuple[str, float]]:
-    return models.context.classify(*samples) if samples else []
+def _sample_rows(windows) -> int:
+    """The rows a classify pass spends on the windows' samples: disease,
+    separator, context."""
+    return sum(len(disease) + 1 + len(context) for disease, context in windows)
+
+
+def _remember(memo: OrderedDict, key, value) -> None:
+    """Store value under key, dropping memo's oldest entry first when it
+    already holds MEMO_ENTRIES."""
+    if len(memo) >= MEMO_ENTRIES:
+        memo.popitem(last=False)
+    memo[key] = value
+
+
+def _judge(models: Models, samples: list[ContextSample]) -> list[tuple[str, float]]:
+    """The context stage's judgments of the samples, checked: one per
+    sample (else ShapeMismatch), each a label of LABELS at a probability
+    in [0, 1] (else DxAuditError). No samples make no call."""
+    if not samples:
+        return []
+    judgments = models.context.classify(*samples)
+    if len(judgments) != len(samples):
+        raise ShapeMismatch(f"context stage gave {len(judgments)} judgments "
+                            f"for {len(samples)} samples")
+    for label, prob in judgments:
+        if label not in LABELS or not 0.0 <= prob <= 1.0:  # also false for NaN
+            raise DxAuditError(f"context stage judged a sample {label!r} at probability "
+                               f"{prob!r}; a judgment is one of {', '.join(LABELS)} "
+                               "at a probability in [0, 1]")
+    return judgments
+
+
+def _name_rows(embed_names, memo: OrderedDict, names: list[str]) -> np.ndarray:
+    """The embed_names rows of the names, in order. The names memo lacks
+    are embedded in one call, then remembered."""
+    missing = [name for name in dict.fromkeys(names) if name not in memo]
+    fresh = dict(zip(missing, embed_names(missing))) if missing else {}
+    rows = np.array([fresh[name] if name in fresh else memo[name] for name in names])
+    for name, row in fresh.items():
+        _remember(memo, name, row)
+    return rows
+
+
+def _relation_grid(models: Models, names: list[str], against: list[str],
+                   name_rows=None) -> np.ndarray:
+    """The relation stage's probabilities of names against ``against``,
+    checked: a grid of shape (len(names), len(against), len(RELATIONS))
+    with every cell finite, else ShapeMismatch. ``name_rows``, when
+    given, turns a list of names into their embed_names rows, which the
+    stage scores in place of the names."""
+    if name_rows is None:
+        grid = models.relation.predict_proba(names, against)
+    else:
+        rows = name_rows([*names, *against])
+        grid = models.relation.predict_proba(rows[:len(names)], rows[len(names):])
+    expected = (len(names), len(against), len(RELATIONS))
+    if np.shape(grid) != expected:
+        raise ShapeMismatch(f"relation stage gave a grid of shape {np.shape(grid)} "
+                            f"for {expected}")
+    if not np.isfinite(grid).all():
+        raise ShapeMismatch("relation stage gave a grid with a non-finite cell")
+    return grid
 
 
 def _detect_record(
@@ -98,10 +174,11 @@ def _detect_record(
     mentions: list[DiseaseMention],
     judgments: list[tuple[str, float]],
     models: Models,
+    name_rows=None,
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
     """Findings and context label counts of a staged record, given its
     mentions' (label, prob) judgments: one relation call compares the
-    confirmed mentions with the discharge diagnoses."""
+    confirmed mentions with the discharge diagnoses (see _relation_grid)."""
     confirmed = []
     label_counts = {label: 0 for label in LABELS}
     for mention, (label, prob) in zip(mentions, judgments):
@@ -112,7 +189,7 @@ def _detect_record(
         return [], label_counts
 
     discharge = discharge_names(record)
-    probs = models.relation.predict_proba([m.disease for m, _ in confirmed], discharge)
+    probs = _relation_grid(models, [m.disease for m, _ in confirmed], discharge, name_rows)
     findings: list[WriteMissingFinding] = []
     for (mention, prob), grid in zip(confirmed, probs):
         relations = tuple(
@@ -137,31 +214,40 @@ def detect_write_missing(
 ) -> list[WriteMissingFinding]:
     """Write-missing findings for one record. ``matcher`` must be built
     from ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
-    mentions, samples = _stage_record(record, matcher or lexicons.matcher, lexicons)
-    findings, _ = _detect_record(record, mentions, _classify(models, samples), models)
+    mentions, windows = _windows(record, matcher or lexicons.matcher)
+    samples = [assemble_features(disease, context, lexicons.features)
+               for disease, context in windows]
+    findings, _ = _detect_record(record, mentions, _judge(models, samples), models)
     return findings
 
 
-def _detect_chunk(chunk, models: Models):
+def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models, name_rows):
     """(record, (findings, label counts) or the exception it raised) for
     each (record, staged record or exception) of ``chunk``, in order.
 
-    The chunk's samples are classified in one call. When that call
-    raises, each record's are classified in a call of their own, so the
+    ``pending`` maps each window first seen in the chunk to its sample.
+    They are judged in one call, and the judgments are remembered in
+    ``judged``. When that call raises, or its answer is refused, each
+    record's pending windows are judged in a call of their own, so the
     error lands on the record that raised it.
     """
-    staged = [outcome for _, outcome in chunk if not isinstance(outcome, Exception)]
     try:
-        judgments = iter(_classify(models, [s for _, samples in staged for s in samples]))
+        fresh = dict(zip(pending, _judge(models, list(pending.values()))))
     except Exception:
-        judgments = None
+        fresh = None
+    else:
+        for window, judgment in fresh.items():
+            _remember(judged, window, judgment)
     for record, outcome in chunk:
         if not isinstance(outcome, Exception):
-            mentions, samples = outcome
+            mentions, windows, known = outcome
             try:
-                own = (_classify(models, samples) if judgments is None
-                       else [next(judgments) for _ in samples])
-                outcome = _detect_record(record, mentions, own, models)
+                own = fresh
+                if own is None:
+                    todo = [window for window in windows if window not in known]
+                    own = dict(zip(todo, _judge(models, [pending[w] for w in todo])))
+                judgments = [known[w] if w in known else own[w] for w in windows]
+                outcome = _detect_record(record, mentions, judgments, models, name_rows)
             except Exception as exc:
                 outcome = exc
         yield record, outcome
@@ -195,12 +281,19 @@ def batch_detect(
     corpus keeps the first record, as a path corpus does. Error entries
     come in record order.
 
-    Records run in chunks, one after another: recall, windows and
-    features run record by record until the chunk's samples fill a pass
-    of PASS_ROWS rows, one ``classify`` call judges them all, and then
-    each record's relation call and findings follow (see _detect_chunk).
-    ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is
-    read before the first record, so an empty disease lexicon raises.
+    Records run in chunks, one after another: recall and windows run
+    record by record, and each window not seen before in this call gets
+    its features, until those new samples fill a pass of PASS_ROWS rows;
+    one ``classify`` call judges them all, and then each record's
+    relation call and findings follow (see _detect_chunk). A window, its
+    (disease, context), seen before in this call takes the judgment
+    given then. When ``models.relation`` has the optional
+    ``embed_names``, each name is embedded once in this call and the
+    relation calls take rows in place of names. Both memos hold at most
+    MEMO_ENTRIES entries each and end with the call; no byte of the
+    report depends on them. ``parallelism`` is accepted and ignored.
+    ``lexicons.matcher`` is read before the first record, so an empty
+    disease lexicon raises.
     """
     records, errors = corpus, []
     if isinstance(corpus, (str, Path)):
@@ -208,25 +301,33 @@ def batch_detect(
         errors = [{"line": line_no, "error": str(error)} for line_no, error in bad_lines]
 
     matcher = lexicons.matcher
+    embed_names = getattr(models.relation, "embed_names", None)
+    name_rows = None if embed_names is None else partial(_name_rows, embed_names,
+                                                         OrderedDict())
+    judged: OrderedDict = OrderedDict()
     outcomes = []
-    chunk, rows = [], 0
+    chunk, pending, rows = [], {}, 0
     seen: set[str] = set()
     for record in records:
         try:
             if record.record_id in seen:
                 raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
             seen.add(record.record_id)
-            staged = _stage_record(record, matcher, lexicons)
-            # a sample's rows: disease, separator, context
-            size = sum(len(s.disease) + 1 + len(s.context) for s in staged[1])
+            mentions, windows = _windows(record, matcher)
+            if chunk and rows + _sample_rows(
+                    w for w in windows if w not in judged and w not in pending) > PASS_ROWS:
+                outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
+                chunk, pending, rows = [], {}, 0
+            known = {w: judged[w] for w in windows if w in judged}
+            new = {w: assemble_features(*w, lexicons.features)
+                   for w in windows if w not in known and w not in pending}
+            pending.update(new)
+            rows += _sample_rows(new)
+            staged = mentions, windows, known
         except Exception as exc:  # a fault in one record must not end the batch
-            staged, size = exc, 0
-        if chunk and rows + size > PASS_ROWS:
-            outcomes.extend(_detect_chunk(chunk, models))
-            chunk, rows = [], 0
+            staged = exc
         chunk.append((record, staged))
-        rows += size
-    outcomes.extend(_detect_chunk(chunk, models))
+    outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
 
     results: list[RecordResult] = []
     label_totals = {label: 0 for label in LABELS}

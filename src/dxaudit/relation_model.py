@@ -452,8 +452,10 @@ class RelationClassifier:
     def embed_names(self, names: list[str]) -> np.ndarray:
         """One encoder row per name, normalized and embedded BLOCK_ROWS
         names at a time, so a whole ICD table's characters are never
-        looked up at once. predict_proba takes these rows in place of the
-        names, so a list scored many times is embedded once."""
+        looked up at once. A name's row does not depend on the names
+        embedded with it. predict_proba takes these rows in place of
+        either list of names, so a name scored many times is embedded
+        once."""
         rows = np.empty((len(names), self.encoder.d_pair))
         for start in range(0, len(names), BLOCK_ROWS):
             block = names[start : start + BLOCK_ROWS]
@@ -461,15 +463,17 @@ class RelationClassifier:
                 [normalize_disease_name(name) for name in block]))
         return rows
 
-    def predict_proba(self, names: list[str], against: list[str] | np.ndarray) -> np.ndarray:
+    def predict_proba(self, names: list[str] | np.ndarray,
+                      against: list[str] | np.ndarray) -> np.ndarray:
         """(len(names), len(against), 5) probabilities of each relation of
-        each name to each name of ``against``, which may instead be the
-        embed_names rows of a list scored many times. A list ``against`` is
-        embedded in one pass with the names. The pairs are scored
-        BLOCK_ROWS at a time, each block gathering its own rows, so no
-        grid of pair rows is ever held."""
-        if isinstance(against, np.ndarray):
-            u, v = self.embed_names(names), against
+        each name to each name of ``against``. Either may instead be the
+        embed_names rows of a list scored many times; two lists are
+        embedded in one pass. The pairs are scored BLOCK_ROWS at a time,
+        each block gathering its own rows, so no grid of pair rows is ever
+        held."""
+        if isinstance(names, np.ndarray) or isinstance(against, np.ndarray):
+            u, v = (x if isinstance(x, np.ndarray) else self.embed_names(x)
+                    for x in (names, against))
         else:
             rows = self.embed_names([*names, *against])
             u, v = rows[:len(names)], rows[len(names):]

@@ -8,7 +8,8 @@ import pytest
 
 from dxaudit import pipeline, synth
 from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
-from dxaudit.errors import ModelNotLoaded, ParseError
+from dxaudit.context_model import TrainConfig, train
+from dxaudit.errors import DxAuditError, ModelNotLoaded, ParseError, ShapeMismatch
 from dxaudit.evaluate import ConfirmAllContext, IrrelevanceAllRelation
 from dxaudit.pipeline import (
     Models,
@@ -20,7 +21,8 @@ from dxaudit.pipeline import (
     write_report,
 )
 from dxaudit.recall import build_context_window
-from dxaudit.relation_model import RELATIONS
+from dxaudit.relation_model import (RELATIONS, PairEncoder, PairTrainConfig, finetune,
+                                    load_pairs)
 
 from builders import LookupContextOracle, MapRelationOracle
 
@@ -41,6 +43,37 @@ def oracle_models(records, lexicons, mention_labels, similar_pairs=()):
                                             lexicons.features)
     return Models(context=LookupContextOracle(samples),
                   relation=MapRelationOracle(similar_pairs))
+
+
+@pytest.fixture(scope="module")
+def trained_models(disease_pool, feature_lexicons, data_dir):
+    """Both models, briefly trained on a small synthetic corpus."""
+    spec = synth.SyntheticSpec(n_records=60, diseases_per_record=4, miss_rate=0.35,
+                               negation_rate=0.25, enumeration_rate=0.3, seed=11)
+    variants = synth.load_variant_pairs(data_dir / "disease_variants.tsv")
+    records, gold = synth.gen_synthetic_corpus(
+        spec, disease_pool, synth.Templates.load(data_dir / "templates.txt"),
+        variant_pairs=variants)
+    samples = synth.labeled_context_samples(records, gold, disease_pool, feature_lexicons)
+    context, _ = train(samples, TrainConfig(epochs=2, seed=5), d=8, d_enc=8)
+    pairs = synth.relation_training_pairs(
+        disease_pool, variants, load_pairs(data_dir / "relation_pairs_fixture.tsv"))
+    encoder = PairEncoder.from_names([p.a for p in pairs] + [p.b for p in pairs],
+                                     d_pair=8, seed=3)
+    relation, _ = finetune(encoder, pairs, PairTrainConfig(hidden=8, epochs=2, seed=3))
+    return Models(context=context, relation=relation)
+
+
+class CountingContext:
+    """A context stage that keeps each call's (disease, context) windows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def classify(self, *samples):
+        self.calls.append([(sample.disease, sample.context) for sample in samples])
+        return self.inner.classify(*samples)
 
 
 def record(record_id, text, discharge):
@@ -194,30 +227,89 @@ class TestBatchDetect:
                        (f"r{i}", "高血压", "confirmed"),
                        (f"r{i}", "脑梗死", "non_current")]
         models = oracle_models(records, lexicons, labels)
+        counting = CountingContext(models.context)
+        models = Models(counting, models.relation)
         seq = batch_detect(records, models, lexicons, parallelism=1)
         par = batch_detect(records, models, lexicons, parallelism=8)
         path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_report(seq, path_a)
         write_report(par, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+        # the twenty records share two windows to judge (高血压 is a discharge
+        # diagnosis): one call per batch judges them
+        assert [len(call) for call in counting.calls] == [2, 2]
 
     def test_unexpected_error_in_one_record_is_its_error_entry(self, lexicons):
+        """A stage that raises on r2's candidate 胃溃疡, or gives an answer
+        detect refuses, fails r2 alone; detect_write_missing raises the
+        same error for r2."""
         class FaultyRelation:
             def predict_proba(self, names, against):
                 if "胃溃疡" in names:
                     raise ValueError("cannot score 胃溃疡")
                 return IrrelevanceAllRelation().predict_proba(names, against)
 
+        class BadAnswerContext:
+            def __init__(self, bad):
+                self.bad = bad
+
+            def classify(self, *samples):
+                judgments = [("confirmed", 1.0)] * len(samples)
+                return self.bad(judgments) if any(
+                    sample.disease == "胃溃疡" for sample in samples) else judgments
+
+        class BadGridRelation:
+            def __init__(self, bad):
+                self.bad = bad
+
+            def predict_proba(self, names, against):
+                probs = IrrelevanceAllRelation().predict_proba(names, against)
+                return self.bad(probs) if "胃溃疡" in names else probs
+
+        def nan_cell(probs):
+            probs[0, 1, 0] = np.nan
+            return probs
+
+        labels = "non_current, confirmed, unknown"
+        cases = [
+            (ConfirmAllContext(), FaultyRelation(), ValueError,
+             "ValueError: cannot score 胃溃疡"),
+            (BadAnswerContext(lambda judgments: judgments[:-1]), IrrelevanceAllRelation(),
+             ShapeMismatch, "context stage gave 0 judgments for 1 samples"),
+            (BadAnswerContext(lambda judgments: [("maybe", 0.9)] * len(judgments)),
+             IrrelevanceAllRelation(), DxAuditError,
+             f"context stage judged a sample 'maybe' at probability 0.9; a judgment is "
+             f"one of {labels} at a probability in [0, 1]"),
+            (BadAnswerContext(lambda judgments: [("confirmed", float("nan"))] * len(judgments)),
+             IrrelevanceAllRelation(), DxAuditError,
+             f"context stage judged a sample 'confirmed' at probability nan; a judgment "
+             f"is one of {labels} at a probability in [0, 1]"),
+            (BadAnswerContext(lambda judgments: [("confirmed", 1.5)] * len(judgments)),
+             IrrelevanceAllRelation(), DxAuditError,
+             f"context stage judged a sample 'confirmed' at probability 1.5; a judgment "
+             f"is one of {labels} at a probability in [0, 1]"),
+            (ConfirmAllContext(), BadGridRelation(lambda probs: probs[:-1]), ShapeMismatch,
+             "relation stage gave a grid of shape (0, 2, 5) for (1, 2, 5)"),
+            (ConfirmAllContext(), BadGridRelation(lambda probs: probs[:, :-1]), ShapeMismatch,
+             "relation stage gave a grid of shape (1, 1, 5) for (1, 2, 5)"),
+            (ConfirmAllContext(), BadGridRelation(nan_cell), ShapeMismatch,
+             "relation stage gave a grid with a non-finite cell"),
+        ]
         records = [record("r1", "确诊为肺炎。", ["高血压"]),
-                   record("r2", "确诊为胃溃疡。", ["高血压"]),
+                   record("r2", "确诊为胃溃疡。", ["高血压", "冠心病"]),
                    record("r3", "确诊为脑梗死。", [])]
-        report = batch_detect(records, Models(ConfirmAllContext(), FaultyRelation()),
-                              lexicons)
-        assert [r.record_id for r in report.results] == ["r1", "r3"]
-        assert report.errors == [{"record_id": "r2",
-                                  "error": "ValueError: cannot score 胃溃疡"}]
-        assert report.summary["records"] == 2
-        assert report.summary["errors"] == 1
+        for context, relation, error_type, error in cases:
+            models = Models(context, relation)
+            report = batch_detect(records, models, lexicons)
+            assert [r.record_id for r in report.results] == ["r1", "r3"]
+            assert [[f.disease for f in r.findings] for r in report.results] == \
+                [["肺炎"], ["脑梗死"]]
+            assert report.errors == [{"record_id": "r2", "error": error}]
+            assert report.summary["records"] == 2
+            assert report.summary["errors"] == 1
+            with pytest.raises(error_type) as raised:
+                detect_write_missing(records[1], models, lexicons)
+            assert error.endswith(str(raised.value))
 
     def test_chunks_match_one_record_at_a_time_and_faults_fail_alone(
             self, lexicons, tmp_path, monkeypatch):
@@ -274,6 +366,56 @@ class TestBatchDetect:
         write_report(dataclasses.replace(report, results=one_by_one), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
         assert report.summary["findings"] == sum(len(r.findings) for r in one_by_one) > 0
+
+    @pytest.mark.parametrize("memo_entries", [None, 2], ids=["default", "two"])
+    def test_records_repeated_under_fresh_ids_match_one_record_at_a_time(
+            self, trained_models, disease_pool, feature_lexicons, data_dir, tmp_path,
+            monkeypatch, memo_entries):
+        """Trained models over a corpus that repeats its records under fresh
+        ids, across several chunks: batch_detect's report lines are
+        detect_write_missing's, record by record. Each distinct window
+        reaches classify once per call, none with zero samples, while the
+        memos are large enough; with room for two entries, neither memo
+        ever holds more."""
+        spec = synth.SyntheticSpec(n_records=30, diseases_per_record=4, miss_rate=0.35,
+                                   negation_rate=0.25, enumeration_rate=0.3, seed=31)
+        originals, _ = synth.gen_synthetic_corpus(
+            spec, disease_pool, synth.Templates.load(data_dir / "templates.txt"),
+            variant_pairs=synth.load_variant_pairs(data_dir / "disease_variants.tsv"))
+        records = [dataclasses.replace(rec, record_id=f"{rec.record_id}-{k}")
+                   for k in range(3) for rec in originals]
+        lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
+        counting = CountingContext(trained_models.context)
+        models = Models(counting, trained_models.relation)
+
+        memos = {}
+        remember = pipeline._remember
+        bound = memo_entries or pipeline.MEMO_ENTRIES
+
+        def bounded_remember(memo, key, value):
+            remember(memo, key, value)
+            assert len(memo) <= bound
+            memos[id(memo)] = type(key)
+
+        monkeypatch.setattr(pipeline, "MEMO_ENTRIES", bound)
+        monkeypatch.setattr(pipeline, "_remember", bounded_remember)
+        report = batch_detect(records, models, lexicons)
+        assert report.errors == []
+        assert sorted(memos.values(), key=str) == [str, tuple]
+        windows = [window for call in counting.calls for window in call]
+        assert min(map(len, counting.calls)) > 0
+        assert len(counting.calls) >= 3
+        if memo_entries is None:
+            assert len(windows) == len(set(windows)) < len(records) * 4
+
+        one_by_one = [RecordResult(rec.record_id,
+                                   detect_write_missing(rec, trained_models, lexicons))
+                      for rec in records]
+        path_a, path_b = tmp_path / "batched.jsonl", tmp_path / "one_by_one.jsonl"
+        write_report(report, path_a)
+        write_report(dataclasses.replace(report, results=one_by_one), path_b)
+        assert path_a.read_bytes() == path_b.read_bytes()
+        assert report.summary["findings"] > 0
 
     def test_empty_corpus(self, lexicons):
         report = batch_detect([], oracle_models([], lexicons, []), lexicons)
