@@ -2,9 +2,10 @@
 
 Everything loaded here is immutable after load. Every text input is read
 here: the corpus by the lenient ``read_corpus``, every other file by the
-strict ``read_lines`` (CSV by ``read_rows``, headed tables by ``read_table``).
-Lines end at LF, CRLF or CR, never at U+2028 or U+0085; blank lines are
-skipped; a malformed line, undecodable bytes included, is a ParseError.
+strict ``read_lines`` (CSV by ``read_rows``, headed tables by ``read_table``)
+or, for lexicons, by its decoder ``_read_text``. Lines end at LF, CRLF or
+CR, never at U+2028 or U+0085; blank lines are skipped; a malformed line,
+undecodable bytes included, is a ParseError.
 
 Every output is written here too, by ``write_bytes`` (text by
 ``write_lines``, CSV by ``write_rows``, JSON encoded by ``json_line``):
@@ -50,6 +51,10 @@ _TRAILING_PUNCT = "、,;；"
 # and the half-width characters they fold to.
 _FULL_WIDTH_RE = re.compile("[\uff01-\uff5e\u3000]")
 _HALF_WIDTH = {o: o - 0xFEE0 for o in range(0xFF01, 0xFF5F)} | {0x3000: " "}
+
+# A line of an LF-ended text whose last non-blank character is trailing list
+# punctuation.
+_PUNCT_LINE_END_RE = re.compile(rf"[{_TRAILING_PUNCT}][^\S\n]*$", re.MULTILINE)
 
 _ICD_CODE_RE = re.compile(r"^[A-Z][0-9]{2}(\.[0-9]([0-9]{2})?)?$")
 
@@ -303,10 +308,11 @@ def record_to_json(record: MedicalRecord) -> str:
     return json_line(obj)
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, text) for each non-blank line of a UTF-8 file, stripped.
+def _read_text(path: str | Path) -> tuple[str, ParseError | None]:
+    """A UTF-8 file's text, decoded once, with its line ends made LF, and None.
 
-    The file is decoded once; an undecodable byte raises after the lines before it.
+    If the file holds an undecodable byte, the text is that of the lines
+    before the byte's line, and the ParseError names the byte and its line.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -314,13 +320,25 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         text, bad = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:
         text, bad = data[:exc.start].decode("utf-8"), True
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines[:-1] if bad else lines, start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not bad:
+        return text, None
+    head, _, tail = text.rpartition("\n")  # tail: the bad line up to its byte
+    return head, ParseError(f"invalid UTF-8 at byte {len(tail.encode('utf-8'))}",
+                            text.count("\n") + 1)
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, text) for each non-blank line of a UTF-8 file, stripped.
+
+    The file is decoded once; an undecodable byte raises after the lines before it.
+    """
+    text, error = _read_text(path)
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line := line.strip():
             yield line_no, line
-    if bad:  # lines[-1] is the bad line up to its first undecodable byte
-        byte = len(lines[-1].encode("utf-8"))
-        raise ParseError(f"invalid UTF-8 at byte {byte}", len(lines))
+    if error is not None:
+        raise error
 
 
 def read_rows(path: str | Path, delimiter: str = ",") -> list[tuple[int, list[str]]]:
@@ -525,20 +543,29 @@ def load_icd_table(path: str | Path) -> IcdIndex:
 def load_lexicon(path: str | Path, kind: LexiconKind) -> Lexicon:
     """Load a one-entry-per-line lexicon ('#' starts a comment line).
 
-    A disease name that normalizes to empty is a ParseError naming its line.
+    Entries are kept as make_lexicon keeps them. A stripped line is its own
+    normal form unless it holds a full-width character or ends in list
+    punctuation, so a text with neither is read without normalizing each
+    entry. Otherwise each entry is normalized, and one that normalizes to
+    empty is a ParseError naming the file, the lexicon's kind and the line.
     """
-    line_no = 0
-
-    def entries():
-        nonlocal line_no
-        for line_no, line in read_lines(path):
-            if not line.startswith("#"):
-                yield line
-
-    try:
-        return make_lexicon(entries(), kind)
-    except EmptyName as exc:  # the name that raised is on the line read last
-        raise ParseError(str(exc), line_no) from None
+    text, error = _read_text(path)
+    lines = text.split("\n")
+    if kind is LexiconKind.ENUMERATOR_PATTERNS or not (
+            _FULL_WIDTH_RE.search(text) or _PUNCT_LINE_END_RE.search(text)):
+        entries = (line for raw in lines if (line := raw.strip()) and line[0] != "#")
+    else:
+        entries = []
+        for line_no, raw in enumerate(lines, start=1):
+            if (line := raw.strip()) and line[0] != "#":
+                try:
+                    entries.append(normalize_disease_name(line))
+                except EmptyName:
+                    raise ParseError(f"{kind.value.replace('_', ' ')} lexicon {path}: "
+                                     f"entry {line!r} normalized to empty", line_no) from None
+    if error is not None:
+        raise error
+    return Lexicon(kind=kind, entries=tuple(dict.fromkeys(entries)))
 
 
 def make_lexicon(entries: Iterable[str], kind: LexiconKind) -> Lexicon:

@@ -41,14 +41,16 @@ class DiseaseMatcher:
         self._entries = frozenset(entries)
         if not self._entries:
             raise EmptyLexicon("disease lexicon is empty")
-        # An entry of two or more characters is filed under its head (its
-        # first two characters); one-character entries live only in the set.
+        # Each entry's length is filed under its head, its first two
+        # characters, in one pass. A one-character entry is its own head,
+        # so the heads' first characters are every entry's; it is looked up
+        # in the set alone, and only two-character heads are kept.
         lengths: defaultdict[str, set[int]] = defaultdict(set)
         for entry in self._entries:
-            if len(entry) > 1:
-                lengths[entry[:2]].add(len(entry))
-        self._heads = {head: sorted(sizes, reverse=True) for head, sizes in lengths.items()}
-        firsts = sorted({e[0] for e in self._entries})
+            lengths[entry[:2]].add(len(entry))
+        self._heads = {head: sorted(sizes, reverse=True)
+                       for head, sizes in lengths.items() if len(head) > 1}
+        firsts = sorted({head[0] for head in lengths})
         self._first = re.compile("[" + "".join(map(re.escape, firsts)) + "]")
 
     def scan(self, text: str) -> list[tuple[int, int, str]]:

@@ -578,3 +578,54 @@ def seed_context_window(record, spans):
             context_spans.append((start - a + offset, end - a + offset))
         offset += b - a
     return "".join(parts), tuple(context_spans)
+
+
+def seed_make_lexicon(entries, kind):
+    """The original per-entry lexicon build: each word entry normalized on
+    its own (an enumerator pattern kept as written), repeats dropped."""
+    from dxaudit.core import LexiconKind
+
+    if kind is not LexiconKind.ENUMERATOR_PATTERNS:
+        entries = [seed_normalize_disease_name(entry) for entry in entries]
+    return tuple(dict.fromkeys(entries))
+
+
+def seed_load_lexicon(data, kind):
+    """The original lexicon load of the bytes ``data``, line by line: the
+    lexicon's entries, or the line of the first ParseError as ("error",
+    line). Lines end at LF, CRLF or CR; a name that normalizes to empty is
+    refused on its line, and an undecodable byte after the lines before it."""
+    from dxaudit.core import LexiconKind
+    from dxaudit.errors import EmptyName
+
+    entries = []
+    for line_no, raw in enumerate(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                                  .split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return "error", line_no
+        if not line or line.startswith("#"):
+            continue
+        if kind is not LexiconKind.ENUMERATOR_PATTERNS:
+            try:
+                line = seed_normalize_disease_name(line)
+            except EmptyName:
+                return "error", line_no
+        entries.append(line)
+    return tuple(dict.fromkeys(entries))
+
+
+def seed_matcher_index(entries):
+    """The original matcher's two indexes: the distinct entry lengths under
+    each two-character head, longest first, and the character class of
+    every entry's first character."""
+    import re
+
+    lengths = {}
+    for entry in set(entries):
+        if len(entry) > 1:
+            lengths.setdefault(entry[:2], set()).add(len(entry))
+    heads = {head: sorted(sizes, reverse=True) for head, sizes in lengths.items()}
+    firsts = sorted({entry[0] for entry in entries})
+    return heads, "[" + "".join(map(re.escape, firsts)) + "]"

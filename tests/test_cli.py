@@ -1169,6 +1169,11 @@ class TestInputFileErrors:
             lambda ws, data, bad, out: [
                 "detect", "--corpus", str(ws / "corpus.jsonl"),
                 "--models", str(ws / "models"), "--diseases", bad, "--out", out]),
+        "detect-negation-lexicon-empty-name": (
+            "否认\n、\n未见\n".encode("utf-8"), 2,
+            lambda ws, data, bad, out: [
+                "detect", "--corpus", str(ws / "corpus.jsonl"),
+                "--models", str(ws / "models"), "--negation-lexicon", bad, "--out", out]),
         "gen-synthetic-templates-utf8": (
             "filler\t患者一般情况可。\n".encode("utf-8") + b"\xff\n", 2,
             lambda ws, data, bad, out: [
@@ -1290,6 +1295,18 @@ class TestInputFileErrors:
         assert "Traceback" not in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, kind", [("--diseases", "disease names"),
+                                            ("--negation-lexicon", "negation words")])
+    def test_lexicon_refusal_names_its_file_and_kind(self, workspace, tmp_path, capsys,
+                                                     flag, kind):
+        bad = tmp_path / "words.txt"
+        bad.write_text("肺炎\n、\n", encoding="utf-8")
+        assert run(["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--models", str(workspace / "models"), flag, str(bad),
+                    "--out", str(tmp_path / "out")]) == 65
+        assert (f"line 2: {kind} lexicon {bad}: entry '、' normalized to empty"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["--config", "{dir}", "gen-synthetic", "--out", "{dir}/x", "--gold", "{dir}/y"],

@@ -1,5 +1,6 @@
 """Property tests: the two readers on arbitrary bytes, name normalization,
-and pair files read back as written."""
+lexicons built as the per-entry path builds them, and pair files read back
+as written."""
 
 import re
 
@@ -9,8 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from dxaudit import core, relation_model  # noqa: E402
+from dxaudit.core import LexiconKind  # noqa: E402
 from dxaudit.errors import DxAuditError, EmptyName, ParseError  # noqa: E402
 from dxaudit.relation_model import RELATIONS, DiseasePair, PairSource  # noqa: E402
+
+from oracles import seed_load_lexicon, seed_make_lexicon  # noqa: E402
 
 RECORD = ('{"record_id": "r1", "sections": [{"name": "s", "text": "确诊为肺炎。"}], '
           '"discharge_diagnoses": ["肺炎"]}').encode("utf-8")
@@ -80,6 +84,82 @@ def test_normalize_disease_name_is_idempotent(raw):
     except EmptyName:
         assume(False)
     assert core.normalize_disease_name(once) == once
+
+
+# Lexicon lines made of what normalizing touches: full-width ASCII and
+# U+3000 (a full-width '＃' among them, which folds to '#' yet starts no
+# comment), list punctuation interleaved with whitespace at the tail, U+0085
+# and U+2028 inside an entry, comments and blanks. Half the files hold only
+# plain lines and comments, so they are already normal; the small alphabet
+# repeats entries.
+_plain = st.text("肺炎a#\x85\u2028 ", max_size=4)
+_comments = st.sampled_from(["", " \t", "# 注释"])
+lexicon_lines = st.one_of(
+    _plain,
+    st.tuples(_plain, st.sampled_from("Ａ！＃～\u3000"), _plain).map("".join),
+    st.tuples(_plain, st.text("、,;；\t \u3000\x85\u2028", min_size=1, max_size=4)
+              ).map("".join),
+    _comments | st.sampled_from(["  #、", "＃注释"]),
+)
+
+
+@st.composite
+def _files(draw, lines):
+    """A file of up to 8 of ``lines``, a quarter of the time with an
+    undecodable line among them, each line ended by LF, CRLF or CR."""
+    texts = [line.encode("utf-8") for line in draw(st.lists(lines, max_size=8))]
+    if draw(st.sampled_from([False, False, False, True])):
+        texts.insert(draw(st.integers(0, len(texts))), b"\xe8\x82")
+    return b"".join(text + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+                    for text in texts)
+
+
+lexicon_bytes = _files(lexicon_lines) | _files(_plain | _comments)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(lexicon_bytes, st.sampled_from(LexiconKind))
+def test_lexicon_loads_as_the_per_entry_path(path, data, kind):
+    path.write_bytes(data)
+    expected = seed_load_lexicon(data, kind)
+    try:
+        entries = core.load_lexicon(path, kind).entries
+    except ParseError as exc:
+        assert expected == ("error", exc.line)
+        return
+    assert entries == expected
+
+
+def test_drawn_lexicons_take_both_paths(monkeypatch, path):
+    """The drawn word lexicons are read both with and without normalizing
+    each entry."""
+    normalize, load, normalized, paths = (core.normalize_disease_name,
+                                          core.load_lexicon, [], [])
+    monkeypatch.setattr(core, "normalize_disease_name",
+                        lambda name: normalized.append(name) or normalize(name))
+
+    def counted(file, kind):
+        before = len(normalized)
+        lexicon = load(file, kind)
+        if kind is not LexiconKind.ENUMERATOR_PATTERNS and lexicon.entries:
+            paths.append(len(normalized) > before)
+        return lexicon
+
+    monkeypatch.setattr(core, "load_lexicon", counted)
+    test_lexicon_loads_as_the_per_entry_path(path=path)
+    assert paths.count(True) >= 30 and paths.count(False) >= 30
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(lexicon_lines.filter(bool), max_size=8), st.sampled_from(LexiconKind))
+def test_make_lexicon_is_the_per_entry_build(entries, kind):
+    try:
+        expected = seed_make_lexicon(entries, kind)
+    except EmptyName:
+        with pytest.raises(EmptyName):
+            core.make_lexicon(entries, kind)
+        return
+    assert core.make_lexicon(entries, kind).entries == expected
 
 
 def _is_normalized(name: str) -> bool:

@@ -28,6 +28,8 @@ READERS = {
                lambda path, _: core.load_corpus(path)),
     "lexicon": ("肺炎", "高血压", None,
                 lambda path, _: core.load_lexicon(path, LexiconKind.DISEASE_NAMES)),
+    "negation-lexicon": ("否认", "未见", None,
+                         lambda path, _: core.load_lexicon(path, LexiconKind.NEGATION_WORDS)),
     "icd-table": ("code,title,cc_level", "S05,眼和眶损伤,NONE", "S05.3,眼球裂伤",
                   lambda path, _: core.load_icd_table(path)),
     "report": ('{"record_id": "r1", "findings": []}', '{"summary": {}}', None,
@@ -105,6 +107,17 @@ def test_lexicon_name_empty_once_normalized_is_parse_error_naming_it(tmp_path):
     assert excinfo.value.line == 4
 
 
+@pytest.mark.parametrize("reader", ["lexicon", "negation-lexicon"])
+def test_lexicon_name_empty_once_normalized_is_reported_before_a_later_bad_byte(
+        tmp_path, data_dir, reader):
+    first, second, _, load = READERS[reader]
+    path = tmp_path / "input"
+    path.write_bytes(f"{first}\n、\n{second}\n".encode("utf-8") + b"\xff\n")
+    with pytest.raises(ParseError, match="'、' normalized to empty") as excinfo:
+        load(path, data_dir)
+    assert excinfo.value.line == 2
+
+
 def test_lines_end_at_cr_lf_and_crlf_only(tmp_path):
     path = tmp_path / "input"
     path.write_bytes("a\rb\r\nc\n\n d \u2028e\x85f\n".encode("utf-8"))
@@ -144,8 +157,8 @@ def test_pair_label_save_pairs_never_writes_is_parse_error_naming_it(tmp_path, r
     assert excinfo.value.line == 2
 
 
-@pytest.mark.parametrize("reader", ["lexicon", "config", "pairs", "back-translation",
-                                    "variants"])
+@pytest.mark.parametrize("reader", ["lexicon", "negation-lexicon", "config", "pairs",
+                                    "back-translation", "variants"])
 def test_comment_lines_are_skipped(tmp_path, data_dir, reader):
     first, second, _, load = READERS[reader]
     plain, commented = tmp_path / "plain", tmp_path / "commented"

@@ -1,6 +1,7 @@
-"""Property tests: the matcher's hits are the brute-force kept hits in start
-order, mentions come in first-span order, a span's sentence window is the
-character loop's, and a mention's context window is the seed builder's."""
+"""Property tests: the matcher indexes its entries as the seed matcher did,
+its hits are the brute-force kept hits in start order, mentions come in
+first-span order, a span's sentence window is the character loop's, and a
+mention's context window is the seed builder's."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from dxaudit.recall import (DiseaseMatcher, _sentence_window,  # noqa: E402
                             build_context_window, find_mentions)
 
 from oracles import (brute_force_mentions, loop_sentence_window,  # noqa: E402
-                     seed_context_window)
+                     seed_context_window, seed_matcher_index)
 
 # Character-class metacharacters, two CJK characters and one outside the BMP.
 ALPHABET = "]^-\\肺炎\U00020000"
@@ -33,6 +34,15 @@ def lexicon_and_text(draw):
                                      st.text(ALPHABET + "x", max_size=3)),
                            max_size=12))
     return entries, "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.text(ALPHABET, min_size=1, max_size=6), min_size=1, max_size=12))
+@example(["肺", "\U00020000"])  # one-character entries only
+@example(["肺炎", "肺炎肺", "肺炎肺炎", "肺炎]^-\\", "肺"])  # one head, many lengths
+def test_matcher_indexes_entries_as_the_seed_matcher(entries):
+    matcher = DiseaseMatcher(entries)
+    assert (matcher._heads, matcher._first.pattern) == seed_matcher_index(entries)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
