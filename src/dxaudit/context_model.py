@@ -30,10 +30,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .core import parse_json_object, read_lines
+from .core import MAX_DISEASE, parse_json_object, read_lines
 from .errors import (BadSetting, DegenerateData, EmptyPool, ParseError, ShapeMismatch,
                      require_at_least)
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
@@ -120,6 +121,9 @@ def _row_sums(n_rows: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
 PASS_ROWS = 512
 
 
+_GAP_COUNTS = np.ones(WINDOW)  # any nonzero count serves a gap row
+
+
 @lru_cache(maxsize=PASS_ROWS)
 def _window_counts(n: int) -> np.ndarray:
     """How many rows the window of each row of an n-row sequence averages:
@@ -130,32 +134,49 @@ def _window_counts(n: int) -> np.ndarray:
     return counts
 
 
-def _passes(sequences, size: int):
-    """(start, stop) runs of consecutive sequences, each at most ``size``
-    sequences and PASS_ROWS rows; a longer sequence runs alone."""
+def _passes(lengths, size: int):
+    """(start, stop) runs of consecutive sequences, given their row counts,
+    each at most ``size`` sequences and PASS_ROWS rows; a longer sequence
+    runs alone."""
     start = rows = 0
-    for i, (ids, _) in enumerate(sequences):
-        if i > start and (i - start == size or rows + len(ids) > PASS_ROWS):
+    for i, length in enumerate(lengths):
+        if i > start and (i - start == size or rows + length > PASS_ROWS):
             yield start, i
             start, rows = i, 0
-        rows += len(ids)
-    if start < len(sequences):
-        yield start, len(sequences)
+        rows += length
+    if start < len(lengths):
+        yield start, len(lengths)
+
+
+def _lengths(sequences) -> list[int]:
+    return [len(ids) for ids, _ in sequences]
 
 
 def pack(sequences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay (ids, code) sequences from ``ContextClassifier.inputs`` end to
-    end, with no padding.
+    """Lay (ids, code) sequences from ``ContextClassifier.sequences`` end
+    to end, with no padding.
 
     Returns the concatenated ids, the concatenated track codes and the row
     at which each sequence starts.
     """
-    lengths = [len(ids) for ids, _ in sequences]
+    lengths = _lengths(sequences)
     starts = np.zeros(len(lengths), dtype=np.intp)
     np.cumsum(lengths[:-1], out=starts[1:])
     ids = np.concatenate([ids for ids, _ in sequences])
     code = np.concatenate([code for _, code in sequences])
     return ids, code, starts
+
+
+def _track_heads(gap: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The track rows in front of a context after ``gap`` gap rows, by the
+    length n of the disease, as (pos, neg and order): pos reads 1 on the
+    disease, and all three read 0 on the gap and SEP rows."""
+    return [(np.array([0] * gap + [1] * n + [0], dtype=np.uint8),
+             np.zeros(gap + n + 1, dtype=np.uint8)) for n in range(MAX_DISEASE + 1)]
+
+
+_FIRST_HEADS, _HEADS = _track_heads(0), _track_heads(WINDOW)
+_TRACK_WEIGHTS = np.array([4, 2, 1])  # code = 4*pos + 2*neg + order
 
 
 class CharWindowEncoder:
@@ -451,19 +472,51 @@ class ContextClassifier:
 
     # -- input assembly ---------------------------------------------------
 
-    def inputs(self, sample: ContextSample) -> tuple[np.ndarray, np.ndarray]:
-        """The sample as one sequence: the char ids of (disease, SEP, context)
-        and, aligned with them, each row's track code ``4*pos + 2*neg +
-        order``. The disease rows read 4 (pos only), the SEP row 0."""
-        sep = len(sample.disease)
-        # "\0" holds the separator's place; its row is then set to SEP_ID
-        ids = self.encoder.vocab.encode(sample.disease + "\0" + sample.context)
-        ids[sep] = SEP_ID
-        code = np.empty(len(ids), dtype=np.intp)
-        code[:sep] = 4
-        code[sep] = 0
-        code[sep + 1:] = 4 * sample.pos_track + 2 * sample.neg_track + sample.order_track
-        return ids, code
+    def packed_inputs(self, samples) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The samples laid end to end: the char ids of each (disease, SEP,
+        context), aligned with them each row's track code ``4*pos + 2*neg +
+        order`` (disease rows read 4, the SEP row 0), and each sample's row
+        count. Between two samples sit WINDOW gap rows of code 0 whose id is
+        one past every row of the embedding; ``classify`` runs its passes on
+        this layout, and ``sequences`` cuts it into one view per sample.
+
+        The one place a sample becomes rows: one ``CharVocab.encode`` call
+        over the joined texts and one concatenation of the tracks, whatever
+        the number of samples.
+        """
+        texts, lengths, seps, gaps = [], [], [], []
+        pos, neg, order = [], [], []
+        row = 0
+        for sample in samples:
+            heads = _FIRST_HEADS
+            if lengths:  # WINDOW gap rows before every sample but the first
+                heads = _HEADS
+                gaps += range(row, row + WINDOW)
+                row += WINDOW
+            n = len(sample.disease)
+            texts.append(f"{sample.disease}\0{sample.context}")
+            lengths.append(n + 1 + len(sample.context))
+            seps.append(row + n)
+            row += lengths[-1]
+            pos_head, zero_head = heads[n]
+            pos += (pos_head, sample.pos_track)
+            neg += (zero_head, sample.neg_track)
+            order += (zero_head, sample.order_track)
+        # "\0" holds the place of each SEP and gap row; those rows are then set
+        ids = self.encoder.vocab.encode(("\0" * WINDOW).join(texts))
+        ids[seps] = SEP_ID
+        if gaps:  # an empty index still costs a microsecond
+            ids[gaps] = len(self.encoder.embedding)
+        tracks = np.concatenate(pos + neg + order or [np.zeros(0)], dtype=np.intp,
+                                casting="unsafe")
+        return ids, _TRACK_WEIGHTS @ tracks.reshape(3, -1), lengths
+
+    def sequences(self, samples) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each sample's (ids, code) rows of ``packed_inputs``, as views, for
+        ``loss_and_grads`` and ``_batched_probs``."""
+        ids, code, lengths = self.packed_inputs(samples)
+        starts = accumulate([length + WINDOW for length in lengths], initial=0)
+        return [(ids[a:a + length], code[a:a + length]) for a, length in zip(starts, lengths)]
 
     # -- inference ----------------------------------------------------------
 
@@ -471,7 +524,8 @@ class ContextClassifier:
         return self.head.forward(self.encoder.encode(ids, starts), code, starts)
 
     def forward(self, sample: ContextSample) -> np.ndarray:
-        return self._probs(*pack([self.inputs(sample)]))[0]
+        ids, code, _ = self.packed_inputs([sample])
+        return self._probs(ids, code, [0])[0]
 
     def classify(self, *samples: ContextSample) -> list[tuple[str, float]]:
         """Each sample's most probable label and its probability, in order.
@@ -479,44 +533,47 @@ class ContextClassifier:
         Computes what ``forward`` does, from the tables of ``_folded``: the
         character rows are averaged after the ``W1`` product, not before,
         and the feature half of the fusion input is one table row per
-        position. The samples run laid end to end, in passes of at most
-        PASS_ROWS rows (a detect window has at most MAX_DISEASE + 1 +
-        MAX_CONTEXT = 481). Each sample's probabilities are bit-identical
-        to those of a call with that sample alone. The tables hold the
-        parameters as they were at the first call. ``forward`` is the
-        reference this is tested against.
+        position. One ``packed_inputs`` call, so one ``CharVocab.encode``
+        whatever the number of samples, lays every sample out; they then
+        run in passes of at most PASS_ROWS rows (a detect window has at
+        most MAX_DISEASE + 1 + MAX_CONTEXT = 481), each a slice of that
+        layout. Detect passes it a chunk of pipeline.CHUNK_ROWS (4096) rows
+        of samples. Each sample's probabilities are bit-identical to those
+        of a call with that sample alone. The tables hold the parameters as
+        they were at the first call. ``forward`` is the reference this is
+        tested against.
         """
-        sequences = [self.inputs(sample) for sample in samples]
-        return [judgment for a, b in _passes(sequences, len(sequences))
-                for judgment in self._classify_pass(sequences[a:b])]
+        ids, code, lengths = self.packed_inputs(samples)
+        judgments, row = [], 0
+        for a, b in _passes(lengths, len(lengths)):
+            end = row + sum(lengths[a:b]) + WINDOW * (b - a - 1)
+            judgments += self._classify_pass(ids[row:end], code[row:end], lengths[a:b])
+            row = end + WINDOW
+        return judgments
 
-    def _classify_pass(self, sequences) -> list[tuple[str, float]]:
+    def _classify_pass(self, ids, code, lengths) -> list[tuple[str, float]]:
+        """Judgments of the sequences of ``lengths`` rows each, laid out as
+        ``packed_inputs`` lays them, WINDOW gap rows between two.
+
+        The gap rows read the table's all-zero last row, so that the window
+        sums add exact zeros across a boundary; they ride along to the
+        pooling, which skips them.
+        """
         char_rows, code_rows, mix, w_y, b_y = self._folded
         d = self.head.d
-        # WINDOW rows of the table's all-zero last row between sequences, so
-        # that the window sums add exact zeros across a boundary; the gap
-        # rows ride along to the pooling, which skips them
-        gap_ids = np.full(WINDOW, len(char_rows) - 1)
-        gap_code, gap_counts = np.zeros(WINDOW, dtype=np.intp), np.ones(WINDOW)
-        id_parts, code_parts, count_parts, spans = [], [], [], []
-        start = 0
-        for ids, code in sequences:
-            id_parts += (gap_ids, ids)
-            code_parts += (gap_code, code)
-            count_parts += (gap_counts, _window_counts(len(ids)))
-            spans.append((start, start + len(ids)))
-            start += len(ids) + WINDOW
-        rows = char_rows[np.concatenate(id_parts[1:])]
+        counts = _window_counts(len(ids)) if len(lengths) == 1 else np.concatenate(
+            [part for length in lengths for part in (_GAP_COUNTS, _window_counts(length))][1:])
+        rows = char_rows[ids]
         # The rest works in place where it can: a pass's arrays are big
         # enough that each fresh one costs page faults.
         h2 = rows.copy()
         for k in range(1, WINDOW + 1):
             h2[k:] += rows[:-k]
             h2[:-k] += rows[k:]
-        h2 /= np.concatenate(count_parts[1:])[:, None]
+        h2 /= counts[:, None]
         np.maximum(h2, 0.0, out=h2)
         u = h2 @ mix
-        u += code_rows[np.concatenate(code_parts[1:])]
+        u += code_rows[code]
         g = np.negative(u[:, d:])  # g = 1 / (1 + exp(-u[:, d:]))
         np.exp(g, out=g)
         g += 1.0
@@ -528,15 +585,19 @@ class ContextClassifier:
         # [max-pool; mean-pool] per sequence, each its own slice's
         # reduction: np.add.reduceat adds in another order, which moves
         # the last bits
-        cvec = np.empty((len(sequences), 2 * d))
-        for row, (a, b) in zip(cvec, spans):
-            o[a:b].max(axis=0, out=row[:d])
-            o[a:b].sum(axis=0, out=row[d:])
-            row[d:] /= b - a
+        cvec = np.empty((len(lengths), 2 * d))
+        start = 0
+        for row, length in zip(cvec, lengths):
+            np.maximum.reduce(o[start:start + length], axis=0, out=row[:d])
+            np.add.reduce(o[start:start + length], axis=0, out=row[d:])
+            row[d:] /= length
+            start += length + WINDOW
         # a vector-matrix product per sequence, as a lone sequence's is
         scores = np.matmul(cvec[:, None, :], w_y)[:, 0] + b_y
-        # the softmax's top entry: exp(0) over the sum
-        probs = 1.0 / np.exp(scores - scores.max(axis=1, keepdims=True)).sum(axis=1)
+        # the softmax's top entry: exp(0) over the sum (the ufunc reductions
+        # are what ndarray.max and .sum call, without their wrappers)
+        probs = 1.0 / np.add.reduce(
+            np.exp(scores - np.maximum.reduce(scores, axis=1, keepdims=True)), axis=1)
         return [(LABELS[top], prob)
                 for top, prob in zip(scores.argmax(axis=1).tolist(), probs.tolist())]
 
@@ -561,7 +622,8 @@ class ContextClassifier:
         return char_rows, code_rows, mix[d:], p["W_y"].copy(), p["b_y"].copy()
 
     # -- training -----------------------------------------------------------
-    # These take sequences from ``inputs``, so a training set is encoded once.
+    # These take sequences from ``sequences``, so a training set is encoded
+    # once.
 
     def loss_and_grads(self, batch, label_indices):
         """Summed focal loss of a batch of sequences and its summed
@@ -572,7 +634,7 @@ class ContextClassifier:
         """
         labels = np.asarray(label_indices, dtype=np.intp)
         parts = [self._packed_loss_and_grads(batch[a:b], labels[a:b])
-                 for a, b in _passes(batch, len(batch))]
+                 for a, b in _passes(_lengths(batch), len(batch))]
         head_grads = {k: sum(part[1][k] for part in parts) for k in parts[0][1]}
         return sum(part[0] for part in parts), head_grads, sum(part[2] for part in parts)
 
@@ -588,7 +650,8 @@ class ContextClassifier:
     def _batched_probs(self, sequences) -> np.ndarray:
         """Class probabilities, one row per sequence, in packed mini-batches."""
         return np.concatenate([self._probs(*pack(sequences[a:b]))
-                               for a, b in _passes(sequences, self.config.batch_size)])
+                               for a, b in _passes(_lengths(sequences),
+                                                   self.config.batch_size)])
 
     # The two reductions take ``_batched_probs`` rows, so one forward pass
     # over a set serves both.
@@ -660,10 +723,10 @@ def train(samples: list[ContextSample], config: TrainConfig,
     model = ContextClassifier(encoder, head, config)
 
     label_indices = [LABELS.index(lbl) for lbl in labels]
-    sequences = [model.inputs(s) for s in samples]
+    sequences = model.sequences(samples)
     eval_labels = label_indices
     if dev_samples is not None:
-        dev_sequences = [model.inputs(s) for s in dev_samples]
+        dev_sequences = model.sequences(dev_samples)
         eval_labels = [LABELS.index(s.label) for s in dev_samples]
 
     history: list[EpochStats] = []

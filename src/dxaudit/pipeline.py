@@ -88,6 +88,11 @@ class PipelineLexicons:
 # grow with its corpus.
 MEMO_ENTRIES = 4096
 
+# Rows of new samples batch_detect stages before one classify call judges
+# them: eight passes' worth, so that each call packs many windows (on the
+# toy bench corpus, passes of 512 rows hold about 20 windows each).
+CHUNK_ROWS = 8 * PASS_ROWS
+
 
 def _windows(
     record: MedicalRecord,
@@ -103,12 +108,6 @@ def _windows(
         windowed = build_context_window(record, mention)
         windows.append((windowed.disease, windowed.context))
     return mentions, windows
-
-
-def _sample_rows(windows) -> int:
-    """The rows a classify pass spends on the windows' samples: disease,
-    separator, context."""
-    return sum(len(disease) + 1 + len(context) for disease, context in windows)
 
 
 def _remember(memo: OrderedDict, key, value) -> None:
@@ -283,11 +282,13 @@ def batch_detect(
 
     Records run in chunks, one after another: recall and windows run
     record by record, and each window not seen before in this call gets
-    its features, until those new samples fill a pass of PASS_ROWS rows;
-    one ``classify`` call judges them all, and then each record's
-    relation call and findings follow (see _detect_chunk). A window, its
-    (disease, context), seen before in this call takes the judgment
-    given then. When ``models.relation`` has the optional
+    its features, until those new samples hold CHUNK_ROWS (8 passes of
+    PASS_ROWS, 4096) rows, each sample's counted as it holds them, its
+    disease capped at MAX_DISEASE; one ``classify`` call judges them all,
+    which encodes them in one CharVocab.encode call, and then each
+    record's relation call and findings follow (see _detect_chunk). A
+    window, its (disease, context), seen before in this call takes the
+    judgment given then. When ``models.relation`` has the optional
     ``embed_names``, each name is embedded once in this call and the
     relation calls take rows in place of names. Both memos hold at most
     MEMO_ENTRIES entries each and end with the call; no byte of the
@@ -314,19 +315,19 @@ def batch_detect(
                 raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
             seen.add(record.record_id)
             mentions, windows = _windows(record, matcher)
-            if chunk and rows + _sample_rows(
-                    w for w in windows if w not in judged and w not in pending) > PASS_ROWS:
-                outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
-                chunk, pending, rows = [], {}, 0
             known = {w: judged[w] for w in windows if w in judged}
             new = {w: assemble_features(*w, lexicons.features)
                    for w in windows if w not in known and w not in pending}
             pending.update(new)
-            rows += _sample_rows(new)
+            # the rows each sample holds, its disease capped at MAX_DISEASE
+            rows += sum(len(s.disease) + 1 + len(s.context) for s in new.values())
             staged = mentions, windows, known
         except Exception as exc:  # a fault in one record must not end the batch
             staged = exc
         chunk.append((record, staged))
+        if rows >= CHUNK_ROWS:
+            outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
+            chunk, pending, rows = [], {}, 0
     outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
 
     results: list[RecordResult] = []

@@ -173,7 +173,7 @@ def finite_difference_worst_error(model, sample, label_index, h=1e-5):
     """
     from dxaudit.context_model import focal_loss
 
-    _, head_grads, enc_grad = model.loss_and_grads([model.inputs(sample)], [label_index])
+    _, head_grads, enc_grad = model.loss_and_grads(model.sequences([sample]), [label_index])
     analytic = dict(head_grads)
     analytic["__embedding__"] = enc_grad
     tables = {name: arr for name, arr in model.head.p.items()}
@@ -377,9 +377,11 @@ def seed_context_inputs(model, sample):
 
 
 def seed_classifier(model):
-    """The original one-sample classify, bit for bit: the parameter-only
-    products built from the model's parameters, then one sequence's folded
-    forward, its window sums clipped at the ends by slicing."""
+    """The original one-sample classify, bit for bit: the sample's ids and
+    tracks from seed_context_inputs (code = 4*pos + 2*neg + order), the
+    parameter-only products built from the model's parameters, then one
+    sequence's folded forward, its window sums clipped at the ends by
+    slicing. Nothing of the model's own input assembly is used."""
     import numpy as np
 
     from dxaudit.context_model import WINDOW
@@ -392,7 +394,8 @@ def seed_classifier(model):
                  + np.concatenate([p["b_fm"], p["c_g"]]))
 
     def classify(sample):
-        ids, code = model.inputs(sample)
+        ids, (pos, neg, order) = seed_context_inputs(model, sample)
+        code = 4 * pos.astype(np.intp) + 2 * neg + order
         n = len(ids)
         rows = char_rows[ids]
         sums = rows.copy()
@@ -435,9 +438,9 @@ def seed_context_train(samples, config, dev_samples=None, d=32, d_enc=32):
     head = fusion_head(d_enc=d_enc, d=d, seed=config.seed + 1)
     model = ContextClassifier(encoder, head, config)
     labels = [LABELS.index(s.label) for s in samples]
-    sequences = [model.inputs(s) for s in samples]
+    sequences = model.sequences(samples)
     eval_labels = [LABELS.index(s.label) for s in evaluated]
-    eval_sequences = [model.inputs(s) for s in evaluated]
+    eval_sequences = model.sequences(evaluated)
 
     rng = random.Random(config.seed)
     order = list(range(len(samples)))

@@ -320,8 +320,7 @@ class TestPackedBatches:
             return sum(focal_loss(model.forward(s)[None], [y], 2.0)[0]
                        for s, y in zip(samples, labels))
 
-        loss, head_grads, enc_grad = model.loss_and_grads(
-            [model.inputs(s) for s in samples], labels)
+        loss, head_grads, enc_grad = model.loss_and_grads(model.sequences(samples), labels)
         assert abs(loss - total_loss()) < 1e-12
         analytic = {f"head.{k}": v for k, v in head_grads.items()}
         analytic["encoder.embedding"] = enc_grad
@@ -363,7 +362,7 @@ class TestPackedBatches:
                                context="".join(rng.choice(list("abcdefgz"),
                                                           int(rng.integers(1, 20)))))
                    for _ in range(40)]
-        got = [model.inputs(s) for s in samples]
+        got = model.sequences(samples)
         expected = [seed_context_inputs(model, s) for s in samples]
         for (ids, code), (seed_ids, seed_tracks) in zip(got, expected):
             assert ids.dtype == seed_ids.dtype and np.array_equal(ids, seed_ids)

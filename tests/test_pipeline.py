@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dxaudit import pipeline, synth
-from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
+from dxaudit.core import MAX_DISEASE, LexiconKind, MedicalRecord, make_lexicon
 from dxaudit.context_model import TrainConfig, train
 from dxaudit.errors import DxAuditError, ModelNotLoaded, ParseError, ShapeMismatch
 from dxaudit.evaluate import ConfirmAllContext, IrrelevanceAllRelation
@@ -313,16 +313,20 @@ class TestBatchDetect:
 
     def test_chunks_match_one_record_at_a_time_and_faults_fail_alone(
             self, lexicons, tmp_path, monkeypatch):
-        """A corpus of several chunks: batch_detect's report lines are
-        detect_write_missing's, record by record. Three records fail, each
-        at another stage, and their error entries come in record order,
-        though r06's staging fault is raised before r05's relation fault."""
+        """A corpus of 80 records: batch_detect makes no more classify calls
+        than its new sample rows over CHUNK_ROWS, rounded up, at the
+        packaged chunk size and at one that cuts the corpus into chunks of
+        about ten records, and its report lines are detect_write_missing's,
+        record by record. Three records fail, each at another stage, and
+        their error entries come in record order, though r06's staging
+        fault is raised before r05's relation fault."""
         class KeywordContext:
-            calls = 0
+            calls: list = []
+            fail = True
 
             def classify(self, *samples):
-                KeywordContext.calls += 1
-                if any(sample.disease == "脑梗死" for sample in samples):
+                KeywordContext.calls.append(samples)
+                if self.fail and any(sample.disease == "脑梗死" for sample in samples):
                     raise ValueError("cannot judge 脑梗死")
                 return [("non_current" if "否认" in sample.context else "confirmed", 0.9)
                         for sample in samples]
@@ -338,45 +342,93 @@ class TestBatchDetect:
                 raise ValueError("cannot window r06")
             return build_context_window(record, mention)
 
+        def one_by_one(records, models):
+            results = []
+            failing = ("r05", "r06", "r30") if KeywordContext.fail else ("r05", "r06")
+            for rec in records:
+                if rec.record_id in failing:
+                    with pytest.raises(ValueError):
+                        detect_write_missing(rec, models, lexicons)
+                else:
+                    results.append(RecordResult(rec.record_id,
+                                                detect_write_missing(rec, models, lexicons)))
+            return results
+
+        def same_bytes(report, results):
+            path_a, path_b = tmp_path / "chunked.jsonl", tmp_path / "one_by_one.jsonl"
+            write_report(report, path_a)
+            write_report(dataclasses.replace(report, results=results), path_b)
+            return path_a.read_bytes() == path_b.read_bytes()
+
         monkeypatch.setattr(pipeline, "build_context_window", faulty_window)
         records = [record(f"r{i:02d}", f"第{i}次入院，确诊为肺炎，予抗感染治疗后好转。"
                           "否认高血压病史，胃溃疡待查。"
                           + ("另确诊为脑梗死。" if i == 30 else ""),
                           ["故障"] if i == 5 else [["肺炎"], ["高血压"], []][i % 3])
-                   for i in range(60)]
+                   for i in range(80)]
         models = Models(KeywordContext(), FaultyRelation())
-        report = batch_detect(records, models, lexicons)
-        # several chunks of about ten records; r30's chunk reruns per record
-        assert 3 <= KeywordContext.calls < len(records) // 2
 
+        # No call fails: each new window is judged once, in as few calls as
+        # the staging rule allows
+        KeywordContext.fail = False
+        for chunk_rows in (pipeline.CHUNK_ROWS, 256):
+            monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk_rows)
+            KeywordContext.calls = []
+            report = batch_detect(records, models, lexicons)
+            judged = [(s.disease, s.context) for samples in KeywordContext.calls
+                      for s in samples]
+            assert len(judged) == len(set(judged))
+            rows = sum(len(d) + 1 + len(c) for d, c in judged)
+            assert len(KeywordContext.calls) <= -(-rows // chunk_rows)
+            assert same_bytes(report, one_by_one(records, models))
+        assert rows < pipeline.PASS_ROWS * 8 and len(KeywordContext.calls) >= 6
+
+        KeywordContext.fail, KeywordContext.calls = True, []
+        report = batch_detect(records, models, lexicons)
+        # chunks of about ten records; r30's chunk reruns per record
+        assert 6 <= len(KeywordContext.calls) < len(records) // 2
         assert report.errors == [
             {"record_id": "r05", "error": "ValueError: cannot score against 故障"},
             {"record_id": "r06", "error": "ValueError: cannot window r06"},
             {"record_id": "r30", "error": "ValueError: cannot judge 脑梗死"}]
-        one_by_one = []
-        for rec in records:
-            if rec.record_id in ("r05", "r06", "r30"):
-                with pytest.raises(ValueError):
-                    detect_write_missing(rec, models, lexicons)
-            else:
-                one_by_one.append(RecordResult(rec.record_id,
-                                               detect_write_missing(rec, models, lexicons)))
-        path_a, path_b = tmp_path / "chunked.jsonl", tmp_path / "one_by_one.jsonl"
-        write_report(report, path_a)
-        write_report(dataclasses.replace(report, results=one_by_one), path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
-        assert report.summary["findings"] == sum(len(r.findings) for r in one_by_one) > 0
+        results = one_by_one(records, models)
+        assert same_bytes(report, results)
+        assert report.summary["findings"] == sum(len(r.findings) for r in results) > 0
+
+    def test_a_disease_past_its_cap_counts_its_capped_rows(self, feature_lexicons,
+                                                           monkeypatch):
+        """Chunks are staged by the rows each sample holds: a 40-character
+        disease holds MAX_DISEASE rows, so a chunk of CHUNK_ROWS = two
+        capped windows and one row closes after three records, where
+        counting the window's own disease would close it after two."""
+        long_name = "".join(chr(0x4E00 + i) for i in range(40))
+        lexicons = PipelineLexicons(
+            diseases=make_lexicon([long_name], LexiconKind.DISEASE_NAMES),
+            features=feature_lexicons)
+        records = [record(f"r{i}", f"第{i}次确诊为{long_name}。", ["肺炎"])
+                   for i in range(10, 19)]
+        context = len(f"第10次确诊为{long_name}。")
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 2 * (MAX_DISEASE + 1 + context) + 1)
+        calls = []
+
+        class CountingContext:
+            def classify(self, *samples):
+                calls.append([len(s.disease) for s in samples])
+                return [("confirmed", 0.9)] * len(samples)
+
+        batch_detect(records, Models(CountingContext(), IrrelevanceAllRelation()), lexicons)
+        assert calls == [[MAX_DISEASE] * 3] * 3
 
     @pytest.mark.parametrize("memo_entries", [None, 2], ids=["default", "two"])
     def test_records_repeated_under_fresh_ids_match_one_record_at_a_time(
             self, trained_models, disease_pool, feature_lexicons, data_dir, tmp_path,
             monkeypatch, memo_entries):
         """Trained models over a corpus that repeats its records under fresh
-        ids, across several chunks: batch_detect's report lines are
-        detect_write_missing's, record by record. Each distinct window
-        reaches classify once per call, none with zero samples, while the
-        memos are large enough; with room for two entries, neither memo
-        ever holds more."""
+        ids, across several chunks of one pass each: batch_detect's report
+        lines are detect_write_missing's, record by record. Each distinct
+        window reaches classify once per call, none with zero samples,
+        while the memos are large enough; with room for two entries,
+        neither memo ever holds more."""
         spec = synth.SyntheticSpec(n_records=30, diseases_per_record=4, miss_rate=0.35,
                                    negation_rate=0.25, enumeration_rate=0.3, seed=31)
         originals, _ = synth.gen_synthetic_corpus(
@@ -399,6 +451,7 @@ class TestBatchDetect:
 
         monkeypatch.setattr(pipeline, "MEMO_ENTRIES", bound)
         monkeypatch.setattr(pipeline, "_remember", bounded_remember)
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", pipeline.PASS_ROWS)
         report = batch_detect(records, models, lexicons)
         assert report.errors == []
         assert sorted(memos.values(), key=str) == [str, tuple]
