@@ -523,14 +523,10 @@ class ContextClassifier:
     def _probs(self, ids, code, starts) -> np.ndarray:
         return self.head.forward(self.encoder.encode(ids, starts), code, starts)
 
-    def forward(self, sample: ContextSample) -> np.ndarray:
-        ids, code, _ = self.packed_inputs([sample])
-        return self._probs(ids, code, [0])[0]
-
     def classify(self, *samples: ContextSample) -> list[tuple[str, float]]:
         """Each sample's most probable label and its probability, in order.
 
-        Computes what ``forward`` does, from the tables of ``_folded``: the
+        Computes what ``_probs`` does, from the tables of ``_folded``: the
         character rows are averaged after the ``W1`` product, not before,
         and the feature half of the fusion input is one table row per
         position. One ``packed_inputs`` call, so one ``CharVocab.encode``
@@ -540,8 +536,8 @@ class ContextClassifier:
         layout. Detect passes it a chunk of pipeline.CHUNK_ROWS (4096) rows
         of samples. Each sample's probabilities are bit-identical to those
         of a call with that sample alone. The tables hold the parameters as
-        they were at the first call. ``forward`` is the reference this is
-        tested against.
+        they were at the first call. The tests hold it to
+        ``oracles.context_forward``, ``_probs`` of one sample.
         """
         ids, code, lengths = self.packed_inputs(samples)
         judgments, row = [], 0

@@ -13,6 +13,7 @@ scope and flagged in report metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -97,13 +98,12 @@ def cc_mcc_level(
     the first entry in code order winning a tie. Several entries under one
     title resolve to the most severe level.
 
-    The fallback is one predict_proba([disease], titles) call that scores
-    the name, which the model normalizes, against each distinct normalized
-    title once. Titles come in the code order of their first entry, so the
-    first maximum is the first entry in code order to reach it, as in an
-    entry-by-entry scan. ``title_rows``, the relation model's
-    embed_names(icd.titles()), spares that call embedding the titles
-    again; without it, the call embeds them itself.
+    The fallback embeds the name, which the model normalizes, and makes
+    one predict_proba call that scores it against ``title_rows``, the
+    relation model's embed_names(icd.titles()), which a model needs: one
+    row per distinct normalized title. Titles come in the code order of
+    their first entry, so the first maximum is the first entry in code
+    order to reach it, as in an entry-by-entry scan.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -111,8 +111,7 @@ def cc_mcc_level(
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
-    probs = relation_model.predict_proba([disease],
-                                         titles if title_rows is None else title_rows)[0]
+    probs = relation_model.predict_proba(relation_model.embed_names([disease]), title_rows)[0]
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)
@@ -263,15 +262,13 @@ def recovered_levels_for_records(
     if unknown:
         raise DxAuditError(f"{len(unknown)} record(s) of the report are not in the "
                            f"corpus, the first {unknown[0]!r}")
-    title_rows = None
+    title_rows = cache(lambda: relation_model.embed_names(icd.titles()))
     out = []
     for record in records:
         levels = []
         for finding in findings_by_record.get(record.record_id, []):
             disease = finding["disease"]
-            if title_rows is None and relation_model is not None \
-                    and not icd.by_title(disease):
-                title_rows = relation_model.embed_names(icd.titles())
-            levels.append(cc_mcc_level(disease, icd, relation_model, threshold, title_rows))
+            rows = None if relation_model is None or icd.by_title(disease) else title_rows()
+            levels.append(cc_mcc_level(disease, icd, relation_model, threshold, rows))
         out.append((record, levels))
     return out

@@ -57,9 +57,12 @@ class ConfirmAllContext:
 class IrrelevanceAllRelation:
     """Relation stage bypass: only exact matches count as covered."""
 
-    def predict_proba(self, names: list[str] | np.ndarray,
-                      against: list[str] | np.ndarray):
-        probs = np.zeros((len(names), len(against), len(RELATIONS)))
+    def embed_names(self, names: list[str]) -> np.ndarray:
+        """An empty row per name: irrelevance reads nothing of a name."""
+        return np.zeros((len(names), 0))
+
+    def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
+        probs = np.zeros((len(rows), len(against_rows), len(RELATIONS)))
         probs[..., RELATIONS.index("irrelevance")] = 1.0
         return probs
 

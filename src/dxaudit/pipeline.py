@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Protocol
@@ -49,16 +49,16 @@ class ContextStage(Protocol):
 
 
 class RelationStage(Protocol):
-    """A stage may also have ``embed_names(names)``, one row per name that
-    does not depend on the other names. It is optional: when present,
-    batch_detect embeds each name once and passes predict_proba rows in
-    place of both lists."""
+    def embed_names(self, names: list[str]) -> np.ndarray:
+        """One row per name, in order, that does not depend on the names
+        embedded with it. Detect embeds each name once per call, and
+        refuses another count of rows."""
 
-    def predict_proba(self, names: list[str] | np.ndarray,
-                      against: list[str] | np.ndarray) -> np.ndarray:
-        """(len(names), len(against), len(RELATIONS)) probabilities of each
-        relation of each disease in names to each name in against. Detect
-        refuses another shape, or a cell that is not finite."""
+    def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
+        """(len(rows), len(against_rows), len(RELATIONS)) probabilities of
+        each relation of each embedded disease to each embedded name of
+        against_rows. Detect refuses another shape, or a cell that is not
+        finite."""
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,6 @@ MEMO_ENTRIES = 4096
 CHUNK_ROWS = 8 * PASS_ROWS
 
 
-def _windows(
-    record: MedicalRecord,
-    matcher: DiseaseMatcher,
-) -> tuple[list[DiseaseMention], list[tuple[str, str]]]:
-    """The record's recalled mentions that are not a discharge diagnosis
-    verbatim (those need no model calls), and each one's window as
-    (disease, context)."""
-    discharge_set = set(discharge_names(record))
-    mentions = [m for m in find_mentions(matcher, record) if m.disease not in discharge_set]
-    windows = []
-    for mention in mentions:
-        windowed = build_context_window(record, mention)
-        windows.append((windowed.disease, windowed.context))
-    return mentions, windows
-
-
 def _remember(memo: OrderedDict, key, value) -> None:
     """Store value under key, dropping memo's oldest entry first when it
     already holds MEMO_ENTRIES."""
@@ -136,11 +120,18 @@ def _judge(models: Models, samples: list[ContextSample]) -> list[tuple[str, floa
     return judgments
 
 
-def _name_rows(embed_names, memo: OrderedDict, names: list[str]) -> np.ndarray:
-    """The embed_names rows of the names, in order. The names memo lacks
-    are embedded in one call, then remembered."""
+def _name_rows(models: Models, memo: OrderedDict, names: list[str]) -> np.ndarray:
+    """The relation stage's embed_names rows of the names, in order. The
+    names memo lacks are embedded in one call, checked to give one row
+    each (else ShapeMismatch), then remembered."""
     missing = [name for name in dict.fromkeys(names) if name not in memo]
-    fresh = dict(zip(missing, embed_names(missing))) if missing else {}
+    fresh = {}
+    if missing:
+        embedded = models.relation.embed_names(missing)
+        if len(embedded) != len(missing):
+            raise ShapeMismatch(f"relation stage gave {len(embedded)} rows "
+                                f"for {len(missing)} names")
+        fresh = dict(zip(missing, embedded))
     rows = np.array([fresh[name] if name in fresh else memo[name] for name in names])
     for name, row in fresh.items():
         _remember(memo, name, row)
@@ -148,17 +139,13 @@ def _name_rows(embed_names, memo: OrderedDict, names: list[str]) -> np.ndarray:
 
 
 def _relation_grid(models: Models, names: list[str], against: list[str],
-                   name_rows=None) -> np.ndarray:
+                   named: OrderedDict) -> np.ndarray:
     """The relation stage's probabilities of names against ``against``,
+    scored on their rows (see _name_rows, which keeps them in ``named``),
     checked: a grid of shape (len(names), len(against), len(RELATIONS))
-    with every cell finite, else ShapeMismatch. ``name_rows``, when
-    given, turns a list of names into their embed_names rows, which the
-    stage scores in place of the names."""
-    if name_rows is None:
-        grid = models.relation.predict_proba(names, against)
-    else:
-        rows = name_rows([*names, *against])
-        grid = models.relation.predict_proba(rows[:len(names)], rows[len(names):])
+    with every cell finite, else ShapeMismatch."""
+    rows = _name_rows(models, named, [*names, *against])
+    grid = models.relation.predict_proba(rows[:len(names)], rows[len(names):])
     expected = (len(names), len(against), len(RELATIONS))
     if np.shape(grid) != expected:
         raise ShapeMismatch(f"relation stage gave a grid of shape {np.shape(grid)} "
@@ -173,7 +160,7 @@ def _detect_record(
     mentions: list[DiseaseMention],
     judgments: list[tuple[str, float]],
     models: Models,
-    name_rows=None,
+    named: OrderedDict,
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
     """Findings and context label counts of a staged record, given its
     mentions' (label, prob) judgments: one relation call compares the
@@ -188,7 +175,7 @@ def _detect_record(
         return [], label_counts
 
     discharge = discharge_names(record)
-    probs = _relation_grid(models, [m.disease for m, _ in confirmed], discharge, name_rows)
+    probs = _relation_grid(models, [m.disease for m, _ in confirmed], discharge, named)
     findings: list[WriteMissingFinding] = []
     for (mention, prob), grid in zip(confirmed, probs):
         relations = tuple(
@@ -205,22 +192,25 @@ def _detect_record(
     return findings, label_counts
 
 
-def detect_write_missing(
-    record: MedicalRecord,
-    models: Models,
-    lexicons: PipelineLexicons,
-    matcher: DiseaseMatcher | None = None,
-) -> list[WriteMissingFinding]:
-    """Write-missing findings for one record. ``matcher`` must be built
-    from ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
-    mentions, windows = _windows(record, matcher or lexicons.matcher)
-    samples = [assemble_features(disease, context, lexicons.features)
-               for disease, context in windows]
-    findings, _ = _detect_record(record, mentions, _judge(models, samples), models)
-    return findings
+def _stage(record: MedicalRecord, matcher: DiseaseMatcher, features: FeatureLexicons,
+           judged: OrderedDict, pending: dict):
+    """The record staged for its chunk, (mentions, windows, known), and its
+    new samples: its recalled mentions that are not a discharge diagnosis
+    verbatim (those need no model calls), each one's window as (disease,
+    context), and the judgments ``judged`` has of them. Each other window
+    not yet in ``pending`` gets its sample there."""
+    discharge_set = set(discharge_names(record))
+    mentions = [m for m in find_mentions(matcher, record) if m.disease not in discharge_set]
+    windows = [(m.disease, build_context_window(record, m).context) for m in mentions]
+    known = {w: judged[w] for w in windows if w in judged}
+    new = {w: assemble_features(*w, features)
+           for w in windows if w not in known and w not in pending}
+    pending.update(new)
+    return (mentions, windows, known), new.values()
 
 
-def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models, name_rows):
+def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
+                  named: OrderedDict):
     """(record, (findings, label counts) or the exception it raised) for
     each (record, staged record or exception) of ``chunk``, in order.
 
@@ -228,12 +218,14 @@ def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models, nam
     They are judged in one call, and the judgments are remembered in
     ``judged``. When that call raises, or its answer is refused, each
     record's pending windows are judged in a call of their own, so the
-    error lands on the record that raised it.
+    error lands on the record that raised it; a record whose unjudged
+    windows are all of ``pending`` takes that first error, as its own
+    call would be the same call.
     """
     try:
         fresh = dict(zip(pending, _judge(models, list(pending.values()))))
-    except Exception:
-        fresh = None
+    except Exception as exc:
+        fresh = exc
     else:
         for window, judgment in fresh.items():
             _remember(judged, window, judgment)
@@ -242,14 +234,34 @@ def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models, nam
             mentions, windows, known = outcome
             try:
                 own = fresh
-                if own is None:
-                    todo = [window for window in windows if window not in known]
+                if isinstance(own, Exception):
+                    todo = [w for w in dict.fromkeys(windows) if w not in known]
+                    if len(todo) == len(pending):
+                        raise own
                     own = dict(zip(todo, _judge(models, [pending[w] for w in todo])))
                 judgments = [known[w] if w in known else own[w] for w in windows]
-                outcome = _detect_record(record, mentions, judgments, models, name_rows)
+                outcome = _detect_record(record, mentions, judgments, models, named)
             except Exception as exc:
                 outcome = exc
         yield record, outcome
+
+
+def detect_write_missing(
+    record: MedicalRecord,
+    models: Models,
+    lexicons: PipelineLexicons,
+    matcher: DiseaseMatcher | None = None,
+) -> list[WriteMissingFinding]:
+    """Write-missing findings for one record: batch_detect's path over a
+    chunk of this one record, with memos of its own, raising the error
+    batch_detect would enter for it. ``matcher`` must be built from
+    ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
+    judged, pending = OrderedDict(), {}
+    staged, _ = _stage(record, matcher or lexicons.matcher, lexicons.features, judged, pending)
+    [(_, outcome)] = _detect_chunk([(record, staged)], pending, judged, models, OrderedDict())
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 @dataclass
@@ -288,9 +300,8 @@ def batch_detect(
     which encodes them in one CharVocab.encode call, and then each
     record's relation call and findings follow (see _detect_chunk). A
     window, its (disease, context), seen before in this call takes the
-    judgment given then. When ``models.relation`` has the optional
-    ``embed_names``, each name is embedded once in this call and the
-    relation calls take rows in place of names. Both memos hold at most
+    judgment given then, and each name is embedded once in this call,
+    the relation calls taking rows of names. Both memos hold at most
     MEMO_ENTRIES entries each and end with the call; no byte of the
     report depends on them. ``parallelism`` is accepted and ignored.
     ``lexicons.matcher`` is read before the first record, so an empty
@@ -302,10 +313,7 @@ def batch_detect(
         errors = [{"line": line_no, "error": str(error)} for line_no, error in bad_lines]
 
     matcher = lexicons.matcher
-    embed_names = getattr(models.relation, "embed_names", None)
-    name_rows = None if embed_names is None else partial(_name_rows, embed_names,
-                                                         OrderedDict())
-    judged: OrderedDict = OrderedDict()
+    judged, named = OrderedDict(), OrderedDict()
     outcomes = []
     chunk, pending, rows = [], {}, 0
     seen: set[str] = set()
@@ -314,21 +322,16 @@ def batch_detect(
             if record.record_id in seen:
                 raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
             seen.add(record.record_id)
-            mentions, windows = _windows(record, matcher)
-            known = {w: judged[w] for w in windows if w in judged}
-            new = {w: assemble_features(*w, lexicons.features)
-                   for w in windows if w not in known and w not in pending}
-            pending.update(new)
+            staged, new = _stage(record, matcher, lexicons.features, judged, pending)
             # the rows each sample holds, its disease capped at MAX_DISEASE
-            rows += sum(len(s.disease) + 1 + len(s.context) for s in new.values())
-            staged = mentions, windows, known
+            rows += sum(len(s.disease) + 1 + len(s.context) for s in new)
         except Exception as exc:  # a fault in one record must not end the batch
             staged = exc
         chunk.append((record, staged))
         if rows >= CHUNK_ROWS:
-            outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
+            outcomes.extend(_detect_chunk(chunk, pending, judged, models, named))
             chunk, pending, rows = [], {}, 0
-    outcomes.extend(_detect_chunk(chunk, pending, judged, models, name_rows))
+    outcomes.extend(_detect_chunk(chunk, pending, judged, models, named))
 
     results: list[RecordResult] = []
     label_totals = {label: 0 for label in LABELS}

@@ -453,9 +453,7 @@ class RelationClassifier:
         """One encoder row per name, normalized and embedded BLOCK_ROWS
         names at a time, so a whole ICD table's characters are never
         looked up at once. A name's row does not depend on the names
-        embedded with it. predict_proba takes these rows in place of
-        either list of names, so a name scored many times is embedded
-        once."""
+        embedded with it, so a name scored many times is embedded once."""
         rows = np.empty((len(names), self.encoder.d_pair))
         for start in range(0, len(names), BLOCK_ROWS):
             block = names[start : start + BLOCK_ROWS]
@@ -463,30 +461,23 @@ class RelationClassifier:
                 [normalize_disease_name(name) for name in block]))
         return rows
 
-    def predict_proba(self, names: list[str] | np.ndarray,
-                      against: list[str] | np.ndarray) -> np.ndarray:
-        """(len(names), len(against), 5) probabilities of each relation of
-        each name to each name of ``against``. Either may instead be the
-        embed_names rows of a list scored many times; two lists are
-        embedded in one pass. The pairs are scored BLOCK_ROWS at a time,
-        each block gathering its own rows, so no grid of pair rows is ever
-        held."""
-        if isinstance(names, np.ndarray) or isinstance(against, np.ndarray):
-            u, v = (x if isinstance(x, np.ndarray) else self.embed_names(x)
-                    for x in (names, against))
-        else:
-            rows = self.embed_names([*names, *against])
-            u, v = rows[:len(names)], rows[len(names):]
-        m = len(v)
-        probs = np.empty((len(u) * m, len(RELATIONS)))
+    def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
+        """(len(rows), len(against_rows), 5) probabilities of each relation
+        of each embed_names row to each row of ``against_rows``. The pairs
+        are scored BLOCK_ROWS at a time, each block gathering its own rows,
+        so no grid of pair rows is ever held."""
+        m = len(against_rows)
+        probs = np.empty((len(rows) * m, len(RELATIONS)))
         for start in range(0, len(probs), BLOCK_ROWS):
             pair = np.arange(start, min(start + BLOCK_ROWS, len(probs)))
-            probs[start : start + BLOCK_ROWS] = self._head(u[pair // m], v[pair % m])[0]
-        return probs.reshape(len(u), m, len(RELATIONS))
+            probs[start : start + BLOCK_ROWS] = self._head(rows[pair // m],
+                                                           against_rows[pair % m])[0]
+        return probs.reshape(len(rows), m, len(RELATIONS))
 
     def predict(self, a: str, b: str) -> tuple[str, float]:
         """The most probable relation of a to b and its probability."""
-        probs = self.predict_proba([a], [b])[0, 0]
+        rows = self.embed_names([a, b])
+        probs = self.predict_proba(rows[:1], rows[1:])[0, 0]
         return RELATIONS[int(np.argmax(probs))], float(probs.max())
 
     def _step(self, batch: list[tuple[np.ndarray, np.ndarray, int]],

@@ -47,10 +47,20 @@ class MapRelationOracle:
     def __init__(self, similar_pairs=()):
         self._similar = {frozenset(p) for p in similar_pairs}
 
-    def predict_proba(self, names, against):
-        probs = np.zeros((len(names), len(against), len(RELATIONS)))
-        for i, a in enumerate(names):
-            for j, b in enumerate(against):
+    def embed_names(self, names):
+        """Each name as a row of one cell, which holds it."""
+        return np.array(names, dtype=object).reshape(-1, 1)
+
+    def predict_proba(self, rows, against_rows):
+        probs = np.zeros((len(rows), len(against_rows), len(RELATIONS)))
+        for i, (a,) in enumerate(rows):
+            for j, (b,) in enumerate(against_rows):
                 similar = a == b or frozenset((a, b)) in self._similar
                 probs[i, j, RELATIONS.index("similarity" if similar else "irrelevance")] = 1.0
         return probs
+
+
+def score_names(stage, names, against):
+    """A relation stage's probabilities of names against ``against``, each
+    list embedded first, as detect scores them."""
+    return stage.predict_proba(stage.embed_names(names), stage.embed_names(against))

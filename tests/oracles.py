@@ -186,10 +186,10 @@ def finite_difference_worst_error(model, sample, label_index, h=1e-5):
         for k in range(flat.size):
             saved = flat[k]
             flat[k] = saved + h
-            up = focal_loss(model.forward(sample)[None], [label_index],
+            up = focal_loss(context_forward(model, sample)[None], [label_index],
                             model.config.focal_gamma)[0]
             flat[k] = saved - h
-            down = focal_loss(model.forward(sample)[None], [label_index],
+            down = focal_loss(context_forward(model, sample)[None], [label_index],
                               model.config.focal_gamma)[0]
             flat[k] = saved
             numeric = (up - down) / (2 * h)
@@ -330,7 +330,9 @@ def seed_cc_mcc_level(disease, icd, relation_model, threshold):
     name = normalize_disease_name(disease)
     best = None
     for entry in icd.entries():
-        probs = relation_model.predict_proba([name], [normalize_disease_name(entry.title)])[0, 0]
+        probs = relation_model.predict_proba(
+            relation_model.embed_names([name]),
+            relation_model.embed_names([normalize_disease_name(entry.title)]))[0, 0]
         idx = int(probs.argmax())
         if RELATIONS[idx] not in ("similarity", "inclusion"):
             continue
@@ -374,6 +376,15 @@ def seed_context_inputs(model, sample):
 
     return ids, (extend(sample.pos_track, 1), extend(sample.neg_track, 0),
                  extend(sample.order_track, 0))
+
+
+def context_forward(model, sample):
+    """A ContextClassifier's class probabilities of one sample through the
+    training forward: its packed_inputs rows as a batch of one, encoded
+    and run through GatedFusionHead.forward. The reference that classify
+    is held to."""
+    ids, code, _ = model.packed_inputs([sample])
+    return model._probs(ids, code, [0])[0]
 
 
 def seed_classifier(model):

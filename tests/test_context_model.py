@@ -34,6 +34,7 @@ from dxaudit.context_model import (
 
 from builders import char_encoder, fusion_head
 from oracles import (
+    context_forward,
     finite_difference_worst_error,
     naive_focal_loss,
     naive_forward,
@@ -158,7 +159,7 @@ def assert_classify_matches_forward(model, *samples):
     judgments = model.classify(*samples)
     assert len(judgments) == len(samples)
     for sample, (label, prob) in zip(samples, judgments):
-        probs = model.forward(sample)
+        probs = context_forward(model, sample)
         assert label == LABELS[int(np.argmax(probs))]
         assert abs(prob - probs.max()) <= 1e-12
 
@@ -317,7 +318,7 @@ class TestPackedBatches:
         labels = [1, 0, 2]
 
         def total_loss():
-            return sum(focal_loss(model.forward(s)[None], [y], 2.0)[0]
+            return sum(focal_loss(context_forward(model, s)[None], [y], 2.0)[0]
                        for s, y in zip(samples, labels))
 
         loss, head_grads, enc_grad = model.loss_and_grads(model.sequences(samples), labels)

@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dxaudit import drg, relation_model
 from dxaudit.core import CcLevel, DrgAssignment, IcdEntry, IcdIndex, MedicalRecord, Tier
 from dxaudit.drg import (
+    MATCH_THRESHOLD,
     DrgGroupTable,
     cc_mcc_level,
     cost_delta_report,
@@ -78,7 +80,8 @@ class TestCcMccLevel:
         model, _ = finetune(encoder, training,
                             PairTrainConfig(learning_rate=0.05, hidden=48,
                                             epochs=60, seed=6))
-        assert cc_mcc_level("角膜裂开损伤", fixture_icd, model) is CcLevel.CC
+        assert cc_mcc_level("角膜裂开损伤", fixture_icd, model, MATCH_THRESHOLD,
+                            model.embed_names(fixture_icd.titles())) is CcLevel.CC
 
     def test_relation_match_takes_the_most_severe_level(self):
         """A title matched through the relation model resolves as an exact
@@ -87,7 +90,8 @@ class TestCcMccLevel:
                         IcdEntry("E11.9", "糖尿病", CcLevel.MCC)])
         assert cc_mcc_level("糖尿病", icd) is CcLevel.MCC
         oracle = MapRelationOracle([("消渴症", "糖尿病")])
-        assert cc_mcc_level("消渴症", icd, oracle) is CcLevel.MCC
+        assert cc_mcc_level("消渴症", icd, oracle, MATCH_THRESHOLD,
+                            oracle.embed_names(icd.titles())) is CcLevel.MCC
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +128,14 @@ class CountingModel:
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
-        self.embeds = 0
+        self.embeds = []
 
-    def predict_proba(self, names, against):
+    def predict_proba(self, rows, against_rows):
         self.calls += 1
-        return self.inner.predict_proba(names, against)
+        return self.inner.predict_proba(rows, against_rows)
 
     def embed_names(self, names):
-        self.embeds += 1
+        self.embeds.append(names)
         return self.inner.embed_names(names)
 
 
@@ -142,7 +146,8 @@ class TestTableScan:
                                          monkeypatch, threshold, block_rows):
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
         assert not any(duplicate_title_icd.by_title(name) for name in UNRESOLVED)
-        got = [cc_mcc_level(name, duplicate_title_icd, paraphrase_model, threshold)
+        rows = paraphrase_model.embed_names(duplicate_title_icd.titles())
+        got = [cc_mcc_level(name, duplicate_title_icd, paraphrase_model, threshold, rows)
                for name in UNRESOLVED]
         want = [seed_cc_mcc_level(name, duplicate_title_icd, paraphrase_model, threshold)
                 for name in UNRESOLVED]
@@ -153,16 +158,20 @@ class TestTableScan:
     def test_duplicate_title_goes_to_first_code(self, paraphrase_model,
                                                 duplicate_title_icd):
         # "角膜裂伤" is S05.302 (CC) and, earlier in code order, A05 (MCC).
-        assert cc_mcc_level("角膜裂开损伤", duplicate_title_icd, paraphrase_model,
-                            0.5) is CcLevel.MCC
+        assert cc_mcc_level("角膜裂开损伤", duplicate_title_icd, paraphrase_model, 0.5,
+                            paraphrase_model.embed_names(duplicate_title_icd.titles())
+                            ) is CcLevel.MCC
 
     def test_one_call_per_unresolved_finding(self, paraphrase_model, fixture_icd):
         counting = CountingModel(paraphrase_model)
-        assert cc_mcc_level("角膜裂开损伤", fixture_icd, counting) is CcLevel.CC
-        assert counting.calls == 1
+        rows = paraphrase_model.embed_names(fixture_icd.titles())
+        assert cc_mcc_level("角膜裂开损伤", fixture_icd, counting, MATCH_THRESHOLD,
+                            rows) is CcLevel.CC
+        assert (counting.calls, counting.embeds) == (1, [["角膜裂开损伤"]])
 
     def test_empty_icd_index_is_none(self, paraphrase_model):
-        assert cc_mcc_level("角膜裂开损伤", IcdIndex([]), paraphrase_model) is CcLevel.NONE
+        assert cc_mcc_level("角膜裂开损伤", IcdIndex([]), paraphrase_model, MATCH_THRESHOLD,
+                            paraphrase_model.embed_names([])) is CcLevel.NONE
 
 
 # Findings per record: titles (one with a trailing list comma) and
@@ -196,14 +205,16 @@ class TestRecoveredLevels:
         join(duplicate_title_icd, counting)
         names = [name for names in FINDINGS.values() for name in names]
         assert levels_calls == names
-        assert counting.embeds == 1
-        assert counting.calls == 4  # one per finding that is not a title
+        # the titles once, then each finding that is not a title
+        assert counting.embeds == [duplicate_title_icd.titles(), ["角膜裂开损伤"],
+                                   ["病种A0亚型"], ["角膜裂开损伤"], ["头部骨折"]]
+        assert counting.calls == 4
 
     def test_exact_titles_embed_nothing(self, paraphrase_model, duplicate_title_icd):
         counting = CountingModel(paraphrase_model)
         joined = join(duplicate_title_icd, counting,
                       {"a": ["角膜裂伤", "巩膜破裂，"], "b": ["病种A0亚型1"]})
-        assert (counting.embeds, counting.calls) == (0, 0)
+        assert (counting.embeds, counting.calls) == ([], 0)
         assert [levels for _, levels in joined] == [[CcLevel.MCC, CcLevel.NONE],
                                                    [CcLevel.MCC]]
 
@@ -222,11 +233,16 @@ class TestRecoveredLevels:
 
     def test_rows_give_the_same_level_as_names(self, paraphrase_model,
                                                duplicate_title_icd):
-        rows = paraphrase_model.embed_names(duplicate_title_icd.titles())
+        """The table's rows, embedded at once or title by title, give each
+        name the level of the scan that scores it name against title."""
+        titles = duplicate_title_icd.titles()
+        whole = paraphrase_model.embed_names(titles)
+        one_by_one = np.concatenate([paraphrase_model.embed_names([t]) for t in titles])
         for name in UNRESOLVED:
-            assert cc_mcc_level(name, duplicate_title_icd, paraphrase_model, 0.5,
-                                rows) is cc_mcc_level(name, duplicate_title_icd,
-                                                      paraphrase_model, 0.5)
+            want = seed_cc_mcc_level(name, duplicate_title_icd, paraphrase_model, 0.5)
+            for rows in (whole, one_by_one):
+                assert cc_mcc_level(name, duplicate_title_icd, paraphrase_model, 0.5,
+                                    rows) is want
 
     def test_unnormalized_finding_gets_its_normal_forms_level(self, paraphrase_model,
                                                               fixture_icd):
@@ -234,9 +250,9 @@ class TestRecoveredLevels:
         raw, name = " 角膜裂开损伤，", "角膜裂开损伤"
         assert not fixture_icd.by_title(raw)
         rows = paraphrase_model.embed_names(fixture_icd.titles())
-        assert cc_mcc_level(name, fixture_icd, paraphrase_model) is CcLevel.CC
-        assert cc_mcc_level(raw, fixture_icd, paraphrase_model) is CcLevel.CC
-        assert cc_mcc_level(raw, fixture_icd, paraphrase_model, title_rows=rows) is CcLevel.CC
+        for disease in (name, raw):
+            assert cc_mcc_level(disease, fixture_icd, paraphrase_model,
+                                title_rows=rows) is CcLevel.CC
         joined = join(fixture_icd, paraphrase_model, {"a": [raw, name]}, threshold=0.8)
         assert [levels for _, levels in joined] == [[CcLevel.CC, CcLevel.CC]]
 

@@ -1,7 +1,8 @@
 """Rules on the package source: numpy is its only runtime dependency,
 importing the package gives BLAS one thread unless a count is set, only
 core writes files, every stage method has its Protocol's parameters,
-every call the benchmark traces exists, and a traced detect shows every
+every call the benchmark traces exists, every call the benchmark makes
+into the package binds to its signature, and a traced detect shows every
 span the benchmark requires of it."""
 
 import ast
@@ -118,7 +119,8 @@ def test_every_write_call_is_found(tmp_path):
         (8, "open(mode='r+')"), (9, "json.dump"), (10, "json.dumps"), (12, "csv.writer")]
 
 
-STAGE_METHODS = {"classify": ContextStage, "predict_proba": RelationStage}
+STAGE_METHODS = {"classify": ContextStage, "embed_names": RelationStage,
+                 "predict_proba": RelationStage}
 
 
 def parameters(function):
@@ -127,7 +129,8 @@ def parameters(function):
 
 
 def test_stage_methods_match_their_protocol():
-    """The package's stages and the tests' stand-ins alike."""
+    """The package's stages and the tests' stand-ins alike; a relation
+    stage has both of its Protocol's methods."""
     found, wrong = [], []
     modules = [importlib.import_module(f"dxaudit.{path.stem}".removesuffix(".__init__"))
                for path in sorted(PACKAGE.glob("*.py"))]
@@ -135,6 +138,8 @@ def test_stage_methods_match_their_protocol():
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ != module.__name__ or cls in STAGE_METHODS.values():
                 continue
+            if "predict_proba" in vars(cls) and "embed_names" not in vars(cls):
+                wrong.append(f"{cls.__name__}.embed_names")
             for method, protocol in STAGE_METHODS.items():
                 if method in vars(cls):
                     found.append(cls.__name__)
@@ -144,6 +149,98 @@ def test_stage_methods_match_their_protocol():
                           "TrackZeroingContext", "RelationClassifier",
                           "IrrelevanceAllRelation", "MapRelationOracle"}
     assert wrong == []
+
+
+BENCH_CALLERS = [BENCH_RUN, BENCH_RUN.with_name("workloads.py")]
+
+
+def package_names(tree):
+    """Each name a module's imports bind to dxaudit or to something in it,
+    mapped to that object."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dxaudit":
+                    names[alias.asname or "dxaudit"] = importlib.import_module(
+                        alias.name if alias.asname else "dxaudit")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "dxaudit":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = (
+                    getattr(module, alias.name) if hasattr(module, alias.name)
+                    else importlib.import_module(f"{node.module}.{alias.name}"))
+    return names
+
+
+def unbound_package_calls(path):
+    """(calls made to a name imported from dxaudit, the ones that fail):
+    a call fails when its dotted name does not resolve, or when its
+    arguments do not bind to the callee's signature (only its keywords
+    are checked when it unpacks a * or ** argument)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = package_names(tree)
+    calls, wrong = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name) or func.id not in names:
+            continue
+        call = ast.unparse(node.func)
+        calls.append(call)
+        target = names[func.id]
+        for attr in reversed(chain):
+            target = getattr(target, attr, None)
+        if not callable(target):
+            wrong.append(f"{path.name}:{node.lineno}: {call} does not resolve")
+            continue
+        unpacks = any(isinstance(arg, ast.Starred) for arg in node.args) \
+            or any(kw.arg is None for kw in node.keywords)
+        bind = inspect.signature(target).bind_partial if unpacks \
+            else inspect.signature(target).bind
+        try:
+            bind(*[None] * (0 if unpacks else len(node.args)),
+                 **{kw.arg: None for kw in node.keywords if kw.arg is not None})
+        except TypeError as exc:
+            wrong.append(f"{path.name}:{node.lineno}: {call}: {exc}")
+    return calls, wrong
+
+
+def test_benchmark_calls_into_the_package_bind_to_its_signatures():
+    """The benchmark may not change with the package, so a renamed
+    function or parameter that it uses fails here, not in its run."""
+    calls, wrong = [], []
+    for path in BENCH_CALLERS:
+        found, failed = unbound_package_calls(path)
+        calls += found
+        wrong += failed
+    assert {"pipeline.batch_detect", "pipeline.detect_write_missing",
+            "drg.recovered_levels_for_records", "dxaudit.build_matcher"} <= set(calls)
+    assert wrong == []
+
+
+def test_unbound_package_calls_are_found(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "import dxaudit\nfrom dxaudit import pipeline, drg as d\n"
+        "from dxaudit.core import LexiconKind\n"
+        "pipeline.detect_write_missing(r, m, l, matcher=x)\n"
+        "pipeline.detect_write_missing(r, m, l, matchers=x)\n"
+        "pipeline.batch_detect(c, m, l, 1, 2)\n"
+        "d.no_such_function(x)\ndxaudit.build_matcher(*xs)\n"
+        "pipeline.batch_detect(*xs, parallel=2)\nLexiconKind('disease_names')\n"
+        "other.batch_detect(c)\n",
+        encoding="utf-8")
+    calls, wrong = unbound_package_calls(source)
+    assert calls == ["pipeline.detect_write_missing", "pipeline.detect_write_missing",
+                     "pipeline.batch_detect", "d.no_such_function", "dxaudit.build_matcher",
+                     "pipeline.batch_detect", "LexiconKind"]
+    assert [line.split(":")[1] for line in wrong] == ["5", "6", "7", "9"]
 
 
 def bench_spans():

@@ -24,7 +24,7 @@ from dxaudit.recall import build_context_window
 from dxaudit.relation_model import (RELATIONS, PairEncoder, PairTrainConfig, finetune,
                                     load_pairs)
 
-from builders import LookupContextOracle, MapRelationOracle
+from builders import LookupContextOracle, MapRelationOracle, score_names
 
 
 @pytest.fixture()
@@ -74,6 +74,11 @@ class CountingContext:
     def classify(self, *samples):
         self.calls.append([(sample.disease, sample.context) for sample in samples])
         return self.inner.classify(*samples)
+
+
+def names_of(rows):
+    """The names that MapRelationOracle rows hold."""
+    return [name for name, in rows]
 
 
 def record(record_id, text, discharge):
@@ -156,9 +161,10 @@ class TestDetect:
     ], ids=["irrelevance-all", "map-oracle"])
     def test_relation_stand_ins_give_one_hot_rows(self, stage, expected):
         names, against = ["肺炎", "高血压"], ["肺部感染", "高血压", "肺炎"]
-        assert stage.predict_proba(names, []).shape == (2, 0, len(RELATIONS))
-        assert stage.predict_proba([], against).shape == (0, 3, len(RELATIONS))
-        probs = stage.predict_proba(names, against)
+        assert [len(stage.embed_names(x)) for x in ([], names, against)] == [0, 2, 3]
+        assert score_names(stage, names, []).shape == (2, 0, len(RELATIONS))
+        assert score_names(stage, [], against).shape == (0, 3, len(RELATIONS))
+        probs = score_names(stage, names, against)
         assert np.array_equal(probs, np.eye(len(RELATIONS))[
             [[RELATIONS.index(relation) for relation in row] for row in expected]])
 
@@ -167,10 +173,10 @@ class TestDetect:
         discharge names in one call; a record with none makes no call."""
         calls = []
 
-        class SpyRelation:
-            def predict_proba(self, names, against):
-                calls.append((names, against))
-                return IrrelevanceAllRelation().predict_proba(names, against)
+        class SpyRelation(MapRelationOracle):
+            def predict_proba(self, rows, against_rows):
+                calls.append((names_of(rows), names_of(against_rows)))
+                return super().predict_proba(rows, against_rows)
 
         records = [record("r1", "确诊为肺炎。确诊胃溃疡。否认脑梗死。", ["高血压"]),
                    record("r2", "否认肺炎。", ["高血压"]),
@@ -243,11 +249,11 @@ class TestBatchDetect:
         """A stage that raises on r2's candidate 胃溃疡, or gives an answer
         detect refuses, fails r2 alone; detect_write_missing raises the
         same error for r2."""
-        class FaultyRelation:
-            def predict_proba(self, names, against):
-                if "胃溃疡" in names:
+        class FaultyRelation(MapRelationOracle):
+            def predict_proba(self, rows, against_rows):
+                if "胃溃疡" in names_of(rows):
                     raise ValueError("cannot score 胃溃疡")
-                return IrrelevanceAllRelation().predict_proba(names, against)
+                return super().predict_proba(rows, against_rows)
 
         class BadAnswerContext:
             def __init__(self, bad):
@@ -258,13 +264,23 @@ class TestBatchDetect:
                 return self.bad(judgments) if any(
                     sample.disease == "胃溃疡" for sample in samples) else judgments
 
-        class BadGridRelation:
+        class BadGridRelation(MapRelationOracle):
             def __init__(self, bad):
+                super().__init__()
                 self.bad = bad
 
-            def predict_proba(self, names, against):
-                probs = IrrelevanceAllRelation().predict_proba(names, against)
-                return self.bad(probs) if "胃溃疡" in names else probs
+            def predict_proba(self, rows, against_rows):
+                probs = super().predict_proba(rows, against_rows)
+                return self.bad(probs) if "胃溃疡" in names_of(rows) else probs
+
+        class BadRowsRelation(MapRelationOracle):
+            def __init__(self, bad):
+                super().__init__()
+                self.bad = bad
+
+            def embed_names(self, names):
+                rows = super().embed_names(names)
+                return self.bad(rows) if "胃溃疡" in names else rows
 
         def nan_cell(probs):
             probs[0, 1, 0] = np.nan
@@ -294,11 +310,19 @@ class TestBatchDetect:
              "relation stage gave a grid of shape (1, 1, 5) for (1, 2, 5)"),
             (ConfirmAllContext(), BadGridRelation(nan_cell), ShapeMismatch,
              "relation stage gave a grid with a non-finite cell"),
+            # r1 has embedded 高血压 in the batch, so r2 alone embeds one more
+            # name: the last message is detect_write_missing's
+            (ConfirmAllContext(), BadRowsRelation(lambda rows: rows[:-1]), ShapeMismatch,
+             "relation stage gave 1 rows for 2 names",
+             "relation stage gave 2 rows for 3 names"),
+            (ConfirmAllContext(), BadRowsRelation(lambda rows: np.concatenate([rows, rows])),
+             ShapeMismatch, "relation stage gave 4 rows for 2 names",
+             "relation stage gave 6 rows for 3 names"),
         ]
         records = [record("r1", "确诊为肺炎。", ["高血压"]),
                    record("r2", "确诊为胃溃疡。", ["高血压", "冠心病"]),
                    record("r3", "确诊为脑梗死。", [])]
-        for context, relation, error_type, error in cases:
+        for context, relation, error_type, error, *lone in cases:
             models = Models(context, relation)
             report = batch_detect(records, models, lexicons)
             assert [r.record_id for r in report.results] == ["r1", "r3"]
@@ -309,7 +333,42 @@ class TestBatchDetect:
             assert report.summary["errors"] == 1
             with pytest.raises(error_type) as raised:
                 detect_write_missing(records[1], models, lexicons)
-            assert error.endswith(str(raised.value))
+            assert (lone or [error])[0].endswith(str(raised.value))
+
+    def test_a_failed_call_is_not_made_again_for_its_lone_record(self, lexicons):
+        """When a chunk's classify call raises, a record whose new windows
+        are all of the chunk's takes that error, as the same call would
+        raise it again: a one-record corpus makes one call, through
+        batch_detect and detect_write_missing alike. In a chunk of three
+        records, each record's windows are then judged on their own, and
+        the fault fails only the record that holds it."""
+        calls = []
+
+        class RaisingContext:
+            def classify(self, *samples):
+                calls.append([sample.disease for sample in samples])
+                if any(sample.disease == "胃溃疡" for sample in samples):
+                    raise ValueError("cannot judge 胃溃疡")
+                return [("confirmed", 1.0)] * len(samples)
+
+        models = Models(RaisingContext(), IrrelevanceAllRelation())
+        lone = record("r2", "确诊为胃溃疡。另确诊为肺炎。", [])
+        error = {"record_id": "r2", "error": "ValueError: cannot judge 胃溃疡"}
+        assert batch_detect([lone], models, lexicons).errors == [error]
+        assert calls == [["胃溃疡", "肺炎"]]
+        calls.clear()
+        with pytest.raises(ValueError, match="cannot judge 胃溃疡"):
+            detect_write_missing(lone, models, lexicons)
+        assert calls == [["胃溃疡", "肺炎"]]
+
+        calls.clear()
+        records = [record("r1", "确诊为肺炎。", []), lone, record("r3", "确诊为脑梗死。", [])]
+        report = batch_detect(records, models, lexicons)
+        assert calls == [["肺炎", "胃溃疡", "肺炎", "脑梗死"], ["肺炎"], ["胃溃疡", "肺炎"],
+                         ["脑梗死"]]
+        assert [[f.disease for f in r.findings] for r in report.results] == \
+            [["肺炎"], ["脑梗死"]]
+        assert report.errors == [error]
 
     def test_chunks_match_one_record_at_a_time_and_faults_fail_alone(
             self, lexicons, tmp_path, monkeypatch):
@@ -331,11 +390,11 @@ class TestBatchDetect:
                 return [("non_current" if "否认" in sample.context else "confirmed", 0.9)
                         for sample in samples]
 
-        class FaultyRelation:
-            def predict_proba(self, names, against):
-                if "故障" in against:
+        class FaultyRelation(MapRelationOracle):
+            def predict_proba(self, rows, against_rows):
+                if "故障" in names_of(against_rows):
                     raise ValueError("cannot score against 故障")
-                return IrrelevanceAllRelation().predict_proba(names, against)
+                return super().predict_proba(rows, against_rows)
 
         def faulty_window(record, mention):
             if record.record_id == "r06":

@@ -44,7 +44,7 @@ from dxaudit.relation_model import (
     save_pairs,
 )
 
-from builders import relation_classifier
+from builders import relation_classifier, score_names
 from conftest import make_fixture_icd_entries
 from oracles import (
     central_difference_worst_error,
@@ -338,7 +338,7 @@ class TestGradients:
                     for name, table in step_params(model).items()}
         worst = central_difference_worst_error(
             step_params(model), analytic,
-            lambda: -math.log(model.predict_proba([a], [b])[0, 0, label]))
+            lambda: -math.log(score_names(model, [a], [b])[0, 0, label]))
         assert worst < 1e-4
 
     def test_finetune_batch_gradients(self):
@@ -359,7 +359,7 @@ class TestGradients:
                     for name, table in step_params(model).items()}
         worst = central_difference_worst_error(
             step_params(model), analytic,
-            lambda: sum(-math.log(model.predict_proba([a], [b])[0, 0, RELATIONS.index(r)])
+            lambda: sum(-math.log(score_names(model, [a], [b])[0, 0, RELATIONS.index(r)])
                         for a, b, r in examples))
         assert worst < 1e-4
 
@@ -466,7 +466,7 @@ class TestFineTune:
         model, pairs, _ = fixture_pair_model
         names = sorted({p.a for p in pairs} | {p.b for p in pairs})
         similarity_idx = RELATIONS.index("similarity")
-        probs = model.predict_proba(names, names)
+        probs = score_names(model, names, names)
         for i in range(len(names)):
             assert int(np.argmax(probs[i, i])) == similarity_idx
 
@@ -598,7 +598,7 @@ class TestBlockScoring:
         rng = random.Random(k * m)
         a, b = ([rng.randrange(len(pool)) for _ in range(n)] for n in (k, m))
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
-        grid = model.predict_proba([pool[i] for i in a], [pool[j] for j in b])
+        grid = score_names(model, [pool[i] for i in a], [pool[j] for j in b])
         assert grid.shape == (k, m, len(RELATIONS))
         seed = {(i, j): seed_relation_forward(model, normal[i], normal[j])
                 for i in set(a) for j in set(b)}
@@ -609,24 +609,31 @@ class TestBlockScoring:
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
     def test_prepared_rows_score_as_names(self, fixture_pair_model, monkeypatch,
                                           n, block_rows):
+        """A list's rows are its parts' rows embedded separately, bit for
+        bit, so detect's name memo may embed each name once and score rows
+        gathered from several calls."""
         model = fixture_pair_model[0]
         names = random_names(model, n, seed=n + 1)
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
         rows = model.embed_names(names)
         assert rows.shape == (n, model.encoder.d_pair)
-        diseases = ["头部骨折", " 电解质紊乱，"]
+        cut = n // 3
+        parts = [model.embed_names(part) for part in (names[:cut], names[cut:], [])]
+        assert np.array_equal(np.concatenate(parts), rows)
+        singles = np.array([model.embed_names([name])[0] for name in names])
+        assert np.array_equal(singles.reshape(rows.shape), rows)
+        diseases = model.embed_names(["头部骨折", " 电解质紊乱，"])
         grid = model.predict_proba(diseases, rows)
         assert grid.shape == (2, n, len(RELATIONS))
-        assert np.array_equal(grid, model.predict_proba(diseases, names))
+        assert np.array_equal(grid, model.predict_proba(diseases, np.concatenate(parts)))
 
     def test_empty_list_gives_no_rows(self, fixture_pair_model):
         model = fixture_pair_model[0]
-        names = ["头部骨折", "肺炎"]
-        for against in (names, model.embed_names(names)):
-            assert model.predict_proba([], against).shape == (0, 2, 5)
-        for against in ([], model.embed_names([])):
-            assert model.predict_proba(names, against).shape == (2, 0, 5)
-            assert model.predict_proba([], against).shape == (0, 0, 5)
+        rows, no_rows = model.embed_names(["头部骨折", "肺炎"]), model.embed_names([])
+        assert no_rows.shape == (0, model.encoder.d_pair)
+        assert model.predict_proba(no_rows, rows).shape == (0, 2, 5)
+        assert model.predict_proba(rows, no_rows).shape == (2, 0, 5)
+        assert model.predict_proba(no_rows, no_rows).shape == (0, 0, 5)
 
     def test_single_pair_is_the_seed_forward(self, fixture_pair_model):
         model = fixture_pair_model[0]
@@ -634,16 +641,16 @@ class TestBlockScoring:
         for a, b in zip(names, names[1:]):
             expected = seed_relation_forward(model, seed_normalize_disease_name(a),
                                              seed_normalize_disease_name(b))
-            np.testing.assert_allclose(model.predict_proba([a], [b])[0, 0], expected,
+            np.testing.assert_allclose(score_names(model, [a], [b])[0, 0], expected,
                                        rtol=0, atol=1e-12)
 
     def test_block_size_does_not_change_rows(self, fixture_pair_model, monkeypatch):
         model = fixture_pair_model[0]
         names = random_names(model, 50, seed=9)
         diseases = ["电解质紊乱", "头部骨折", "低钾血症"]
-        whole = model.predict_proba(diseases, names)
+        whole = score_names(model, diseases, names)
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", 7)
-        np.testing.assert_allclose(model.predict_proba(diseases, names), whole,
+        np.testing.assert_allclose(score_names(model, diseases, names), whole,
                                    rtol=0, atol=1e-12)
 
 
@@ -653,9 +660,13 @@ class PerPairRelation:
     def __init__(self, model):
         self.model = model
 
-    def predict_proba(self, names, against):
-        cells = [[self.model.predict_proba([a], [b])[0, 0] for b in against] for a in names]
-        return np.array(cells).reshape(len(names), len(against), len(RELATIONS))
+    def embed_names(self, names):
+        return self.model.embed_names(names)
+
+    def predict_proba(self, rows, against_rows):
+        cells = [[self.model.predict_proba(rows[i:i + 1], against_rows[j:j + 1])[0, 0]
+                  for j in range(len(against_rows))] for i in range(len(rows))]
+        return np.array(cells).reshape(len(rows), len(against_rows), len(RELATIONS))
 
 
 def test_detect_relations_are_the_single_pair_predictions(
