@@ -422,10 +422,8 @@ def augment_eda(sample: ContextSample, lexicons: FeatureLexicons,
             if protected[i] or rng.random() >= 0.1]
     deleted = "".join(kept)
 
-    return [
-        assemble_features(sample.disease, text, lexicons, label=sample.label)
-        for text in (swapped, deleted)
-    ]
+    return assemble_features([(sample.disease, swapped), (sample.disease, deleted)],
+                             lexicons, [sample.label] * 2)
 
 
 def augment_disease_replace(sample: ContextSample, disease_pool, exclusion,
@@ -440,13 +438,11 @@ def augment_disease_replace(sample: ContextSample, disease_pool, exclusion,
     if not candidates:
         raise EmptyPool("no replacement diseases remain after exclusions")
     rng = random.Random(seed)
-    variants = []
+    windows = []
     for _ in range(3):
         replacement = candidates[rng.randrange(len(candidates))]
-        new_context = sample.context.replace(sample.disease, replacement)
-        variants.append(
-            assemble_features(replacement, new_context, lexicons, label=sample.label))
-    return variants
+        windows.append((replacement, sample.context.replace(sample.disease, replacement)))
+    return assemble_features(windows, lexicons, [sample.label] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +745,10 @@ def load_training_samples(path, lexicons: FeatureLexicons) -> list[ContextSample
     """Read JSON-per-line {disease, context, label} training samples.
 
     The label may be left out. A malformed line, or an empty disease or
-    context, raises ParseError with its line number.
+    context, raises ParseError with its line number. The file's samples
+    are built in one assemble_features call once every line is checked.
     """
-    samples = []
+    windows, labels = [], []
     for line_no, line in read_lines(path):
         obj = parse_json_object(line, line_no, "sample")
         for key in ("disease", "context"):
@@ -763,6 +760,6 @@ def load_training_samples(path, lexicons: FeatureLexicons) -> list[ContextSample
         if label is not None and label not in LABELS:
             raise ParseError(f"unknown label {label!r}; expected one of "
                              f"{list(LABELS)}", line_no)
-        samples.append(assemble_features(obj["disease"], obj["context"], lexicons,
-                                         label=label))
-    return samples
+        windows.append((obj["disease"], obj["context"]))
+        labels.append(label)
+    return assemble_features(windows, lexicons, labels)

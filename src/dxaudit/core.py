@@ -36,6 +36,7 @@ from .errors import (
 
 # Sentence boundaries used by context windows and enumerated-item extents.
 SENTENCE_BOUNDARIES = "。；\n"  # 。 ； newline
+TERMINATOR = re.compile(f"[{SENTENCE_BOUNDARIES}]")
 
 # Caps, in characters, on a classified context window and on the disease
 # name read with it; features.assemble_features clips to them.

@@ -29,7 +29,7 @@ from .core import (
     _minor_to_major,
     read_table,
 )
-from .errors import BadSetting, DxAuditError, MissingGroupRow, ParseError
+from .errors import BadSetting, DxAuditError, MissingGroupRow, ParseError, ShapeMismatch
 from .relation_model import RELATIONS
 
 # The tier a recovered diagnosis of each CC/MCC level calls for. A lower
@@ -103,7 +103,8 @@ def cc_mcc_level(
     relation model's embed_names(icd.titles()), which a model needs: one
     row per distinct normalized title. Titles come in the code order of
     their first entry, so the first maximum is the first entry in code
-    order to reach it, as in an entry-by-entry scan.
+    order to reach it, as in an entry-by-entry scan. Missing ``title_rows``,
+    or rows of another count than the titles, raise ShapeMismatch.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -111,6 +112,10 @@ def cc_mcc_level(
     titles = icd.titles()
     if relation_model is None or not titles:
         return CcLevel.NONE
+    if title_rows is None or len(title_rows) != len(titles):
+        given = "no title_rows" if title_rows is None else f"title_rows of {len(title_rows)} rows"
+        raise ShapeMismatch(f"{given} for {len(titles)} ICD titles; the relation fallback "
+                            "needs the model's embed_names(icd.titles())")
     probs = relation_model.predict_proba(relation_model.embed_names([disease]), title_rows)[0]
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]

@@ -6,17 +6,28 @@ Each track is a 0/1 array exactly as long as the context:
 * neg_track  - characters inside any occurrence of a negation word
 * order_track - characters belonging to enumerated-list items
 
+``assemble_features`` builds a whole batch of (disease, context) windows
+in one call, over the capped contexts joined by ``"\\0"``: one
+``mark_negation`` pass over the joined text marks every context, each
+disease is marked within its own context's stretch of one array for the
+batch, and each context's items come from its own ``mark_serial_numbers``
+call (an enumerator pattern may be anchored or look behind, so it is
+never run across a join). No negation word holds ``"\\0"``
+(``FeatureLexicons`` refuses one), so no negation mark crosses a join.
+Each sample's tracks are read-only views of the batch's arrays.
+
 All marking functions are pure; the lexicons they read are immutable.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_CONTEXT, MAX_DISEASE, SENTENCE_BOUNDARIES, Lexicon, LexiconKind
+from .core import MAX_CONTEXT, MAX_DISEASE, TERMINATOR, Lexicon, LexiconKind
 from .errors import BadPattern, BadSetting, EmptyContext
 
 LABELS = ("non_current", "confirmed", "unknown")
@@ -63,15 +74,6 @@ def _mark_occurrences(track: np.ndarray, context: str, needle: str) -> None:
         start = idx + 1  # overlapping occurrences union their ranges
 
 
-def mark_disease_positions(disease: str, context: str) -> np.ndarray:
-    """1 over every character of every occurrence of ``disease``."""
-    if not disease:
-        raise ValueError("disease must be non-empty")
-    track = np.zeros(len(context), dtype=np.uint8)
-    _mark_occurrences(track, context, disease)
-    return track
-
-
 def mark_negation(context: str, negation_lexicon: Lexicon) -> np.ndarray:
     """1 over every character inside any negation-word occurrence."""
     track = np.zeros(len(context), dtype=np.uint8)
@@ -87,23 +89,21 @@ def mark_serial_numbers(context: str, patterns: tuple[re.Pattern, ...]) -> np.nd
     next enumerator or sentence terminator, whichever comes first.
     """
     track = np.zeros(len(context), dtype=np.uint8)
-    tokens: list[tuple[int, int]] = []
-    for pattern in patterns:
-        for match in pattern.finditer(context):
-            if match.end() > match.start():
-                tokens.append((match.start(), match.end()))
-    tokens = sorted(set(tokens))
+    tokens = sorted({match.span() for pattern in patterns
+                     for match in pattern.finditer(context) if match.end() > match.start()})
     next_starts = [t[0] for t in tokens[1:]] + [len(context)]
     for (start, end), next_start in zip(tokens, next_starts):
-        stops = [i for i in (context.find(mark, end) for mark in SENTENCE_BOUNDARIES) if i >= 0]
-        track[start:min([next_start, *stops])] = 1
+        stop = TERMINATOR.search(context, end, next_start)
+        track[start:stop.start() if stop else next_start] = 1
     return track
 
 
 @dataclass(frozen=True)
 class FeatureLexicons:
     """The negation words and enumerator patterns of a run, with both kinds
-    checked (BadSetting) and every pattern compiled (BadPattern) once."""
+    checked (BadSetting) and every pattern compiled (BadPattern) once.
+    A negation word holding "\\0", which assemble_features joins contexts
+    with, is refused too (BadSetting)."""
 
     negation: Lexicon
     enumerators: Lexicon
@@ -114,6 +114,10 @@ class FeatureLexicons:
                               (self.enumerators, LexiconKind.ENUMERATOR_PATTERNS)):
             if lexicon.kind is not kind:
                 raise BadSetting(f"expected a {kind.value} lexicon, got {lexicon.kind.value}")
+        for word in self.negation.entries:
+            if "\0" in word:
+                raise BadSetting(f"negation word {word!r} holds \"\\0\", "
+                                 "which joins the contexts of a batch")
         compiled = []
         for raw in self.enumerators.entries:
             try:
@@ -124,21 +128,40 @@ class FeatureLexicons:
 
 
 def assemble_features(
-    disease: str,
-    context: str,
+    windows: Iterable[tuple[str, str]],
     lexicons: FeatureLexicons,
-    label: str | None = None,
-) -> ContextSample:
-    """Build a ContextSample with all three tracks, applying length caps."""
-    disease = disease[:MAX_DISEASE]
-    context = context[:MAX_CONTEXT]
-    if not context:
-        raise EmptyContext("cannot assemble features over an empty context")
-    return ContextSample(
-        disease=disease,
-        context=context,
-        pos_track=mark_disease_positions(disease, context),
-        neg_track=mark_negation(context, lexicons.negation),
-        order_track=mark_serial_numbers(context, lexicons.patterns),
-        label=label,
-    )
+    labels: Sequence[str | None] | None = None,
+) -> list[ContextSample]:
+    """One ContextSample per (disease, context) window, in order, with all
+    three tracks, applying length caps; ``labels``, when given, holds one
+    label per window (ValueError for another count).
+
+    An empty context raises EmptyContext and an empty disease ValueError,
+    the first such window in order failing the call. See the module
+    docstring for how the tracks are built.
+    """
+    capped = [(disease[:MAX_DISEASE], context[:MAX_CONTEXT]) for disease, context in windows]
+    if labels is None:
+        labels = [None] * len(capped)
+    elif len(labels) != len(capped):
+        raise ValueError(f"{len(labels)} labels for {len(capped)} windows")
+    joined = "\0".join(context for _, context in capped)
+    pos = np.zeros(len(joined), dtype=np.uint8)
+    order = np.zeros(len(joined), dtype=np.uint8)
+    bounds = []
+    start = 0
+    for disease, context in capped:
+        if not context:
+            raise EmptyContext("cannot assemble features over an empty context")
+        if not disease:
+            raise ValueError("disease must be non-empty")
+        end = start + len(context)
+        _mark_occurrences(pos[start:end], context, disease)
+        order[start:end] = mark_serial_numbers(context, lexicons.patterns)
+        bounds.append((start, end))
+        start = end + 1
+    neg = mark_negation(joined, lexicons.negation)
+    for track in (pos, neg, order):
+        track.flags.writeable = False
+    return [ContextSample(disease, context, pos[a:b], neg[a:b], order[a:b], label)
+            for (disease, context), (a, b), label in zip(capped, bounds, labels)]

@@ -19,9 +19,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import (Lexicon, MedicalRecord, discharge_names, json_line,
-                   normalize_disease_name, parse_json_object, read_corpus, read_lines,
-                   write_lines)
+from .core import (MAX_CONTEXT, MAX_DISEASE, Lexicon, MedicalRecord, discharge_names,
+                   json_line, normalize_disease_name, parse_json_object, read_corpus,
+                   read_lines, write_lines)
 from .errors import (DuplicateRecordId, DxAuditError, EmptyName, ModelNotLoaded, ParseError,
                      ShapeMismatch)
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
@@ -102,12 +102,15 @@ def _remember(memo: OrderedDict, key, value) -> None:
     memo[key] = value
 
 
-def _judge(models: Models, samples: list[ContextSample]) -> list[tuple[str, float]]:
-    """The context stage's judgments of the samples, checked: one per
+def _judge(models: Models, features: FeatureLexicons,
+           windows: list[tuple[str, str]]) -> list[tuple[str, float]]:
+    """The context stage's judgments of the (disease, context) windows,
+    their samples built in one assemble_features call, checked: one per
     sample (else ShapeMismatch), each a label of LABELS at a probability
-    in [0, 1] (else DxAuditError). No samples make no call."""
-    if not samples:
+    in [0, 1] (else DxAuditError). No windows make no call."""
+    if not windows:
         return []
+    samples = assemble_features(windows, features)
     judgments = models.context.classify(*samples)
     if len(judgments) != len(samples):
         raise ShapeMismatch(f"context stage gave {len(judgments)} judgments "
@@ -159,12 +162,15 @@ def _detect_record(
     record: MedicalRecord,
     mentions: list[DiseaseMention],
     judgments: list[tuple[str, float]],
+    discharge: list[str],
     models: Models,
     named: OrderedDict,
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
     """Findings and context label counts of a staged record, given its
-    mentions' (label, prob) judgments: one relation call compares the
-    confirmed mentions with the discharge diagnoses (see _relation_grid)."""
+    mentions' (label, prob) judgments and its discharge_names: one
+    relation call compares the confirmed mentions with those discharge
+    diagnoses (see _relation_grid). ``record`` is the record they are of;
+    a trace of this call reads its record_id."""
     confirmed = []
     label_counts = {label: 0 for label in LABELS}
     for mention, (label, prob) in zip(mentions, judgments):
@@ -174,7 +180,6 @@ def _detect_record(
     if not confirmed:
         return [], label_counts
 
-    discharge = discharge_names(record)
     probs = _relation_grid(models, [m.disease for m, _ in confirmed], discharge, named)
     findings: list[WriteMissingFinding] = []
     for (mention, prob), grid in zip(confirmed, probs):
@@ -192,38 +197,41 @@ def _detect_record(
     return findings, label_counts
 
 
-def _stage(record: MedicalRecord, matcher: DiseaseMatcher, features: FeatureLexicons,
-           judged: OrderedDict, pending: dict):
-    """The record staged for its chunk, (mentions, windows, known), and its
-    new samples: its recalled mentions that are not a discharge diagnosis
-    verbatim (those need no model calls), each one's window as (disease,
-    context), and the judgments ``judged`` has of them. Each other window
-    not yet in ``pending`` gets its sample there."""
-    discharge_set = set(discharge_names(record))
+def _stage(record: MedicalRecord, matcher: DiseaseMatcher, judged: OrderedDict,
+           pending: dict) -> tuple[tuple, int]:
+    """The record staged for its chunk, (mentions, windows, known,
+    discharge), and the rows of its new windows: its recalled mentions
+    that are not a discharge diagnosis verbatim (those need no model
+    calls), each one's window as (disease, context), the judgments
+    ``judged`` has of them, and its discharge_names. Each other window not
+    yet in ``pending`` is added there, and counts the rows its sample will
+    hold, its disease and context capped as assemble_features caps them."""
+    discharge = discharge_names(record)
+    discharge_set = set(discharge)
     mentions = [m for m in find_mentions(matcher, record) if m.disease not in discharge_set]
     windows = [(m.disease, build_context_window(record, m).context) for m in mentions]
     known = {w: judged[w] for w in windows if w in judged}
-    new = {w: assemble_features(*w, features)
-           for w in windows if w not in known and w not in pending}
+    new = {w: None for w in windows if w not in known and w not in pending}
     pending.update(new)
-    return (mentions, windows, known), new.values()
+    rows = sum(min(len(d), MAX_DISEASE) + 1 + min(len(c), MAX_CONTEXT) for d, c in new)
+    return (mentions, windows, known, discharge), rows
 
 
 def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
-                  named: OrderedDict):
+                  features: FeatureLexicons, named: OrderedDict):
     """(record, (findings, label counts) or the exception it raised) for
     each (record, staged record or exception) of ``chunk``, in order.
 
-    ``pending`` maps each window first seen in the chunk to its sample.
-    They are judged in one call, and the judgments are remembered in
-    ``judged``. When that call raises, or its answer is refused, each
-    record's pending windows are judged in a call of their own, so the
-    error lands on the record that raised it; a record whose unjudged
-    windows are all of ``pending`` takes that first error, as its own
-    call would be the same call.
+    ``pending`` holds each window first seen in the chunk, in order.
+    Their samples are built and judged in one call (see _judge), and the
+    judgments are remembered in ``judged``. When that call raises, or its
+    answer is refused, each record's pending windows are built and judged
+    in a call of their own, so the error lands on the record that raised
+    it; a record whose unjudged windows are all of ``pending`` takes that
+    first error, as its own call would be the same call.
     """
     try:
-        fresh = dict(zip(pending, _judge(models, list(pending.values()))))
+        fresh = dict(zip(pending, _judge(models, features, list(pending))))
     except Exception as exc:
         fresh = exc
     else:
@@ -231,16 +239,17 @@ def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
             _remember(judged, window, judgment)
     for record, outcome in chunk:
         if not isinstance(outcome, Exception):
-            mentions, windows, known = outcome
+            mentions, windows, known, discharge = outcome
             try:
                 own = fresh
                 if isinstance(own, Exception):
                     todo = [w for w in dict.fromkeys(windows) if w not in known]
                     if len(todo) == len(pending):
                         raise own
-                    own = dict(zip(todo, _judge(models, [pending[w] for w in todo])))
+                    own = dict(zip(todo, _judge(models, features, todo)))
                 judgments = [known[w] if w in known else own[w] for w in windows]
-                outcome = _detect_record(record, mentions, judgments, models, named)
+                outcome = _detect_record(record, mentions, judgments, discharge, models,
+                                         named)
             except Exception as exc:
                 outcome = exc
         yield record, outcome
@@ -257,8 +266,9 @@ def detect_write_missing(
     batch_detect would enter for it. ``matcher`` must be built from
     ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
     judged, pending = OrderedDict(), {}
-    staged, _ = _stage(record, matcher or lexicons.matcher, lexicons.features, judged, pending)
-    [(_, outcome)] = _detect_chunk([(record, staged)], pending, judged, models, OrderedDict())
+    staged, _ = _stage(record, matcher or lexicons.matcher, judged, pending)
+    [(_, outcome)] = _detect_chunk([(record, staged)], pending, judged, models,
+                                   lexicons.features, OrderedDict())
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[0]
@@ -293,12 +303,13 @@ def batch_detect(
     come in record order.
 
     Records run in chunks, one after another: recall and windows run
-    record by record, and each window not seen before in this call gets
-    its features, until those new samples hold CHUNK_ROWS (8 passes of
-    PASS_ROWS, 4096) rows, each sample's counted as it holds them, its
-    disease capped at MAX_DISEASE; one ``classify`` call judges them all,
-    which encodes them in one CharVocab.encode call, and then each
-    record's relation call and findings follow (see _detect_chunk). A
+    record by record, collecting each window not seen before in this
+    call, until their samples would hold CHUNK_ROWS (8 passes of
+    PASS_ROWS, 4096) rows, each sample's counted as it will hold them,
+    its disease capped at MAX_DISEASE; one assemble_features call builds
+    those samples and one ``classify`` call judges them all, which encodes
+    them in one CharVocab.encode call, and then each record's relation
+    call and findings follow (see _detect_chunk). A
     window, its (disease, context), seen before in this call takes the
     judgment given then, and each name is embedded once in this call,
     the relation calls taking rows of names. Both memos hold at most
@@ -322,16 +333,16 @@ def batch_detect(
             if record.record_id in seen:
                 raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
             seen.add(record.record_id)
-            staged, new = _stage(record, matcher, lexicons.features, judged, pending)
-            # the rows each sample holds, its disease capped at MAX_DISEASE
-            rows += sum(len(s.disease) + 1 + len(s.context) for s in new)
+            staged, new_rows = _stage(record, matcher, judged, pending)
+            rows += new_rows
         except Exception as exc:  # a fault in one record must not end the batch
             staged = exc
         chunk.append((record, staged))
         if rows >= CHUNK_ROWS:
-            outcomes.extend(_detect_chunk(chunk, pending, judged, models, named))
+            outcomes.extend(_detect_chunk(chunk, pending, judged, models, lexicons.features,
+                                          named))
             chunk, pending, rows = [], {}, 0
-    outcomes.extend(_detect_chunk(chunk, pending, judged, models, named))
+    outcomes.extend(_detect_chunk(chunk, pending, judged, models, lexicons.features, named))
 
     results: list[RecordResult] = []
     label_totals = {label: 0 for label in LABELS}

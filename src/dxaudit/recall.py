@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import MAX_CONTEXT, SENTENCE_BOUNDARIES, Lexicon, LexiconKind, MedicalRecord
+from .core import (MAX_CONTEXT, SENTENCE_BOUNDARIES, TERMINATOR, Lexicon, LexiconKind,
+                   MedicalRecord)
 from .errors import EmptyLexicon, SpanMismatch, WindowOverflow
 
 
@@ -120,8 +121,8 @@ def find_mentions(matcher: DiseaseMatcher, record: MedicalRecord) -> list[Diseas
 def _sentence_window(text: str, start: int, end: int) -> tuple[int, int]:
     """Expand [start, end) to the enclosing sentence, terminator included."""
     left = max(text.rfind(mark, 0, start) for mark in SENTENCE_BOUNDARIES) + 1
-    ends = [i for i in (text.find(mark, end) for mark in SENTENCE_BOUNDARIES) if i >= 0]
-    return left, min(ends) + 1 if ends else len(text)  # keep the terminator
+    stop = TERMINATOR.search(text, end)
+    return left, stop.end() if stop else len(text)  # keep the terminator
 
 
 def _shrink_window(
@@ -194,4 +195,4 @@ def build_context_window(record: MedicalRecord, mention: DiseaseMention) -> Dise
             raise SpanMismatch(
                 f"span [{start}, {end}) of the context holds {context[start:end]!r}, "
                 f"not {mention.disease!r}")
-    return replace(mention, context=context, context_spans=tuple(context_spans))
+    return DiseaseMention(mention.disease, mention.spans, context, tuple(context_spans))

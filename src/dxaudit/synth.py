@@ -214,16 +214,15 @@ def labeled_context_samples(
         (rid, disease): label for rid, disease, label in gold.mention_labels
     }
     matcher = build_matcher(diseases)
-    samples = []
+    windows, window_labels = [], []
     for record in records:
         for mention in find_mentions(matcher, record):
             label = labels.get((record.record_id, mention.disease))
             if label is None:
                 continue
-            windowed = build_context_window(record, mention)
-            samples.append(assemble_features(
-                windowed.disease, windowed.context, features, label=label))
-    return samples
+            windows.append((mention.disease, build_context_window(record, mention).context))
+            window_labels.append(label)
+    return assemble_features(windows, features, window_labels)
 
 
 def relation_training_pairs(

@@ -151,6 +151,43 @@ def loop_serial_numbers(context, patterns):
     return track
 
 
+def mark_disease_positions(disease, context):
+    """1 over every character of every occurrence of ``disease``, found
+    one ``find`` at a time, overlapping occurrences unioned."""
+    import numpy as np
+
+    if not disease:
+        raise ValueError("disease must be non-empty")
+    track = np.zeros(len(context), dtype=np.uint8)
+    start = 0
+    while (idx := context.find(disease, start)) >= 0:
+        track[idx : idx + len(disease)] = 1
+        start = idx + 1
+    return track
+
+
+def seed_assemble_features(disease, context, lexicons, label=None):
+    """The original one-window feature build: the capped disease and
+    context, each track marked over that context alone (each negation
+    word through mark_disease_positions' search, items through
+    loop_serial_numbers), in a ContextSample."""
+    import numpy as np
+
+    from dxaudit.core import MAX_CONTEXT, MAX_DISEASE
+    from dxaudit.errors import EmptyContext
+    from dxaudit.features import ContextSample
+
+    disease, context = disease[:MAX_DISEASE], context[:MAX_CONTEXT]
+    if not context:
+        raise EmptyContext("cannot assemble features over an empty context")
+    neg = np.zeros(len(context), dtype=np.uint8)
+    for word in lexicons.negation.entries:
+        neg |= mark_disease_positions(word, context)
+    order = np.array(loop_serial_numbers(context, lexicons.patterns), dtype=np.uint8)
+    return ContextSample(disease, context, mark_disease_positions(disease, context), neg,
+                         order, label)
+
+
 def naive_info_nce(u_hats, v_hats, anchors, tau):
     """Mean anchored InfoNCE over explicit unit vectors, via loops."""
     losses = []

@@ -350,12 +350,12 @@ def test_criterion_09_memorization_fixtures(feature_lexicons):
         fixture_samples.append((disease, f"否认{disease}病史。", "non_current"))
         fixture_samples.append((disease, f"{disease}待查，建议随访复查。", "unknown"))
         fixture_samples.append((disease, f"结合检查，确诊为{disease}。", "confirmed"))
-    samples = [assemble_features(d, c, feature_lexicons, label=lbl)
-               for d, c, lbl in fixture_samples]
+    samples = assemble_features([(d, c) for d, c, _ in fixture_samples], feature_lexicons,
+                                [lbl for _, _, lbl in fixture_samples])
     context_model, _ = train(
         samples, TrainConfig(batch_size=4, learning_rate=0.3, epochs=40, seed=7),
         d=16, d_enc=16)
-    case_sample = assemble_features("肺心病", case_context, feature_lexicons)
+    [case_sample] = assemble_features([("肺心病", case_context)], feature_lexicons)
     [(case_label, _)] = context_model.classify(case_sample)
 
     ok = (fracture == "similarity" and electrolyte == "inclusion"

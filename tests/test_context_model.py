@@ -389,8 +389,8 @@ class TestPackedBatches:
 
 class TestAugmentEda:
     def test_exactly_two_variants(self, feature_lexicons):
-        sample = assemble_features("肺炎", "患者确诊为肺炎，继续对症治疗观察。",
-                                   feature_lexicons, label="confirmed")
+        [sample] = assemble_features([("肺炎", "患者确诊为肺炎，继续对症治疗观察。")],
+                                     feature_lexicons, ["confirmed"])
         variants = augment_eda(sample, feature_lexicons, seed=0)
         assert len(variants) == 2
         for variant in variants:
@@ -398,20 +398,20 @@ class TestAugmentEda:
             assert "肺炎" in variant.context
 
     def test_degenerate_context_is_identity(self, feature_lexicons):
-        sample = assemble_features("肺炎", "肺炎", feature_lexicons, label="confirmed")
+        [sample] = assemble_features([("肺炎", "肺炎")], feature_lexicons, ["confirmed"])
         variants = augment_eda(sample, feature_lexicons, seed=0)
         assert [v.context for v in variants] == ["肺炎", "肺炎"]
 
     def test_seed_determinism(self, feature_lexicons):
-        sample = assemble_features("肺炎", "患者确诊为肺炎，继续对症治疗观察。",
-                                   feature_lexicons, label="confirmed")
+        [sample] = assemble_features([("肺炎", "患者确诊为肺炎，继续对症治疗观察。")],
+                                     feature_lexicons, ["confirmed"])
         first = augment_eda(sample, feature_lexicons, seed=9)
         second = augment_eda(sample, feature_lexicons, seed=9)
         assert [v.context for v in first] == [v.context for v in second]
 
     def test_disease_occurrences_protected(self, feature_lexicons):
         context = "肺炎" + "甲乙丙丁" * 10 + "肺炎尾部。"
-        sample = assemble_features("肺炎", context, feature_lexicons, label="confirmed")
+        [sample] = assemble_features([("肺炎", context)], feature_lexicons, ["confirmed"])
         for seed in range(20):
             for variant in augment_eda(sample, feature_lexicons, seed=seed):
                 assert variant.context.count("肺炎") >= 2
@@ -421,8 +421,8 @@ class TestAugmentDiseaseReplace:
     def test_replaces_all_occurrences(self, feature_lexicons):
         pool = make_lexicon(["高血压", "胃溃疡", "糖尿病"], LexiconKind.DISEASE_NAMES)
         exclusion = make_lexicon(["糖尿病"], LexiconKind.CHRONIC_EXCLUSION)
-        sample = assemble_features("肺炎", "初诊肺炎，复查肺炎好转。",
-                                   feature_lexicons, label="confirmed")
+        [sample] = assemble_features([("肺炎", "初诊肺炎，复查肺炎好转。")],
+                                     feature_lexicons, ["confirmed"])
         variants = augment_disease_replace(sample, pool, exclusion,
                                            feature_lexicons, seed=1)
         assert len(variants) == 3
@@ -434,7 +434,7 @@ class TestAugmentDiseaseReplace:
     def test_empty_pool(self, feature_lexicons):
         pool = make_lexicon(["糖尿病"], LexiconKind.DISEASE_NAMES)
         exclusion = make_lexicon(["糖尿病"], LexiconKind.CHRONIC_EXCLUSION)
-        sample = assemble_features("肺炎", "初诊肺炎。", feature_lexicons)
+        [sample] = assemble_features([("肺炎", "初诊肺炎。")], feature_lexicons)
         with pytest.raises(EmptyPool):
             augment_disease_replace(sample, pool, exclusion, feature_lexicons, seed=1)
 
@@ -442,7 +442,7 @@ class TestAugmentDiseaseReplace:
         pool = make_lexicon(["高血压", "胃溃疡", "糖尿病", "肝硬化"],
                             LexiconKind.DISEASE_NAMES)
         exclusion = make_lexicon(["糖尿病", "肝硬化"], LexiconKind.CHRONIC_EXCLUSION)
-        sample = assemble_features("肺炎", "初诊肺炎。", feature_lexicons)
+        [sample] = assemble_features([("肺炎", "初诊肺炎。")], feature_lexicons)
         drawn = []
         for seed in range(3334):
             for variant in augment_disease_replace(sample, pool, exclusion,
@@ -674,10 +674,9 @@ class TestLoadTrainingSamples:
         assert excinfo.value.line == 2
 
     def test_unlabeled_dev_sample_is_degenerate_data(self, feature_lexicons):
-        samples = [assemble_features("肺炎", context, feature_lexicons, label=label)
-                   for context, label in (("确诊为肺炎。", "confirmed"),
-                                          ("否认肺炎。", "non_current"),
-                                          ("肺炎待排。", "unknown"))]
-        dev = [assemble_features("肺炎", "确诊为肺炎。", feature_lexicons)]
+        samples = assemble_features([("肺炎", "确诊为肺炎。"), ("肺炎", "否认肺炎。"),
+                                     ("肺炎", "肺炎待排。")], feature_lexicons,
+                                    ["confirmed", "non_current", "unknown"])
+        dev = assemble_features([("肺炎", "确诊为肺炎。")], feature_lexicons)
         with pytest.raises(DegenerateData, match="dev"):
             train(samples, TrainConfig(epochs=1), dev_samples=dev, d=4, d_enc=4)

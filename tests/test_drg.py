@@ -16,7 +16,8 @@ from dxaudit.drg import (
     recovered_levels_for_records,
     regroup,
 )
-from dxaudit.errors import BadSetting, DxAuditError, MissingGroupRow, ParseError
+from dxaudit.errors import (BadSetting, DxAuditError, MissingGroupRow, ParseError,
+                            ShapeMismatch)
 from dxaudit.relation_model import (
     DiseasePair,
     PairEncoder,
@@ -92,6 +93,17 @@ class TestCcMccLevel:
         oracle = MapRelationOracle([("消渴症", "糖尿病")])
         assert cc_mcc_level("消渴症", icd, oracle, MATCH_THRESHOLD,
                             oracle.embed_names(icd.titles())) is CcLevel.MCC
+
+    @pytest.mark.parametrize("rows", [None, 0, 2], ids=["missing", "no-rows", "two-rows"])
+    def test_title_rows_of_another_count_are_refused(self, rows):
+        """The fallback needs one row per title: a missing title_rows was a
+        bare TypeError, and a count other than the titles' a numpy
+        IndexError or a silently wrong row."""
+        icd = IcdIndex([IcdEntry("E11", "糖尿病", CcLevel.MCC)])
+        oracle = MapRelationOracle([("消渴症", "糖尿病")])
+        title_rows = None if rows is None else oracle.embed_names(["糖尿病"] * rows)
+        with pytest.raises(ShapeMismatch, match="title_rows.* for 1 ICD titles"):
+            cc_mcc_level("消渴症", icd, oracle, MATCH_THRESHOLD, title_rows)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from dxaudit.features import (
     ContextSample,
     FeatureLexicons,
     assemble_features,
-    mark_disease_positions,
     mark_negation,
     mark_serial_numbers,
 )
@@ -23,25 +22,31 @@ def bits(track) -> str:
     return "".join(str(int(b)) for b in track)
 
 
+def disease_positions(disease, context, lexicons):
+    """The pos_track assemble_features builds for one window."""
+    [sample] = assemble_features([(disease, context)], lexicons)
+    return sample.pos_track
+
+
 class TestDiseasePositions:
-    def test_two_occurrences(self):
+    def test_two_occurrences(self, feature_lexicons):
         context = "不能除外肺心病，现确诊为肺心病。"
-        track = mark_disease_positions("肺心病", context)
+        track = disease_positions("肺心病", context, feature_lexicons)
         assert bits(track) == "0000111000001110"
 
-    def test_absent_disease_all_zero(self):
-        track = mark_disease_positions("肺炎", "无异常发现。")
+    def test_absent_disease_all_zero(self, feature_lexicons):
+        track = disease_positions("肺炎", "无异常发现。", feature_lexicons)
         assert not track.any()
 
-    def test_context_equals_disease_all_ones(self):
-        track = mark_disease_positions("肺炎", "肺炎")
+    def test_context_equals_disease_all_ones(self, feature_lexicons):
+        track = disease_positions("肺炎", "肺炎", feature_lexicons)
         assert bits(track) == "11"
 
-    def test_overlapping_occurrences_union(self):
-        track = mark_disease_positions("aa", "aaa")
+    def test_overlapping_occurrences_union(self, feature_lexicons):
+        track = disease_positions("aa", "aaa", feature_lexicons)
         assert bits(track) == "111"
 
-    def test_popcount_property_nonoverlapping(self):
+    def test_popcount_property_nonoverlapping(self, feature_lexicons):
         rng = random.Random(5)
         disease = "肺心病"
         for _ in range(200):
@@ -50,7 +55,7 @@ class TestDiseasePositions:
             context = filler[0]
             for i in range(n):
                 context += disease + filler[i + 1]
-            track = mark_disease_positions(disease, context)
+            track = disease_positions(disease, context, feature_lexicons)
             assert int(track.sum()) == 3 * n
 
 
@@ -108,17 +113,17 @@ class TestSerialNumbers:
 
 class TestAssembleFeatures:
     def test_tracks_aligned(self, feature_lexicons):
-        sample = assemble_features("肺炎", "否认肺炎。1.高血压。", feature_lexicons)
+        [sample] = assemble_features([("肺炎", "否认肺炎。1.高血压。")], feature_lexicons)
         n = len(sample.context)
         assert len(sample.pos_track) == len(sample.neg_track) == n
         assert len(sample.order_track) == n
 
     def test_overlong_context_truncated(self, feature_lexicons):
-        sample = assemble_features("肺炎", "肺炎" + "长" * 600, feature_lexicons)
+        [sample] = assemble_features([("肺炎", "肺炎" + "长" * 600)], feature_lexicons)
         assert len(sample.context) == 450
 
     def test_overlong_disease_truncated(self, feature_lexicons):
-        sample = assemble_features("病" * 40, "病" * 50, feature_lexicons)
+        [sample] = assemble_features([("病" * 40, "病" * 50)], feature_lexicons)
         assert len(sample.disease) == 30
 
     @pytest.mark.parametrize("disease, context", [("病" * 31, "病"), ("病", "病" * 451)],
@@ -155,9 +160,32 @@ class TestAssembleFeatures:
         with pytest.raises(BadSetting, match="disease_names"):
             FeatureLexicons(**given)
 
+    def test_negation_word_holding_the_join_is_refused(self, feature_lexicons):
+        """A word holding "\\0" could match across two joined contexts."""
+        lexicon = make_lexicon(["否认", "否\0认"], LexiconKind.NEGATION_WORDS)
+        with pytest.raises(BadSetting, match=re.escape("'否\\x00认'")):
+            FeatureLexicons(negation=lexicon, enumerators=feature_lexicons.enumerators)
+
     def test_empty_context_raises(self, feature_lexicons):
         with pytest.raises(EmptyContext):
-            assemble_features("肺炎", "", feature_lexicons)
+            assemble_features([("肺炎", "")], feature_lexicons)
+
+    def test_empty_disease_raises(self, feature_lexicons):
+        with pytest.raises(ValueError, match="disease must be non-empty"):
+            assemble_features([("肺炎", "肺炎。"), ("", "肺炎。")], feature_lexicons)
+
+    def test_label_count_must_match_the_windows(self, feature_lexicons):
+        with pytest.raises(ValueError, match="1 labels for 2 windows"):
+            assemble_features([("肺炎", "肺炎。")] * 2, feature_lexicons, ["confirmed"])
+
+    def test_tracks_are_read_only(self, feature_lexicons):
+        """A sample's tracks view the batch's arrays, so a write through one
+        would change its neighbours' tracks."""
+        samples = assemble_features([("肺炎", "否认肺炎。1.高血压。")] * 2, feature_lexicons)
+        for sample in samples:
+            for name in TRACKS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(sample, name)[0] = 1
 
     def test_alignment_fuzz(self, feature_lexicons):
         rng = random.Random(13)
@@ -165,14 +193,14 @@ class TestAssembleFeatures:
         for _ in range(500):
             disease = "".join(rng.choice("高血压糖尿病肺炎") for _ in range(rng.randint(1, 4)))
             context = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 120)))
-            sample = assemble_features(disease, context, feature_lexicons)
+            [sample] = assemble_features([(disease, context)], feature_lexicons)
             n = len(sample.context)
             assert len(sample.pos_track) == len(sample.neg_track) == n
             assert len(sample.order_track) == n
 
     def test_marking_is_deterministic(self, feature_lexicons):
-        a = assemble_features("肺炎", "否认肺炎。1.高血压。", feature_lexicons)
-        b = assemble_features("肺炎", "否认肺炎。1.高血压。", feature_lexicons)
+        a, b = (assemble_features([("肺炎", "否认肺炎。1.高血压。")], feature_lexicons)[0]
+                for _ in range(2))
         assert np.array_equal(a.pos_track, b.pos_track)
         assert np.array_equal(a.neg_track, b.neg_track)
         assert np.array_equal(a.order_track, b.order_track)
