@@ -3,9 +3,10 @@
 Everything loaded here is immutable after load. Every text input is read
 here: the corpus by the lenient ``read_corpus``, every other file by the
 strict ``read_lines`` (CSV by ``read_rows``, headed tables by ``read_table``)
-or, for lexicons, by its decoder ``_read_text``. Lines end at LF, CRLF or
-CR, never at U+2028 or U+0085; blank lines are skipped; a malformed line,
-undecodable bytes included, is a ParseError.
+or, for lexicons, by its decoder ``_read_text``. One leading UTF-8 byte
+order mark is dropped. Lines end at LF, CRLF or CR, never at U+2028 or
+U+0085; blank lines are skipped; a malformed line, undecodable bytes
+included, is a ParseError.
 
 Every output is written here too, by ``write_bytes`` (text by
 ``write_lines``, CSV by ``write_rows``, JSON encoded by ``json_line``):
@@ -14,6 +15,7 @@ UTF-8, LF line ends, and a file that appears whole or not at all.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -310,13 +312,14 @@ def record_to_json(record: MedicalRecord) -> str:
 
 
 def _read_text(path: str | Path) -> tuple[str, ParseError | None]:
-    """A UTF-8 file's text, decoded once, with its line ends made LF, and None.
+    """A UTF-8 file's text, decoded once, without a leading byte order mark
+    and with its line ends made LF, and None.
 
     If the file holds an undecodable byte, the text is that of the lines
     before the byte's line, and the ParseError names the byte and its line.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text, bad = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:
@@ -436,7 +439,8 @@ def read_corpus(path: str | Path,
     earlier record_id. Each line is decoded and parsed on its own, so a bad
     line does not end the reading."""
     records, errors, seen = [], [], set()
-    lines = Path(path).read_bytes().splitlines()  # at LF, CRLF or CR
+    # Split at LF, CRLF or CR; no name keeps the file's bytes past the split
+    lines = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
     for line_no, raw in enumerate(lines, start=1):
         try:
             text = raw.decode("utf-8").strip()

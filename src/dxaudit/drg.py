@@ -30,6 +30,7 @@ from .core import (
     read_table,
 )
 from .errors import BadSetting, DxAuditError, MissingGroupRow, ParseError, ShapeMismatch
+from .pipeline import _checked_grid, _checked_rows
 from .relation_model import RELATIONS
 
 # The tier a recovered diagnosis of each CC/MCC level calls for. A lower
@@ -104,7 +105,8 @@ def cc_mcc_level(
     row per distinct normalized title. Titles come in the code order of
     their first entry, so the first maximum is the first entry in code
     order to reach it, as in an entry-by-entry scan. Missing ``title_rows``,
-    or rows of another count than the titles, raise ShapeMismatch.
+    rows of another count than the titles, or a model answer that detect
+    refuses (pipeline._checked_rows, _checked_grid), raise ShapeMismatch.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -116,7 +118,7 @@ def cc_mcc_level(
         given = "no title_rows" if title_rows is None else f"title_rows of {len(title_rows)} rows"
         raise ShapeMismatch(f"{given} for {len(titles)} ICD titles; the relation fallback "
                             "needs the model's embed_names(icd.titles())")
-    probs = relation_model.predict_proba(relation_model.embed_names([disease]), title_rows)[0]
+    probs = _checked_grid(relation_model, _checked_rows(relation_model, [disease]), title_rows)[0]
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)
@@ -267,7 +269,7 @@ def recovered_levels_for_records(
     if unknown:
         raise DxAuditError(f"{len(unknown)} record(s) of the report are not in the "
                            f"corpus, the first {unknown[0]!r}")
-    title_rows = cache(lambda: relation_model.embed_names(icd.titles()))
+    title_rows = cache(lambda: _checked_rows(relation_model, icd.titles()))
     out = []
     for record in records:
         levels = []

@@ -83,23 +83,23 @@ class PipelineLexicons:
         return build_matcher(self.diseases)
 
 
-# Entries in each of batch_detect's two memos, window judgments and name
-# rows; past it the oldest entry goes first, so a call's memory does not
-# grow with its corpus.
+# Entries in each of _detect's two memos, window judgments and name rows;
+# past it the oldest entries go first, so a call's memory does not grow
+# with its corpus.
 MEMO_ENTRIES = 4096
 
-# Rows of new samples batch_detect stages before one classify call judges
-# them: eight passes' worth, so that each call packs many windows (on the
-# toy bench corpus, passes of 512 rows hold about 20 windows each).
+# Rows of new samples _detect stages before one classify call judges them:
+# eight passes' worth, so that each call packs many windows (on the toy
+# bench corpus, passes of 512 rows hold about 20 windows each).
 CHUNK_ROWS = 8 * PASS_ROWS
 
 
-def _remember(memo: OrderedDict, key, value) -> None:
-    """Store value under key, dropping memo's oldest entry first when it
-    already holds MEMO_ENTRIES."""
-    if len(memo) >= MEMO_ENTRIES:
+def _keep(memo: OrderedDict, items) -> None:
+    """Add items, a dict of keys memo lacks, to memo, then drop memo's
+    oldest entries past MEMO_ENTRIES."""
+    memo.update(items)
+    while len(memo) > MEMO_ENTRIES:
         memo.popitem(last=False)
-    memo[key] = value
 
 
 def _judge(models: Models, features: FeatureLexicons,
@@ -123,39 +123,47 @@ def _judge(models: Models, features: FeatureLexicons,
     return judgments
 
 
-def _name_rows(models: Models, memo: OrderedDict, names: list[str]) -> np.ndarray:
-    """The relation stage's embed_names rows of the names, in order. The
-    names memo lacks are embedded in one call, checked to give one row
-    each (else ShapeMismatch), then remembered."""
-    missing = [name for name in dict.fromkeys(names) if name not in memo]
-    fresh = {}
-    if missing:
-        embedded = models.relation.embed_names(missing)
-        if len(embedded) != len(missing):
-            raise ShapeMismatch(f"relation stage gave {len(embedded)} rows "
-                                f"for {len(missing)} names")
-        fresh = dict(zip(missing, embedded))
-    rows = np.array([fresh[name] if name in fresh else memo[name] for name in names])
-    for name, row in fresh.items():
-        _remember(memo, name, row)
+def _checked_rows(relation: RelationStage, names: list[str]) -> np.ndarray:
+    """relation.embed_names(names), checked to hold one row per name, else
+    ShapeMismatch."""
+    rows = relation.embed_names(names)
+    if len(rows) != len(names):
+        raise ShapeMismatch(f"relation stage gave {len(rows)} rows for {len(names)} names")
     return rows
 
 
-def _relation_grid(models: Models, names: list[str], against: list[str],
-                   named: OrderedDict) -> np.ndarray:
-    """The relation stage's probabilities of names against ``against``,
-    scored on their rows (see _name_rows, which keeps them in ``named``),
-    checked: a grid of shape (len(names), len(against), len(RELATIONS))
-    with every cell finite, else ShapeMismatch."""
-    rows = _name_rows(models, named, [*names, *against])
-    grid = models.relation.predict_proba(rows[:len(names)], rows[len(names):])
-    expected = (len(names), len(against), len(RELATIONS))
+def _checked_grid(relation: RelationStage, rows: np.ndarray,
+                  against_rows: np.ndarray) -> np.ndarray:
+    """relation.predict_proba(rows, against_rows), checked: a grid of shape
+    (len(rows), len(against_rows), len(RELATIONS)) with every cell finite,
+    else ShapeMismatch."""
+    grid = relation.predict_proba(rows, against_rows)
+    expected = (len(rows), len(against_rows), len(RELATIONS))
     if np.shape(grid) != expected:
         raise ShapeMismatch(f"relation stage gave a grid of shape {np.shape(grid)} "
                             f"for {expected}")
     if not np.isfinite(grid).all():
         raise ShapeMismatch("relation stage gave a grid with a non-finite cell")
     return grid
+
+
+def _name_rows(models: Models, memo: OrderedDict, names: list[str]) -> np.ndarray:
+    """The relation stage's rows of the names, in order. The names memo
+    lacks are embedded in one call (see _checked_rows), then kept in memo."""
+    missing = [name for name in dict.fromkeys(names) if name not in memo]
+    fresh = dict(zip(missing, _checked_rows(models.relation, missing))) if missing else {}
+    rows = np.array([fresh[name] if name in fresh else memo[name] for name in names])
+    _keep(memo, fresh)
+    return rows
+
+
+def _relation_grid(models: Models, names: list[str], against: list[str],
+                   named: OrderedDict) -> np.ndarray:
+    """The relation stage's checked grid (see _checked_grid) of names
+    against ``against``, scored on their rows (see _name_rows, which keeps
+    them in ``named``)."""
+    rows = _name_rows(models, named, [*names, *against])
+    return _checked_grid(models.relation, rows[:len(names)], rows[len(names):])
 
 
 def _detect_record(
@@ -197,62 +205,85 @@ def _detect_record(
     return findings, label_counts
 
 
-def _stage(record: MedicalRecord, matcher: DiseaseMatcher, judged: OrderedDict,
-           pending: dict) -> tuple[tuple, int]:
-    """The record staged for its chunk, (mentions, windows, known,
-    discharge), and the rows of its new windows: its recalled mentions
-    that are not a discharge diagnosis verbatim (those need no model
-    calls), each one's window as (disease, context), the judgments
-    ``judged`` has of them, and its discharge_names. Each other window not
-    yet in ``pending`` is added there, and counts the rows its sample will
-    hold, its disease and context capped as assemble_features caps them."""
-    discharge = discharge_names(record)
-    discharge_set = set(discharge)
-    mentions = [m for m in find_mentions(matcher, record) if m.disease not in discharge_set]
-    windows = [(m.disease, build_context_window(record, m).context) for m in mentions]
-    known = {w: judged[w] for w in windows if w in judged}
-    new = {w: None for w in windows if w not in known and w not in pending}
-    pending.update(new)
-    rows = sum(min(len(d), MAX_DISEASE) + 1 + min(len(c), MAX_CONTEXT) for d, c in new)
-    return (mentions, windows, known, discharge), rows
-
-
 def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
                   features: FeatureLexicons, named: OrderedDict):
     """(record, (findings, label counts) or the exception it raised) for
     each (record, staged record or exception) of ``chunk``, in order.
 
     ``pending`` holds each window first seen in the chunk, in order.
-    Their samples are built and judged in one call (see _judge), and the
-    judgments are remembered in ``judged``. When that call raises, or its
-    answer is refused, each record's pending windows are built and judged
-    in a call of their own, so the error lands on the record that raised
-    it; a record whose unjudged windows are all of ``pending`` takes that
-    first error, as its own call would be the same call.
+    Their samples are built and judged in one call (see _judge). Each
+    record reads its judgments from ``judged`` or that call's, which are
+    filed in ``judged`` only once every record of the chunk has read
+    them. When that call raises, or its answer is refused, each record's
+    unjudged windows are built and judged in a call of their own, so the
+    error lands on the record that raised it; a record whose unjudged
+    windows are all of ``pending`` takes that first error, as its own
+    call would be the same call.
     """
     try:
         fresh = dict(zip(pending, _judge(models, features, list(pending))))
     except Exception as exc:
         fresh = exc
-    else:
-        for window, judgment in fresh.items():
-            _remember(judged, window, judgment)
     for record, outcome in chunk:
         if not isinstance(outcome, Exception):
-            mentions, windows, known, discharge = outcome
+            mentions, windows, discharge = outcome
             try:
                 own = fresh
                 if isinstance(own, Exception):
-                    todo = [w for w in dict.fromkeys(windows) if w not in known]
+                    todo = [w for w in dict.fromkeys(windows) if w not in judged]
                     if len(todo) == len(pending):
                         raise own
                     own = dict(zip(todo, _judge(models, features, todo)))
-                judgments = [known[w] if w in known else own[w] for w in windows]
+                judgments = [judged[w] if w in judged else own[w] for w in windows]
                 outcome = _detect_record(record, mentions, judgments, discharge, models,
                                          named)
             except Exception as exc:
                 outcome = exc
         yield record, outcome
+    if not isinstance(fresh, Exception):
+        _keep(judged, fresh)
+
+
+def _detect(records, models: Models, features: FeatureLexicons, matcher: DiseaseMatcher):
+    """(record, (findings, label counts) or the exception it raised) for
+    each of ``records``, in order, read one chunk at a time.
+
+    A record is staged as (mentions, windows, discharge): its
+    discharge_names, its recalled mentions not among them verbatim (those
+    need no model calls) and each one's (disease, context) window; a
+    repeated record_id or a staging fault is staged as its exception. A
+    window that neither the window memo nor the chunk holds is pending,
+    and counts the rows its sample will hold, capped as assemble_features
+    caps them; at CHUNK_ROWS rows the chunk goes to _detect_chunk before
+    the next record is read. Both memos end with the generator.
+    """
+    judged, named = OrderedDict(), OrderedDict()
+    seen: set[str] = set()
+    records = iter(records)
+    while True:
+        chunk, pending, rows = [], {}, 0
+        for record in records:
+            try:
+                if record.record_id in seen:
+                    raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
+                seen.add(record.record_id)
+                discharge = discharge_names(record)
+                listed = set(discharge)
+                mentions = [m for m in find_mentions(matcher, record) if m.disease not in listed]
+                windows = [(m.disease, build_context_window(record, m).context) for m in mentions]
+                new = {w: None for w in windows if w not in judged and w not in pending}
+                pending.update(new)
+                rows += sum(min(len(d), MAX_DISEASE) + 1 + min(len(c), MAX_CONTEXT)
+                            for d, c in new)
+                staged = (mentions, windows, discharge)
+            except Exception as exc:  # a fault in one record must not end the batch
+                staged = exc
+            chunk.append((record, staged))
+            if rows >= CHUNK_ROWS:
+                break
+        yield from _detect_chunk(chunk, pending, judged, models, features, named)
+        if rows < CHUNK_ROWS:
+            return
 
 
 def detect_write_missing(
@@ -261,14 +292,12 @@ def detect_write_missing(
     lexicons: PipelineLexicons,
     matcher: DiseaseMatcher | None = None,
 ) -> list[WriteMissingFinding]:
-    """Write-missing findings for one record: batch_detect's path over a
-    chunk of this one record, with memos of its own, raising the error
-    batch_detect would enter for it. ``matcher`` must be built from
-    ``lexicons.diseases``; ``lexicons.matcher`` serves when not given."""
-    judged, pending = OrderedDict(), {}
-    staged, _ = _stage(record, matcher or lexicons.matcher, judged, pending)
-    [(_, outcome)] = _detect_chunk([(record, staged)], pending, judged, models,
-                                   lexicons.features, OrderedDict())
+    """Write-missing findings for one record: batch_detect's path (see
+    _detect) over this one record, raising the error batch_detect would
+    enter for it. ``matcher`` must be built from ``lexicons.diseases``;
+    ``lexicons.matcher`` serves when not given."""
+    [(_, outcome)] = _detect([record], models, lexicons.features,
+                             matcher or lexicons.matcher)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[0]
@@ -302,53 +331,23 @@ def batch_detect(
     corpus keeps the first record, as a path corpus does. Error entries
     come in record order.
 
-    Records run in chunks, one after another: recall and windows run
-    record by record, collecting each window not seen before in this
-    call, until their samples would hold CHUNK_ROWS (8 passes of
-    PASS_ROWS, 4096) rows, each sample's counted as it will hold them,
-    its disease capped at MAX_DISEASE; one assemble_features call builds
-    those samples and one ``classify`` call judges them all, which encodes
-    them in one CharVocab.encode call, and then each record's relation
-    call and findings follow (see _detect_chunk). A
-    window, its (disease, context), seen before in this call takes the
-    judgment given then, and each name is embedded once in this call,
-    the relation calls taking rows of names. Both memos hold at most
-    MEMO_ENTRIES entries each and end with the call; no byte of the
-    report depends on them. ``parallelism`` is accepted and ignored.
-    ``lexicons.matcher`` is read before the first record, so an empty
-    disease lexicon raises.
+    Records run through _detect, a chunk at a time (see _detect_chunk):
+    one classify call judges a chunk's new windows. A window judged before
+    in this call takes the judgment given then, and each name is embedded
+    once in this call; both memos hold at most MEMO_ENTRIES entries each
+    and end with the call, and no byte of the report depends on them.
+    ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
+    before the first record, so an empty disease lexicon raises.
     """
     records, errors = corpus, []
     if isinstance(corpus, (str, Path)):
         records, bad_lines = read_corpus(corpus)
         errors = [{"line": line_no, "error": str(error)} for line_no, error in bad_lines]
 
-    matcher = lexicons.matcher
-    judged, named = OrderedDict(), OrderedDict()
-    outcomes = []
-    chunk, pending, rows = [], {}, 0
-    seen: set[str] = set()
-    for record in records:
-        try:
-            if record.record_id in seen:
-                raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
-            seen.add(record.record_id)
-            staged, new_rows = _stage(record, matcher, judged, pending)
-            rows += new_rows
-        except Exception as exc:  # a fault in one record must not end the batch
-            staged = exc
-        chunk.append((record, staged))
-        if rows >= CHUNK_ROWS:
-            outcomes.extend(_detect_chunk(chunk, pending, judged, models, lexicons.features,
-                                          named))
-            chunk, pending, rows = [], {}, 0
-    outcomes.extend(_detect_chunk(chunk, pending, judged, models, lexicons.features, named))
-
     results: list[RecordResult] = []
     label_totals = {label: 0 for label in LABELS}
     section_counts: dict[str, int] = {}
-    n_findings = 0
-    for record, outcome in outcomes:
+    for record, outcome in _detect(records, models, lexicons.features, lexicons.matcher):
         if isinstance(outcome, Exception):
             error = str(outcome) if isinstance(outcome, DxAuditError) \
                 else f"{type(outcome).__name__}: {outcome}"
@@ -356,7 +355,6 @@ def batch_detect(
             continue
         findings, label_counts = outcome
         results.append(RecordResult(record_id=record.record_id, findings=findings))
-        n_findings += len(findings)
         for label in LABELS:
             label_totals[label] += label_counts[label]
         for finding in findings:
@@ -365,7 +363,7 @@ def batch_detect(
                 section_counts[name] = section_counts.get(name, 0) + 1
     summary = {
         "records": len(results),
-        "findings": n_findings,
+        "findings": sum(len(result.findings) for result in results),
         "findings_by_section": dict(sorted(section_counts.items())),
         "context_labels": label_totals,
         "errors": len(errors),

@@ -105,6 +105,23 @@ class TestCcMccLevel:
         with pytest.raises(ShapeMismatch, match="title_rows.* for 1 ICD titles"):
             cc_mcc_level("消渴症", icd, oracle, MATCH_THRESHOLD, title_rows)
 
+    @pytest.mark.parametrize("answer, message", [
+        (lambda grid: np.full(grid.shape, np.nan), "non-finite cell"),
+        (lambda grid: grid[:, :, :3], r"shape \(1, 1, 3\) for \(1, 1, 5\)"),
+    ], ids=["all-nan", "three-relations"])
+    def test_relation_answers_detect_refuses_are_refused(self, answer, message):
+        """The fallback checks the model's grid as detect does: an all-NaN
+        grid resolved 消渴症 to NONE, and one of 3 relation columns to MCC,
+        both without an error."""
+        class BadGrid(MapRelationOracle):
+            def predict_proba(self, rows, against_rows):
+                return answer(super().predict_proba(rows, against_rows))
+
+        icd = IcdIndex([IcdEntry("E11", "糖尿病", CcLevel.MCC)])
+        model = BadGrid([("消渴症", "糖尿病")])
+        with pytest.raises(ShapeMismatch, match=message):
+            cc_mcc_level("消渴症", icd, model, MATCH_THRESHOLD, model.embed_names(icd.titles()))
+
 
 @pytest.fixture(scope="module")
 def paraphrase_model(fixture_icd, data_dir):

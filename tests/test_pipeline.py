@@ -478,7 +478,38 @@ class TestBatchDetect:
         batch_detect(records, Models(CountingContext(), IrrelevanceAllRelation()), lexicons)
         assert calls == [[MAX_DISEASE] * 3] * 3
 
-    @pytest.mark.parametrize("memo_entries", [None, 2], ids=["default", "two"])
+    def test_a_generator_corpus_is_read_one_chunk_at_a_time(self, lexicons, monkeypatch):
+        """A generator of records, every new window closing its chunk: no
+        record past a chunk is read before that chunk's classify call, and
+        r2's 肺炎 window, judged in the chunk before, is not judged again.
+        With room for one memo entry, filing r2's chunk evicts 肺炎, so r2
+        can read it only because filing waits until the chunk is read."""
+        events = []
+
+        def corpus():
+            for rec in (record("r1", "确诊为肺炎。", []),
+                        MedicalRecord("r2", (("现病史", "确诊为肺炎。"),
+                                             ("既往史", "确诊为高血压。")), ()),
+                        record("r3", "确诊为脑梗死。", [])):
+                events.append(rec.record_id)
+                yield rec
+
+        class LoggingContext:
+            def classify(self, *samples):
+                events.append([(sample.disease, sample.context) for sample in samples])
+                return [("confirmed", 0.9)] * len(samples)
+
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(pipeline, "MEMO_ENTRIES", 1)
+        report = batch_detect(corpus(), Models(LoggingContext(), IrrelevanceAllRelation()),
+                              lexicons)
+        assert events == ["r1", [("肺炎", "确诊为肺炎。")], "r2", [("高血压", "确诊为高血压。")],
+                          "r3", [("脑梗死", "确诊为脑梗死。")]]
+        assert report.errors == []
+        assert [[f.disease for f in r.findings] for r in report.results] == \
+            [["肺炎"], ["肺炎", "高血压"], ["脑梗死"]]
+
+    @pytest.mark.parametrize("memo_entries", [None, 2, 1], ids=["default", "two", "one"])
     def test_records_repeated_under_fresh_ids_match_one_record_at_a_time(
             self, trained_models, disease_pool, feature_lexicons, data_dir, tmp_path,
             monkeypatch, memo_entries):
@@ -486,8 +517,8 @@ class TestBatchDetect:
         ids, across several chunks of one pass each: batch_detect's report
         lines are detect_write_missing's, record by record. Each distinct
         window reaches classify once per call, none with zero samples,
-        while the memos are large enough; with room for two entries,
-        neither memo ever holds more."""
+        while the memos are large enough; with room for two entries, or
+        one, so that every filing evicts, neither memo ever holds more."""
         spec = synth.SyntheticSpec(n_records=30, diseases_per_record=4, miss_rate=0.35,
                                    negation_rate=0.25, enumeration_rate=0.3, seed=31)
         originals, _ = synth.gen_synthetic_corpus(
@@ -500,16 +531,16 @@ class TestBatchDetect:
         models = Models(counting, trained_models.relation)
 
         memos = {}
-        remember = pipeline._remember
+        keep = pipeline._keep
         bound = memo_entries or pipeline.MEMO_ENTRIES
 
-        def bounded_remember(memo, key, value):
-            remember(memo, key, value)
+        def bounded_keep(memo, items):
+            keep(memo, items)
             assert len(memo) <= bound
-            memos[id(memo)] = type(key)
+            memos.update((id(memo), type(key)) for key in memo)
 
         monkeypatch.setattr(pipeline, "MEMO_ENTRIES", bound)
-        monkeypatch.setattr(pipeline, "_remember", bounded_remember)
+        monkeypatch.setattr(pipeline, "_keep", bounded_keep)
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", pipeline.PASS_ROWS)
         report = batch_detect(records, models, lexicons)
         assert report.errors == []

@@ -1,5 +1,7 @@
 """Every text input is read through core's strict reader and its table reader."""
 
+import codecs
+
 import pytest
 
 from dxaudit import cli, core, drg, pipeline, relation_model, synth
@@ -180,4 +182,36 @@ def test_comment_lines_are_errors(tmp_path, data_dir, reader):
 
 
 def _comparable(loaded):
+    if isinstance(loaded, core.IcdIndex):
+        return loaded.entries()
+    if isinstance(loaded, drg.DrgGroupTable):
+        return loaded.rows
     return loaded.entries if isinstance(loaded, core.Lexicon) else loaded
+
+
+# Samples and templates load objects that do not compare by value.
+@pytest.mark.parametrize("reader", [name for name in READERS
+                                    if name not in ("samples", "templates")])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, data_dir, reader):
+    """A file that starts with a UTF-8 byte order mark reads as the same
+    file without it. Kept, the mark began a lexicon's first entry, a pair's
+    first name or a table's first header column, and made the corpus's
+    first line invalid JSON."""
+    first, second, _, load = READERS[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(f"{first}\n{second}\n", encoding="utf-8")
+    marked.write_text(f"\ufeff{first}\n{second}\n", encoding="utf-8")
+    assert _comparable(load(marked, data_dir)) == _comparable(load(plain, data_dir))
+
+
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path):
+    """A mark inside the text stays, and a bad byte's offset counts the
+    bytes of its line after a leading mark."""
+    path = tmp_path / "input"
+    path.write_bytes(codecs.BOM_UTF8 + "肺炎\n\ufeff高血压\n".encode("utf-8"))
+    assert list(core.read_lines(path)) == [(1, "肺炎"), (2, "\ufeff高血压")]
+    path.write_bytes(codecs.BOM_UTF8 + b"ab\xff\n")
+    for read in (lambda: list(core.read_lines(path)), lambda: core.load_corpus(path)):
+        with pytest.raises(ParseError, match="invalid UTF-8 at byte 2") as excinfo:
+            read()
+        assert excinfo.value.line == 1
