@@ -2,13 +2,13 @@
 
 Subcommands map 1:1 onto the package's operations: gen-synthetic,
 gen-pairs, train-context, train-relation, detect, evaluate, ablate,
-drg-impact. A flat key=value config file (keys prefixed by section,
-e.g. ``context.epochs=12``) supplies defaults; explicit flags beat the
-config file, which beats built-in defaults. A setting that is a field of
-a config dataclass has its flag's ``dest`` named after the field and its
-key named ``<section>.<field>``, and takes its default from the field.
-Each numeric flag of a subcommand with a config section is a key, and
-a key that names no setting is a data error.
+drg-impact. ``_setting`` resolves every setting by one rule: its flag,
+else its value in a flat key=value config file cast to the type of its
+default, else the default. Its key is ``seed``, or ``<section>.<dest>``
+after its subcommand's section and its flag's dest (``context.epochs``).
+A field of a config dataclass is the setting whose dest is its name.
+Each numeric flag of a subcommand with a section is a key, and a key
+that names no setting, or is set twice, is a data error.
 
 Exit codes: 0 success, 2 partial batch failures, 64 usage, 65 data error.
 """
@@ -46,8 +46,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise DxAuditError(f"config file {path}, line {line_no}: expected "
                                f"key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in config:
+            raise DxAuditError(f"config file {path}, line {line_no}: {key} is set twice")
+        config[key] = value
     return config
 
 
@@ -64,38 +66,39 @@ def load_gold_findings(path: str | Path) -> list[tuple[str, str]]:
     return [tuple(f) for f in findings]
 
 
-def _resolve(flag, config: dict[str, str], key: str, default, cast=str):
-    """Flag value beats config-file value beats built-in default."""
-    if flag is not None:
-        return flag
-    if key in config:
+def _key(section: str | None, dest: str) -> str:
+    """The config key of a setting: ``seed``, else ``<section>.<dest>``."""
+    return "seed" if dest == "seed" else f"{section}.{dest}"
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _setting(args, config: dict[str, str], dest: str, default, minimum=None):
+    """The flag ``dest``'s value, else its config-file value cast to the type
+    of ``default``, else ``default``; refused below ``minimum`` under the
+    flag or the key, whichever set it. The key is the command's section
+    and ``dest``, as ``build_parser().config_keys`` derives it."""
+    key, value = _key(args.section, dest), getattr(args, dest)
+    name = key if value is None else _flag(dest)
+    if value is None:
         try:
-            return cast(config[key])
+            value = type(default)(config.get(key, default))
         except ValueError:
             raise DxAuditError(f"config key {key}: bad value {config[key]!r} "
-                               f"(expected {cast.__name__})") from None
-    return default
-
-
-def _at_least(flag, config: dict[str, str], key: str, name: str, default: int,
-              minimum: int) -> int:
-    """An int setting resolved like _resolve and refused below ``minimum``
-    under the flag ``name`` or the config ``key``, whichever set it. The
-    commands check it before they read any file."""
-    value = _resolve(flag, config, key, default, int)
-    setting = key if flag is None else name
-    require_at_least({setting: value}, **{setting: minimum})
+                               f"(expected {type(default).__name__})") from None
+    if minimum is not None:
+        require_at_least({name: value}, **{name: minimum})
     return value
 
 
-def _build(config_type, section: str, args, config: dict[str, str], **given):
-    """A ``config_type`` whose fields with a flag are resolved like _resolve,
-    under config key ``<section>.<field>``, cast to the type of the field's
-    default. ``given`` fields are set as passed."""
+def _build(config_type, args, config: dict[str, str], **given):
+    """A ``config_type`` whose fields with a flag are settings defaulting to
+    the field's default, and whose ``given`` fields are set as passed."""
     for f in dataclasses.fields(config_type):
         if f.name not in given and hasattr(args, f.name):
-            given[f.name] = _resolve(getattr(args, f.name), config,
-                                     f"{section}.{f.name}", f.default, type(f.default))
+            given[f.name] = _setting(args, config, f.name, f.default)
     return config_type(**given)
 
 
@@ -127,8 +130,8 @@ class _SubParsers:
     """Wraps add_parser so global flags work after the subcommand too, so
     each subcommand sets ``args.run`` to the function that runs it and
     ``args.outputs`` to the dests of its output paths, and so each numeric
-    flag of a subcommand given a config ``section`` has the config key
-    ``<section>.<dest>``."""
+    flag of a subcommand given a config ``section`` (``args.section``) has
+    the config key ``_key(section, dest)``."""
 
     def __init__(self, sub):
         self._sub = sub
@@ -136,7 +139,7 @@ class _SubParsers:
 
     def add_parser(self, name, run, section=None, outputs=("out",), **kwargs):
         parser = self._sub.add_parser(name, **kwargs)
-        parser.set_defaults(run=run, outputs=outputs)
+        parser.set_defaults(run=run, outputs=outputs, section=section)
         for flag, kind in (("--seed", int), ("--config", str)):
             parser.add_argument(flag, type=kind, default=argparse.SUPPRESS)
         if section:
@@ -144,10 +147,8 @@ class _SubParsers:
         return parser
 
     def config_keys(self) -> frozenset[str]:
-        return frozenset(["seed"] + [
-            f"{section}.{action.dest}" for section, parser in self._sections
-            for action in parser._actions
-            if action.type in (int, float) and action.dest != "seed"])
+        return frozenset(_key(section, action.dest) for section, parser in self._sections
+                         for action in parser._actions if action.type in (int, float))
 
 
 def build_parser() -> _Parser:
@@ -256,8 +257,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_synthetic(args, config, seed):
-    spec = _build(synth.SyntheticSpec, "synthetic", args, config, seed=seed,
-                  n_records=_resolve(args.n, config, "synthetic.n", 100, int))
+    spec = _build(synth.SyntheticSpec, args, config, seed=seed,
+                  n_records=_setting(args, config, "n", 100))
     pool = core.load_lexicon(args.diseases or DATA_DIR / "diseases.txt",
                              core.LexiconKind.DISEASE_NAMES)
     templates = synth.Templates.load(args.templates or DATA_DIR / "templates.txt")
@@ -287,7 +288,7 @@ def _cmd_gen_synthetic(args, config, seed):
 
 
 def _cmd_gen_pairs(args, config, seed):
-    n_random = _at_least(args.n_random, config, "pairs.n_random", "--n-random", 0, 0)
+    n_random = _setting(args, config, "n_random", 0, minimum=0)
     icd = core.load_icd_table(args.icd)
     positives: list[relation_model.DiseasePair] = []
     if args.coded:
@@ -317,7 +318,7 @@ def _cmd_gen_pairs(args, config, seed):
 
 def _cmd_train_context(args, config, seed):
     lexicons = _feature_lexicons(args)
-    train_config = _build(cm.TrainConfig, "context", args, config, seed=seed)
+    train_config = _build(cm.TrainConfig, args, config, seed=seed)
     samples = cm.load_training_samples(args.samples, lexicons)
     if args.augment:
         pool = core.load_lexicon(args.diseases or DATA_DIR / "diseases.txt",
@@ -332,10 +333,9 @@ def _cmd_train_context(args, config, seed):
                 sample, pool, exclusion, lexicons, seed=seed + i))
         samples = augmented
     dev = cm.load_training_samples(args.dev, lexicons) if args.dev else None
-    d = _resolve(args.d, config, "context.d", 32, int)
-    d_enc = _resolve(args.d_enc, config, "context.d_enc", 32, int)
     model, history = cm.train(samples, train_config, dev_samples=dev,
-                              d=d, d_enc=d_enc)
+                              d=_setting(args, config, "d", 32),
+                              d_enc=_setting(args, config, "d_enc", 32))
     model.save(args.out)
     # the accuracy of always guessing the most frequent class, beside acc
     labels = [s.label for s in dev or samples]
@@ -347,18 +347,16 @@ def _cmd_train_context(args, config, seed):
 
 
 def _cmd_train_relation(args, config, seed):
-    pair_config = _build(relation_model.PairTrainConfig, "relation", args, config,
-                         seed=seed)
-    pretrain_epochs = _at_least(args.pretrain_epochs, config, "relation.pretrain_epochs",
-                                "--pretrain-epochs", 5, 1)
+    pair_config = _build(relation_model.PairTrainConfig, args, config, seed=seed)
+    pretrain_epochs = _setting(args, config, "pretrain_epochs", 5, minimum=1)
     labeled = relation_model.load_pairs(args.pairs)
     names = [p.a for p in labeled] + [p.b for p in labeled]
     pretrain_pairs = None
     if args.pretrain_pairs:
         pretrain_pairs = relation_model.load_pairs(args.pretrain_pairs)
         names += [p.a for p in pretrain_pairs] + [p.b for p in pretrain_pairs]
-    d_pair = _resolve(args.d_pair, config, "relation.d_pair", 32, int)
-    encoder = relation_model.PairEncoder.from_names(names, d_pair=d_pair, seed=seed)
+    encoder = relation_model.PairEncoder.from_names(
+        names, d_pair=_setting(args, config, "d_pair", 32), seed=seed)
     if pretrain_pairs:
         encoder, pre_history = relation_model.contrastive_pretrain(
             pretrain_pairs, encoder, dataclasses.replace(pair_config, epochs=pretrain_epochs))
@@ -459,11 +457,11 @@ def main(argv=None) -> int:
         if unknown:
             raise DxAuditError(f"config file {args.config}: no setting is named "
                                f"{', '.join(unknown)}")
-        seed = _resolve(args.seed, config, "seed", 0, int)
+        seed = _setting(args, config, "seed", 0)
         for dest in args.outputs:
             path = getattr(args, dest)
             if path and not Path(path).parent.is_dir():
-                raise DxAuditError(f"--{dest.replace('_', '-')} {path}: "
+                raise DxAuditError(f"{_flag(dest)} {path}: "
                                    f"{Path(path).parent} is not a directory")
         return args.run(args, config, seed)
     except (DxAuditError, OSError) as exc:

@@ -223,10 +223,16 @@ def _cost_to_minor(value, line: int) -> int:
 
 
 def _minor_to_major(minor: int):
-    """Render minor units back to the published unit (int when whole)."""
+    """Minor units in the published unit: an int when whole, else the float
+    whose JSON text is the amount. Past about 10**13 such a float may not
+    exist, and the amount is refused rather than written rounded."""
     if minor % 100 == 0:
         return minor // 100
-    return minor / 100
+    major = minor / 100
+    if Decimal(repr(major)) * 100 != minor:
+        raise DxAuditError(f"amount {Decimal(minor).scaleb(-2)} cannot be written "
+                           "exactly as a JSON number")
+    return major
 
 
 def _parse_drg(obj: dict, line: int) -> DrgAssignment:
@@ -356,12 +362,15 @@ def read_table(path: str | Path,
                required: set[str]) -> list[tuple[int, dict[str, str]]]:
     """(line_no, column -> field) for each row under a CSV header.
 
-    The header must name every ``required`` column, and each row must have
-    as many fields as the header.
+    The header must name every ``required`` column and no column twice, and
+    each row must have as many fields as the header.
     """
     (header_line, header), *rows = read_rows(path) or [(None, [])]
     if not required.issubset(header):
         raise ParseError(f"{path} must carry header {sorted(required)}", header_line)
+    twice = [name for i, name in enumerate(header) if name in header[:i]]
+    if twice:
+        raise ParseError(f"{path}: header names column {twice[0]!r} twice", header_line)
     for line_no, row in rows:
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
@@ -391,9 +400,9 @@ def _replaceable(path: str | Path) -> str | None:
 
 
 def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to ``path`` whole or not at all: to a temporary file
-    beside it (beside a symlink's target, so the link stays a link) that then
-    replaces it, or that is removed if writing raises. A FIFO, a device or a
+    """Write ``chunks`` to ``path`` whole or not at all: to a new temporary
+    file beside it (beside a symlink's target, so the link stays a link) that
+    then replaces it, or that is removed if writing raises. A FIFO, a device or a
     file behind an open descriptor (/dev/stdout) is appended to in place, so
     it keeps its inode and its bytes."""
     target = _replaceable(path)
@@ -401,13 +410,16 @@ def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
         with open(path, "ab") as handle:
             handle.writelines(chunks)
         return
-    temp = f"{target}.{os.getpid()}.tmp"
+    # A short new name, so that it fits wherever the target's name does;
+    # "x" creates it with the default mode and never opens another's file.
+    temp = os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
+    handle = None
     try:
-        with open(temp, "wb") as handle:
+        with open(temp, "xb") as handle:
             handle.writelines(chunks)
         os.replace(temp, target)
     except BaseException as exc:
-        if os.path.exists(temp):
+        if handle is not None and os.path.exists(temp):
             os.remove(temp)
         if isinstance(exc, OSError) and exc.filename == temp:
             exc.filename = str(path)  # name the file asked for
@@ -432,6 +444,16 @@ def write_rows(path: str | Path, rows: Iterable[list], delimiter: str = ",") -> 
     write_bytes(path, encoded())
 
 
+def _frameless(exc: DxAuditError) -> DxAuditError:
+    """``exc`` with no traceback along its ``__context__`` chain: a kept
+    error holds no frame, and so none of its reader's lines."""
+    link = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__context__
+    return exc
+
+
 def read_corpus(path: str | Path,
                 ) -> tuple[list[MedicalRecord], list[tuple[int, DxAuditError]]]:
     """The records of a JSONL corpus in file order, and (line_no, error) for
@@ -452,7 +474,7 @@ def read_corpus(path: str | Path,
         try:
             record = parse_record_line(text, line_no)
         except ParseError as exc:
-            errors.append((line_no, exc))
+            errors.append((line_no, _frameless(exc)))
             continue
         if record.record_id in seen:
             errors.append((line_no, DuplicateRecordId(

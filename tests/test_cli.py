@@ -15,7 +15,7 @@ import pytest
 
 import dxaudit
 from dxaudit import relation_model, synth
-from dxaudit.cli import main
+from dxaudit.cli import build_parser, main
 from dxaudit.context_model import ContextClassifier
 from dxaudit.errors import BadModelFile
 from dxaudit.modelio import load_model, save_model
@@ -383,6 +383,27 @@ class TestConfigPrecedence:
 
         assert setting([]) == by_key
         assert setting([flag, str(by_flag)]) == by_flag
+
+    def test_flagged_keys_are_every_key(self):
+        """The table above, ``pairs.n_random`` and ``seed`` are the keys the
+        parser derives, and README's settings table names exactly them."""
+        keys = {key for key, *_ in self.FLAGGED_KEYS} | {"pairs.n_random", "seed"}
+        assert build_parser().config_keys == keys
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| config key | flag |\n|---|---|\n")[1].split("\n\n")[0]
+        first_column = [row.split("` |")[0] for row in table.splitlines()]
+        assert {key for cell in first_column
+                for key in re.findall(r"`([a-z_.]+)`", cell + "`")} == keys
+
+    def test_key_set_twice_is_65(self, tmp_path, capsys):
+        config = tmp_path / "dxaudit.conf"
+        config.write_text("synthetic.n=5\nseed=1\nsynthetic.n=6\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["--config", str(config), "gen-synthetic",
+                    "--out", str(out), "--gold", str(tmp_path / "gold.json")]) == 65
+        assert capsys.readouterr().err == (
+            f"dxaudit: config file {config}, line 3: synthetic.n is set twice\n")
+        assert not out.exists()
 
 
 class TestWorkflow:
@@ -1337,3 +1358,79 @@ class TestInputFileErrors:
                     "--out", str(tmp_path / "ablation.csv")]
         assert run(argv) == 65
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestRefusals:
+    """Refusals that only a crafted input reaches: each exits 65 with its
+    message as the one line on stderr."""
+
+    def _refused(self, capsys, argv, message):
+        assert run(argv) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("dxaudit: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_icd_header_naming_a_column_twice_is_65(self, tmp_path, capsys):
+        icd = tmp_path / "icd.csv"
+        icd.write_text("code,title,cc_level,title\nA00,霍乱,NONE,肺炎\n", encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        self._refused(capsys, ["gen-pairs", "--icd", str(icd), "--out", str(out)],
+                      f"line 1: {icd}: header names column 'title' twice")
+        assert not out.exists()
+
+    def test_model_header_that_is_not_json_is_65(self, workspace, tmp_path, capsys):
+        data = bytearray((workspace / "context.bin").read_bytes())
+        assert data[16:17] == b"{"  # the JSON header follows the 16-byte preamble
+        data[16:17] = b"!"
+        model = tmp_path / "context.bin"
+        model.write_bytes(bytes(data))
+        self._refused(capsys, ["detect", "--corpus", str(workspace / "corpus.jsonl"),
+                               "--context-model", str(model),
+                               "--relation-model", str(workspace / "relation.bin"),
+                               "--out", str(tmp_path / "findings.jsonl")],
+                      f"{model}: unreadable header")
+
+    @pytest.mark.parametrize("pretrain_lines, flags, message", [
+        (["肺炎\t肺部感染\tsame\tcoding_pair", "肺炎\t高血压\tdissimilar\tsame_list"],
+         [], "need >= 2 positive pairs to pretrain"),
+        (["肺炎\t肺部感染\tsame\tcoding_pair", "高血压\t高血压病\tsame\tcoding_pair"],
+         ["--batch-size", "1"], "no batch holds >= 2 positive pairs"),
+    ], ids=["one-positive", "batches-of-one"])
+    def test_pretraining_without_two_positives_in_a_batch_is_65(
+            self, tmp_path, data_dir, capsys, pretrain_lines, flags, message):
+        pretrain = tmp_path / "pretrain.tsv"
+        pretrain.write_text("\n".join(pretrain_lines) + "\n", encoding="utf-8")
+        out = tmp_path / "relation.bin"
+        self._refused(capsys, ["train-relation",
+                               "--pairs", str(data_dir / "relation_pairs_fixture.tsv"),
+                               "--pretrain-pairs", str(pretrain), "--pretrain-epochs", "1",
+                               "--epochs", "1", "--out", str(out)] + flags, message)
+        assert not out.exists()
+
+    def test_random_pairs_from_one_shared_title_are_65(self, tmp_path, capsys):
+        icd = tmp_path / "icd.csv"
+        icd.write_text("code,title,cc_level\nA00,肺炎,NONE\nB00,肺炎,NONE\n",
+                       encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        self._refused(capsys, ["gen-pairs", "--icd", str(icd), "--n-random", "3",
+                               "--out", str(out)],
+                      "could not sample enough cross-prefix pairs")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cost, written", [("12345678901234.56", True),
+                                               ("1234567890123456.78", False)])
+    def test_a_stamped_cost_is_written_exactly_or_refused(self, tmp_path, capsys,
+                                                          cost, written):
+        groups = tmp_path / "groups.csv"
+        groups.write_text(f"adrg,tier,avg_cost\nGB2,1,{cost}\n", encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        argv = ["gen-synthetic", "--n", "2", "--groups", str(groups),
+                "--out", str(out), "--gold", str(tmp_path / "gold.json")]
+        if not written:
+            self._refused(capsys, argv, f"amount {cost} cannot be written exactly")
+            assert not out.exists()
+            return
+        assert run(argv) == 0
+        costs = [json.loads(line, parse_float=str)["drg"]["avg_cost"]
+                 for line in out.read_text(encoding="utf-8").splitlines()]
+        assert costs == [cost, cost]

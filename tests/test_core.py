@@ -2,6 +2,7 @@
 
 import os
 import random
+from decimal import Decimal
 import stat
 import threading
 
@@ -23,6 +24,7 @@ from dxaudit.errors import (
     BadCode,
     DuplicateCode,
     DuplicateRecordId,
+    DxAuditError,
     EmptyName,
     ParseError,
 )
@@ -128,6 +130,41 @@ class TestCorpusIO:
         assert [(line_no, type(error)) for line_no, error in errors] == [
             (2, ParseError), (3, ParseError), (5, DuplicateRecordId)]
 
+    def test_read_corpus_errors_hold_no_frame(self, tmp_path):
+        """A kept error whose chain reached a traceback would hold the
+        reader's frame, and with it every line of the file."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            GOOD_LINE.encode("utf-8"), b"{broken", b'{"record_id": "r3"}', b"\xff",
+            GOOD_LINE.encode("utf-8")]) + b"\n")
+        _, errors = core.read_corpus(path)
+        assert [line_no for line_no, _ in errors] == [2, 3, 4, 5]
+        for _, error in errors:
+            chain = []
+            while error is not None:
+                chain.append(error)
+                error = error.__cause__ or error.__context__
+            assert [link.__traceback__ for link in chain] == [None] * len(chain)
+
+    @pytest.mark.parametrize("cost, written", [
+        ("12.34", True), ("12345678901234.56", True), ("9999999999999999", True),
+        ("1234567890123456.78", False), ("9999999999999999.99", False)])
+    def test_every_cost_written_is_the_cost_read(self, tmp_path, cost, written):
+        """A cost below MAX_COST, given as a string, is read exactly; it is
+        written back as the same amount, or refused when no JSON number that
+        a float prints is that amount."""
+        line = GOOD_LINE_2.replace('"avg_cost": 10000', f'"avg_cost": "{cost}"')
+        records = core.load_corpus(_write_corpus(tmp_path, [line]))
+        assert records[0].drg.avg_cost == int(Decimal(cost) * 100)
+        out = tmp_path / "round.jsonl"
+        if written:
+            core.save_corpus(records, out)
+            assert core.load_corpus(out) == records
+        else:
+            with pytest.raises(DxAuditError, match=f"amount {cost} cannot be written"):
+                core.save_corpus(records, out)
+            assert not out.exists()
+
 
 class TestRecordFieldValidation:
     @pytest.mark.parametrize("line", [
@@ -207,6 +244,25 @@ class TestWriters:
             write(self, target)
         assert target.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_a_name_of_255_bytes_is_written(self, tmp_path):
+        """The temporary file's name fits wherever the target's does."""
+        target = tmp_path / ("肺" * 84 + "xyz")  # 255 bytes in UTF-8
+        assert len(target.name.encode("utf-8")) == 255
+        core.write_lines(target, ["new"])
+        assert target.read_bytes() == b"new\n"
+        with pytest.raises(RuntimeError):
+            core.write_lines(target, self._lines_that_raise())
+        assert target.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    def test_the_written_file_takes_the_default_mode(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            core.write_lines(tmp_path / "out", ["new"])
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o640
 
     def test_a_symlink_stays_a_link_to_the_new_bytes(self, tmp_path):
         real, link = tmp_path / "real", tmp_path / "link"

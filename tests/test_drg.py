@@ -1,13 +1,16 @@
 """Severity regrouping and the cost-delta report."""
 
+import json
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from dxaudit import drg, relation_model
-from dxaudit.core import CcLevel, DrgAssignment, IcdEntry, IcdIndex, MedicalRecord, Tier
+from dxaudit.core import (CcLevel, DrgAssignment, IcdEntry, IcdIndex, MedicalRecord, Tier,
+                          json_line)
 from dxaudit.drg import (
     MATCH_THRESHOLD,
     DrgGroupTable,
@@ -369,6 +372,25 @@ class TestCostDeltaReport:
         joined = [(rec("a", "GB2", Tier.NO_CC, 10000), [CcLevel.MCC])]
         out = cost_delta_report(joined, table, precision=0.925).to_dict()
         assert out["precision_scaled_total_delta"] == 7400
+
+    @pytest.mark.parametrize("total_minor, written", [
+        (1_234_567_890_123_456, True), (-1_234_567_890_123_456, True),
+        (123_456_789_012_345_678, False)], ids=["above-1e13", "negative", "inexact"])
+    def test_every_amount_written_is_the_amount(self, total_minor, written):
+        """Totals are sums, so they can pass any cost read; each amount is
+        written as its exact value, or refused."""
+        half = total_minor // 2
+        report = drg.DrgImpactReport(
+            [drg.RecordDelta(r, "GB2", 5, 1, 0, cost)
+             for r, cost in (("a", half), ("b", total_minor - half))],
+            skipped_no_drg=0, total_original_minor=total_minor)
+        if not written:
+            with pytest.raises(DxAuditError, match="cannot be written exactly"):
+                report.to_dict()
+            return
+        out = json.loads(json_line(report.to_dict()), parse_float=Decimal)
+        assert [out["total_delta"] * 100, out["total_original"] * 100] == [total_minor] * 2
+        assert [r["delta"] * 100 for r in out["records"]] == [half, total_minor - half]
 
     def test_negative_delta_reported_signed(self):
         inverted = DrgGroupTable({
