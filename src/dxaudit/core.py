@@ -19,6 +19,7 @@ import codecs
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -202,24 +203,46 @@ def discharge_names(record: MedicalRecord) -> list[str]:
 # conversion is exact and fast; the int() of a Decimal such as 1e800000
 # takes time that grows with the square of its exponent.
 MAX_COST = 10**16
+_CENT = Decimal("0.01")
 
 
 def _cost_to_minor(value, line: int) -> int:
     """Exact conversion of a published cost below MAX_COST to integer minor
     units."""
     try:
-        minor = Decimal(str(value)) * 100
+        cost = Decimal(str(value))
     except (InvalidOperation, ValueError):
         raise ParseError(f"bad avg_cost {value!r}", line)
-    if not minor.is_finite():
+    if not cost.is_finite():
         raise ParseError(f"avg_cost {value!r} is not finite", line)
-    if minor != minor.to_integral_value():
-        raise ParseError(f"avg_cost {value!r} has sub-minor-unit precision", line)
-    if minor < 0:
+    if cost < 0:
         raise ParseError(f"avg_cost {value!r} is negative", line)
-    if minor >= 100 * MAX_COST:
+    if cost >= MAX_COST:
         raise ParseError(f"avg_cost {value!r} is not below {MAX_COST}", line)
-    return int(minor)
+    # Comparisons are exact, and a cost below MAX_COST that equals its
+    # rounding to the cent has at most 20 significant digits, so times 100
+    # it is exact. Multiplied first, a cost would be rounded past 28 digits,
+    # or underflow to 0 below 1e-999999, before the check.
+    if cost != cost.quantize(_CENT):
+        raise ParseError(f"avg_cost {value!r} has sub-minor-unit precision", line)
+    return int(cost * 100)
+
+
+class _JsonNumber(Decimal):
+    """A JSON number with a fraction or an exponent, held as the decimal it
+    spells, so that a record's cost is read to its last digit. Its repr is
+    that decimal, as a float's repr is the float."""
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def _json_number(text: str) -> Decimal | float:
+    """The _JsonNumber of a JSON number's text; one that overflows a float
+    (1e999) stays the float's infinity, which a cost refuses as not
+    finite, as it refuses Infinity."""
+    number = float(text)
+    return _JsonNumber(text) if math.isfinite(number) else number
 
 
 def _minor_to_major(minor: int):
@@ -250,10 +273,12 @@ def _parse_drg(obj: dict, line: int) -> DrgAssignment:
         raise ParseError(f"bad drg object: {exc}", line)
 
 
-def parse_json_object(text: str, line: int, what: str) -> dict:
-    """One JSONL line that must hold an object; ``what`` names it in errors."""
+def parse_json_object(text: str, line: int, what: str, parse_float=None) -> dict:
+    """One JSONL line that must hold an object; ``what`` names it in errors,
+    and ``parse_float``, if given, reads each JSON number with a fraction
+    or an exponent."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line) from None
     except RecursionError:
@@ -262,7 +287,7 @@ def parse_json_object(text: str, line: int, what: str) -> dict:
         raise ParseError(f"invalid JSON: {exc}", line) from None
     if "\\ud" in text or "\\uD" in text:  # only an escape spells a lone surrogate
         try:
-            json_line(obj).encode("utf-8")
+            json.dumps(obj, ensure_ascii=False, sort_keys=True, default=str).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ParseError("invalid JSON: unpaired surrogate "
                              f"{exc.object[exc.start]!r}", line) from None
@@ -272,7 +297,7 @@ def parse_json_object(text: str, line: int, what: str) -> dict:
 
 
 def parse_record_line(text: str, line: int = 0) -> MedicalRecord:
-    obj = parse_json_object(text, line, "record")
+    obj = parse_json_object(text, line, "record", parse_float=_json_number)
     try:
         record_id = obj["record_id"]
         sections = tuple((s["name"], s["text"]) for s in obj["sections"])

@@ -30,7 +30,7 @@ from .core import (
     read_table,
 )
 from .errors import BadSetting, DxAuditError, MissingGroupRow, ParseError, ShapeMismatch
-from .pipeline import _checked_grid, _checked_rows
+from .pipeline import _checked_probs, _checked_rows
 from .relation_model import RELATIONS
 
 # The tier a recovered diagnosis of each CC/MCC level calls for. A lower
@@ -100,13 +100,14 @@ def cc_mcc_level(
     title resolve to the most severe level.
 
     The fallback embeds the name, which the model normalizes, and makes
-    one predict_proba call that scores it against ``title_rows``, the
-    relation model's embed_names(icd.titles()), which a model needs: one
-    row per distinct normalized title. Titles come in the code order of
-    their first entry, so the first maximum is the first entry in code
-    order to reach it, as in an entry-by-entry scan. Missing ``title_rows``,
-    rows of another count than the titles, or a model answer that detect
-    refuses (pipeline._checked_rows, _checked_grid), raise ShapeMismatch.
+    one predict_proba call that pairs its row, broadcast, with each row of
+    ``title_rows``, the relation model's embed_names(icd.titles()), which a
+    model needs: one row per distinct normalized title. Titles come in the
+    code order of their first entry, so the first maximum is the first
+    entry in code order to reach it, as in an entry-by-entry scan. Missing
+    ``title_rows``, rows of another count than the titles, or a model
+    answer that detect refuses (pipeline._checked_rows, _checked_probs),
+    raise ShapeMismatch.
     """
     exact = icd.by_title(disease)
     if exact:
@@ -118,7 +119,9 @@ def cc_mcc_level(
         given = "no title_rows" if title_rows is None else f"title_rows of {len(title_rows)} rows"
         raise ShapeMismatch(f"{given} for {len(titles)} ICD titles; the relation fallback "
                             "needs the model's embed_names(icd.titles())")
-    probs = _checked_grid(relation_model, _checked_rows(relation_model, [disease]), title_rows)[0]
+    row = _checked_rows(relation_model, [disease])
+    probs = _checked_probs(relation_model,
+                           np.broadcast_to(row, (len(titles), *np.shape(row)[1:])), title_rows)
     relation = probs.argmax(axis=1)
     prob = probs[np.arange(len(titles)), relation]
     usable = np.isin(relation, _MATCHING_RELATIONS) & (prob >= threshold)

@@ -62,8 +62,8 @@ class IrrelevanceAllRelation:
         return np.zeros((len(names), 0))
 
     def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
-        probs = np.zeros((len(rows), len(against_rows), len(RELATIONS)))
-        probs[..., RELATIONS.index("irrelevance")] = 1.0
+        probs = np.zeros((len(rows), len(RELATIONS)))
+        probs[:, RELATIONS.index("irrelevance")] = 1.0
         return probs
 
 

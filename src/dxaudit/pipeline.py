@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Protocol
 
@@ -55,10 +55,11 @@ class RelationStage(Protocol):
         refuses another count of rows."""
 
     def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
-        """(len(rows), len(against_rows), len(RELATIONS)) probabilities of
-        each relation of each embedded disease to each embedded name of
-        against_rows. Detect refuses another shape, or a cell that is not
-        finite."""
+        """(len(rows), len(RELATIONS)) probabilities of each relation of the
+        disease embedded in each row to the name embedded in the same row
+        of against_rows, which detect passes as many rows as rows. A pair's
+        probabilities must not depend on the pairs scored with it. Detect
+        refuses another shape, or a probability that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,14 @@ MEMO_ENTRIES = 4096
 # eight passes' worth, so that each call packs many windows (on the toy
 # bench corpus, passes of 512 rows hold about 20 windows each).
 CHUNK_ROWS = 8 * PASS_ROWS
+
+# Rows _detect stages in all before a chunk closes: one per record, and per
+# window, new or served by the window memo, its characters, one more and
+# one per discharge name its candidate may be paired with. Memo-served
+# windows and records without candidates cost classify nothing, so only
+# this bound closes a chunk of them, and it bounds the chunk's relation
+# pairs too. On the bench corpora a chunk's new rows reach CHUNK_ROWS first.
+STAGED_ROWS = 8 * CHUNK_ROWS
 
 
 def _keep(memo: OrderedDict, items) -> None:
@@ -132,19 +141,19 @@ def _checked_rows(relation: RelationStage, names: list[str]) -> np.ndarray:
     return rows
 
 
-def _checked_grid(relation: RelationStage, rows: np.ndarray,
-                  against_rows: np.ndarray) -> np.ndarray:
-    """relation.predict_proba(rows, against_rows), checked: a grid of shape
-    (len(rows), len(against_rows), len(RELATIONS)) with every cell finite,
-    else ShapeMismatch."""
-    grid = relation.predict_proba(rows, against_rows)
-    expected = (len(rows), len(against_rows), len(RELATIONS))
-    if np.shape(grid) != expected:
-        raise ShapeMismatch(f"relation stage gave a grid of shape {np.shape(grid)} "
+def _checked_probs(relation: RelationStage, rows: np.ndarray,
+                   against_rows: np.ndarray) -> np.ndarray:
+    """relation.predict_proba(rows, against_rows), checked: one row of
+    len(RELATIONS) probabilities per pair, every one finite, else
+    ShapeMismatch."""
+    probs = relation.predict_proba(rows, against_rows)
+    expected = (len(rows), len(RELATIONS))
+    if np.shape(probs) != expected:
+        raise ShapeMismatch(f"relation stage gave probabilities of shape {np.shape(probs)} "
                             f"for {expected}")
-    if not np.isfinite(grid).all():
-        raise ShapeMismatch("relation stage gave a grid with a non-finite cell")
-    return grid
+    if not np.isfinite(probs).all():
+        raise ShapeMismatch("relation stage gave a probability that is not finite")
+    return probs
 
 
 def _name_rows(models: Models, memo: OrderedDict, names: list[str]) -> np.ndarray:
@@ -157,38 +166,38 @@ def _name_rows(models: Models, memo: OrderedDict, names: list[str]) -> np.ndarra
     return rows
 
 
-def _relation_grid(models: Models, names: list[str], against: list[str],
-                   named: OrderedDict) -> np.ndarray:
-    """The relation stage's checked grid (see _checked_grid) of names
-    against ``against``, scored on their rows (see _name_rows, which keeps
-    them in ``named``)."""
-    rows = _name_rows(models, named, [*names, *against])
-    return _checked_grid(models.relation, rows[:len(names)], rows[len(names):])
+def _relation_probs(models: Models, named: OrderedDict,
+                    compared: list[tuple[list[str], list[str]]]) -> list[np.ndarray]:
+    """For each (names, against) of ``compared``, every pair of which is
+    scored in one checked call (see _checked_probs): the relation stage's
+    (len(names), len(against), len(RELATIONS)) probabilities of each name
+    to each name of ``against``. The rows of their distinct names come
+    from one _name_rows call, which keeps them in ``named``."""
+    distinct = list(dict.fromkeys(chain.from_iterable(chain(*pair) for pair in compared)))
+    index = {name: i for i, name in enumerate(distinct)}
+    left = [index[name] for names, against in compared for name in names for _ in against]
+    right = [index[dx] for names, against in compared for _ in names for dx in against]
+    rows = _name_rows(models, named, distinct)
+    probs = _checked_probs(models.relation, rows[left], rows[right])
+    ends = accumulate(len(names) * len(against) for names, against in compared)
+    return [probs[end - len(names) * len(against) : end].reshape(
+                len(names), len(against), len(RELATIONS))
+            for (names, against), end in zip(compared, ends)]
 
 
 def _detect_record(
     record: MedicalRecord,
-    mentions: list[DiseaseMention],
-    judgments: list[tuple[str, float]],
+    confirmed: list[tuple[DiseaseMention, float]],
     discharge: list[str],
-    models: Models,
-    named: OrderedDict,
+    probs: np.ndarray,
+    label_counts: dict[str, int],
 ) -> tuple[list[WriteMissingFinding], dict[str, int]]:
-    """Findings and context label counts of a staged record, given its
-    mentions' (label, prob) judgments and its discharge_names: one
-    relation call compares the confirmed mentions with those discharge
-    diagnoses (see _relation_grid). ``record`` is the record they are of;
-    a trace of this call reads its record_id."""
-    confirmed = []
-    label_counts = {label: 0 for label in LABELS}
-    for mention, (label, prob) in zip(mentions, judgments):
-        label_counts[label] += 1
-        if label == "confirmed":
-            confirmed.append((mention, prob))
-    if not confirmed:
-        return [], label_counts
-
-    probs = _relation_grid(models, [m.disease for m, _ in confirmed], discharge, named)
+    """Findings and context label counts of a judged record, given its
+    confirmed (mention, prob) candidates, its discharge_names and the
+    (len(confirmed), len(discharge), len(RELATIONS)) probabilities of
+    each candidate to each of those names: a candidate is found when its
+    most probable relation to every one is irrelevance. ``record`` is the
+    record they are of; a trace of this call reads its record_id."""
     findings: list[WriteMissingFinding] = []
     for (mention, prob), grid in zip(confirmed, probs):
         relations = tuple(
@@ -205,25 +214,27 @@ def _detect_record(
     return findings, label_counts
 
 
-def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
-                  features: FeatureLexicons, named: OrderedDict):
-    """(record, (findings, label counts) or the exception it raised) for
-    each (record, staged record or exception) of ``chunk``, in order.
+def _judged(chunk, pending: dict, judged: OrderedDict, models: Models,
+            features: FeatureLexicons) -> tuple[list, dict | Exception]:
+    """Each (record, staged record or exception) of ``chunk`` as (record,
+    (confirmed (mention, prob) candidates, discharge names, label counts)
+    or the exception it raised), and the judgments of ``pending`` (or the
+    exception their call raised), which the caller files in ``judged``.
 
     ``pending`` holds each window first seen in the chunk, in order.
     Their samples are built and judged in one call (see _judge). Each
-    record reads its judgments from ``judged`` or that call's, which are
-    filed in ``judged`` only once every record of the chunk has read
-    them. When that call raises, or its answer is refused, each record's
-    unjudged windows are built and judged in a call of their own, so the
-    error lands on the record that raised it; a record whose unjudged
-    windows are all of ``pending`` takes that first error, as its own
-    call would be the same call.
+    record reads its judgments from ``judged`` or that call's. When that
+    call raises, or its answer is refused, each record's unjudged windows
+    are built and judged in a call of their own, so the error lands on
+    the record that raised it; a record whose unjudged windows are all of
+    ``pending`` takes that first error, as its own call would be the same
+    call.
     """
     try:
         fresh = dict(zip(pending, _judge(models, features, list(pending))))
     except Exception as exc:
         fresh = exc
+    out = []
     for record, outcome in chunk:
         if not isinstance(outcome, Exception):
             mentions, windows, discharge = outcome
@@ -234,9 +245,57 @@ def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
                     if len(todo) == len(pending):
                         raise own
                     own = dict(zip(todo, _judge(models, features, todo)))
-                judgments = [judged[w] if w in judged else own[w] for w in windows]
-                outcome = _detect_record(record, mentions, judgments, discharge, models,
-                                         named)
+                confirmed, label_counts = [], dict.fromkeys(LABELS, 0)
+                for mention, window in zip(mentions, windows):
+                    label, prob = judged[window] if window in judged else own[window]
+                    label_counts[label] += 1
+                    if label == "confirmed":
+                        confirmed.append((mention, prob))
+                outcome = (confirmed, discharge, label_counts)
+            except Exception as exc:
+                outcome = exc
+        out.append((record, outcome))
+    return out, fresh
+
+
+def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
+                  features: FeatureLexicons, named: OrderedDict):
+    """(record, (findings, label counts) or the exception it raised) for
+    each (record, staged record or exception) of ``chunk``, in order.
+
+    The chunk's records are judged first (see _judged). Then the
+    confirmed candidates of every record are compared with its discharge
+    names in one relation call (see _relation_probs), and each record
+    reads its own slice of the answer. When that call raises, or its
+    answer is refused, each record with a pair to score is scored in a
+    call of its own, so the error lands on the record that raised it; the
+    only record of a chunk with pairs takes that first error, as its own
+    call would be the same call. The
+    chunk's judgments are filed in ``judged`` only once every record of
+    the chunk has read them.
+    """
+    records, fresh = _judged(chunk, pending, judged, models, features)
+    paired = {i: ([m.disease for m, _ in outcome[0]], outcome[1])
+              for i, (_, outcome) in enumerate(records)
+              if not isinstance(outcome, Exception) and outcome[0] and outcome[1]}
+    try:
+        answers = dict(zip(paired, _relation_probs(models, named, list(paired.values()))
+                               if paired else ()))
+    except Exception as exc:
+        answers = exc
+    for i, (record, outcome) in enumerate(records):
+        if not isinstance(outcome, Exception):
+            confirmed, discharge, label_counts = outcome
+            try:
+                if i not in paired:
+                    probs = np.empty((len(confirmed), len(discharge), len(RELATIONS)))
+                elif not isinstance(answers, Exception):
+                    probs = answers[i]
+                elif len(paired) == 1:
+                    raise answers
+                else:
+                    [probs] = _relation_probs(models, named, [paired[i]])
+                outcome = _detect_record(record, confirmed, discharge, probs, label_counts)
             except Exception as exc:
                 outcome = exc
         yield record, outcome
@@ -254,15 +313,17 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
     repeated record_id or a staging fault is staged as its exception. A
     window that neither the window memo nor the chunk holds is pending,
     and counts the rows its sample will hold, capped as assemble_features
-    caps them; at CHUNK_ROWS rows the chunk goes to _detect_chunk before
+    caps them. At CHUNK_ROWS pending rows, or STAGED_ROWS rows held in all
+    (counted as STAGED_ROWS says), the chunk goes to _detect_chunk before
     the next record is read. Both memos end with the generator.
     """
     judged, named = OrderedDict(), OrderedDict()
     seen: set[str] = set()
     records = iter(records)
     while True:
-        chunk, pending, rows = [], {}, 0
+        chunk, pending, rows, held = [], {}, 0, 0
         for record in records:
+            held += 1
             try:
                 if record.record_id in seen:
                     raise DuplicateRecordId(f"duplicate record_id {record.record_id!r}")
@@ -275,14 +336,15 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
                 pending.update(new)
                 rows += sum(min(len(d), MAX_DISEASE) + 1 + min(len(c), MAX_CONTEXT)
                             for d, c in new)
+                held += sum(len(d) + len(c) + 1 + len(discharge) for d, c in windows)
                 staged = (mentions, windows, discharge)
             except Exception as exc:  # a fault in one record must not end the batch
                 staged = exc
             chunk.append((record, staged))
-            if rows >= CHUNK_ROWS:
+            if rows >= CHUNK_ROWS or held >= STAGED_ROWS:
                 break
         yield from _detect_chunk(chunk, pending, judged, models, features, named)
-        if rows < CHUNK_ROWS:
+        if rows < CHUNK_ROWS and held < STAGED_ROWS:
             return
 
 
@@ -332,10 +394,12 @@ def batch_detect(
     come in record order.
 
     Records run through _detect, a chunk at a time (see _detect_chunk):
-    one classify call judges a chunk's new windows. A window judged before
-    in this call takes the judgment given then, and each name is embedded
-    once in this call; both memos hold at most MEMO_ENTRIES entries each
-    and end with the call, and no byte of the report depends on them.
+    one classify call judges a chunk's new windows, and one relation call
+    scores its (confirmed candidate, discharge name) pairs. A window
+    judged before in this call takes the judgment given then, and each
+    name is embedded once in this call; both memos hold at most
+    MEMO_ENTRIES entries each and end with the call, and no byte of the
+    report depends on them.
     ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
     before the first record, so an empty disease lexicon raises.
     """

@@ -44,6 +44,7 @@ from .errors import (
     EmptyName,
     InsufficientCodes,
     ParseError,
+    ShapeMismatch,
     UnknownCode,
     require_at_least,
 )
@@ -53,8 +54,8 @@ RELATIONS = ("similarity", "inclusion", "secondary", "irrelevance", "other")
 
 # Names per embedding pass, and name pairs per scoring pass: bounds the
 # temporaries (about 1 KiB per row at d_pair 32) so a whole ICD table's
-# characters, or a record's whole pair grid of head activations, is never
-# held at once.
+# characters, or a chunk's head activations of every pair, is never held
+# at once.
 BLOCK_ROWS = 256
 
 # Characters of a name the encoder reads; the rest is cut off.
@@ -462,22 +463,29 @@ class RelationClassifier:
         return rows
 
     def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
-        """(len(rows), len(against_rows), 5) probabilities of each relation
-        of each embed_names row to each row of ``against_rows``. The pairs
-        are scored BLOCK_ROWS at a time, each block gathering its own rows,
-        so no grid of pair rows is ever held."""
-        m = len(against_rows)
-        probs = np.empty((len(rows) * m, len(RELATIONS)))
-        for start in range(0, len(probs), BLOCK_ROWS):
-            pair = np.arange(start, min(start + BLOCK_ROWS, len(probs)))
-            probs[start : start + BLOCK_ROWS] = self._head(rows[pair // m],
-                                                           against_rows[pair % m])[0]
-        return probs.reshape(len(rows), m, len(RELATIONS))
+        """(len(rows), 5) probabilities of each relation of each embed_names
+        row to the same row of ``against_rows``, scored BLOCK_ROWS pairs at
+        a time. A block of one pair runs as two copies of it: numpy takes a
+        one-row product down its matrix-vector path, whose bits differ from
+        a row of a larger product's, while a row of a product of two or
+        more rows has the same bits whatever the rows beside it. So no
+        pair's probabilities depend on the pairs scored with it."""
+        if len(rows) != len(against_rows):
+            raise ShapeMismatch(f"{len(rows)} rows against {len(against_rows)} rows; "
+                                "a pair is a row of each")
+        probs = np.empty((len(rows), len(RELATIONS)))
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = probs[start : start + BLOCK_ROWS]
+            u, v = rows[start : start + BLOCK_ROWS], against_rows[start : start + BLOCK_ROWS]
+            if len(block) == 1:
+                u, v = np.repeat(u, 2, axis=0), np.repeat(v, 2, axis=0)
+            block[:] = self._head(u, v)[0][:len(block)]
+        return probs
 
     def predict(self, a: str, b: str) -> tuple[str, float]:
         """The most probable relation of a to b and its probability."""
         rows = self.embed_names([a, b])
-        probs = self.predict_proba(rows[:1], rows[1:])[0, 0]
+        probs = self.predict_proba(rows[:1], rows[1:])[0]
         return RELATIONS[int(np.argmax(probs))], float(probs.max())
 
     def _step(self, batch: list[tuple[np.ndarray, np.ndarray, int]],

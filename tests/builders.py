@@ -52,15 +52,18 @@ class MapRelationOracle:
         return np.array(names, dtype=object).reshape(-1, 1)
 
     def predict_proba(self, rows, against_rows):
-        probs = np.zeros((len(rows), len(against_rows), len(RELATIONS)))
-        for i, (a,) in enumerate(rows):
-            for j, (b,) in enumerate(against_rows):
-                similar = a == b or frozenset((a, b)) in self._similar
-                probs[i, j, RELATIONS.index("similarity" if similar else "irrelevance")] = 1.0
+        probs = np.zeros((len(rows), len(RELATIONS)))
+        for i, ((a,), (b,)) in enumerate(zip(rows, against_rows)):
+            similar = a == b or frozenset((a, b)) in self._similar
+            probs[i, RELATIONS.index("similarity" if similar else "irrelevance")] = 1.0
         return probs
 
 
 def score_names(stage, names, against):
-    """A relation stage's probabilities of names against ``against``, each
-    list embedded first, as detect scores them."""
-    return stage.predict_proba(stage.embed_names(names), stage.embed_names(against))
+    """A relation stage's (len(names), len(against), len(RELATIONS))
+    probabilities of each name to each name of ``against``: each list
+    embedded first, then every pair scored in one call."""
+    rows, against_rows = stage.embed_names(names), stage.embed_names(against)
+    probs = stage.predict_proba(np.repeat(rows, len(against), axis=0),
+                                np.tile(against_rows, (len(names), 1)))
+    return probs.reshape(len(names), len(against), len(RELATIONS))

@@ -369,7 +369,7 @@ def seed_cc_mcc_level(disease, icd, relation_model, threshold):
     for entry in icd.entries():
         probs = relation_model.predict_proba(
             relation_model.embed_names([name]),
-            relation_model.embed_names([normalize_disease_name(entry.title)]))[0, 0]
+            relation_model.embed_names([normalize_disease_name(entry.title)]))[0]
         idx = int(probs.argmax())
         if RELATIONS[idx] not in ("similarity", "inclusion"):
             continue

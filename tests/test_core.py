@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 from decimal import Decimal
 import stat
 import threading
@@ -164,6 +165,38 @@ class TestCorpusIO:
             with pytest.raises(DxAuditError, match=f"amount {cost} cannot be written"):
                 core.save_corpus(records, out)
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("cost", [
+        "12.34", "0.5e2", "1.2345e3", "1234567890123456.78", "9999999999999999.99"])
+    def test_json_number_cost_is_read_exactly(self, tmp_path, cost):
+        """A cost written as a JSON number is read to its last digit, as one
+        written as a string is: through a float, 1234567890123456.78 read
+        as 123456789012345680 minor units, and 9999999999999999.99 as 1e16,
+        which was refused."""
+        line = GOOD_LINE_2.replace('"avg_cost": 10000', f'"avg_cost": {cost}')
+        [record] = core.load_corpus(_write_corpus(tmp_path, [line]))
+        assert record.drg.avg_cost == int(Decimal(cost) * 100)
+
+    @pytest.mark.parametrize("cost, message", [
+        ("1.005", "avg_cost 1.005 has sub-minor-unit precision"),
+        ("1e-999", "avg_cost 1E-999 has sub-minor-unit precision"),
+        ("1e-999999998", "avg_cost 1E-999999998 has sub-minor-unit precision"),
+        ("12.340000000000000000000000000001",
+         "avg_cost 12.340000000000000000000000000001 has sub-minor-unit precision"),
+        ('"1.00000000000000000000000000001"',
+         "avg_cost '1.00000000000000000000000000001' has sub-minor-unit precision"),
+        ("-0.5", "avg_cost -0.5 is negative"),
+        ("9999999999999999.995", "avg_cost 9999999999999999.995 has sub-minor-unit")])
+    def test_json_number_cost_is_refused_by_its_digits(self, cost, message):
+        """A cost is judged on the digits it spells, and named by them: as
+        a float, 1e-999 was a cost of 0; as a Decimal times 100, a cost
+        below 1e-999999 underflowed to 0 and one of more than 28 digits was
+        rounded to whole minor units, and both were read as costs."""
+        line = GOOD_LINE_2.replace('"avg_cost": 10000', f'"avg_cost": {cost}')
+        with pytest.raises(ParseError, match=re.escape(message)) as excinfo:
+            core.parse_record_line(line, 4)
+        assert excinfo.value.line == 4
 
 
 class TestRecordFieldValidation:

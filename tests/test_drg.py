@@ -109,13 +109,13 @@ class TestCcMccLevel:
             cc_mcc_level("消渴症", icd, oracle, MATCH_THRESHOLD, title_rows)
 
     @pytest.mark.parametrize("answer, message", [
-        (lambda grid: np.full(grid.shape, np.nan), "non-finite cell"),
-        (lambda grid: grid[:, :, :3], r"shape \(1, 1, 3\) for \(1, 1, 5\)"),
+        (lambda probs: np.full(probs.shape, np.nan), "probability that is not finite"),
+        (lambda probs: probs[:, :3], r"shape \(1, 3\) for \(1, 5\)"),
     ], ids=["all-nan", "three-relations"])
     def test_relation_answers_detect_refuses_are_refused(self, answer, message):
-        """The fallback checks the model's grid as detect does: an all-NaN
-        grid resolved 消渴症 to NONE, and one of 3 relation columns to MCC,
-        both without an error."""
+        """The fallback checks the model's answer as detect does: all-NaN
+        probabilities resolved 消渴症 to NONE, and 3 relation columns to
+        MCC, both without an error."""
         class BadGrid(MapRelationOracle):
             def predict_proba(self, rows, against_rows):
                 return answer(super().predict_proba(rows, against_rows))

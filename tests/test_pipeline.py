@@ -168,9 +168,12 @@ class TestDetect:
         assert np.array_equal(probs, np.eye(len(RELATIONS))[
             [[RELATIONS.index(relation) for relation in row] for row in expected]])
 
-    def test_one_relation_call_per_record_with_a_confirmed_candidate(self, lexicons):
-        """Every confirmed candidate of a record is scored against its
-        discharge names in one call; a record with none makes no call."""
+    def test_one_relation_call_per_chunk_scores_every_pair(self, lexicons):
+        """Every confirmed candidate of every record of a chunk is paired
+        with each of its record's discharge names, in record order, and
+        the pairs are scored in one call; a record with no confirmed
+        candidate, or no discharge name, adds no pair. A record alone
+        makes the one call of its own pairs."""
         calls = []
 
         class SpyRelation(MapRelationOracle):
@@ -180,15 +183,21 @@ class TestDetect:
 
         records = [record("r1", "确诊为肺炎。确诊胃溃疡。否认脑梗死。", ["高血压"]),
                    record("r2", "否认肺炎。", ["高血压"]),
-                   record("r3", "确诊为脑梗死。", [])]
+                   record("r3", "确诊为脑梗死。", []),
+                   record("r4", "确诊为脑梗死。", ["高血压", "脑卒中"])]
         context = oracle_models(records, lexicons, [
             ("r1", "肺炎", "confirmed"), ("r1", "胃溃疡", "confirmed"),
             ("r1", "脑梗死", "non_current"), ("r2", "肺炎", "non_current"),
-            ("r3", "脑梗死", "confirmed")]).context
-        report = batch_detect(records, Models(context, SpyRelation()), lexicons)
-        assert calls == [(["肺炎", "胃溃疡"], ["高血压"]), (["脑梗死"], [])]
+            ("r3", "脑梗死", "confirmed"), ("r4", "脑梗死", "confirmed")]).context
+        models = Models(context, SpyRelation([("脑梗死", "脑卒中")]))
+        report = batch_detect(records, models, lexicons)
+        assert calls == [(["肺炎", "胃溃疡", "脑梗死", "脑梗死"],
+                          ["高血压", "高血压", "高血压", "脑卒中"])]
         assert [[f.disease for f in r.findings] for r in report.results] == \
-            [["肺炎", "胃溃疡"], [], ["脑梗死"]]
+            [["肺炎", "胃溃疡"], [], ["脑梗死"], []]
+        calls.clear()
+        assert detect_write_missing(records[3], models, lexicons) == []
+        assert calls == [(["脑梗死", "脑梗死"], ["高血压", "脑卒中"])]
 
     def test_model_not_loaded(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
@@ -283,7 +292,7 @@ class TestBatchDetect:
                 return self.bad(rows) if "胃溃疡" in names else rows
 
         def nan_cell(probs):
-            probs[0, 1, 0] = np.nan
+            probs[1, 0] = np.nan
             return probs
 
         labels = "non_current, confirmed, unknown"
@@ -305,11 +314,11 @@ class TestBatchDetect:
              f"context stage judged a sample 'confirmed' at probability 1.5; a judgment "
              f"is one of {labels} at a probability in [0, 1]"),
             (ConfirmAllContext(), BadGridRelation(lambda probs: probs[:-1]), ShapeMismatch,
-             "relation stage gave a grid of shape (0, 2, 5) for (1, 2, 5)"),
+             "relation stage gave probabilities of shape (1, 5) for (2, 5)"),
             (ConfirmAllContext(), BadGridRelation(lambda probs: probs[:, :-1]), ShapeMismatch,
-             "relation stage gave a grid of shape (1, 1, 5) for (1, 2, 5)"),
+             "relation stage gave probabilities of shape (2, 4) for (2, 5)"),
             (ConfirmAllContext(), BadGridRelation(nan_cell), ShapeMismatch,
-             "relation stage gave a grid with a non-finite cell"),
+             "relation stage gave a probability that is not finite"),
             # r1 has embedded 高血压 in the batch, so r2 alone embeds one more
             # name: the last message is detect_write_missing's
             (ConfirmAllContext(), BadRowsRelation(lambda rows: rows[:-1]), ShapeMismatch,
@@ -454,6 +463,50 @@ class TestBatchDetect:
         assert same_bytes(report, results)
         assert report.summary["findings"] == sum(len(r.findings) for r in results) > 0
 
+    def test_trained_models_find_in_a_batch_what_they_find_record_by_record(
+            self, trained_models, disease_pool, feature_lexicons, data_dir, tmp_path):
+        """Trained models over records of few candidates and discharge
+        names: batch_detect's report lines are detect_write_missing's,
+        record by record, relation probabilities included. The batch
+        scores each record's pairs inside one call over the chunk's pairs;
+        alone, a record with one pair makes a call of one pair. The
+        relation model has the benchmark's sizes (d_pair 24, hidden 48),
+        at which a one-row product's bits differ from a block row's for
+        most pairs."""
+        variants = synth.load_variant_pairs(data_dir / "disease_variants.tsv")
+        pairs = synth.relation_training_pairs(
+            disease_pool, variants, load_pairs(data_dir / "relation_pairs_fixture.tsv"))
+        encoder = PairEncoder.from_names([p.a for p in pairs] + [p.b for p in pairs],
+                                         d_pair=24, seed=3)
+        relation, _ = finetune(encoder, pairs, PairTrainConfig(hidden=48, epochs=2, seed=3))
+        spec = synth.SyntheticSpec(n_records=80, diseases_per_record=2, miss_rate=0.5,
+                                   negation_rate=0.2, enumeration_rate=0.0, seed=41)
+        records, _ = synth.gen_synthetic_corpus(
+            spec, disease_pool, synth.Templates.load(data_dir / "templates.txt"))
+        calls = []
+
+        class CountingRelation:
+            def embed_names(self, names):
+                return relation.embed_names(names)
+
+            def predict_proba(self, rows, against_rows):
+                calls.append(len(rows))
+                return relation.predict_proba(rows, against_rows)
+
+        models = Models(trained_models.context, CountingRelation())
+        lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
+        report = batch_detect(records, models, lexicons)
+        assert report.errors == [] and len(calls) == 1
+        one_by_one = [RecordResult(rec.record_id, detect_write_missing(rec, models, lexicons))
+                      for rec in records]
+        single = [result for result in one_by_one
+                  if any(len(finding.relations) == 1 for finding in result.findings)]
+        assert calls.count(1) >= 3 and len(single) >= 3
+        path_a, path_b = tmp_path / "batched.jsonl", tmp_path / "one_by_one.jsonl"
+        write_report(report, path_a)
+        write_report(dataclasses.replace(report, results=one_by_one), path_b)
+        assert path_a.read_bytes() == path_b.read_bytes()
+
     def test_a_disease_past_its_cap_counts_its_capped_rows(self, feature_lexicons,
                                                            monkeypatch):
         """Chunks are staged by the rows each sample holds: a 40-character
@@ -508,6 +561,35 @@ class TestBatchDetect:
         assert report.errors == []
         assert [[f.disease for f in r.findings] for r in report.results] == \
             [["肺炎"], ["肺炎", "高血压"], ["脑梗死"]]
+
+    @pytest.mark.parametrize("text, discharge", [
+        ("入院后确诊为肺炎，另见高血压记录：否认脑梗死。", ["胃溃疡"]),
+        ("患者一般情况可，生命体征平稳。", ["胃溃疡"]),
+    ], ids=["memo-served", "no-mention"])
+    def test_a_chunk_holds_at_most_staged_rows(self, lexicons, text, discharge):
+        """A corpus whose windows are all judged already, or whose records
+        hold no mention, adds no new row: its chunks close at STAGED_ROWS
+        rows held, one per record plus each window's characters, one more
+        and its record's discharge names. Copies of one record under fresh ids, read from a generator
+        of twice as many, give their first outcome once that many are read."""
+        read = 0
+
+        def corpus():
+            nonlocal read
+            while read < 2 * pipeline.STAGED_ROWS:
+                read += 1
+                yield record(f"r{read}", text, discharge)
+
+        rec = record("r0", text, discharge)
+        windows = [(m.disease, build_context_window(rec, m).context)
+                   for m in pipeline.find_mentions(lexicons.matcher, rec)]
+        held = 1 + sum(len(d) + len(c) + 1 + len(discharge) for d, c in windows)
+        models = Models(ConfirmAllContext(), IrrelevanceAllRelation())
+        outcomes = pipeline._detect(corpus(), models, lexicons.features, lexicons.matcher)
+        first, outcome = next(outcomes)
+        assert first.record_id == "r1" and len(outcome[0]) == len(windows)
+        assert read == -(-pipeline.STAGED_ROWS // held)
+        assert len(windows) == (3 if windows else 0)
 
     @pytest.mark.parametrize("memo_entries", [None, 2, 1], ids=["default", "two", "one"])
     def test_records_repeated_under_fresh_ids_match_one_record_at_a_time(

@@ -21,6 +21,7 @@ from dxaudit.errors import (
     DegenerateData,
     InsufficientCodes,
     ParseError,
+    ShapeMismatch,
     UnknownCode,
 )
 from dxaudit.relation_model import (
@@ -622,18 +623,23 @@ class TestBlockScoring:
         assert np.array_equal(np.concatenate(parts), rows)
         singles = np.array([model.embed_names([name])[0] for name in names])
         assert np.array_equal(singles.reshape(rows.shape), rows)
-        diseases = model.embed_names(["头部骨折", " 电解质紊乱，"])
-        grid = model.predict_proba(diseases, rows)
-        assert grid.shape == (2, n, len(RELATIONS))
-        assert np.array_equal(grid, model.predict_proba(diseases, np.concatenate(parts)))
+        diseases = model.embed_names(["头部骨折", " 电解质紊乱，"])[np.arange(n) % 2]
+        probs = model.predict_proba(diseases, rows)
+        assert probs.shape == (n, len(RELATIONS))
+        assert np.array_equal(probs, model.predict_proba(diseases, np.concatenate(parts)))
 
     def test_empty_list_gives_no_rows(self, fixture_pair_model):
+        """No names give no rows, no pairs give no probabilities, and rows
+        of two counts are no pairs."""
         model = fixture_pair_model[0]
         rows, no_rows = model.embed_names(["头部骨折", "肺炎"]), model.embed_names([])
         assert no_rows.shape == (0, model.encoder.d_pair)
-        assert model.predict_proba(no_rows, rows).shape == (0, 2, 5)
-        assert model.predict_proba(rows, no_rows).shape == (2, 0, 5)
-        assert model.predict_proba(no_rows, no_rows).shape == (0, 0, 5)
+        assert model.predict_proba(no_rows, no_rows).shape == (0, 5)
+        assert score_names(model, [], ["头部骨折", "肺炎"]).shape == (0, 2, 5)
+        assert score_names(model, ["头部骨折", "肺炎"], []).shape == (2, 0, 5)
+        for left, right in ((no_rows, rows), (rows, rows[:1])):
+            with pytest.raises(ShapeMismatch, match="a pair is a row of each"):
+                model.predict_proba(left, right)
 
     def test_single_pair_is_the_seed_forward(self, fixture_pair_model):
         model = fixture_pair_model[0]
@@ -655,7 +661,7 @@ class TestBlockScoring:
 
 
 class PerPairRelation:
-    """The per-pair path: one 1 x 1 grid per (candidate, discharge name)."""
+    """The per-pair path: one call per (candidate, discharge name) pair."""
 
     def __init__(self, model):
         self.model = model
@@ -664,9 +670,9 @@ class PerPairRelation:
         return self.model.embed_names(names)
 
     def predict_proba(self, rows, against_rows):
-        cells = [[self.model.predict_proba(rows[i:i + 1], against_rows[j:j + 1])[0, 0]
-                  for j in range(len(against_rows))] for i in range(len(rows))]
-        return np.array(cells).reshape(len(rows), len(against_rows), len(RELATIONS))
+        cells = [self.model.predict_proba(rows[i:i + 1], against_rows[i:i + 1])[0]
+                 for i in range(len(rows))]
+        return np.array(cells).reshape(len(rows), len(RELATIONS))
 
 
 def test_detect_relations_are_the_single_pair_predictions(
