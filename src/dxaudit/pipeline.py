@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import Protocol
 
@@ -45,7 +45,7 @@ class ContextStage(Protocol):
         samples' order. Detect passes a chunk of records' samples in one
         call, and never calls with no samples. Detect refuses an answer
         with another count of judgments, another label, or a probability
-        outside [0, 1]."""
+        that is not a number in [0, 1]."""
 
 
 class RelationStage(Protocol):
@@ -116,20 +116,21 @@ def _judge(models: Models, features: FeatureLexicons,
     """The context stage's judgments of the (disease, context) windows,
     their samples built in one assemble_features call, checked: one per
     sample (else ShapeMismatch), each a label of LABELS at a probability
-    in [0, 1] (else DxAuditError). No windows make no call."""
-    if not windows:
-        return []
+    in [0, 1], a Python or numpy float or integer but not a bool (else
+    DxAuditError), which is kept as a float."""
     samples = assemble_features(windows, features)
     judgments = models.context.classify(*samples)
     if len(judgments) != len(samples):
         raise ShapeMismatch(f"context stage gave {len(judgments)} judgments "
                             f"for {len(samples)} samples")
     for label, prob in judgments:
-        if label not in LABELS or not 0.0 <= prob <= 1.0:  # also false for NaN
+        if (label not in LABELS or isinstance(prob, bool)
+                or not isinstance(prob, (float, int, np.floating, np.integer))
+                or not 0.0 <= prob <= 1.0):  # also false for NaN
             raise DxAuditError(f"context stage judged a sample {label!r} at probability "
                                f"{prob!r}; a judgment is one of {', '.join(LABELS)} "
                                "at a probability in [0, 1]")
-    return judgments
+    return [(label, float(prob)) for label, prob in judgments]
 
 
 def _checked_rows(relation: RelationStage, names: list[str]) -> np.ndarray:
@@ -156,33 +157,32 @@ def _checked_probs(relation: RelationStage, rows: np.ndarray,
     return probs
 
 
-def _name_rows(models: Models, memo: OrderedDict, names: list[str]) -> np.ndarray:
-    """The relation stage's rows of the names, in order. The names memo
-    lacks are embedded in one call (see _checked_rows), then kept in memo."""
-    missing = [name for name in dict.fromkeys(names) if name not in memo]
-    fresh = dict(zip(missing, _checked_rows(models.relation, missing))) if missing else {}
-    rows = np.array([fresh[name] if name in fresh else memo[name] for name in names])
-    _keep(memo, fresh)
-    return rows
+def _answered(requests: list[list], call) -> tuple[list[dict | Exception], dict]:
+    """Each request's answers (a dict from its items to what ``call``
+    answered them) or the exception it takes, and every answer given.
 
-
-def _relation_probs(models: Models, named: OrderedDict,
-                    compared: list[tuple[list[str], list[str]]]) -> list[np.ndarray]:
-    """For each (names, against) of ``compared``, every pair of which is
-    scored in one checked call (see _checked_probs): the relation stage's
-    (len(names), len(against), len(RELATIONS)) probabilities of each name
-    to each name of ``against``. The rows of their distinct names come
-    from one _name_rows call, which keeps them in ``named``."""
-    distinct = list(dict.fromkeys(chain.from_iterable(chain(*pair) for pair in compared)))
-    index = {name: i for i, name in enumerate(distinct)}
-    left = [index[name] for names, against in compared for name in names for _ in against]
-    right = [index[dx] for names, against in compared for _ in names for dx in against]
-    rows = _name_rows(models, named, distinct)
-    probs = _checked_probs(models.relation, rows[left], rows[right])
-    ends = accumulate(len(names) * len(against) for names, against in compared)
-    return [probs[end - len(names) * len(against) : end].reshape(
-                len(names), len(against), len(RELATIONS))
-            for (names, against), end in zip(compared, ends)]
+    ``call`` answers a list of distinct items, one answer each in order,
+    or raises. One call answers all the requests' distinct items; when it
+    raises, each request gets a call of its own, and a request holding
+    every distinct item takes that first error, as its own call would be
+    the same call. No items make no call."""
+    union = list(dict.fromkeys(chain.from_iterable(requests)))
+    try:
+        given = dict(zip(union, call(union))) if union else {}
+        return [given] * len(requests), given
+    except Exception as exc:
+        first, given, out = exc, {}, []
+    for request in requests:
+        items = list(dict.fromkeys(request))
+        try:
+            if len(items) == len(union):
+                raise first
+            own = dict(zip(items, call(items))) if items else {}
+            given.update(own)
+        except Exception as exc:
+            own = exc
+        out.append(own)
+    return out, given
 
 
 def _detect_record(
@@ -214,93 +214,59 @@ def _detect_record(
     return findings, label_counts
 
 
-def _judged(chunk, pending: dict, judged: OrderedDict, models: Models,
-            features: FeatureLexicons) -> tuple[list, dict | Exception]:
-    """Each (record, staged record or exception) of ``chunk`` as (record,
-    (confirmed (mention, prob) candidates, discharge names, label counts)
-    or the exception it raised), and the judgments of ``pending`` (or the
-    exception their call raised), which the caller files in ``judged``.
-
-    ``pending`` holds each window first seen in the chunk, in order.
-    Their samples are built and judged in one call (see _judge). Each
-    record reads its judgments from ``judged`` or that call's. When that
-    call raises, or its answer is refused, each record's unjudged windows
-    are built and judged in a call of their own, so the error lands on
-    the record that raised it; a record whose unjudged windows are all of
-    ``pending`` takes that first error, as its own call would be the same
-    call.
-    """
-    try:
-        fresh = dict(zip(pending, _judge(models, features, list(pending))))
-    except Exception as exc:
-        fresh = exc
-    out = []
-    for record, outcome in chunk:
-        if not isinstance(outcome, Exception):
-            mentions, windows, discharge = outcome
-            try:
-                own = fresh
-                if isinstance(own, Exception):
-                    todo = [w for w in dict.fromkeys(windows) if w not in judged]
-                    if len(todo) == len(pending):
-                        raise own
-                    own = dict(zip(todo, _judge(models, features, todo)))
-                confirmed, label_counts = [], dict.fromkeys(LABELS, 0)
-                for mention, window in zip(mentions, windows):
-                    label, prob = judged[window] if window in judged else own[window]
-                    label_counts[label] += 1
-                    if label == "confirmed":
-                        confirmed.append((mention, prob))
-                outcome = (confirmed, discharge, label_counts)
-            except Exception as exc:
-                outcome = exc
-        out.append((record, outcome))
-    return out, fresh
-
-
-def _detect_chunk(chunk, pending: dict, judged: OrderedDict, models: Models,
-                  features: FeatureLexicons, named: OrderedDict):
+def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: OrderedDict,
+                  named: OrderedDict):
     """(record, (findings, label counts) or the exception it raised) for
     each (record, staged record or exception) of ``chunk``, in order.
 
-    The chunk's records are judged first (see _judged). Then the
-    confirmed candidates of every record are compared with its discharge
-    names in one relation call (see _relation_probs), and each record
-    reads its own slice of the answer. When that call raises, or its
-    answer is refused, each record with a pair to score is scored in a
-    call of its own, so the error lands on the record that raised it; the
-    only record of a chunk with pairs takes that first error, as its own
-    call would be the same call. The
-    chunk's judgments are filed in ``judged`` only once every record of
-    the chunk has read them.
-    """
-    records, fresh = _judged(chunk, pending, judged, models, features)
-    paired = {i: ([m.disease for m, _ in outcome[0]], outcome[1])
-              for i, (_, outcome) in enumerate(records)
-              if not isinstance(outcome, Exception) and outcome[0] and outcome[1]}
-    try:
-        answers = dict(zip(paired, _relation_probs(models, named, list(paired.values()))
-                               if paired else ()))
-    except Exception as exc:
-        answers = exc
-    for i, (record, outcome) in enumerate(records):
+    Three stage calls serve the chunk through _answered: the context stage
+    judges the windows ``judged`` lacks (_judge), the relation stage embeds
+    the names ``named`` lacks of each record's (confirmed candidate,
+    discharge name) pairs (_checked_rows), then scores each distinct pair
+    (_checked_probs). A record takes the first error of its answers. Both
+    memos are filed once every record of the chunk has read them."""
+    outcomes = [staged for _, staged in chunk]
+    live = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    answers, judgments = _answered([[w for w in outcomes[i][1] if w not in judged] for i in live],
+                                   lambda windows: _judge(models, features, windows))
+    for i, own in zip(live, answers):
+        if not isinstance(own, Exception):
+            mentions, windows, discharge = outcomes[i]
+            read = [judged[w] if w in judged else own[w] for w in windows]
+            label_counts = dict.fromkeys(LABELS, 0)
+            for label, _ in read:
+                label_counts[label] += 1
+            own = ([(mention, prob) for mention, (label, prob) in zip(mentions, read)
+                    if label == "confirmed"], discharge, label_counts)
+        outcomes[i] = own
+
+    pairs = {i: [(mention.disease, dx) for mention, _ in outcomes[i][0] for dx in outcomes[i][1]]
+             for i in live if not isinstance(outcomes[i], Exception)}
+    embedded, rows = _answered(
+        [[name for name in dict.fromkeys(chain.from_iterable(request)) if name not in named]
+         for request in pairs.values()],
+        lambda names: _checked_rows(models.relation, names))
+
+    def score(pairs):
+        index = {name: k for k, name in enumerate(dict.fromkeys(chain.from_iterable(pairs)))}
+        table = np.array([rows[name] if name in rows else named[name] for name in index])
+        return _checked_probs(models.relation, table[[index[name] for name, _ in pairs]],
+                              table[[index[dx] for _, dx in pairs]])
+
+    scored, _ = _answered([[] if isinstance(own, Exception) else pairs[i]
+                           for i, own in zip(pairs, embedded)], score)
+    scores = {i: own if isinstance(own, Exception) else probs
+              for i, own, probs in zip(pairs, embedded, scored)}
+    for i, (record, _) in enumerate(chunk):
+        outcome = scores.get(i, outcomes[i])
         if not isinstance(outcome, Exception):
-            confirmed, discharge, label_counts = outcome
-            try:
-                if i not in paired:
-                    probs = np.empty((len(confirmed), len(discharge), len(RELATIONS)))
-                elif not isinstance(answers, Exception):
-                    probs = answers[i]
-                elif len(paired) == 1:
-                    raise answers
-                else:
-                    [probs] = _relation_probs(models, named, [paired[i]])
-                outcome = _detect_record(record, confirmed, discharge, probs, label_counts)
-            except Exception as exc:
-                outcome = exc
+            confirmed, discharge, label_counts = outcomes[i]
+            probs = np.array([outcome[pair] for pair in pairs[i]]).reshape(
+                len(confirmed), len(discharge), len(RELATIONS))
+            outcome = _detect_record(record, confirmed, discharge, probs, label_counts)
         yield record, outcome
-    if not isinstance(fresh, Exception):
-        _keep(judged, fresh)
+    _keep(judged, judgments)
+    _keep(named, rows)
 
 
 def _detect(records, models: Models, features: FeatureLexicons, matcher: DiseaseMatcher):
@@ -311,17 +277,17 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
     discharge_names, its recalled mentions not among them verbatim (those
     need no model calls) and each one's (disease, context) window; a
     repeated record_id or a staging fault is staged as its exception. A
-    window that neither the window memo nor the chunk holds is pending,
-    and counts the rows its sample will hold, capped as assemble_features
-    caps them. At CHUNK_ROWS pending rows, or STAGED_ROWS rows held in all
-    (counted as STAGED_ROWS says), the chunk goes to _detect_chunk before
-    the next record is read. Both memos end with the generator.
+    window new to the window memo and the chunk counts the rows its sample
+    will hold, capped as assemble_features caps them. At CHUNK_ROWS new
+    rows, or STAGED_ROWS rows held in all, the chunk is decided before the
+    next record is read: its three stage calls share one fallback rule
+    (see _detect_chunk, _answered). Both memos end with the generator.
     """
     judged, named = OrderedDict(), OrderedDict()
     seen: set[str] = set()
     records = iter(records)
     while True:
-        chunk, pending, rows, held = [], {}, 0, 0
+        chunk, pending, rows, held = [], set(), 0, 0
         for record in records:
             held += 1
             try:
@@ -332,8 +298,8 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
                 listed = set(discharge)
                 mentions = [m for m in find_mentions(matcher, record) if m.disease not in listed]
                 windows = [(m.disease, build_context_window(record, m).context) for m in mentions]
-                new = {w: None for w in windows if w not in judged and w not in pending}
-                pending.update(new)
+                new = {w for w in windows if w not in judged and w not in pending}
+                pending |= new
                 rows += sum(min(len(d), MAX_DISEASE) + 1 + min(len(c), MAX_CONTEXT)
                             for d, c in new)
                 held += sum(len(d) + len(c) + 1 + len(discharge) for d, c in windows)
@@ -343,7 +309,7 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
             chunk.append((record, staged))
             if rows >= CHUNK_ROWS or held >= STAGED_ROWS:
                 break
-        yield from _detect_chunk(chunk, pending, judged, models, features, named)
+        yield from _detect_chunk(chunk, models, features, judged, named)
         if rows < CHUNK_ROWS and held < STAGED_ROWS:
             return
 
@@ -393,13 +359,13 @@ def batch_detect(
     corpus keeps the first record, as a path corpus does. Error entries
     come in record order.
 
-    Records run through _detect, a chunk at a time (see _detect_chunk):
-    one classify call judges a chunk's new windows, and one relation call
-    scores its (confirmed candidate, discharge name) pairs. A window
-    judged before in this call takes the judgment given then, and each
-    name is embedded once in this call; both memos hold at most
-    MEMO_ENTRIES entries each and end with the call, and no byte of the
-    report depends on them.
+    Records run through _detect, a chunk at a time: one call judges a
+    chunk's new windows, one embeds its new names and one scores its
+    (confirmed candidate, discharge name) pairs, and when a call fails,
+    each record gets a call of its own (see _answered). A window judged,
+    or a name embedded, before in this call is not sent again; both memos
+    hold at most MEMO_ENTRIES entries each and end with the call, and no
+    byte of the report depends on them.
     ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
     before the first record, so an empty disease lexicon raises.
     """

@@ -199,6 +199,33 @@ class TestDetect:
         assert detect_write_missing(records[3], models, lexicons) == []
         assert calls == [(["脑梗死", "脑梗死"], ["高血压", "脑卒中"])]
 
+    @pytest.mark.parametrize("prob, written", [
+        (np.float32(0.5), "0.5"),
+        (1, "1.0"),
+        (True, None),
+        ("0.5", None),
+    ], ids=["numpy-float", "int", "bool", "string"])
+    def test_a_judged_probability_is_written_as_a_float_or_refused(self, lexicons, tmp_path,
+                                                                  prob, written):
+        """A number the context stage gives is written as the float it is;
+        a bool or a string is refused as the record's error entry."""
+        class FixedContext:
+            def classify(self, *samples):
+                return [("confirmed", prob)] * len(samples)
+
+        report = batch_detect([record("r1", "确诊为肺炎。", [])],
+                              Models(FixedContext(), IrrelevanceAllRelation()), lexicons)
+        path = tmp_path / "report.jsonl"
+        write_report(report, path)
+        if written is None:
+            assert report.errors == [{"record_id": "r1", "error": (
+                f"context stage judged a sample 'confirmed' at probability {prob!r}; a "
+                "judgment is one of non_current, confirmed, unknown at a probability in "
+                "[0, 1]")}]
+        else:
+            assert report.errors == []
+            assert f'"context_label_prob": {written},' in path.read_text(encoding="utf-8")
+
     def test_model_not_loaded(self, lexicons):
         rec = record("r1", "确诊为肺炎。", [])
         with pytest.raises(ModelNotLoaded):
@@ -257,7 +284,7 @@ class TestBatchDetect:
     def test_unexpected_error_in_one_record_is_its_error_entry(self, lexicons):
         """A stage that raises on r2's candidate 胃溃疡, or gives an answer
         detect refuses, fails r2 alone; detect_write_missing raises the
-        same error for r2."""
+        same error for r2, with the same message."""
         class FaultyRelation(MapRelationOracle):
             def predict_proba(self, rows, against_rows):
                 if "胃溃疡" in names_of(rows):
@@ -319,19 +346,15 @@ class TestBatchDetect:
              "relation stage gave probabilities of shape (2, 4) for (2, 5)"),
             (ConfirmAllContext(), BadGridRelation(nan_cell), ShapeMismatch,
              "relation stage gave a probability that is not finite"),
-            # r1 has embedded 高血压 in the batch, so r2 alone embeds one more
-            # name: the last message is detect_write_missing's
             (ConfirmAllContext(), BadRowsRelation(lambda rows: rows[:-1]), ShapeMismatch,
-             "relation stage gave 1 rows for 2 names",
              "relation stage gave 2 rows for 3 names"),
             (ConfirmAllContext(), BadRowsRelation(lambda rows: np.concatenate([rows, rows])),
-             ShapeMismatch, "relation stage gave 4 rows for 2 names",
-             "relation stage gave 6 rows for 3 names"),
+             ShapeMismatch, "relation stage gave 6 rows for 3 names"),
         ]
         records = [record("r1", "确诊为肺炎。", ["高血压"]),
                    record("r2", "确诊为胃溃疡。", ["高血压", "冠心病"]),
                    record("r3", "确诊为脑梗死。", [])]
-        for context, relation, error_type, error, *lone in cases:
+        for context, relation, error_type, error in cases:
             models = Models(context, relation)
             report = batch_detect(records, models, lexicons)
             assert [r.record_id for r in report.results] == ["r1", "r3"]
@@ -342,7 +365,9 @@ class TestBatchDetect:
             assert report.summary["errors"] == 1
             with pytest.raises(error_type) as raised:
                 detect_write_missing(records[1], models, lexicons)
-            assert (lone or [error])[0].endswith(str(raised.value))
+            lone = raised.value
+            assert error == (str(lone) if isinstance(lone, DxAuditError)
+                             else f"{type(lone).__name__}: {lone}")
 
     def test_a_failed_call_is_not_made_again_for_its_lone_record(self, lexicons):
         """When a chunk's classify call raises, a record whose new windows
@@ -378,6 +403,36 @@ class TestBatchDetect:
         assert [[f.disease for f in r.findings] for r in report.results] == \
             [["肺炎"], ["脑梗死"]]
         assert report.errors == [error]
+
+    def test_a_refused_embedding_fails_its_record_and_the_rest_score_in_one_call(
+            self, lexicons):
+        """When the chunk's embedding call is refused, each record with pairs
+        embeds its own names in a call of its own; the records that
+        embedded then score their pairs together in one call, and only the
+        record whose embedding was refused fails."""
+        embedded, scored = [], []
+
+        class SpyRelation(MapRelationOracle):
+            def embed_names(self, names):
+                embedded.append(list(names))
+                rows = super().embed_names(names)
+                return rows[:-1] if "胃溃疡" in names else rows
+
+            def predict_proba(self, rows, against_rows):
+                scored.append((names_of(rows), names_of(against_rows)))
+                return super().predict_proba(rows, against_rows)
+
+        records = [record("r1", "确诊为肺炎。", ["高血压"]),
+                   record("r2", "确诊为胃溃疡。", ["高血压", "冠心病"]),
+                   record("r3", "确诊为脑梗死。", ["冠心病"])]
+        report = batch_detect(records, Models(ConfirmAllContext(), SpyRelation()), lexicons)
+        assert embedded == [["肺炎", "高血压", "胃溃疡", "冠心病", "脑梗死"], ["肺炎", "高血压"],
+                            ["胃溃疡", "高血压", "冠心病"], ["脑梗死", "冠心病"]]
+        assert scored == [(["肺炎", "脑梗死"], ["高血压", "冠心病"])]
+        assert report.errors == [{"record_id": "r2",
+                                  "error": "relation stage gave 2 rows for 3 names"}]
+        assert [[f.disease for f in r.findings] for r in report.results] == \
+            [["肺炎"], ["脑梗死"]]
 
     def test_chunks_match_one_record_at_a_time_and_faults_fail_alone(
             self, lexicons, tmp_path, monkeypatch):
