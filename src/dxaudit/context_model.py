@@ -34,10 +34,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import MAX_DISEASE, parse_json_object, read_lines
+from .core import MAX_CONTEXT, MAX_DISEASE, parse_json_object, read_lines
 from .errors import (BadSetting, DegenerateData, EmptyPool, ParseError, ShapeMismatch,
                      require_at_least)
-from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
+from .features import (LABELS, TRACKS, ContextSample, FeatureLexicons, assemble_features,
+                       mark_occurrences)
 from .modelio import read_model, write_model
 
 UNK_ID = 0
@@ -408,7 +409,8 @@ def augment_eda(sample: ContextSample, lexicons: FeatureLexicons,
     """
     rng = random.Random(seed)
     context = sample.context
-    protected = sample.pos_track.astype(bool)
+    protected = np.zeros(len(context), dtype=bool)
+    mark_occurrences(protected, context, sample.disease)
     free = [i for i in range(len(context)) if not protected[i]]
 
     chars = list(context)
@@ -476,9 +478,10 @@ class ContextClassifier:
         one past every row of the embedding; ``classify`` runs its passes on
         this layout, and ``sequences`` cuts it into one view per sample.
 
-        The one place a sample becomes rows: one ``CharVocab.encode`` call
-        over the joined texts and one concatenation of the tracks, whatever
-        the number of samples.
+        The one place a sample becomes rows, and so where its format (see
+        ``features``) is checked, ValueError for a cap or track it breaks:
+        one ``CharVocab.encode`` call over the joined texts and one
+        concatenation of the tracks, whatever the number of samples.
         """
         texts, lengths, seps, gaps = [], [], [], []
         pos, neg, order = [], [], []
@@ -489,23 +492,33 @@ class ContextClassifier:
                 heads = _HEADS
                 gaps += range(row, row + WINDOW)
                 row += WINDOW
-            n = len(sample.disease)
+            n, m = len(sample.disease), len(sample.context)
+            for name, length, cap in (("disease", n, MAX_DISEASE), ("context", m, MAX_CONTEXT)):
+                if length > cap:
+                    raise ValueError(f"{name} is longer than its cap of {cap} characters")
+            tracks = sample.pos_track, sample.neg_track, sample.order_track
+            for name, track in zip(TRACKS, tracks):
+                if len(track) != m:
+                    raise ValueError(f"{name} length {len(track)} != context length {m}")
             texts.append(f"{sample.disease}\0{sample.context}")
-            lengths.append(n + 1 + len(sample.context))
+            lengths.append(n + 1 + m)
             seps.append(row + n)
             row += lengths[-1]
             pos_head, zero_head = heads[n]
-            pos += (pos_head, sample.pos_track)
-            neg += (zero_head, sample.neg_track)
-            order += (zero_head, sample.order_track)
+            pos += (pos_head, tracks[0])
+            neg += (zero_head, tracks[1])
+            order += (zero_head, tracks[2])
         # "\0" holds the place of each SEP and gap row; those rows are then set
         ids = self.encoder.vocab.encode(("\0" * WINDOW).join(texts))
         ids[seps] = SEP_ID
         if gaps:  # an empty index still costs a microsecond
             ids[gaps] = len(self.encoder.embedding)
-        tracks = np.concatenate(pos + neg + order or [np.zeros(0)], dtype=np.intp,
-                                casting="unsafe")
-        return ids, _TRACK_WEIGHTS @ tracks.reshape(3, -1), lengths
+        tracks = np.concatenate(pos + neg + order or [np.zeros(0, dtype=np.uint8)])
+        bad = np.flatnonzero(tracks != tracks.astype(bool))  # the cast reads 0.5 as 0
+        if len(bad):  # the first, in a sample's track: a head row holds 0 or 1
+            raise ValueError(f"{TRACKS[bad[0] // row]} holds {tracks[bad[0]]}; "
+                             "a track holds only 0 and 1")
+        return ids, _TRACK_WEIGHTS @ tracks.astype(np.intp).reshape(3, -1), lengths
 
     def sequences(self, samples) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each sample's (ids, code) rows of ``packed_inputs``, as views, for
@@ -529,11 +542,12 @@ class ContextClassifier:
         whatever the number of samples, lays every sample out; they then
         run in passes of at most PASS_ROWS rows (a detect window has at
         most MAX_DISEASE + 1 + MAX_CONTEXT = 481), each a slice of that
-        layout. Detect passes it a chunk of pipeline.CHUNK_ROWS (4096) rows
-        of samples. Each sample's probabilities are bit-identical to those
-        of a call with that sample alone. The tables hold the parameters as
-        they were at the first call. The tests hold it to
-        ``oracles.context_forward``, ``_probs`` of one sample.
+        layout. Detect passes it a chunk's new samples: at least
+        pipeline.CHUNK_ROWS (4096) rows, or fewer when STAGED_ROWS or the
+        corpus's end closes the chunk. Each sample's probabilities are
+        bit-identical to those of a call with that sample alone. The tables
+        hold the parameters as they were at the first call. The tests hold
+        it to ``oracles.context_forward``, ``_probs`` of one sample.
         """
         ids, code, lengths = self.packed_inputs(samples)
         judgments, row = [], 0
@@ -695,18 +709,18 @@ def train(samples: list[ContextSample], config: TrainConfig,
     drawn at ``config.seed``, the head at ``config.seed + 1``.
     """
     require_at_least({"d_enc": d_enc, "d": d}, d_enc=1, d=1)
-    labels = [s.label for s in samples]
+    labels, every = [s.label for s in samples], [*samples, *(dev_samples or ())]
     if dev_samples is not None and not dev_samples:
         raise DegenerateData("the dev set is empty")
-    if any(s.label is None for s in [*samples, *(dev_samples or ())]):
-        raise DegenerateData("every training and dev sample needs a label")
-    present = set(labels)
-    missing = [lbl for lbl in LABELS if lbl not in present]
+    for s in every:
+        if s.label not in LABELS:
+            raise DegenerateData("every training and dev sample needs a label" if s.label is None
+                                 else f"unknown label {s.label!r}")
+    missing = [lbl for lbl in LABELS if lbl not in labels]
     if missing:
         raise DegenerateData(f"classes absent from training data: {missing}")
 
-    vocab = CharVocab.from_texts(s.disease + s.context
-                                 for s in [*samples, *(dev_samples or ())])
+    vocab = CharVocab.from_texts(s.disease + s.context for s in every)
     embedding = initial_params({"embedding": (len(vocab), d_enc)}, config.seed,
                                {"d_enc": d_enc})["embedding"]
     encoder = CharWindowEncoder(vocab, embedding)

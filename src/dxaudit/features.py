@@ -6,6 +6,12 @@ Each track is a 0/1 array exactly as long as the context:
 * neg_track  - characters inside any occurrence of a negation word
 * order_track - characters belonging to enumerated-list items
 
+A sample (ContextSample) holds a disease of at most MAX_DISEASE
+characters, a context of at most MAX_CONTEXT, the three tracks and a label
+of LABELS or None. assemble_features builds it so; where a sample is used,
+ContextClassifier.packed_inputs refuses a cap or track it breaks
+(ValueError) and context_model.train an unknown label (DegenerateData).
+
 ``assemble_features`` builds a whole batch of (disease, context) windows
 in one call, over the capped contexts joined by ``"\\0"``: one
 ``mark_negation`` pass over the joined text marks every context, each
@@ -36,6 +42,9 @@ TRACKS = ("pos_track", "neg_track", "order_track")
 
 @dataclass(frozen=True)
 class ContextSample:
+    """A window, its tracks and a label or None: plain data in the module's
+    format, which packed_inputs (caps, tracks) and train (label) check."""
+
     disease: str
     context: str
     pos_track: np.ndarray
@@ -43,28 +52,9 @@ class ContextSample:
     order_track: np.ndarray
     label: str | None = None
 
-    def __post_init__(self):
-        for name, cap in (("disease", MAX_DISEASE), ("context", MAX_CONTEXT)):
-            if len(getattr(self, name)) > cap:
-                raise ValueError(f"{name} is longer than its cap of {cap} characters")
-        n = len(self.context)
-        tracks = [getattr(self, name) for name in TRACKS]
-        for name, track in zip(TRACKS, tracks):
-            if len(track) != n:
-                raise ValueError(f"{name} length {len(track)} != context length {n}")
-        # One pass over all three tracks (count_nonzero costs half of .any()
-        # on a short window); the first bad entry names its track.
-        joined = np.concatenate(tracks)
-        bad = joined != joined.astype(bool)
-        if np.count_nonzero(bad):
-            at = int(bad.argmax())
-            raise ValueError(f"{TRACKS[at // n]} holds {joined[at]}; "
-                             f"a track holds only 0 and 1")
-        if self.label is not None and self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
 
-
-def _mark_occurrences(track: np.ndarray, context: str, needle: str) -> None:
+def mark_occurrences(track: np.ndarray, context: str, needle: str) -> None:
+    """Set track to 1 over every occurrence of needle in context."""
     start = 0
     while True:
         idx = context.find(needle, start)
@@ -78,7 +68,7 @@ def mark_negation(context: str, negation_lexicon: Lexicon) -> np.ndarray:
     """1 over every character inside any negation-word occurrence."""
     track = np.zeros(len(context), dtype=np.uint8)
     for word in negation_lexicon.entries:
-        _mark_occurrences(track, context, word)
+        mark_occurrences(track, context, word)
     return track
 
 
@@ -156,7 +146,7 @@ def assemble_features(
         if not disease:
             raise ValueError("disease must be non-empty")
         end = start + len(context)
-        _mark_occurrences(pos[start:end], context, disease)
+        mark_occurrences(pos[start:end], context, disease)
         order[start:end] = mark_serial_numbers(context, lexicons.patterns)
         bounds.append((start, end))
         start = end + 1

@@ -190,41 +190,36 @@ def _detect_record(
     confirmed: list[tuple[DiseaseMention, float]],
     discharge: list[str],
     probs: np.ndarray,
-    label_counts: dict[str, int],
-) -> tuple[list[WriteMissingFinding], dict[str, int]]:
-    """Findings and context label counts of a judged record, given its
-    confirmed (mention, prob) candidates, its discharge_names and the
-    (len(confirmed), len(discharge), len(RELATIONS)) probabilities of
-    each candidate to each of those names: a candidate is found when its
-    most probable relation to every one is irrelevance. ``record`` is the
-    record they are of; a trace of this call reads its record_id."""
+) -> list[WriteMissingFinding]:
+    """Findings of a judged record, given its confirmed (mention, prob)
+    candidates, its discharge_names and the (len(confirmed),
+    len(discharge), len(RELATIONS)) probabilities of each candidate to
+    each of those names: a candidate is found when its most probable
+    relation to every one is irrelevance. ``record`` is the record they
+    are of; a trace of this call reads its record_id."""
     findings: list[WriteMissingFinding] = []
     for (mention, prob), grid in zip(confirmed, probs):
-        relations = tuple(
-            (dx, RELATIONS[k], float(row[k]))
-            for dx, row, k in zip(discharge, grid, grid.argmax(axis=1))
-        )
+        relations = tuple((dx, RELATIONS[k], float(row[k]))
+                          for dx, row, k in zip(discharge, grid, grid.argmax(axis=1)))
         if all(rel == "irrelevance" for _, rel, _ in relations):
             findings.append(WriteMissingFinding(
-                disease=mention.disease,
-                evidence_spans=mention.spans,
-                context_label_prob=prob,
-                relations=relations,
-            ))
-    return findings, label_counts
+                disease=mention.disease, evidence_spans=mention.spans,
+                context_label_prob=prob, relations=relations))
+    return findings
 
 
 def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: OrderedDict,
                   named: OrderedDict):
     """(record, (findings, label counts) or the exception it raised) for
-    each (record, staged record or exception) of ``chunk``, in order.
+    each (record, staged record or exception) of ``chunk``, in order; it
+    returns the judgments and name rows the chunk's calls gave.
 
     Three stage calls serve the chunk through _answered: the context stage
     judges the windows ``judged`` lacks (_judge), the relation stage embeds
     the names ``named`` lacks of each record's (confirmed candidate,
     discharge name) pairs (_checked_rows), then scores each distinct pair
-    (_checked_probs). A record takes the first error of its answers. Both
-    memos are filed once every record of the chunk has read them."""
+    (_checked_probs). A record takes the first error of its answers. Every
+    read of the memos is done before the first record is yielded."""
     outcomes = [staged for _, staged in chunk]
     live = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     answers, judgments = _answered([[w for w in outcomes[i][1] if w not in judged] for i in live],
@@ -233,9 +228,7 @@ def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: Orde
         if not isinstance(own, Exception):
             mentions, windows, discharge = outcomes[i]
             read = [judged[w] if w in judged else own[w] for w in windows]
-            label_counts = dict.fromkeys(LABELS, 0)
-            for label, _ in read:
-                label_counts[label] += 1
+            label_counts = {label: [got for got, _ in read].count(label) for label in LABELS}
             own = ([(mention, prob) for mention, (label, prob) in zip(mentions, read)
                     if label == "confirmed"], discharge, label_counts)
         outcomes[i] = own
@@ -263,10 +256,9 @@ def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: Orde
             confirmed, discharge, label_counts = outcomes[i]
             probs = np.array([outcome[pair] for pair in pairs[i]]).reshape(
                 len(confirmed), len(discharge), len(RELATIONS))
-            outcome = _detect_record(record, confirmed, discharge, probs, label_counts)
+            outcome = _detect_record(record, confirmed, discharge, probs), label_counts
         yield record, outcome
-    _keep(judged, judgments)
-    _keep(named, rows)
+    return judgments, rows
 
 
 def _detect(records, models: Models, features: FeatureLexicons, matcher: DiseaseMatcher):
@@ -281,14 +273,17 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
     will hold, capped as assemble_features caps them. At CHUNK_ROWS new
     rows, or STAGED_ROWS rows held in all, the chunk is decided before the
     next record is read: its three stage calls share one fallback rule
-    (see _detect_chunk, _answered). Both memos end with the generator.
+    (see _detect_chunk, _answered). Its answers are filed in the memos only
+    when a next chunk starts; both memos end with the generator.
     """
     judged, named = OrderedDict(), OrderedDict()
     seen: set[str] = set()
-    records = iter(records)
-    while True:
+    records, filing = iter(records), ()
+    for first in records:
+        for memo, items in filing:
+            _keep(memo, items)
         chunk, pending, rows, held = [], set(), 0, 0
-        for record in records:
+        for record in chain([first], records):
             held += 1
             try:
                 if record.record_id in seen:
@@ -309,9 +304,8 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
             chunk.append((record, staged))
             if rows >= CHUNK_ROWS or held >= STAGED_ROWS:
                 break
-        yield from _detect_chunk(chunk, models, features, judged, named)
-        if rows < CHUNK_ROWS and held < STAGED_ROWS:
-            return
+        judgments, names = yield from _detect_chunk(chunk, models, features, judged, named)
+        filing = (judged, judgments), (named, names)
 
 
 def detect_write_missing(

@@ -1,5 +1,6 @@
 """The gated fusion classifier: forward math, gradients, augmentation."""
 
+import dataclasses
 import math
 import random
 
@@ -416,6 +417,16 @@ class TestAugmentEda:
             for variant in augment_eda(sample, feature_lexicons, seed=seed):
                 assert variant.context.count("肺炎") >= 2
 
+    def test_protection_reads_the_context_not_pos_track(self, feature_lexicons):
+        """The protected characters are the disease's occurrences in the
+        context, whatever the sample's pos_track holds."""
+        [sample] = assemble_features([("肺炎", "肺炎" + "甲乙丙丁" * 10 + "肺炎尾部。")],
+                                     feature_lexicons, ["confirmed"])
+        blank = dataclasses.replace(sample, pos_track=np.zeros_like(sample.pos_track))
+        for seed in range(20):
+            assert ([v.context for v in augment_eda(blank, feature_lexicons, seed=seed)]
+                    == [v.context for v in augment_eda(sample, feature_lexicons, seed=seed)])
+
 
 class TestAugmentDiseaseReplace:
     def test_replaces_all_occurrences(self, feature_lexicons):
@@ -680,3 +691,14 @@ class TestLoadTrainingSamples:
         dev = assemble_features([("肺炎", "确诊为肺炎。")], feature_lexicons)
         with pytest.raises(DegenerateData, match="dev"):
             train(samples, TrainConfig(epochs=1), dev_samples=dev, d=4, d_enc=4)
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_unknown_label_is_degenerate_data(self, feature_lexicons, split):
+        """A sample is plain data, so train is where a label outside LABELS
+        is refused."""
+        samples = assemble_features([("肺炎", "确诊为肺炎。"), ("肺炎", "否认肺炎。"),
+                                     ("肺炎", "肺炎待排。")], feature_lexicons, list(LABELS))
+        bad = dataclasses.replace(samples[0], label="maybe")
+        given = {"train": ([*samples, bad], None), "dev": (samples, [bad])}[split]
+        with pytest.raises(DegenerateData, match="unknown label 'maybe'"):
+            train(given[0], TrainConfig(epochs=1), dev_samples=given[1], d=4, d_enc=4)

@@ -1,8 +1,8 @@
 """Properties: detect's chunking is invisible. Over drawn corpora, chunk
-bounds, memo sizes and stage faults, batch_detect reports each record as
-detect_write_missing reports it alone, and the records that fail alone
-are the records that fail in the batch, with the same error type, in
-record order."""
+bounds, memo sizes and stage or window-builder faults, batch_detect
+reports each record as detect_write_missing reports it alone, and the
+records that fail alone are the records that fail in the batch, with the
+same error type, in record order."""
 
 from dataclasses import asdict
 
@@ -111,7 +111,8 @@ faults = st.one_of(
               st.sampled_from(["raise", "count", "label", "nan"])),
     st.tuples(st.just("embed"), st.sampled_from(NAMES), st.sampled_from(["raise", "count"])),
     st.tuples(st.just("score"), st.sampled_from(NAMES),
-              st.sampled_from(["raise", "count", "shape", "nan"])))
+              st.sampled_from(["raise", "count", "shape", "nan"])),
+    st.tuples(st.just("window"), st.sampled_from(DISEASES), st.just("raise")))
 
 
 def bound(packaged):
@@ -123,7 +124,20 @@ def models_for(fault):
     stage, trigger, kind = fault
     if stage == "context":
         return Models(FaultyContext(trigger, kind), FaultyRelation())
+    if stage == "window":
+        return Models(FaultyContext(), FaultyRelation())
     return Models(FaultyContext(), FaultyRelation(stage, trigger, kind))
+
+
+def faulty_windows(trigger):
+    """pipeline.build_context_window, raising for a mention of ``trigger``."""
+    build = pipeline.build_context_window
+
+    def build_context_window(record, mention):
+        if mention.disease == trigger:
+            raise Fault(f"cannot build a window of {trigger}")
+        return build(record, mention)
+    return build_context_window
 
 
 def lines(results):
@@ -138,18 +152,20 @@ def test_a_batch_reports_and_fails_each_record_as_alone(corpus, fault, chunk_row
                                                         staged_rows, memo_entries):
     models = models_for(fault)
     alone, failed, seen = [], [], set()
-    for rec in corpus:
-        if rec.record_id in seen:
-            failed.append((rec.record_id, DuplicateRecordId))
-            continue
-        seen.add(rec.record_id)
-        try:
-            alone.append(pipeline.RecordResult(
-                rec.record_id, detect_write_missing(rec, models, LEXICONS)))
-        except Exception as exc:
-            failed.append((rec.record_id, type(exc)))
-
     with pytest.MonkeyPatch.context() as patch:
+        if fault[0] == "window":
+            patch.setattr(pipeline, "build_context_window", faulty_windows(fault[1]))
+        for rec in corpus:
+            if rec.record_id in seen:
+                failed.append((rec.record_id, DuplicateRecordId))
+                continue
+            seen.add(rec.record_id)
+            try:
+                alone.append(pipeline.RecordResult(
+                    rec.record_id, detect_write_missing(rec, models, LEXICONS)))
+            except Exception as exc:
+                failed.append((rec.record_id, type(exc)))
+
         patch.setattr(pipeline, "CHUNK_ROWS", chunk_rows)
         patch.setattr(pipeline, "STAGED_ROWS", staged_rows)
         patch.setattr(pipeline, "MEMO_ENTRIES", memo_entries)

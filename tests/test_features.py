@@ -1,14 +1,18 @@
 """Feature tracks: disease positions, negation, enumerated items."""
 
+import dataclasses
 import random
 import re
 
 import numpy as np
 import pytest
 
+from dxaudit.context_model import CharVocab, ContextClassifier, TrainConfig, train
 from dxaudit.core import LexiconKind, make_lexicon
 from dxaudit.errors import BadPattern, BadSetting, EmptyContext
+from dxaudit.evaluate import TrackZeroingContext
 from dxaudit.features import (
+    LABELS,
     TRACKS,
     ContextSample,
     FeatureLexicons,
@@ -16,6 +20,8 @@ from dxaudit.features import (
     mark_negation,
     mark_serial_numbers,
 )
+
+from builders import char_encoder, fusion_head
 
 
 def bits(track) -> str:
@@ -111,6 +117,22 @@ class TestSerialNumbers:
             FeatureLexicons(negation=negation_lexicon, enumerators=lexicon)
 
 
+MODEL = ContextClassifier(char_encoder(CharVocab(["病"]), d_enc=2, seed=0),
+                          fusion_head(d_enc=2, d=2, seed=1), TrainConfig())
+
+
+def assert_refused(bad, zeroed, match, lexicons):
+    """classify, directly and with ``zeroed`` zeroed, refuses ``bad`` after
+    a good sample, and train refuses it among a good sample per label."""
+    good = assemble_features([("病", "病病病")] * len(LABELS), lexicons, list(LABELS))
+    for context in (MODEL, TrackZeroingContext(MODEL, zeroed)):
+        with pytest.raises(ValueError, match=match):
+            context.classify(good[0], bad)
+    with pytest.raises(ValueError, match=match):
+        train([*good, dataclasses.replace(bad, label="confirmed")], TrainConfig(epochs=1),
+              d=2, d_enc=2)
+
+
 class TestAssembleFeatures:
     def test_tracks_aligned(self, feature_lexicons):
         [sample] = assemble_features([("肺炎", "否认肺炎。1.高血压。")], feature_lexicons)
@@ -126,31 +148,35 @@ class TestAssembleFeatures:
         [sample] = assemble_features([("病" * 40, "病" * 50)], feature_lexicons)
         assert len(sample.disease) == 30
 
+    # A sample is plain data: a hand-built one that breaks the format is
+    # refused where the model packs it, after a good sample in one classify
+    # call (directly and through the ablation's track-zeroing wrapper), and
+    # in train.
     @pytest.mark.parametrize("disease, context", [("病" * 31, "病"), ("病", "病" * 451)],
                              ids=["disease-31", "context-451"])
-    def test_sample_past_a_cap_is_refused(self, disease, context):
+    def test_sample_past_a_cap_is_refused(self, feature_lexicons, disease, context):
         """A sample built by hand cannot reach a model past the caps that
         assemble_features clips to."""
         zeros = np.zeros(len(context), dtype=np.uint8)
-        with pytest.raises(ValueError, match="longer than its cap"):
-            ContextSample(disease, context, zeros, zeros, zeros)
+        assert_refused(ContextSample(disease, context, zeros, zeros, zeros), "order_track",
+                       "longer than its cap", feature_lexicons)
 
-    def test_misaligned_track_is_refused(self):
+    def test_misaligned_track_is_refused(self, feature_lexicons):
         zeros = np.zeros(3, dtype=np.uint8)
-        with pytest.raises(ValueError, match="neg_track length 2 != context length 3"):
-            ContextSample("病", "病病病", zeros, zeros[:2], zeros)
+        assert_refused(ContextSample("病", "病病病", zeros, zeros[:2], zeros), "pos_track",
+                       "neg_track length 2 != context length 3", feature_lexicons)
 
     @pytest.mark.parametrize("value, dtype", [(256, np.int64), (0.5, np.float64),
                                               (2, np.uint8), (-1, np.int64)],
                              ids=["256", "0.5", "2", "-1"])
-    def test_track_value_other_than_0_or_1_is_refused(self, value, dtype):
+    def test_track_value_other_than_0_or_1_is_refused(self, feature_lexicons, value, dtype):
         """256 and 0.5 would read as 0 once cast to uint8, and 2 or -1 as
         another track code."""
-        for bad in TRACKS:
+        for k, bad in enumerate(TRACKS):
             tracks = {name: np.array([1, 0, 1, 0], dtype=np.uint8) for name in TRACKS}
             tracks[bad] = np.array([1, 0, value, 0], dtype=dtype)
-            with pytest.raises(ValueError, match=f"^{bad} holds {value}; "):
-                ContextSample("病", "病病病病", **tracks)
+            assert_refused(ContextSample("病", "病病病病", **tracks), TRACKS[k - 1],
+                           f"^{bad} holds {value}; ", feature_lexicons)
 
     @pytest.mark.parametrize("field", ["negation", "enumerators"])
     def test_lexicon_of_the_wrong_kind_is_refused(self, feature_lexicons, field):

@@ -617,6 +617,37 @@ class TestBatchDetect:
         assert [[f.disease for f in r.findings] for r in report.results] == \
             [["肺炎"], ["肺炎", "高血压"], ["脑梗死"]]
 
+    def test_memos_are_filed_only_when_another_chunk_follows(self, lexicons, monkeypatch):
+        """A one-record call files no memo. Over a corpus of three chunks
+        (two closed by a new window each, the last by the corpus's end),
+        each of the first two chunks' judgments and new name rows are
+        filed once the next chunk's first record is read, and the last
+        chunk's are not filed."""
+        events = []
+
+        def corpus():
+            for rec in (record("r1", "确诊为肺炎。", ["胃溃疡"]),
+                        record("r2", "确诊为高血压。", ["胃溃疡"]),
+                        record("r3", "生命体征平稳。", ["胃溃疡"])):
+                events.append(rec.record_id)
+                yield rec
+
+        keep = pipeline._keep
+
+        def spy_keep(memo, items):
+            events.append(list(items))
+            keep(memo, items)
+
+        monkeypatch.setattr(pipeline, "_keep", spy_keep)
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 1)
+        models = Models(ConfirmAllContext(), IrrelevanceAllRelation())
+        assert len(detect_write_missing(record("r0", "确诊为肺炎。", []), models, lexicons)) == 1
+        assert events == []
+        report = batch_detect(corpus(), models, lexicons)
+        assert events == ["r1", "r2", [("肺炎", "确诊为肺炎。")], ["肺炎", "胃溃疡"],
+                          "r3", [("高血压", "确诊为高血压。")], ["高血压"]]
+        assert report.errors == [] and report.summary["findings"] == 2
+
     @pytest.mark.parametrize("text, discharge", [
         ("入院后确诊为肺炎，另见高血压记录：否认脑梗死。", ["胃溃疡"]),
         ("患者一般情况可，生命体征平稳。", ["胃溃疡"]),
