@@ -542,9 +542,9 @@ class ContextClassifier:
         whatever the number of samples, lays every sample out; they then
         run in passes of at most PASS_ROWS rows (a detect window has at
         most MAX_DISEASE + 1 + MAX_CONTEXT = 481), each a slice of that
-        layout. Detect passes it a chunk's new samples: at least
-        pipeline.CHUNK_ROWS (4096) rows, or fewer when STAGED_ROWS or the
-        corpus's end closes the chunk. Each sample's probabilities are
+        layout. Detect passes it the distinct samples of a chunk, closed at
+        pipeline.STAGED_ROWS (32768) staged rows; a sample repeated in a
+        later chunk is judged again. Each sample's probabilities are
         bit-identical to those of a call with that sample alone. The tables
         hold the parameters as they were at the first call. The tests hold
         it to ``oracles.context_forward``, ``_probs`` of one sample.

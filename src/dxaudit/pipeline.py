@@ -10,7 +10,6 @@ the models.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -19,13 +18,11 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import (MAX_CONTEXT, MAX_DISEASE, Lexicon, MedicalRecord, discharge_names,
-                   json_line, normalize_disease_name, parse_json_object, read_corpus,
-                   read_lines, write_lines)
+from .core import (Lexicon, MedicalRecord, discharge_names, json_line, normalize_disease_name,
+                   parse_json_object, read_corpus, read_lines, write_lines)
 from .errors import (DuplicateRecordId, DxAuditError, EmptyName, ModelNotLoaded, ParseError,
                      ShapeMismatch)
 from .features import LABELS, ContextSample, FeatureLexicons, assemble_features
-from .context_model import PASS_ROWS
 from .recall import (DiseaseMatcher, DiseaseMention, build_context_window, build_matcher,
                      find_mentions)
 from .relation_model import RELATIONS
@@ -51,7 +48,7 @@ class ContextStage(Protocol):
 class RelationStage(Protocol):
     def embed_names(self, names: list[str]) -> np.ndarray:
         """One row per name, in order, that does not depend on the names
-        embedded with it. Detect embeds each name once per call, and
+        embedded with it. Detect embeds each name once per chunk, and
         refuses another count of rows."""
 
     def predict_proba(self, rows: np.ndarray, against_rows: np.ndarray) -> np.ndarray:
@@ -84,31 +81,11 @@ class PipelineLexicons:
         return build_matcher(self.diseases)
 
 
-# Entries in each of _detect's two memos, window judgments and name rows;
-# past it the oldest entries go first, so a call's memory does not grow
-# with its corpus.
-MEMO_ENTRIES = 4096
-
-# Rows of new samples _detect stages before one classify call judges them:
-# eight passes' worth, so that each call packs many windows (on the toy
-# bench corpus, passes of 512 rows hold about 20 windows each).
-CHUNK_ROWS = 8 * PASS_ROWS
-
-# Rows _detect stages in all before a chunk closes: one per record, and per
-# window, new or served by the window memo, its characters, one more and
-# one per discharge name its candidate may be paired with. Memo-served
-# windows and records without candidates cost classify nothing, so only
-# this bound closes a chunk of them, and it bounds the chunk's relation
-# pairs too. On the bench corpora a chunk's new rows reach CHUNK_ROWS first.
-STAGED_ROWS = 8 * CHUNK_ROWS
-
-
-def _keep(memo: OrderedDict, items) -> None:
-    """Add items, a dict of keys memo lacks, to memo, then drop memo's
-    oldest entries past MEMO_ENTRIES."""
-    memo.update(items)
-    while len(memo) > MEMO_ENTRIES:
-        memo.popitem(last=False)
+# Rows _detect stages before a chunk closes: one per record, and per window
+# its characters, one more and one per discharge name its candidate may be
+# paired with. It bounds what a chunk's classify call packs and the chunk's
+# relation pairs; a toy or train bench corpus is one chunk.
+STAGED_ROWS = 32768
 
 
 def _judge(models: Models, features: FeatureLexicons,
@@ -162,10 +139,11 @@ def _answered(requests: list[list], call) -> tuple[list[dict | Exception], dict]
     answered them) or the exception it takes, and every answer given.
 
     ``call`` answers a list of distinct items, one answer each in order,
-    or raises. One call answers all the requests' distinct items; when it
-    raises, each request gets a call of its own, and a request holding
-    every distinct item takes that first error, as its own call would be
-    the same call. No items make no call."""
+    or raises. One call answers all the requests' distinct items, so an
+    item that several requests hold, or one request holds twice, is sent
+    once; when that call raises, each request gets a call of its own, and
+    a request holding every distinct item takes that first error, as its
+    own call would be the same call. No items make no call."""
     union = list(dict.fromkeys(chain.from_iterable(requests)))
     try:
         given = dict(zip(union, call(union))) if union else {}
@@ -208,26 +186,24 @@ def _detect_record(
     return findings
 
 
-def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: OrderedDict,
-                  named: OrderedDict):
+def _detect_chunk(chunk, models: Models, features: FeatureLexicons):
     """(record, (findings, label counts) or the exception it raised) for
-    each (record, staged record or exception) of ``chunk``, in order; it
-    returns the judgments and name rows the chunk's calls gave.
+    each (record, staged record or exception) of ``chunk``, in order.
 
-    Three stage calls serve the chunk through _answered: the context stage
-    judges the windows ``judged`` lacks (_judge), the relation stage embeds
-    the names ``named`` lacks of each record's (confirmed candidate,
-    discharge name) pairs (_checked_rows), then scores each distinct pair
-    (_checked_probs). A record takes the first error of its answers. Every
-    read of the memos is done before the first record is yielded."""
+    Three stage calls serve the chunk through _answered, each sent the
+    chunk's distinct items: the context stage judges the windows
+    (_judge), the relation stage embeds the names of each record's
+    (confirmed candidate, discharge name) pairs (_checked_rows), then
+    scores the pairs (_checked_probs). A record takes the first error of
+    its answers. No answer outlives the chunk."""
     outcomes = [staged for _, staged in chunk]
     live = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    answers, judgments = _answered([[w for w in outcomes[i][1] if w not in judged] for i in live],
-                                   lambda windows: _judge(models, features, windows))
+    answers, _ = _answered([outcomes[i][1] for i in live],
+                           lambda windows: _judge(models, features, windows))
     for i, own in zip(live, answers):
         if not isinstance(own, Exception):
             mentions, windows, discharge = outcomes[i]
-            read = [judged[w] if w in judged else own[w] for w in windows]
+            read = [own[w] for w in windows]
             label_counts = {label: [got for got, _ in read].count(label) for label in LABELS}
             own = ([(mention, prob) for mention, (label, prob) in zip(mentions, read)
                     if label == "confirmed"], discharge, label_counts)
@@ -235,14 +211,12 @@ def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: Orde
 
     pairs = {i: [(mention.disease, dx) for mention, _ in outcomes[i][0] for dx in outcomes[i][1]]
              for i in live if not isinstance(outcomes[i], Exception)}
-    embedded, rows = _answered(
-        [[name for name in dict.fromkeys(chain.from_iterable(request)) if name not in named]
-         for request in pairs.values()],
-        lambda names: _checked_rows(models.relation, names))
+    embedded, rows = _answered([list(chain.from_iterable(request)) for request in pairs.values()],
+                               lambda names: _checked_rows(models.relation, names))
 
     def score(pairs):
         index = {name: k for k, name in enumerate(dict.fromkeys(chain.from_iterable(pairs)))}
-        table = np.array([rows[name] if name in rows else named[name] for name in index])
+        table = np.array([rows[name] for name in index])
         return _checked_probs(models.relation, table[[index[name] for name, _ in pairs]],
                               table[[index[dx] for _, dx in pairs]])
 
@@ -258,7 +232,6 @@ def _detect_chunk(chunk, models: Models, features: FeatureLexicons, judged: Orde
                 len(confirmed), len(discharge), len(RELATIONS))
             outcome = _detect_record(record, confirmed, discharge, probs), label_counts
         yield record, outcome
-    return judgments, rows
 
 
 def _detect(records, models: Models, features: FeatureLexicons, matcher: DiseaseMatcher):
@@ -268,21 +241,16 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
     A record is staged as (mentions, windows, discharge): its
     discharge_names, its recalled mentions not among them verbatim (those
     need no model calls) and each one's (disease, context) window; a
-    repeated record_id or a staging fault is staged as its exception. A
-    window new to the window memo and the chunk counts the rows its sample
-    will hold, capped as assemble_features caps them. At CHUNK_ROWS new
-    rows, or STAGED_ROWS rows held in all, the chunk is decided before the
-    next record is read: its three stage calls share one fallback rule
-    (see _detect_chunk, _answered). Its answers are filed in the memos only
-    when a next chunk starts; both memos end with the generator.
+    repeated record_id or a staging fault is staged as its exception.
+    Once the chunk's records hold STAGED_ROWS rows, or the corpus ends,
+    the chunk is decided before the next record is read (see
+    _detect_chunk, _answered). Each chunk is decided from its own stage
+    calls alone, so a window repeated across chunks is judged again.
     """
-    judged, named = OrderedDict(), OrderedDict()
     seen: set[str] = set()
-    records, filing = iter(records), ()
+    records = iter(records)
     for first in records:
-        for memo, items in filing:
-            _keep(memo, items)
-        chunk, pending, rows, held = [], set(), 0, 0
+        chunk, held = [], 0
         for record in chain([first], records):
             held += 1
             try:
@@ -293,19 +261,14 @@ def _detect(records, models: Models, features: FeatureLexicons, matcher: Disease
                 listed = set(discharge)
                 mentions = [m for m in find_mentions(matcher, record) if m.disease not in listed]
                 windows = [(m.disease, build_context_window(record, m).context) for m in mentions]
-                new = {w for w in windows if w not in judged and w not in pending}
-                pending |= new
-                rows += sum(min(len(d), MAX_DISEASE) + 1 + min(len(c), MAX_CONTEXT)
-                            for d, c in new)
                 held += sum(len(d) + len(c) + 1 + len(discharge) for d, c in windows)
                 staged = (mentions, windows, discharge)
             except Exception as exc:  # a fault in one record must not end the batch
                 staged = exc
             chunk.append((record, staged))
-            if rows >= CHUNK_ROWS or held >= STAGED_ROWS:
+            if held >= STAGED_ROWS:
                 break
-        judgments, names = yield from _detect_chunk(chunk, models, features, judged, named)
-        filing = (judged, judgments), (named, names)
+        yield from _detect_chunk(chunk, models, features)
 
 
 def detect_write_missing(
@@ -354,12 +317,12 @@ def batch_detect(
     come in record order.
 
     Records run through _detect, a chunk at a time: one call judges a
-    chunk's new windows, one embeds its new names and one scores its
-    (confirmed candidate, discharge name) pairs, and when a call fails,
-    each record gets a call of its own (see _answered). A window judged,
-    or a name embedded, before in this call is not sent again; both memos
-    hold at most MEMO_ENTRIES entries each and end with the call, and no
-    byte of the report depends on them.
+    chunk's distinct windows, one embeds its distinct names and one scores
+    its (confirmed candidate, discharge name) pairs, and when a call
+    fails, each record gets a call of its own (see _answered). A chunk
+    keeps nothing for the next, so a window repeated across chunks is
+    judged again, and no byte of the report depends on where a chunk
+    closes.
     ``parallelism`` is accepted and ignored. ``lexicons.matcher`` is read
     before the first record, so an empty disease lexicon raises.
     """

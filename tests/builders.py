@@ -1,11 +1,24 @@
 """Models for tests that need one without training: freshly drawn
 parameters, each drawn through ``initial_params`` as the trainers do, and
-stage stand-ins that answer from known labels."""
+stage stand-ins that answer from known labels. Also the rows detect
+stages for a record, by its written-down rule."""
 
 import numpy as np
 
 from dxaudit.context_model import CharWindowEncoder, GatedFusionHead, initial_params
+from dxaudit.core import discharge_names
+from dxaudit.recall import build_context_window, find_mentions
 from dxaudit.relation_model import RELATIONS, RelationClassifier
+
+
+def staged_rows(record, matcher):
+    """The rows pipeline._detect stages for a record of a new record_id:
+    one, and per window of a mention not among its discharge names, its
+    characters, one more and one per discharge name."""
+    discharge = discharge_names(record)
+    return 1 + sum(len(m.disease) + len(build_context_window(record, m).context) + 1
+                   + len(discharge)
+                   for m in find_mentions(matcher, record) if m.disease not in discharge)
 
 
 def char_encoder(vocab, d_enc, seed):

@@ -1,8 +1,9 @@
 """Properties: detect's chunking is invisible. Over drawn corpora, chunk
-bounds, memo sizes and stage or window-builder faults, batch_detect
-reports each record as detect_write_missing reports it alone, and the
-records that fail alone are the records that fail in the batch, with the
-same error type, in record order."""
+bounds and stage or window-builder faults, batch_detect reports each
+record as detect_write_missing reports it alone, and the records that
+fail alone are the records that fail in the batch, with the same error
+type, in record order. A chunk is read only up to the record whose rows
+reach the bound, and no call sends one window or name twice."""
 
 from dataclasses import asdict
 
@@ -20,7 +21,7 @@ from dxaudit.features import FeatureLexicons  # noqa: E402
 from dxaudit.pipeline import (Models, PipelineLexicons, batch_detect,  # noqa: E402
                               detect_write_missing)
 
-from builders import MapRelationOracle  # noqa: E402
+from builders import MapRelationOracle, staged_rows  # noqa: E402
 from conftest import DATA_DIR  # noqa: E402
 
 DISEASES = ["高血压", "肺炎", "胃溃疡", "脑梗死", "冠心病"]
@@ -146,10 +147,8 @@ def lines(results):
 
 
 @settings(max_examples=900, deadline=None, derandomize=True)
-@given(st.lists(records, min_size=1, max_size=40), faults,
-       bound(pipeline.CHUNK_ROWS), bound(pipeline.STAGED_ROWS), bound(pipeline.MEMO_ENTRIES))
-def test_a_batch_reports_and_fails_each_record_as_alone(corpus, fault, chunk_rows,
-                                                        staged_rows, memo_entries):
+@given(st.lists(records, min_size=1, max_size=40), faults, bound(pipeline.STAGED_ROWS))
+def test_a_batch_reports_and_fails_each_record_as_alone(corpus, fault, limit):
     models = models_for(fault)
     alone, failed, seen = [], [], set()
     with pytest.MonkeyPatch.context() as patch:
@@ -166,9 +165,7 @@ def test_a_batch_reports_and_fails_each_record_as_alone(corpus, fault, chunk_row
             except Exception as exc:
                 failed.append((rec.record_id, type(exc)))
 
-        patch.setattr(pipeline, "CHUNK_ROWS", chunk_rows)
-        patch.setattr(pipeline, "STAGED_ROWS", staged_rows)
-        patch.setattr(pipeline, "MEMO_ENTRIES", memo_entries)
+        patch.setattr(pipeline, "STAGED_ROWS", limit)
         report = batch_detect(corpus, models, LEXICONS)
         outcomes = pipeline._detect(corpus, models, LEXICONS.features, LEXICONS.matcher)
         batch_failed = [(rec.record_id, type(outcome)) for rec, outcome in outcomes
@@ -176,3 +173,58 @@ def test_a_batch_reports_and_fails_each_record_as_alone(corpus, fault, chunk_row
     assert lines(report.results) == lines(alone)
     assert [entry["record_id"] for entry in report.errors] == [rid for rid, _ in failed]
     assert batch_failed == failed
+
+
+def closing_records(corpus):
+    """For each record of ``corpus``, how many records are read when its
+    chunk closes: at the first record whose chunk holds STAGED_ROWS staged
+    rows (a repeated record_id holds one), or at the corpus's end."""
+    closes, held, seen = [], 0, set()
+    for read, rec in enumerate(corpus, 1):
+        held += 1 if rec.record_id in seen else staged_rows(rec, LEXICONS.matcher)
+        seen.add(rec.record_id)
+        if held >= pipeline.STAGED_ROWS or read == len(corpus):
+            closes += [read] * (read - len(closes))
+            held = 0
+    return closes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(records, min_size=1, max_size=40), bound(pipeline.STAGED_ROWS))
+def test_detect_reads_a_chunk_up_to_the_record_that_fills_it(corpus, limit):
+    read = []
+
+    def reading():
+        for rec in corpus:
+            read.append(rec)
+            yield rec
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "STAGED_ROWS", limit)
+        closes = closing_records(corpus)
+        outcomes = pipeline._detect(reading(), models_for(("context", None, None)),
+                                    LEXICONS.features, LEXICONS.matcher)
+        for rec, close, (got, _) in zip(corpus, closes, outcomes):
+            assert got is rec and len(read) == close
+    assert len(read) == len(corpus)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(records, min_size=1, max_size=40), bound(pipeline.STAGED_ROWS))
+def test_no_call_sends_a_window_or_name_twice(corpus, limit):
+    sent = []
+
+    class LoggingContext(FaultyContext):
+        def classify(self, *samples):
+            sent.append([(s.disease, s.context) for s in samples])
+            return super().classify(*samples)
+
+    class LoggingRelation(FaultyRelation):
+        def embed_names(self, names):
+            sent.append(list(names))
+            return super().embed_names(names)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "STAGED_ROWS", limit)
+        batch_detect(corpus, Models(LoggingContext(), LoggingRelation()), LEXICONS)
+    assert all(len(set(items)) == len(items) for items in sent)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dxaudit import pipeline, synth
-from dxaudit.core import MAX_DISEASE, LexiconKind, MedicalRecord, make_lexicon
+from dxaudit.core import LexiconKind, MedicalRecord, make_lexicon
 from dxaudit.context_model import TrainConfig, train
 from dxaudit.errors import DxAuditError, ModelNotLoaded, ParseError, ShapeMismatch
 from dxaudit.evaluate import ConfirmAllContext, IrrelevanceAllRelation
@@ -24,7 +24,7 @@ from dxaudit.recall import build_context_window
 from dxaudit.relation_model import (RELATIONS, PairEncoder, PairTrainConfig, finetune,
                                     load_pairs)
 
-from builders import LookupContextOracle, MapRelationOracle, score_names
+from builders import LookupContextOracle, MapRelationOracle, score_names, staged_rows
 
 
 @pytest.fixture()
@@ -437,12 +437,13 @@ class TestBatchDetect:
     def test_chunks_match_one_record_at_a_time_and_faults_fail_alone(
             self, lexicons, tmp_path, monkeypatch):
         """A corpus of 80 records: batch_detect makes no more classify calls
-        than its new sample rows over CHUNK_ROWS, rounded up, at the
-        packaged chunk size and at one that cuts the corpus into chunks of
-        about ten records, and its report lines are detect_write_missing's,
-        record by record. Three records fail, each at another stage, and
-        their error entries come in record order, though r06's staging
-        fault is raised before r05's relation fault."""
+        than its staged rows over STAGED_ROWS, rounded up, and no call
+        judges a window twice, at the packaged bound and at one that cuts
+        the corpus into chunks of about ten records, and its report lines
+        are detect_write_missing's, record by record. Three records fail,
+        each at another stage, and their error entries come in record
+        order, though r06's staging fault is raised before r05's relation
+        fault."""
         class KeywordContext:
             calls: list = []
             fail = True
@@ -491,20 +492,20 @@ class TestBatchDetect:
                    for i in range(80)]
         models = Models(KeywordContext(), FaultyRelation())
 
-        # No call fails: each new window is judged once, in as few calls as
-        # the staging rule allows
-        KeywordContext.fail = False
-        for chunk_rows in (pipeline.CHUNK_ROWS, 256):
-            monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk_rows)
+        # No call fails: each distinct window of a chunk is judged once, in
+        # as few calls as the staging rule allows (r06's windows, which
+        # fail, are counted too, so the bound is loose by their rows)
+        held = sum(staged_rows(rec, lexicons.matcher) for rec in records)
+        KeywordContext.fail, packaged = False, pipeline.STAGED_ROWS
+        for bound in (packaged, 500):
+            monkeypatch.setattr(pipeline, "STAGED_ROWS", bound)
             KeywordContext.calls = []
             report = batch_detect(records, models, lexicons)
-            judged = [(s.disease, s.context) for samples in KeywordContext.calls
-                      for s in samples]
-            assert len(judged) == len(set(judged))
-            rows = sum(len(d) + 1 + len(c) for d, c in judged)
-            assert len(KeywordContext.calls) <= -(-rows // chunk_rows)
+            for samples in KeywordContext.calls:
+                assert len({(s.disease, s.context) for s in samples}) == len(samples)
+            assert len(KeywordContext.calls) <= -(-held // bound)
             assert same_bytes(report, one_by_one(records, models))
-        assert rows < pipeline.PASS_ROWS * 8 and len(KeywordContext.calls) >= 6
+        assert held < packaged and len(KeywordContext.calls) >= 6
 
         KeywordContext.fail, KeywordContext.calls = True, []
         report = batch_detect(records, models, lexicons)
@@ -562,36 +563,11 @@ class TestBatchDetect:
         write_report(dataclasses.replace(report, results=one_by_one), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_a_disease_past_its_cap_counts_its_capped_rows(self, feature_lexicons,
-                                                           monkeypatch):
-        """Chunks are staged by the rows each sample holds: a 40-character
-        disease holds MAX_DISEASE rows, so a chunk of CHUNK_ROWS = two
-        capped windows and one row closes after three records, where
-        counting the window's own disease would close it after two."""
-        long_name = "".join(chr(0x4E00 + i) for i in range(40))
-        lexicons = PipelineLexicons(
-            diseases=make_lexicon([long_name], LexiconKind.DISEASE_NAMES),
-            features=feature_lexicons)
-        records = [record(f"r{i}", f"第{i}次确诊为{long_name}。", ["肺炎"])
-                   for i in range(10, 19)]
-        context = len(f"第10次确诊为{long_name}。")
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 2 * (MAX_DISEASE + 1 + context) + 1)
-        calls = []
-
-        class CountingContext:
-            def classify(self, *samples):
-                calls.append([len(s.disease) for s in samples])
-                return [("confirmed", 0.9)] * len(samples)
-
-        batch_detect(records, Models(CountingContext(), IrrelevanceAllRelation()), lexicons)
-        assert calls == [[MAX_DISEASE] * 3] * 3
-
     def test_a_generator_corpus_is_read_one_chunk_at_a_time(self, lexicons, monkeypatch):
-        """A generator of records, every new window closing its chunk: no
+        """A generator of records, every record closing its chunk: no
         record past a chunk is read before that chunk's classify call, and
-        r2's 肺炎 window, judged in the chunk before, is not judged again.
-        With room for one memo entry, filing r2's chunk evicts 肺炎, so r2
-        can read it only because filing waits until the chunk is read."""
+        r2's 肺炎 window, judged in the chunk before, is judged again in
+        r2's own chunk, since no judgment outlives its chunk."""
         events = []
 
         def corpus():
@@ -607,57 +583,27 @@ class TestBatchDetect:
                 events.append([(sample.disease, sample.context) for sample in samples])
                 return [("confirmed", 0.9)] * len(samples)
 
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 1)
-        monkeypatch.setattr(pipeline, "MEMO_ENTRIES", 1)
+        monkeypatch.setattr(pipeline, "STAGED_ROWS", 1)
         report = batch_detect(corpus(), Models(LoggingContext(), IrrelevanceAllRelation()),
                               lexicons)
-        assert events == ["r1", [("肺炎", "确诊为肺炎。")], "r2", [("高血压", "确诊为高血压。")],
+        assert events == ["r1", [("肺炎", "确诊为肺炎。")],
+                          "r2", [("肺炎", "确诊为肺炎。"), ("高血压", "确诊为高血压。")],
                           "r3", [("脑梗死", "确诊为脑梗死。")]]
         assert report.errors == []
         assert [[f.disease for f in r.findings] for r in report.results] == \
             [["肺炎"], ["肺炎", "高血压"], ["脑梗死"]]
 
-    def test_memos_are_filed_only_when_another_chunk_follows(self, lexicons, monkeypatch):
-        """A one-record call files no memo. Over a corpus of three chunks
-        (two closed by a new window each, the last by the corpus's end),
-        each of the first two chunks' judgments and new name rows are
-        filed once the next chunk's first record is read, and the last
-        chunk's are not filed."""
-        events = []
-
-        def corpus():
-            for rec in (record("r1", "确诊为肺炎。", ["胃溃疡"]),
-                        record("r2", "确诊为高血压。", ["胃溃疡"]),
-                        record("r3", "生命体征平稳。", ["胃溃疡"])):
-                events.append(rec.record_id)
-                yield rec
-
-        keep = pipeline._keep
-
-        def spy_keep(memo, items):
-            events.append(list(items))
-            keep(memo, items)
-
-        monkeypatch.setattr(pipeline, "_keep", spy_keep)
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", 1)
-        models = Models(ConfirmAllContext(), IrrelevanceAllRelation())
-        assert len(detect_write_missing(record("r0", "确诊为肺炎。", []), models, lexicons)) == 1
-        assert events == []
-        report = batch_detect(corpus(), models, lexicons)
-        assert events == ["r1", "r2", [("肺炎", "确诊为肺炎。")], ["肺炎", "胃溃疡"],
-                          "r3", [("高血压", "确诊为高血压。")], ["高血压"]]
-        assert report.errors == [] and report.summary["findings"] == 2
-
     @pytest.mark.parametrize("text, discharge", [
         ("入院后确诊为肺炎，另见高血压记录：否认脑梗死。", ["胃溃疡"]),
         ("患者一般情况可，生命体征平稳。", ["胃溃疡"]),
-    ], ids=["memo-served", "no-mention"])
+    ], ids=["repeated-windows", "no-mention"])
     def test_a_chunk_holds_at_most_staged_rows(self, lexicons, text, discharge):
-        """A corpus whose windows are all judged already, or whose records
-        hold no mention, adds no new row: its chunks close at STAGED_ROWS
-        rows held, one per record plus each window's characters, one more
-        and its record's discharge names. Copies of one record under fresh ids, read from a generator
-        of twice as many, give their first outcome once that many are read."""
+        """A corpus that repeats one record's windows, or whose records hold
+        no mention: its chunks close at STAGED_ROWS rows held, one per
+        record plus each window's characters, one more and its record's
+        discharge names. Copies of one record under fresh ids, read from a
+        generator of twice as many, give their first outcome once that many
+        are read."""
         read = 0
 
         def corpus():
@@ -669,7 +615,7 @@ class TestBatchDetect:
         rec = record("r0", text, discharge)
         windows = [(m.disease, build_context_window(rec, m).context)
                    for m in pipeline.find_mentions(lexicons.matcher, rec)]
-        held = 1 + sum(len(d) + len(c) + 1 + len(discharge) for d, c in windows)
+        held = staged_rows(rec, lexicons.matcher)
         models = Models(ConfirmAllContext(), IrrelevanceAllRelation())
         outcomes = pipeline._detect(corpus(), models, lexicons.features, lexicons.matcher)
         first, outcome = next(outcomes)
@@ -677,47 +623,34 @@ class TestBatchDetect:
         assert read == -(-pipeline.STAGED_ROWS // held)
         assert len(windows) == (3 if windows else 0)
 
-    @pytest.mark.parametrize("memo_entries", [None, 2, 1], ids=["default", "two", "one"])
     def test_records_repeated_under_fresh_ids_match_one_record_at_a_time(
             self, trained_models, disease_pool, feature_lexicons, data_dir, tmp_path,
-            monkeypatch, memo_entries):
-        """Trained models over a corpus that repeats its records under fresh
-        ids, across several chunks of one pass each: batch_detect's report
-        lines are detect_write_missing's, record by record. Each distinct
-        window reaches classify once per call, none with zero samples,
-        while the memos are large enough; with room for two entries, or
-        one, so that every filing evicts, neither memo ever holds more."""
+            monkeypatch):
+        """Trained models over a corpus that holds each record three times
+        in a row under fresh ids, across several chunks: batch_detect's
+        report lines are detect_write_missing's, record by record. Each
+        distinct window of a chunk reaches classify once and no call holds
+        zero samples, so the chunks send fewer than half their windows."""
         spec = synth.SyntheticSpec(n_records=30, diseases_per_record=4, miss_rate=0.35,
                                    negation_rate=0.25, enumeration_rate=0.3, seed=31)
         originals, _ = synth.gen_synthetic_corpus(
             spec, disease_pool, synth.Templates.load(data_dir / "templates.txt"),
             variant_pairs=synth.load_variant_pairs(data_dir / "disease_variants.tsv"))
         records = [dataclasses.replace(rec, record_id=f"{rec.record_id}-{k}")
-                   for k in range(3) for rec in originals]
+                   for rec in originals for k in range(3)]
         lexicons = PipelineLexicons(diseases=disease_pool, features=feature_lexicons)
         counting = CountingContext(trained_models.context)
         models = Models(counting, trained_models.relation)
 
-        memos = {}
-        keep = pipeline._keep
-        bound = memo_entries or pipeline.MEMO_ENTRIES
-
-        def bounded_keep(memo, items):
-            keep(memo, items)
-            assert len(memo) <= bound
-            memos.update((id(memo), type(key)) for key in memo)
-
-        monkeypatch.setattr(pipeline, "MEMO_ENTRIES", bound)
-        monkeypatch.setattr(pipeline, "_keep", bounded_keep)
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", pipeline.PASS_ROWS)
+        # chunks of about eight records, each holding two or three copies
+        monkeypatch.setattr(pipeline, "STAGED_ROWS", 512)
         report = batch_detect(records, models, lexicons)
         assert report.errors == []
-        assert sorted(memos.values(), key=str) == [str, tuple]
         windows = [window for call in counting.calls for window in call]
         assert min(map(len, counting.calls)) > 0
         assert len(counting.calls) >= 3
-        if memo_entries is None:
-            assert len(windows) == len(set(windows)) < len(records) * 4
+        assert all(len(set(call)) == len(call) for call in counting.calls)
+        assert len(windows) < 2 * len(set(windows)) < len(records) * 4
 
         one_by_one = [RecordResult(rec.record_id,
                                    detect_write_missing(rec, trained_models, lexicons))

@@ -611,8 +611,8 @@ class TestBlockScoring:
     def test_prepared_rows_score_as_names(self, fixture_pair_model, monkeypatch,
                                           n, block_rows):
         """A list's rows are its parts' rows embedded separately, bit for
-        bit, so detect's name memo may embed each name once and score rows
-        gathered from several calls."""
+        bit, so detect may embed each name once per chunk and, after a
+        fallback, score rows gathered from several calls."""
         model = fixture_pair_model[0]
         names = random_names(model, n, seed=n + 1)
         monkeypatch.setattr(relation_model, "BLOCK_ROWS", block_rows)
